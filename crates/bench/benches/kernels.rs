@@ -121,73 +121,47 @@ fn bench_ip_prescaled_segments(c: &mut Criterion) {
     }
 }
 
-/// SQ8 quantized scan: the 8-lane `seg_quant_stats` decode+accumulate hot
-/// loop (matching `FUSED_LANE`) against the 4-lane unroll it replaced.
-/// Reports the per-dim delta ratio.
+/// SQ8 quantized scan: `kernels::ip_u8` over one segment's codes against
+/// `kernels::ip` over the same segment in f32, at the repo benchmark's two
+/// segment widths.  Reports ns/row for both and their ratio.
 fn bench_sq8_scan(c: &mut Criterion) {
-    use must_vector::quant::seg_quant_stats;
     use std::time::Instant;
 
-    // The previous 4-lane unroll, kept here as the measurement baseline.
-    fn seg_quant_stats_4lane(q: &[f32], codes: &[u8], min: f32, step: f32) -> (f32, f32) {
-        let n = q.len();
-        let mut d2 = [0.0f32; 4];
-        let mut dot = [0.0f32; 4];
-        let chunks = n / 4;
-        for c in 0..chunks {
-            let i = c * 4;
-            for lane in 0..4 {
-                let v = min + step * f32::from(codes[i + lane]);
-                let d = q[i + lane] - v;
-                d2[lane] += d * d;
-                dot[lane] += q[i + lane] * v;
-            }
-        }
-        let (mut d2s, mut dots) =
-            (d2[0] + d2[1] + d2[2] + d2[3], dot[0] + dot[1] + dot[2] + dot[3]);
-        for i in chunks * 4..n {
-            let v = min + step * f32::from(codes[i]);
-            let d = q[i] - v;
-            d2s += d * d;
-            dots += q[i] * v;
-        }
-        (d2s, dots)
-    }
-
     let mut group = c.benchmark_group("sq8_scan");
-    let mut ratios: Vec<(usize, f64)> = Vec::new();
-    for dim in [64usize, 96, 256] {
-        let q: Vec<f32> = (0..dim).map(|i| ((i * 37 + 11) as f32).sin()).collect();
+    let mut report: Vec<(usize, f64, f64)> = Vec::new();
+    for dim in [64usize, 32] {
+        let (q, row) = vectors(dim);
         let codes: Vec<u8> = (0..dim).map(|i| (i.wrapping_mul(89).wrapping_add(31)) as u8).collect();
-        let (min, step) = (-0.71f32, 0.005_6f32);
-        group.bench_with_input(BenchmarkId::new("lanes8", dim), &dim, |bch, _| {
-            bch.iter(|| seg_quant_stats(black_box(&q), black_box(&codes), min, step))
+        group.bench_with_input(BenchmarkId::new("ip_u8", dim), &dim, |bch, _| {
+            bch.iter(|| kernels::ip_u8(black_box(&q), black_box(&codes)))
         });
-        group.bench_with_input(BenchmarkId::new("lanes4", dim), &dim, |bch, _| {
-            bch.iter(|| seg_quant_stats_4lane(black_box(&q), black_box(&codes), min, step))
+        group.bench_with_input(BenchmarkId::new("ip_f32", dim), &dim, |bch, _| {
+            bch.iter(|| kernels::ip(black_box(&q), black_box(&row)))
         });
 
-        // Direct interleaved ratio so the bench output carries the number.
+        // Direct interleaved timing so the bench output carries the numbers.
         let iters = 400_000u32;
-        let t0 = Instant::now();
         let mut acc = 0.0f32;
-        for _ in 0..iters {
-            let (a, b) = seg_quant_stats(black_box(&q), black_box(&codes), min, step);
-            acc += a + b;
-        }
-        let ns8 = t0.elapsed().as_nanos() as f64 / f64::from(iters);
         let t0 = Instant::now();
         for _ in 0..iters {
-            let (a, b) = seg_quant_stats_4lane(black_box(&q), black_box(&codes), min, step);
-            acc += a + b;
+            acc += kernels::ip_u8(black_box(&q), black_box(&codes));
         }
-        let ns4 = t0.elapsed().as_nanos() as f64 / f64::from(iters);
+        let u8_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters);
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            acc += kernels::ip(black_box(&q), black_box(&row));
+        }
+        let f32_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters);
         black_box(acc);
-        ratios.push((dim, ns4 / ns8));
+        report.push((dim, u8_ns, f32_ns));
     }
     group.finish();
-    for (dim, ratio) in &ratios {
-        eprintln!("[kernels] sq8 scan 8-lane vs 4-lane  d={dim}: {ratio:.2}x");
+    for (dim, u8_ns, f32_ns) in &report {
+        eprintln!(
+            "[kernels] sq8 scan d={dim}: ip_u8 {u8_ns:.1} ns/row, ip (f32) {f32_ns:.1} ns/row, \
+             ip_u8 / ip = {:.2}x",
+            u8_ns / f32_ns
+        );
     }
 }
 

@@ -1281,6 +1281,74 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    fn hnsw_quantized(n: usize) -> Must {
+        let mut must = Must::build(
+            corpus(n),
+            Weights::new(vec![0.8, 0.4]).unwrap(),
+            MustBuildOptions { recipe: GraphRecipe::Hnsw, ..Default::default() },
+        )
+        .unwrap();
+        must.quantize();
+        must
+    }
+
+    #[test]
+    fn derived_code_norms_agree_across_every_construction_path() {
+        // `||o_hat||^2` is in-memory state no bundle carries: quantizing
+        // the rows, loading a v7 bundle (codes shared) and appending after
+        // the copy-on-write promotion must all rebuild it identically —
+        // equal engines (`PartialEq` covers the derived column) and
+        // bit-identical quantized serving.
+        let mut fresh = hnsw_quantized(150);
+        let path = tmp("bundle-v7-derived.mustb");
+        save_quantized(&fresh, &path).unwrap();
+        let mut loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(loaded.quant().unwrap().is_shared());
+        assert_eq!(loaded.quant(), fresh.quant());
+
+        let new0: Vec<f32> = (0..8).map(|i| if i == 1 { 1.0 } else { 0.02 }).collect();
+        let new1: Vec<f32> = (0..4).map(|i| if i == 0 { 1.0 } else { 0.02 }).collect();
+        for must in [&mut fresh, &mut loaded] {
+            assert_eq!(must.insert_object(&[new0.clone(), new1.clone()]).unwrap(), 150);
+        }
+        assert!(!loaded.quant().unwrap().is_shared());
+        assert_eq!(loaded.quant(), fresh.quant());
+        assert_eq!(fresh.quant(), Some(&fresh.objects().fused().quantize()));
+
+        use crate::server::MustServer;
+        let (fresh, loaded) = (MustServer::freeze(fresh), MustServer::freeze(loaded));
+        let w = Weights::from_squared(vec![0.3, 0.7]).unwrap();
+        for id in [0u32, 3, 77, 149, 150] {
+            let q = MultiQuery::full(vec![
+                fresh.objects().modality(0).get(id).to_vec(),
+                fresh.objects().modality(1).get(id).to_vec(),
+            ]);
+            let (a, b) = (fresh.search(&q, 5, 60).unwrap(), loaded.search(&q, 5, 60).unwrap());
+            assert_eq!((a.results, a.stats), (b.results, b.stats), "query {id}");
+            let a = fresh.search_weighted(&q, &w, 5, 60).unwrap();
+            let b = loaded.search_weighted(&q, &w, 5, 60).unwrap();
+            assert_eq!((a.results, a.stats), (b.results, b.stats), "weighted query {id}");
+        }
+    }
+
+    #[test]
+    fn v7_bundle_bytes_match_the_committed_golden_hash() {
+        // FNV-1a (64-bit) of the v7 bundle of a fixed-seed 64-object
+        // corpus, taken on the commit before `||o_hat||^2` became derived
+        // state.  Format drift — a derived column leaking into the file,
+        // a changed encoder, a reordered section — fails here instead of
+        // in the repo benchmark's `inputs_fingerprint`.
+        let path = tmp("bundle-v7-golden.mustb");
+        save_quantized(&hnsw_quantized(64), &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), hash), (15_646, 0x41D2_D82C_9B4F_5ABC), "v7 bundle bytes drifted");
+    }
+
     #[test]
     fn v7_saves_without_a_pre_attached_engine() {
         // `save_quantized` quantizes on the fly when the instance never

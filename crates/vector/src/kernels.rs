@@ -33,6 +33,35 @@ pub fn ip(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// Inner product of an f32 slice with `u8` codes read as `0.0..=255.0`:
+/// `sum_i q[i] * codes[i]` — the one per-candidate pass of the SQ8 scan
+/// (see `quant.rs` for how both scan statistics are recovered from it).
+///
+/// Eight accumulators over exact chunks of eight, the `FUSED_LANE` width:
+/// SQ8 segments are padded to it (zero codes against zero query lanes), so
+/// on the scan path the tail loop runs zero times.
+///
+/// # Panics
+/// Panics in debug builds if the slices have different lengths.
+#[inline]
+#[must_use]
+pub fn ip_u8(q: &[f32], codes: &[u8]) -> f32 {
+    debug_assert_eq!(q.len(), codes.len());
+    let mut acc = [0.0f32; 8];
+    let (qs, cs) = (q.chunks_exact(8), codes.chunks_exact(8));
+    let (q_tail, c_tail) = (qs.remainder(), cs.remainder());
+    for (cq, cc) in qs.zip(cs) {
+        for lane in 0..8 {
+            acc[lane] += cq[lane] * f32::from(cc[lane]);
+        }
+    }
+    let mut sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    for (x, &c) in q_tail.iter().zip(c_tail) {
+        sum += x * f32::from(c);
+    }
+    sum
+}
+
 /// Joint inner product over a fused row pair (the hot-path kernel of the
 /// [`crate::FusedRows`] engine).
 ///
@@ -141,6 +170,20 @@ mod tests {
             let got = ip(&a, &b);
             let want = naive_ip(&a, &b);
             assert!((got - want).abs() < 1e-4, "len={len}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn ip_u8_matches_the_widened_f32_product_on_awkward_lengths() {
+        for len in [0usize, 1, 7, 8, 9, 16, 33, 64, 130] {
+            let q: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
+            let codes: Vec<u8> = (0..len).map(|i| (i * 89 + 31) as u8).collect();
+            let widened: Vec<f32> = codes.iter().map(|&c| f32::from(c)).collect();
+            let (got, want) = (ip_u8(&q, &codes), naive_ip(&q, &widened));
+            assert!(
+                (got - want).abs() <= 1e-5 * want.abs().max(255.0),
+                "len={len}: {got} vs {want}"
+            );
         }
     }
 

@@ -31,11 +31,38 @@
 //! keeps the quantized prefix bound at or above the exact f32 prefix
 //! bound at *every* prefix: any candidate the quantized walk prunes, the
 //! exact walk would have pruned too.  `eps_rk` additionally carries a
-//! small multiplicative + absolute float-rounding margin so the guarantee
-//! survives f32 accumulation-order differences.  Survivors come back with
-//! the *decoded* joint similarity — an approximation — which is why the
-//! serving layer re-ranks the top pool on the retained f32 rows before
-//! answering.
+//! small multiplicative + absolute float-rounding margin for the encoder's
+//! own rounding.  Survivors come back with the *decoded* joint similarity
+//! — an approximation — which is why the serving layer re-ranks the top
+//! pool on the retained f32 rows before answering.
+//!
+//! **One dot product per segment.**  The scan never decodes: its only
+//! per-candidate pass is `<q_k, c>` over the raw codes
+//! ([`kernels::ip_u8`]), from which both statistics follow, `sum(q_k)`,
+//! `||q_k||^2`, `||q_k||_1` being per-query terms and `||o_hat_k||^2` per
+//! (row, segment) — derived in-memory state, rebuilt by every constructor
+//! and never persisted:
+//!
+//! ```text
+//! <q_k, o_hat_k>      = min * sum(q_k) + step * <q_k, c>
+//! ||q_k - o_hat_k||^2 = ||q_k||^2 - 2 <q_k, o_hat_k> + ||o_hat_k||^2
+//! ```
+//!
+//! **The rounding slack.**  The difference form cancels when
+//! `q_k ~ o_hat_k`, so its error is certified here, not left to `eps_rk`.
+//! Let `u = EPSILON / 2`, `d` the padded width, `n = d/8 + 3` and
+//! `B = ||q_k||_1 (|min| + 255 step)`, which dominates `|min| sum|q_i|`,
+//! `step sum|q_i| c_i` and `|<q_k, o_hat_k>|`.  Per-query and per-row
+//! terms are accumulated in f64 and rounded once; each product in `ip_u8`
+//! meets at most `n` roundings, so `|dot - <q_k, o_hat_k>| <= gamma_{n+2} B`
+//! and, with `T = ||q_k||^2 + ||o_hat_k||^2 + 2 B >= ||q_k - o_hat_k||^2`,
+//! `|d2 - ||q_k - o_hat_k||^2| <= gamma_{n+3} T`; a further `4 u T` absorbs
+//! the roundings of the `sqrt` and the `- eps_rk`.  The evaluator subtracts
+//! `(d/8 + 8) EPSILON T`, i.e. `(d/4 + 16) u T` against the
+//! `(d/8 + 10) u T` needed, so the computed
+//! `max(0, sqrt(max(0, d2 - slack)) - eps_rk)` never exceeds
+//! `max(0, ||q_k - o_hat_k|| - eps_rk) <= ||q_k - o_k||`.  DESIGN.md §11
+//! has the step-by-step; a NaN `d2` widens to 0 and prunes nothing.
 
 use std::sync::Arc;
 
@@ -154,44 +181,11 @@ impl PartialEq for CodeStore {
     }
 }
 
-/// One segment's contribution to the quantized candidate statistics:
-/// the squared distance `||q_seg - o_hat_seg||^2` to the decoded point
-/// and the inner product `<q_seg, o_hat_seg>` with it, in one fused pass
-/// over the `d` real (unpadded) components.
-///
-/// Padding code bytes must **not** be included in `codes`: a padded code
-/// of 0 would decode to `min`, not 0, so unlike the f32 engine the
-/// quantized kernels iterate exactly the real dimensions.
-#[must_use]
-pub fn seg_quant_stats(q: &[f32], codes: &[u8], min: f32, step: f32) -> (f32, f32) {
-    debug_assert_eq!(q.len(), codes.len());
-    // 8 accumulator lanes — the same width as `FUSED_LANE`, so the decode
-    // + accumulate loop vectorises to the same register shape as the f32
-    // fused kernels instead of leaving half the lanes on the table.
-    const LANES: usize = 8;
-    let n = q.len();
-    let mut d2 = [0.0f32; LANES];
-    let mut dot = [0.0f32; LANES];
-    let chunks = n / LANES;
-    for c in 0..chunks {
-        let i = c * LANES;
-        for lane in 0..LANES {
-            let v = min + step * f32::from(codes[i + lane]);
-            let d = q[i + lane] - v;
-            d2[lane] += d * d;
-            dot[lane] += q[i + lane] * v;
-        }
-    }
-    let mut d2s = ((d2[0] + d2[1]) + (d2[2] + d2[3])) + ((d2[4] + d2[5]) + (d2[6] + d2[7]));
-    let mut dots =
-        ((dot[0] + dot[1]) + (dot[2] + dot[3])) + ((dot[4] + dot[5]) + (dot[6] + dot[7]));
-    for i in chunks * LANES..n {
-        let v = min + step * f32::from(codes[i]);
-        let d = q[i] - v;
-        d2s += d * d;
-        dots += q[i] * v;
-    }
-    (d2s, dots)
+/// `||o_hat||^2` of one encoded segment (`codes` = its real components),
+/// accumulated in f64 and rounded once, as the slack proof assumes.
+fn code_norm_sq(codes: &[u8], p: SegParams) -> f32 {
+    let (min, step) = (f64::from(p.min), f64::from(p.step));
+    codes.iter().map(|&c| (min + step * f64::from(c)).powi(2)).sum::<f64>() as f32
 }
 
 /// Encodes one f32 segment of `d` real components into `u8` codes,
@@ -254,6 +248,10 @@ pub struct QuantizedRows {
     /// (`||o_k||^2`, not the decoded approximation) — the candidate half
     /// of the Eq. 8 norm term must stay exact for the bound proof.
     seg_norms: Vec<f32>,
+    /// `len * m` squared norms of the *decoded* segments (`||o_hat_k||^2`).
+    /// Derived from `codes` and `params` by every constructor and never
+    /// persisted: bundles do not carry it.
+    code_norms: Vec<f32>,
 }
 
 impl QuantizedRows {
@@ -276,15 +274,8 @@ impl QuantizedRows {
                 params.push(encode_segment(values, out));
             }
         }
-        let seg = Self::layout(&dims);
-        Self {
-            dims,
-            seg,
-            len: n,
-            codes: CodeStore::owned(codes),
-            params,
-            seg_norms: rows.seg_norms().to_vec(),
-        }
+        Self::from_parts(dims, CodeStore::owned(codes), params, rows.seg_norms().to_vec())
+            .expect("codes, params and norms mirror a valid f32 engine")
     }
 
     fn layout(dims: &[usize]) -> Vec<usize> {
@@ -324,19 +315,19 @@ impl QuantizedRows {
             });
         }
         let len = codes.len() / stride;
-        if params.len() != len * dims.len() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: len * dims.len(),
-                got: params.len(),
-            });
+        for got in [params.len(), seg_norms.len()] {
+            if got != len * dims.len() {
+                return Err(VectorError::CardinalityMismatch { expected: len * dims.len(), got });
+            }
         }
-        if seg_norms.len() != len * dims.len() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: len * dims.len(),
-                got: seg_norms.len(),
-            });
+        let mut code_norms = Vec::with_capacity(params.len());
+        let per_row = codes.as_slice().chunks_exact(stride).zip(params.chunks_exact(dims.len()));
+        for (row, ps) in per_row {
+            for (k, &p) in ps.iter().enumerate() {
+                code_norms.push(code_norm_sq(&row[seg[k]..seg[k] + dims[k]], p));
+            }
         }
-        Ok(Self { dims, seg, len, codes, params, seg_norms })
+        Ok(Self { dims, seg, len, codes, params, seg_norms, code_norms })
     }
 
     /// Number of modalities `m`.
@@ -465,27 +456,28 @@ impl QuantizedRows {
         }
         let id = self.len as ObjectId;
         let stride = self.stride();
-        let seg = self.seg.clone();
         let codes = self.codes.make_mut();
         codes.resize((self.len + 1) * stride, 0);
         let row = &mut codes[self.len * stride..];
         for (k, r) in rows.iter().enumerate() {
             let r = r.as_ref();
-            let out = &mut row[seg[k]..seg[k] + r.len()];
-            self.params.push(encode_segment(r, out));
+            let out = &mut row[self.seg[k]..self.seg[k] + r.len()];
+            let p = encode_segment(r, out);
+            self.params.push(p);
             self.seg_norms.push(kernels::ip(r, r));
+            self.code_norms.push(code_norm_sq(out, p));
         }
         self.len += 1;
         Ok(id)
     }
 
-    /// Heap footprint in bytes: codes plus per-row affine parameters and
-    /// segment norms.
+    /// Heap footprint in bytes: codes plus per-row affine parameters,
+    /// segment norms and the derived decoded-segment norms.
     #[must_use]
     pub fn bytes(&self) -> usize {
         self.codes.len()
             + self.params.len() * std::mem::size_of::<SegParams>()
-            + self.seg_norms.len() * std::mem::size_of::<f32>()
+            + (self.seg_norms.len() + self.code_norms.len()) * std::mem::size_of::<f32>()
     }
 
     /// Prepares a per-query evaluator under `weights`, mirroring
@@ -505,20 +497,40 @@ impl QuantizedRows {
 }
 
 /// One active (supplied, positive-weight) modality of a quantized query,
-/// in Lemma-4 prefix order.
+/// in Lemma-4 prefix order, with the per-query terms of the two
+/// identities in the module docs.
 #[derive(Debug, Clone, Copy)]
 struct ActiveSegment {
     /// Modality index (for the per-row parameter/norm lookups).
     k: usize,
-    /// Padded segment start within a row.
+    /// Padded segment bounds within a row (the query's padding is zero).
     start: usize,
-    /// Number of real components (`dims[k]`; the quantized kernels never
-    /// touch padding, whose codes would decode to `min`, not 0).
-    dim: usize,
+    end: usize,
     /// `omega_k^2`.
     wsq: f32,
     /// `0.5 * omega_k^2`.
     half_wsq: f32,
+    /// `sum(q_k)`.
+    sum: f32,
+    /// `||q_k||^2`.
+    norm_sq: f32,
+    /// `2 * ||q_k||_1`.
+    l1_x2: f32,
+    /// `(d/8 + 8) * EPSILON`, `d` the padded width: the slack multiple.
+    slack_coef: f32,
+}
+
+impl ActiveSegment {
+    /// `max(0, ||q_k - o_hat_k|| - eps_rk)` from the difference form less its
+    /// slack, given the row's `||o_hat_k||^2` and `dot = <q_k, o_hat_k>`:
+    /// certified never to exceed `||q_k - o_k||` (module docs).
+    #[inline]
+    fn widened(&self, code_norm: f32, p: SegParams, dot: f32) -> f32 {
+        let norms = self.norm_sq + code_norm;
+        let d2 = norms - 2.0 * dot;
+        let slack = self.slack_coef * (norms + self.l1_x2 * (p.min.abs() + 255.0 * p.step));
+        ((d2 - slack).max(0.0).sqrt() - p.eps).max(0.0)
+    }
 }
 
 /// Per-query evaluator over a [`QuantizedRows`] engine: the approximate
@@ -527,7 +539,13 @@ struct ActiveSegment {
 /// the module docs for the derivation.
 #[derive(Debug)]
 pub struct QuantizedQueryEvaluator<'a> {
-    rows: &'a QuantizedRows,
+    /// The engine's columns and row geometry, bound once per query.
+    codes: &'a [u8],
+    params: &'a [SegParams],
+    seg_norms: &'a [f32],
+    code_norms: &'a [f32],
+    stride: usize,
+    m: usize,
     /// The raw (unscaled) query laid out in fused-row geometry; the
     /// per-segment `omega_k^2` lives in `active`, matching the f32
     /// evaluator's query-side weighting.
@@ -548,27 +566,22 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         query: &MultiQuery,
         weights: &Weights,
     ) -> Result<Self, VectorError> {
-        if query.num_slots() != rows.num_modalities() {
-            return Err(VectorError::WeightArity {
-                modalities: rows.num_modalities(),
-                weights: query.num_slots(),
-            });
+        let m = rows.num_modalities();
+        if query.num_slots() != m {
+            return Err(VectorError::WeightArity { modalities: m, weights: query.num_slots() });
         }
-        if weights.modalities() != rows.num_modalities() {
-            return Err(VectorError::WeightArity {
-                modalities: rows.num_modalities(),
-                weights: weights.modalities(),
-            });
+        if weights.modalities() != m {
+            return Err(VectorError::WeightArity { modalities: m, weights: weights.modalities() });
         }
         let mut qraw = vec![0.0f32; rows.stride()];
-        let mut active = Vec::with_capacity(rows.num_modalities());
+        let mut active = Vec::with_capacity(m);
         let mut w_total = 0.0;
         let mut q_half_norm = 0.0;
-        for k in 0..rows.num_modalities() {
+        for k in 0..m {
             let Some(slot) = query.slot(k) else { continue };
-            if slot.len() != rows.dims()[k] {
+            if slot.len() != rows.dims[k] {
                 return Err(VectorError::DimensionMismatch {
-                    expected: rows.dims()[k],
+                    expected: rows.dims[k],
                     got: slot.len(),
                 });
             }
@@ -576,14 +589,37 @@ impl<'a> QuantizedQueryEvaluator<'a> {
             if wsq <= 0.0 {
                 continue;
             }
-            let start = rows.seg[k];
+            let (start, end) = (rows.seg[k], rows.seg[k + 1]);
             qraw[start..start + slot.len()].copy_from_slice(slot);
-            active.push(ActiveSegment { k, start, dim: slot.len(), wsq, half_wsq: 0.5 * wsq });
+            // f64 accumulation, one rounding each (the slack proof's input).
+            let (mut sum, mut norm_sq, mut l1) = (0.0f64, 0.0f64, 0.0f64);
+            for &x in slot {
+                let x = f64::from(x);
+                sum += x;
+                norm_sq += x * x;
+                l1 += x.abs();
+            }
+            active.push(ActiveSegment {
+                k,
+                start,
+                end,
+                wsq,
+                half_wsq: 0.5 * wsq,
+                sum: sum as f32,
+                norm_sq: norm_sq as f32,
+                l1_x2: (2.0 * l1) as f32,
+                slack_coef: ((end - start) / 8 + 8) as f32 * f32::EPSILON,
+            });
             w_total += wsq;
             q_half_norm += 0.5 * wsq * kernels::ip(slot, slot);
         }
         Ok(Self {
-            rows,
+            codes: rows.codes.as_slice(),
+            params: &rows.params,
+            seg_norms: &rows.seg_norms,
+            code_norms: &rows.code_norms,
+            stride: rows.stride(),
+            m,
             qraw,
             active,
             w_total,
@@ -609,24 +645,24 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         self.kernel_evals.set(self.kernel_evals.get() + by);
     }
 
+    /// `<q_k, o_hat_k> = min * sum(q_k) + step * <q_k, c>` for the row whose
+    /// codes start at `base`.
+    #[inline]
+    fn seg_dot(&self, seg: &ActiveSegment, base: usize, p: SegParams) -> f32 {
+        let codes = &self.codes[base + seg.start..base + seg.end];
+        p.min * seg.sum + p.step * kernels::ip_u8(&self.qraw[seg.start..seg.end], codes)
+    }
+
     /// Approximate joint similarity of object `id` to the query:
     /// `sum_k omega_k^2 * <q_k, o_hat_k>` over the decoded codes.  Used
     /// for pool ranking; exact answers come from re-ranking on the f32
     /// rows.
     pub fn ip(&self, id: ObjectId) -> f32 {
         self.bump(self.active.len() as u64);
-        let codes = self.rows.raw_codes();
-        let base = id as usize * self.rows.stride();
+        let (base, first) = (id as usize * self.stride, id as usize * self.m);
         let mut sum = 0.0;
         for seg in &self.active {
-            let p = self.rows.seg_params(id, seg.k);
-            let (_, dot) = seg_quant_stats(
-                &self.qraw[seg.start..seg.start + seg.dim],
-                &codes[base + seg.start..base + seg.start + seg.dim],
-                p.min,
-                p.step,
-            );
-            sum += seg.wsq * dot;
+            sum += seg.wsq * self.seg_dot(seg, base, self.params[first + seg.k]);
         }
         sum
     }
@@ -641,34 +677,24 @@ impl<'a> QuantizedQueryEvaluator<'a> {
     /// surviving value is the *approximate* decoded similarity (for pool
     /// ranking), not the widened bound.
     pub fn ip_pruned(&self, id: ObjectId, threshold: f32) -> PartialIpVerdict {
-        let codes = self.rows.raw_codes();
-        let base = id as usize * self.rows.stride();
+        let (base, first) = (id as usize * self.stride, id as usize * self.m);
         let mut bound = self.q_half_norm;
         for seg in &self.active {
-            bound += seg.half_wsq * self.rows.seg_norm(id, seg.k);
+            bound += seg.half_wsq * self.seg_norms[first + seg.k];
         }
-        let last = self.active.len().saturating_sub(1);
         let mut approx = 0.0;
-        for (scanned, seg) in self.active.iter().enumerate() {
-            let p = self.rows.seg_params(id, seg.k);
-            let (d2, dot) = seg_quant_stats(
-                &self.qraw[seg.start..seg.start + seg.dim],
-                &codes[base + seg.start..base + seg.start + seg.dim],
-                p.min,
-                p.step,
-            );
+        for seg in &self.active {
+            let p = self.params[first + seg.k];
+            let dot = self.seg_dot(seg, base, p);
             self.bump(1);
-            let widened = (d2.max(0.0).sqrt() - p.eps).max(0.0);
+            let widened = seg.widened(self.code_norms[first + seg.k], p, dot);
             bound -= seg.half_wsq * widened * widened;
             approx += seg.wsq * dot;
-            if bound <= threshold && scanned < last {
+            if bound <= threshold {
+                // Even the widened bound clears nothing (after the last
+                // segment too): the exact walk would have discarded it.
                 return PartialIpVerdict::Pruned;
             }
-        }
-        if bound <= threshold {
-            // All segments scanned and even the widened bound clears
-            // nothing: the exact walk would have discarded it too.
-            return PartialIpVerdict::Pruned;
         }
         PartialIpVerdict::Exact(approx)
     }
@@ -786,6 +812,65 @@ mod tests {
             match qe.ip_pruned(id, f32::NEG_INFINITY) {
                 PartialIpVerdict::Exact(v) => assert!((v - qe.ip(id)).abs() < 1e-6),
                 PartialIpVerdict::Pruned => panic!("must not prune at -inf"),
+            }
+        }
+    }
+
+    /// The claim the slack proof certifies, checked against f64 truth with
+    /// no tolerance: the computed widened distance never exceeds
+    /// `max(0, ||q - o_hat|| - eps)`.  Queries sit at `o_hat + delta` for
+    /// `||delta||` from 0 to ~1e-3 — the cancellation regime, where the
+    /// un-slacked difference form overshoots — and at unrelated points.
+    #[test]
+    fn widened_distance_never_exceeds_the_true_distance() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut unit = move || rng.random::<f32>() * 2.0 - 1.0;
+        for d in [1usize, 3, 8, 32, 64, 130] {
+            let mut q = QuantizedRows::from_parts(
+                vec![d],
+                CodeStore::owned(Vec::new()),
+                Vec::new(),
+                Vec::new(),
+            )
+            .unwrap();
+            // A spread segment, a constant one (step = 0, eps = 1e-6: the
+            // slack is all that stands between rounding and a prune) and
+            // an all-zero one.
+            let mut spread: Vec<f32> = (0..d).map(|_| unit()).collect();
+            let _ = kernels::normalize(&mut spread);
+            for row in [spread, vec![(d as f32).sqrt().recip(); d], vec![0.0; d]] {
+                q.push_row(&[row]).unwrap();
+            }
+            for id in 0..3u32 {
+                let p = q.seg_params(id, 0);
+                let decoded: Vec<f64> = q
+                    .modality_codes(id, 0)
+                    .iter()
+                    .map(|&c| f64::from(p.min) + f64::from(p.step) * f64::from(c))
+                    .collect();
+                for scale in [0.0f32, 1e-7, 1e-5, 1e-4, 1e-3, 1.0] {
+                    for _ in 0..50 {
+                        let query: Vec<f32> =
+                            decoded.iter().map(|&v| v as f32 + scale * unit()).collect();
+                        let mq = MultiQuery::full(vec![query.clone()]);
+                        let qe = q.query(&mq, &Weights::uniform(1)).unwrap();
+                        let Some(seg) = qe.active.first() else { continue };
+                        let dot = qe.seg_dot(seg, id as usize * qe.stride, p);
+                        let widened = seg.widened(qe.code_norms[id as usize], p, dot);
+                        let dist = query
+                            .iter()
+                            .zip(&decoded)
+                            .map(|(&x, &v)| (f64::from(x) - v).powi(2))
+                            .sum::<f64>()
+                            .sqrt();
+                        assert!(
+                            f64::from(widened) <= (dist - f64::from(p.eps)).max(0.0),
+                            "d {d} id {id} scale {scale}: widened {widened} > {dist} - {}",
+                            p.eps
+                        );
+                    }
+                }
             }
         }
     }
@@ -939,7 +1024,8 @@ mod tests {
         let q = QuantizedRows::from_fused(&engine());
         let expect = q.raw_codes().len()
             + std::mem::size_of_val(q.params())
-            + q.seg_norms().len() * 4;
+            // f32 segment norms plus the derived decoded-segment norms.
+            + 2 * q.seg_norms().len() * 4;
         assert_eq!(q.bytes(), expect);
     }
 

@@ -59,6 +59,61 @@ fn quant_segment(dim: usize) -> impl Strategy<Value = Vec<f32>> {
     ]
 }
 
+/// One raw corpus segment: arbitrary, or constant — which normalises to a
+/// `step = 0` encoding whose radius is the bare `1e-6`, so the rounding
+/// slack is all that stands between the difference form and a prune.
+fn raw_or_constant(dim: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop_oneof![raw_vector(dim), (0.1f32..8.0).prop_map(move |c| vec![c; dim])]
+}
+
+/// `ip_u8`-based `ip` / `ip_pruned(-inf)` against decode-then-`kernels::ip`
+/// at every segment width up to 130: non-multiples of the 8-wide kernel
+/// chunk, constant and all-zero segments (`step = 0`) included.
+#[test]
+fn sq8_scores_match_a_decode_then_ip_reference() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut unit_vector = move |d: usize| {
+        let mut v: Vec<f32> = (0..d).map(|_| rng.random::<f32>() - 0.5).collect();
+        assert!(kernels::normalize(&mut v));
+        v
+    };
+    let w = Weights::new(vec![0.8, 0.5]).unwrap();
+    for d in 1..=130usize {
+        let mut quant = QuantizedRows::from_parts(
+            vec![d, d],
+            CodeStore::owned(Vec::new()),
+            Vec::new(),
+            Vec::new(),
+        )
+        .unwrap();
+        quant.push_row(&[unit_vector(d), unit_vector(d)]).unwrap();
+        quant.push_row(&[vec![(d as f32).sqrt().recip(); d], vec![0.0; d]]).unwrap();
+        quant.push_row(&[vec![0.0; d], unit_vector(d)]).unwrap();
+        assert_eq!(quant.seg_params(1, 0).step, 0.0);
+        assert_eq!(quant.seg_params(1, 1).step, 0.0);
+        let (q0, q1) = (unit_vector(d), unit_vector(d));
+        for query in [
+            MultiQuery::full(vec![q0.clone(), q1.clone()]),
+            MultiQuery::partial(vec![None, Some(q1.clone())]),
+        ] {
+            let ev = quant.query(&query, &w).unwrap();
+            for id in 0..3u32 {
+                let want: f32 = (0..2)
+                    .filter_map(|k| Some((k, query.slot(k)?)))
+                    .map(|(k, slot)| w.sq(k) * kernels::ip(slot, &quant.decode_modality(id, k)))
+                    .sum();
+                let got = ev.ip(id);
+                assert!(
+                    (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+                    "d {d} id {id}: {got} vs {want}"
+                );
+                assert_eq!(ev.ip_pruned(id, f32::NEG_INFINITY), PartialIpVerdict::Exact(got));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -209,6 +264,76 @@ proptest! {
                     if let PartialIpVerdict::Pruned = qev.ip_pruned(id, threshold) {
                         prop_assert!(
                             exact <= threshold + 1e-4,
+                            "id {}: pruned at threshold {} but exact ip is {}",
+                            id,
+                            threshold,
+                            exact
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The adversarial companion of the test above: the cancellation
+    /// regime of the difference form.  The query sits within 1e-3 of a
+    /// stored row and every threshold within 1e-4 of the row's exact
+    /// similarity (taken in f64), so a prune that rounding alone produced
+    /// would show.
+    #[test]
+    fn sq8_widened_bound_never_under_prunes_next_to_a_stored_row(
+        m0 in proptest::collection::vec(raw_or_constant(6), 6),
+        m1 in proptest::collection::vec(raw_or_constant(4), 6),
+        w in weights(2),
+        w_override in weights(2),
+        target in 0u32..6,
+        delta in proptest::collection::vec(-1.0f32..1.0, 10),
+        delta_norm in 0.0f32..1e-3,
+        offset in -1e-4f32..1e-4,
+    ) {
+        let sets = [(6, m0), (4, m1)]
+            .into_iter()
+            .map(|(d, rows)| {
+                let mut b = VectorSetBuilder::new(d, rows.len());
+                for r in &rows {
+                    b.push_normalized(r).expect("non-zero by construction");
+                }
+                b.finish()
+            })
+            .collect();
+        let set = MultiVectorSet::new(sets).unwrap();
+        let quant = set.fused().quantize();
+        let scale = delta_norm / kernels::norm(&delta).max(f32::MIN_POSITIVE);
+        let near = |k: usize, d: &[f32]| -> Vec<f32> {
+            let stored = set.fused().modality_slice(target, k);
+            stored.iter().zip(d).map(|(o, x)| o + scale * x).collect()
+        };
+        let (q0, q1) = (near(0, &delta[..6]), near(1, &delta[6..]));
+        for w in [w, w_override] {
+            for query in [
+                MultiQuery::full(vec![q0.clone(), q1.clone()]),
+                MultiQuery::partial(vec![Some(q0.clone()), None]),
+            ] {
+                let qev = quant.query(&query, &w).unwrap();
+                for id in 0..6u32 {
+                    let exact: f64 = (0..2)
+                        .filter_map(|k| Some((k, query.slot(k)?)))
+                        .map(|(k, slot)| {
+                            let row = set.fused().modality_slice(id, k);
+                            let pairs = slot.iter().zip(row);
+                            let ip: f64 = pairs.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
+                            f64::from(w.sq(k)) * ip
+                        })
+                        .sum();
+                    let threshold = (exact + f64::from(offset)) as f32;
+                    if let PartialIpVerdict::Pruned = qev.ip_pruned(id, threshold) {
+                        // The f32 arithmetic of the bound itself (norm
+                        // term, prefix subtractions) is good to ~2e-7 of
+                        // the weight mass; below that floor the slack is
+                        // pinned against f64 truth by the unit test
+                        // `widened_distance_never_exceeds_the_true_distance`.
+                        prop_assert!(
+                            exact <= f64::from(threshold) + 1e-6 * f64::from(1.0 + qev.w_total()),
                             "id {}: pruned at threshold {} but exact ip is {}",
                             id,
                             threshold,
