@@ -1,14 +1,14 @@
 //! HNSW (Malkov & Yashunin, TPAMI 2020): the layered small-world graph used
 //! as one of the pluggable backends in the paper's Fig. 10 ablation.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::par;
-use crate::search::{SearchParams, SearchResult, SearchScratch, SearchStats};
+use crate::search::{expand, SearchParams, SearchResult, SearchScratch, SearchStats};
 use crate::{AnnIndex, QueryScorer, SimilarityOracle};
 
 /// Maximum wave length for the wave-scheduled build: bounds transient
@@ -34,12 +34,28 @@ impl Default for HnswParams {
     }
 }
 
+/// Largest accepted `M`: keeps the slab strides far from overflow and a
+/// corrupt snapshot header from requesting an absurd allocation.
+const MAX_M: usize = 4096;
+
 /// A built HNSW index.
+///
+/// The graph lives in two append-only fixed-stride slabs that build, insert
+/// and search all run on (DESIGN.md, "Graph storage and the hop loop"): a
+/// node's level is known when it is pushed, so neither slab ever moves a
+/// list, and a list is re-pruned in place.
 #[derive(Debug, Clone)]
 pub struct Hnsw {
-    /// `adjacency[node][level]` — neighbour lists for the levels the node
-    /// participates in (`0..=levels[node]`).
-    adjacency: Vec<Vec<Vec<u32>>>,
+    /// Layer-0 slab, stride `2M + 1`: `[len, nb_0 .. nb_{2M-1}]` per node —
+    /// the list of `v` is one address computation and one miss away.
+    base: Vec<u32>,
+    /// Upper-layer slab, stride `M + 1`: one `[len, nb_0 .. nb_{M-1}]`
+    /// block per `(node, layer >= 1)`, a node's blocks contiguous with
+    /// layer 1 first.
+    upper: Vec<u32>,
+    /// `upper_at[v]..upper_at[v + 1]` are node `v`'s blocks in `upper`
+    /// (`n + 1` entries); their count is the node's top layer.
+    upper_at: Vec<u32>,
     entry: u32,
     max_level: usize,
     params: HnswParams,
@@ -83,17 +99,31 @@ struct BackGroup {
     pruned: Mutex<Vec<u32>>,
 }
 
+/// Draws one node's level from `rng` (exponential with mean `1 / ln M`).
+fn draw_level(rng: &mut StdRng, m: usize) -> usize {
+    let ml = 1.0 / (m as f64).ln().max(f64::MIN_POSITIVE);
+    let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+    ((-u.ln() * ml).floor() as usize).min(24)
+}
+
 /// Draws the level of every node from one seeded RNG stream — shared by
 /// both build paths so level assignment is identical by construction.
 fn assign_levels(n: usize, params: &HnswParams) -> Vec<usize> {
-    let ml = 1.0 / (params.m as f64).ln().max(f64::MIN_POSITIVE);
     let mut rng = StdRng::seed_from_u64(params.rng_seed);
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-            ((-u.ln() * ml).floor() as usize).min(24)
-        })
-        .collect()
+    (0..n).map(|_| draw_level(&mut rng, params.m)).collect()
+}
+
+/// Build-side scorer: `sim(node, ·)` presented through the query seam, so
+/// construction runs the same hop loop searches do.
+struct NodeScorer<'a, O> {
+    oracle: &'a O,
+    node: u32,
+}
+
+impl<O: SimilarityOracle> QueryScorer for NodeScorer<'_, O> {
+    fn score(&self, id: u32) -> f32 {
+        self.oracle.sim(self.node, id)
+    }
 }
 
 impl Hnsw {
@@ -130,10 +160,7 @@ impl Hnsw {
         assert!(n > 0, "cannot index an empty object set");
         let levels = assign_levels(n, &params);
         let threads = threads.max(1).min(n);
-        let adjacency: RwLock<Vec<Vec<Vec<u32>>>> =
-            RwLock::new(levels.iter().map(|&l| vec![Vec::new(); l + 1]).collect());
-        let entry = AtomicU32::new(0);
-        let max_level = AtomicUsize::new(levels[0]);
+        let index = RwLock::new(Self::with_levels(&levels, params));
         // Per-worker search scratch (visited stamps + beam pool), reused
         // across every wave — the sequential path used to reallocate both
         // per inserted node, which dominated large builds.
@@ -151,33 +178,19 @@ impl Hnsw {
         let groups: RwLock<Vec<BackGroup>> = RwLock::new(Vec::new());
 
         let worker = |w: usize, item: usize| {
-            let adj = adjacency.read().expect("adjacency lock");
+            let index = index.read().expect("index lock");
             if phase.load(Ordering::Relaxed) == PHASE_CANDIDATES {
                 let node = (wave_start.load(Ordering::Relaxed) + item) as u32;
                 let mut scratch = scratches[w].lock().expect("scratch lock");
-                let selected = wave_candidates(
-                    oracle,
-                    &adj,
-                    &params,
-                    node,
-                    levels[node as usize],
-                    entry.load(Ordering::Relaxed),
-                    max_level.load(Ordering::Relaxed),
-                    &mut scratch,
-                );
+                let selected = index.candidates(oracle, node, levels[node as usize], &mut scratch);
                 *cand_slots[item].lock().expect("candidate slot") = selected;
             } else {
                 let gs = groups.read().expect("group lock");
                 let g = &gs[item];
-                let cap = if g.layer == 0 { params.m * 2 } else { params.m };
-                let cur = &adj[g.nb as usize][g.layer as usize];
-                let mut scored: Vec<(u32, f32)> = cur
-                    .iter()
-                    .chain(g.adds.iter())
-                    .map(|&x| (x, oracle.sim(g.nb, x)))
-                    .collect();
-                scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                *g.pruned.lock().expect("pruned slot") = heuristic_select(oracle, g.nb, &scored, cap);
+                let layer = g.layer as usize;
+                let ids = index.neighbors(g.nb, layer).iter().chain(&g.adds);
+                *g.pruned.lock().expect("pruned slot") =
+                    reprune(oracle, g.nb, ids, index.cap(layer));
             }
         };
 
@@ -192,70 +205,49 @@ impl Hnsw {
                 // then back edges.  Non-overflowing back lists are plain
                 // appends (exactly what the sequential path did); the rest
                 // defer to the parallel re-prune phase.
-                let mut requests: Vec<(u32, u32, u32)> = Vec::new();
                 {
-                    let mut adj = adjacency.write().expect("adjacency lock");
-                    let mut cur_max = max_level.load(Ordering::Relaxed);
-                    let mut cur_entry = entry.load(Ordering::Relaxed);
+                    let mut index = index.write().expect("index lock");
+                    let mut requests: Vec<(u32, u32, u32)> = Vec::new();
                     for (item, slot) in cand_slots.iter().enumerate().take(len) {
                         let node = (start + item) as u32;
                         let selected =
                             std::mem::take(&mut *slot.lock().expect("candidate slot"));
-                        for (l, list) in selected.into_iter().enumerate() {
-                            for &nb in &list {
-                                requests.push((nb, l as u32, node));
-                            }
-                            adj[node as usize][l] = list;
+                        for (l, list) in selected.iter().enumerate() {
+                            requests.extend(list.iter().map(|&nb| (nb, l as u32, node)));
+                            index.set_neighbors(node, l, list);
                         }
-                        if levels[node as usize] > cur_max {
-                            cur_max = levels[node as usize];
-                            cur_entry = node;
+                        if levels[node as usize] > index.max_level {
+                            index.max_level = levels[node as usize];
+                            index.entry = node;
                         }
                     }
                     requests.sort_unstable();
                     let mut pending = Vec::new();
-                    let mut i = 0;
-                    while i < requests.len() {
-                        let (nb, layer, _) = requests[i];
-                        let mut j = i;
-                        while j < requests.len() && requests[j].0 == nb && requests[j].1 == layer {
-                            j += 1;
-                        }
-                        let adds: Vec<u32> = requests[i..j].iter().map(|r| r.2).collect();
-                        let cap = if layer == 0 { params.m * 2 } else { params.m };
-                        let back = &mut adj[nb as usize][layer as usize];
-                        if back.len() + adds.len() <= cap {
-                            back.extend_from_slice(&adds);
-                        } else {
+                    for group in requests.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                        let (nb, layer, _) = group[0];
+                        let adds: Vec<u32> = group.iter().map(|r| r.2).collect();
+                        if !index.try_extend(nb, layer as usize, &adds) {
                             pending.push(BackGroup { nb, layer, adds, pruned: Mutex::new(Vec::new()) });
                         }
-                        i = j;
                     }
                     *groups.write().expect("group lock") = pending;
-                    max_level.store(cur_max, Ordering::Relaxed);
-                    entry.store(cur_entry, Ordering::Relaxed);
                 }
                 let n_groups = groups.read().expect("group lock").len();
                 if n_groups > 0 {
                     phase.store(PHASE_REPRUNE, Ordering::Relaxed);
                     pool.run(n_groups);
                     let done = std::mem::take(&mut *groups.write().expect("group lock"));
-                    let mut adj = adjacency.write().expect("adjacency lock");
+                    let mut index = index.write().expect("index lock");
                     for g in done {
-                        adj[g.nb as usize][g.layer as usize] =
-                            g.pruned.into_inner().expect("pruned slot");
+                        let pruned = g.pruned.into_inner().expect("pruned slot");
+                        index.set_neighbors(g.nb, g.layer as usize, &pruned);
                     }
                 }
                 start += len;
             }
         });
 
-        Self {
-            adjacency: adjacency.into_inner().expect("adjacency lock"),
-            entry: entry.load(Ordering::Relaxed),
-            max_level: max_level.load(Ordering::Relaxed),
-            params,
-        }
+        index.into_inner().expect("index lock")
     }
 
     /// Builds the index by strictly sequential insertion — the legacy
@@ -266,14 +258,10 @@ impl Hnsw {
         let n = oracle.len();
         assert!(n > 0, "cannot index an empty object set");
         let levels = assign_levels(n, &params);
-        let mut index = Self {
-            adjacency: levels.iter().map(|&l| vec![Vec::new(); l + 1]).collect(),
-            entry: 0,
-            max_level: levels[0],
-            params,
-        };
+        let mut index = Self::with_levels(&levels, params);
+        let mut scratch = SearchScratch::default();
         for node in 1..n as u32 {
-            index.insert(oracle, node, levels[node as usize]);
+            index.insert(oracle, node, levels[node as usize], &mut scratch);
         }
         index
     }
@@ -283,14 +271,25 @@ impl Hnsw {
     /// points").  `node` must equal the current `len()` — the oracle must
     /// already know the new point.
     pub fn insert_new<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, level_seed: u64) {
-        assert_eq!(node as usize, self.adjacency.len(), "insert ids must be dense");
+        self.insert_new_with_scratch(oracle, node, level_seed, &mut SearchScratch::default());
+    }
+
+    /// [`Self::insert_new`] with caller-provided search scratch, so a
+    /// stream of inserts allocates (and zeroes) the `O(n)` visited stamps
+    /// once instead of per node.
+    pub fn insert_new_with_scratch<O: SimilarityOracle>(
+        &mut self,
+        oracle: &O,
+        node: u32,
+        level_seed: u64,
+        scratch: &mut SearchScratch,
+    ) {
+        assert_eq!(node as usize, AnnIndex::len(self), "insert ids must be dense");
         assert!(oracle.len() > node as usize, "oracle must cover the new point");
-        let ml = 1.0 / (self.params.m as f64).ln().max(f64::MIN_POSITIVE);
         let mut rng = StdRng::seed_from_u64(level_seed ^ node as u64);
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        let level = ((-u.ln() * ml).floor() as usize).min(24);
-        self.adjacency.push(vec![Vec::new(); level + 1]);
-        self.insert(oracle, node, level);
+        let level = draw_level(&mut rng, self.params.m);
+        self.push_node(level);
+        self.insert(oracle, node, level, scratch);
     }
 
     /// Entry vertex at the top layer.
@@ -299,17 +298,30 @@ impl Hnsw {
         self.entry
     }
 
+    /// Top layer of the hierarchy.
+    #[must_use]
+    pub fn max_level(&self) -> usize {
+        self.max_level
+    }
+
+    /// Neighbour list of `node` on `layer` (empty above the node's top
+    /// layer), in the order construction produced it.
+    #[inline]
+    #[must_use]
+    pub fn neighbors(&self, node: u32, layer: usize) -> &[u32] {
+        let slab = if layer == 0 { &self.base } else { &self.upper };
+        self.list_at(node, layer).map_or(&[], |at| &slab[at + 1..at + 1 + slab[at] as usize])
+    }
+
     /// Flattens the layered adjacency into [`HnswFlat`] for persistence.
     pub fn to_flat(&self) -> HnswFlat {
-        let levels: Vec<u32> =
-            self.adjacency.iter().map(|layers| (layers.len() - 1) as u32).collect();
-        let total_lists: usize = self.adjacency.iter().map(Vec::len).sum();
-        let mut offsets = Vec::with_capacity(total_lists + 1);
+        let levels: Vec<u32> = self.upper_at.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut offsets = Vec::with_capacity(levels.len() + self.upper_at[levels.len()] as usize + 1);
         let mut edges = Vec::new();
         offsets.push(0u32);
-        for layers in &self.adjacency {
-            for list in layers {
-                edges.extend_from_slice(list);
+        for (node, &level) in levels.iter().enumerate() {
+            for layer in 0..=level as usize {
+                edges.extend_from_slice(self.neighbors(node as u32, layer));
                 offsets.push(edges.len() as u32);
             }
         }
@@ -327,7 +339,8 @@ impl Hnsw {
 
     /// Rebuilds the layered index from its flattened form, validating
     /// structural consistency (offsets monotone, edge targets in range,
-    /// entry on the top layer).
+    /// entry on the top layer, every list within its layer's degree cap)
+    /// before anything is written into a slab.
     ///
     /// # Errors
     /// A human-readable description of the first inconsistency found.
@@ -360,67 +373,129 @@ impl Hnsw {
         if flat.levels[flat.entry as usize] < flat.max_level {
             return Err("entry vertex does not reach the top layer".into());
         }
-        if flat.m == 0 {
-            return Err("M must be positive".into());
+        if flat.m == 0 || flat.m as usize > MAX_M {
+            return Err(format!("M must be in 1..={MAX_M}, got {}", flat.m));
         }
-        let mut adjacency = Vec::with_capacity(n);
-        let mut list = 0usize;
-        for &level in &flat.levels {
-            let mut layers = Vec::with_capacity(level as usize + 1);
-            for _ in 0..=level {
-                let lo = flat.offsets[list] as usize;
-                let hi = flat.offsets[list + 1] as usize;
-                layers.push(flat.edges[lo..hi].to_vec());
-                list += 1;
+        if u32::try_from(total_lists - n).is_err() {
+            return Err("too many upper-layer lists".into());
+        }
+        let params = HnswParams {
+            m: flat.m as usize,
+            ef_construction: flat.ef_construction as usize,
+            rng_seed: flat.rng_seed,
+        };
+        let levels: Vec<usize> = flat.levels.iter().map(|&l| l as usize).collect();
+        let mut index = Self::with_levels(&levels, params);
+        let mut lists = flat.offsets.windows(2);
+        for (node, &level) in levels.iter().enumerate() {
+            for layer in 0..=level {
+                let w = lists.next().expect("offset table length checked above");
+                let list = &flat.edges[w[0] as usize..w[1] as usize];
+                if list.len() > index.cap(layer) {
+                    return Err(format!(
+                        "node {node} layer {layer} holds {} neighbours, cap {}",
+                        list.len(),
+                        index.cap(layer)
+                    ));
+                }
+                index.set_neighbors(node as u32, layer, list);
             }
-            adjacency.push(layers);
         }
-        Ok(Self {
-            adjacency,
-            entry: flat.entry,
-            max_level: flat.max_level as usize,
-            params: HnswParams {
-                m: flat.m as usize,
-                ef_construction: flat.ef_construction as usize,
-                rng_seed: flat.rng_seed,
-            },
-        })
+        index.entry = flat.entry;
+        index.max_level = flat.max_level as usize;
+        Ok(index)
     }
 
-    /// Top layer of the hierarchy.
-    #[must_use]
-    pub fn max_level(&self) -> usize {
-        self.max_level
+    /// An edgeless index over nodes with the given top layers, entry at
+    /// node 0.
+    fn with_levels(levels: &[usize], params: HnswParams) -> Self {
+        assert!(params.m <= MAX_M, "M must be at most {MAX_M}");
+        let mut upper_at = Vec::with_capacity(levels.len() + 1);
+        let mut blocks = 0u32;
+        upper_at.push(blocks);
+        for &level in levels {
+            blocks += level as u32;
+            upper_at.push(blocks);
+        }
+        Self {
+            base: vec![0; levels.len() * (2 * params.m + 1)],
+            upper: vec![0; blocks as usize * (params.m + 1)],
+            upper_at,
+            entry: 0,
+            max_level: levels.first().copied().unwrap_or(0),
+            params,
+        }
     }
 
-    fn insert<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, level: usize) {
-        let mut scratch = SearchScratch::default();
-        let selected = wave_candidates(
-            oracle,
-            &self.adjacency,
-            &self.params,
-            node,
-            level,
-            self.entry,
-            self.max_level,
-            &mut scratch,
-        );
-        for (l, list) in selected.into_iter().enumerate() {
-            let cap = if l == 0 { self.params.m * 2 } else { self.params.m };
-            for &nb in &list {
-                let back = &mut self.adjacency[nb as usize][l];
-                back.push(node);
-                if back.len() > cap {
-                    // Re-prune the overflowing neighbour's list.
-                    let owner = nb;
-                    let mut scored: Vec<(u32, f32)> =
-                        back.iter().map(|&x| (x, oracle.sim(owner, x))).collect();
-                    scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                    let pruned = heuristic_select(oracle, owner, &scored, cap);
-                    self.adjacency[nb as usize][l] = pruned;
+    /// Appends one edgeless node with top layer `level`; both slabs only
+    /// ever grow at the end.
+    fn push_node(&mut self, level: usize) {
+        let blocks = *self.upper_at.last().expect("n + 1 entries") + level as u32;
+        self.upper_at.push(blocks);
+        self.base.resize(self.base.len() + 2 * self.params.m + 1, 0);
+        self.upper.resize(blocks as usize * (self.params.m + 1), 0);
+    }
+
+    /// Degree cap of `layer`: `2M` on layer 0, `M` above.
+    #[inline]
+    fn cap(&self, layer: usize) -> usize {
+        if layer == 0 { self.params.m * 2 } else { self.params.m }
+    }
+
+    /// Index of list `(node, layer)`'s length word in its slab (`base` for
+    /// layer 0, `upper` above); `None` above the node's top layer.
+    #[inline]
+    fn list_at(&self, node: u32, layer: usize) -> Option<usize> {
+        if layer == 0 {
+            return Some(node as usize * (2 * self.params.m + 1));
+        }
+        let block = self.upper_at[node as usize] as usize + layer - 1;
+        (block < self.upper_at[node as usize + 1] as usize).then(|| block * (self.params.m + 1))
+    }
+
+    /// Overwrites list `(node, layer)` in place.
+    fn set_neighbors(&mut self, node: u32, layer: usize, list: &[u32]) {
+        assert!(list.len() <= self.cap(layer), "list exceeds its stride");
+        let at = self.list_at(node, layer).expect("layer within the node's levels");
+        let slab = if layer == 0 { &mut self.base } else { &mut self.upper };
+        slab[at] = list.len() as u32;
+        slab[at + 1..at + 1 + list.len()].copy_from_slice(list);
+    }
+
+    /// Appends `adds` to list `(node, layer)` when the result fits its cap;
+    /// otherwise leaves the list untouched and returns `false`.
+    fn try_extend(&mut self, node: u32, layer: usize, adds: &[u32]) -> bool {
+        let len = self.neighbors(node, layer).len();
+        if len + adds.len() > self.cap(layer) {
+            return false;
+        }
+        let at = self.list_at(node, layer).expect("layer within the node's levels");
+        let slab = if layer == 0 { &mut self.base } else { &mut self.upper };
+        slab[at] = (len + adds.len()) as u32;
+        slab[at + 1 + len..at + 1 + len + adds.len()].copy_from_slice(adds);
+        true
+    }
+
+    fn insert<O: SimilarityOracle>(
+        &mut self,
+        oracle: &O,
+        node: u32,
+        level: usize,
+        scratch: &mut SearchScratch,
+    ) {
+        let selected = self.candidates(oracle, node, level, scratch);
+        for (l, list) in selected.iter().enumerate() {
+            for &nb in list {
+                if !self.try_extend(nb, l, &[node]) {
+                    // Re-prune the overflowing neighbour's list; the
+                    // transient cap+1-th entry lives in this chain, never
+                    // in the slab.
+                    let ids = self.neighbors(nb, l).iter().chain(std::iter::once(&node));
+                    let pruned = reprune(oracle, nb, ids, self.cap(l));
+                    self.set_neighbors(nb, l, &pruned);
                 }
             }
-            self.adjacency[node as usize][l] = list;
+            self.set_neighbors(node, l, list);
         }
         if level > self.max_level {
             self.max_level = level;
@@ -428,102 +503,113 @@ impl Hnsw {
         }
     }
 
-    fn layer_neighbors(&self, node: u32, layer: usize) -> &[u32] {
-        layer_neighbors_in(&self.adjacency, node, layer)
-    }
-}
-
-fn layer_neighbors_in(adj: &[Vec<Vec<u32>>], node: u32, layer: usize) -> &[u32] {
-    adj[node as usize].get(layer).map_or(&[], Vec::as_slice)
-}
-
-/// ef=1 greedy walk on one layer.
-fn greedy_closest_in(
-    adj: &[Vec<Vec<u32>>],
-    start: u32,
-    layer: usize,
-    score: &impl Fn(u32) -> f32,
-) -> u32 {
-    let mut cur = start;
-    let mut cur_sim = score(cur);
-    loop {
-        let mut improved = false;
-        for &nb in layer_neighbors_in(adj, cur, layer) {
-            let s = score(nb);
-            if s > cur_sim {
-                cur = nb;
-                cur_sim = s;
-                improved = true;
-            }
-        }
-        if !improved {
-            return cur;
-        }
-    }
-}
-
-/// Beam search on one layer; returns scored candidates, best first.  The
-/// caller's scratch (visited stamps + pool) is reused across calls.
-fn search_layer_in(
-    adj: &[Vec<Vec<u32>>],
-    start: u32,
-    layer: usize,
-    ef: usize,
-    score: &impl Fn(u32) -> f32,
-    scratch: &mut SearchScratch,
-) -> Vec<(u32, f32)> {
-    let SearchScratch { visited, pool } = scratch;
-    pool.reset(ef);
-    visited.reset(adj.len());
-    visited.mark(start);
-    pool.insert(start, score(start));
-    while let Some(idx) = pool.best_unvisited() {
-        let v = pool.visit(idx);
-        for &u in layer_neighbors_in(adj, v, layer) {
-            if visited.mark(u) {
-                let s = score(u);
-                if s > pool.threshold() {
-                    pool.insert(u, s);
+    /// ef=1 greedy walk from the entry vertex down through `layers` (top
+    /// first); returns where it stopped and that vertex's score.
+    fn descend<S: QueryScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        layers: impl Iterator<Item = usize>,
+        stats: &mut SearchStats,
+    ) -> (u32, f32) {
+        let mut ep = self.entry;
+        let mut ep_sim = scorer.score(ep);
+        stats.evaluated += 1;
+        for l in layers {
+            loop {
+                let mut improved = false;
+                for &nb in self.neighbors(ep, l) {
+                    stats.evaluated += 1;
+                    let s = scorer.score(nb);
+                    if s > ep_sim {
+                        ep = nb;
+                        ep_sim = s;
+                        improved = true;
+                    }
+                }
+                stats.hops += 1;
+                if !improved {
+                    break;
                 }
             }
         }
+        (ep, ep_sim)
     }
-    pool.top_k(ef)
+
+    /// Beam search of width `ef` on one layer from `(ep, ep_sim)`; the
+    /// result is left in `scratch.pool`, best first.
+    fn search_layer<S: QueryScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        (ep, ep_sim): (u32, f32),
+        layer: usize,
+        ef: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut SearchStats,
+    ) {
+        scratch.pool.reset(ef);
+        scratch.visited.reset(AnnIndex::len(self));
+        scratch.visited.mark(ep);
+        scratch.pool.insert(ep, ep_sim);
+        expand(|v| self.neighbors(v, layer), scorer, scratch, stats);
+    }
+
+    /// The read-only half of one node's insertion: greedy descent from the
+    /// entry through the layers above `level`, then per-layer beam search +
+    /// neighbour selection down to layer 0.  Returns the selected forward
+    /// list per layer (`result[l]`, `l <= level.min(max_level)`); nothing in
+    /// the graph is mutated, which is what lets a whole wave of nodes run
+    /// this concurrently against the frozen prefix.
+    fn candidates<O: SimilarityOracle>(
+        &self,
+        oracle: &O,
+        node: u32,
+        level: usize,
+        scratch: &mut SearchScratch,
+    ) -> Vec<Vec<u32>> {
+        let scorer = NodeScorer { oracle, node };
+        let mut stats = SearchStats::default();
+        let mut ep = self.descend(&scorer, (level + 1..=self.max_level).rev(), &mut stats);
+        let top = level.min(self.max_level);
+        let mut out = vec![Vec::new(); top + 1];
+        for l in (0..=top).rev() {
+            self.search_layer(&scorer, ep, l, self.params.ef_construction, scratch, &mut stats);
+            let cands = scratch.pool.top_k(self.params.ef_construction);
+            out[l] = heuristic_select(oracle, node, &cands, self.cap(l));
+            ep = cands[0];
+        }
+        out
+    }
+
+    /// [`AnnIndex::search`] with caller-provided scratch (visited stamps +
+    /// result pool), so a query batch's steady state allocates nothing —
+    /// the serving layer's per-worker entry point.
+    pub fn search_with_scratch<S: QueryScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        params: SearchParams,
+        scratch: &mut SearchScratch,
+    ) -> SearchResult {
+        let mut stats = SearchStats::default();
+        // Descend to layer 1 greedily, then beam layer 0 with the caller's
+        // pool size and pruning hook.
+        let ep = self.descend(scorer, (1..=self.max_level).rev(), &mut stats);
+        self.search_layer(scorer, ep, 0, params.l, scratch, &mut stats);
+        SearchResult { results: scratch.pool.top_k(params.k), stats }
+    }
 }
 
-/// The read-only half of one node's insertion: greedy descent from `entry`
-/// through the layers above `level`, then per-layer beam search + neighbour
-/// selection down to layer 0.  Returns the selected forward list per layer
-/// (`result[l]`, `l <= level.min(max_level)`); nothing in the graph is
-/// mutated, which is what lets a whole wave of nodes run this concurrently
-/// against the frozen prefix.
-#[allow(clippy::too_many_arguments)]
-fn wave_candidates<O: SimilarityOracle>(
+/// Re-prunes an overflowing list of `owner`: scores `ids` (current list,
+/// then the additions, in that order), sorts best first with ties by id,
+/// and runs the selection heuristic.
+fn reprune<'a, O: SimilarityOracle>(
     oracle: &O,
-    adj: &[Vec<Vec<u32>>],
-    params: &HnswParams,
-    node: u32,
-    level: usize,
-    entry: u32,
-    max_level: usize,
-    scratch: &mut SearchScratch,
-) -> Vec<Vec<u32>> {
-    let score = |id: u32| oracle.sim(node, id);
-    let mut ep = entry;
-    for l in (level + 1..=max_level).rev() {
-        ep = greedy_closest_in(adj, ep, l, &score);
-    }
-    let top = level.min(max_level);
-    let mut out = vec![Vec::new(); top + 1];
-    for l in (0..=top).rev() {
-        let cands = search_layer_in(adj, ep, l, params.ef_construction, &score, scratch);
-        let cap = if l == 0 { params.m * 2 } else { params.m };
-        out[l] = heuristic_select(oracle, node, &cands, cap);
-        if let Some(&(best, _)) = cands.first() {
-            ep = best;
-        }
-    }
-    out
+    owner: u32,
+    ids: impl Iterator<Item = &'a u32>,
+    cap: usize,
+) -> Vec<u32> {
+    let mut scored: Vec<(u32, f32)> = ids.map(|&x| (x, oracle.sim(owner, x))).collect();
+    scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    heuristic_select(oracle, owner, &scored, cap)
 }
 
 /// HNSW's neighbour-selection heuristic — the same occlusion rule as MRNG,
@@ -562,80 +648,20 @@ fn heuristic_select<O: SimilarityOracle>(
     kept.into_iter().map(|(id, _)| id).collect()
 }
 
-impl Hnsw {
-    /// [`AnnIndex::search`] with caller-provided scratch (visited stamps +
-    /// result pool), so a query batch's steady state allocates nothing —
-    /// the serving layer's per-worker entry point.
-    pub fn search_with_scratch<S: QueryScorer + ?Sized>(
-        &self,
-        scorer: &S,
-        params: SearchParams,
-        scratch: &mut crate::search::SearchScratch,
-    ) -> SearchResult {
-        let mut stats = SearchStats::default();
-        // Descend to layer 1 greedily.
-        let mut ep = self.entry;
-        let mut ep_sim = scorer.score(self.entry);
-        stats.evaluated += 1;
-        for l in (1..=self.max_level).rev() {
-            loop {
-                let mut improved = false;
-                for &nb in self.layer_neighbors(ep, l) {
-                    stats.evaluated += 1;
-                    let s = scorer.score(nb);
-                    if s > ep_sim {
-                        ep = nb;
-                        ep_sim = s;
-                        improved = true;
-                    }
-                }
-                stats.hops += 1;
-                if !improved {
-                    break;
-                }
-            }
-        }
-        // Layer-0 beam with the caller's pool size and pruning hook.
-        let crate::search::SearchScratch { visited, pool } = scratch;
-        pool.reset(params.l);
-        visited.reset(self.adjacency.len());
-        visited.mark(ep);
-        pool.insert(ep, ep_sim);
-        while let Some(idx) = pool.best_unvisited() {
-            let v = pool.visit(idx);
-            stats.hops += 1;
-            for &u in self.layer_neighbors(v, 0) {
-                if visited.mark(u) {
-                    stats.evaluated += 1;
-                    match scorer.score_pruned(u, pool.threshold()) {
-                        Some(s) => {
-                            pool.insert(u, s);
-                        }
-                        None => stats.pruned += 1,
-                    }
-                }
-            }
-        }
-        SearchResult { results: pool.top_k(params.k), stats }
-    }
-}
-
 impl AnnIndex for Hnsw {
     fn search(&self, scorer: &dyn QueryScorer, params: SearchParams, _rng_seed: u64) -> SearchResult {
-        self.search_with_scratch(scorer, params, &mut crate::search::SearchScratch::default())
+        self.search_with_scratch(scorer, params, &mut SearchScratch::default())
     }
 
     fn len(&self) -> usize {
-        self.adjacency.len()
+        self.upper_at.len() - 1
     }
 
+    /// The slabs' real heap footprint: every node pays its full layer-0
+    /// stride (`2M + 1` words) and `M + 1` words per upper layer whether
+    /// or not the lists are full, plus one offset word.
     fn bytes(&self) -> usize {
-        self.adjacency
-            .iter()
-            .map(|levels| {
-                levels.iter().map(|l| l.len() * 4 + std::mem::size_of::<Vec<u32>>()).sum::<usize>()
-            })
-            .sum()
+        (self.base.len() + self.upper.len() + self.upper_at.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -676,11 +702,13 @@ mod tests {
         let oracle = GridOracle::new(15);
         let m = 5;
         let index = Hnsw::build(&oracle, HnswParams { m, ef_construction: 24, rng_seed: 7 });
-        for node in 0..index.adjacency.len() {
-            for (level, nbrs) in index.adjacency[node].iter().enumerate() {
+        for (node, &top) in index.to_flat().levels.iter().enumerate() {
+            for level in 0..=top as usize {
+                let nbrs = index.neighbors(node as u32, level);
                 let cap = if level == 0 { m * 2 } else { m };
                 assert!(nbrs.len() <= cap, "node {node} level {level}: {}", nbrs.len());
             }
+            assert!(index.neighbors(node as u32, top as usize + 1).is_empty());
         }
     }
 
@@ -691,7 +719,7 @@ mod tests {
         let flat = index.to_flat();
         assert_eq!(flat.levels.len(), AnnIndex::len(&index));
         let back = Hnsw::from_flat(&flat).unwrap();
-        assert_eq!(back.adjacency, index.adjacency);
+        assert_eq!(back.to_flat(), flat);
         assert_eq!(back.entry(), index.entry());
         assert_eq!(back.max_level(), index.max_level());
         for target in [0u32, 41, 97, 195] {
@@ -716,9 +744,89 @@ mod tests {
         let mut bad = good.clone();
         bad.entry = 9_999;
         assert!(Hnsw::from_flat(&bad).is_err());
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.levels.push(0); // phantom node with no lists
         assert!(Hnsw::from_flat(&bad).is_err());
+        // A level that disagrees with the offset table (one list too few).
+        let mut bad = good.clone();
+        bad.levels[0] += 1;
+        assert!(Hnsw::from_flat(&bad).is_err());
+        let mut bad = good;
+        bad.m = 0;
+        assert!(Hnsw::from_flat(&bad).is_err());
+    }
+
+    #[test]
+    fn from_flat_rejects_lists_longer_than_their_stride() {
+        // Three nodes, node 0 on layers 0..=1, M = 1: caps are 2 and 1.
+        let flat = |layer0: &[u32], layer1: &[u32]| {
+            let mut edges = layer0.to_vec();
+            edges.extend_from_slice(layer1);
+            let (a, b) = (layer0.len() as u32, edges.len() as u32);
+            HnswFlat {
+                levels: vec![1, 0, 0],
+                offsets: vec![0, a, b, b, b],
+                edges,
+                entry: 0,
+                max_level: 1,
+                m: 1,
+                ef_construction: 8,
+                rng_seed: 0,
+            }
+        };
+        let ok = Hnsw::from_flat(&flat(&[1, 2], &[1])).unwrap();
+        assert_eq!(ok.neighbors(0, 0), &[1, 2]);
+        assert_eq!(ok.neighbors(0, 1), &[1]);
+        assert!(ok.neighbors(1, 0).is_empty() && ok.neighbors(1, 1).is_empty());
+        let err = Hnsw::from_flat(&flat(&[1, 2, 1], &[1])).unwrap_err();
+        assert!(err.contains("layer 0") && err.contains("cap 2"), "{err}");
+        let err = Hnsw::from_flat(&flat(&[1, 2], &[1, 2])).unwrap_err();
+        assert!(err.contains("layer 1") && err.contains("cap 1"), "{err}");
+    }
+
+    /// FNV-1a of a snapshot: header words, then levels, offsets and edges.
+    fn flat_hash(flat: &HnswFlat) -> u64 {
+        let head = [
+            u64::from(flat.entry),
+            u64::from(flat.max_level),
+            u64::from(flat.m),
+            u64::from(flat.ef_construction),
+            flat.rng_seed,
+            flat.levels.len() as u64,
+            flat.offsets.len() as u64,
+            flat.edges.len() as u64,
+        ];
+        let body = flat.levels.iter().chain(&flat.offsets).chain(&flat.edges).map(|&x| u64::from(x));
+        crate::testutil::fnv1a(head.into_iter().chain(body))
+    }
+
+    #[test]
+    fn build_and_insert_reproduce_the_nested_vec_layout() {
+        // (rng_seed, built, grown): hashes taken on the last commit that
+        // stored the graph as nested `Vec`s (7c10633), so the slab build
+        // and insert are pinned to that representation's output rather
+        // than to themselves.  The integer grid is tie-heavy on purpose.
+        const GOLDEN: [(u64, u64, u64); 3] = [
+            (0x3, 0x03b3_f048_f858_ff86, 0x5351_8c6d_571a_872b),
+            (0x9, 0xf8e3_3a48_1d17_e245, 0xe0a0_55c8_ff40_4598),
+            (0x45F, 0x15cf_f028_e027_10e6, 0x9bbf_d3fa_63e4_4ffb),
+        ];
+        let full = GridOracle::new(24);
+        let n0 = full.len() - 64;
+        let prefix = GridOracle { pts: full.pts[..n0].to_vec() };
+        for (rng_seed, built, grown) in GOLDEN {
+            let params = HnswParams { m: 6, ef_construction: 40, rng_seed };
+            for t in [1usize, 2, 4] {
+                let mut index = Hnsw::build_with_threads(&prefix, params, t);
+                assert_eq!(flat_hash(&index.to_flat()), built, "seed {rng_seed:#x} T={t}");
+                for node in n0..full.len() {
+                    index.insert_new(&full, node as u32, 0x1A5E);
+                }
+                assert_eq!(flat_hash(&index.to_flat()), grown, "seed {rng_seed:#x} T={t} + 64");
+                let cloned = index.clone();
+                assert_eq!(cloned.to_flat(), index.to_flat());
+            }
+        }
     }
 
     #[test]
@@ -783,18 +891,19 @@ mod tests {
             HnswParams { m, ef_construction: 32, rng_seed: 3 },
             4,
         );
-        for node in 0..index.adjacency.len() {
-            for (level, nbrs) in index.adjacency[node].iter().enumerate() {
+        let flat = index.to_flat();
+        for (node, &top) in flat.levels.iter().enumerate() {
+            for level in 0..=top as usize {
+                let nbrs = index.neighbors(node as u32, level);
                 let cap = if level == 0 { m * 2 } else { m };
                 assert!(nbrs.len() <= cap, "node {node} level {level}: {}", nbrs.len());
                 for &nb in nbrs {
                     assert_ne!(nb, node as u32, "self edge at node {node}");
-                    assert!((nb as usize) < index.adjacency.len());
+                    assert!((nb as usize) < AnnIndex::len(&index));
                 }
             }
         }
-        let back = Hnsw::from_flat(&index.to_flat()).unwrap();
-        assert_eq!(back.adjacency, index.adjacency);
+        assert_eq!(Hnsw::from_flat(&flat).unwrap().to_flat(), flat);
     }
 
     #[test]

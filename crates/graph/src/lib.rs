@@ -207,6 +207,18 @@ pub trait AnnIndex: Send + Sync {
 pub(crate) mod testutil {
     use super::SimilarityOracle;
 
+    /// FNV-1a over a word stream (each word hashed as 8 little-endian
+    /// bytes) — the golden-hash function of the layout and hop-loop pins.
+    pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     /// A 1-D line of points at positions `0, 1, 2, ...` with similarity
     /// `-|a - b|` — handy because nearest neighbours are obvious.
     pub struct LineOracle(pub usize);

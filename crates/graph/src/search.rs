@@ -194,41 +194,60 @@ fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
     rng_seed: u64,
 ) -> SearchResult {
     let mut stats = SearchStats::default();
-    let SearchScratch { visited, pool } = scratch;
+    let SearchScratch { visited, pool } = &mut *scratch;
     pool.reset(params.l);
     visited.reset(n);
 
     // Line 1-3: R = {seed} + (l-1) random vertices, scored exactly.
-    let enqueue = |id: u32, pool: &mut Pool, stats: &mut SearchStats, visited: &mut VisitedSet| {
-        if visited.mark(id) {
-            stats.evaluated += 1;
-            match scorer.score_pruned(id, pool.threshold()) {
-                Some(s) => {
-                    pool.insert(id, s);
-                }
-                None => stats.pruned += 1,
-            }
-        }
-    };
-    enqueue(seed, pool, &mut stats, visited);
+    visited.mark(seed);
+    offer(seed, scorer, pool, &mut stats);
     if params.random_init && params.l > 1 && n > 1 {
         let mut rng = StdRng::seed_from_u64(rng_seed);
         for _ in 0..(params.l - 1).min(n - 1) {
             let id = rng.random_range(0..n as u32);
-            enqueue(id, pool, &mut stats, visited);
+            if visited.mark(id) {
+                offer(id, scorer, pool, &mut stats);
+            }
         }
     }
 
-    // Lines 4-10: expand the best unvisited vertex until none remain.
+    expand(neighbors, scorer, scratch, &mut stats);
+    SearchResult { results: scratch.pool.top_k(params.k), stats }
+}
+
+/// The hop loop (Lines 4-10 of Algorithm 2) every search in this crate
+/// runs — flat graphs, CSR, HNSW queries and HNSW construction alike:
+/// expand the best unvisited pool entry until none remain, scoring each
+/// newly seen neighbour against the evolving pool threshold.
+pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
+    neighbors: impl Fn(u32) -> &'g [u32],
+    scorer: &S,
+    scratch: &mut SearchScratch,
+    stats: &mut SearchStats,
+) {
+    let SearchScratch { visited, pool } = scratch;
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         stats.hops += 1;
         for &u in neighbors(v) {
-            enqueue(u, pool, &mut stats, visited);
+            if visited.mark(u) {
+                offer(u, scorer, pool, stats);
+            }
         }
     }
+}
 
-    SearchResult { results: pool.top_k(params.k), stats }
+/// Scores `id` against the pool's current threshold (the Lemma-4 hook) and
+/// files the verdict: into the pool, or counted as pruned.
+#[inline]
+fn offer<S: QueryScorer + ?Sized>(id: u32, scorer: &S, pool: &mut Pool, stats: &mut SearchStats) {
+    stats.evaluated += 1;
+    match scorer.score_pruned(id, pool.threshold()) {
+        Some(s) => {
+            pool.insert(id, s);
+        }
+        None => stats.pruned += 1,
+    }
 }
 
 impl AnnIndex for Graph {
@@ -376,4 +395,69 @@ mod tests {
             }
         }
     }
+
+    /// Records every scorer call as `(id, threshold bits)`; plain `score`
+    /// calls record `u64::MAX` in the threshold slot.
+    struct Recording<F: Fn(u32) -> f32> {
+        f: F,
+        calls: std::cell::RefCell<Vec<u64>>,
+    }
+
+    impl<F: Fn(u32) -> f32> QueryScorer for Recording<F> {
+        fn score(&self, id: u32) -> f32 {
+            self.calls.borrow_mut().extend([u64::from(id), u64::MAX]);
+            (self.f)(id)
+        }
+        fn score_pruned(&self, id: u32, threshold: f32) -> Option<f32> {
+            self.calls.borrow_mut().extend([u64::from(id), u64::from(threshold.to_bits())]);
+            let s = (self.f)(id);
+            (s > threshold).then_some(s)
+        }
+    }
+
+    /// FNV-1a over 16 queries' scorer-call sequences, results and stats.
+    fn walk_hash(
+        mut walk: impl FnMut(&dyn QueryScorer, u32) -> SearchResult,
+        oracle: &crate::testutil::RandOracle,
+    ) -> u64 {
+        let mut words = Vec::new();
+        for q in 0..16u32 {
+            let target = (q * 37) % oracle.len() as u32;
+            let rec = Recording { f: |id| oracle.sim(id, target), calls: Default::default() };
+            let res = walk(&rec, q);
+            words.append(&mut rec.calls.borrow_mut());
+            words.extend(res.results.iter().flat_map(|&(id, s)| [u64::from(id), u64::from(s.to_bits())]));
+            words.extend([res.stats.hops, res.stats.evaluated, res.stats.pruned]);
+        }
+        crate::testutil::fnv1a(words)
+    }
+
+    #[test]
+    fn every_walk_makes_the_golden_scorer_call_sequence() {
+        // Hashes taken on the last commit with three hand-copied hop loops
+        // (7c10633): the shared `expand` must present every scorer with the
+        // same `(id, threshold)` sequence, results and stats, bit for bit.
+        let oracle = crate::testutil::RandOracle::new(1_500, 8, 0xFACE);
+        let hnsw = crate::hnsw::Hnsw::build_with_threads(
+            &oracle,
+            crate::hnsw::HnswParams { m: 8, ef_construction: 48, rng_seed: 5 },
+            2,
+        );
+        let (graph, _) =
+            crate::PipelineBuilder { gamma: 10, threads: 2, ..Default::default() }.build(&oracle);
+        let csr = crate::csr::CsrGraph::from_graph(&graph);
+        let mut scratch = SearchScratch::default();
+        let seed_only = SearchParams::seed_only(10, 40);
+        let random = SearchParams::new(10, 40);
+        let rng = |q: u32| 0x5E7E + u64::from(q);
+        let h = walk_hash(|s, _| hnsw.search_with_scratch(s, seed_only, &mut scratch), &oracle);
+        assert_eq!(h, 0xf41b_619f_527b_6cc4, "HNSW");
+        let h = walk_hash(|s, q| beam_search_csr(&csr, s, random, &mut scratch, rng(q)), &oracle);
+        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "CSR, random_init");
+        let h = walk_hash(|s, q| beam_search_csr(&csr, s, seed_only, &mut scratch, rng(q)), &oracle);
+        assert_eq!(h, 0xdd02_5d57_f47a_3e9a, "CSR, seed only");
+        let h = walk_hash(|s, q| beam_search(&graph, s, random, &mut scratch, rng(q)), &oracle);
+        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "adjacency-list graph, random_init");
+    }
 }
+
