@@ -238,10 +238,7 @@ fn search_candidates<O: SimilarityOracle>(
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         for &u in graph.neighbors(v) {
-            if seen.binary_search(&u).is_ok() {
-                continue;
-            }
-            let pos = seen.binary_search(&u).unwrap_err();
+            let Err(pos) = seen.binary_search(&u) else { continue };
             seen.insert(pos, u);
             let sim = oracle.sim(o, u);
             if u != o {

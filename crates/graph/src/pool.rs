@@ -21,6 +21,11 @@ pub struct PoolEntry {
 pub struct Pool {
     entries: Vec<PoolEntry>,
     capacity: usize,
+    /// Index of the first unvisited entry (`entries.len()` when none):
+    /// every entry before it is visited.  An insert in front of it lowers
+    /// it, [`Pool::visit`] advances it, so [`Pool::best_unvisited`] never
+    /// rescans the visited prefix.
+    cursor: usize,
 }
 
 impl Default for Pool {
@@ -36,7 +41,7 @@ impl Pool {
     #[must_use]
     pub fn new(l: usize) -> Self {
         assert!(l > 0, "pool capacity must be positive");
-        Self { entries: Vec::with_capacity(l + 1), capacity: l }
+        Self { entries: Vec::with_capacity(l + 1), capacity: l, cursor: 0 }
     }
 
     /// Clears the pool and re-sizes it to capacity `l`, keeping the entry
@@ -49,6 +54,7 @@ impl Pool {
         // before evicting — no growth inside the search loop.
         self.entries.reserve(l + 1);
         self.capacity = l;
+        self.cursor = 0;
     }
 
     /// Capacity `l`.
@@ -107,18 +113,26 @@ impl Pool {
         if self.entries.len() > self.capacity {
             self.entries.pop();
         }
+        // The new entry is unvisited: it is the first such iff it landed
+        // in front of the old one (at `pos >= cursor` the visited prefix
+        // is untouched).
+        self.cursor = self.cursor.min(pos);
         true
     }
 
     /// Index of the best unvisited entry, if any (Line 5 of Algorithm 2).
+    #[inline]
     #[must_use]
     pub fn best_unvisited(&self) -> Option<usize> {
-        self.entries.iter().position(|e| !e.visited)
+        (self.cursor < self.entries.len()).then_some(self.cursor)
     }
 
     /// Marks entry `idx` as visited and returns its id.
     pub fn visit(&mut self, idx: usize) -> u32 {
         self.entries[idx].visited = true;
+        while self.entries.get(self.cursor).is_some_and(|e| e.visited) {
+            self.cursor += 1;
+        }
         self.entries[idx].id
     }
 

@@ -49,6 +49,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
+    fn pool_cursor_matches_a_linear_scan(
+        ops in proptest::collection::vec((0u8..16, 0usize..64, -1.0f32..1.0), 1..200),
+        cap in 1usize..10,
+    ) {
+        // Random insert / best_unvisited / visit / reset interleavings,
+        // including visits of entries that are *not* the first unvisited;
+        // similarities are quantised so ties are common.
+        let mut pool = Pool::new(cap);
+        let mut next_id = 0u32;
+        for (op, pick, sim) in ops {
+            match op {
+                0..=8 => {
+                    pool.insert(next_id, (sim * 4.0).round() / 4.0);
+                    next_id += 1;
+                }
+                9..=11 => {
+                    if let Some(idx) = pool.best_unvisited() {
+                        pool.visit(idx);
+                    }
+                }
+                12..=14 => {
+                    if !pool.is_empty() {
+                        pool.visit(pick % pool.len());
+                    }
+                }
+                _ => pool.reset(1 + pick % 9),
+            }
+            let scan = pool.entries().iter().position(|e| !e.visited);
+            prop_assert_eq!(pool.best_unvisited(), scan);
+        }
+    }
+
+    #[test]
     fn pool_is_always_sorted_and_bounded(
         ops in proptest::collection::vec((0u32..64, -1.0f32..1.0), 1..80),
         cap in 1usize..12,
