@@ -163,6 +163,16 @@ impl QueryScorer for MustQueryScorer<'_> {
             PartialIpVerdict::Pruned => None,
         }
     }
+
+    #[inline]
+    fn warm(&self, id: u32) {
+        self.eval.warm(id);
+    }
+
+    #[inline]
+    fn warms(&self) -> bool {
+        true
+    }
 }
 
 /// Query scorer over the SQ8 engine: the graph walk scans `u8` codes with
@@ -211,6 +221,16 @@ impl QueryScorer for QuantizedQueryScorer<'_> {
             PartialIpVerdict::Exact(v) => Some(v),
             PartialIpVerdict::Pruned => None,
         }
+    }
+
+    #[inline]
+    fn warm(&self, id: u32) {
+        self.eval.warm(id);
+    }
+
+    #[inline]
+    fn warms(&self) -> bool {
+        true
     }
 }
 
@@ -327,6 +347,27 @@ mod tests {
         // With an impossible threshold the pruning scorer discards early.
         assert!(pruning.score_pruned(0, 10.0).is_none());
         assert!(plain.score_pruned(0, 10.0).is_some());
+    }
+
+    #[test]
+    fn warm_is_invisible_to_scores_and_counters() {
+        let set = corpus();
+        let w = Weights::new(vec![0.9, 0.5]).unwrap();
+        let q = MultiQuery::full(vec![vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
+        let quant = set.fused().quantize();
+        let cold = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
+        let warm = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
+        let qcold = QuantizedQueryScorer::from_rows(&quant, &q, &w, true).unwrap();
+        let qwarm = QuantizedQueryScorer::from_rows(&quant, &q, &w, true).unwrap();
+        assert!(warm.warms() && qwarm.warms());
+        for id in 0..4 {
+            warm.warm(id);
+            qwarm.warm(id);
+            assert_eq!(warm.score_pruned(id, 0.1), cold.score_pruned(id, 0.1));
+            assert_eq!(qwarm.score_pruned(id, 0.1), qcold.score_pruned(id, 0.1));
+        }
+        assert_eq!(warm.kernel_evals(), cold.kernel_evals());
+        assert_eq!(qwarm.kernel_evals(), qcold.kernel_evals());
     }
 
     #[test]

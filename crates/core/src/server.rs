@@ -6,7 +6,8 @@
 //! searcher advances an RNG counter per query, so neither is shareable
 //! across threads nor order-deterministic.  [`MustServer`] freezes the
 //! corpus + weights + graph behind an [`Arc`]: flat graphs are frozen to
-//! the CSR form a deployment serves from, HNSW keeps its layered form.
+//! the CSR form a deployment serves from; HNSW is already flat (two
+//! fixed-stride slabs) and is served from the arrays it was built on.
 //! Every search derives its RNG seed from a fixed serving constant, so a
 //! query's results are **bit-identical** no matter which worker runs it or
 //! in what order — the concurrency tests pin this down.
@@ -54,12 +55,12 @@ use crate::MustError;
 /// concurrent and serial execution agree bit-for-bit.
 const SERVE_RNG_SEED: u64 = 0x5E7E_D05E_ED00;
 
-/// The frozen index a server searches: flat graphs in CSR layout, HNSW in
-/// its layered form.
+/// The frozen index a server searches: flat graphs in CSR layout, HNSW on
+/// the fixed-stride slabs it was built and loaded on (no frozen copy).
 pub enum ServingIndex {
     /// A flat graph frozen to compressed sparse rows.
     Csr(CsrGraph),
-    /// The layered HNSW graph.
+    /// The HNSW hierarchy, served from its own slabs.
     Hnsw(Hnsw),
 }
 

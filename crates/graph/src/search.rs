@@ -127,6 +127,9 @@ pub struct SearchScratch {
     pub visited: VisitedSet,
     /// The fixed-size result pool `R` of Algorithm 2, re-sized per query.
     pub pool: Pool,
+    /// The current hop's not-yet-seen neighbours, gathered before any is
+    /// scored (see [`expand`]).
+    fresh: Vec<u32>,
 }
 
 impl SearchScratch {
@@ -194,7 +197,7 @@ fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
     rng_seed: u64,
 ) -> SearchResult {
     let mut stats = SearchStats::default();
-    let SearchScratch { visited, pool } = &mut *scratch;
+    let SearchScratch { visited, pool, .. } = &mut *scratch;
     pool.reset(params.l);
     visited.reset(n);
 
@@ -225,12 +228,27 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) {
-    let SearchScratch { visited, pool } = scratch;
+    let SearchScratch { visited, pool, fresh } = scratch;
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         stats.hops += 1;
-        for &u in neighbors(v) {
-            if visited.mark(u) {
+        let unseen = neighbors(v).iter().copied().filter(|&u| visited.mark(u));
+        if scorer.warms() {
+            // Gather, touch, score: marking never depended on scoring, so
+            // the scorer sees the same `(id, threshold)` sequence as in the
+            // fused loop below — but every candidate's row fetch is in
+            // flight before the first kernel runs instead of after the
+            // previous one retires.
+            fresh.clear();
+            fresh.extend(unseen);
+            for &u in fresh.iter() {
+                scorer.warm(u);
+            }
+            for &u in fresh.iter() {
+                offer(u, scorer, pool, stats);
+            }
+        } else {
+            for u in unseen {
                 offer(u, scorer, pool, stats);
             }
         }
@@ -401,6 +419,8 @@ mod tests {
     struct Recording<F: Fn(u32) -> f32> {
         f: F,
         calls: std::cell::RefCell<Vec<u64>>,
+        /// Which of `expand`'s two candidate orders (gathered / fused) runs.
+        warms: bool,
     }
 
     impl<F: Fn(u32) -> f32> QueryScorer for Recording<F> {
@@ -413,17 +433,21 @@ mod tests {
             let s = (self.f)(id);
             (s > threshold).then_some(s)
         }
+        fn warms(&self) -> bool {
+            self.warms
+        }
     }
 
     /// FNV-1a over 16 queries' scorer-call sequences, results and stats.
     fn walk_hash(
         mut walk: impl FnMut(&dyn QueryScorer, u32) -> SearchResult,
         oracle: &crate::testutil::RandOracle,
+        warms: bool,
     ) -> u64 {
         let mut words = Vec::new();
         for q in 0..16u32 {
             let target = (q * 37) % oracle.len() as u32;
-            let rec = Recording { f: |id| oracle.sim(id, target), calls: Default::default() };
+            let rec = Recording { f: |id| oracle.sim(id, target), calls: Default::default(), warms };
             let res = walk(&rec, q);
             words.append(&mut rec.calls.borrow_mut());
             words.extend(res.results.iter().flat_map(|&(id, s)| [u64::from(id), u64::from(s.to_bits())]));
@@ -450,14 +474,16 @@ mod tests {
         let seed_only = SearchParams::seed_only(10, 40);
         let random = SearchParams::new(10, 40);
         let rng = |q: u32| 0x5E7E + u64::from(q);
-        let h = walk_hash(|s, _| hnsw.search_with_scratch(s, seed_only, &mut scratch), &oracle);
-        assert_eq!(h, 0xf41b_619f_527b_6cc4, "HNSW");
-        let h = walk_hash(|s, q| beam_search_csr(&csr, s, random, &mut scratch, rng(q)), &oracle);
-        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "CSR, random_init");
-        let h = walk_hash(|s, q| beam_search_csr(&csr, s, seed_only, &mut scratch, rng(q)), &oracle);
-        assert_eq!(h, 0xdd02_5d57_f47a_3e9a, "CSR, seed only");
-        let h = walk_hash(|s, q| beam_search(&graph, s, random, &mut scratch, rng(q)), &oracle);
-        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "adjacency-list graph, random_init");
+        for warms in [false, true] {
+            let h = walk_hash(|s, _| hnsw.search_with_scratch(s, seed_only, &mut scratch), &oracle, warms);
+            assert_eq!(h, 0xf41b_619f_527b_6cc4, "HNSW, warms={warms}");
+            let h = walk_hash(|s, q| beam_search_csr(&csr, s, random, &mut scratch, rng(q)), &oracle, warms);
+            assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "CSR, random_init, warms={warms}");
+            let h = walk_hash(|s, q| beam_search_csr(&csr, s, seed_only, &mut scratch, rng(q)), &oracle, warms);
+            assert_eq!(h, 0xdd02_5d57_f47a_3e9a, "CSR, seed only, warms={warms}");
+            let h = walk_hash(|s, q| beam_search(&graph, s, random, &mut scratch, rng(q)), &oracle, warms);
+            assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "adjacency-list graph, random_init, warms={warms}");
+        }
     }
 }
 

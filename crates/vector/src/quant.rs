@@ -66,7 +66,7 @@
 
 use std::sync::Arc;
 
-use crate::fused::{FusedRows, PartialIpVerdict, FUSED_LANE};
+use crate::fused::{FusedRows, PartialIpVerdict, FUSED_LANE, CACHE_LINE};
 use crate::multi::MultiQuery;
 use crate::{kernels, ObjectId, VectorError, Weights};
 
@@ -665,6 +665,19 @@ impl<'a> QuantizedQueryEvaluator<'a> {
             sum += seg.wsq * self.seg_dot(seg, base, self.params[first + seg.k]);
         }
         sum
+    }
+
+    /// Pulls row `id`'s codes and per-row columns towards the cache ahead
+    /// of [`Self::ip`] / [`Self::ip_pruned`] — the SQ8 twin of
+    /// [`crate::FusedQueryEvaluator::warm`].
+    #[inline]
+    pub fn warm(&self, id: ObjectId) {
+        let (base, first) = (id as usize * self.stride, id as usize * self.m);
+        let mut acc = self.params[first].min + self.seg_norms[first] + self.code_norms[first];
+        for &c in self.codes[base..base + self.stride].iter().step_by(CACHE_LINE) {
+            acc += f32::from(c);
+        }
+        std::hint::black_box(acc);
     }
 
     /// The widened Lemma-4 walk: starts from the exact norm term (query
