@@ -1,7 +1,7 @@
 //! The user-facing MUST framework (Fig. 4): multi-vector corpus in, learned
 //! or user-defined weights, fused index, joint search out.
 
-use must_graph::{GraphRecipe, SearchParams};
+use must_graph::{GraphRecipe, SearchParams, SearchScratch};
 use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
 
 use crate::index::{build_index, BuildReport, IndexOptions, MustIndex};
@@ -64,6 +64,9 @@ pub struct Must {
     /// top pool on the f32 rows.  Kept in lockstep with the corpus by
     /// [`Must::insert_object`].
     quant: Option<QuantizedRows>,
+    /// Search scratch reused by every [`Must::insert_object`] call, so a
+    /// stream of inserts allocates the `O(n)` visited stamps once.
+    insert_scratch: SearchScratch,
 }
 
 /// The owned parts of a [`Must`] instance, as handed to
@@ -96,7 +99,7 @@ impl Must {
         opts: MustBuildOptions,
     ) -> Result<Self, MustError> {
         let (index, report) = {
-            let oracle = JointOracle::new(&objects, weights.clone())?;
+            let oracle = JointOracle::borrowed(&objects, &weights)?;
             build_index(
                 &oracle,
                 IndexOptions {
@@ -118,6 +121,7 @@ impl Must {
             deleted,
             deleted_count: 0,
             quant: None,
+            insert_scratch: SearchScratch::default(),
         })
     }
 
@@ -180,8 +184,9 @@ impl Must {
         let id = self.objects.push_object(rows)?;
         self.deleted.resize(self.objects.len().div_ceil(64), 0);
         // The corpus's fused storage grew in place; re-entering index
-        // construction is a cheap rebind, not a copy.
-        let Self { objects, weights, index, quant, .. } = self;
+        // construction is a constant-time rebind (weights borrowed, the
+        // oracle's centroid never computed), not a copy or a corpus pass.
+        let Self { objects, weights, index, quant, insert_scratch, .. } = self;
         if let Some(q) = quant {
             // Keep the codes in lockstep, encoding the *normalised* values
             // the corpus actually stored.  A zero-copy-loaded engine
@@ -191,9 +196,9 @@ impl Must {
                 (0..fused.num_modalities()).map(|k| fused.modality_slice(id, k)).collect();
             q.push_row(&normalized)?;
         }
-        let oracle = JointOracle::new(objects, weights.clone())?;
+        let oracle = JointOracle::borrowed(objects, weights)?;
         match index {
-            MustIndex::Hnsw(h) => h.insert_new(&oracle, id, 0x1A5E),
+            MustIndex::Hnsw(h) => h.insert_new_with_scratch(&oracle, id, 0x1A5E, insert_scratch),
             MustIndex::Flat(_) => unreachable!("checked above"),
         }
         Ok(id)
@@ -248,6 +253,7 @@ impl Must {
             deleted,
             deleted_count: 0,
             quant: None,
+            insert_scratch: SearchScratch::default(),
         })
     }
 

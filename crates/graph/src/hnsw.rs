@@ -819,8 +819,15 @@ mod tests {
             for t in [1usize, 2, 4] {
                 let mut index = Hnsw::build_with_threads(&prefix, params, t);
                 assert_eq!(flat_hash(&index.to_flat()), built, "seed {rng_seed:#x} T={t}");
+                // A fresh scratch per insert and one reused across all 64
+                // must grow the same graph.
+                let mut scratch = SearchScratch::default();
                 for node in n0..full.len() {
-                    index.insert_new(&full, node as u32, 0x1A5E);
+                    if t == 1 {
+                        index.insert_new(&full, node as u32, 0x1A5E);
+                    } else {
+                        index.insert_new_with_scratch(&full, node as u32, 0x1A5E, &mut scratch);
+                    }
                 }
                 assert_eq!(flat_hash(&index.to_flat()), grown, "seed {rng_seed:#x} T={t} + 64");
                 let cloned = index.clone();

@@ -22,6 +22,8 @@
 //! weight configuration; [`JointDistance::with_query_weights`] rebinds the
 //! same corpus to another configuration without touching storage.
 
+use std::borrow::Cow;
+
 use crate::fused::{FusedQueryEvaluator, FusedRows};
 use crate::multi::{MultiQuery, MultiVectorSet};
 use crate::{kernels, ObjectId, VectorError, Weights};
@@ -40,7 +42,7 @@ pub type QueryEvaluator<'a> = FusedQueryEvaluator<'a>;
 #[derive(Debug, Clone)]
 pub struct JointDistance<'a> {
     set: &'a MultiVectorSet,
-    weights: Weights,
+    weights: Cow<'a, Weights>,
 }
 
 impl<'a> JointDistance<'a> {
@@ -63,6 +65,19 @@ impl<'a> JointDistance<'a> {
     /// );
     /// ```
     pub fn new(set: &'a MultiVectorSet, weights: Weights) -> Result<Self, VectorError> {
+        Self::bind(set, Cow::Owned(weights))
+    }
+
+    /// [`JointDistance::new`] over weights the caller keeps: nothing is
+    /// cloned, so a binding per call (one per dynamic insert) is free.
+    ///
+    /// # Errors
+    /// As [`JointDistance::new`].
+    pub fn borrowed(set: &'a MultiVectorSet, weights: &'a Weights) -> Result<Self, VectorError> {
+        Self::bind(set, Cow::Borrowed(weights))
+    }
+
+    fn bind(set: &'a MultiVectorSet, weights: Cow<'a, Weights>) -> Result<Self, VectorError> {
         if weights.modalities() != set.num_modalities() {
             return Err(VectorError::WeightArity {
                 modalities: set.num_modalities(),
