@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::par;
 use crate::search::{expand, SearchParams, SearchResult, SearchScratch, SearchStats};
-use crate::{AnnIndex, QueryScorer, SimilarityOracle};
+use crate::{AnnIndex, FnScorer, QueryScorer, SimilarityOracle};
 
 /// Maximum wave length for the wave-scheduled build: bounds transient
 /// candidate memory and keeps the frozen prefix a large fraction of the
@@ -113,19 +113,6 @@ fn assign_levels(n: usize, params: &HnswParams) -> Vec<usize> {
     (0..n).map(|_| draw_level(&mut rng, params.m)).collect()
 }
 
-/// Build-side scorer: `sim(node, ·)` presented through the query seam, so
-/// construction runs the same hop loop searches do.
-struct NodeScorer<'a, O> {
-    oracle: &'a O,
-    node: u32,
-}
-
-impl<O: SimilarityOracle> QueryScorer for NodeScorer<'_, O> {
-    fn score(&self, id: u32) -> f32 {
-        self.oracle.sim(self.node, id)
-    }
-}
-
 impl Hnsw {
     /// Builds the index with the wave-scheduled parallel algorithm on the
     /// default worker budget ([`par::build_threads`]).
@@ -166,31 +153,26 @@ impl Hnsw {
         // per inserted node, which dominated large builds.
         let scratches: Vec<Mutex<SearchScratch>> =
             (0..threads).map(|_| Mutex::new(SearchScratch::default())).collect();
-        const PHASE_CANDIDATES: usize = 0;
-        const PHASE_REPRUNE: usize = 1;
-        let phase = AtomicUsize::new(PHASE_CANDIDATES);
         let wave_start = AtomicUsize::new(1);
         // One slot per wave offset; a worker owns slot `item` for the
         // duration of the phase, so each mutex is locked exactly once.
         let cand_slots: Vec<Mutex<Vec<Vec<u32>>>> = (0..n.saturating_sub(1).min(WAVE_MAX))
             .map(|_| Mutex::new(Vec::new()))
             .collect();
+        // Non-empty exactly while the re-prune phase runs: which of the two
+        // parallel phases an item belongs to.
         let groups: RwLock<Vec<BackGroup>> = RwLock::new(Vec::new());
 
         let worker = |w: usize, item: usize| {
             let index = index.read().expect("index lock");
-            if phase.load(Ordering::Relaxed) == PHASE_CANDIDATES {
+            let groups = groups.read().expect("group lock");
+            if let Some(g) = groups.get(item) {
+                *g.pruned.lock().expect("pruned slot") = index.reprune(oracle, g);
+            } else {
                 let node = (wave_start.load(Ordering::Relaxed) + item) as u32;
                 let mut scratch = scratches[w].lock().expect("scratch lock");
-                let selected = index.candidates(oracle, node, levels[node as usize], &mut scratch);
-                *cand_slots[item].lock().expect("candidate slot") = selected;
-            } else {
-                let gs = groups.read().expect("group lock");
-                let g = &gs[item];
-                let layer = g.layer as usize;
-                let ids = index.neighbors(g.nb, layer).iter().chain(&g.adds);
-                *g.pruned.lock().expect("pruned slot") =
-                    reprune(oracle, g.nb, ids, index.cap(layer));
+                *cand_slots[item].lock().expect("candidate slot") =
+                    index.candidates(oracle, node, &mut scratch);
             }
         };
 
@@ -199,42 +181,14 @@ impl Hnsw {
             while start < n {
                 let len = (start / 3).clamp(1, WAVE_MAX).min(n - start);
                 wave_start.store(start, Ordering::Relaxed);
-                phase.store(PHASE_CANDIDATES, Ordering::Relaxed);
                 pool.run(len);
-                // Serial commit, ascending node id: forward lists first,
-                // then back edges.  Non-overflowing back lists are plain
-                // appends (exactly what the sequential path did); the rest
-                // defer to the parallel re-prune phase.
-                {
-                    let mut index = index.write().expect("index lock");
-                    let mut requests: Vec<(u32, u32, u32)> = Vec::new();
-                    for (item, slot) in cand_slots.iter().enumerate().take(len) {
-                        let node = (start + item) as u32;
-                        let selected =
-                            std::mem::take(&mut *slot.lock().expect("candidate slot"));
-                        for (l, list) in selected.iter().enumerate() {
-                            requests.extend(list.iter().map(|&nb| (nb, l as u32, node)));
-                            index.set_neighbors(node, l, list);
-                        }
-                        if levels[node as usize] > index.max_level {
-                            index.max_level = levels[node as usize];
-                            index.entry = node;
-                        }
-                    }
-                    requests.sort_unstable();
-                    let mut pending = Vec::new();
-                    for group in requests.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-                        let (nb, layer, _) = group[0];
-                        let adds: Vec<u32> = group.iter().map(|r| r.2).collect();
-                        if !index.try_extend(nb, layer as usize, &adds) {
-                            pending.push(BackGroup { nb, layer, adds, pruned: Mutex::new(Vec::new()) });
-                        }
-                    }
+                let selected = cand_slots[..len]
+                    .iter()
+                    .map(|slot| std::mem::take(&mut *slot.lock().expect("candidate slot")));
+                let pending = index.write().expect("index lock").commit(start as u32, selected);
+                if !pending.is_empty() {
+                    let n_groups = pending.len();
                     *groups.write().expect("group lock") = pending;
-                }
-                let n_groups = groups.read().expect("group lock").len();
-                if n_groups > 0 {
-                    phase.store(PHASE_REPRUNE, Ordering::Relaxed);
                     pool.run(n_groups);
                     let done = std::mem::take(&mut *groups.write().expect("group lock"));
                     let mut index = index.write().expect("index lock");
@@ -261,7 +215,7 @@ impl Hnsw {
         let mut index = Self::with_levels(&levels, params);
         let mut scratch = SearchScratch::default();
         for node in 1..n as u32 {
-            index.insert(oracle, node, levels[node as usize], &mut scratch);
+            index.insert(oracle, node, &mut scratch);
         }
         index
     }
@@ -289,7 +243,7 @@ impl Hnsw {
         let mut rng = StdRng::seed_from_u64(level_seed ^ node as u64);
         let level = draw_level(&mut rng, self.params.m);
         self.push_node(level);
-        self.insert(oracle, node, level, scratch);
+        self.insert(oracle, node, scratch);
     }
 
     /// Entry vertex at the top layer.
@@ -310,15 +264,14 @@ impl Hnsw {
     #[must_use]
     pub fn neighbors(&self, node: u32, layer: usize) -> &[u32] {
         let slab = if layer == 0 { &self.base } else { &self.upper };
-        self.list_at(node, layer).map_or(&[], |at| &slab[at + 1..at + 1 + slab[at] as usize])
+        self.block(node, layer).map_or(&[], |at| &slab[at.start + 1..=at.start + slab[at.start] as usize])
     }
 
     /// Flattens the layered adjacency into [`HnswFlat`] for persistence.
     pub fn to_flat(&self) -> HnswFlat {
         let levels: Vec<u32> = self.upper_at.windows(2).map(|w| w[1] - w[0]).collect();
-        let mut offsets = Vec::with_capacity(levels.len() + self.upper_at[levels.len()] as usize + 1);
+        let mut offsets = vec![0u32];
         let mut edges = Vec::new();
-        offsets.push(0u32);
         for (node, &level) in levels.iter().enumerate() {
             for layer in 0..=level as usize {
                 edges.extend_from_slice(self.neighbors(node as u32, layer));
@@ -367,11 +320,8 @@ impl Hnsw {
         if flat.edges.iter().any(|&e| e as usize >= n) {
             return Err("edge target out of range".into());
         }
-        if flat.entry as usize >= n {
-            return Err("entry vertex out of range".into());
-        }
-        if flat.levels[flat.entry as usize] < flat.max_level {
-            return Err("entry vertex does not reach the top layer".into());
+        if flat.levels.get(flat.entry as usize).is_none_or(|&l| l < flat.max_level) {
+            return Err("entry vertex out of range or below the top layer".into());
         }
         if flat.m == 0 || flat.m as usize > MAX_M {
             return Err(format!("M must be in 1..={MAX_M}, got {}", flat.m));
@@ -391,14 +341,10 @@ impl Hnsw {
             for layer in 0..=level {
                 let w = lists.next().expect("offset table length checked above");
                 let list = &flat.edges[w[0] as usize..w[1] as usize];
-                if list.len() > index.cap(layer) {
-                    return Err(format!(
-                        "node {node} layer {layer} holds {} neighbours, cap {}",
-                        list.len(),
-                        index.cap(layer)
-                    ));
+                if !index.try_extend(node as u32, layer, list) {
+                    let (len, cap) = (list.len(), index.cap(layer));
+                    return Err(format!("node {node} layer {layer} holds {len} neighbours, cap {cap}"));
                 }
-                index.set_neighbors(node as u32, layer, list);
             }
         }
         index.entry = flat.entry;
@@ -410,21 +356,13 @@ impl Hnsw {
     /// node 0.
     fn with_levels(levels: &[usize], params: HnswParams) -> Self {
         assert!(params.m <= MAX_M, "M must be at most {MAX_M}");
-        let mut upper_at = Vec::with_capacity(levels.len() + 1);
-        let mut blocks = 0u32;
-        upper_at.push(blocks);
-        for &level in levels {
-            blocks += level as u32;
-            upper_at.push(blocks);
-        }
-        Self {
-            base: vec![0; levels.len() * (2 * params.m + 1)],
-            upper: vec![0; blocks as usize * (params.m + 1)],
-            upper_at,
-            entry: 0,
-            max_level: levels.first().copied().unwrap_or(0),
-            params,
-        }
+        let max_level = levels.first().copied().unwrap_or(0);
+        let mut index =
+            Self { base: Vec::new(), upper: Vec::new(), upper_at: vec![0], entry: 0, max_level, params };
+        index.base.reserve_exact(levels.len() * (2 * params.m + 1));
+        index.upper.reserve_exact(levels.iter().sum::<usize>() * (params.m + 1));
+        levels.iter().for_each(|&level| index.push_node(level));
+        index
     }
 
     /// Appends one edgeless node with top layer `level`; both slabs only
@@ -436,70 +374,107 @@ impl Hnsw {
         self.upper.resize(blocks as usize * (self.params.m + 1), 0);
     }
 
+    /// Top layer of `node`.
+    fn level(&self, node: u32) -> usize {
+        (self.upper_at[node as usize + 1] - self.upper_at[node as usize]) as usize
+    }
+
     /// Degree cap of `layer`: `2M` on layer 0, `M` above.
     #[inline]
     fn cap(&self, layer: usize) -> usize {
         if layer == 0 { self.params.m * 2 } else { self.params.m }
     }
 
-    /// Index of list `(node, layer)`'s length word in its slab (`base` for
-    /// layer 0, `upper` above); `None` above the node's top layer.
+    /// Where block `(node, layer)` — `[len, nb_0 ..]`, one full stride —
+    /// sits in its slab (`base` for layer 0, `upper` above); `None` above
+    /// the node's top layer.
     #[inline]
-    fn list_at(&self, node: u32, layer: usize) -> Option<usize> {
-        if layer == 0 {
-            return Some(node as usize * (2 * self.params.m + 1));
-        }
-        let block = self.upper_at[node as usize] as usize + layer - 1;
-        (block < self.upper_at[node as usize + 1] as usize).then(|| block * (self.params.m + 1))
+    fn block(&self, node: u32, layer: usize) -> Option<std::ops::Range<usize>> {
+        let (index, stride) = if layer == 0 {
+            (node as usize, 2 * self.params.m + 1)
+        } else {
+            let index = self.upper_at[node as usize] as usize + layer - 1;
+            if index >= self.upper_at[node as usize + 1] as usize {
+                return None;
+            }
+            (index, self.params.m + 1)
+        };
+        Some(index * stride..(index + 1) * stride)
     }
 
-    /// Overwrites list `(node, layer)` in place.
+    fn block_mut(&mut self, node: u32, layer: usize) -> &mut [u32] {
+        let at = self.block(node, layer).expect("layer within the node's levels");
+        if layer == 0 { &mut self.base[at] } else { &mut self.upper[at] }
+    }
+
+    /// Overwrites list `(node, layer)` in place.  The block is one stride
+    /// long, so an over-long list panics instead of crossing into the next.
     fn set_neighbors(&mut self, node: u32, layer: usize, list: &[u32]) {
-        assert!(list.len() <= self.cap(layer), "list exceeds its stride");
-        let at = self.list_at(node, layer).expect("layer within the node's levels");
-        let slab = if layer == 0 { &mut self.base } else { &mut self.upper };
-        slab[at] = list.len() as u32;
-        slab[at + 1..at + 1 + list.len()].copy_from_slice(list);
+        let block = self.block_mut(node, layer);
+        block[1..=list.len()].copy_from_slice(list);
+        block[0] = list.len() as u32;
     }
 
     /// Appends `adds` to list `(node, layer)` when the result fits its cap;
     /// otherwise leaves the list untouched and returns `false`.
     fn try_extend(&mut self, node: u32, layer: usize, adds: &[u32]) -> bool {
-        let len = self.neighbors(node, layer).len();
-        if len + adds.len() > self.cap(layer) {
-            return false;
-        }
-        let at = self.list_at(node, layer).expect("layer within the node's levels");
-        let slab = if layer == 0 { &mut self.base } else { &mut self.upper };
-        slab[at] = (len + adds.len()) as u32;
-        slab[at + 1 + len..at + 1 + len + adds.len()].copy_from_slice(adds);
+        let block = self.block_mut(node, layer);
+        let len = block[0] as usize;
+        let Some(room) = block.get_mut(1 + len..1 + len + adds.len()) else { return false };
+        room.copy_from_slice(adds);
+        block[0] += adds.len() as u32;
         true
     }
 
-    fn insert<O: SimilarityOracle>(
-        &mut self,
-        oracle: &O,
-        node: u32,
-        level: usize,
-        scratch: &mut SearchScratch,
-    ) {
-        let selected = self.candidates(oracle, node, level, scratch);
-        for (l, list) in selected.iter().enumerate() {
-            for &nb in list {
-                if !self.try_extend(nb, l, &[node]) {
-                    // Re-prune the overflowing neighbour's list; the
-                    // transient cap+1-th entry lives in this chain, never
-                    // in the slab.
-                    let ids = self.neighbors(nb, l).iter().chain(std::iter::once(&node));
-                    let pruned = reprune(oracle, nb, ids, self.cap(l));
-                    self.set_neighbors(nb, l, &pruned);
-                }
+    /// Phase B of a wave: commits the forward lists nodes `start..` selected
+    /// in phase A in ascending node id, appends the back edges that fit, and
+    /// returns the `(neighbour, layer)` groups whose lists would overflow —
+    /// for the caller to re-prune (phase C) and apply (phase D).
+    fn commit(&mut self, start: u32, selected: impl Iterator<Item = Vec<Vec<u32>>>) -> Vec<BackGroup> {
+        let mut requests: Vec<(u32, u32, u32)> = Vec::new();
+        for (node, lists) in (start..).zip(selected) {
+            for (l, list) in lists.iter().enumerate() {
+                requests.extend(list.iter().map(|&nb| (nb, l as u32, node)));
+                self.set_neighbors(node, l, list);
             }
-            self.set_neighbors(node, l, list);
+            if self.level(node) > self.max_level {
+                self.max_level = self.level(node);
+                self.entry = node;
+            }
         }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry = node;
+        requests.sort_unstable();
+        let mut pending = Vec::new();
+        for group in requests.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (nb, layer, _) = group[0];
+            let adds: Vec<u32> = group.iter().map(|r| r.2).collect();
+            if !self.try_extend(nb, layer as usize, &adds) {
+                pending.push(BackGroup { nb, layer, adds, pruned: Mutex::new(Vec::new()) });
+            }
+        }
+        pending
+    }
+
+    /// Phase C for one group: scores `current ∪ additions` (in that order —
+    /// the transient over-cap entries live in this chain, never in the
+    /// slab), sorts best first with ties by id, and re-runs the selection.
+    fn reprune<O: SimilarityOracle>(&self, oracle: &O, g: &BackGroup) -> Vec<u32> {
+        let layer = g.layer as usize;
+        let mut scored: Vec<(u32, f32)> = self
+            .neighbors(g.nb, layer)
+            .iter()
+            .chain(&g.adds)
+            .map(|&x| (x, oracle.sim(g.nb, x)))
+            .collect();
+        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        heuristic_select(oracle, g.nb, &scored, self.cap(layer))
+    }
+
+    /// Sequential insertion of `node` (already pushed): a wave of one.
+    fn insert<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, scratch: &mut SearchScratch) {
+        let selected = self.candidates(oracle, node, scratch);
+        for g in self.commit(node, std::iter::once(selected)) {
+            let pruned = self.reprune(oracle, &g);
+            self.set_neighbors(g.nb, g.layer as usize, &pruned);
         }
     }
 
@@ -516,18 +491,16 @@ impl Hnsw {
         stats.evaluated += 1;
         for l in layers {
             loop {
-                let mut improved = false;
-                for &nb in self.neighbors(ep, l) {
+                let from = ep;
+                for &nb in self.neighbors(from, l) {
                     stats.evaluated += 1;
                     let s = scorer.score(nb);
                     if s > ep_sim {
-                        ep = nb;
-                        ep_sim = s;
-                        improved = true;
+                        (ep, ep_sim) = (nb, s);
                     }
                 }
                 stats.hops += 1;
-                if !improved {
+                if ep == from {
                     break;
                 }
             }
@@ -554,20 +527,22 @@ impl Hnsw {
     }
 
     /// The read-only half of one node's insertion: greedy descent from the
-    /// entry through the layers above `level`, then per-layer beam search +
+    /// entry through the layers above its own, then per-layer beam search +
     /// neighbour selection down to layer 0.  Returns the selected forward
-    /// list per layer (`result[l]`, `l <= level.min(max_level)`); nothing in
+    /// list per layer (`result[l]`, `l <= level(node).min(max_level)`); nothing in
     /// the graph is mutated, which is what lets a whole wave of nodes run
     /// this concurrently against the frozen prefix.
     fn candidates<O: SimilarityOracle>(
         &self,
         oracle: &O,
         node: u32,
-        level: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<Vec<u32>> {
-        let scorer = NodeScorer { oracle, node };
+        // `sim(node, ·)` through the query seam: construction runs the
+        // same hop loop searches do.
+        let scorer = FnScorer(|id| oracle.sim(node, id));
         let mut stats = SearchStats::default();
+        let level = self.level(node);
         let mut ep = self.descend(&scorer, (level + 1..=self.max_level).rev(), &mut stats);
         let top = level.min(self.max_level);
         let mut out = vec![Vec::new(); top + 1];
@@ -596,20 +571,6 @@ impl Hnsw {
         self.search_layer(scorer, ep, 0, params.l, scratch, &mut stats);
         SearchResult { results: scratch.pool.top_k(params.k), stats }
     }
-}
-
-/// Re-prunes an overflowing list of `owner`: scores `ids` (current list,
-/// then the additions, in that order), sorts best first with ties by id,
-/// and runs the selection heuristic.
-fn reprune<'a, O: SimilarityOracle>(
-    oracle: &O,
-    owner: u32,
-    ids: impl Iterator<Item = &'a u32>,
-    cap: usize,
-) -> Vec<u32> {
-    let mut scored: Vec<(u32, f32)> = ids.map(|&x| (x, oracle.sim(owner, x))).collect();
-    scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    heuristic_select(oracle, owner, &scored, cap)
 }
 
 /// HNSW's neighbour-selection heuristic — the same occlusion rule as MRNG,

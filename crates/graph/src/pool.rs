@@ -22,9 +22,8 @@ pub struct Pool {
     entries: Vec<PoolEntry>,
     capacity: usize,
     /// Index of the first unvisited entry (`entries.len()` when none):
-    /// every entry before it is visited.  An insert in front of it lowers
-    /// it, [`Pool::visit`] advances it, so [`Pool::best_unvisited`] never
-    /// rescans the visited prefix.
+    /// every entry before it is visited.  Lowered by an insert in front of
+    /// it, advanced by [`Pool::visit`].
     cursor: usize,
 }
 
@@ -113,9 +112,8 @@ impl Pool {
         if self.entries.len() > self.capacity {
             self.entries.pop();
         }
-        // The new entry is unvisited: it is the first such iff it landed
-        // in front of the old one (at `pos >= cursor` the visited prefix
-        // is untouched).
+        // The new entry is unvisited; at `pos >= cursor` the visited
+        // prefix is untouched.
         self.cursor = self.cursor.min(pos);
         true
     }

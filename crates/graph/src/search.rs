@@ -93,9 +93,7 @@ impl VisitedSet {
 
     /// Prepares the set for a graph of `n` vertices and a fresh query.
     pub fn reset(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-        }
+        self.reserve(n);
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped: clear everything once and restart at generation 1.
@@ -202,15 +200,12 @@ fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
     visited.reset(n);
 
     // Line 1-3: R = {seed} + (l-1) random vertices, scored exactly.
-    visited.mark(seed);
-    offer(seed, scorer, pool, &mut stats);
-    if params.random_init && params.l > 1 && n > 1 {
-        let mut rng = StdRng::seed_from_u64(rng_seed);
-        for _ in 0..(params.l - 1).min(n - 1) {
-            let id = rng.random_range(0..n as u32);
-            if visited.mark(id) {
-                offer(id, scorer, pool, &mut stats);
-            }
+    let random = if params.random_init && n > 1 { (params.l - 1).min(n - 1) } else { 0 };
+    let mut rng = StdRng::seed_from_u64(rng_seed);
+    let picks = (0..random).map(|_| rng.random_range(0..n as u32));
+    for id in std::iter::once(seed).chain(picks) {
+        if visited.mark(id) {
+            offer(id, scorer, pool, &mut stats);
         }
     }
 
@@ -234,11 +229,9 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
         stats.hops += 1;
         let unseen = neighbors(v).iter().copied().filter(|&u| visited.mark(u));
         if scorer.warms() {
-            // Gather, touch, score: marking never depended on scoring, so
-            // the scorer sees the same `(id, threshold)` sequence as in the
-            // fused loop below — but every candidate's row fetch is in
-            // flight before the first kernel runs instead of after the
-            // previous one retires.
+            // Gather, touch, score — the same `(id, threshold)` sequence as
+            // the fused loop below (marking never depended on scoring), with
+            // every candidate's row fetch in flight before the first kernel.
             fresh.clear();
             fresh.extend(unseen);
             for &u in fresh.iter() {
