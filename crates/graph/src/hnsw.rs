@@ -359,8 +359,8 @@ impl Hnsw {
         let max_level = levels.first().copied().unwrap_or(0);
         let mut index =
             Self { base: Vec::new(), upper: Vec::new(), upper_at: vec![0], entry: 0, max_level, params };
-        index.base.reserve_exact(levels.len() * (2 * params.m + 1));
-        index.upper.reserve_exact(levels.iter().sum::<usize>() * (params.m + 1));
+        index.base.reserve_exact(levels.len() * (index.cap(0) + 1));
+        index.upper.reserve_exact(levels.iter().sum::<usize>() * (index.cap(1) + 1));
         levels.iter().for_each(|&level| index.push_node(level));
         index
     }
@@ -370,8 +370,8 @@ impl Hnsw {
     fn push_node(&mut self, level: usize) {
         let blocks = *self.upper_at.last().expect("n + 1 entries") + level as u32;
         self.upper_at.push(blocks);
-        self.base.resize(self.base.len() + 2 * self.params.m + 1, 0);
-        self.upper.resize(blocks as usize * (self.params.m + 1), 0);
+        self.base.resize(self.base.len() + self.cap(0) + 1, 0);
+        self.upper.resize(blocks as usize * (self.cap(1) + 1), 0);
     }
 
     /// Top layer of `node`.
@@ -379,7 +379,8 @@ impl Hnsw {
         (self.upper_at[node as usize + 1] - self.upper_at[node as usize]) as usize
     }
 
-    /// Degree cap of `layer`: `2M` on layer 0, `M` above.
+    /// Degree cap of `layer`: `2M` on layer 0, `M` above.  A list's block
+    /// is its length word plus this many slots — the slab stride.
     #[inline]
     fn cap(&self, layer: usize) -> usize {
         if layer == 0 { self.params.m * 2 } else { self.params.m }
@@ -390,15 +391,16 @@ impl Hnsw {
     /// the node's top layer.
     #[inline]
     fn block(&self, node: u32, layer: usize) -> Option<std::ops::Range<usize>> {
-        let (index, stride) = if layer == 0 {
-            (node as usize, 2 * self.params.m + 1)
+        let index = if layer == 0 {
+            node as usize
         } else {
             let index = self.upper_at[node as usize] as usize + layer - 1;
             if index >= self.upper_at[node as usize + 1] as usize {
                 return None;
             }
-            (index, self.params.m + 1)
+            index
         };
+        let stride = self.cap(layer) + 1;
         Some(index * stride..(index + 1) * stride)
     }
 
@@ -437,9 +439,9 @@ impl Hnsw {
                 requests.extend(list.iter().map(|&nb| (nb, l as u32, node)));
                 self.set_neighbors(node, l, list);
             }
-            if self.level(node) > self.max_level {
-                self.max_level = self.level(node);
-                self.entry = node;
+            let level = self.level(node);
+            if level > self.max_level {
+                (self.max_level, self.entry) = (level, node);
             }
         }
         requests.sort_unstable();

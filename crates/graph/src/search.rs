@@ -224,11 +224,12 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
     stats: &mut SearchStats,
 ) {
     let SearchScratch { visited, pool, fresh } = scratch;
+    let gather = scorer.warms();
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         stats.hops += 1;
         let unseen = neighbors(v).iter().copied().filter(|&u| visited.mark(u));
-        if scorer.warms() {
+        if gather {
             // Gather, touch, score — the same `(id, threshold)` sequence as
             // the fused loop below (marking never depended on scoring), with
             // every candidate's row fetch in flight before the first kernel.
