@@ -187,11 +187,6 @@ impl QueryScorer for MustQueryScorer<'_> {
     fn warm(&self, id: u32) {
         self.eval.warm(id);
     }
-
-    #[inline]
-    fn warms(&self) -> bool {
-        true
-    }
 }
 
 /// Query scorer over the SQ8 engine: the graph walk scans `u8` codes with
@@ -245,11 +240,6 @@ impl QueryScorer for QuantizedQueryScorer<'_> {
     #[inline]
     fn warm(&self, id: u32) {
         self.eval.warm(id);
-    }
-
-    #[inline]
-    fn warms(&self) -> bool {
-        true
     }
 }
 
@@ -378,7 +368,6 @@ mod tests {
         let warm = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
         let qcold = QuantizedQueryScorer::from_rows(&quant, &q, &w, true).unwrap();
         let qwarm = QuantizedQueryScorer::from_rows(&quant, &q, &w, true).unwrap();
-        assert!(warm.warms() && qwarm.warms());
         for id in 0..4 {
             warm.warm(id);
             qwarm.warm(id);

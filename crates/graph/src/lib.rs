@@ -97,15 +97,6 @@ pub trait QueryScorer {
     /// change any later `score` / `score_pruned` result.  Default: no-op.
     #[inline]
     fn warm(&self, _id: u32) {}
-
-    /// Whether [`QueryScorer::warm`] does anything.  The hop loop gathers
-    /// a hop's candidates ahead of scoring them only when it does — for a
-    /// scorer with nothing to overlap, the gather is pure overhead (about
-    /// 5 % of an HNSW build, measured).
-    #[inline]
-    fn warms(&self) -> bool {
-        false
-    }
 }
 
 /// Blanket scorer for ad-hoc closures (used heavily in tests).

@@ -93,7 +93,9 @@ impl VisitedSet {
 
     /// Prepares the set for a graph of `n` vertices and a fresh query.
     pub fn reset(&mut self, n: usize) {
-        self.reserve(n);
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped: clear everything once and restart at generation 1.
@@ -215,8 +217,12 @@ fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
 
 /// The hop loop (Lines 4-10 of Algorithm 2) every search in this crate
 /// runs — flat graphs, CSR, HNSW queries and HNSW construction alike:
-/// expand the best unvisited pool entry until none remain, scoring each
-/// newly seen neighbour against the evolving pool threshold.
+/// expand the best unvisited pool entry until none remain.  Per hop:
+/// gather the newly seen neighbours, [`QueryScorer::warm`] each, then
+/// score them in the same order against the evolving pool threshold —
+/// marking never depended on scoring, so the `(id, threshold)` sequence
+/// is that of a mark-and-score loop, with every candidate's row fetch in
+/// flight before the first kernel runs.
 pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
     neighbors: impl Fn(u32) -> &'g [u32],
     scorer: &S,
@@ -224,27 +230,16 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
     stats: &mut SearchStats,
 ) {
     let SearchScratch { visited, pool, fresh } = scratch;
-    let gather = scorer.warms();
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         stats.hops += 1;
-        let unseen = neighbors(v).iter().copied().filter(|&u| visited.mark(u));
-        if gather {
-            // Gather, touch, score — the same `(id, threshold)` sequence as
-            // the fused loop below (marking never depended on scoring), with
-            // every candidate's row fetch in flight before the first kernel.
-            fresh.clear();
-            fresh.extend(unseen);
-            for &u in fresh.iter() {
-                scorer.warm(u);
-            }
-            for &u in fresh.iter() {
-                offer(u, scorer, pool, stats);
-            }
-        } else {
-            for u in unseen {
-                offer(u, scorer, pool, stats);
-            }
+        fresh.clear();
+        fresh.extend(neighbors(v).iter().copied().filter(|&u| visited.mark(u)));
+        for &u in fresh.iter() {
+            scorer.warm(u);
+        }
+        for &u in fresh.iter() {
+            offer(u, scorer, pool, stats);
         }
     }
 }
@@ -413,8 +408,6 @@ mod tests {
     struct Recording<F: Fn(u32) -> f32> {
         f: F,
         calls: std::cell::RefCell<Vec<u64>>,
-        /// Which of `expand`'s two candidate orders (gathered / fused) runs.
-        warms: bool,
     }
 
     impl<F: Fn(u32) -> f32> QueryScorer for Recording<F> {
@@ -427,21 +420,17 @@ mod tests {
             let s = (self.f)(id);
             (s > threshold).then_some(s)
         }
-        fn warms(&self) -> bool {
-            self.warms
-        }
     }
 
     /// FNV-1a over 16 queries' scorer-call sequences, results and stats.
     fn walk_hash(
         mut walk: impl FnMut(&dyn QueryScorer, u32) -> SearchResult,
         oracle: &crate::testutil::RandOracle,
-        warms: bool,
     ) -> u64 {
         let mut words = Vec::new();
         for q in 0..16u32 {
             let target = (q * 37) % oracle.len() as u32;
-            let rec = Recording { f: |id| oracle.sim(id, target), calls: Default::default(), warms };
+            let rec = Recording { f: |id| oracle.sim(id, target), calls: Default::default() };
             let res = walk(&rec, q);
             words.append(&mut rec.calls.borrow_mut());
             words.extend(res.results.iter().flat_map(|&(id, s)| [u64::from(id), u64::from(s.to_bits())]));
@@ -452,9 +441,10 @@ mod tests {
 
     #[test]
     fn every_walk_makes_the_golden_scorer_call_sequence() {
-        // Hashes taken on the last commit with three hand-copied hop loops
-        // (7c10633): the shared `expand` must present every scorer with the
-        // same `(id, threshold)` sequence, results and stats, bit for bit.
+        // Hashes taken on the last commit with three hand-copied
+        // mark-and-score hop loops (7c10633): the shared gather-warm-score
+        // `expand` must present every scorer with the same `(id, threshold)`
+        // sequence, results and stats, bit for bit.
         let oracle = crate::testutil::RandOracle::new(1_500, 8, 0xFACE);
         let hnsw = crate::hnsw::Hnsw::build_with_threads(
             &oracle,
@@ -468,16 +458,14 @@ mod tests {
         let seed_only = SearchParams::seed_only(10, 40);
         let random = SearchParams::new(10, 40);
         let rng = |q: u32| 0x5E7E + u64::from(q);
-        for warms in [false, true] {
-            let h = walk_hash(|s, _| hnsw.search_with_scratch(s, seed_only, &mut scratch), &oracle, warms);
-            assert_eq!(h, 0xf41b_619f_527b_6cc4, "HNSW, warms={warms}");
-            let h = walk_hash(|s, q| beam_search_csr(&csr, s, random, &mut scratch, rng(q)), &oracle, warms);
-            assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "CSR, random_init, warms={warms}");
-            let h = walk_hash(|s, q| beam_search_csr(&csr, s, seed_only, &mut scratch, rng(q)), &oracle, warms);
-            assert_eq!(h, 0xdd02_5d57_f47a_3e9a, "CSR, seed only, warms={warms}");
-            let h = walk_hash(|s, q| beam_search(&graph, s, random, &mut scratch, rng(q)), &oracle, warms);
-            assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "adjacency-list graph, random_init, warms={warms}");
-        }
+        let h = walk_hash(|s, _| hnsw.search_with_scratch(s, seed_only, &mut scratch), &oracle);
+        assert_eq!(h, 0xf41b_619f_527b_6cc4, "HNSW");
+        let h = walk_hash(|s, q| beam_search_csr(&csr, s, random, &mut scratch, rng(q)), &oracle);
+        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "CSR, random_init");
+        let h = walk_hash(|s, q| beam_search_csr(&csr, s, seed_only, &mut scratch, rng(q)), &oracle);
+        assert_eq!(h, 0xdd02_5d57_f47a_3e9a, "CSR, seed only");
+        let h = walk_hash(|s, q| beam_search(&graph, s, random, &mut scratch, rng(q)), &oracle);
+        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "adjacency-list graph, random_init");
     }
 }
 
