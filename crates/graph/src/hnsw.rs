@@ -34,9 +34,15 @@ impl Default for HnswParams {
     }
 }
 
-/// Largest accepted `M`: keeps the slab strides far from overflow and a
-/// corrupt snapshot header from requesting an absurd allocation.
+/// Largest accepted `M`: keeps the slab strides far from overflow.
 const MAX_M: usize = 4096;
+
+/// [`Hnsw::from_flat`] refuses a header `M` that sizes the slabs beyond
+/// `SLAB_WORDS_UNCHECKED` words (64 MiB) *and* `MAX_SLAB_SLACK` times the
+/// words its lists fill: `keepPrunedConnections` keeps built graphs far
+/// denser, so only a corrupt header asks for that much more than it brought.
+const SLAB_WORDS_UNCHECKED: usize = 1 << 24;
+const MAX_SLAB_SLACK: usize = 64;
 
 /// A built HNSW index.
 ///
@@ -334,18 +340,24 @@ impl Hnsw {
             ef_construction: flat.ef_construction as usize,
             rng_seed: flat.rng_seed,
         };
+        let cap = |layer: usize| if layer == 0 { params.m * 2 } else { params.m };
         let levels: Vec<usize> = flat.levels.iter().map(|&l| l as usize).collect();
-        let mut index = Self::with_levels(&levels, params);
-        let mut lists = flat.offsets.windows(2);
-        for (node, &level) in levels.iter().enumerate() {
-            for layer in 0..=level {
-                let w = lists.next().expect("offset table length checked above");
-                let list = &flat.edges[w[0] as usize..w[1] as usize];
-                if !index.try_extend(node as u32, layer, list) {
-                    let (len, cap) = (list.len(), index.cap(layer));
-                    return Err(format!("node {node} layer {layer} holds {len} neighbours, cap {cap}"));
-                }
+        let layers = levels.iter().enumerate().flat_map(|(node, &level)| (0..=level).map(move |l| (node, l)));
+        for ((node, layer), w) in layers.clone().zip(flat.offsets.windows(2)) {
+            let len = (w[1] - w[0]) as usize;
+            if len > cap(layer) {
+                return Err(format!("node {node} layer {layer} holds {len} neighbours, cap {}", cap(layer)));
             }
+        }
+        // The slabs are sized from `M` alone, so a header must not ask for
+        // strides out of all proportion to the lists that came with it.
+        let slab_words = n * (cap(0) + 1) + (total_lists - n) * (cap(1) + 1);
+        if slab_words > SLAB_WORDS_UNCHECKED && slab_words / MAX_SLAB_SLACK > flat.edges.len() + total_lists {
+            return Err(format!("M = {} sizes the slabs at {slab_words} words for {total_lists} lists", flat.m));
+        }
+        let mut index = Self::with_levels(&levels, params);
+        for ((node, layer), w) in layers.zip(flat.offsets.windows(2)) {
+            index.set_neighbors(node as u32, layer, &flat.edges[w[0] as usize..w[1] as usize]);
         }
         index.entry = flat.entry;
         index.max_level = flat.max_level as usize;
@@ -745,6 +757,33 @@ mod tests {
         assert!(err.contains("layer 0") && err.contains("cap 2"), "{err}");
         let err = Hnsw::from_flat(&flat(&[1, 2], &[1, 2])).unwrap_err();
         assert!(err.contains("layer 1") && err.contains("cap 1"), "{err}");
+    }
+
+    #[test]
+    fn from_flat_rejects_a_header_m_out_of_proportion_to_its_lists() {
+        // One neighbour per node: honest under M = 4, a ~1 GiB slab request
+        // under M = 4096 — refused before anything is allocated.
+        let n = 32_768u32;
+        let mut flat = HnswFlat {
+            levels: vec![0; n as usize],
+            offsets: (0..=n).collect(),
+            edges: (0..n).map(|v| (v + 1) % n).collect(),
+            entry: 0,
+            max_level: 0,
+            m: 4,
+            ef_construction: 8,
+            rng_seed: 0,
+        };
+        assert_eq!(Hnsw::from_flat(&flat).unwrap().neighbors(7, 0), &[8]);
+        flat.m = MAX_M as u32;
+        let err = Hnsw::from_flat(&flat).unwrap_err();
+        assert!(err.contains("M = 4096"), "{err}");
+        // The same header over a handful of nodes is small in absolute terms
+        // and loads: a tiny corpus under a large M is legitimate.
+        flat.levels.truncate(4);
+        flat.offsets.truncate(5);
+        flat.edges = vec![1, 2, 3, 0];
+        assert_eq!(Hnsw::from_flat(&flat).unwrap().neighbors(3, 0), &[0]);
     }
 
     /// FNV-1a of a snapshot: header words, then levels, offsets and edges.

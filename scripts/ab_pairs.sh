@@ -13,9 +13,13 @@
 # $AB_DIR (default .bench_build/ab, git-ignored); a parent build is keyed
 # by its commit and reused.  Every run's stdout and result.json are kept
 # under $AB_DIR/runs/.  The exit code is non-zero when a build or a run
-# fails (a run fails on any of the benchmark's own correctness checks) or
-# the two sides' inputs_fingerprint differ; the verdict on the numbers is
-# printed, never turned into an exit code — on a shared runner it is noise.
+# fails (a run fails on any of the benchmark's own correctness checks), or
+# when the two sides' inputs_fingerprint differ on full-size runs — numbers
+# over different inputs support no claim.  With --smoke (CI's exit-code
+# check, which supports none anyway) a differing fingerprint is only
+# printed, so a change that legitimately moves the benchmark's inputs still
+# passes.  The verdict on the numbers is printed, never turned into an exit
+# code — on a shared runner it is noise.
 set -euo pipefail
 
 smoke=()
@@ -27,7 +31,7 @@ for a in "$@"; do
   esac
 done
 if [ "${#args[@]}" -lt 2 ]; then
-  sed -n '2,18p' "$0" >&2
+  sed -n '2,22p' "$0" >&2
   exit 2
 fi
 parent_ref=${args[0]}
@@ -85,7 +89,7 @@ list() { # <side>: comma-separated result files, pair order
 fingerprints() { grep -ho 'inputs_fingerprint=[0-9a-f]*' "$runs"/$1.*.log | sort -u; }
 if [ "$(fingerprints parent)" != "$(fingerprints change)" ]; then
   echo "inputs_fingerprint differs: parent [$(fingerprints parent)] change [$(fingerprints change)]" >&2
-  exit 1
+  [ "${#smoke[@]}" -gt 0 ] || exit 1
 fi
 
 # The per-run medians as the benchmark printed them (name, value, unit).
