@@ -184,8 +184,9 @@ impl Must {
         let id = self.objects.push_object(rows)?;
         self.deleted.resize(self.objects.len().div_ceil(64), 0);
         // The corpus's fused storage grew in place; re-entering index
-        // construction is a constant-time rebind (weights borrowed, the
-        // oracle's centroid never computed), not a copy or a corpus pass.
+        // construction rebinds to it without copying rows or weights.  The
+        // oracle still recomputes its centroid — one pass over the corpus
+        // per insert (ROADMAP, "Dynamic inserts pay a corpus pass").
         let Self { objects, weights, index, quant, insert_scratch, .. } = self;
         if let Some(q) = quant {
             // Keep the codes in lockstep, encoding the *normalised* values

@@ -9,8 +9,6 @@
 //! front, so changing weights is a per-query decision — the seam the
 //! serving layer's `search_weighted` rides on.
 
-use std::sync::OnceLock;
-
 use must_graph::{QueryScorer, SimilarityOracle};
 use must_vector::{
     FusedRows, JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedQueryEvaluator,
@@ -23,10 +21,10 @@ pub struct JointOracle<'a> {
     joint: JointDistance<'a>,
     /// The fused centroid of all virtual points with the oracle's
     /// `omega^2` baked in (component ④ support): `sim_to_centroid` is one
-    /// dot product of this row against a raw stored row.  Filled on first
-    /// use — it costs a pass over the whole corpus, and HNSW construction
-    /// and insertion never ask for it.
-    centroid_row: OnceLock<Vec<f32>>,
+    /// dot product of this row against a raw stored row.  Computed at
+    /// construction — one pass over the whole corpus (see ROADMAP, "Dynamic
+    /// inserts pay a corpus pass", for why it is not lazy yet).
+    centroid_row: Vec<f32>,
     w_total: f32,
 }
 
@@ -40,8 +38,7 @@ impl<'a> JointOracle<'a> {
         JointDistance::new(set, weights).map(Self::over)
     }
 
-    /// [`JointOracle::new`] over weights the caller keeps — a constant-time
-    /// rebind with no allocation, cheap enough to make per dynamic insert.
+    /// [`JointOracle::new`] over weights the caller keeps: nothing is cloned.
     ///
     /// # Errors
     /// Propagates weight-arity mismatches from the vector layer.
@@ -50,24 +47,18 @@ impl<'a> JointOracle<'a> {
     }
 
     fn over(joint: JointDistance<'a>) -> Self {
-        let w_total = joint.weights().squared().iter().sum();
-        Self { joint, centroid_row: OnceLock::new(), w_total }
-    }
-
-    /// The corpus centroid with `omega^2` baked in: against unscaled rows
-    /// the plain fused dot product then yields the Lemma-1 weighted sum.
-    fn centroid_row(&self) -> &[f32] {
-        self.centroid_row.get_or_init(|| {
-            let engine = self.joint.engine();
-            let mut row = engine.centroid_row();
-            for (k, &wsq) in self.joint.weights().squared().iter().enumerate() {
-                let (start, end) = engine.segment_bounds(k);
-                for x in &mut row[start..end] {
-                    *x *= wsq;
-                }
+        let engine = joint.engine();
+        // Bake omega^2 into the centroid once: against unscaled rows the
+        // plain fused dot product then yields the Lemma-1 weighted sum.
+        let mut centroid_row = engine.centroid_row();
+        for (k, &wsq) in joint.weights().squared().iter().enumerate() {
+            let (start, end) = engine.segment_bounds(k);
+            for x in &mut centroid_row[start..end] {
+                *x *= wsq;
             }
-            row
-        })
+        }
+        let w_total = joint.weights().squared().iter().sum();
+        Self { joint, centroid_row, w_total }
     }
 
     /// The underlying joint-distance computer.
@@ -108,7 +99,7 @@ impl SimilarityOracle for JointOracle<'_> {
         // The centroid row carries omega^2, the stored row is raw, so this
         // is the Lemma-1 weighted sum against the centroid — one dot
         // product.
-        must_vector::kernels::ip_prescaled_segments(self.joint.engine().row(a), self.centroid_row())
+        must_vector::kernels::ip_prescaled_segments(self.joint.engine().row(a), &self.centroid_row)
     }
 }
 
