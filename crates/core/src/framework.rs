@@ -200,28 +200,14 @@ impl Must {
         let oracle = JointOracle::borrowed(objects, weights)?;
         match index {
             MustIndex::Hnsw(h) => h.insert_new_with_scratch(&oracle, id, 0x1A5E, insert_scratch),
-            MustIndex::Flat(_) => unreachable!("checked above"),
+            MustIndex::Csr(_) => unreachable!("checked above"),
         }
         Ok(id)
     }
 
-    /// Reassembles a [`Must`] from persisted parts without rebuilding
-    /// (see [`crate::persist`]).
-    ///
-    /// # Errors
-    /// Weight-arity and graph/corpus consistency errors.
-    pub fn from_prebuilt(
-        objects: MultiVectorSet,
-        weights: Weights,
-        graph: must_graph::Graph,
-        opts: MustBuildOptions,
-    ) -> Result<Self, MustError> {
-        Self::from_parts(objects, weights, MustIndex::Flat(graph), opts)
-    }
-
     /// Reassembles a [`Must`] from a persisted corpus, weights, and a
-    /// prebuilt index of either backend shape (flat graph or layered HNSW)
-    /// — the bundle-v2 load path.
+    /// prebuilt index of either backend shape (CSR graph or layered HNSW)
+    /// — the bundle load path (see [`crate::persist`]).
     ///
     /// # Errors
     /// Weight-arity and graph/corpus consistency errors.
@@ -234,7 +220,7 @@ impl Must {
         if weights.modalities() != objects.num_modalities() {
             return Err(MustError::Config("weight arity mismatch".into()));
         }
-        if index.as_ann().len() != objects.len() {
+        if index.len() != objects.len() {
             return Err(MustError::Config("graph/corpus cardinality mismatch".into()));
         }
         let report = BuildReport {

@@ -4,49 +4,91 @@
 
 use std::time::Instant;
 
+use must_graph::csr::CsrGraph;
 use must_graph::hcnng::{build_hcnng, HcnngParams};
 use must_graph::hnsw::{Hnsw, HnswParams};
 use must_graph::pipeline::PipelineStats;
-use must_graph::{AnnIndex, Graph, GraphRecipe};
+use must_graph::search::{beam_search_csr, SearchScratch};
+use must_graph::{AnnIndex, GraphRecipe, QueryScorer, SearchParams, SearchResult};
 
 use crate::oracle::JointOracle;
 use crate::MustError;
 
-/// A built index: either a flat graph (all pipeline recipes + HCNNG) or the
-/// layered HNSW.  Cloneable so one built index can be re-wrapped under a
-/// different weight configuration (the query-time-weighting tests pin
-/// that a weight override over a shared index equals a re-freeze).
+/// A built index — the one a [`crate::Must`] owns, a bundle stores and a
+/// server serves: flat graphs (all pipeline recipes + HCNNG) in CSR
+/// layout, frozen once when construction ends, or the layered HNSW on the
+/// fixed-stride slabs it was built on.  Cloneable so one built index can
+/// be re-wrapped under a different weight configuration (the
+/// query-time-weighting tests pin that a weight override over a shared
+/// index equals a re-freeze).
 #[derive(Clone)]
 pub enum MustIndex {
-    /// Flat adjacency graph with a fixed seed.
-    Flat(Graph),
+    /// A flat graph in compressed sparse rows, with its fixed seed.
+    Csr(CsrGraph),
     /// Hierarchical navigable small-world graph.
     Hnsw(Hnsw),
 }
 
 impl MustIndex {
-    /// View as the search-capable trait object.
-    #[must_use]
-    pub fn as_ann(&self) -> &dyn AnnIndex {
+    /// Runs Algorithm 2 for `scorer`.  `rng_seed` drives the flat walk's
+    /// random pool initialisation: [`crate::search::JointSearcher`] varies
+    /// it per query, a server passes one constant so a query's results do
+    /// not depend on arrival order.  HNSW descends from its entry point
+    /// and draws nothing.
+    pub(crate) fn search<S: QueryScorer>(
+        &self,
+        scorer: &S,
+        params: SearchParams,
+        scratch: &mut SearchScratch,
+        rng_seed: u64,
+    ) -> SearchResult {
         match self {
-            Self::Flat(g) => g,
-            Self::Hnsw(h) => h,
+            Self::Csr(csr) => beam_search_csr(csr, scorer, params, scratch, rng_seed),
+            Self::Hnsw(h) => h.search_with_scratch(scorer, params, scratch),
         }
     }
 
     /// The flat graph, when applicable (case studies inspect neighbours).
     #[must_use]
-    pub fn graph(&self) -> Option<&Graph> {
+    pub fn graph(&self) -> Option<&CsrGraph> {
         match self {
-            Self::Flat(g) => Some(g),
+            Self::Csr(csr) => Some(csr),
             Self::Hnsw(_) => None,
         }
     }
 
-    /// Index memory footprint in bytes.
+    /// Number of indexed objects.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            Self::Csr(csr) => csr.len(),
+            Self::Hnsw(h) => AnnIndex::len(h),
+        }
+    }
+
+    /// Whether the index is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Display label for reports.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            Self::Csr(_) => "CSR",
+            Self::Hnsw(_) => "HNSW",
+        }
+    }
+
+    /// Index memory footprint in bytes: `4·(n+1) + 4·edges` for a flat
+    /// graph, the two slabs for HNSW.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.as_ann().bytes()
+        match self {
+            Self::Csr(csr) => AnnIndex::bytes(csr),
+            Self::Hnsw(h) => AnnIndex::bytes(h),
+        }
     }
 }
 
@@ -129,7 +171,7 @@ pub fn build_index(oracle: &JointOracle<'_>, opts: IndexOptions) -> Result<(Must
                 oracle,
                 HcnngParams { rng_seed: opts.rng_seed, threads, ..HcnngParams::default() },
             );
-            (MustIndex::Flat(g), None)
+            (MustIndex::Csr(CsrGraph::from_graph(&g)), None)
         }
         recipe => {
             let mut builder = recipe
@@ -138,7 +180,7 @@ pub fn build_index(oracle: &JointOracle<'_>, opts: IndexOptions) -> Result<(Must
             builder.init_iterations = opts.init_iterations;
             builder.threads = threads;
             let (g, stats) = builder.build(oracle);
-            (MustIndex::Flat(g), Some(stats))
+            (MustIndex::Csr(CsrGraph::from_graph(&g)), Some(stats))
         }
     };
     let report = BuildReport {
@@ -181,7 +223,7 @@ mod tests {
                 IndexOptions { gamma: 10, recipe, ..IndexOptions::default() },
             )
             .unwrap();
-            assert_eq!(index.as_ann().len(), 300, "{}", recipe.label());
+            assert_eq!(index.len(), 300, "{}", recipe.label());
             assert!(report.build_secs > 0.0);
             assert!(report.index_bytes > 0);
             match recipe {

@@ -26,7 +26,8 @@
 //!   search.
 //! * [`persist`] — the offline/online seam (Fig. 4): bundle v5 binary
 //!   persistence (unscaled fused rows + segment norms + default weights,
-//!   all backends incl. HNSW) plus every older format back to v1 JSON.
+//!   all backends incl. HNSW), its quantized (v7) and sharded (v6)
+//!   siblings, and loaders for exactly those three.
 //! * [`server`] — the online serving layer: a `Send + Sync`
 //!   [`MustServer`] handle answering queries from many threads with
 //!   results bit-identical to serial execution, and per-query weight

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use must_graph::search::{beam_search, SearchScratch};
+use must_graph::search::SearchScratch;
 use must_graph::{QueryScorer, SearchParams, SearchStats};
 use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, Weights};
 
@@ -59,10 +59,7 @@ impl JointSearcher {
         let t0 = Instant::now();
         self.query_counter += 1;
         let rng_seed = 0x9A5E ^ self.query_counter;
-        let res = match index {
-            MustIndex::Flat(g) => beam_search(g, &scorer, params, &mut self.scratch, rng_seed),
-            MustIndex::Hnsw(h) => h.search_with_scratch(&scorer, params, &mut self.scratch),
-        };
+        let res = index.search(&scorer, params, &mut self.scratch, rng_seed);
         Ok(SearchOutcome {
             results: res.results,
             stats: res.stats,

@@ -5,9 +5,10 @@
 //! [`Must`] owns a mutable corpus (tombstones, dynamic insertion) and its
 //! searcher advances an RNG counter per query, so neither is shareable
 //! across threads nor order-deterministic.  [`MustServer`] freezes the
-//! corpus + weights + graph behind an [`Arc`]: flat graphs are frozen to
-//! the CSR form a deployment serves from; HNSW is already flat (two
-//! fixed-stride slabs) and is served from the arrays it was built on.
+//! corpus + weights + graph behind an [`Arc`].  The index moves in as it
+//! is: flat graphs were frozen to CSR when construction ended, HNSW sits
+//! in two fixed-stride slabs, and both are served from the arrays they
+//! were built or loaded on.
 //! Every search derives its RNG seed from a fixed serving constant, so a
 //! query's results are **bit-identical** no matter which worker runs it or
 //! in what order — the concurrency tests pin this down.
@@ -37,14 +38,11 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use must_graph::csr::CsrGraph;
-use must_graph::hnsw::Hnsw;
-use must_graph::search::{beam_search_csr, SearchScratch};
-use must_graph::{AnnIndex, QueryScorer, SearchParams, SearchResult};
+use must_graph::search::SearchScratch;
+use must_graph::{QueryScorer, SearchParams};
 use must_vector::{MultiQuery, MultiVectorSet, QuantizedRows, Weights};
 
 use crate::framework::Must;
-use crate::index::MustIndex;
 use crate::oracle::{MustQueryScorer, QuantizedQueryScorer};
 use crate::search::SearchOutcome;
 use crate::MustError;
@@ -55,52 +53,10 @@ use crate::MustError;
 /// concurrent and serial execution agree bit-for-bit.
 const SERVE_RNG_SEED: u64 = 0x5E7E_D05E_ED00;
 
-/// The frozen index a server searches: flat graphs in CSR layout, HNSW on
-/// the fixed-stride slabs it was built and loaded on (no frozen copy).
-pub enum ServingIndex {
-    /// A flat graph frozen to compressed sparse rows.
-    Csr(CsrGraph),
-    /// The HNSW hierarchy, served from its own slabs.
-    Hnsw(Hnsw),
-}
-
-impl ServingIndex {
-    fn search<S: QueryScorer>(
-        &self,
-        scorer: &S,
-        params: SearchParams,
-        scratch: &mut SearchScratch,
-    ) -> SearchResult {
-        match self {
-            Self::Csr(csr) => beam_search_csr(csr, scorer, params, scratch, SERVE_RNG_SEED),
-            Self::Hnsw(h) => h.search_with_scratch(scorer, params, scratch),
-        }
-    }
-
-    /// Number of indexed objects.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Csr(csr) => csr.len(),
-            Self::Hnsw(h) => AnnIndex::len(h),
-        }
-    }
-
-    /// Whether the index is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Display label for reports.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Csr(_) => "CSR",
-            Self::Hnsw(_) => "HNSW",
-        }
-    }
-}
+/// The index a server searches is the index its [`Must`] owned — one
+/// enum, [`crate::index::MustIndex`].  The name stays at this path because
+/// the repo benchmark matches on `server::ServingIndex::{Csr, Hnsw}`.
+pub use crate::index::MustIndex as ServingIndex;
 
 struct ServerCore {
     /// The frozen corpus; its fused rows are the storage engine every
@@ -148,7 +104,7 @@ pub struct ServeReply {
 
 impl MustServer {
     /// Freezes a built [`Must`] into a serving snapshot, consuming it.
-    /// Flat graphs are converted to CSR; tombstone state is discarded
+    /// Nothing is converted or copied; tombstone state is discarded
     /// (serving snapshots are immutable — rebuild and re-freeze to apply
     /// deletions, as the paper's Section IX prescribes).
     ///
@@ -163,22 +119,18 @@ impl MustServer {
             parts.objects.num_modalities(),
             "Must validates weight arity at build/load time"
         );
-        let index = match parts.index {
-            MustIndex::Flat(g) => ServingIndex::Csr(CsrGraph::from_graph(&g)),
-            MustIndex::Hnsw(h) => ServingIndex::Hnsw(h),
-        };
         Self {
             core: Arc::new(ServerCore {
                 objects: parts.objects,
                 weights: parts.weights,
-                index,
+                index: parts.index,
                 prune: parts.prune,
                 quant: parts.quant,
             }),
         }
     }
 
-    /// Loads a persisted bundle (v1–v3, v5, or v7 — see
+    /// Loads a persisted single-shard bundle (v5 or v7 — see
     /// [`crate::persist`]) straight into a serving snapshot — the online
     /// half of the offline/online split.  v7 bundles carry the SQ8 codes,
     /// so the loaded server answers in quantized-scan + re-rank mode.
@@ -486,7 +438,7 @@ impl ServerWorker<'_> {
         let scorer =
             MustQueryScorer::from_rows(self.core.objects.fused(), query, weights, self.core.prune)?;
         let t0 = Instant::now();
-        let res = self.core.index.search(&scorer, params, &mut self.scratch);
+        let res = self.core.index.search(&scorer, params, &mut self.scratch, SERVE_RNG_SEED);
         Ok(SearchOutcome {
             results: res.results,
             stats: res.stats,
@@ -521,7 +473,7 @@ impl ServerWorker<'_> {
             l: params.l.max(rerank_k),
             random_init: params.random_init,
         };
-        let res = core.index.search(&qscorer, walk, &mut self.scratch);
+        let res = core.index.search(&qscorer, walk, &mut self.scratch, SERVE_RNG_SEED);
         let mut pool: Vec<(u32, f32)> =
             res.results.iter().map(|&(id, _)| (id, exact.score(id))).collect();
         pool.sort_by(|a, b| {

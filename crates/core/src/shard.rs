@@ -157,7 +157,7 @@ impl ShardAssignment {
         }
     }
 
-    /// Stable wire tag (bundle v4/v6 manifests).
+    /// Stable wire tag (bundle v6 manifests).
     #[must_use]
     pub fn tag(self) -> u8 {
         match self {
@@ -813,9 +813,9 @@ impl ShardedMust {
     }
 
     /// Reassembles a sharded instance from prebuilt shards and their
-    /// local→global maps — the load path for bundles v1–v5, which carry no
-    /// summaries: routing summaries are **derived** from the shard rows
-    /// here.  (Correct only when no post-derivation insertions happened
+    /// local→global maps — the load path for single-shard bundles (v5,
+    /// v7), which carry no summaries: routing summaries are **derived**
+    /// from the shard rows here.  (Correct only when no post-derivation insertions happened
     /// before the save; bundle v6 persists summaries verbatim for exactly
     /// that reason — see [`ShardedMust::from_parts_with_summaries`].)
     ///
@@ -1179,8 +1179,8 @@ pub struct ShardedServer {
 
 impl ShardedServer {
     /// Freezes a built [`ShardedMust`] into a serving snapshot, consuming
-    /// it.  Each shard freezes exactly as [`MustServer::freeze`] does (flat
-    /// graphs to CSR, HNSW keeps its layers).  The snapshot starts with
+    /// it.  Each shard freezes exactly as [`MustServer::freeze`] does (its
+    /// index moves in unconverted).  The snapshot starts with
     /// routing disabled (full fan-out); dial it with
     /// [`ShardedServer::with_routing`].
     #[must_use]
@@ -1203,8 +1203,8 @@ impl ShardedServer {
     }
 
     /// Loads a persisted bundle straight into a sharded serving snapshot.
-    /// Accepts the sharded bundles v4/v6 *and* every single-shard format
-    /// (v1–v3, v5), which load as one shard with the identity id map.
+    /// Accepts the sharded bundle v6 *and* both single-shard formats
+    /// (v5, v7), which load as one shard with the identity id map.
     ///
     /// # Errors
     /// Propagates [`crate::persist::load_sharded`] errors.

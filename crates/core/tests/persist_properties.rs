@@ -1,6 +1,6 @@
-//! Property tests for bundle-v2 persistence: arbitrary small corpora ×
-//! every persistable graph backend round-trip to bit-identical search
-//! results, and bundles written by the legacy v1 JSON path keep loading.
+//! Property tests for bundle persistence: arbitrary small corpora × every
+//! graph backend round-trip through `save` (v5) to bit-identical search
+//! results; corrupt v7 bundles error; every written format stays mutable.
 
 use must_core::framework::{Must, MustBuildOptions};
 use must_core::{persist, MustError};
@@ -69,30 +69,6 @@ proptest! {
             let a = must.search(&q, 3, 24).unwrap();
             let b = loaded.search(&q, 3, 24).unwrap();
             prop_assert_eq!(a, b, "recipe {} query {}", recipe.label(), id);
-        }
-    }
-
-    #[test]
-    fn v1_json_bundles_written_by_old_path_still_load(
-        n in 24usize..60,
-        seed in 1u64..1_000_000,
-    ) {
-        let set = corpus(n, 5, 3, seed);
-        let must = Must::build(
-            set,
-            Weights::uniform(2),
-            MustBuildOptions { gamma: 8, ..Default::default() },
-        )
-        .unwrap();
-        let path = tmp("v1", seed ^ (n as u64) << 32);
-        persist::save_json(&must, &path).unwrap();
-        let loaded = persist::load(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        for probe in [0u32, (n / 2) as u32, (n - 1) as u32] {
-            let q = self_query(must.objects(), probe);
-            let a = must.search(&q, 3, 24).unwrap();
-            let b = loaded.search(&q, 3, 24).unwrap();
-            prop_assert_eq!(a, b, "query {}", probe);
         }
     }
 }
@@ -169,9 +145,9 @@ fn v7_corrupt_bundles_error_instead_of_panicking() {
     check("v7-v5-body", bytes);
 }
 
-/// The persisted matrix stays loadable *and mutable*: every writable
-/// single-shard format (v1 JSON, v5 binary, v7 quantized) plus the
-/// sharded container round-trips, and bundles whose backend supports
+/// The persisted matrix stays loadable *and mutable*: every single-shard
+/// format (v5 binary, v7 quantized) plus the sharded container
+/// round-trips, and bundles whose backend supports
 /// dynamic insertion accept `insert_object` after loading — including
 /// the v7 case, where the first insert must promote the zero-copy
 /// (buffer-borrowed) codes to owned storage (copy-on-write).
@@ -181,15 +157,16 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     let w = Weights::uniform(2);
     let new_row = vec![set.modality(0).get(0).to_vec(), set.modality(1).get(0).to_vec()];
 
-    // v1 JSON (flat graph; insertion is rejected by policy, not format).
+    // v5 binary with a flat graph: insertion is rejected by policy, not
+    // format.
     let flat = Must::build(
         set.clone(),
         w.clone(),
         MustBuildOptions { gamma: 6, ..Default::default() },
     )
     .unwrap();
-    let p = tmp("matrix-v1", 11);
-    persist::save_json(&flat, &p).unwrap();
+    let p = tmp("matrix-v5-flat", 11);
+    persist::save(&flat, &p).unwrap();
     let mut loaded = persist::load(&p).unwrap();
     std::fs::remove_file(&p).unwrap();
     assert_eq!(loaded.objects().len(), 40);
@@ -222,7 +199,7 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     let out = loaded.search(&self_query(loaded.objects(), 0), 3, 24).unwrap();
     assert_eq!(out.len(), 3);
 
-    // Sharded container (v4/v6): round-trips through its own loader.
+    // Sharded container (v6): round-trips through its own loader.
     let sharded = must_core::shard::ShardedMust::build(
         set,
         w,
@@ -236,20 +213,4 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     std::fs::remove_file(&p).unwrap();
     assert_eq!(loaded.num_shards(), sharded.num_shards());
     assert_eq!(loaded.len(), sharded.len());
-}
-
-/// HNSW is the one backend v1 can never express; the property above covers
-/// its v2 round-trip, this pins the v1 rejection (and its error class).
-#[test]
-fn v1_save_rejects_hnsw_with_config_error() {
-    let set = corpus(40, 4, 3, 99);
-    let must = Must::build(
-        set,
-        Weights::uniform(2),
-        MustBuildOptions { gamma: 8, recipe: GraphRecipe::Hnsw, ..Default::default() },
-    )
-    .unwrap();
-    let path = tmp("v1-hnsw", 99);
-    assert!(matches!(persist::save_json(&must, &path), Err(MustError::Config(_))));
-    assert!(!path.exists(), "rejected saves must not leave files behind");
 }

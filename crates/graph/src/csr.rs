@@ -3,13 +3,11 @@
 //! removes per-vertex pointer chasing on the search hot path — the form a
 //! deployment would serve from.
 
-use serde::{Deserialize, Serialize};
-
 use crate::search::{beam_search_csr, SearchParams, SearchResult, SearchScratch};
 use crate::{AnnIndex, Graph, QueryScorer};
 
 /// A frozen graph in CSR layout plus the search seed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` indexes `edges` for vertex `v`.
     offsets: Vec<u32>,
@@ -193,14 +191,5 @@ mod tests {
         assert!(CsrGraph::from_parts(vec![0, 2], vec![1], 0).is_err(), "span mismatch");
         assert!(CsrGraph::from_parts(vec![0, 1], vec![7], 0).is_err(), "target range");
         assert!(CsrGraph::from_parts(vec![0, 0], vec![], 5).is_err(), "seed range");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let (_, g) = built();
-        let csr = CsrGraph::from_graph(&g);
-        let json = serde_json::to_string(&csr).unwrap();
-        let back: CsrGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(csr, back);
     }
 }

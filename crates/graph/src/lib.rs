@@ -110,7 +110,7 @@ impl<F: Fn(u32) -> f32> QueryScorer for FnScorer<F> {
 
 /// An adjacency-list proximity graph plus the fixed search seed
 /// (the output of Algorithm 1).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     neighbors: Vec<Vec<u32>>,
     seed: u32,

@@ -119,8 +119,8 @@ impl PipelineBuilder {
 
         // Components 2 + 3, possibly over several rounds.
         let t1 = Instant::now();
-        for round in 0..self.rounds.max(1) {
-            lists = self.refine_round(oracle, &lists, round, threads);
+        for _ in 0..self.rounds.max(1) {
+            lists = self.refine_round(oracle, &lists, threads);
         }
         stats.refine_secs = t1.elapsed().as_secs_f64();
 
@@ -142,7 +142,6 @@ impl PipelineBuilder {
         &self,
         oracle: &O,
         lists: &[NeighborList],
-        round: usize,
         threads: usize,
     ) -> Vec<NeighborList> {
         let n = lists.len();
@@ -199,7 +198,6 @@ impl PipelineBuilder {
                     .collect()
             })
             .collect();
-        let _ = round;
         for o in 0..n {
             for &id in &selected[o] {
                 let sim = candidate_sim(&candidate_lists[o], id);
@@ -238,10 +236,7 @@ fn search_candidates<O: SimilarityOracle>(
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         for &u in graph.neighbors(v) {
-            if seen.binary_search(&u).is_ok() {
-                continue;
-            }
-            let pos = seen.binary_search(&u).unwrap_err();
+            let Err(pos) = seen.binary_search(&u) else { continue };
             seen.insert(pos, u);
             let sim = oracle.sim(o, u);
             if u != o {

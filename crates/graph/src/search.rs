@@ -93,9 +93,7 @@ impl VisitedSet {
 
     /// Prepares the set for a graph of `n` vertices and a fresh query.
     pub fn reset(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-        }
+        self.reserve(n);
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped: clear everything once and restart at generation 1.

@@ -7,8 +7,6 @@
 //! [`ModalityView`], a zero-cost strided view that offers the same methods
 //! the old per-modality `VectorSet` storage did.
 
-use serde::{Deserialize, DeError, Serialize, Value};
-
 use crate::fused::FusedRows;
 use crate::{kernels, ObjectId, VectorError, VectorSet, Weights};
 
@@ -165,36 +163,6 @@ impl MultiVectorSet {
     }
 }
 
-// The on-disk shape predates the fused layout: v1 JSON bundles contain
-// `{"modalities": [{"dim": .., "data": [..]}, ..]}`.  Serialisation
-// reconstructs per-modality sets (a copy — persistence only), and
-// deserialisation fuses them back, so old bundles keep loading bit-exact.
-impl Serialize for MultiVectorSet {
-    fn to_value(&self) -> Value {
-        let sets: Vec<VectorSet> = self
-            .modalities()
-            .map(|m| {
-                let mut flat = Vec::with_capacity(m.len() * m.dim());
-                for (_, v) in m.iter() {
-                    flat.extend_from_slice(v);
-                }
-                VectorSet::from_flat(m.dim(), flat).expect("view rows are well-formed")
-            })
-            .collect();
-        Value::Object(vec![("modalities".to_owned(), sets.to_value())])
-    }
-}
-
-impl Deserialize for MultiVectorSet {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let sets = value
-            .get_field("modalities")
-            .ok_or_else(|| DeError::new("expected field `modalities`"))?;
-        let sets: Vec<VectorSet> = Vec::from_value(sets)?;
-        MultiVectorSet::new(sets).map_err(|e| DeError::new(e.to_string()))
-    }
-}
-
 /// A zero-cost view of one modality inside a [`MultiVectorSet`]: the same
 /// per-modality API the pre-fused storage offered, reading strided
 /// segments of the fused rows.
@@ -293,7 +261,7 @@ impl<'a> ModalityView<'a> {
 /// Slots are `None` for modalities the user did not supply (`t < m`); the
 /// paper searches such queries by zeroing the corresponding weights
 /// (Section VII-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiQuery {
     vectors: Vec<Option<Vec<f32>>>,
 }
@@ -437,14 +405,5 @@ mod tests {
         // dims [4, 2] both pad to 8: stride 16, two objects — plus one
         // stored segment norm per (object, modality).
         assert_eq!(set.bytes(), (2 * 16 + 2 * 2) * 4);
-    }
-
-    #[test]
-    fn serde_keeps_the_v1_modalities_shape() {
-        let set = two_modality_set();
-        let json = serde_json::to_string(&set).unwrap();
-        assert!(json.contains("\"modalities\""), "v1 field name preserved: {json}");
-        let back: MultiVectorSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(set, back);
     }
 }

@@ -1,7 +1,5 @@
 //! Contiguous storage for a set of equal-dimensional vectors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels;
 use crate::{ObjectId, VectorError};
 
@@ -12,7 +10,7 @@ use crate::{ObjectId, VectorError};
 /// set (`{phi_i(o_i) | o in S}` in the paper).  Rows are addressed by
 /// [`ObjectId`].  Vectors are expected to be unit-norm (the paper normalises
 /// all embeddings); [`VectorSetBuilder::push_normalized`] enforces this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VectorSet {
     dim: usize,
     data: Vec<f32>,
@@ -310,13 +308,5 @@ mod tests {
         let s = b.finish();
         let c = s.centroid();
         assert!((c[0]).abs() < 1e-6 && (c[1] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = sample_set();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: VectorSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -1,7 +1,5 @@
 //! Per-modality vector weights (Section VI of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::VectorError;
 
 /// The per-modality weight vector `omega = (omega_0 .. omega_{m-1})`.
@@ -15,7 +13,7 @@ use crate::VectorError;
 /// Weights are non-negative.  Queries with fewer modalities than objects
 /// (`t < m`) are handled by zeroing the trailing weights
 /// ([`Weights::masked`], Section VII-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Weights {
     omega: Vec<f32>,
     omega_sq: Vec<f32>,

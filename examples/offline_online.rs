@@ -1,5 +1,5 @@
 //! The deployment loop (Fig. 4's offline/online split): build offline,
-//! persist a bundle-v2 snapshot, reload it as a shared `MustServer`, and
+//! persist a bundle-v5 snapshot, reload it as a shared `MustServer`, and
 //! answer queries from several threads at once.
 //!
 //! Run with `cargo run --release --example offline_online`.

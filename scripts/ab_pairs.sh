@@ -5,7 +5,10 @@
 # wins >= 9/10 of the pairs and the medians differ by more than the
 # parent's own inter-quartile range.
 #
-#   scripts/ab_pairs.sh <parent-ref> <workload> [pairs=10] [seed=7] [--smoke]
+#   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=7] [--smoke]
+#
+# `all` runs every workload BENCHMARK.json names, one after the other, and
+# prints one block per workload — the whole table a no-gain PR reports.
 #
 # "parent" is <parent-ref> exported with `git archive`; "change" is the
 # working tree as it stands (uncommitted edits included).  Each side builds
@@ -31,7 +34,7 @@ for a in "$@"; do
   esac
 done
 if [ "${#args[@]}" -lt 2 ]; then
-  sed -n '2,22p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 fi
 parent_ref=${args[0]}
@@ -40,6 +43,15 @@ pairs=${args[2]:-10}
 seed=${args[3]:-7}
 
 root=$(git rev-parse --show-toplevel)
+if [ "$workload" = all ]; then
+  # The names in BENCHMARK.json's "workloads" list (the first list in the
+  # file that has names), in file order.
+  for w in $(awk '/"workloads"/ { on = 1 } on && /^  \]/ { exit }
+                  on && /"name"/ { gsub(/[",]/, ""); print $2 }' "$root/BENCHMARK.json"); do
+    "$0" "$parent_ref" "$w" "$pairs" "$seed" "${smoke[@]}"
+  done
+  exit
+fi
 sha=$(git -C "$root" rev-parse --verify "$parent_ref^{commit}")
 dir=${AB_DIR:-$root/.bench_build/ab}
 mkdir -p "$dir"

@@ -60,7 +60,7 @@ proptest! {
         )
         .unwrap();
         let graph = must.index().graph().expect("fused recipe is flat");
-        let a = audit(graph);
+        let a = audit(&graph.to_graph());
         prop_assert!((a.reachability - 1.0).abs() < 1e-9);
         prop_assert!(a.vertices == 600);
     }

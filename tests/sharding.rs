@@ -182,7 +182,7 @@ fn sharded_weight_overrides_match_refrozen_shards() {
     }
 }
 
-/// Offline sharded build → bundle v4 on disk → `ShardedServer::load` →
+/// Offline sharded build → bundle v6 on disk → `ShardedServer::load` →
 /// results identical to the in-process freeze, with the id maps intact.
 #[test]
 fn bundle_v4_load_serves_identically() {
@@ -207,7 +207,7 @@ fn bundle_v4_load_serves_identically() {
     }
 }
 
-/// A v3 single-shard bundle loads into the sharded serving layer as one
+/// A v5 single-shard bundle loads into the sharded serving layer as one
 /// shard and serves exactly what the single-shard server serves.
 #[test]
 fn sharded_layer_adopts_v3_bundles() {
