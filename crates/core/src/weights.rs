@@ -458,6 +458,36 @@ mod tests {
         assert_eq!(out.weights, Weights::uniform(2));
     }
 
+    /// FNV-1a over ω bits, the loss-curve bits and the recall-curve bits.
+    fn outcome_hash(out: &LearnedWeights) -> u64 {
+        let omega = out.weights.raw().iter().map(|w| u64::from(w.to_bits()));
+        let curves = out.curve.loss.iter().chain(&out.curve.recall).map(|x| x.to_bits());
+        omega.chain(curves).flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn learned_weights_and_curves_are_the_golden_ones() {
+        // Hashes taken on c251044 (row-major table, serial epoch, re-sorting
+        // sampler): the column table and the parallel epoch must reproduce
+        // its ω, loss curve and recall curve bit for bit.
+        let (set, anchors) = discriminative_text_setup();
+        let refs = as_refs(&anchors);
+        let base = WeightLearnConfig { epochs: 60, ..Default::default() };
+        // The last row makes the sampler subsample anchors and stop its
+        // corpus fill short of the whole set.
+        let cases = [
+            (WeightLearnConfig { hard_negatives: true, ..base.clone() }, 0xe591_1590_1396_50c3u64),
+            (WeightLearnConfig { hard_negatives: false, ..base.clone() }, 0x426d_4c47_6e5d_bb8e),
+            (WeightLearnConfig { max_anchors: 16, mining_corpus: 40, ..base }, 0x72cc_83f5_60ba_eaad),
+        ];
+        for (config, want) in cases {
+            let out = learn_weights(&set, &refs, &config);
+            assert_eq!(outcome_hash(&out), want, "{config:?}");
+        }
+    }
+
     #[test]
     fn training_is_deterministic() {
         let (set, anchors) = discriminative_text_setup();

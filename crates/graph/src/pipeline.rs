@@ -403,6 +403,38 @@ mod tests {
     }
 
     #[test]
+    fn algorithm_1_output_is_the_golden_one() {
+        // Hashes taken on c251044, whose components ① and ② kept a sorted
+        // `Vec<u32>` of seen ids per vertex: a stamped `VisitedSet` per
+        // worker must offer every candidate in the same order, so each
+        // neighbour list, adjacency block and seed is that commit's.
+        use crate::testutil::{fnv1a, RandOracle};
+        let oracle = RandOracle::new(1_500, 8, 0xFACE);
+        let golden = [
+            (GraphRecipe::Fused, 0x989d_d631_53ac_6cc6u64),
+            (GraphRecipe::Nsg, 0xf5cf_8c92_1e48_68d6),
+            (GraphRecipe::Vamana, 0x583d_d7e5_9c10_e302),
+        ];
+        for threads in [1, 2] {
+            let init = build_init_graph(&oracle, 10, 3, 0x5EED, threads);
+            let h = fnv1a(init.iter().flat_map(|l| {
+                std::iter::once(l.len() as u64)
+                    .chain(l.iter().flat_map(|nb| [u64::from(nb.id), u64::from(nb.sim.to_bits())]))
+            }));
+            assert_eq!(h, 0xd674_3933_9d6d_8ca7, "build_init_graph, T={threads}");
+            for (recipe, want) in golden {
+                let builder = PipelineBuilder { threads, ..recipe.pipeline(10, 11).unwrap() };
+                let (graph, _) = builder.build(&oracle);
+                let h = fnv1a((0..graph.len() as u32).flat_map(|v| {
+                    let nbrs = graph.neighbors(v);
+                    std::iter::once(nbrs.len() as u64).chain(nbrs.iter().map(|&u| u64::from(u)))
+                }).chain([u64::from(graph.seed())]));
+                assert_eq!(h, want, "{}, T={threads}", recipe.label());
+            }
+        }
+    }
+
+    #[test]
     fn recipes_expose_labels_and_builders() {
         assert_eq!(GraphRecipe::all().len(), 7);
         for r in GraphRecipe::all() {
