@@ -9,7 +9,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::par::{par_map, par_for};
+use crate::par::{par_map, par_map_with};
+use crate::search::VisitedSet;
 use crate::SimilarityOracle;
 
 /// A scored neighbour candidate.
@@ -93,38 +94,31 @@ pub fn nndescent_iteration<O: SimilarityOracle>(
         rev
     };
 
-    let updated = par_map(n, threads, |o| {
+    // One stamped set per worker, re-stamped per vertex: membership is O(1)
+    // and the candidates are offered in the order a sorted list saw them.
+    let updated = par_map_with(n, threads, VisitedSet::default, |visited, o| {
         let me = o as u32;
         let mut list = lists[o].clone();
-        let mut seen: Vec<u32> = list.iter().map(|nb| nb.id).collect();
-        seen.push(me);
-        seen.sort_unstable();
+        visited.reset(n);
+        visited.mark(me);
+        for nb in &list {
+            visited.mark(nb.id);
+        }
         let mut changed = false;
-        let mut try_add = |id: u32, list: &mut NeighborList, seen: &mut Vec<u32>| {
-            if id == me {
-                return;
-            }
-            if let Err(pos) = seen.binary_search(&id) {
-                seen.insert(pos, id);
+        let mut try_add = |id: u32| {
+            if visited.mark(id) {
                 let sim = oracle.sim(me, id);
-                if insert_bounded(list, Neighbor { id, sim }, gamma) {
-                    changed = true;
-                }
+                changed |= insert_bounded(&mut list, Neighbor { id, sim }, gamma);
             }
         };
         // Reverse neighbours join the pool directly.
         for &r in &reverse[o] {
-            try_add(r, &mut list, &mut seen);
+            try_add(r);
         }
         // Two-hop: neighbours of (forward + reverse) neighbours.
-        let hops: Vec<u32> = lists[o]
-            .iter()
-            .map(|nb| nb.id)
-            .chain(reverse[o].iter().copied())
-            .collect();
-        for v in hops {
+        for v in lists[o].iter().map(|nb| nb.id).chain(reverse[o].iter().copied()) {
             for nb in &lists[v as usize] {
-                try_add(nb.id, &mut list, &mut seen);
+                try_add(nb.id);
             }
         }
         (list, changed)
@@ -161,9 +155,7 @@ pub fn exact_knn_sample<O: SimilarityOracle>(
     gamma: usize,
     threads: usize,
 ) -> Vec<NeighborList> {
-    let out: std::sync::Mutex<Vec<(usize, NeighborList)>> =
-        std::sync::Mutex::new(Vec::with_capacity(vertices.len()));
-    par_for(vertices.len(), threads, |i| {
+    par_map(vertices.len(), threads, |i| {
         let o = vertices[i];
         let mut list = NeighborList::with_capacity(gamma);
         for id in 0..oracle.len() as u32 {
@@ -173,11 +165,8 @@ pub fn exact_knn_sample<O: SimilarityOracle>(
             let sim = oracle.sim(o, id);
             insert_bounded(&mut list, Neighbor { id, sim }, gamma);
         }
-        out.lock().expect("no poisoned workers").push((i, list));
-    });
-    let mut v = out.into_inner().expect("no poisoned workers");
-    v.sort_unstable_by_key(|(i, _)| *i);
-    v.into_iter().map(|(_, l)| l).collect()
+        list
+    })
 }
 
 #[cfg(test)]

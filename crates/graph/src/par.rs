@@ -22,22 +22,39 @@ pub fn build_threads() -> usize {
 /// Runs `f(i)` for every `i in 0..n`, producing a `Vec` of results, using
 /// `threads` workers over contiguous chunks.  Deterministic output order.
 pub fn par_map<T: Send, F: Fn(usize) -> T + Sync>(n: usize, threads: usize, f: F) -> Vec<T> {
+    par_map_with(n, threads, || (), |(), i| f(i))
+}
+
+/// [`par_map`] with per-worker scratch: every worker calls `init` once and
+/// hands the state to each `f(&mut state, i)` of its chunk, so an `O(n)`
+/// buffer (a [`crate::search::VisitedSet`]) is allocated once per worker,
+/// not once per item.  `f`'s result must not depend on what earlier items
+/// left in the state — which worker, and so which state, an index meets
+/// depends on `threads`.
+pub fn par_map_with<S, T: Send>(
+    n: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
     if n == 0 {
         return Vec::new();
     }
     let threads = threads.max(1).min(n);
     if threads == 1 {
-        return (0..n).map(f).collect();
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
     std::thread::scope(|scope| {
         for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
+            let (init, f) = (&init, &f);
             scope.spawn(move || {
+                let mut state = init();
                 let base = t * chunk;
                 for (off, s) in slot.iter_mut().enumerate() {
-                    *s = Some(f(base + off));
+                    *s = Some(f(&mut state, base + off));
                 }
             });
         }
@@ -92,38 +109,6 @@ pub fn par_map_chunked<T: Send, F: Fn(usize) -> T + Sync>(
     });
     drop(slots);
     out.into_iter().map(|x| x.expect("all slots filled")).collect()
-}
-
-/// Runs `f(i)` for every `i in 0..n` for side effects, work-stealing via an
-/// atomic counter (good when per-item cost is skewed).
-pub fn par_for<F: Fn(usize) + Sync>(n: usize, threads: usize, f: F) {
-    if n == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    const BATCH: usize = 64;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let f = &f;
-            let counter = &counter;
-            scope.spawn(move || loop {
-                let start = counter.fetch_add(BATCH, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + BATCH).min(n) {
-                    f(i);
-                }
-            });
-        }
-    });
 }
 
 /// Shared state for a [`wave_pool`] — start/finish rendezvous for one pool
@@ -317,20 +302,30 @@ mod tests {
     }
 
     #[test]
+    fn par_map_with_builds_one_state_per_worker() {
+        for threads in [1, 3] {
+            let states = AtomicUsize::new(0);
+            let init = || {
+                states.fetch_add(1, Ordering::Relaxed);
+                0usize
+            };
+            // Every item sees the state its worker's earlier items left.
+            let seen = par_map_with(90, threads, init, |calls, i| {
+                *calls += 1;
+                (i, *calls)
+            });
+            assert_eq!(states.load(Ordering::Relaxed), threads);
+            for (i, (idx, calls)) in seen.into_iter().enumerate() {
+                assert_eq!((idx, calls), (i, i % (90 / threads) + 1), "threads {threads}");
+            }
+        }
+    }
+
+    #[test]
     fn par_map_handles_edge_cases() {
         assert!(par_map(0, 4, |i| i).is_empty());
         assert_eq!(par_map(1, 4, |i| i + 1), vec![1]);
         assert_eq!(par_map(5, 1, |i| i), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn par_for_visits_every_index_once() {
-        let n = 10_000;
-        let sum = AtomicU64::new(0);
-        par_for(n, 8, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), (n as u64 - 1) * n as u64 / 2);
     }
 
     #[test]

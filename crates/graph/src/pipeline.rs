@@ -12,7 +12,8 @@ use std::time::Instant;
 
 use crate::connect::{ensure_connectivity, ConnectivityStats};
 use crate::nndescent::{build_init_graph, insert_bounded, random_init, Neighbor, NeighborList};
-use crate::par::{build_threads, par_map};
+use crate::par::{build_threads, par_map, par_map_with};
+use crate::search::VisitedSet;
 use crate::seed::{choose_seed, SeedStrategy};
 use crate::select::{select_neighbors, SelectionStrategy};
 use crate::{Graph, SimilarityOracle};
@@ -148,22 +149,20 @@ impl PipelineBuilder {
         // Component 2: candidate acquisition.
         let candidate_lists: Vec<Vec<Neighbor>> = match self.candidates {
             CandidateStrategy::InitOnly => lists.to_vec(),
-            CandidateStrategy::Expand => par_map(n, threads, |o| {
+            CandidateStrategy::Expand => par_map_with(n, threads, VisitedSet::default, |visited, o| {
                 let me = o as u32;
                 // Candidate cap: keep the pool bounded like the paper's
                 // implementation (expansion would otherwise be gamma^2).
                 let cap = (self.gamma * 4).max(8);
                 let mut pool: NeighborList = lists[o].clone();
-                let mut seen: Vec<u32> = pool.iter().map(|nb| nb.id).collect();
-                seen.push(me);
-                seen.sort_unstable();
+                visited.reset(n);
+                visited.mark(me);
+                for nb in &lists[o] {
+                    visited.mark(nb.id);
+                }
                 for nb in &lists[o] {
                     for hop in &lists[nb.id as usize] {
-                        if hop.id == me {
-                            continue;
-                        }
-                        if let Err(pos) = seen.binary_search(&hop.id) {
-                            seen.insert(pos, hop.id);
+                        if visited.mark(hop.id) {
                             let sim = oracle.sim(me, hop.id);
                             insert_bounded(&mut pool, Neighbor { id: hop.id, sim }, cap);
                         }
@@ -177,7 +176,9 @@ impl PipelineBuilder {
                     lists.iter().map(|l| l.iter().map(|n| n.id).collect()).collect();
                 let seed = choose_seed(oracle, SeedStrategy::Medoid, threads);
                 let tmp = Graph::new(neighbors, seed);
-                par_map(n, threads, |o| search_candidates(&tmp, oracle, o as u32, l))
+                par_map_with(n, threads, VisitedSet::default, |visited, o| {
+                    search_candidates(&tmp, oracle, o as u32, l, visited)
+                })
             }
         };
 
@@ -223,11 +224,13 @@ fn search_candidates<O: SimilarityOracle>(
     oracle: &O,
     o: u32,
     l: usize,
+    visited: &mut VisitedSet,
 ) -> Vec<Neighbor> {
     use crate::pool::Pool;
     let mut pool = Pool::new(l);
     let mut scored: Vec<Neighbor> = Vec::with_capacity(l * 4);
-    let mut seen = vec![graph.seed()];
+    visited.reset(graph.len());
+    visited.mark(graph.seed());
     let s = oracle.sim(o, graph.seed());
     pool.insert(graph.seed(), s);
     if graph.seed() != o {
@@ -236,8 +239,9 @@ fn search_candidates<O: SimilarityOracle>(
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         for &u in graph.neighbors(v) {
-            let Err(pos) = seen.binary_search(&u) else { continue };
-            seen.insert(pos, u);
+            if !visited.mark(u) {
+                continue;
+            }
             let sim = oracle.sim(o, u);
             if u != o {
                 scored.push(Neighbor { id: u, sim });
