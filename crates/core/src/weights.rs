@@ -114,17 +114,22 @@ impl WeightLearner {
             anchor_idx.truncate(config.max_anchors);
         }
 
-        // Mining corpus: every positive + random fill.
-        let mut corpus: Vec<ObjectId> = anchor_idx.iter().map(|&a| anchors[a].1).collect();
-        corpus.sort_unstable();
-        corpus.dedup();
-        while corpus.len() < config.mining_corpus.min(set.len()) {
-            let id = rng.random_range(0..set.len() as u32);
-            if corpus.binary_search(&id).is_err() {
+        // Mining corpus: every positive + random fill.  Membership is a
+        // bitmap and the ids are sorted once, after the last draw.
+        let mut in_corpus = vec![false; set.len()];
+        let mut corpus: Vec<ObjectId> = Vec::with_capacity(config.mining_corpus.min(set.len()));
+        let mut admit = |id: ObjectId, corpus: &mut Vec<ObjectId>| {
+            if !std::mem::replace(&mut in_corpus[id as usize], true) {
                 corpus.push(id);
-                corpus.sort_unstable();
             }
+        };
+        for &a in &anchor_idx {
+            admit(anchors[a].1, &mut corpus);
         }
+        while corpus.len() < config.mining_corpus.min(set.len()) {
+            admit(rng.random_range(0..set.len() as u32), &mut corpus);
+        }
+        corpus.sort_unstable();
 
         let corpus_len = corpus.len();
         let mut sims = vec![0.0f32; anchor_idx.len() * corpus_len * m];
