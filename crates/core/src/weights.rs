@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use must_graph::par;
 use must_vector::{MultiQuery, MultiVectorSet, ObjectId, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,8 +86,8 @@ pub struct LearnedWeights {
 /// The weight learner with precomputed per-modality similarities.
 pub struct WeightLearner {
     m: usize,
-    /// `sims[a * corpus * m + o * m + i]` = `s_i(anchor_a, corpus_o)`.
-    sims: Vec<f32>,
+    /// `sims[a][o * m + i]` = `s_i(anchor_a, corpus_o)`.
+    sims: Vec<Vec<f32>>,
     corpus_len: usize,
     /// Index (into the mining corpus) of each anchor's positive.
     positives: Vec<usize>,
@@ -132,21 +133,23 @@ impl WeightLearner {
         corpus.sort_unstable();
 
         let corpus_len = corpus.len();
-        let mut sims = vec![0.0f32; anchor_idx.len() * corpus_len * m];
-        let mut positives = Vec::with_capacity(anchor_idx.len());
-        for (ai, &a) in anchor_idx.iter().enumerate() {
-            let (query, pos_id) = (anchors[a].0, anchors[a].1);
-            positives.push(corpus.binary_search(&pos_id).expect("positive is in corpus"));
+        let positives = anchor_idx
+            .iter()
+            .map(|&a| corpus.binary_search(&anchors[a].1).expect("positive is in corpus"))
+            .collect();
+        // Every table entry is one independent inner product.
+        let sims = par::par_map(anchor_idx.len(), par::build_threads(), |ai| {
+            let query = anchors[anchor_idx[ai]].0;
+            let mut block = vec![0.0f32; corpus_len * m];
             for (oi, &obj) in corpus.iter().enumerate() {
                 for i in 0..m {
-                    let s = match query.slot(i) {
-                        Some(slot) => set.modality(i).ip_to(obj, slot),
-                        None => 0.0,
-                    };
-                    sims[(ai * corpus_len + oi) * m + i] = s;
+                    if let Some(slot) = query.slot(i) {
+                        block[oi * m + i] = set.modality(i).ip_to(obj, slot);
+                    }
                 }
             }
-        }
+            block
+        });
         Self { m, sims, corpus_len, positives }
     }
 
@@ -158,8 +161,7 @@ impl WeightLearner {
 
     #[inline]
     fn s(&self, anchor: usize, obj: usize) -> &[f32] {
-        let base = (anchor * self.corpus_len + obj) * self.m;
-        &self.sims[base..base + self.m]
+        &self.sims[anchor][obj * self.m..][..self.m]
     }
 
     /// Joint similarity of `(anchor, obj)` under squared weights `u`.
