@@ -86,7 +86,8 @@ pub struct LearnedWeights {
 /// The weight learner with precomputed per-modality similarities.
 pub struct WeightLearner {
     m: usize,
-    /// `sims[a][o * m + i]` = `s_i(anchor_a, corpus_o)`.
+    /// `sims[a][i * corpus_len + o]` = `s_i(anchor_a, corpus_o)`: one
+    /// contiguous column per (anchor, modality), which mining streams.
     sims: Vec<Vec<f32>>,
     corpus_len: usize,
     /// Index (into the mining corpus) of each anchor's positive.
@@ -140,15 +141,15 @@ impl WeightLearner {
         // Every table entry is one independent inner product.
         let sims = par::par_map(anchor_idx.len(), par::build_threads(), |ai| {
             let query = anchors[anchor_idx[ai]].0;
-            let mut block = vec![0.0f32; corpus_len * m];
+            let mut columns = vec![0.0f32; m * corpus_len];
             for (oi, &obj) in corpus.iter().enumerate() {
                 for i in 0..m {
                     if let Some(slot) = query.slot(i) {
-                        block[oi * m + i] = set.modality(i).ip_to(obj, slot);
+                        columns[i * corpus_len + oi] = set.modality(i).ip_to(obj, slot);
                     }
                 }
             }
-            block
+            columns
         });
         Self { m, sims, corpus_len, positives }
     }
@@ -159,28 +160,51 @@ impl WeightLearner {
         self.positives.len()
     }
 
+    /// `s_i(anchor, obj)`.
     #[inline]
-    fn s(&self, anchor: usize, obj: usize) -> &[f32] {
-        &self.sims[anchor][obj * self.m..][..self.m]
+    fn s(&self, anchor: usize, obj: usize, i: usize) -> f32 {
+        self.sims[anchor][i * self.corpus_len + obj]
     }
 
     /// Joint similarity of `(anchor, obj)` under squared weights `u`.
     #[inline]
     fn joint(&self, anchor: usize, obj: usize, u: &[f32]) -> f32 {
-        self.s(anchor, obj).iter().zip(u).map(|(s, w)| s * w).sum()
+        u.iter().enumerate().map(|(i, w)| self.s(anchor, obj, i) * w).sum()
     }
 
     /// Mines the `k` corpus objects most similar to `anchor` under `u`
     /// (Eq. 5 — the top-k result objects `R`).
     fn mine_top_k(&self, anchor: usize, u: &[f32], k: usize) -> Vec<(usize, f32)> {
+        const BLOCK: usize = 256;
+        let n = self.corpus_len;
+        let columns = &self.sims[anchor];
         let mut top: Vec<(usize, f32)> = Vec::with_capacity(k + 1);
-        for o in 0..self.corpus_len {
-            let s = self.joint(anchor, o, u);
-            if top.len() < k || s > top.last().map_or(f32::NEG_INFINITY, |t| t.1) {
-                let pos = top.partition_point(|t| t.1 >= s);
-                top.insert(pos, (o, s));
-                if top.len() > k {
-                    top.pop();
+        // The k-th best score once `top` is full: nearly every object fails
+        // this one comparison and touches nothing else.
+        let mut bar = f32::NEG_INFINITY;
+        let mut scores = [0.0f32; BLOCK];
+        for base in (0..n).step_by(BLOCK) {
+            // `joint` for a block of objects, one column at a time: the
+            // same products added in the same order from the same `-0.0`
+            // `Iterator::sum` starts at, in vector lanes.
+            let scores = &mut scores[..BLOCK.min(n - base)];
+            scores.fill(-0.0);
+            for (i, w) in u.iter().enumerate() {
+                let column = &columns[i * n + base..][..scores.len()];
+                for (s, c) in scores.iter_mut().zip(column) {
+                    *s += c * w;
+                }
+            }
+            for (o, &s) in (base..).zip(scores.iter()) {
+                if top.len() < k || s > bar {
+                    let pos = top.partition_point(|t| t.1 >= s);
+                    top.insert(pos, (o, s));
+                    if top.len() > k {
+                        top.pop();
+                    }
+                    if top.len() == k {
+                        bar = top.last().map_or(f32::NEG_INFINITY, |t| t.1);
+                    }
                 }
             }
         }
@@ -259,9 +283,9 @@ impl WeightLearner {
                 // Gradient: sum_j pi_j s_i(j) - s_i(pos).
                 let pi_pos = e_pos / denom;
                 for (i, gu) in grad_u.iter_mut().enumerate() {
-                    let mut g = (pi_pos - 1.0) * self.s(a, pos)[i] as f64;
+                    let mut g = (pi_pos - 1.0) * self.s(a, pos, i) as f64;
                     for (e, &o) in e_negs.iter().zip(&negatives) {
-                        g += (e / denom) * self.s(a, o)[i] as f64;
+                        g += (e / denom) * self.s(a, o, i) as f64;
                     }
                     *gu += g;
                 }
@@ -435,9 +459,9 @@ mod tests {
                 .collect();
             let denom = e_pos + e_negs.iter().sum::<f64>();
             for (i, gr) in grad.iter_mut().enumerate() {
-                let mut g = (e_pos / denom - 1.0) * learner.s(a, pos)[i] as f64;
+                let mut g = (e_pos / denom - 1.0) * learner.s(a, pos, i) as f64;
                 for (e, &o) in e_negs.iter().zip(negs) {
-                    g += (e / denom) * learner.s(a, o)[i] as f64;
+                    g += (e / denom) * learner.s(a, o, i) as f64;
                 }
                 *gr += g / learner.num_anchors() as f64;
             }
