@@ -94,6 +94,13 @@ pub struct WeightLearner {
     positives: Vec<usize>,
 }
 
+/// What one anchor adds to an epoch's recall, loss and `dL/du`.
+struct AnchorTerms {
+    hit: bool,
+    loss: f64,
+    grad_u: Vec<f64>,
+}
+
 impl WeightLearner {
     /// Precomputes similarities between `anchors` (query + positive object
     /// id) and a mining corpus sampled from `set`.
@@ -211,8 +218,65 @@ impl WeightLearner {
         top
     }
 
+    /// One anchor's share of an epoch under squared weights `u`: mine,
+    /// softmax over `{p+} ∪ N-`, loss and gradient terms.  `drawn` holds the
+    /// anchor's random negatives; `None` mines the hard ones (Eq. 5).
+    fn anchor_terms(
+        &self,
+        a: usize,
+        u: &[f32],
+        num_negatives: usize,
+        drawn: Option<&[usize]>,
+    ) -> AnchorTerms {
+        let pos = self.positives[a];
+        // Recall tracking needs the argmax even in random mode.
+        let top = self.mine_top_k(a, u, if drawn.is_some() { 1 } else { num_negatives + 1 });
+        let hit = top.first().map(|t| t.0) == Some(pos);
+        let mined: Vec<usize>;
+        let negatives = match drawn {
+            Some(drawn) => drawn,
+            None => {
+                mined = top
+                    .into_iter()
+                    .map(|(o, _)| o)
+                    .filter(|&o| o != pos)
+                    .take(num_negatives)
+                    .collect();
+                &mined
+            }
+        };
+
+        // Softmax over {pos} ∪ negatives (Eq. 6), with the usual
+        // max-shift for numerical stability.
+        let s_pos = self.joint(a, pos, u);
+        let s_negs: Vec<f32> = negatives.iter().map(|&o| self.joint(a, o, u)).collect();
+        let max = s_negs.iter().copied().fold(s_pos, f32::max);
+        let e_pos = ((s_pos - max) as f64).exp();
+        let e_negs: Vec<f64> = s_negs.iter().map(|&s| ((s - max) as f64).exp()).collect();
+        let denom = e_pos + e_negs.iter().sum::<f64>();
+
+        // Gradient: sum_j pi_j s_i(j) - s_i(pos).
+        let pi_pos = e_pos / denom;
+        let grad_u = (0..self.m)
+            .map(|i| {
+                let mut g = (pi_pos - 1.0) * self.s(a, pos, i) as f64;
+                for (e, &o) in e_negs.iter().zip(negatives) {
+                    g += (e / denom) * self.s(a, o, i) as f64;
+                }
+                g
+            })
+            .collect();
+        AnchorTerms { hit, loss: -(e_pos / denom).ln(), grad_u }
+    }
+
     /// Trains the model, returning learned weights and curves.
     pub fn train(&self, config: &WeightLearnConfig) -> LearnedWeights {
+        self.train_on(config, par::build_threads())
+    }
+
+    /// [`WeightLearner::train`] on `threads` workers; the outcome is the
+    /// same for every `threads` (module docs).
+    fn train_on(&self, config: &WeightLearnConfig, threads: usize) -> LearnedWeights {
         let t0 = Instant::now();
         let m = self.m;
         let n_anchors = self.positives.len();
@@ -234,59 +298,35 @@ impl WeightLearner {
 
         for _epoch in 0..config.epochs {
             let u: Vec<f32> = omega.iter().map(|w| w * w).collect();
+            // Random negatives come off the one RNG stream in anchor order,
+            // before any anchor is worked on.
+            let drawn: Option<Vec<Vec<usize>>> = (!config.hard_negatives).then(|| {
+                (self.positives.iter())
+                    .map(|&pos| {
+                        (0..config.num_negatives)
+                            .map(|_| loop {
+                                let o = rng.random_range(0..self.corpus_len);
+                                if o != pos {
+                                    break o;
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect()
+            });
+            let terms = par::par_map(n_anchors, threads, |a| {
+                let drawn = drawn.as_ref().map(|d| d[a].as_slice());
+                self.anchor_terms(a, &u, config.num_negatives, drawn)
+            });
+
+            // Folded in anchor order: the sums round as a serial loop's do.
             let mut grad_u = vec![0.0f64; m];
             let mut loss_sum = 0.0f64;
             let mut hits = 0usize;
-
-            for a in 0..n_anchors {
-                let pos = self.positives[a];
-                // Negatives: hard (top-k under current weights, excluding
-                // the positive) or random.
-                let negatives: Vec<usize> = if config.hard_negatives {
-                    let top = self.mine_top_k(a, &u, config.num_negatives + 1);
-                    if top.first().map(|t| t.0) == Some(pos) {
-                        hits += 1;
-                    }
-                    top.into_iter()
-                        .map(|(o, _)| o)
-                        .filter(|&o| o != pos)
-                        .take(config.num_negatives)
-                        .collect()
-                } else {
-                    // Recall tracking needs the argmax even in random mode.
-                    let top = self.mine_top_k(a, &u, 1);
-                    if top.first().map(|t| t.0) == Some(pos) {
-                        hits += 1;
-                    }
-                    (0..config.num_negatives)
-                        .map(|_| loop {
-                            let o = rng.random_range(0..self.corpus_len);
-                            if o != pos {
-                                break o;
-                            }
-                        })
-                        .collect()
-                };
-
-                // Softmax over {pos} ∪ negatives (Eq. 6), with the usual
-                // max-shift for numerical stability.
-                let s_pos = self.joint(a, pos, &u);
-                let s_negs: Vec<f32> =
-                    negatives.iter().map(|&o| self.joint(a, o, &u)).collect();
-                let max = s_negs.iter().copied().fold(s_pos, f32::max);
-                let e_pos = ((s_pos - max) as f64).exp();
-                let e_negs: Vec<f64> =
-                    s_negs.iter().map(|&s| ((s - max) as f64).exp()).collect();
-                let denom = e_pos + e_negs.iter().sum::<f64>();
-                loss_sum += -(e_pos / denom).ln();
-
-                // Gradient: sum_j pi_j s_i(j) - s_i(pos).
-                let pi_pos = e_pos / denom;
-                for (i, gu) in grad_u.iter_mut().enumerate() {
-                    let mut g = (pi_pos - 1.0) * self.s(a, pos, i) as f64;
-                    for (e, &o) in e_negs.iter().zip(&negatives) {
-                        g += (e / denom) * self.s(a, o, i) as f64;
-                    }
+            for t in &terms {
+                hits += usize::from(t.hit);
+                loss_sum += t.loss;
+                for (gu, g) in grad_u.iter_mut().zip(&t.grad_u) {
                     *gu += g;
                 }
             }
@@ -516,6 +556,24 @@ mod tests {
         for (config, want) in cases {
             let out = learn_weights(&set, &refs, &config);
             assert_eq!(outcome_hash(&out), want, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn outcome_does_not_depend_on_the_worker_count() {
+        let (set, anchors) = discriminative_text_setup();
+        let refs = as_refs(&anchors);
+        for hard_negatives in [true, false] {
+            let config = WeightLearnConfig { epochs: 30, hard_negatives, ..Default::default() };
+            let learner = WeightLearner::new(&set, &refs, &config);
+            let outcome = |threads| {
+                let out = learner.train_on(&config, threads);
+                (out.weights, out.curve.loss, out.curve.recall)
+            };
+            let serial = outcome(1);
+            for threads in [2, 4] {
+                assert_eq!(outcome(threads), serial, "{threads} workers, hard = {hard_negatives}");
+            }
         }
     }
 
