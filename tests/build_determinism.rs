@@ -60,26 +60,25 @@ fn v7_bundles_are_byte_identical_across_thread_budgets() {
 #[test]
 fn sharded_bundles_are_byte_identical_across_thread_budgets() {
     let set = corpus(600, 10, 6, 0xFACE);
-    let save = |threads: usize| {
+    let save = |recipe: GraphRecipe, threads: usize| {
         let sharded = ShardedMust::build(
             set.clone(),
             Weights::uniform(2),
-            MustBuildOptions {
-                gamma: 12,
-                recipe: GraphRecipe::Hnsw,
-                threads,
-                ..Default::default()
-            },
+            MustBuildOptions { gamma: 12, recipe, threads, ..Default::default() },
             ShardSpec::clustered(3),
         )
         .unwrap();
-        let path = tmp(&format!("sharded-t{threads}"));
+        let path = tmp(&format!("sharded-{recipe:?}-t{threads}"));
         persist::save_sharded(&sharded, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         bytes
     };
-    let t1 = save(1);
-    assert_eq!(t1, save(2), "sharded bundle differs between T=1 and T=2");
-    assert_eq!(t1, save(4), "sharded bundle differs between T=1 and T=4");
+    for recipe in [GraphRecipe::Hnsw, GraphRecipe::Fused] {
+        let t1 = save(recipe, 1);
+        for threads in [2usize, 4] {
+            let tn = save(recipe, threads);
+            assert_eq!(t1, tn, "{recipe:?}: sharded bundle differs between T=1 and T={threads}");
+        }
+    }
 }
