@@ -142,17 +142,14 @@ impl WeightLearner {
         // Mining corpus: every positive + random fill.  Membership is a
         // bitmap and the ids are sorted once, after the last draw.
         let mut in_corpus = vec![false; set.len()];
-        let mut corpus: Vec<ObjectId> = Vec::with_capacity(config.mining_corpus.min(set.len()));
-        let mut admit = |id: ObjectId, corpus: &mut Vec<ObjectId>| {
-            if !std::mem::replace(&mut in_corpus[id as usize], true) {
+        let mut is_new = |id: ObjectId| !std::mem::replace(&mut in_corpus[id as usize], true);
+        let mut corpus: Vec<ObjectId> =
+            anchor_idx.iter().map(|&a| anchors[a].1).filter(|&id| is_new(id)).collect();
+        while corpus.len() < config.mining_corpus.min(set.len()) {
+            let id = rng.random_range(0..set.len() as u32);
+            if is_new(id) {
                 corpus.push(id);
             }
-        };
-        for &a in &anchor_idx {
-            admit(anchors[a].1, &mut corpus);
-        }
-        while corpus.len() < config.mining_corpus.min(set.len()) {
-            admit(rng.random_range(0..set.len() as u32), &mut corpus);
         }
         corpus.sort_unstable();
 
