@@ -1,497 +1,285 @@
-//! Online-serving throughput bench: sweeps worker-thread counts (up to
-//! the host's available parallelism) and arrival-batch sizes over a
-//! MIT-States-style corpus served by [`must_core::MustServer`], reporting
-//! QPS, p50/p99 per-query latency, per-thread-count scaling efficiency,
-//! and Recall@10 against the exact joint-similarity oracle — plus a
-//! **shard sweep** (S ∈ {1, 2, 4, 8}) through
-//! [`must_core::shard::ShardedServer`]'s scatter-gather path, a
-//! **routing sweep** (clustered S = 8, fan-out r ∈ {1, 2, 4, 8}) showing
-//! what selective shard routing buys once similar objects share a shard, a
-//! **weight-churn sweep**: the query stream switches its user weight
-//! vector every Q queries, comparing the `search_batch_weighted`
-//! query-time-weighting path against the rebuild-per-switch baseline the
-//! prescaled storage used to require, and an **open-loop sweep** driving
-//! the [`must_core::runtime::ServeRuntime`] at fixed arrival rates on a
-//! virtual-time schedule, with latency measured enqueue→reply so
-//! queueing delay is honest (no coordinated omission).
+//! The serving sweeps the repo benchmark (`benchmark/`, `BENCHMARK.json`)
+//! does not take yet, over a MIT-States-style corpus served by
+//! [`must_core::MustServer`] / [`must_core::shard::ShardedServer`], with
+//! Recall@10 against the exact joint-similarity oracle:
 //!
-//! Writes `BENCH_serving.json` at the repository root (override with
-//! `MUST_BENCH_PATH`) plus a copy under `EXPERIMENTS-out/`, so the bench
-//! trajectory tracks serving performance across PRs.  Scale with
-//! `MUST_SCALE` as usual (CI runs a tiny smoke configuration).  The
-//! artefact records `host_threads` (the machine's available parallelism
-//! at bench time): thread-scaling figures from a single-hardware-thread
-//! host measure scheduler overhead, not parallel speedup, and the schema
-//! checker's scaling gates key off this field.
+//! * a **shard sweep** (S ∈ {1, 2, 4, 8}) through the scatter-gather path,
+//! * a **routing sweep** (clustered S = 8, fan-out r ∈ {1, 2, 4, 8}) showing
+//!   what selective shard routing buys once similar objects share a shard,
+//! * the §VIII-F **weight-churn** pair: the query stream switches its user
+//!   weight vector every Q queries, served by per-query weight overrides on
+//!   one snapshot vs the rebuild-per-switch baseline prescaled storage
+//!   would require.
 //!
 //! `--scale` runs *only* the **scale tier**: a semi-synthetic ImageText
 //! corpus streamed object-by-object through the encoders (1M objects by
 //! default; `MUST_SCALE_N` overrides, else `MUST_SCALE` scales the
 //! million), SQ8-quantized, and served through the quantized-scan +
-//! exact-re-rank path.  The resulting entry is merged into the existing
-//! artefact (replacing any entry with the same `n_objects`), so the
-//! expensive tier can be refreshed out-of-band without re-running the
-//! full sweeps; plain runs carry the committed `scale_tier` forward.
+//! exact-re-rank path.
 //!
-//! `--build-sweep` runs *only* the **build-throughput sweep**: the
-//! 64k-object semi-synthetic corpus (`MUST_SCALE_N` overrides)
-//! wave-built at every thread count `T ∈ {1, 2, 4, 8, 16, avail}` up to
-//! the host's available parallelism, asserting the bundles are
-//! byte-identical across the sweep and recording `build_secs` +
-//! `speedup_vs_t1` per point.  Merged and carried like `scale_tier`.
+//! Each table goes through [`Table::emit`] (stdout plus
+//! `EXPERIMENTS-out/serving_*.{txt,json}`); nothing else is written.  One
+//! pass per row, every timing is this host's: compare rows of one run, not
+//! runs.  The exit code is the check — every row's queries must all be
+//! answered, and the scale tier must hold Recall@10 ≥ 0.97 at n ≥ 1M
+//! (≥ 0.9 below) at ≤ 5 hot-path bytes per dimension.  Thread × batch
+//! scaling, the open-loop ladder and the build speedup are `benchmark/`'s
+//! (`ops_per_s`, `core.server.batch64_qps`, `open.r*`,
+//! `graph.par.build_speedup`).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use must_bench::efficiency::{prepare, semisynthetic_config};
-use must_bench::report::{f4, percentile_ms};
+use must_bench::report::{f4, percentile_ms, Table};
 use must_core::metrics::recall_at;
-use must_core::runtime::ServeRuntime;
 use must_core::search::{exact_ground_truth, SearchOutcome};
-use must_core::server::{MustServer, ServeRequest};
+use must_core::server::MustServer;
 use must_core::shard::{RoutePolicy, ShardSpec, ShardedMust, ShardedServer};
 use must_core::{Must, MustBuildOptions, MustError};
 use must_data::semisynthetic::{SemiSyntheticSpec, SemiSyntheticStream};
 use must_encoders::{Embedder, UnimodalKind};
 use must_graph::GraphRecipe;
 use must_vector::{MultiQuery, MultiVectorSet, ObjectId, VectorSetBuilder, Weights};
-use serde::{Serialize, Value};
 
-/// One `(threads, batch)` operating point of the single-shard server.
-#[derive(Debug, Clone, Serialize)]
-struct Entry {
-    threads: usize,
-    batch: usize,
+/// The operating point of every sweep: top-`K` at beam `L` (the scale tier
+/// widens its beam from `L`), arrival batches of `BATCH` queries.
+const K: usize = 10;
+const L: usize = 100;
+const BATCH: usize = 64;
+
+/// Throughput, per-query latency percentiles and mean Recall@`K` of one row.
+struct Point {
     qps: f64,
     p50_ms: f64,
     p99_ms: f64,
-    recall_at_10: f64,
-    /// `QPS_t / (t · QPS_1)` at the same batch size: 1.0 is perfect
-    /// scaling, `1/t` is no scaling (the single-core ceiling).
-    scaling_efficiency: f64,
+    recall: f64,
 }
 
-/// One point of the shard sweep (fixed threads × batch, varying S).
-#[derive(Debug, Clone, Serialize)]
-struct ShardEntry {
-    shards: usize,
-    threads: usize,
-    batch: usize,
-    build_secs: f64,
-    /// Total worker budget the build ran under (`MUST_BUILD_THREADS`-capped
-    /// available parallelism, divided between concurrent shard builds).
-    build_threads: usize,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    recall_at_10: f64,
+impl Point {
+    /// The four cells every table ends with.
+    fn cells(&self) -> [String; 4] {
+        [format!("{:.0}", self.qps), f4(self.p50_ms), f4(self.p99_ms), f4(self.recall)]
+    }
 }
 
-/// One point of the routing sweep: a clustered `S`-shard deployment
-/// scattering each query to only the `fan_out` best-scoring shards
-/// (per-shard beam `l_shard`), so selectivity — not raw fan-out —
-/// decides the per-query cost.
-#[derive(Debug, Clone, Serialize)]
-struct RoutingEntry {
-    shards: usize,
-    threads: usize,
-    batch: usize,
-    /// Shards actually searched per query (`r` in the routing policy).
-    fan_out: usize,
-    /// Beam width used inside each routed shard.
-    l_shard: usize,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    recall_at_10: f64,
+/// `lead` followed by the headers of [`Point::cells`].
+fn headers(lead: &[&'static str]) -> Vec<&'static str> {
+    [lead, &["QPS", "p50 (ms)", "p99 (ms)", "Recall@10"]].concat()
 }
 
-/// One point of the weight-churn sweep: the stream switches its user
-/// weight vector every `switch_every` queries.
-#[derive(Debug, Clone, Serialize)]
-struct ChurnEntry {
-    switch_every: usize,
-    switches: usize,
-    threads: usize,
-    /// Steady-state QPS: the same workload under one fixed weight vector.
-    steady_qps: f64,
-    /// QPS of the per-query-weight path (`search_batch_weighted`, no
-    /// rebuilds — the weight override rides on the query row).
-    churn_qps: f64,
-    /// QPS of the rebuild-per-switch baseline (wall clock includes every
-    /// `Must::build` + freeze the prescaled storage model would need).
-    rebuild_qps: f64,
-    /// `churn_qps / steady_qps` — the acceptance pin is >= 0.9.
-    churn_over_steady: f64,
-    recall_at_10_churn: f64,
-    recall_at_10_rebuild: f64,
-}
-
-/// One open-loop operating point: requests arrive on a fixed-rate
-/// virtual-time schedule and latency is measured from the *scheduled*
-/// arrival to the reply, so time spent queueing behind a busy worker
-/// counts against the system (the closed-loop sweep above can never see
-/// that delay — it only issues the next batch once the previous one
-/// finished).
-#[derive(Debug, Clone, Serialize)]
-struct OpenLoopEntry {
-    workers: usize,
-    /// Offered arrival rate (requests/second) of the virtual schedule.
-    target_qps: f64,
-    /// Requests offered (the full query workload).
-    offered: usize,
-    /// Completions divided by the wall clock from first scheduled
-    /// arrival to last reply.
-    achieved_qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-/// One scale-tier entry: a semi-synthetic ImageText corpus streamed
-/// through the encoders (no materialised latent set), built, SQ8
-/// scalar-quantized, and served through the quantized-scan +
-/// exact-re-rank path.
-#[derive(Debug, Clone, Serialize)]
-struct ScaleEntry {
-    dataset: String,
-    n_objects: usize,
-    n_queries: usize,
-    /// Sum of the per-modality embedding dims (the `D` in bytes/dim).
-    total_dims: usize,
-    /// Hot-path storage per object: the u8 codes the Lemma-4 walk scans
-    /// plus the retained f32 rows the exact re-rank reads.
-    bytes_per_object: usize,
-    /// `bytes_per_object / total_dims` — the schema gate is ≤ 5.
-    bytes_per_dim: f64,
-    /// Per-object bookkeeping outside the gate: the SQ8 affine params
-    /// (min/step/eps per modality) plus the quantizer's segment-norm
-    /// copy.
-    overhead_bytes_per_object: f64,
-    /// Streaming generation + embedding wall clock (corpus + queries).
-    embed_secs: f64,
-    /// `Must::build` + `quantize()` wall clock.
-    build_secs: f64,
-    /// Worker budget the wave-scheduled graph build ran under (the graph
-    /// itself is byte-identical for any value of this knob).
-    build_threads: usize,
-    threads: usize,
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    recall_at_10: f64,
-    /// Quantized-walk survivors re-ranked exactly on the f32 rows.
-    rerank_k: usize,
-    /// Beam width the reported numbers were measured at. A beam that is
-    /// right-sized at 64k starves at 1M, so the tier escalates `l` on
-    /// the one expensive build until recall clears the CI gate.
-    l: usize,
-}
-
-/// One point of the build-throughput sweep: the same semi-synthetic
-/// corpus wave-built at a fixed explicit thread budget.  The graphs are
-/// byte-identical across the sweep (asserted at measurement time), so
-/// the only thing that moves is the wall clock.
-#[derive(Debug, Clone, Serialize)]
-struct BuildEntry {
-    n_objects: usize,
-    threads: usize,
-    build_secs: f64,
-    /// `build_secs(T=1) / build_secs(T)` on this corpus; 1.0 at T=1.
-    speedup_vs_t1: f64,
-}
-
-/// The whole artefact.
-#[derive(Debug, Clone, Serialize)]
-struct ServingBench {
-    bench: String,
-    dataset: String,
-    index: String,
-    n_objects: usize,
-    n_queries: usize,
-    k: usize,
-    l: usize,
-    /// `std::thread::available_parallelism()` on the benching host; the
-    /// scaling gates in `check_serving_schema` only arm when this is ≥ 2
-    /// (on one hardware thread, `threads=2` measures preemption, not
-    /// parallelism).
-    host_threads: usize,
-    entries: Vec<Entry>,
-    shard_entries: Vec<ShardEntry>,
-    routing: Vec<RoutingEntry>,
-    weight_churn: Vec<ChurnEntry>,
-    open_loop: Vec<OpenLoopEntry>,
-    /// Scale-tier entries, measured out-of-band via `--scale` and merged
-    /// into the artefact; plain runs carry the existing entries forward
-    /// (kept as raw JSON values so a full re-run never drops the
-    /// expensive tier).
-    scale_tier: Vec<Value>,
-    /// Build-throughput sweep (`--build-sweep`): wave-build wall clock at
-    /// each thread count on the 64k semi-synthetic corpus.  Carried
-    /// forward by plain runs exactly like `scale_tier`.
-    build_sweep: Vec<Value>,
-}
-
-/// Drives one operating point through any batch-search entry point and
-/// reduces it to throughput, latency percentiles, and recall.  Only the
-/// searches sit inside the timed region (recall scoring runs after the
-/// clock stops), and the whole point takes the best of two passes so a
-/// transient load spike on a shared host cannot skew one thread count
-/// against another.
+/// Drives the workload through a batch-search entry point in chunks of
+/// `batch` — `search_batch(chunk index, chunk)` — and reduces it to a
+/// [`Point`].  Whatever the closure does sits inside the timed region;
+/// recall scoring runs after the clock stops.
 fn measure(
-    search_batch: impl Fn(&[MultiQuery]) -> Vec<Result<SearchOutcome, MustError>>,
+    search_batch: impl Fn(usize, &[MultiQuery]) -> Vec<Result<SearchOutcome, MustError>>,
     queries: &[MultiQuery],
     ground_truth: &[Vec<ObjectId>],
-    k: usize,
     batch: usize,
-) -> (f64, f64, f64, f64) {
-    let mut best_qps = 0.0f64;
-    let mut best: Option<Vec<SearchOutcome>> = None;
-    for _pass in 0..2 {
-        let mut outcomes: Vec<SearchOutcome> = Vec::with_capacity(queries.len());
-        let t0 = Instant::now();
-        for qs in queries.chunks(batch) {
-            for out in search_batch(qs) {
-                outcomes.push(out.expect("workload queries are well-formed"));
-            }
-        }
-        let qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
-        if qps > best_qps {
-            best_qps = qps;
-            best = Some(outcomes);
-        }
-    }
-    let outcomes = best.expect("at least one pass ran");
-    let mut recall_sum = 0.0;
-    let mut latencies: Vec<f64> = Vec::with_capacity(queries.len());
-    for (out, gt) in outcomes.iter().zip(ground_truth) {
-        latencies.push(out.secs);
-        let ids: Vec<ObjectId> = out.results.iter().map(|r| r.0).collect();
-        recall_sum += recall_at(&ids, gt, k);
-    }
-    latencies.sort_unstable_by(f64::total_cmp);
-    (
-        best_qps,
-        percentile_ms(&latencies, 50.0),
-        percentile_ms(&latencies, 99.0),
-        recall_sum / queries.len() as f64,
-    )
-}
-
-fn run_point(
-    server: &MustServer,
-    queries: &[MultiQuery],
-    ground_truth: &[Vec<ObjectId>],
-    k: usize,
-    l: usize,
-    threads: usize,
-    batch: usize,
-) -> Entry {
-    let (qps, p50_ms, p99_ms, recall_at_10) = measure(
-        |qs| server.search_batch(qs, k, l, threads),
-        queries,
-        ground_truth,
-        k,
-        batch,
-    );
-    Entry { threads, batch, qps, p50_ms, p99_ms, recall_at_10, scaling_efficiency: 1.0 }
-}
-
-/// One open-loop point: a producer thread walks a fixed-rate virtual-time
-/// schedule (request `i` is *due* at `i / rate`), submitting into the
-/// runtime's lanes; a collector thread stamps each reply against the
-/// request's scheduled arrival.  A late submission therefore charges its
-/// own lateness to the measurement — the open-loop (coordinated-omission
-/// -free) latency discipline.
-fn open_loop_point(
-    server: &MustServer,
-    queries: &[MultiQuery],
-    k: usize,
-    l: usize,
-    workers: usize,
-    rate: f64,
-) -> OpenLoopEntry {
-    let n = queries.len();
-    let interval = 1.0 / rate;
-    let (rep_tx, rep_rx) = std::sync::mpsc::channel();
-    let runtime = ServeRuntime::start(server, workers, rep_tx);
+) -> Point {
+    let mut outcomes: Vec<SearchOutcome> = Vec::with_capacity(queries.len());
     let t0 = Instant::now();
-    let collector = std::thread::spawn(move || {
-        let mut lat = vec![0.0f64; n];
-        let mut replies = 0usize;
-        // The channel closes once the runtime's workers exit (after
-        // `shutdown` drains the lanes), ending this loop.
-        for rep in rep_rx {
-            let now = t0.elapsed().as_secs_f64();
-            rep.outcome.expect("workload queries are well-formed");
-            lat[rep.id as usize] = now - interval * rep.id as f64;
-            replies += 1;
+    for (ci, qs) in queries.chunks(batch).enumerate() {
+        for out in search_batch(ci, qs) {
+            outcomes.push(out.expect("workload queries are well-formed"));
         }
-        (lat, replies)
-    });
-    for (i, q) in queries.iter().enumerate() {
-        let due = interval * i as f64;
-        loop {
-            let now = t0.elapsed().as_secs_f64();
-            if now >= due {
-                break;
-            }
-            // Coarse sleep toward the deadline; the cap keeps wake-up
-            // jitter well under the measured latencies.
-            std::thread::sleep(Duration::from_secs_f64((due - now).min(2e-4)));
-        }
-        runtime.submit(ServeRequest { id: i as u64, query: q.clone(), k, l });
     }
-    let served = runtime.shutdown();
-    let wall = t0.elapsed().as_secs_f64();
-    let (mut lat, replies) = collector.join().expect("collector thread panicked");
-    assert_eq!(served, n, "open loop must drain every request");
-    assert_eq!(replies, n, "every request gets exactly one reply");
-    lat.sort_unstable_by(f64::total_cmp);
-    OpenLoopEntry {
-        workers,
-        target_qps: rate,
-        offered: n,
-        achieved_qps: n as f64 / wall,
-        p50_ms: percentile_ms(&lat, 50.0),
-        p99_ms: percentile_ms(&lat, 99.0),
+    let qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
+    assert_eq!(outcomes.len(), queries.len(), "every query of a row must be answered");
+    let mut latencies: Vec<f64> = outcomes.iter().map(|out| out.secs).collect();
+    latencies.sort_unstable_by(f64::total_cmp);
+    let recall_sum: f64 = outcomes
+        .iter()
+        .zip(ground_truth)
+        .map(|(out, gt)| {
+            let ids: Vec<ObjectId> = out.results.iter().map(|r| r.0).collect();
+            recall_at(&ids, gt, K)
+        })
+        .sum();
+    Point {
+        qps,
+        p50_ms: percentile_ms(&latencies, 50.0),
+        p99_ms: percentile_ms(&latencies, 99.0),
+        recall: recall_sum / queries.len() as f64,
     }
 }
 
-/// Runs the weight-churn sweep: for each switch interval, measure the
-/// steady-state QPS (one fixed weight vector), the query-time-weighting
-/// churn QPS (same snapshot, `search_batch_weighted` per chunk), and the
-/// rebuild-per-switch baseline (a fresh `Must::build` + freeze per
-/// chunk), each with Recall@10 against the exact oracle *under the
-/// chunk's own weights*.
-fn churn_sweep(
-    server: &MustServer,
-    corpus: &MultiVectorSet,
-    default_weights: &Weights,
-    queries: &[MultiQuery],
-    k: usize,
-    l: usize,
+/// The corpus, learned weights and workload the three sweeps share.
+struct Workload {
+    corpus: MultiVectorSet,
+    weights: Weights,
+    queries: Vec<MultiQuery>,
+    ground_truth: Vec<Vec<ObjectId>>,
+    /// The host's available parallelism: every batch runs on this many workers.
     threads: usize,
-) -> Vec<ChurnEntry> {
-    // The weight cycle: the learned configuration plus two user-defined
-    // vectors (Tab. IX style sweeps of omega^2).
-    let cycle: Vec<Weights> = vec![
-        default_weights.clone(),
+}
+
+impl Workload {
+    /// The operating point every table title carries.
+    fn label(&self) -> String {
+        format!(
+            "{} objects, {} queries, k={K} l={L} threads=host_threads={}",
+            self.corpus.len(),
+            self.queries.len(),
+            self.threads
+        )
+    }
+
+    fn sharded(&self, spec: ShardSpec) -> ShardedMust {
+        ShardedMust::build(
+            self.corpus.clone(),
+            self.weights.clone(),
+            MustBuildOptions::default(),
+            spec,
+        )
+        .expect("shard build")
+    }
+
+    fn measure_sharded(&self, server: &ShardedServer) -> Point {
+        measure(
+            |_, qs| server.search_batch(qs, K, L, self.threads),
+            &self.queries,
+            &self.ground_truth,
+            BATCH,
+        )
+    }
+}
+
+/// Shard sweep: what sharding buys (parallel build, bounded per-shard
+/// memory) and what the full-fan-out scatter-gather costs at query time.
+fn shard_sweep(w: &Workload) {
+    let mut table = Table::new(
+        "Serving shards",
+        &format!("round-robin shards, full fan-out, batch={BATCH} ({})", w.label()),
+        &headers(&["S", "Build (s)", "Build threads"]),
+    );
+    for shards in [1usize, 2, 4, 8].into_iter().filter(|&s| s <= w.corpus.len()) {
+        let t0 = Instant::now();
+        let sharded = w.sharded(ShardSpec::new(shards));
+        let build_secs = t0.elapsed().as_secs_f64();
+        let point = w.measure_sharded(&ShardedServer::freeze(sharded));
+        let mut row = vec![
+            shards.to_string(),
+            f4(build_secs),
+            must_graph::par::build_threads().to_string(),
+        ];
+        row.extend(point.cells());
+        table.push_row(row);
+    }
+    table.emit();
+}
+
+/// Routing sweep: a clustered assignment groups similar objects per shard,
+/// the router scores each query against per-shard summaries under the
+/// active ω² weights, and only the top-`r` shards are searched with a
+/// per-shard beam that keeps the *total* candidate budget near the
+/// single-shard `l`.  r = S is the full-fan-out reference point.
+fn routing_sweep(w: &Workload) {
+    let shards = 8usize;
+    if shards > w.corpus.len() {
+        eprintln!("[serving] skipping routing sweep: corpus has only {} objects", w.corpus.len());
+        return;
+    }
+    let mut table = Table::new(
+        "Serving routing",
+        &format!("clustered S={shards}, top-r routed, batch={BATCH} ({})", w.label()),
+        &headers(&["r", "l_shard"]),
+    );
+    let clustered = ShardedServer::freeze(w.sharded(ShardSpec::clustered(shards)));
+    for fan_out in [1usize, 2, 4, shards] {
+        let l_shard = L.div_ceil(fan_out).max(K);
+        let routed = clustered.with_routing(RoutePolicy::with_beam(fan_out, l_shard));
+        let mut row = vec![fan_out.to_string(), l_shard.to_string()];
+        row.extend(w.measure_sharded(&routed).cells());
+        table.push_row(row);
+    }
+    table.emit();
+}
+
+/// Weight churn (§VIII-F): the stream rotates through a cycle of user
+/// weight vectors every `switch_every` queries.  Three rows over the same
+/// stream, each scored against the exact oracle *under the chunk's own
+/// weights*: steady state (one fixed weight vector), per-query overrides
+/// on the same frozen snapshot, and the rebuild-per-switch baseline whose
+/// clock includes every `Must::build` + freeze the prescaled storage model
+/// would need.
+fn churn_sweep(w: &Workload, server: &MustServer) {
+    let threads = w.threads;
+    // The learned configuration plus two user-defined vectors (Tab. IX
+    // style sweeps of omega^2).
+    let cycle = [
+        w.weights.clone(),
         Weights::from_squared(vec![0.8, 0.2]).expect("valid"),
         Weights::from_squared(vec![0.3, 0.7]).expect("valid"),
     ];
-    let ground_truths: Vec<Vec<Vec<ObjectId>>> = cycle
-        .iter()
-        .map(|w| exact_ground_truth(corpus, w, queries, k).expect("valid workload"))
-        .collect();
-
-    let mut out = Vec::new();
     // Bound the rebuild count so the baseline stays measurable at any
     // scale: roughly 6 switches over the stream.
-    let switch_every = (queries.len() / 6).max(16).min(queries.len().max(1));
-    // The first chunk runs under the frozen default — only subsequent
-    // chunk boundaries actually switch weights.
-    let switches = queries.len().div_ceil(switch_every).saturating_sub(1);
-
-    // Steady state: the whole stream under the default weights.  Both
-    // no-rebuild phases take the best of two passes, so a transient
-    // load spike on a shared host cannot skew the churn/steady ratio
-    // the schema check gates on.
-    let steady_qps = (0..2)
-        .map(|_| {
-            let t0 = Instant::now();
-            for qs in queries.chunks(switch_every) {
-                for r in server.search_batch(qs, k, l, threads) {
-                    r.expect("workload queries are well-formed");
-                }
-            }
-            queries.len() as f64 / t0.elapsed().as_secs_f64()
-        })
-        .fold(0.0f64, f64::max);
-
-    // Query-time weighting: switch the override per chunk, same snapshot.
-    // The timed region mirrors the steady pass exactly — search + unwrap
-    // only; recall is scored against the per-chunk oracle *after* the
-    // clock stops, so the churn/steady ratio compares the two search
-    // paths rather than charging the churn side for bench bookkeeping.
-    let mut responses = Vec::with_capacity(queries.len());
-    let mut churn_qps = 0.0f64;
-    for _pass in 0..2 {
-        responses.clear();
-        let t0 = Instant::now();
-        for (ci, qs) in queries.chunks(switch_every).enumerate() {
-            let w = &cycle[ci % cycle.len()];
-            for r in server.search_batch_weighted(qs, w, k, l, threads) {
-                responses.push(r.expect("workload queries are well-formed"));
-            }
-        }
-        churn_qps = churn_qps.max(queries.len() as f64 / t0.elapsed().as_secs_f64());
-    }
-    let recall_churn: f64 = responses
+    let n = w.queries.len();
+    let switch_every = (n / 6).max(16).min(n.max(1));
+    let per_weight: Vec<Vec<Vec<ObjectId>>> = cycle
         .iter()
-        .enumerate()
-        .map(|(qi, r)| {
-            let gt = &ground_truths[(qi / switch_every) % cycle.len()][qi];
-            let ids: Vec<ObjectId> = r.results.iter().map(|x| x.0).collect();
-            recall_at(&ids, gt, k)
-        })
-        .sum();
+        .map(|cw| exact_ground_truth(&w.corpus, cw, &w.queries, K).expect("valid workload"))
+        .collect();
+    let churn_truth: Vec<Vec<ObjectId>> = (0..n)
+        .map(|qi| per_weight[(qi / switch_every) % cycle.len()][qi].clone())
+        .collect();
 
-    // Rebuild-per-switch baseline: every weight *switch* pays a full
-    // offline build + freeze before it can answer its chunk; chunk 0
-    // runs under the frozen default, which a prescaled deployment
-    // already has.
-    let mut recall_rebuild = 0.0;
-    let t0 = Instant::now();
-    for (ci, qs) in queries.chunks(switch_every).enumerate() {
-        let w = &cycle[ci % cycle.len()];
-        let gt = &ground_truths[ci % cycle.len()][ci * switch_every..];
-        let srv = if ci == 0 {
-            server.clone()
-        } else {
-            MustServer::freeze(
-                Must::build(corpus.clone(), w.clone(), MustBuildOptions::default())
-                    .expect("rebuild"),
-            )
-        };
-        for (r, gt) in srv.search_batch(qs, k, l, threads).into_iter().zip(gt) {
-            let r = r.expect("workload queries are well-formed");
-            let ids: Vec<ObjectId> = r.results.iter().map(|x| x.0).collect();
-            recall_rebuild += recall_at(&ids, gt, k);
-        }
-    }
-    let rebuild_qps = queries.len() as f64 / t0.elapsed().as_secs_f64();
-
-    let n = queries.len() as f64;
-    let e = ChurnEntry {
+    let steady = measure(
+        |_, qs| server.search_batch(qs, K, L, threads),
+        &w.queries,
+        &per_weight[0],
         switch_every,
-        switches,
-        threads,
-        steady_qps,
-        churn_qps,
-        rebuild_qps,
-        churn_over_steady: churn_qps / steady_qps,
-        recall_at_10_churn: recall_churn / n,
-        recall_at_10_rebuild: recall_rebuild / n,
-    };
-    eprintln!(
-        "[serving] churn every {}q ({} switches): steady={} qps, per-query-weights={} qps \
-         ({:.2}x steady), rebuild-per-switch={} qps, recall@10 churn={} rebuild={}",
-        e.switch_every,
-        e.switches,
-        f4(e.steady_qps),
-        f4(e.churn_qps),
-        e.churn_over_steady,
-        f4(e.rebuild_qps),
-        f4(e.recall_at_10_churn),
-        f4(e.recall_at_10_rebuild),
     );
-    out.push(e);
-    out
+    let churn = measure(
+        |ci, qs| server.search_batch_weighted(qs, &cycle[ci % cycle.len()], K, L, threads),
+        &w.queries,
+        &churn_truth,
+        switch_every,
+    );
+    // Chunk 0 runs under the frozen default, which a prescaled deployment
+    // already has; every later chunk pays a full offline build first.
+    let rebuild = measure(
+        |ci, qs| {
+            let srv = if ci == 0 {
+                server.clone()
+            } else {
+                let weights = cycle[ci % cycle.len()].clone();
+                MustServer::freeze(
+                    Must::build(w.corpus.clone(), weights, MustBuildOptions::default())
+                        .expect("rebuild"),
+                )
+            };
+            srv.search_batch(qs, K, L, threads)
+        },
+        &w.queries,
+        &churn_truth,
+        switch_every,
+    );
+
+    let mut table = Table::new(
+        "Serving churn",
+        &format!(
+            "weights switch every {switch_every} queries, {} switches ({})",
+            n.div_ceil(switch_every).saturating_sub(1),
+            w.label()
+        ),
+        &headers(&["Path", "x steady"]),
+    );
+    for (path, point) in [
+        ("steady (one weight vector)", &steady),
+        ("per-query weight override", &churn),
+        ("rebuild per switch", &rebuild),
+    ] {
+        let mut row = vec![path.to_string(), format!("{:.2}", point.qps / steady.qps)];
+        row.extend(point.cells());
+        table.push_row(row);
+    }
+    table.emit();
 }
 
 /// Streams `n` semi-synthetic ImageText objects through the encoders one
 /// at a time (constant latent memory) and embeds the 64-query workload.
-/// Returns `(dataset_name, corpus, queries, embed_secs)`.
-fn embed_semisynthetic(n: usize) -> (String, MultiVectorSet, Vec<MultiQuery>, f64) {
+fn embed_semisynthetic(n: usize) -> (MultiVectorSet, Vec<MultiQuery>) {
     let stream = SemiSyntheticStream::new(SemiSyntheticSpec {
         name: "ImageText1M".into(),
         n_objects: n,
@@ -501,12 +289,10 @@ fn embed_semisynthetic(n: usize) -> (String, MultiVectorSet, Vec<MultiQuery>, f6
         seed: must_bench::DATASET_SEED,
     });
     let registry = must_bench::registry();
-    let config = semisynthetic_config();
-    let image = registry.target_embedder(&config);
+    let image = registry.target_embedder(&semisynthetic_config());
     let text = registry.unimodal(UnimodalKind::Lstm);
 
     eprintln!("[serving] streaming + embedding {n} semi-synthetic objects");
-    let t0 = Instant::now();
     let mut b0 = VectorSetBuilder::new(image.dim(), n);
     let mut b1 = VectorSetBuilder::new(text.dim(), n);
     for id in 0..n as u64 {
@@ -514,16 +300,12 @@ fn embed_semisynthetic(n: usize) -> (String, MultiVectorSet, Vec<MultiQuery>, f6
         b0.push_normalized(&image.embed(&latents[0])).expect("encoders emit valid vectors");
         b1.push_normalized(&text.embed(&latents[1])).expect("encoders emit valid vectors");
         if (id + 1) % 250_000 == 0 {
-            eprintln!(
-                "[serving]   embedded {} / {n} ({}s)",
-                id + 1,
-                f4(t0.elapsed().as_secs_f64())
-            );
+            eprintln!("[serving]   embedded {} / {n}", id + 1);
         }
     }
     let objects =
         MultiVectorSet::new(vec![b0.finish(), b1.finish()]).expect("equal cardinality");
-    let queries: Vec<MultiQuery> = stream
+    let queries = stream
         .queries()
         .iter()
         .map(|q| {
@@ -532,25 +314,27 @@ fn embed_semisynthetic(n: usize) -> (String, MultiVectorSet, Vec<MultiQuery>, f6
             MultiQuery::full(vec![image.embed(qi), text.embed(qt)])
         })
         .collect();
-    let embed_secs = t0.elapsed().as_secs_f64();
-    (stream.spec().name.clone(), objects, queries, embed_secs)
+    (objects, queries)
 }
 
-/// Runs the scale tier: streams `n` semi-synthetic objects through the
-/// encoders one at a time (constant latent memory), builds the index,
-/// attaches the SQ8 engine, and measures the quantized-scan +
-/// exact-re-rank serving path against the exact joint oracle.
-fn run_scale_tier(k: usize, l: usize) -> ScaleEntry {
+/// The scale tier: embed, build HNSW, attach the SQ8 engine, and measure
+/// the quantized-scan + exact-re-rank serving path against the exact joint
+/// oracle.  A beam that is right-sized at 64k starves at 1M (0.98 → 0.84
+/// at l = 100) and the build is the expensive part, so the beam doubles on
+/// this one index until recall clears the floor with a little margin.
+fn scale_tier() {
     let n = std::env::var("MUST_SCALE_N")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or_else(|| (1_000_000.0 * must_bench::scale()).round() as usize)
         .max(256);
-    let (dataset, objects, queries, embed_secs) = embed_semisynthetic(n);
+    let t0 = Instant::now();
+    let (objects, queries) = embed_semisynthetic(n);
+    let embed_secs = t0.elapsed().as_secs_f64();
 
     let weights = Weights::uniform(2);
     let ground_truth =
-        exact_ground_truth(&objects, &weights, &queries, k).expect("valid workload");
+        exact_ground_truth(&objects, &weights, &queries, K).expect("valid workload");
 
     eprintln!("[serving] scale tier: building the index (embed took {}s)", f4(embed_secs));
     let t0 = Instant::now();
@@ -563,479 +347,85 @@ fn run_scale_tier(k: usize, l: usize) -> ScaleEntry {
     must.quantize();
     let build_secs = t0.elapsed().as_secs_f64();
 
+    // Hot-path bytes: stride f32 lanes retained for the exact re-rank plus
+    // stride u8 codes for the quantized walk.
     let fused = must.objects().fused();
     let total_dims: usize = fused.dims().iter().sum();
-    let stride = fused.stride();
-    // Hot-path bytes: stride f32 lanes retained for the exact re-rank
-    // plus stride u8 codes for the quantized walk.
-    let bytes_per_object = stride * 4 + stride;
-    let quant = must.quant().expect("quantize() attached the engine");
-    let overhead_bytes_per_object = (quant.bytes() - n * stride) as f64 / n as f64;
+    let bytes_per_object = fused.stride() * 5;
+    let bytes_per_dim = bytes_per_object as f64 / total_dims as f64;
 
     let server = MustServer::freeze(must);
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    let rerank_k = k.saturating_mul(4).min(n);
-    // The CI gate wants recall@10 ≥ 0.97 at 1M, and a beam that is
-    // right-sized at 64k starves there (0.98 → 0.84 at l=100). The
-    // build is the expensive part, so escalate the beam on this one
-    // index until recall clears the gate with a little margin.
-    let mut l = l;
-    let mut measured = measure(
-        |qs| server.search_batch(qs, k, l, threads),
-        &queries,
-        &ground_truth,
-        k,
-        16,
-    );
-    while measured.3 < 0.975 && l < 4096 {
-        eprintln!(
-            "[serving]   recall@10 {} at l={l} — widening the beam",
-            f4(measured.3)
-        );
+    let run = |l: usize| {
+        measure(|_, qs| server.search_batch(qs, K, l, threads), &queries, &ground_truth, 16)
+    };
+    let mut l = L;
+    let mut point = run(l);
+    while point.recall < 0.975 && l < 4096 {
+        eprintln!("[serving]   recall@10 {} at l={l} — widening the beam", f4(point.recall));
         l *= 2;
-        measured = measure(
-            |qs| server.search_batch(qs, k, l, threads),
-            &queries,
-            &ground_truth,
-            k,
-            16,
-        );
+        point = run(l);
     }
-    let (qps, p50_ms, p99_ms, recall_at_10) = measured;
 
-    let e = ScaleEntry {
-        dataset,
-        n_objects: n,
-        n_queries: queries.len(),
-        total_dims,
-        bytes_per_object,
-        bytes_per_dim: bytes_per_object as f64 / total_dims as f64,
-        overhead_bytes_per_object,
-        embed_secs,
-        build_secs,
-        build_threads: must_graph::par::build_threads(),
-        threads,
-        qps,
-        p50_ms,
-        p99_ms,
-        recall_at_10,
-        rerank_k,
-        l,
-    };
-    eprintln!(
-        "[serving] scale n={} dims={} bytes/obj={} ({:.2} B/dim, +{:.1} B overhead) \
-         embed={}s build={}s qps={} p50={}ms p99={}ms recall@10={} rerank_k={} l={}",
-        e.n_objects,
-        e.total_dims,
-        e.bytes_per_object,
-        e.bytes_per_dim,
-        e.overhead_bytes_per_object,
-        f4(e.embed_secs),
-        f4(e.build_secs),
-        f4(e.qps),
-        f4(e.p50_ms),
-        f4(e.p99_ms),
-        f4(e.recall_at_10),
-        e.rerank_k,
-        e.l,
+    let mut table = Table::new(
+        "Serving scale",
+        &format!("SQ8 scan + exact re-rank, ImageText1M stream (host_threads={threads})"),
+        &headers(&[
+            "n", "Dims", "B/object", "B/dim", "Embed (s)", "Build (s)", "Build threads",
+            "Threads", "l", "Re-rank k",
+        ]),
     );
-    e
-}
+    let mut row = vec![
+        n.to_string(),
+        total_dims.to_string(),
+        bytes_per_object.to_string(),
+        format!("{bytes_per_dim:.2}"),
+        f4(embed_secs),
+        f4(build_secs),
+        must_graph::par::build_threads().to_string(),
+        threads.to_string(),
+        l.to_string(),
+        (4 * K).min(n).to_string(),
+    ];
+    row.extend(point.cells());
+    table.push_row(row);
+    table.emit();
 
-/// Round-trips a `ScaleEntry` into the generic JSON tree so it can be
-/// spliced into an artefact parsed from disk.
-fn scale_entry_value(e: &ScaleEntry) -> Value {
-    let json = serde_json::to_string_pretty(e).expect("serialisable entry");
-    serde_json::from_str(&json).expect("own serialisation parses")
-}
-
-fn n_objects_of(v: &Value) -> f64 {
-    v.get_field("n_objects").and_then(Value::as_num).unwrap_or(-1.0)
-}
-
-/// Merges `entry` into the artefact at `path`: replaces the scale-tier
-/// entry with the same `n_objects`, appends (sorted by size) otherwise.
-/// The rest of the artefact — the full sweeps — is left untouched, so
-/// the expensive tier refreshes without re-running them.
-fn merge_scale_entry(path: &str, entry: &ScaleEntry) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("`--scale` merges into an existing artefact ({path}: {e}); run the full serving bench first")
-    });
-    let mut doc: Value = serde_json::from_str(&text).expect("valid artefact JSON");
-    let ev = scale_entry_value(entry);
-    let Value::Object(fields) = &mut doc else {
-        panic!("artefact root is not a JSON object");
-    };
-    match fields.iter_mut().find(|(name, _)| name.as_str() == "scale_tier") {
-        Some((_, Value::Array(items))) => {
-            if let Some(slot) = items.iter_mut().find(|v| n_objects_of(v) == n_objects_of(&ev)) {
-                *slot = ev;
-            } else {
-                items.push(ev);
-                items.sort_by(|a, b| n_objects_of(a).total_cmp(&n_objects_of(b)));
-            }
-        }
-        Some((_, other)) => *other = Value::Array(vec![ev]),
-        None => fields.push(("scale_tier".into(), Value::Array(vec![ev]))),
-    }
-    let json = serde_json::to_string_pretty(&doc).expect("serialisable artefact");
-    std::fs::write(path, &json).expect("can write bench artefact");
-    let _ = std::fs::write(must_bench::out_dir().join("serving.json"), &json);
-    println!("merged scale tier into {path}");
-}
-
-/// The scale-tier entries already recorded at `path`, if any — plain
-/// runs re-emit them verbatim instead of dropping the expensive tier.
-fn carried_scale_tier(path: &str) -> Vec<Value> {
-    let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
-    let Ok(doc) = serde_json::from_str::<Value>(&text) else { return Vec::new() };
-    doc.get_field("scale_tier").and_then(Value::as_array).map(<[Value]>::to_vec).unwrap_or_default()
-}
-
-/// The build-sweep entries already recorded at `path`, if any.
-fn carried_build_sweep(path: &str) -> Vec<Value> {
-    let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
-    let Ok(doc) = serde_json::from_str::<Value>(&text) else { return Vec::new() };
-    doc.get_field("build_sweep").and_then(Value::as_array).map(<[Value]>::to_vec).unwrap_or_default()
-}
-
-/// Build-throughput sweep: wave-builds the same semi-synthetic corpus at
-/// each explicit thread budget `T ∈ {1, 2, 4, 8, 16, avail} ∩ [1, avail]`
-/// and records the wall clock.  The graphs must be byte-identical across
-/// the sweep — asserted here on the serialized bundle — so the entries
-/// measure exactly one thing: how the wave scheduler converts workers
-/// into wall-clock.  Default corpus is 64k objects (`MUST_SCALE_N`
-/// overrides).
-fn run_build_sweep() -> Vec<BuildEntry> {
-    let n = std::env::var("MUST_SCALE_N")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(65_536)
-        .max(256);
-    let (_, objects, _, embed_secs) = embed_semisynthetic(n);
-    eprintln!("[serving] build sweep: corpus ready (embed took {}s)", f4(embed_secs));
-
-    let avail = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut thread_counts: Vec<usize> =
-        [1usize, 2, 4, 8, 16, avail].into_iter().filter(|&t| t <= avail).collect();
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-
-    let weights = Weights::uniform(2);
-    let mut entries: Vec<BuildEntry> = Vec::new();
-    let mut reference: Option<Vec<u8>> = None;
-    for &threads in &thread_counts {
-        let t0 = Instant::now();
-        let must = Must::build(
-            objects.clone(),
-            weights.clone(),
-            MustBuildOptions {
-                gamma: 16,
-                recipe: GraphRecipe::Hnsw,
-                threads,
-                ..Default::default()
-            },
-        )
-        .expect("build-sweep build");
-        let build_secs = t0.elapsed().as_secs_f64();
-
-        // Thread-count invariance check: the whole bundle (graph edges,
-        // entry point, levels) must not move with the worker budget.
-        let dir = must_bench::out_dir();
-        let bundle = dir.join(format!("build-sweep-t{threads}.bundle"));
-        must_core::persist::save(&must, &bundle).expect("bundle save");
-        let bytes = std::fs::read(&bundle).expect("bundle read");
-        let _ = std::fs::remove_file(&bundle);
-        match &reference {
-            None => reference = Some(bytes),
-            Some(r) => assert_eq!(
-                r, &bytes,
-                "wave build is not thread-count invariant: T=1 vs T={threads} bundles differ"
-            ),
-        }
-
-        let t1_secs = entries.first().map_or(build_secs, |e: &BuildEntry| e.build_secs);
-        let e = BuildEntry {
-            n_objects: n,
-            threads,
-            build_secs,
-            speedup_vs_t1: t1_secs / build_secs,
-        };
-        eprintln!(
-            "[serving] build threads={:<2} n={} build={}s speedup_vs_t1={:.2}x",
-            e.threads,
-            e.n_objects,
-            f4(e.build_secs),
-            e.speedup_vs_t1
-        );
-        entries.push(e);
-    }
-    entries
-}
-
-/// Replaces the artefact's `build_sweep` field wholesale — the sweep is
-/// measured as a unit (speedups are relative to its own T=1 point), so
-/// entry-wise merging would mix incomparable baselines.
-fn merge_build_sweep(path: &str, entries: &[BuildEntry]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("`--build-sweep` merges into an existing artefact ({path}: {e}); run the full serving bench first")
-    });
-    let mut doc: Value = serde_json::from_str(&text).expect("valid artefact JSON");
-    let ev = Value::Array(
-        entries
-            .iter()
-            .map(|e| {
-                let json = serde_json::to_string_pretty(e).expect("serialisable entry");
-                serde_json::from_str(&json).expect("own serialisation parses")
-            })
-            .collect(),
+    let floor = if n >= 1_000_000 { 0.97 } else { 0.9 };
+    assert!(
+        point.recall >= floor,
+        "scale tier (n={n}): recall@10 {:.4} < {floor} — the quantized scan with exact re-rank \
+         must hold recall at scale",
+        point.recall
     );
-    let Value::Object(fields) = &mut doc else {
-        panic!("artefact root is not a JSON object");
-    };
-    match fields.iter_mut().find(|(name, _)| name.as_str() == "build_sweep") {
-        Some((_, slot)) => *slot = ev,
-        None => fields.push(("build_sweep".into(), ev)),
-    }
-    let json = serde_json::to_string_pretty(&doc).expect("serialisable artefact");
-    std::fs::write(path, &json).expect("can write bench artefact");
-    let _ = std::fs::write(must_bench::out_dir().join("serving.json"), &json);
-    println!("merged build sweep into {path}");
+    assert!(
+        bytes_per_dim <= 5.0 + 1e-9,
+        "scale tier (n={n}): {bytes_per_dim:.3} hot-path bytes per dimension > 5"
+    );
 }
 
 fn main() {
-    let path = std::env::var("MUST_BENCH_PATH").unwrap_or_else(|_| "BENCH_serving.json".into());
     if std::env::args().any(|a| a == "--scale") {
-        let entry = run_scale_tier(10, 100);
-        merge_scale_entry(&path, &entry);
-        return;
-    }
-    if std::env::args().any(|a| a == "--build-sweep") {
-        let entries = run_build_sweep();
-        merge_build_sweep(&path, &entries);
+        scale_tier();
         return;
     }
 
-    let scale = must_bench::scale();
-    let ds = must_data::catalog::mit_states(scale, must_bench::DATASET_SEED);
+    let ds = must_data::catalog::mit_states(must_bench::scale(), must_bench::DATASET_SEED);
     must_bench::banner(&ds);
-    let (k, l) = (10, 100);
-
     // prepare() learns weights, computes the exact top-k oracle, and
     // builds the fused index — the offline phase.  freeze() is the
     // offline→online handover.
-    let setup = prepare(&ds, k, MustBuildOptions::default());
-    let queries = setup.queries;
-    let ground_truth = setup.ground_truth;
-    let weights = setup.weights;
-    // Keep the corpus for the shard sweep before freezing the S=1 server.
-    let corpus = setup.must.objects().clone();
-    let server = MustServer::freeze(setup.must);
-    eprintln!(
-        "[serving] {} objects, {} queries, {} index",
-        server.len(),
-        queries.len(),
-        server.index().label()
-    );
-
-    let avail = std::thread::available_parallelism().map_or(1, usize::from);
-    // Sweep the powers of two up to the host's available parallelism —
-    // plus the parallelism itself when it is not a power of two — and
-    // always include threads=2, so the committed trajectory records
-    // whether adding a second worker pays off even on small hosts.
-    let mut thread_counts: Vec<usize> = [1usize, 2, 4, 8, 16, avail]
-        .into_iter()
-        .filter(|&t| t == 1 || t <= avail.max(2))
-        .collect();
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-    let batches = [16usize, 64];
-
-    let mut entries = Vec::new();
-    for &threads in &thread_counts {
-        for &batch in &batches {
-            let e = run_point(&server, &queries, &ground_truth, k, l, threads, batch);
-            entries.push(e);
-        }
-    }
-    // Scaling efficiency: QPS_t / (t · QPS_1) at the same batch size.
-    let base: Vec<(usize, f64)> = entries
-        .iter()
-        .filter(|e| e.threads == 1)
-        .map(|e| (e.batch, e.qps))
-        .collect();
-    for e in &mut entries {
-        if let Some(&(_, q1)) = base.iter().find(|(b, _)| *b == e.batch) {
-            e.scaling_efficiency = e.qps / (e.threads as f64 * q1);
-        }
-        eprintln!(
-            "[serving] threads={:<2} batch={:<3} qps={:<10} p50={}ms p99={}ms recall@10={} scale-eff={:.2}",
-            e.threads,
-            e.batch,
-            f4(e.qps),
-            f4(e.p50_ms),
-            f4(e.p99_ms),
-            f4(e.recall_at_10),
-            e.scaling_efficiency
-        );
-    }
-
-    // ---- Shard sweep: S ∈ {1, 2, 4, 8} at a fixed operating point. ----
-    // The sweep measures what sharding buys (parallel build, bounded
-    // per-shard memory) and what the scatter-gather costs at query time.
-    let (shard_threads, shard_batch) = (thread_counts.last().copied().unwrap_or(1), 64);
-    let mut shard_entries = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        if shards > corpus.len() {
-            eprintln!("[serving] skipping S={shards}: corpus has only {} objects", corpus.len());
-            continue;
-        }
-        let t0 = Instant::now();
-        let sharded = ShardedMust::build(
-            corpus.clone(),
-            weights.clone(),
-            MustBuildOptions::default(),
-            ShardSpec::new(shards),
-        )
-        .expect("shard build");
-        let build_secs = t0.elapsed().as_secs_f64();
-        let sharded = ShardedServer::freeze(sharded);
-        let (qps, p50_ms, p99_ms, recall_at_10) = measure(
-            |qs| sharded.search_batch(qs, k, l, shard_threads),
-            &queries,
-            &ground_truth,
-            k,
-            shard_batch,
-        );
-        eprintln!(
-            "[serving] shards={shards:<2} threads={shard_threads:<2} batch={shard_batch:<3} build={}s qps={:<10} p50={}ms p99={}ms recall@10={}",
-            f4(build_secs),
-            f4(qps),
-            f4(p50_ms),
-            f4(p99_ms),
-            f4(recall_at_10)
-        );
-        shard_entries.push(ShardEntry {
-            shards,
-            threads: shard_threads,
-            batch: shard_batch,
-            build_secs,
-            build_threads: must_graph::par::build_threads(),
-            qps,
-            p50_ms,
-            p99_ms,
-            recall_at_10,
-        });
-    }
-
-    // ---- Routing sweep: S = 8 clustered shards, r ∈ {1, 2, 4, 8}. -----
-    // The selective-routing dial: a clustered assignment groups similar
-    // objects per shard, the router scores each query against per-shard
-    // summaries under the active ω² weights, and only the top-`r` shards
-    // are searched with a per-shard beam that keeps the *total* candidate
-    // budget near the single-shard `l`.  r = S is the full-fan-out
-    // reference point.
-    let routing_shards = 8usize;
-    let mut routing = Vec::new();
-    if routing_shards <= corpus.len() {
-        let clustered = ShardedMust::build(
-            corpus.clone(),
-            weights.clone(),
-            MustBuildOptions::default(),
-            ShardSpec::clustered(routing_shards),
-        )
-        .expect("clustered shard build");
-        let clustered = ShardedServer::freeze(clustered);
-        for fan_out in [1usize, 2, 4, routing_shards] {
-            let l_shard = l.div_ceil(fan_out).max(k);
-            let routed = clustered.with_routing(RoutePolicy::with_beam(fan_out, l_shard));
-            let (qps, p50_ms, p99_ms, recall_at_10) = measure(
-                |qs| routed.search_batch(qs, k, l, shard_threads),
-                &queries,
-                &ground_truth,
-                k,
-                shard_batch,
-            );
-            eprintln!(
-                "[serving] routed  S={routing_shards} r={fan_out:<2} l_shard={l_shard:<3} qps={:<10} p50={}ms p99={}ms recall@10={}",
-                f4(qps),
-                f4(p50_ms),
-                f4(p99_ms),
-                f4(recall_at_10)
-            );
-            routing.push(RoutingEntry {
-                shards: routing_shards,
-                threads: shard_threads,
-                batch: shard_batch,
-                fan_out,
-                l_shard,
-                qps,
-                p50_ms,
-                p99_ms,
-                recall_at_10,
-            });
-        }
-    } else {
-        eprintln!(
-            "[serving] skipping routing sweep: corpus has only {} objects",
-            corpus.len()
-        );
-    }
-
-    // ---- Weight churn: query-time weights vs rebuild-per-switch. ------
-    // The stream rotates through a cycle of user weight vectors every Q
-    // queries.  The per-query-weight path serves every switch from the
-    // same frozen snapshot; the baseline rebuilds and re-freezes the
-    // whole engine per switch — what baked-in (prescaled) storage
-    // requires.
-    let weight_churn = churn_sweep(&server, &corpus, &weights, &queries, k, l, shard_threads);
-
-    // ---- Open loop: fixed arrival rates through the serve runtime. ----
-    // Rates are anchored to the measured single-thread closed-loop
-    // throughput: well under capacity, near half, and near saturation.
-    // Queueing delay shows up here (latency runs enqueue→reply against
-    // the virtual schedule) where the closed-loop sweep structurally
-    // cannot see it.
-    let serial_qps = entries
-        .iter()
-        .filter(|e| e.threads == 1)
-        .map(|e| e.qps)
-        .fold(0.0f64, f64::max)
-        .max(1.0);
-    let open_workers = shard_threads;
-    let mut open_loop = Vec::new();
-    for frac in [0.3, 0.6, 0.9] {
-        let e = open_loop_point(&server, &queries, k, l, open_workers, frac * serial_qps);
-        eprintln!(
-            "[serving] open-loop workers={} target={} qps achieved={} qps p50={}ms p99={}ms",
-            e.workers,
-            f4(e.target_qps),
-            f4(e.achieved_qps),
-            f4(e.p50_ms),
-            f4(e.p99_ms)
-        );
-        open_loop.push(e);
-    }
-
-    let artefact = ServingBench {
-        bench: "serving".into(),
-        dataset: ds.name.clone(),
-        index: server.index().label().into(),
-        n_objects: server.len(),
-        n_queries: queries.len(),
-        k,
-        l,
-        host_threads: avail,
-        entries,
-        shard_entries,
-        routing,
-        weight_churn,
-        open_loop,
-        scale_tier: carried_scale_tier(&path),
-        build_sweep: carried_build_sweep(&path),
+    let setup = prepare(&ds, K, MustBuildOptions::default());
+    let workload = Workload {
+        corpus: setup.must.objects().clone(),
+        weights: setup.weights,
+        queries: setup.queries,
+        ground_truth: setup.ground_truth,
+        threads: std::thread::available_parallelism().map_or(1, usize::from),
     };
-    let json = serde_json::to_string_pretty(&artefact).expect("serialisable artefact");
-    std::fs::write(&path, &json).expect("can write bench artefact");
-    let _ = std::fs::write(must_bench::out_dir().join("serving.json"), &json);
-    println!("wrote {path}");
+    let server = MustServer::freeze(setup.must);
+
+    shard_sweep(&workload);
+    routing_sweep(&workload);
+    churn_sweep(&workload, &server);
 }

@@ -186,7 +186,7 @@ impl Must {
         // The corpus's fused storage grew in place; re-entering index
         // construction rebinds to it without copying rows or weights.  The
         // oracle still recomputes its centroid — one pass over the corpus
-        // per insert (ROADMAP, "Dynamic inserts pay a corpus pass").
+        // per insert (ROADMAP open item 1 lands the lazy centroid).
         let Self { objects, weights, index, quant, insert_scratch, .. } = self;
         if let Some(q) = quant {
             // Keep the codes in lockstep, encoding the *normalised* values

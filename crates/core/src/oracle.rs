@@ -22,8 +22,8 @@ pub struct JointOracle<'a> {
     /// The fused centroid of all virtual points with the oracle's
     /// `omega^2` baked in (component ④ support): `sim_to_centroid` is one
     /// dot product of this row against a raw stored row.  Computed at
-    /// construction — one pass over the whole corpus (see ROADMAP, "Dynamic
-    /// inserts pay a corpus pass", for why it is not lazy yet).
+    /// construction — one pass over the whole corpus (see ROADMAP open
+    /// item 1 for why it is not lazy yet).
     centroid_row: Vec<f32>,
     w_total: f32,
 }

@@ -116,10 +116,7 @@ impl EngineWorker for ShardedWorker<'_> {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
-        match weights {
-            Some(w) => self.search_weighted(query, w, k, l),
-            None => self.search(query, k, l),
-        }
+        self.run(query, weights, k, l)
     }
 }
 

@@ -9,8 +9,9 @@
 //! in parallel.  The pieces:
 //!
 //! * [`ShardRouter`] — the deterministic object→shard assignment
-//!   ([`ShardAssignment::RoundRobin`] or [`ShardAssignment::Hash`]) and the
-//!   corpus splitter.
+//!   ([`ShardAssignment::RoundRobin`], [`ShardAssignment::Hash`] or the
+//!   similarity-aware [`ShardAssignment::Clustered`]) and the corpus
+//!   splitter.
 //! * [`ShardedMust`] — the build-side object: one [`Must`] per shard, built
 //!   in parallel (`MUST_BUILD_THREADS` governs the worker budget across
 //!   *and* within shards), plus the local→global id maps.  Dynamic
@@ -1117,14 +1118,13 @@ impl ShardedCore {
         &self,
         routing: Option<RoutePolicy>,
         query: &MultiQuery,
-        weights: Option<&Weights>,
+        weights: &Weights,
         k: usize,
         l: usize,
     ) -> (Vec<usize>, SearchParams) {
         match routing {
             None => ((0..self.shards.len()).collect(), SearchParams::new(k, l.max(k))),
             Some(policy) => {
-                let weights = weights.unwrap_or_else(|| self.shards[0].weights());
                 let selected = self.route(query, weights, policy.fan_out);
                 let ls = policy.l_shard.map_or(l, |ls| ls.max(k));
                 (selected, SearchParams::new(k, ls.max(k)))
@@ -1225,12 +1225,6 @@ impl ShardedServer {
         Self { core: Arc::clone(&self.core), routing: Some(policy) }
     }
 
-    /// A handle over the same snapshot with routing disabled again.
-    #[must_use]
-    pub fn without_routing(&self) -> Self {
-        Self { core: Arc::clone(&self.core), routing: None }
-    }
-
     /// The routing policy in force, if any.
     #[must_use]
     pub fn routing(&self) -> Option<RoutePolicy> {
@@ -1294,15 +1288,7 @@ impl ShardedServer {
     /// Propagates query/corpus arity and dimension mismatches (the first
     /// failing shard's error, by shard order).
     pub fn search(&self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
-        let t0 = Instant::now();
-        let (selected, params) = self.core.plan(self.routing, query, None, k, l);
-        let workers =
-            std::thread::available_parallelism().map_or(1, usize::from).min(selected.len());
-        let per_shard = par::par_map(selected.len(), workers, |i| {
-            self.core.shards[selected[i]].worker().search_with_params(query, params)
-        });
-        let per_shard: Vec<SearchOutcome> = per_shard.into_iter().collect::<Result<_, _>>()?;
-        Ok(self.core.gather(selected.into_iter().zip(per_shard).collect(), k, t0))
+        self.scatter(query, None, k, l)
     }
 
     /// [`ShardedServer::search`] under a per-query weight override: the
@@ -1324,8 +1310,23 @@ impl ShardedServer {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
+        self.scatter(query, Some(weights), k, l)
+    }
+
+    /// The one scoped-thread scatter body behind [`ShardedServer::search`]
+    /// (`weights: None` — the frozen configuration, which
+    /// [`ShardedMust`] validated identical across shards) and
+    /// [`ShardedServer::search_weighted`].
+    fn scatter(
+        &self,
+        query: &MultiQuery,
+        weights: Option<&Weights>,
+        k: usize,
+        l: usize,
+    ) -> Result<SearchOutcome, MustError> {
         let t0 = Instant::now();
-        let (selected, params) = self.core.plan(self.routing, query, Some(weights), k, l);
+        let weights = weights.unwrap_or_else(|| self.core.shards[0].weights());
+        let (selected, params) = self.core.plan(self.routing, query, weights, k, l);
         let workers =
             std::thread::available_parallelism().map_or(1, usize::from).min(selected.len());
         let per_shard = par::par_map(selected.len(), workers, |i| {
@@ -1438,13 +1439,7 @@ impl ShardedWorker<'_> {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
-        let t0 = Instant::now();
-        let (selected, params) = self.core.plan(self.routing, query, None, k, l);
-        let mut per_shard = Vec::with_capacity(selected.len());
-        for s in selected {
-            per_shard.push((s, self.workers[s].search_with_params(query, params)?));
-        }
-        Ok(self.core.gather(per_shard, k, t0))
+        self.run(query, None, k, l)
     }
 
     /// Top-`k` search under a per-query weight override, sequential
@@ -1461,13 +1456,29 @@ impl ShardedWorker<'_> {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
+        self.run(query, Some(weights), k, l)
+    }
+
+    /// The one sequential body behind [`ShardedWorker::search`]
+    /// (`weights: None` — the frozen configuration),
+    /// [`ShardedWorker::search_weighted`] and the serve runtime's
+    /// [`crate::runtime::EngineWorker::run_query`].
+    pub(crate) fn run(
+        &mut self,
+        query: &MultiQuery,
+        weights: Option<&Weights>,
+        k: usize,
+        l: usize,
+    ) -> Result<SearchOutcome, MustError> {
         let t0 = Instant::now();
-        let (selected, params) = self.core.plan(self.routing, query, Some(weights), k, l);
+        let core = self.core;
+        let weights = weights.unwrap_or_else(|| core.shards[0].weights());
+        let (selected, params) = core.plan(self.routing, query, weights, k, l);
         let mut per_shard = Vec::with_capacity(selected.len());
         for s in selected {
             per_shard.push((s, self.workers[s].search_weighted_with_params(query, weights, params)?));
         }
-        Ok(self.core.gather(per_shard, k, t0))
+        Ok(core.gather(per_shard, k, t0))
     }
 }
 

@@ -185,7 +185,7 @@ fn sharded_weight_overrides_match_refrozen_shards() {
 /// Offline sharded build → bundle v6 on disk → `ShardedServer::load` →
 /// results identical to the in-process freeze, with the id maps intact.
 #[test]
-fn bundle_v4_load_serves_identically() {
+fn bundle_v6_load_serves_identically() {
     let (objects, weights, queries) = fixture();
     let sharded =
         ShardedMust::build(objects, weights, build_opts(), ShardSpec::new(3)).unwrap();
@@ -210,12 +210,12 @@ fn bundle_v4_load_serves_identically() {
 /// A v5 single-shard bundle loads into the sharded serving layer as one
 /// shard and serves exactly what the single-shard server serves.
 #[test]
-fn sharded_layer_adopts_v3_bundles() {
+fn sharded_layer_adopts_v5_bundles() {
     let (objects, weights, queries) = fixture();
     let must = Must::build(objects, weights, build_opts()).unwrap();
     let dir = std::env::temp_dir().join("must-sharding-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("adopt-v3-{}.mustb", std::process::id()));
+    let path = dir.join(format!("adopt-v5-{}.mustb", std::process::id()));
     persist::save(&must, &path).unwrap();
     let single = MustServer::freeze(must);
 
@@ -276,6 +276,44 @@ fn full_fan_out_routing_is_bit_identical_to_unrouted() {
             }
         }
     }
+}
+
+/// Routed recall, pinned in tier 1 (the retired serving-bench checker
+/// only ever gated it on a committed file): a clustered S = 4 deployment
+/// routed to the r = 2 best-scoring shards with half the beam each must
+/// stay within 0.03 of its own full fan-out's Recall@10 against the exact
+/// joint oracle, and above an absolute floor.  Routing to the *lowest*
+/// scoring shards instead fails both bars.
+#[test]
+fn routed_recall_stays_near_full_fan_out() {
+    let (objects, weights, queries) = fixture();
+    let (k, l) = (10usize, 60usize);
+    let ground_truth =
+        must::core::search::exact_ground_truth(&objects, &weights, &queries, k).unwrap();
+    let server = ShardedServer::freeze(
+        ShardedMust::build(objects, weights, build_opts(), ShardSpec::clustered(4)).unwrap(),
+    );
+    let routed = server.with_routing(RoutePolicy::with_beam(2, l.div_ceil(2)));
+    let recall = |server: &ShardedServer| -> f64 {
+        let mut worker = server.worker();
+        let sum: f64 = queries
+            .iter()
+            .zip(&ground_truth)
+            .map(|(q, gt)| {
+                let out = worker.search(q, k, l).unwrap();
+                let ids: Vec<u32> = out.results.iter().map(|r| r.0).collect();
+                recall_at(&ids, gt, k)
+            })
+            .sum();
+        sum / queries.len() as f64
+    };
+    let (full, half) = (recall(&server), recall(&routed));
+    // With the router's sort flipped the routed figure is 0.0104.
+    assert!(
+        half >= full - 0.03 && half >= 0.95,
+        "routed recall@10 {half:.4} vs full fan-out {full:.4}: must be within 0.03 of it \
+         and >= 0.95 (0.9979 / 0.9979 at parent 9aa6faa, debug and release)"
+    );
 }
 
 /// Radius growth after `insert_object` keeps routing honest: a corpus of
