@@ -1055,6 +1055,35 @@ mod tests {
     }
 
     #[test]
+    fn v7_resaved_after_inserts_matches_quantizing_the_grown_corpus() {
+        // save_quantized -> load -> three inserts -> save_quantized must
+        // write byte for byte what quantizing the grown corpus from scratch
+        // writes: appended rows encode exactly like bulk-quantized ones.
+        let read = |p: &Path| std::fs::read(p).unwrap();
+        let grow = |must: &mut Must| {
+            for (i, (hot0, hot1)) in [(1, 0), (5, 3), (7, 2)].into_iter().enumerate() {
+                assert_eq!(must.insert_object(&new_object(hot0, hot1)).unwrap(), 150 + i as u32);
+            }
+        };
+        let mut loaded = via_file(
+            "bundle-v7-resave-a.mustb",
+            |p| save_quantized(&hnsw_quantized(150), p),
+            |p| load(p).unwrap(),
+        );
+        grow(&mut loaded);
+        assert_eq!(loaded.quant().unwrap().len(), 153);
+        let resaved = via_file("bundle-v7-resave-b.mustb", |p| save_quantized(&loaded, p), read);
+
+        // Never quantized in memory: `save_quantized` quantizes all 153
+        // rows on the fly.
+        let mut scratch = build(150, Weights::new(vec![0.8, 0.4]).unwrap(), GraphRecipe::Hnsw);
+        grow(&mut scratch);
+        assert!(scratch.quant().is_none());
+        let from_scratch = via_file("bundle-v7-resave-c.mustb", |p| save_quantized(&scratch, p), read);
+        assert_eq!(resaved, from_scratch);
+    }
+
+    #[test]
     fn v7_bundle_bytes_match_the_committed_golden_hash() {
         // Every writer, not only v7 (the name predates the v5 / v6 rows):
         // FNV-1a (64-bit) of each bundle of a fixed-seed 64-object corpus.

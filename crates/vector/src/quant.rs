@@ -1032,6 +1032,100 @@ mod tests {
         assert!(CodeStore::shared(buf, usize::MAX, 2).is_err());
     }
 
+    /// FNV-1a (64-bit) over every `ip` bit pattern, every `ip_pruned`
+    /// verdict and the final `kernel_evals` of `q`, under default and
+    /// override weights, full and partial queries, thresholds at -inf,
+    /// mid-range and +inf.
+    fn scan_hash(q: &QuantizedRows, queries: &[MultiQuery]) -> u64 {
+        const PRUNED: u32 = 0xFFFF_FFFF; // a NaN pattern no score takes
+        let m = q.num_modalities();
+        let mut override_sq = vec![0.1f32; m];
+        override_sq[0] = 0.9;
+        let mut words: Vec<u64> = Vec::new();
+        for w in [Weights::uniform(m), Weights::from_squared(override_sq).unwrap()] {
+            for query in queries {
+                let e = q.query(query, &w).unwrap();
+                for id in 0..q.len() as ObjectId {
+                    words.push(u64::from(e.ip(id).to_bits()));
+                    for threshold in [f32::NEG_INFINITY, 0.05, 0.3, f32::INFINITY] {
+                        words.push(match e.ip_pruned(id, threshold) {
+                            PartialIpVerdict::Exact(v) => u64::from(v.to_bits()),
+                            PartialIpVerdict::Pruned => u64::from(PRUNED),
+                        });
+                    }
+                }
+                words.push(e.kernel_evals());
+            }
+        }
+        words.iter().flat_map(|w| w.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The scan's every bit, pinned on the commit before the four columns
+    /// became one row block (debug and release): a seeded corpus whose
+    /// segments cycle through spread / spread / constant / all-zero, at a
+    /// lane-aligned, a padded and a single-modality layout, built three
+    /// ways — `from_fused`, `from_parts` over what a bundle saves, and
+    /// `push_row` one row at a time — which must agree with each other and
+    /// with the committed hash.
+    #[test]
+    fn scan_bits_match_the_golden_hash_on_every_construction_path() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let cases: [(&[usize], u64); 3] = [
+            (&[64, 32], 0x03F8_726D_CFF7_46BC),
+            (&[5, 3], 0x1FC2_28E2_855C_3AF3),
+            (&[130], 0x62A3_4F61_0D7D_C6A6),
+        ];
+        for (dims, want) in cases {
+            let mut rng = StdRng::seed_from_u64(0x5108 + dims[0] as u64);
+            let mut unit = |d: usize| {
+                let mut v: Vec<f32> = (0..d).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect();
+                let _ = kernels::normalize(&mut v);
+                v
+            };
+            let (n, m) = (12usize, dims.len());
+            let corpus: Vec<Vec<Vec<f32>>> = (0..n)
+                .map(|i| {
+                    (0..m)
+                        .map(|k| match (i + k) % 4 {
+                            2 => vec![(dims[k] as f32).sqrt().recip(); dims[k]],
+                            3 => vec![0.0; dims[k]],
+                            _ => unit(dims[k]),
+                        })
+                        .collect()
+                })
+                .collect();
+            let full: Vec<Vec<f32>> = dims.iter().map(|&d| unit(d)).collect();
+            let mut partial: Vec<Option<Vec<f32>>> = dims.iter().map(|&d| Some(unit(d))).collect();
+            if m > 1 {
+                partial[m - 1] = None;
+            }
+            let queries = [MultiQuery::full(full), MultiQuery::partial(partial)];
+
+            let mut rows = FusedRows::from_raw_parts(dims.to_vec(), Vec::new()).unwrap();
+            let mut pushed = QuantizedRows::from_fused(&rows);
+            for object in &corpus {
+                rows.push_row(object).unwrap();
+                pushed.push_row(object).unwrap();
+            }
+            let fused = QuantizedRows::from_fused(&rows);
+            let parts = QuantizedRows::from_parts(
+                dims.to_vec(),
+                CodeStore::owned(fused.raw_codes().to_vec()),
+                fused.params().to_vec(),
+                fused.seg_norms().to_vec(),
+            )
+            .unwrap();
+            assert_eq!(fused, parts, "dims {dims:?}");
+            assert_eq!(fused, pushed, "dims {dims:?}");
+            for (how, q) in [("from_fused", &fused), ("from_parts", &parts), ("push_row", &pushed)] {
+                let got = scan_hash(q, &queries);
+                assert_eq!(got, want, "dims {dims:?}, {how}: scan bits drifted: {got:#018X}");
+            }
+        }
+    }
+
     #[test]
     fn bytes_counts_codes_and_per_row_constants() {
         let q = QuantizedRows::from_fused(&engine());
