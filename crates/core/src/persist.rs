@@ -32,10 +32,9 @@
 //!   and finally the six sections themselves: fused rows, segment norms,
 //!   default weights, SQ8 codes, quantization parameters
 //!   (`min`/`step`/`eps` per row-segment), and the index block.  [`load`]
-//!   reads the whole body into one buffer and *borrows* the code section
-//!   out of it zero-copy ([`must_vector::CodeStore`]); a later
-//!   `insert_object` promotes the codes to an owned buffer
-//!   (copy-on-write).
+//!   reads the whole body into one buffer, copies every section into the
+//!   engines — the codes and parameters interleaved into the SQ8 engine's
+//!   row blocks — and drops the buffer: nothing of the file stays resident.
 //!
 //! [`load`] reads v5 and v7; [`load_sharded`] reads all three (a
 //! single-shard bundle comes up as one shard).  Versions 1–4 (v1 JSON, the
@@ -50,13 +49,10 @@
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 use must_graph::csr::CsrGraph;
 use must_graph::hnsw::{Hnsw, HnswFlat};
-use must_vector::{
-    CodeStore, FusedRows, MultiVectorSet, QuantizedRows, SegParams, Weights, FUSED_LANE,
-};
+use must_vector::{FusedRows, MultiVectorSet, QuantizedRows, SegParams, Weights, FUSED_LANE};
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::index::MustIndex;
@@ -74,8 +70,7 @@ pub const BUNDLE_V6_VERSION: u32 = 6;
 
 /// Version written by [`save_quantized`]: an offset-table layout carrying
 /// both the f32 fused rows *and* their SQ8 companion (codes + per-segment
-/// quantization parameters), with every section 32-byte aligned so the
-/// loader can borrow the code section zero-copy from one read buffer.
+/// quantization parameters), every section 32-byte aligned.
 pub const BUNDLE_V7_VERSION: u32 = 7;
 
 /// Magic bytes opening every bundle (the name dates from the first binary
@@ -431,9 +426,9 @@ fn read_stream_body(r: &mut impl Read, with_norms: bool) -> Result<Must, MustErr
 ///
 /// The body is an offset table over six 32-byte-aligned sections (rows,
 /// segment norms, default weights, codes, quantization parameters, index),
-/// so [`load`] can slurp the file once and borrow the code section
-/// zero-copy.  A v7 bundle loads into a [`Must`] that serves the
-/// quantized-scan + exact-re-rank path out of the box.
+/// so [`load`] can slurp the file once and find each section by offset.  A
+/// v7 bundle loads into a [`Must`] that serves the quantized-scan +
+/// exact-re-rank path out of the box.
 ///
 /// # Errors
 /// [`MustError::Io`] for file-system and encoding failures;
@@ -466,8 +461,11 @@ pub fn save_quantized(must: &Must, path: &Path) -> Result<(), MustError> {
     // Flatten the quantization parameters: (min, step, eps) per
     // (row, modality), row-major.
     let mut qparams = Vec::with_capacity(n * m * 3);
-    for p in quant.params() {
-        qparams.extend_from_slice(&[p.min, p.step, p.eps]);
+    for id in 0..n as u32 {
+        for k in 0..m {
+            let p = quant.seg_params(id, k);
+            qparams.extend_from_slice(&[p.min, p.step, p.eps]);
+        }
     }
 
     let lens = v7_section_lens(n, m, stride, index_bytes.len() as u64);
@@ -504,7 +502,9 @@ pub fn save_quantized(must: &Must, path: &Path) -> Result<(), MustError> {
     wr_words(&mut w, must.weights().raw(), f32::to_le_bytes)?;
     written = offs[2] + lens[2];
     pad(&mut w, offs[3] - written)?;
-    w.write_all(quant.raw_codes()).map_err(io("write codes"))?;
+    for id in 0..n as u32 {
+        w.write_all(quant.row_codes(id)).map_err(io("write codes"))?;
+    }
     written = offs[3] + lens[3];
     pad(&mut w, offs[4] - written)?;
     wr_words(&mut w, &qparams, f32::to_le_bytes)?;
@@ -534,12 +534,11 @@ fn f32s_from_bytes(b: &[u8]) -> Vec<f32> {
 
 /// Reads a v7 payload (everything after magic + version) into a
 /// ready-to-search [`Must`] with the SQ8 engine attached.  The whole body
-/// is read into one buffer; the code section is *borrowed* out of it
-/// zero-copy (copy-on-write: a later `insert_object` promotes it).
+/// is read into one buffer, every section is copied out of it into its
+/// engine, and the buffer is dropped before the instance is assembled.
 fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).map_err(io("read v7 bundle"))?;
-    let buf = Arc::new(bytes);
+    let mut buf = Vec::new();
+    r.read_to_end(&mut buf).map_err(io("read v7 bundle"))?;
     let mut s: &[u8] = &buf;
 
     let Header { prune, dims, n, stride } = read_header(&mut s)?;
@@ -555,8 +554,7 @@ fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
     for entry in &mut table {
         *entry = (rd_u64(&mut s)?, rd_u64(&mut s)?);
     }
-    let body_start = buf.len() - s.len();
-    let body = &buf[body_start..];
+    let body = s;
 
     // Every section length but the index's is implied by the header; the
     // table must agree.
@@ -595,23 +593,16 @@ fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
 
     let data = f32s_from_bytes(sect(0));
     let norms = f32s_from_bytes(sect(1));
-    let rows = FusedRows::from_raw_parts_with_norms(dims.clone(), data, norms.clone())
-        .map_err(|e| MustError::Config(e.to_string()))?;
-    let objects = MultiVectorSet::from_fused(rows);
-    let weights = Weights::new(f32s_from_bytes(sect(2))).map_err(MustError::Vector)?;
-    // The codes stay inside the read buffer: slice them zero-copy.
-    let codes = CodeStore::shared(
-        Arc::clone(&buf),
-        body_start + table[3].0 as usize,
-        table[3].1 as usize,
-    )
-    .map_err(|e| MustError::Config(format!("v7 code section: {e}")))?;
     let params: Vec<SegParams> = f32s_from_bytes(sect(4))
         .chunks_exact(3)
         .map(|c| SegParams { min: c[0], step: c[1], eps: c[2] })
         .collect();
-    let quant = QuantizedRows::from_parts(dims, codes, params, norms)
+    let quant = QuantizedRows::from_parts(dims.clone(), sect(3), &params, &norms)
         .map_err(|e| MustError::Config(format!("v7 quantized engine: {e}")))?;
+    let rows = FusedRows::from_raw_parts_with_norms(dims, data, norms)
+        .map_err(|e| MustError::Config(e.to_string()))?;
+    let objects = MultiVectorSet::from_fused(rows);
+    let weights = Weights::new(f32s_from_bytes(sect(2))).map_err(MustError::Vector)?;
 
     let mut ir = sect(5);
     let (index, recipe) = read_index_block(&mut ir)?;
@@ -621,6 +612,7 @@ fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
             ir.len()
         )));
     }
+    drop(buf);
 
     let mut must = Must::from_parts(
         objects,
@@ -1007,38 +999,29 @@ mod tests {
             must.objects().fused().seg_norms(),
             "v7 adopts the persisted norms verbatim"
         );
-        let (orig, thawed) = (must.quant().unwrap(), loaded.quant().unwrap());
-        assert!(thawed.is_shared(), "v7 codes must borrow from the read buffer");
-        assert_eq!(thawed.raw_codes(), orig.raw_codes());
-        assert_eq!(thawed.params(), orig.params());
-        assert_eq!(thawed.seg_norms(), orig.seg_norms());
+        // Codes, parameters and both norms: `PartialEq` is over the blocks.
+        assert_eq!(loaded.quant(), must.quant());
         assert_identical_searches(&must, &loaded, &[3, 77, 149]);
-        // Dynamic insertion after a zero-copy load promotes the shared
-        // codes to an owned buffer (copy-on-write) and keeps the engines
-        // in lockstep.
+        // Dynamic insertion after a load keeps the engines in lockstep.
         assert_eq!(loaded.insert_object(&new_object(1, 0)).unwrap(), 150);
-        let q = loaded.quant().unwrap();
-        assert!(!q.is_shared(), "insertion must promote the borrowed codes");
-        assert_eq!(q.len(), 151);
+        assert_eq!(loaded.quant().unwrap().len(), 151);
     }
 
     #[test]
     fn derived_code_norms_agree_across_every_construction_path() {
         // `||o_hat||^2` is in-memory state no bundle carries: quantizing
-        // the rows, loading a v7 bundle (codes shared) and appending after
-        // the copy-on-write promotion must all rebuild it identically —
-        // equal engines (`PartialEq` covers the derived column) and
-        // bit-identical quantized serving.
+        // the rows, loading a v7 bundle and appending to either must all
+        // rebuild it identically — equal engines (`PartialEq` is over the
+        // row blocks, the derived norm included) and bit-identical
+        // quantized serving.
         let mut fresh = hnsw_quantized(150);
         let mut loaded =
             via_file("bundle-v7-derived.mustb", |p| save_quantized(&fresh, p), |p| load(p).unwrap());
-        assert!(loaded.quant().unwrap().is_shared());
         assert_eq!(loaded.quant(), fresh.quant());
 
         for must in [&mut fresh, &mut loaded] {
             assert_eq!(must.insert_object(&new_object(1, 0)).unwrap(), 150);
         }
-        assert!(!loaded.quant().unwrap().is_shared());
         assert_eq!(loaded.quant(), fresh.quant());
         assert_eq!(fresh.quant(), Some(&fresh.objects().fused().quantize()));
 

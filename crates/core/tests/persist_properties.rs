@@ -183,7 +183,7 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     assert_eq!(loaded.insert_object(&new_row).unwrap(), 40);
     assert_eq!(loaded.objects().len(), 41);
 
-    // v7 quantized with HNSW: zero-copy load, then CoW promotion.
+    // v7 quantized with HNSW: load, then append to the loaded engine.
     let mut quantized = Must::build(set.clone(), w.clone(), hnsw_opts).unwrap();
     quantized.quantize();
     let p = tmp("matrix-v7", 11);
@@ -191,10 +191,9 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     let mut loaded = persist::load(&p).unwrap();
     std::fs::remove_file(&p).unwrap();
     let q = loaded.quant().expect("v7 restores the SQ8 engine");
-    assert!(q.is_shared(), "v7 codes load as a borrow of the read buffer");
+    assert_eq!(Some(q), quantized.quant(), "codes, parameters and norms load as saved");
     assert_eq!(loaded.insert_object(&new_row).unwrap(), 40);
     let q = loaded.quant().unwrap();
-    assert!(!q.is_shared(), "first insert promotes shared codes to owned");
     assert_eq!(q.len(), 41, "codes stay in lockstep with the corpus");
     let out = loaded.search(&self_query(loaded.objects(), 0), 3, 24).unwrap();
     assert_eq!(out.len(), 3);

@@ -55,7 +55,7 @@ mod weights;
 
 pub use fused::{FusedQueryEvaluator, FusedRows, FUSED_LANE};
 pub use joint::{JointDistance, PartialIpVerdict, QueryEvaluator};
-pub use quant::{CodeStore, QuantizedQueryEvaluator, QuantizedRows, SegParams};
+pub use quant::{QuantizedQueryEvaluator, QuantizedRows, SegParams};
 pub use multi::{ModalityView, MultiQuery, MultiVectorSet};
 pub use set::{VectorSet, VectorSetBuilder};
 pub use weights::Weights;

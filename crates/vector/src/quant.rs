@@ -63,8 +63,24 @@
 //! `max(0, sqrt(max(0, d2 - slack)) - eps_rk)` never exceeds
 //! `max(0, ||q_k - o_hat_k|| - eps_rk) <= ||q_k - o_k||`.  DESIGN.md §11
 //! has the step-by-step; a NaN `d2` widens to 0 and prunes nothing.
-
-use std::sync::Arc;
+//!
+//! **Row blocks.**  Everything the scan reads of a candidate sits in one
+//! record of `stride + 20 m` bytes at `id * (stride + 20 m)` of a single
+//! `Vec<u8>`: the row's `stride` codes, then per modality `min`, `step`,
+//! `eps`, `||o_k||^2`, `||o_hat_k||^2` as little-endian `f32`, read with
+//! `f32::from_le_bytes` (no alignment is assumed or arranged).  The walk
+//! visits candidates in graph order, so each one is a cache miss, and what
+//! it costs is the number of *places* touched: four columns put a 136-byte
+//! candidate (dims `[64, 32]`) on five to seven lines in four places; one
+//! record puts it on three consecutive lines, which the hardware's
+//! adjacent-line fetch and [`QuantizedQueryEvaluator::warm`] cover in one
+//! go.  `eps` stays stored although `eps_for(step, d)` could recompute it:
+//! a bundle carries `eps`, and a loader that recomputed it would have to
+//! either trust or reject the persisted value — the four bytes buy not
+//! having that question.  Bundles keep their sectioned layout
+//! ([`QuantizedRows::from_parts`] interleaves on load,
+//! [`QuantizedRows::row_codes`] / [`QuantizedRows::seg_params`] take a
+//! block apart on save).
 
 use crate::fused::{FusedRows, PartialIpVerdict, FUSED_LANE, CACHE_LINE};
 use crate::multi::MultiQuery;
@@ -82,103 +98,6 @@ pub struct SegParams {
     /// Certified reconstruction radius: `||o_k - o_hat_k|| <= eps`, with a
     /// float-rounding safety margin baked in.
     pub eps: f32,
-}
-
-/// Owning or borrowed backing store for the `u8` code matrix.
-///
-/// The zero-copy bundle-v7 load path slices codes straight out of the one
-/// read buffer ([`CodeStore::shared`]); mutation (dynamic insertion after
-/// a load) promotes to an owned copy on first write — copy-on-write, so
-/// the common read-only serving path never pays for the copy.
-#[derive(Debug, Clone)]
-pub struct CodeStore(Store);
-
-#[derive(Debug, Clone)]
-enum Store {
-    Owned(Vec<u8>),
-    Shared {
-        buf: Arc<Vec<u8>>,
-        start: usize,
-        len: usize,
-    },
-}
-
-impl CodeStore {
-    /// An owned store.
-    #[must_use]
-    pub fn owned(codes: Vec<u8>) -> Self {
-        Self(Store::Owned(codes))
-    }
-
-    /// A store borrowing `len` bytes at `start` from a shared buffer —
-    /// the zero-copy load path.
-    ///
-    /// # Errors
-    /// [`VectorError::CardinalityMismatch`] when the range does not fit
-    /// inside `buf`.
-    pub fn shared(buf: Arc<Vec<u8>>, start: usize, len: usize) -> Result<Self, VectorError> {
-        let end = start.checked_add(len).filter(|&e| e <= buf.len());
-        if end.is_none() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: start.saturating_add(len),
-                got: buf.len(),
-            });
-        }
-        Ok(Self(Store::Shared { buf, start, len }))
-    }
-
-    /// The codes as a contiguous byte slice.
-    #[inline]
-    #[must_use]
-    pub fn as_slice(&self) -> &[u8] {
-        match &self.0 {
-            Store::Owned(v) => v,
-            Store::Shared { buf, start, len } => &buf[*start..*start + *len],
-        }
-    }
-
-    /// Number of code bytes.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Store::Owned(v) => v.len(),
-            Store::Shared { len, .. } => *len,
-        }
-    }
-
-    /// Whether the store holds no codes.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the store still borrows from a shared load buffer (i.e. no
-    /// copy-on-write promotion has happened yet).
-    #[inline]
-    #[must_use]
-    pub fn is_shared(&self) -> bool {
-        matches!(self.0, Store::Shared { .. })
-    }
-
-    /// Mutable access, promoting a shared store to an owned copy on first
-    /// use (copy-on-write).
-    pub fn make_mut(&mut self) -> &mut Vec<u8> {
-        if let Store::Shared { buf, start, len } = &self.0 {
-            self.0 = Store::Owned(buf[*start..*start + *len].to_vec());
-        }
-        match &mut self.0 {
-            Store::Owned(v) => v,
-            Store::Shared { .. } => unreachable!("promoted above"),
-        }
-    }
-}
-
-impl PartialEq for CodeStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
 }
 
 /// `||o_hat||^2` of one encoded segment (`codes` = its real components),
@@ -227,31 +146,59 @@ fn eps_for(step: f32, d: usize) -> f32 {
     0.5 * step * (d as f32).sqrt() * (1.0 + 1e-4) + 1e-6
 }
 
+/// Bytes of per-modality constants behind a block's codes: `min`, `step`,
+/// `eps`, `||o_k||^2`, `||o_hat_k||^2`, each a little-endian `f32`.
+const TAIL: usize = 20;
+
+/// The per-(row, modality) constants of one block, decoded.
+#[derive(Debug, Clone, Copy)]
+struct SegTail {
+    p: SegParams,
+    /// `||o_k||^2` of the original f32 segment — the candidate half of the
+    /// Eq. 8 norm term must stay exact for the bound proof.
+    seg_norm: f32,
+    /// `||o_hat_k||^2` of the decoded segment.  Derived from the codes and
+    /// `p` by every constructor and never persisted.
+    code_norm: f32,
+}
+
+impl SegTail {
+    /// Reads the `TAIL` bytes at `at` in `block`.
+    #[inline]
+    fn read(block: &[u8], at: usize) -> Self {
+        let t: &[u8; TAIL] = block[at..at + TAIL].try_into().expect("TAIL bytes sliced");
+        let f = |i: usize| f32::from_le_bytes([t[i], t[i + 1], t[i + 2], t[i + 3]]);
+        Self {
+            p: SegParams { min: f(0), step: f(4), eps: f(8) },
+            seg_norm: f(12),
+            code_norm: f(16),
+        }
+    }
+
+    /// Writes the `TAIL` bytes at `at` in `block`.
+    fn write(self, block: &mut [u8], at: usize) {
+        let words = [self.p.min, self.p.step, self.p.eps, self.seg_norm, self.code_norm];
+        for (out, w) in block[at..at + TAIL].chunks_exact_mut(4).zip(words) {
+            out.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+}
+
 /// SQ8 scalar-quantized row storage mirroring a [`FusedRows`] layout:
 /// same dims, same [`FUSED_LANE`]-aligned stride, one `u8` code per
 /// component (padding positions zero and never scored), one
 /// [`SegParams`] per (row, modality), and the f32 squared segment norms
-/// of the *original* rows for the exact side of the Eq. 8 norm term.
+/// of the *original* rows for the exact side of the Eq. 8 norm term —
+/// all of a row in one block (module docs, "Row blocks").
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedRows {
     /// Unpadded per-modality dimensionalities.
     dims: Vec<usize>,
     /// Padded segment starts within a row; `seg[m]` is the row stride.
     seg: Vec<usize>,
-    /// Number of rows (objects).
-    len: usize,
-    /// `len * stride` codes, row-major, padding positions zero.
-    codes: CodeStore,
-    /// `len * m` affine parameters, row-major.
-    params: Vec<SegParams>,
-    /// `len * m` squared segment norms of the original f32 rows
-    /// (`||o_k||^2`, not the decoded approximation) — the candidate half
-    /// of the Eq. 8 norm term must stay exact for the bound proof.
-    seg_norms: Vec<f32>,
-    /// `len * m` squared norms of the *decoded* segments (`||o_hat_k||^2`).
-    /// Derived from `codes` and `params` by every constructor and never
-    /// persisted: bundles do not carry it.
-    code_norms: Vec<f32>,
+    /// One block of `stride + TAIL * m` bytes per row: its codes, then
+    /// modality by modality the [`SegTail`] constants.
+    blocks: Vec<u8>,
 }
 
 impl QuantizedRows {
@@ -259,38 +206,47 @@ impl QuantizedRows {
     /// exact segment norms) carry over unchanged.
     #[must_use]
     pub fn from_fused(rows: &FusedRows) -> Self {
-        let dims = rows.dims().to_vec();
-        let m = dims.len();
-        let stride = rows.stride();
-        let n = rows.len();
-        let mut codes = vec![0u8; n * stride];
-        let mut params = Vec::with_capacity(n * m);
-        for id in 0..n {
-            let base = id * stride;
-            for (k, &d) in dims.iter().enumerate() {
-                let (start, _) = rows.segment_bounds(k);
-                let values = rows.modality_slice(id as ObjectId, k);
-                let out = &mut codes[base + start..base + start + d];
-                params.push(encode_segment(values, out));
+        let mut q = Self::empty(rows.dims().to_vec()).expect("an f32 engine's dims are valid");
+        q.blocks = vec![0u8; rows.len() * q.block_len()];
+        for id in 0..rows.len() {
+            for k in 0..q.dims.len() {
+                let id = id as ObjectId;
+                q.encode(id, k, rows.modality_slice(id, k), rows.seg_norm(id, k));
             }
         }
-        Self::from_parts(dims, CodeStore::owned(codes), params, rows.seg_norms().to_vec())
-            .expect("codes, params and norms mirror a valid f32 engine")
+        q
     }
 
-    fn layout(dims: &[usize]) -> Vec<usize> {
+    /// An engine of `dims` holding no rows.
+    fn empty(dims: Vec<usize>) -> Result<Self, VectorError> {
+        if dims.is_empty() || dims.contains(&0) {
+            return Err(VectorError::DimensionMismatch { expected: 1, got: 0 });
+        }
         let mut seg = Vec::with_capacity(dims.len() + 1);
         let mut off = 0;
         seg.push(0);
-        for &d in dims {
+        for &d in &dims {
             off += d.div_ceil(FUSED_LANE) * FUSED_LANE;
             seg.push(off);
         }
-        seg
+        Ok(Self { dims, seg, blocks: Vec::new() })
+    }
+
+    /// Encodes `values` as modality `k` of the (already allocated, zeroed)
+    /// block `id`: codes, then the segment's constants.
+    fn encode(&mut self, id: ObjectId, k: usize, values: &[f32], seg_norm: f32) {
+        let (codes, tail) = (self.seg[k]..self.seg[k] + self.dims[k], self.tail_at(k));
+        let at = id as usize * self.block_len();
+        let block = &mut self.blocks[at..];
+        let p = encode_segment(values, &mut block[codes.clone()]);
+        let code_norm = code_norm_sq(&block[codes], p);
+        SegTail { p, seg_norm, code_norm }.write(block, tail);
     }
 
     /// Reassembles a quantized engine from persisted parts (the bundle-v7
-    /// load path; `codes` may borrow from the shared read buffer).
+    /// load path), interleaving them into row blocks: `codes` row-major,
+    /// `stride` bytes a row; `params` and `seg_norms` one entry per
+    /// (row, modality), row-major.
     ///
     /// # Errors
     /// [`VectorError::DimensionMismatch`] for empty/zero dims or a code
@@ -299,15 +255,12 @@ impl QuantizedRows {
     /// do not hold exactly one entry per (row, modality) pair.
     pub fn from_parts(
         dims: Vec<usize>,
-        codes: CodeStore,
-        params: Vec<SegParams>,
-        seg_norms: Vec<f32>,
+        codes: &[u8],
+        params: &[SegParams],
+        seg_norms: &[f32],
     ) -> Result<Self, VectorError> {
-        if dims.is_empty() || dims.contains(&0) {
-            return Err(VectorError::DimensionMismatch { expected: 1, got: 0 });
-        }
-        let seg = Self::layout(&dims);
-        let stride = seg[dims.len()];
+        let mut q = Self::empty(dims)?;
+        let (m, stride) = (q.dims.len(), q.stride());
         if !codes.len().is_multiple_of(stride) {
             return Err(VectorError::DimensionMismatch {
                 expected: stride,
@@ -316,18 +269,22 @@ impl QuantizedRows {
         }
         let len = codes.len() / stride;
         for got in [params.len(), seg_norms.len()] {
-            if got != len * dims.len() {
-                return Err(VectorError::CardinalityMismatch { expected: len * dims.len(), got });
+            if got != len * m {
+                return Err(VectorError::CardinalityMismatch { expected: len * m, got });
             }
         }
-        let mut code_norms = Vec::with_capacity(params.len());
-        let per_row = codes.as_slice().chunks_exact(stride).zip(params.chunks_exact(dims.len()));
-        for (row, ps) in per_row {
-            for (k, &p) in ps.iter().enumerate() {
-                code_norms.push(code_norm_sq(&row[seg[k]..seg[k] + dims[k]], p));
+        q.blocks = vec![0u8; len * q.block_len()];
+        let rows = q.blocks.chunks_exact_mut(stride + TAIL * m).zip(codes.chunks_exact(stride));
+        for (id, (block, row)) in rows.enumerate() {
+            block[..stride].copy_from_slice(row);
+            for k in 0..m {
+                let p = params[id * m + k];
+                let code_norm = code_norm_sq(&row[q.seg[k]..q.seg[k] + q.dims[k]], p);
+                let tail = SegTail { p, seg_norm: seg_norms[id * m + k], code_norm };
+                tail.write(block, stride + TAIL * k);
             }
         }
-        Ok(Self { dims, seg, len, codes, params, seg_norms, code_norms })
+        Ok(q)
     }
 
     /// Number of modalities `m`.
@@ -352,55 +309,52 @@ impl QuantizedRows {
         self.seg[self.dims.len()]
     }
 
+    /// Bytes of one row block: the codes, then `TAIL` bytes a modality.
+    #[inline]
+    fn block_len(&self) -> usize {
+        self.stride() + TAIL * self.dims.len()
+    }
+
+    /// Offset of modality `k`'s constants within a block.
+    #[inline]
+    fn tail_at(&self, k: usize) -> usize {
+        self.stride() + TAIL * k
+    }
+
+    /// Row `id`'s block.
+    #[inline]
+    fn block(&self, id: ObjectId) -> &[u8] {
+        let len = self.block_len();
+        &self.blocks[id as usize * len..][..len]
+    }
+
     /// Number of rows (objects).
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.blocks.len() / self.block_len()
     }
 
     /// Whether the engine holds no rows.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.blocks.is_empty()
     }
 
-    /// Whether the codes still borrow from a shared load buffer.
+    /// The `stride` codes of row `id`, padding positions included — one
+    /// row of a bundle's code section.
     #[inline]
     #[must_use]
-    pub fn is_shared(&self) -> bool {
-        self.codes.is_shared()
-    }
-
-    /// The full code matrix, row-major (`len * stride` bytes) — the
-    /// bundle save path.
-    #[inline]
-    #[must_use]
-    pub fn raw_codes(&self) -> &[u8] {
-        self.codes.as_slice()
-    }
-
-    /// All affine parameters, row-major (`len * m` entries) — the bundle
-    /// save path.
-    #[inline]
-    #[must_use]
-    pub fn params(&self) -> &[SegParams] {
-        &self.params
-    }
-
-    /// All squared segment norms, row-major (`len * m` entries).
-    #[inline]
-    #[must_use]
-    pub fn seg_norms(&self) -> &[f32] {
-        &self.seg_norms
+    pub fn row_codes(&self, id: ObjectId) -> &[u8] {
+        &self.block(id)[..self.stride()]
     }
 
     /// The affine parameters of modality `k` in row `id`.
     #[inline]
     #[must_use]
     pub fn seg_params(&self, id: ObjectId, k: usize) -> SegParams {
-        self.params[id as usize * self.dims.len() + k]
+        SegTail::read(self.block(id), self.tail_at(k)).p
     }
 
     /// The squared f32 norm `||o_k||^2` of modality `k`'s original
@@ -408,7 +362,7 @@ impl QuantizedRows {
     #[inline]
     #[must_use]
     pub fn seg_norm(&self, id: ObjectId, k: usize) -> f32 {
-        self.seg_norms[id as usize * self.dims.len() + k]
+        SegTail::read(self.block(id), self.tail_at(k)).seg_norm
     }
 
     /// The `u8` codes of modality `k`'s real components in row `id`
@@ -416,8 +370,7 @@ impl QuantizedRows {
     #[inline]
     #[must_use]
     pub fn modality_codes(&self, id: ObjectId, k: usize) -> &[u8] {
-        let start = id as usize * self.stride() + self.seg[k];
-        &self.codes.as_slice()[start..start + self.dims[k]]
+        &self.block(id)[self.seg[k]..self.seg[k] + self.dims[k]]
     }
 
     /// Decodes modality `k` of row `id` back to f32 (test/diagnostic
@@ -432,8 +385,7 @@ impl QuantizedRows {
     }
 
     /// Appends one object from its per-modality (already normalised)
-    /// vectors, quantizing each segment.  Promotes shared codes to owned
-    /// on first call (copy-on-write).
+    /// vectors, quantizing each segment into a new block.
     ///
     /// # Errors
     /// [`VectorError::CardinalityMismatch`] on wrong modality count,
@@ -454,30 +406,20 @@ impl QuantizedRows {
                 });
             }
         }
-        let id = self.len as ObjectId;
-        let stride = self.stride();
-        let codes = self.codes.make_mut();
-        codes.resize((self.len + 1) * stride, 0);
-        let row = &mut codes[self.len * stride..];
+        let id = self.len() as ObjectId;
+        self.blocks.resize(self.blocks.len() + self.block_len(), 0);
         for (k, r) in rows.iter().enumerate() {
             let r = r.as_ref();
-            let out = &mut row[self.seg[k]..self.seg[k] + r.len()];
-            let p = encode_segment(r, out);
-            self.params.push(p);
-            self.seg_norms.push(kernels::ip(r, r));
-            self.code_norms.push(code_norm_sq(out, p));
+            self.encode(id, k, r, kernels::ip(r, r));
         }
-        self.len += 1;
         Ok(id)
     }
 
-    /// Heap footprint in bytes: codes plus per-row affine parameters,
-    /// segment norms and the derived decoded-segment norms.
+    /// Heap footprint in bytes: per row its codes, affine parameters,
+    /// segment norms and derived decoded-segment norms — the blocks.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.codes.len()
-            + self.params.len() * std::mem::size_of::<SegParams>()
-            + (self.seg_norms.len() + self.code_norms.len()) * std::mem::size_of::<f32>()
+        self.blocks.len()
     }
 
     /// Prepares a per-query evaluator under `weights`, mirroring
@@ -501,11 +443,11 @@ impl QuantizedRows {
 /// identities in the module docs.
 #[derive(Debug, Clone, Copy)]
 struct ActiveSegment {
-    /// Modality index (for the per-row parameter/norm lookups).
-    k: usize,
     /// Padded segment bounds within a row (the query's padding is zero).
     start: usize,
     end: usize,
+    /// Offset of the modality's [`SegTail`] within a row block.
+    tail: usize,
     /// `omega_k^2`.
     wsq: f32,
     /// `0.5 * omega_k^2`.
@@ -539,13 +481,9 @@ impl ActiveSegment {
 /// the module docs for the derivation.
 #[derive(Debug)]
 pub struct QuantizedQueryEvaluator<'a> {
-    /// The engine's columns and row geometry, bound once per query.
-    codes: &'a [u8],
-    params: &'a [SegParams],
-    seg_norms: &'a [f32],
-    code_norms: &'a [f32],
-    stride: usize,
-    m: usize,
+    /// The engine's row blocks and their length, bound once per query.
+    blocks: &'a [u8],
+    block_len: usize,
     /// The raw (unscaled) query laid out in fused-row geometry; the
     /// per-segment `omega_k^2` lives in `active`, matching the f32
     /// evaluator's query-side weighting.
@@ -600,9 +538,9 @@ impl<'a> QuantizedQueryEvaluator<'a> {
                 l1 += x.abs();
             }
             active.push(ActiveSegment {
-                k,
                 start,
                 end,
+                tail: rows.tail_at(k),
                 wsq,
                 half_wsq: 0.5 * wsq,
                 sum: sum as f32,
@@ -614,12 +552,8 @@ impl<'a> QuantizedQueryEvaluator<'a> {
             q_half_norm += 0.5 * wsq * kernels::ip(slot, slot);
         }
         Ok(Self {
-            codes: rows.codes.as_slice(),
-            params: &rows.params,
-            seg_norms: &rows.seg_norms,
-            code_norms: &rows.code_norms,
-            stride: rows.stride(),
-            m,
+            blocks: &rows.blocks,
+            block_len: rows.block_len(),
             qraw,
             active,
             w_total,
@@ -645,11 +579,17 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         self.kernel_evals.set(self.kernel_evals.get() + by);
     }
 
-    /// `<q_k, o_hat_k> = min * sum(q_k) + step * <q_k, c>` for the row whose
-    /// codes start at `base`.
+    /// Row `id`'s block.
     #[inline]
-    fn seg_dot(&self, seg: &ActiveSegment, base: usize, p: SegParams) -> f32 {
-        let codes = &self.codes[base + seg.start..base + seg.end];
+    fn block(&self, id: ObjectId) -> &'a [u8] {
+        &self.blocks[id as usize * self.block_len..][..self.block_len]
+    }
+
+    /// `<q_k, o_hat_k> = min * sum(q_k) + step * <q_k, c>` over the codes
+    /// of `block`.
+    #[inline]
+    fn seg_dot(&self, seg: &ActiveSegment, block: &[u8], p: SegParams) -> f32 {
+        let codes = &block[seg.start..seg.end];
         p.min * seg.sum + p.step * kernels::ip_u8(&self.qraw[seg.start..seg.end], codes)
     }
 
@@ -659,23 +599,23 @@ impl<'a> QuantizedQueryEvaluator<'a> {
     /// rows.
     pub fn ip(&self, id: ObjectId) -> f32 {
         self.bump(self.active.len() as u64);
-        let (base, first) = (id as usize * self.stride, id as usize * self.m);
+        let block = self.block(id);
         let mut sum = 0.0;
         for seg in &self.active {
-            sum += seg.wsq * self.seg_dot(seg, base, self.params[first + seg.k]);
+            sum += seg.wsq * self.seg_dot(seg, block, SegTail::read(block, seg.tail).p);
         }
         sum
     }
 
-    /// Pulls row `id`'s codes and per-row columns towards the cache ahead
-    /// of [`Self::ip`] / [`Self::ip_pruned`] — the SQ8 twin of
-    /// [`crate::FusedQueryEvaluator::warm`].
+    /// Pulls row `id`'s block towards the cache ahead of [`Self::ip`] /
+    /// [`Self::ip_pruned`], one byte per cache line's worth — the SQ8 twin
+    /// of [`crate::FusedQueryEvaluator::warm`].
     #[inline]
     pub fn warm(&self, id: ObjectId) {
-        let (base, first) = (id as usize * self.stride, id as usize * self.m);
-        let mut acc = self.params[first].min + self.seg_norms[first] + self.code_norms[first];
-        for &c in self.codes[base..base + self.stride].iter().step_by(CACHE_LINE) {
-            acc += f32::from(c);
+        let block = self.block(id);
+        let mut acc = 0u32;
+        for &b in block.iter().step_by(CACHE_LINE).chain(block.last()) {
+            acc += u32::from(b);
         }
         std::hint::black_box(acc);
     }
@@ -690,17 +630,17 @@ impl<'a> QuantizedQueryEvaluator<'a> {
     /// surviving value is the *approximate* decoded similarity (for pool
     /// ranking), not the widened bound.
     pub fn ip_pruned(&self, id: ObjectId, threshold: f32) -> PartialIpVerdict {
-        let (base, first) = (id as usize * self.stride, id as usize * self.m);
+        let block = self.block(id);
         let mut bound = self.q_half_norm;
         for seg in &self.active {
-            bound += seg.half_wsq * self.seg_norms[first + seg.k];
+            bound += seg.half_wsq * SegTail::read(block, seg.tail).seg_norm;
         }
         let mut approx = 0.0;
         for seg in &self.active {
-            let p = self.params[first + seg.k];
-            let dot = self.seg_dot(seg, base, p);
+            let SegTail { p, code_norm, .. } = SegTail::read(block, seg.tail);
+            let dot = self.seg_dot(seg, block, p);
             self.bump(1);
-            let widened = seg.widened(self.code_norms[first + seg.k], p, dot);
+            let widened = seg.widened(code_norm, p, dot);
             bound -= seg.half_wsq * widened * widened;
             approx += seg.wsq * dot;
             if bound <= threshold {
@@ -732,6 +672,18 @@ mod tests {
         FusedRows::from_sets(&[m0.finish(), m1.finish()]).unwrap()
     }
 
+    /// What a bundle saves of `q`: the code section, the quantization
+    /// parameters and the segment norms, each row-major.
+    fn saved_sections(q: &QuantizedRows) -> (Vec<u8>, Vec<SegParams>, Vec<f32>) {
+        let ids = || 0..q.len() as ObjectId;
+        let per_segment = || ids().flat_map(|id| (0..q.num_modalities()).map(move |k| (id, k)));
+        (
+            ids().flat_map(|id| q.row_codes(id).iter().copied()).collect(),
+            per_segment().map(|(id, k)| q.seg_params(id, k)).collect(),
+            per_segment().map(|(id, k)| q.seg_norm(id, k)).collect(),
+        )
+    }
+
     #[test]
     fn layout_mirrors_the_f32_engine() {
         let rows = engine();
@@ -739,9 +691,16 @@ mod tests {
         assert_eq!(q.dims(), rows.dims());
         assert_eq!(q.stride(), rows.stride());
         assert_eq!(q.len(), rows.len());
-        assert_eq!(q.raw_codes().len(), rows.len() * rows.stride());
-        assert_eq!(q.params().len(), rows.len() * rows.num_modalities());
-        assert!(!q.is_shared());
+        for id in 0..rows.len() as ObjectId {
+            assert_eq!(q.row_codes(id).len(), rows.stride());
+            for k in 0..rows.num_modalities() {
+                let (start, end) = rows.segment_bounds(k);
+                assert_eq!(&q.row_codes(id)[start..start + q.dims()[k]], q.modality_codes(id, k));
+                let padding = &q.row_codes(id)[start + q.dims()[k]..end];
+                assert!(padding.iter().all(|&c| c == 0), "padding codes stay zero");
+                assert_eq!(q.seg_norm(id, k), rows.seg_norm(id, k));
+            }
+        }
     }
 
     #[test]
@@ -840,13 +799,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let mut unit = move || rng.random::<f32>() * 2.0 - 1.0;
         for d in [1usize, 3, 8, 32, 64, 130] {
-            let mut q = QuantizedRows::from_parts(
-                vec![d],
-                CodeStore::owned(Vec::new()),
-                Vec::new(),
-                Vec::new(),
-            )
-            .unwrap();
+            let mut q = QuantizedRows::from_parts(vec![d], &[], &[], &[]).unwrap();
             // A spread segment, a constant one (step = 0, eps = 1e-6: the
             // slack is all that stands between rounding and a prune) and
             // an all-zero one.
@@ -869,8 +822,10 @@ mod tests {
                         let mq = MultiQuery::full(vec![query.clone()]);
                         let qe = q.query(&mq, &Weights::uniform(1)).unwrap();
                         let Some(seg) = qe.active.first() else { continue };
-                        let dot = qe.seg_dot(seg, id as usize * qe.stride, p);
-                        let widened = seg.widened(qe.code_norms[id as usize], p, dot);
+                        let block = qe.block(id);
+                        let dot = qe.seg_dot(seg, block, p);
+                        let widened =
+                            seg.widened(SegTail::read(block, seg.tail).code_norm, p, dot);
                         let dist = query
                             .iter()
                             .zip(&decoded)
@@ -949,18 +904,11 @@ mod tests {
     fn push_row_quantizes_and_promotes_shared_codes() {
         let rows = engine();
         let owned = QuantizedRows::from_fused(&rows);
-        // Rebuild as a shared (zero-copy) store.
-        let buf = Arc::new(owned.raw_codes().to_vec());
-        let store = CodeStore::shared(Arc::clone(&buf), 0, buf.len()).unwrap();
-        let mut q = QuantizedRows::from_parts(
-            owned.dims().to_vec(),
-            store,
-            owned.params().to_vec(),
-            owned.seg_norms().to_vec(),
-        )
-        .unwrap();
+        // Rebuild from the sections a bundle carries.
+        let (codes, params, norms) = saved_sections(&owned);
+        let mut q =
+            QuantizedRows::from_parts(owned.dims().to_vec(), &codes, &params, &norms).unwrap();
         assert_eq!(q, owned);
-        assert!(q.is_shared());
         let new0 = {
             let mut v = vec![0.1f32, -0.4, 0.2, 0.8, 0.3];
             let _ = kernels::normalize(&mut v);
@@ -973,7 +921,6 @@ mod tests {
         };
         let id = q.push_row(&[new0.clone(), new1.clone()]).unwrap();
         assert_eq!(id, 4);
-        assert!(!q.is_shared(), "first write promotes to owned");
         assert_eq!(q.len(), 5);
         let p = q.seg_params(4, 0);
         for (d, orig) in q.decode_modality(4, 0).iter().zip(&new0) {
@@ -983,53 +930,47 @@ mod tests {
         assert!(q.push_row(&[vec![1.0f32; 5]]).is_err());
         assert!(q.push_row(&[vec![1.0f32; 4], vec![1.0f32; 3]]).is_err());
         assert_eq!(q.len(), 5);
-        // The shared buffer itself was never mutated.
-        assert_eq!(&buf[..], owned.raw_codes());
+        // The rows that were there are untouched by the append.
+        let (grown, _, _) = saved_sections(&q);
+        assert_eq!(grown[..codes.len()], codes[..]);
     }
 
     #[test]
     fn from_parts_validates_shapes() {
         let q = QuantizedRows::from_fused(&engine());
+        let (codes, params, norms) = saved_sections(&q);
+        let dims = || q.dims().to_vec();
+        assert_eq!(QuantizedRows::from_parts(dims(), &codes, &params, &norms).unwrap(), q);
         assert!(matches!(
-            QuantizedRows::from_parts(
-                vec![],
-                CodeStore::owned(vec![]),
-                vec![],
-                vec![],
-            ),
+            QuantizedRows::from_parts(vec![], &[], &[], &[]),
             Err(VectorError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            QuantizedRows::from_parts(
-                q.dims().to_vec(),
-                CodeStore::owned(vec![0u8; q.stride() + 1]),
-                vec![],
-                vec![],
-            ),
+            QuantizedRows::from_parts(vec![5, 0], &[], &[], &[]),
             Err(VectorError::DimensionMismatch { .. })
         ));
-        assert!(matches!(
-            QuantizedRows::from_parts(
-                q.dims().to_vec(),
-                CodeStore::owned(q.raw_codes().to_vec()),
-                q.params()[..3].to_vec(),
-                q.seg_norms().to_vec(),
-            ),
-            Err(VectorError::CardinalityMismatch { .. })
-        ));
-        assert!(matches!(
-            QuantizedRows::from_parts(
-                q.dims().to_vec(),
-                CodeStore::owned(q.raw_codes().to_vec()),
-                q.params().to_vec(),
-                vec![1.0; 3],
-            ),
-            Err(VectorError::CardinalityMismatch { .. })
-        ));
-        // Out-of-range shared windows are rejected at construction.
-        let buf = Arc::new(vec![0u8; 8]);
-        assert!(CodeStore::shared(Arc::clone(&buf), 4, 8).is_err());
-        assert!(CodeStore::shared(buf, usize::MAX, 2).is_err());
+        // A code section that is not a whole number of rows, either way.
+        for bad in [&codes[..codes.len() - 1], &vec![0u8; q.stride() + 1][..]] {
+            assert!(matches!(
+                QuantizedRows::from_parts(dims(), bad, &params, &norms),
+                Err(VectorError::DimensionMismatch { .. })
+            ));
+        }
+        // One entry per (row, modality), no fewer and no more.
+        let extra_param = [&params[..], &params[..1]].concat();
+        for bad in [&params[..3], &extra_param[..]] {
+            assert!(matches!(
+                QuantizedRows::from_parts(dims(), &codes, bad, &norms),
+                Err(VectorError::CardinalityMismatch { .. })
+            ));
+        }
+        let extra_norm = [&norms[..], &[1.0][..]].concat();
+        for bad in [&norms[..3], &extra_norm[..]] {
+            assert!(matches!(
+                QuantizedRows::from_parts(dims(), &codes, &params, bad),
+                Err(VectorError::CardinalityMismatch { .. })
+            ));
+        }
     }
 
     /// FNV-1a (64-bit) over every `ip` bit pattern, every `ip_pruned`
@@ -1062,8 +1003,8 @@ mod tests {
         })
     }
 
-    /// The scan's every bit, pinned on the commit before the four columns
-    /// became one row block (debug and release): a seeded corpus whose
+    /// The scan's every bit, pinned on 2c37e38, the last commit with four
+    /// columns in place of one row block (debug and release): a seeded corpus whose
     /// segments cycle through spread / spread / constant / all-zero, at a
     /// lane-aligned, a padded and a single-modality layout, built three
     /// ways — `from_fused`, `from_parts` over what a bundle saves, and
@@ -1110,13 +1051,8 @@ mod tests {
                 pushed.push_row(object).unwrap();
             }
             let fused = QuantizedRows::from_fused(&rows);
-            let parts = QuantizedRows::from_parts(
-                dims.to_vec(),
-                CodeStore::owned(fused.raw_codes().to_vec()),
-                fused.params().to_vec(),
-                fused.seg_norms().to_vec(),
-            )
-            .unwrap();
+            let (codes, params, norms) = saved_sections(&fused);
+            let parts = QuantizedRows::from_parts(dims.to_vec(), &codes, &params, &norms).unwrap();
             assert_eq!(fused, parts, "dims {dims:?}");
             assert_eq!(fused, pushed, "dims {dims:?}");
             for (how, q) in [("from_fused", &fused), ("from_parts", &parts), ("push_row", &pushed)] {
@@ -1129,11 +1065,10 @@ mod tests {
     #[test]
     fn bytes_counts_codes_and_per_row_constants() {
         let q = QuantizedRows::from_fused(&engine());
-        let expect = q.raw_codes().len()
-            + std::mem::size_of_val(q.params())
-            // f32 segment norms plus the derived decoded-segment norms.
-            + 2 * q.seg_norms().len() * 4;
-        assert_eq!(q.bytes(), expect);
+        // Per row: its codes, then per modality three affine parameters,
+        // the f32 segment norm and the derived decoded-segment norm.
+        let per_row = q.stride() + q.num_modalities() * (3 + 2) * 4;
+        assert_eq!(q.bytes(), q.len() * per_row);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use must_vector::kernels;
 use must_vector::{
-    CodeStore, JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedRows,
+    JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedRows,
     VectorSetBuilder, Weights,
 };
 use proptest::prelude::*;
@@ -80,13 +80,7 @@ fn sq8_scores_match_a_decode_then_ip_reference() {
     };
     let w = Weights::new(vec![0.8, 0.5]).unwrap();
     for d in 1..=130usize {
-        let mut quant = QuantizedRows::from_parts(
-            vec![d, d],
-            CodeStore::owned(Vec::new()),
-            Vec::new(),
-            Vec::new(),
-        )
-        .unwrap();
+        let mut quant = QuantizedRows::from_parts(vec![d, d], &[], &[], &[]).unwrap();
         quant.push_row(&[unit_vector(d), unit_vector(d)]).unwrap();
         quant.push_row(&[vec![(d as f32).sqrt().recip(); d], vec![0.0; d]]).unwrap();
         quant.push_row(&[vec![0.0; d], unit_vector(d)]).unwrap();
@@ -201,13 +195,8 @@ proptest! {
         s1 in quant_segment(4),
         s2 in quant_segment(1),
     ) {
-        let mut q = QuantizedRows::from_parts(
-            vec![7, 4, 1],
-            CodeStore::owned(Vec::new()),
-            Vec::new(),
-            Vec::new(),
-        )
-        .expect("an empty engine is valid");
+        let mut q = QuantizedRows::from_parts(vec![7, 4, 1], &[], &[], &[])
+            .expect("an empty engine is valid");
         let segs = [s0, s1, s2];
         let id = q.push_row(&segs).expect("matching arity and dims");
         for (k, seg) in segs.iter().enumerate() {
