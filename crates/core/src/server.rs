@@ -474,6 +474,11 @@ impl ServerWorker<'_> {
             random_init: params.random_init,
         };
         let res = core.index.search(&qscorer, walk, &mut self.scratch, SERVE_RNG_SEED);
+        // The pool's f32 rows are cold (the walk read codes): start all the
+        // misses before the first score needs one.
+        for &(id, _) in &res.results {
+            exact.warm(id);
+        }
         let mut pool: Vec<(u32, f32)> =
             res.results.iter().map(|&(id, _)| (id, exact.score(id))).collect();
         pool.sort_by(|a, b| {
