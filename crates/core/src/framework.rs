@@ -6,7 +6,7 @@ use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, Quantized
 
 use crate::index::{build_index, BuildReport, IndexOptions, MustIndex};
 use crate::oracle::JointOracle;
-use crate::search::{brute_force_search, JointSearcher, SearchOutcome};
+use crate::search::{brute_force_search, request_params, JointSearcher, SearchOutcome};
 use crate::weights::{LearnedWeights, WeightLearnConfig, WeightLearner};
 use crate::MustError;
 
@@ -401,9 +401,10 @@ impl MustSearcher<'_> {
     /// Top-`k` search with pool size `l`, excluding tombstoned objects.
     ///
     /// # Errors
-    /// Propagates arity/dimension mismatches.
+    /// Propagates arity/dimension mismatches; [`MustError::Config`] for
+    /// `k = 0`.
     pub fn search(&mut self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
-        self.search_with_params(query, SearchParams::new(k, l.max(k)))
+        self.search_with_params(query, request_params(k, l)?)
     }
 
     /// Same, with explicit [`SearchParams`] (seed-only initialisation etc.).
@@ -475,6 +476,10 @@ mod tests {
             }
         }
         assert!(hits >= 19, "self-queries must be found: {hits}/20");
+        // Zero results asked for is a typed error, not `SearchParams::new`'s panic.
+        let q = self_query(must.objects(), 0);
+        assert!(matches!(searcher.search(&q, 0, 60), Err(MustError::Config(_))));
+        assert!(matches!(must.search(&q, 0, 60), Err(MustError::Config(_))));
     }
 
     #[test]

@@ -12,6 +12,18 @@ use crate::index::MustIndex;
 use crate::oracle::MustQueryScorer;
 use crate::MustError;
 
+/// `SearchParams::new(k, max(l, k))` for a caller-supplied `(k, l)`.  A
+/// request for zero results is the caller's mistake, not a broken
+/// invariant: it is refused here with a typed error and never reaches
+/// [`SearchParams::new`]'s panic — which, on a serve-runtime worker, would
+/// take the worker and then `shutdown()` down with it.
+pub(crate) fn request_params(k: usize, l: usize) -> Result<SearchParams, MustError> {
+    if k == 0 {
+        return Err(MustError::Config("k must be positive: a search returns at least one result".into()));
+    }
+    Ok(SearchParams::new(k, l.max(k)))
+}
+
 /// One search outcome with instrumentation.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {

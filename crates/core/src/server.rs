@@ -44,7 +44,7 @@ use must_vector::{MultiQuery, MultiVectorSet, QuantizedRows, Weights};
 
 use crate::framework::Must;
 use crate::oracle::{MustQueryScorer, QuantizedQueryScorer};
-use crate::search::SearchOutcome;
+use crate::search::{request_params, SearchOutcome};
 use crate::MustError;
 
 /// Fixed RNG seed for the random pool initialisation of every served
@@ -380,21 +380,23 @@ impl ServerWorker<'_> {
     /// weights; see [`MustServer::search`] for the determinism contract.
     ///
     /// # Errors
-    /// Propagates query/corpus arity and dimension mismatches.
+    /// Propagates query/corpus arity and dimension mismatches;
+    /// [`MustError::Config`] for `k = 0`.
     pub fn search(
         &mut self,
         query: &MultiQuery,
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
-        self.search_with_params(query, SearchParams::new(k, l.max(k)))
+        self.search_with_params(query, request_params(k, l)?)
     }
 
     /// Top-`k` search under a per-query weight override; see
     /// [`MustServer::search_weighted`].
     ///
     /// # Errors
-    /// Propagates weight-arity and query/corpus mismatches.
+    /// Propagates weight-arity and query/corpus mismatches;
+    /// [`MustError::Config`] for `k = 0`.
     pub fn search_weighted(
         &mut self,
         query: &MultiQuery,
@@ -402,7 +404,7 @@ impl ServerWorker<'_> {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
-        self.search_weighted_with_params(query, weights, SearchParams::new(k, l.max(k)))
+        self.search_weighted_with_params(query, weights, request_params(k, l)?)
     }
 
     /// Same as [`ServerWorker::search`], with explicit [`SearchParams`].

@@ -89,7 +89,7 @@ use must_graph::{SearchParams, SearchStats};
 use must_vector::{kernels, FusedRows, MultiQuery, MultiVectorSet, ObjectId, VectorSet, Weights};
 
 use crate::framework::{Must, MustBuildOptions};
-use crate::search::SearchOutcome;
+use crate::search::{request_params, SearchOutcome};
 use crate::server::{fan_out_batch, MustServer, ServerWorker};
 use crate::MustError;
 
@@ -1121,15 +1121,14 @@ impl ShardedCore {
         weights: &Weights,
         k: usize,
         l: usize,
-    ) -> (Vec<usize>, SearchParams) {
-        match routing {
-            None => ((0..self.shards.len()).collect(), SearchParams::new(k, l.max(k))),
+    ) -> Result<(Vec<usize>, SearchParams), MustError> {
+        Ok(match routing {
+            None => ((0..self.shards.len()).collect(), request_params(k, l)?),
             Some(policy) => {
-                let selected = self.route(query, weights, policy.fan_out);
-                let ls = policy.l_shard.map_or(l, |ls| ls.max(k));
-                (selected, SearchParams::new(k, ls.max(k)))
+                let params = request_params(k, policy.l_shard.unwrap_or(l))?;
+                (self.route(query, weights, policy.fan_out), params)
             }
-        }
+        })
     }
 
     /// Merges `(shard index, outcome)` pairs into the global top-`k`: map
@@ -1326,7 +1325,7 @@ impl ShardedServer {
     ) -> Result<SearchOutcome, MustError> {
         let t0 = Instant::now();
         let weights = weights.unwrap_or_else(|| self.core.shards[0].weights());
-        let (selected, params) = self.core.plan(self.routing, query, weights, k, l);
+        let (selected, params) = self.core.plan(self.routing, query, weights, k, l)?;
         let workers =
             std::thread::available_parallelism().map_or(1, usize::from).min(selected.len());
         let per_shard = par::par_map(selected.len(), workers, |i| {
@@ -1473,7 +1472,7 @@ impl ShardedWorker<'_> {
         let t0 = Instant::now();
         let core = self.core;
         let weights = weights.unwrap_or_else(|| core.shards[0].weights());
-        let (selected, params) = core.plan(self.routing, query, weights, k, l);
+        let (selected, params) = core.plan(self.routing, query, weights, k, l)?;
         let mut per_shard = Vec::with_capacity(selected.len());
         for s in selected {
             per_shard.push((s, self.workers[s].search_weighted_with_params(query, weights, params)?));

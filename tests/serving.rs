@@ -8,6 +8,7 @@
 
 use std::sync::mpsc;
 
+use must::core::MustError;
 use must::data::embed::embed_dataset;
 use must::encoders::{ComposerKind, EncoderConfig, EncoderRegistry, LatentSpace, TargetEncoding, UnimodalKind};
 use must::prelude::*;
@@ -240,6 +241,51 @@ fn runtime_shutdown_drains_queued_backlog() {
     let mut ids: Vec<u64> = rep_rx.iter().map(|r| r.id).collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..n).collect::<Vec<_>>());
+}
+
+/// A request for zero results is answered with one typed error, not a
+/// worker panic: on the single lane of a one-worker runtime the requests
+/// behind it — single, weighted and inside the same batch — are answered
+/// as if it had never been there, and `shutdown()` joins cleanly with the
+/// full count.
+#[test]
+fn runtime_answers_k_zero_with_one_error_and_keeps_serving() {
+    let (server, queries) = serving_fixture();
+    let (k, l) = (5, 40);
+    let override_w = Weights::from_squared(vec![0.7, 0.3]).unwrap();
+    let mut worker = server.worker();
+    assert!(matches!(worker.search(&queries[0], 0, l), Err(MustError::Config(_))));
+    assert!(matches!(
+        worker.search_weighted(&queries[0], &override_w, 0, l),
+        Err(MustError::Config(_))
+    ));
+    let oracle = worker.search(&queries[1], k, l).unwrap();
+    let oracle_w = worker.search_weighted(&queries[1], &override_w, k, l).unwrap();
+
+    let (rep_tx, rep_rx) = mpsc::channel();
+    let runtime = ServeRuntime::start(&server, 1, rep_tx);
+    let req = |id: u64, k: usize| ServeRequest { id, query: queries[1].clone(), k, l };
+    // Even ids ask for nothing; odd ids are ordinary requests.
+    runtime.submit(req(0, 0));
+    runtime.submit(req(1, k));
+    runtime.submit_weighted(req(2, 0), override_w.clone());
+    runtime.submit_weighted(req(3, k), override_w.clone());
+    runtime.submit_batch(vec![req(5, k), req(4, 0), req(7, k)]);
+    assert_eq!(runtime.shutdown(), 7, "the error replies count as served; no worker died");
+
+    let mut replies: Vec<ServeReply> = rep_rx.iter().collect();
+    replies.sort_by_key(|r| r.id);
+    assert_eq!(replies.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5, 7]);
+    for rep in replies {
+        match (rep.id % 2, rep.outcome) {
+            (0, Err(MustError::Config(msg))) => assert!(msg.contains("k must be positive"), "{msg}"),
+            (1, Ok(got)) => {
+                let want = if rep.id == 3 { &oracle_w } else { &oracle };
+                assert_eq!((got.results, got.stats), (want.results.clone(), want.stats), "id {}", rep.id);
+            }
+            (_, other) => panic!("id {}: {other:?}", rep.id),
+        }
+    }
 }
 
 /// The SQ8 serving path — quantized Lemma-4 walk over the u8 codes,

@@ -253,6 +253,12 @@ fn full_fan_out_routing_is_bit_identical_to_unrouted() {
         assert_eq!(routed.routing(), Some(RoutePolicy::new(shards)));
 
         let mut worker = routed.worker();
+        // Zero results asked for: a typed error from the planner on every
+        // path, before any shard is routed to or searched.
+        for got in [server.search(&queries[0], 0, l), routed.search(&queries[0], 0, l)] {
+            assert!(matches!(got, Err(must::core::MustError::Config(_))), "S={shards}: {got:?}");
+        }
+        assert!(matches!(worker.search(&queries[0], 0, l), Err(must::core::MustError::Config(_))));
         for (qi, q) in queries.iter().enumerate() {
             let want = server.search(q, k, l).unwrap();
             let got = routed.search(q, k, l).unwrap();
