@@ -3,7 +3,8 @@
 //! These are the innermost loops of the whole system: the paper reports that
 //! vector computation can consume up to 90 % of total search time
 //! (Section VII-B).  The kernels are written so that LLVM auto-vectorises
-//! them: 4-way unrolled accumulators over exact chunks, with a scalar tail.
+//! them: independent accumulators over exact chunks (four in [`ip`], eight
+//! — the `FUSED_LANE` width — in [`ip_u8`]), with a scalar tail.
 
 /// Inner product of two equal-length slices.
 ///
