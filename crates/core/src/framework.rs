@@ -190,8 +190,8 @@ impl Must {
         let Self { objects, weights, index, quant, insert_scratch, .. } = self;
         if let Some(q) = quant {
             // Keep the codes in lockstep, encoding the *normalised* values
-            // the corpus actually stored.  A zero-copy-loaded engine
-            // promotes to owned codes here (copy-on-write).
+            // the corpus actually stored: one more row block, whether the
+            // engine was quantized here or loaded from a bundle.
             let fused = objects.fused();
             let normalized: Vec<&[f32]> =
                 (0..fused.num_modalities()).map(|k| fused.modality_slice(id, k)).collect();

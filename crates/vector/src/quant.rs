@@ -72,12 +72,12 @@
 //! visits candidates in graph order, so each one is a cache miss, and what
 //! it costs is the number of *places* touched: four columns put a 136-byte
 //! candidate (dims `[64, 32]`) on five to seven lines in four places; one
-//! record puts it on three consecutive lines, which the hardware's
-//! adjacent-line fetch and [`QuantizedQueryEvaluator::warm`] cover in one
-//! go.  `eps` stays stored although `eps_for(step, d)` could recompute it:
-//! a bundle carries `eps`, and a loader that recomputed it would have to
-//! either trust or reject the persisted value — the four bytes buy not
-//! having that question.  Bundles keep their sectioned layout
+//! record puts it on three consecutive lines, which
+//! [`QuantizedQueryEvaluator::warm`] puts in flight together.  `eps` stays
+//! stored although `eps_for(step, d)` could recompute it: a bundle carries
+//! `eps`, and a loader that recomputed it would have to either trust or
+//! reject the persisted value — the four bytes buy not having that
+//! question.  Bundles keep their sectioned layout
 //! ([`QuantizedRows::from_parts`] interleaves on load,
 //! [`QuantizedRows::row_codes`] / [`QuantizedRows::seg_params`] take a
 //! block apart on save).
@@ -208,9 +208,8 @@ impl QuantizedRows {
     pub fn from_fused(rows: &FusedRows) -> Self {
         let mut q = Self::empty(rows.dims().to_vec()).expect("an f32 engine's dims are valid");
         q.blocks = vec![0u8; rows.len() * q.block_len()];
-        for id in 0..rows.len() {
+        for id in 0..rows.len() as ObjectId {
             for k in 0..q.dims.len() {
-                let id = id as ObjectId;
                 q.encode(id, k, rows.modality_slice(id, k), rows.seg_norm(id, k));
             }
         }
@@ -273,17 +272,18 @@ impl QuantizedRows {
                 return Err(VectorError::CardinalityMismatch { expected: len * m, got });
             }
         }
-        q.blocks = vec![0u8; len * q.block_len()];
-        let rows = q.blocks.chunks_exact_mut(stride + TAIL * m).zip(codes.chunks_exact(stride));
+        let mut blocks = vec![0u8; len * q.block_len()];
+        let rows = blocks.chunks_exact_mut(q.block_len()).zip(codes.chunks_exact(stride));
         for (id, (block, row)) in rows.enumerate() {
             block[..stride].copy_from_slice(row);
             for k in 0..m {
                 let p = params[id * m + k];
                 let code_norm = code_norm_sq(&row[q.seg[k]..q.seg[k] + q.dims[k]], p);
                 let tail = SegTail { p, seg_norm: seg_norms[id * m + k], code_norm };
-                tail.write(block, stride + TAIL * k);
+                tail.write(block, q.tail_at(k));
             }
         }
+        q.blocks = blocks;
         Ok(q)
     }
 
@@ -608,8 +608,9 @@ impl<'a> QuantizedQueryEvaluator<'a> {
     }
 
     /// Pulls row `id`'s block towards the cache ahead of [`Self::ip`] /
-    /// [`Self::ip_pruned`], one byte per cache line's worth — the SQ8 twin
-    /// of [`crate::FusedQueryEvaluator::warm`].
+    /// [`Self::ip_pruned`]: one byte per cache line's worth and the last
+    /// byte (a block need not start on a line) — the SQ8 twin of
+    /// [`crate::FusedQueryEvaluator::warm`].
     #[inline]
     pub fn warm(&self, id: ObjectId) {
         let block = self.block(id);
