@@ -56,11 +56,24 @@ pub fn ip_u8(q: &[f32], codes: &[u8]) -> f32 {
             acc[lane] += cq[lane] * f32::from(cc[lane]);
         }
     }
-    let mut sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    let mut sum = sum_lanes(&acc);
     for (x, &c) in q_tail.iter().zip(c_tail) {
         sum += x * f32::from(c);
     }
     sum
+}
+
+/// `ip_u8`'s final reduction, `((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))`.
+/// Kept out of line on purpose: when LLVM sees this tree next to the
+/// accumulation loop it arranges the loop's vectors around the tree's
+/// pairing — two useful lanes per four-lane register, twice the converts,
+/// multiplies and adds, and shuffles on every load.  Behind a call the
+/// loop vectorises lane for lane (unpack, convert, multiply, add over
+/// `acc[0..4]` and `acc[4..8]`), ~1.6x faster at d = 64 on the baseline
+/// target, for the same operations on the same values in the same order.
+#[inline(never)]
+fn sum_lanes(acc: &[f32; 8]) -> f32 {
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
 /// Joint inner product over a fused row pair (the hot-path kernel of the
