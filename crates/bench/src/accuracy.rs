@@ -101,8 +101,6 @@ pub struct AccuracyRun {
     pub recalls: Vec<f64>,
     /// Mean SME of the top-1 result.
     pub sme: f64,
-    /// Weights in force (MUST only).
-    pub weights: Option<Weights>,
 }
 
 fn eval_results<F>(prepared: &Prepared, ks: &[usize], mut run_query: F) -> AccuracyRun
@@ -130,7 +128,6 @@ where
     AccuracyRun {
         recalls: recall_sums.into_iter().map(|s| s / n).collect(),
         sme: sme_sum / n,
-        weights: None,
     }
 }
 
@@ -172,16 +169,14 @@ pub fn run_must(prepared: &Prepared, ks: &[usize], weights: &Weights) -> Accurac
     let max_k = ks.iter().copied().max().unwrap_or(1);
     let joint = JointDistance::new(&prepared.embedded.objects, weights.clone())
         .expect("weights cover all modalities");
-    let mut run = eval_results(prepared, ks, |q| {
+    eval_results(prepared, ks, |q| {
         brute_force_search(&joint, &q.query, max_k, true)
             .expect("valid query")
             .results
             .into_iter()
             .map(|(id, _)| id)
             .collect()
-    });
-    run.weights = Some(weights.clone());
-    run
+    })
 }
 
 /// Runs MUST end-to-end: learn weights then evaluate.
@@ -220,41 +215,38 @@ impl RowSpec {
     }
 }
 
-/// Runs a full accuracy table (Tabs. III–VI): one row per
+/// Runs a full accuracy table (Tabs. III–VI, XXI): one row per
 /// framework × encoder configuration, columns `Recall@k(1)` per `k` plus
-/// SME.  Returns the rendered table and the learned MUST weights per row
-/// (for Tabs. XIII–XVIII).
-#[allow(clippy::too_many_arguments)] // experiment descriptor, mirrors the paper's table axes
+/// SME; MR merges `mr_candidates` per modality, MUST learns its weights
+/// under the default configuration.
 pub fn accuracy_table(
     id: &str,
     title: &str,
     dataset: &LatentDataset,
     rows: &[RowSpec],
     ks: &[usize],
-    registry: &EncoderRegistry,
     mr_candidates: usize,
-    learn_config: &WeightLearnConfig,
-) -> (crate::report::Table, Vec<(String, Option<Weights>)>) {
+) -> crate::report::Table {
+    crate::banner(dataset);
+    let registry = crate::registry();
     let mut headers: Vec<String> = vec!["Framework".into(), "Encoder".into()];
     headers.extend(ks.iter().map(|k| format!("Recall@{k}(1)")));
     headers.push("SME".into());
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut table = crate::report::Table::new(id, title, &header_refs);
-    let mut learned_weights = Vec::new();
     for row in rows {
-        let prepared = prepare(dataset, &row.config, registry);
+        let prepared = prepare(dataset, &row.config, &registry);
         let run = match row.framework {
             Framework::Je => run_je(&prepared, ks),
             Framework::Mr => run_mr(&prepared, ks, mr_candidates),
-            Framework::Must => run_must_learned(&prepared, ks, learn_config),
+            Framework::Must => run_must_learned(&prepared, ks, &WeightLearnConfig::default()),
         };
         let mut cells = vec![row.framework.label().to_string(), row.label.clone()];
         cells.extend(run.recalls.iter().map(|r| crate::report::f4(*r)));
         cells.push(crate::report::f4(run.sme));
         table.push_row(cells);
-        learned_weights.push((row.label.clone(), run.weights));
     }
-    (table, learned_weights)
+    table
 }
 
 /// Evaluates a single-modality workload: queries masked to supply only

@@ -22,11 +22,14 @@
 //! pass per row, every timing is this host's: compare rows of one run, not
 //! runs.  The exit code is the check — every row's queries must all be
 //! answered, and the scale tier must hold Recall@10 ≥ 0.97 at n ≥ 1M
-//! (≥ 0.9 below) at ≤ 5 hot-path bytes per dimension.  Thread × batch
-//! scaling, the open-loop ladder and the build speedup are `benchmark/`'s
-//! (`ops_per_s`, `core.server.batch64_qps`, `open.r*`,
+//! (≥ 0.9 below) at ≤ 5 hot-path bytes per dimension; 1 also when a table
+//! could not be written, 2 on a malformed `MUST_SCALE` / `MUST_SCALE_N`.
+//! Thread × batch scaling, the open-loop ladder and the build speedup are
+//! `benchmark/`'s (`ops_per_s`, `core.server.batch64_qps`, `open.r*`,
 //! `graph.par.build_speedup`).
 
+use std::io;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use must_bench::efficiency::{prepare, semisynthetic_config};
@@ -147,7 +150,7 @@ impl Workload {
 
 /// Shard sweep: what sharding buys (parallel build, bounded per-shard
 /// memory) and what the full-fan-out scatter-gather costs at query time.
-fn shard_sweep(w: &Workload) {
+fn shard_sweep(w: &Workload) -> io::Result<()> {
     let mut table = Table::new(
         "Serving shards",
         &format!("round-robin shards, full fan-out, batch={BATCH} ({})", w.label()),
@@ -166,7 +169,7 @@ fn shard_sweep(w: &Workload) {
         row.extend(point.cells());
         table.push_row(row);
     }
-    table.emit();
+    table.emit()
 }
 
 /// Routing sweep: a clustered assignment groups similar objects per shard,
@@ -174,11 +177,11 @@ fn shard_sweep(w: &Workload) {
 /// active ω² weights, and only the top-`r` shards are searched with a
 /// per-shard beam that keeps the *total* candidate budget near the
 /// single-shard `l`.  r = S is the full-fan-out reference point.
-fn routing_sweep(w: &Workload) {
+fn routing_sweep(w: &Workload) -> io::Result<()> {
     let shards = 8usize;
     if shards > w.corpus.len() {
         eprintln!("[serving] skipping routing sweep: corpus has only {} objects", w.corpus.len());
-        return;
+        return Ok(());
     }
     let mut table = Table::new(
         "Serving routing",
@@ -193,7 +196,7 @@ fn routing_sweep(w: &Workload) {
         row.extend(w.measure_sharded(&routed).cells());
         table.push_row(row);
     }
-    table.emit();
+    table.emit()
 }
 
 /// Weight churn (§VIII-F): the stream rotates through a cycle of user
@@ -203,7 +206,7 @@ fn routing_sweep(w: &Workload) {
 /// on the same frozen snapshot, and the rebuild-per-switch baseline whose
 /// clock includes every `Must::build` + freeze the prescaled storage model
 /// would need.
-fn churn_sweep(w: &Workload, server: &MustServer) {
+fn churn_sweep(w: &Workload, server: &MustServer) -> io::Result<()> {
     let threads = w.threads;
     // The learned configuration plus two user-defined vectors (Tab. IX
     // style sweeps of omega^2).
@@ -274,7 +277,7 @@ fn churn_sweep(w: &Workload, server: &MustServer) {
         row.extend(point.cells());
         table.push_row(row);
     }
-    table.emit();
+    table.emit()
 }
 
 /// Streams `n` semi-synthetic ImageText objects through the encoders one
@@ -322,12 +325,7 @@ fn embed_semisynthetic(n: usize) -> (MultiVectorSet, Vec<MultiQuery>) {
 /// oracle.  A beam that is right-sized at 64k starves at 1M (0.98 → 0.84
 /// at l = 100) and the build is the expensive part, so the beam doubles on
 /// this one index until recall clears the floor with a little margin.
-fn scale_tier() {
-    let n = std::env::var("MUST_SCALE_N")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| (1_000_000.0 * must_bench::scale()).round() as usize)
-        .max(256);
+fn scale_tier(n: usize) -> io::Result<()> {
     let t0 = Instant::now();
     let (objects, queries) = embed_semisynthetic(n);
     let embed_secs = t0.elapsed().as_secs_f64();
@@ -389,7 +387,7 @@ fn scale_tier() {
     ];
     row.extend(point.cells());
     table.push_row(row);
-    table.emit();
+    let written = table.emit();
 
     let floor = if n >= 1_000_000 { 0.97 } else { 0.9 };
     assert!(
@@ -402,15 +400,12 @@ fn scale_tier() {
         bytes_per_dim <= 5.0 + 1e-9,
         "scale tier (n={n}): {bytes_per_dim:.3} hot-path bytes per dimension > 5"
     );
+    written
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--scale") {
-        scale_tier();
-        return;
-    }
-
-    let ds = must_data::catalog::mit_states(must_bench::scale(), must_bench::DATASET_SEED);
+/// The shard, routing and weight-churn sweeps over one MIT-States corpus.
+fn sweeps(scale: f64) -> io::Result<()> {
+    let ds = must_data::catalog::mit_states(scale, must_bench::DATASET_SEED);
     must_bench::banner(&ds);
     // prepare() learns weights, computes the exact top-k oracle, and
     // builds the fused index — the offline phase.  freeze() is the
@@ -425,7 +420,30 @@ fn main() {
     };
     let server = MustServer::freeze(setup.must);
 
-    shard_sweep(&workload);
-    routing_sweep(&workload);
-    churn_sweep(&workload, &server);
+    shard_sweep(&workload)?;
+    routing_sweep(&workload)?;
+    churn_sweep(&workload, &server)
+}
+
+fn main() -> ExitCode {
+    // `MUST_SCALE_N` is the scale tier's object count; without it
+    // `MUST_SCALE` scales the million.
+    let sizes = must_bench::scale().and_then(|scale| {
+        let n = must_bench::env_number::<usize>("MUST_SCALE_N", |_| true)?;
+        Ok((scale, n.unwrap_or((1_000_000.0 * scale).round() as usize).max(256)))
+    });
+    let (scale, n) = match sizes {
+        Ok(sizes) => sizes,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    let written =
+        if std::env::args().any(|a| a == "--scale") { scale_tier(n) } else { sweeps(scale) };
+    if let Err(e) = written {
+        eprintln!("artefact not written: {e}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

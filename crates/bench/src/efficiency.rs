@@ -85,27 +85,38 @@ pub struct SweepPoint {
     pub qps: f64,
 }
 
+/// One pass of `search` over the setup's workload, timed: the sweep point
+/// labelled `l`.  Recall scoring sits inside the clock, as it always has.
+fn timed_point(
+    setup: &EffSetup,
+    l: usize,
+    mut search: impl FnMut(&MultiQuery) -> Vec<ObjectId>,
+) -> SweepPoint {
+    let t0 = Instant::now();
+    let mut recall_sum = 0.0;
+    for (q, gt) in setup.queries.iter().zip(&setup.ground_truth) {
+        recall_sum += recall_at(&search(q), gt, setup.k);
+    }
+    let secs = t0.elapsed().as_secs_f64();
+    SweepPoint {
+        l,
+        recall: recall_sum / setup.queries.len() as f64,
+        qps: setup.queries.len() as f64 / secs,
+    }
+}
+
 /// Sweeps pool size `l` for MUST's joint search (Fig. 6 "MUST" curve).
 #[must_use]
 pub fn must_sweep(setup: &EffSetup, ls: &[usize]) -> Vec<SweepPoint> {
     let mut searcher = setup.must.searcher();
     ls.iter()
         .map(|&l| {
-            let t0 = Instant::now();
-            let mut recall_sum = 0.0;
-            for (q, gt) in setup.queries.iter().zip(&setup.ground_truth) {
+            timed_point(setup, l, |q| {
                 let out = searcher
                     .search_with_params(q, SearchParams::new(setup.k, l.max(setup.k)))
                     .expect("valid query");
-                let ids: Vec<ObjectId> = out.results.iter().map(|r| r.0).collect();
-                recall_sum += recall_at(&ids, gt, setup.k);
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            SweepPoint {
-                l,
-                recall: recall_sum / setup.queries.len() as f64,
-                qps: setup.queries.len() as f64 / secs,
-            }
+                out.results.iter().map(|r| r.0).collect()
+            })
         })
         .collect()
 }
@@ -113,19 +124,10 @@ pub fn must_sweep(setup: &EffSetup, ls: &[usize]) -> Vec<SweepPoint> {
 /// The `MUST--` brute-force point (recall 1.0 by construction).
 #[must_use]
 pub fn must_brute_point(setup: &EffSetup) -> SweepPoint {
-    let t0 = Instant::now();
-    let mut recall_sum = 0.0;
-    for (q, gt) in setup.queries.iter().zip(&setup.ground_truth) {
+    timed_point(setup, 0, |q| {
         let out = setup.must.brute_force(q, setup.k).expect("valid query");
-        let ids: Vec<ObjectId> = out.results.iter().map(|r| r.0).collect();
-        recall_sum += recall_at(&ids, gt, setup.k);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    SweepPoint {
-        l: 0,
-        recall: recall_sum / setup.queries.len() as f64,
-        qps: setup.queries.len() as f64 / secs,
-    }
+        out.results.iter().map(|r| r.0).collect()
+    })
 }
 
 /// Builds MR over the same corpus (per-modality indexes).
@@ -144,20 +146,7 @@ pub fn mr_sweep(
     let mut visited = SearchScratch::default();
     candidate_sizes
         .iter()
-        .map(|&c| {
-            let t0 = Instant::now();
-            let mut recall_sum = 0.0;
-            for (q, gt) in setup.queries.iter().zip(&setup.ground_truth) {
-                let out = mr.search(q, setup.k, c, &mut visited);
-                recall_sum += recall_at(&out.results, gt, setup.k);
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            SweepPoint {
-                l: c,
-                recall: recall_sum / setup.queries.len() as f64,
-                qps: setup.queries.len() as f64 / secs,
-            }
-        })
+        .map(|&c| timed_point(setup, c, |q| mr.search(q, setup.k, c, &mut visited).results))
         .collect()
 }
 
@@ -168,18 +157,7 @@ pub fn mr_brute_point(
     mr: &MultiStreamedRetrieval<'_>,
     candidates: usize,
 ) -> SweepPoint {
-    let t0 = Instant::now();
-    let mut recall_sum = 0.0;
-    for (q, gt) in setup.queries.iter().zip(&setup.ground_truth) {
-        let out = mr.brute_force_search(q, setup.k, candidates);
-        recall_sum += recall_at(&out.results, gt, setup.k);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    SweepPoint {
-        l: candidates,
-        recall: recall_sum / setup.queries.len() as f64,
-        qps: setup.queries.len() as f64 / secs,
-    }
+    timed_point(setup, candidates, |q| mr.brute_force_search(q, setup.k, candidates).results)
 }
 
 /// Converts sweep points to `(recall, qps)` series points.

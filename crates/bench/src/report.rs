@@ -1,10 +1,28 @@
 //! Table and series reporting: aligned text to stdout, JSON artefacts to
 //! `EXPERIMENTS-out/`.
 
-use serde::Serialize;
+use std::io;
+
+use serde::{Serialize, Value};
+
+/// A JSON object from `(key, value)` pairs, in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// Prints `text` and writes it to `<out_dir>/<slug of id>.txt`, with `json`
+/// pretty-printed beside it as `.json`.
+fn write_artefact(id: &str, text: &str, json: &impl Serialize) -> io::Result<()> {
+    println!("{text}");
+    let slug = id.to_lowercase().replace(['.', ' '], "_").replace("__", "_");
+    let dir = crate::out_dir()?;
+    std::fs::write(dir.join(format!("{slug}.txt")), text)?;
+    let json = serde_json::to_string_pretty(json).map_err(io::Error::other)?;
+    std::fs::write(dir.join(format!("{slug}.json")), json)
+}
 
 /// A printable experiment table (one paper table).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table id, e.g. "Tab. III".
     pub id: String,
@@ -63,24 +81,27 @@ impl Table {
     }
 
     /// Prints to stdout and writes `<out_dir>/<slug>.json` + `.txt`.
-    pub fn emit(&self) {
-        let text = self.render();
-        println!("{text}");
-        let slug = self
-            .id
-            .to_lowercase()
-            .replace(['.', ' '], "_")
-            .replace("__", "_");
-        let dir = crate::out_dir();
-        let _ = std::fs::write(dir.join(format!("{slug}.txt")), &text);
-        if let Ok(json) = serde_json::to_string_pretty(self) {
-            let _ = std::fs::write(dir.join(format!("{slug}.json")), json);
-        }
+    ///
+    /// # Errors
+    /// The output directory cannot be created or a file cannot be written.
+    pub fn emit(&self) -> io::Result<()> {
+        write_artefact(&self.id, &self.render(), self)
+    }
+}
+
+impl Serialize for Table {
+    fn to_value(&self) -> Value {
+        object([
+            ("id", self.id.to_value()),
+            ("title", self.title.to_value()),
+            ("headers", self.headers.to_value()),
+            ("rows", self.rows.to_value()),
+        ])
     }
 }
 
 /// One curve of a figure: named `(x, y)` points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Curve label (e.g. "MUST", "MR--").
     pub label: String,
@@ -88,8 +109,14 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
+impl Serialize for Series {
+    fn to_value(&self) -> Value {
+        object([("label", self.label.to_value()), ("points", self.points.to_value())])
+    }
+}
+
 /// A figure: several series over named axes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Figure {
     /// Figure id, e.g. "Fig. 6a".
     pub id: String,
@@ -138,18 +165,45 @@ impl Figure {
     }
 
     /// Prints to stdout and writes artefacts.
-    pub fn emit(&self) {
-        let text = self.render();
-        println!("{text}");
-        let slug = self
-            .id
-            .to_lowercase()
-            .replace(['.', ' '], "_")
-            .replace("__", "_");
-        let dir = crate::out_dir();
-        let _ = std::fs::write(dir.join(format!("{slug}.txt")), &text);
-        if let Ok(json) = serde_json::to_string_pretty(self) {
-            let _ = std::fs::write(dir.join(format!("{slug}.json")), json);
+    ///
+    /// # Errors
+    /// The output directory cannot be created or a file cannot be written.
+    pub fn emit(&self) -> io::Result<()> {
+        write_artefact(&self.id, &self.render(), self)
+    }
+}
+
+impl Serialize for Figure {
+    fn to_value(&self) -> Value {
+        object([
+            ("id", self.id.to_value()),
+            ("title", self.title.to_value()),
+            ("x_label", self.x_label.to_value()),
+            ("y_label", self.y_label.to_value()),
+            ("series", self.series.to_value()),
+        ])
+    }
+}
+
+/// What an experiment returns: the tables and figures it regenerates, as
+/// values a caller can inspect before (or instead of) emitting them.
+#[derive(Debug, Clone)]
+pub enum Artefact {
+    /// A paper table.
+    Table(Table),
+    /// A paper figure.
+    Figure(Figure),
+}
+
+impl Artefact {
+    /// Prints to stdout and writes the `.txt` + `.json` pair.
+    ///
+    /// # Errors
+    /// As [`Table::emit`] / [`Figure::emit`].
+    pub fn emit(&self) -> io::Result<()> {
+        match self {
+            Self::Table(table) => table.emit(),
+            Self::Figure(figure) => figure.emit(),
         }
     }
 }
@@ -233,6 +287,58 @@ mod tests {
         assert_eq!(percentile_ms(&sample(67), 99.0), 67_000.0);
         // Empty samples report zero rather than panicking.
         assert_eq!(percentile_ms(&[], 99.0), 0.0);
+    }
+
+    /// The hand-written `to_value` impls keep the field order and nesting
+    /// the derive produced: both literals are the parent commit's output.
+    #[test]
+    fn json_matches_the_derived_layout() {
+        let mut t = Table::new("Tab. T", "a \"quoted\" title", &["name", "value"]);
+        t.push_row(vec!["a".into(), "-27.7%".into()]);
+        assert_eq!(
+            serde_json::to_string_pretty(&t).unwrap(),
+            r#"{
+  "id": "Tab. T",
+  "title": "a \"quoted\" title",
+  "headers": [
+    "name",
+    "value"
+  ],
+  "rows": [
+    [
+      "a",
+      "-27.7%"
+    ]
+  ]
+}"#
+        );
+        let mut f = Figure::new("Fig. F", "test", "x", "y");
+        f.push_series("MUST", vec![(100.0, 10.25)]);
+        f.push_series("empty", vec![]);
+        assert_eq!(
+            serde_json::to_string_pretty(&f).unwrap(),
+            r#"{
+  "id": "Fig. F",
+  "title": "test",
+  "x_label": "x",
+  "y_label": "y",
+  "series": [
+    {
+      "label": "MUST",
+      "points": [
+        [
+          100,
+          10.25
+        ]
+      ]
+    },
+    {
+      "label": "empty",
+      "points": []
+    }
+  ]
+}"#
+        );
     }
 
     #[test]

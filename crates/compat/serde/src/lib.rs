@@ -1,17 +1,16 @@
 //! Minimal, dependency-free stand-in for the parts of `serde` this
-//! workspace uses: the `Serialize`/`Deserialize` traits and their derive
-//! macros.
+//! workspace uses: the `Serialize`/`Deserialize` traits, hand-implemented
+//! by the few types that need them (there is no derive macro).
 //!
 //! Unlike real serde's zero-copy visitor architecture, this shim routes
 //! everything through an owned JSON-like [`Value`] tree — entirely
-//! sufficient for the workspace's persistence bundles and report
-//! artefacts, and simple enough to vendor.  The container this repo
-//! builds in has no network access to crates.io; swapping the real serde
-//! back in is a one-line change in the workspace manifest.
+//! sufficient for the workspace's report artefacts and the repo
+//! benchmark's result files, and simple enough to vendor.  The container
+//! this repo builds in has no network access to crates.io.  [`Value`] is
+//! part of the shim's surface that callers build directly, so the real
+//! serde is not a drop-in replacement.
 
 #![forbid(unsafe_code)]
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// An owned JSON-like document tree — the interchange format between the
 /// `Serialize`/`Deserialize` traits and the `serde_json` shim.

@@ -36,10 +36,9 @@ pub mod structured;
 pub mod universe;
 
 use must_encoders::{Latent, LatentSpace};
-use serde::{Deserialize, Serialize};
 
 /// The role a modality plays in a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModalityRole {
     /// The target modality (always index 0): grounded content the search
     /// results are rendered in.
@@ -51,7 +50,7 @@ pub enum ModalityRole {
 }
 
 /// Ground-truth labels of one object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjectLabels {
     /// Class id (noun / identity / garment).
     pub class: u32,

@@ -1,7 +1,5 @@
 //! The latent-semantics model underlying the simulated encoders.
 
-use serde::{Deserialize, Serialize};
-
 /// The shared latent space every content latent lives in.
 ///
 /// The space is split into a *class* subspace (identity of the thing — noun,
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// lets multimodal composition "replace the state": real composed encoders
 /// are trained to do precisely this semantically; the simulator does it
 /// geometrically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatentSpace {
     /// Dimensionality of the class subspace (first `class_dims` components).
     pub class_dims: usize,
@@ -31,7 +29,7 @@ impl LatentSpace {
 }
 
 /// How a content latent grounds its semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatentKind {
     /// Depicts a full object: class *and* attribute information
     /// (images, audio clips, video).
@@ -42,7 +40,7 @@ pub enum LatentKind {
 }
 
 /// One content's ground-truth semantics: a vector in the [`LatentSpace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Latent {
     values: Vec<f32>,
     kind: LatentKind,

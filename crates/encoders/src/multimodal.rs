@@ -1,8 +1,6 @@
 //! Simulated multimodal composers (the paper's `Phi`, Appendix B:
 //! TIRG, CLIP combiner, MPC).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Composer, Embedder, Latent, LatentKind, LatentSpace, UnimodalEncoder, UnimodalKind};
 
 /// The multimodal encoder families of the paper, with our calibrated
@@ -16,7 +14,7 @@ use crate::{Composer, Embedder, Latent, LatentKind, LatentSpace, UnimodalEncoder
 /// * `gap_sigma` — extra "modality gap" noise added on top of the visual
 ///   backbone's own noise (the joint-embedding error the paper quantifies
 ///   via SME).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComposerKind {
     /// Text-Image Residual Gating (Vo et al., CVPR 2019).
     Tirg,

@@ -4,12 +4,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ComposerKind, Embedder, LatentSpace, MultimodalEncoder, UnimodalEncoder, UnimodalKind};
 
 /// How modality 0 (the target) of a query is embedded (Fig. 4(f)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetEncoding {
     /// Option 1: encode the target input independently with a unimodal
     /// encoder.
@@ -25,7 +23,7 @@ pub enum TargetEncoding {
 /// The `label()` matches the paper's row names, e.g. `"CLIP+LSTM"` means
 /// target embedded by the CLIP composer (Option 2) and the text modality by
 /// LSTM.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EncoderConfig {
     /// Target-modality encoding choice.
     pub target: TargetEncoding,

@@ -1,7 +1,6 @@
 //! Simulated unimodal encoders (the paper's `phi_i`, Appendix B).
 
 use must_vector::kernels;
-use serde::{Deserialize, Serialize};
 
 use crate::noise::{content_hash, projection_matrix, GaussianStream};
 use crate::{Embedder, Latent, LatentSpace};
@@ -9,7 +8,7 @@ use crate::{Embedder, Latent, LatentSpace};
 /// The unimodal encoder families used in the paper's experiments
 /// (Appendix B), with the output dimensionality and noise level we
 /// calibrated for each (higher noise = worse encoder = higher SME).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnimodalKind {
     /// 17-layer ResNet image encoder — weaker visual backbone.
     ResNet17,
