@@ -184,9 +184,9 @@ impl Must {
         let id = self.objects.push_object(rows)?;
         self.deleted.resize(self.objects.len().div_ceil(64), 0);
         // The corpus's fused storage grew in place; re-entering index
-        // construction rebinds to it without copying rows or weights.  The
-        // oracle still recomputes its centroid — one pass over the corpus
-        // per insert (ROADMAP open item 1 lands the lazy centroid).
+        // construction rebinds to it without copying rows or weights, and
+        // without a pass over the corpus: the oracle computes its centroid
+        // only for seed preprocessing, which an HNSW insert never runs.
         let Self { objects, weights, index, quant, insert_scratch, .. } = self;
         if let Some(q) = quant {
             // Keep the codes in lockstep, encoding the *normalised* values

@@ -9,6 +9,8 @@
 //! front, so changing weights is a per-query decision — the seam the
 //! serving layer's `search_weighted` rides on.
 
+use std::sync::OnceLock;
+
 use must_graph::{QueryScorer, SimilarityOracle};
 use must_vector::{
     FusedRows, JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedQueryEvaluator,
@@ -21,10 +23,11 @@ pub struct JointOracle<'a> {
     joint: JointDistance<'a>,
     /// The fused centroid of all virtual points with the oracle's
     /// `omega^2` baked in (component ④ support): `sim_to_centroid` is one
-    /// dot product of this row against a raw stored row.  Computed at
-    /// construction — one pass over the whole corpus (see ROADMAP open
-    /// item 1 for why it is not lazy yet).
-    centroid_row: Vec<f32>,
+    /// dot product of this row against a raw stored row.  One pass over
+    /// the whole corpus, made by the first `sim_to_centroid` call: seed
+    /// preprocessing is its only reader, and HNSW build and insert — which
+    /// bind an oracle per inserted object — never reach it.
+    centroid_row: OnceLock<Vec<f32>>,
     w_total: f32,
 }
 
@@ -47,18 +50,33 @@ impl<'a> JointOracle<'a> {
     }
 
     fn over(joint: JointDistance<'a>) -> Self {
-        let engine = joint.engine();
-        // Bake omega^2 into the centroid once: against unscaled rows the
-        // plain fused dot product then yields the Lemma-1 weighted sum.
-        let mut centroid_row = engine.centroid_row();
-        for (k, &wsq) in joint.weights().squared().iter().enumerate() {
-            let (start, end) = engine.segment_bounds(k);
-            for x in &mut centroid_row[start..end] {
-                *x *= wsq;
-            }
-        }
         let w_total = joint.weights().squared().iter().sum();
-        Self { joint, centroid_row, w_total }
+        Self { joint, centroid_row: OnceLock::new(), w_total }
+    }
+
+    /// The `omega^2`-baked centroid, computed by whichever caller asks
+    /// first; seed preprocessing's workers racing here all read that one
+    /// value.
+    fn centroid_row(&self) -> &[f32] {
+        self.centroid_row.get_or_init(|| {
+            let engine = self.joint.engine();
+            // Bake omega^2 into the centroid once: against unscaled rows the
+            // plain fused dot product then yields the Lemma-1 weighted sum.
+            let mut centroid_row = engine.centroid_row();
+            for (k, &wsq) in self.joint.weights().squared().iter().enumerate() {
+                let (start, end) = engine.segment_bounds(k);
+                for x in &mut centroid_row[start..end] {
+                    *x *= wsq;
+                }
+            }
+            centroid_row
+        })
+    }
+
+    /// The centroid if some caller has asked for it yet.
+    #[cfg(test)]
+    fn centroid_cell(&self) -> Option<&[f32]> {
+        self.centroid_row.get().map(Vec::as_slice)
     }
 
     /// The underlying joint-distance computer.
@@ -99,7 +117,7 @@ impl SimilarityOracle for JointOracle<'_> {
         // The centroid row carries omega^2, the stored row is raw, so this
         // is the Lemma-1 weighted sum against the centroid — one dot
         // product.
-        must_vector::kernels::ip_prescaled_segments(self.joint.engine().row(a), &self.centroid_row)
+        must_vector::kernels::ip_prescaled_segments(self.joint.engine().row(a), self.centroid_row())
     }
 }
 
@@ -272,7 +290,12 @@ impl QueryScorer for SingleModalityScorer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use must_graph::hnsw::{Hnsw, HnswParams};
+    use must_graph::seed::{choose_seed, SeedStrategy};
+    use must_graph::{AnnIndex, SearchScratch};
     use must_vector::VectorSetBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn corpus() -> MultiVectorSet {
         let mut m0 = VectorSetBuilder::new(4, 4);
@@ -313,20 +336,102 @@ mod tests {
         }
     }
 
+    /// The engine's centroid with `omega^2` applied per segment — what the
+    /// oracle's cell must hold, value for value.
+    fn scaled_centroid(set: &MultiVectorSet, w: &Weights) -> Vec<f32> {
+        let rows = set.fused();
+        let mut c = rows.centroid_row();
+        for k in 0..rows.num_modalities() {
+            let (start, end) = rows.segment_bounds(k);
+            c[start..end].iter_mut().for_each(|x| *x *= w.sq(k));
+        }
+        c
+    }
+
     #[test]
     fn centroid_similarity_matches_per_modality_expansion() {
         let set = corpus();
         let w = Weights::new(vec![0.7, 0.4]).unwrap();
         let oracle = JointOracle::new(&set, w.clone()).unwrap();
         let centroids: Vec<Vec<f32>> = set.modalities().map(|m| m.centroid()).collect();
+        let fused_centroid = scaled_centroid(&set, &w);
         for id in 0..4u32 {
-            let want: f32 = centroids
+            let got = oracle.sim_to_centroid(id);
+            // Bit for bit the one dot product over the fused rows ...
+            let row = set.fused().row(id);
+            let want = must_vector::kernels::ip_prescaled_segments(row, &fused_centroid);
+            assert_eq!(got.to_bits(), want.to_bits(), "object {id}");
+            // ... which is Lemma 1's weighted sum over the modalities, up
+            // to summation order.
+            let expanded: f32 = centroids
                 .iter()
                 .enumerate()
                 .map(|(k, c)| w.sq(k) * set.modality(k).ip_to(id, c))
                 .sum();
-            assert!((oracle.sim_to_centroid(id) - want).abs() < 1e-5);
+            assert!((got - expanded).abs() < 1e-5);
         }
+    }
+
+    fn random_corpus(n: usize) -> MultiVectorSet {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut m0 = VectorSetBuilder::new(8, n);
+        let mut m1 = VectorSetBuilder::new(4, n);
+        for _ in 0..n {
+            let v0: Vec<f32> = (0..8).map(|_| rng.random::<f32>() - 0.5).collect();
+            let v1: Vec<f32> = (0..4).map(|_| rng.random::<f32>() - 0.5).collect();
+            m0.push_normalized(&v0).unwrap();
+            m1.push_normalized(&v1).unwrap();
+        }
+        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    }
+
+    #[test]
+    fn hnsw_build_and_insert_never_compute_the_centroid() {
+        // The write path binds an oracle per inserted object; none of it
+        // may pay the corpus pass behind `sim_to_centroid`.
+        let mut set = random_corpus(200);
+        let w = Weights::new(vec![0.8, 0.4]).unwrap();
+        let mut hnsw = {
+            let oracle = JointOracle::borrowed(&set, &w).unwrap();
+            let hnsw = Hnsw::build(&oracle, HnswParams::default());
+            assert!(oracle.centroid_cell().is_none(), "Hnsw::build read the centroid");
+            hnsw
+        };
+        for hot in 0..4 {
+            let row = |dim: usize| (0..dim).map(|i| if i == hot { 1.0 } else { 0.02 }).collect();
+            set.push_object(&[row(8), row(4)]).unwrap();
+        }
+        let oracle = JointOracle::borrowed(&set, &w).unwrap();
+        let mut scratch = SearchScratch::default();
+        for id in 200..204 {
+            hnsw.insert_new_with_scratch(&oracle, id, 0x1A5E, &mut scratch);
+        }
+        assert_eq!(AnnIndex::len(&hnsw), 204);
+        assert!(oracle.centroid_cell().is_none(), "an insert read the centroid");
+    }
+
+    #[test]
+    fn medoid_seed_is_thread_count_invariant_and_fills_the_centroid_once() {
+        let set = random_corpus(300);
+        let w = Weights::new(vec![0.8, 0.4]).unwrap();
+        let want = scaled_centroid(&set, &w);
+        let scan = |oracle: &JointOracle<'_>, threads: usize| {
+            let seed = choose_seed(oracle, SeedStrategy::Medoid, threads);
+            let cell = oracle.centroid_cell().expect("the medoid scan fills the cell");
+            assert!(cell.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+            (seed, cell.as_ptr())
+        };
+        let mut seeds = Vec::new();
+        for threads in [1, 2, 4] {
+            // A fresh oracle per thread count: its workers race to fill the
+            // empty cell; a second scan only reads what the first left.
+            let oracle = JointOracle::borrowed(&set, &w).unwrap();
+            assert!(oracle.centroid_cell().is_none());
+            let first = scan(&oracle, threads);
+            assert_eq!(scan(&oracle, 4), first, "refilled or moved at {threads} threads");
+            seeds.push(first.0);
+        }
+        assert!(seeds.iter().all(|&s| s == seeds[0]), "{seeds:?}");
     }
 
     #[test]

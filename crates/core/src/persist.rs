@@ -831,7 +831,7 @@ mod tests {
     use crate::server::MustServer;
     use crate::shard::{ShardSpec, ShardedServer};
     use must_graph::GraphRecipe;
-    use must_vector::{MultiQuery, VectorSetBuilder};
+    use must_vector::{MultiQuery, VectorError, VectorSetBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1037,17 +1037,66 @@ mod tests {
         }
     }
 
+    /// Three inserts onto a 150-object instance.
+    fn grow(must: &mut Must) {
+        for (i, (hot0, hot1)) in [(1, 0), (5, 3), (7, 2)].into_iter().enumerate() {
+            assert_eq!(must.insert_object(&new_object(hot0, hot1)).unwrap(), 150 + i as u32);
+        }
+    }
+
+    #[test]
+    fn refused_inserts_leave_no_trace() {
+        use VectorError::NotNormalisable;
+        let read = |p: &Path| std::fs::read(p).unwrap();
+        let mut must = hnsw_quantized(150);
+        let before = via_file("bundle-v7-refused-a.mustb", |p| save_quantized(&must, p), read);
+        let [good0, good1] = new_object(1, 0);
+        let with = |i: usize, x: f32| {
+            let mut row = good0.clone();
+            row[i] = x;
+            row
+        };
+        let cardinality = |got| VectorError::CardinalityMismatch { expected: 2, got };
+        let hostile: [(&str, Vec<Vec<f32>>, VectorError); 6] = [
+            ("one modality", vec![good0.clone()], cardinality(1)),
+            ("three modalities", vec![good0.clone(), good1.clone(), good1.clone()], cardinality(3)),
+            (
+                "short second row",
+                vec![good0.clone(), good1[..3].to_vec()],
+                VectorError::DimensionMismatch { expected: 4, got: 3 },
+            ),
+            ("NaN component", vec![with(2, f32::NAN), good1.clone()], NotNormalisable),
+            ("infinite component", vec![with(2, f32::INFINITY), good1.clone()], NotNormalisable),
+            // The first row validates; the refusal comes from the second.
+            ("zero-norm row", vec![good0.clone(), vec![0.0; 4]], NotNormalisable),
+        ];
+        for (what, rows, want) in hostile {
+            match must.insert_object(&rows) {
+                Err(MustError::Vector(got)) => assert_eq!(got, want, "{what}"),
+                other => panic!("{what}: {other:?}"),
+            }
+            let lens = (must.len(), must.quant().unwrap().len(), must.index().len());
+            assert_eq!(lens, (150, 150, 150), "{what}");
+            let after = via_file("bundle-v7-refused-b.mustb", |p| save_quantized(&must, p), read);
+            assert!(after == before, "{what}: the refused insert changed the bundle");
+        }
+
+        // Valid inserts after the refusals land as if nothing had been
+        // refused: the bundle of a from-scratch twin, byte for byte.
+        grow(&mut must);
+        let resaved = via_file("bundle-v7-refused-c.mustb", |p| save_quantized(&must, p), read);
+        let mut scratch = build(150, Weights::new(vec![0.8, 0.4]).unwrap(), GraphRecipe::Hnsw);
+        grow(&mut scratch);
+        let twin = via_file("bundle-v7-refused-d.mustb", |p| save_quantized(&scratch, p), read);
+        assert!(resaved == twin);
+    }
+
     #[test]
     fn v7_resaved_after_inserts_matches_quantizing_the_grown_corpus() {
         // save_quantized -> load -> three inserts -> save_quantized must
         // write byte for byte what quantizing the grown corpus from scratch
         // writes: appended rows encode exactly like bulk-quantized ones.
         let read = |p: &Path| std::fs::read(p).unwrap();
-        let grow = |must: &mut Must| {
-            for (i, (hot0, hot1)) in [(1, 0), (5, 3), (7, 2)].into_iter().enumerate() {
-                assert_eq!(must.insert_object(&new_object(hot0, hot1)).unwrap(), 150 + i as u32);
-            }
-        };
         let mut loaded = via_file(
             "bundle-v7-resave-a.mustb",
             |p| save_quantized(&hnsw_quantized(150), p),

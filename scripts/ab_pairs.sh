@@ -3,7 +3,9 @@
 # choosing-metrics §8 procedure: same benchmark settings on both sides,
 # sides alternate which runs first, a gain is claimed only when the change
 # wins >= 9/10 of the pairs and the medians differ by more than the
-# parent's own inter-quartile range.
+# parent's own inter-quartile range; a metric whose runs spread wider than
+# its bound is resolved only when every change run is better than every
+# parent run, which is printed per metric too.
 #
 #   scripts/ab_pairs.sh <parent-ref> <workload|all> [pairs=10] [seed=7] [--smoke]
 #
@@ -34,7 +36,7 @@ for a in "$@"; do
   esac
 done
 if [ "${#args[@]}" -lt 2 ]; then
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,27p' "$0" >&2
   exit 2
 fi
 parent_ref=${args[0]}
@@ -134,6 +136,10 @@ done | awk '
     printf "%-17s parent median %.4f [q1 %.4f q3 %.4f]  change median %.4f [q1 %.4f q3 %.4f]  change/parent %.4f  wins %d losses %d of %d  |d median| %s parent IQR %.4f\n", \
       name, pm, q(ps, n, 0.25), q(ps, n, 0.75), cm, q(cs, n, 0.25), q(cs, n, 0.75), \
       (pm != 0 ? cm / pm : 0), w, l, n, ((cm > pm ? cm - pm : pm - cm) > iqr ? ">" : "<="), iqr
+    # Where the runs spread wider than the bound, a metric is resolved only
+    # when the ranges of the two sides do not touch (choosing-metrics section 6).
+    printf "%-17s every change run better than every parent run: %s  (parent min %.4f max %.4f, change min %.4f max %.4f)\n", \
+      name, ((lower ? cs[n] < ps[1] : cs[1] > ps[n]) ? "yes" : "no"), ps[1], ps[n], cs[1], cs[n]
     printf "%-17s parent runs:", name; for (i = 1; i <= n; i++) printf " %s", p[i]; printf "\n"
     printf "%-17s change runs:", name; for (i = 1; i <= n; i++) printf " %s", c[i]; printf "\n"
     n = 0
