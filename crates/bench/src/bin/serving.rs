@@ -35,6 +35,7 @@ use std::time::Instant;
 use must_bench::efficiency::{prepare, semisynthetic_config};
 use must_bench::report::{f4, percentile_ms, Table};
 use must_core::metrics::recall_at;
+use must_core::runtime::ServeEngine;
 use must_core::search::{exact_ground_truth, SearchOutcome};
 use must_core::server::MustServer;
 use must_core::shard::{RoutePolicy, ShardSpec, ShardedMust, ShardedServer};

@@ -185,8 +185,10 @@ pub fn merge_candidates(
     let mut scored: Vec<(ObjectId, usize, f32)> =
         tally.into_iter().map(|(id, (cnt, sum))| (id, cnt, sum)).collect();
     let intersection_size = scored.iter().filter(|(_, cnt, _)| *cnt == channels).count();
-    // Presence count first (intersection dominates), then similarity sum.
-    scored.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(b.2.total_cmp(&a.2)));
+    // Presence count first (intersection dominates), then similarity sum,
+    // then id: the tally's hash order is per-process random, and the id
+    // key is what makes tied candidates come out the same every run.
+    scored.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(b.2.total_cmp(&a.2)).then(a.0.cmp(&b.0)));
     (scored.into_iter().take(k).map(|(id, _, _)| id).collect(), intersection_size)
 }
 
@@ -287,6 +289,21 @@ mod tests {
         let (merged, isect) = merge_candidates(&[a, b], 2);
         assert_eq!(isect, 0);
         assert_eq!(merged, vec![2, 1]);
+    }
+
+    #[test]
+    fn merge_breaks_ties_by_ascending_id() {
+        // 200 ids with identical presence and similarity sum: only the id
+        // can order them, whatever order the hash tally yields them in.
+        let ids: Vec<ObjectId> = (0..200).map(|i| (i * 7919) % 1000).collect();
+        let a: Vec<(ObjectId, f32)> = ids.iter().map(|&id| (id, 0.5)).collect();
+        let b: Vec<(ObjectId, f32)> = ids.iter().rev().map(|&id| (id, 0.25)).collect();
+        let (merged, isect) = merge_candidates(&[a, b], 50);
+        assert_eq!(isect, 200);
+        let mut want = ids;
+        want.sort_unstable();
+        want.truncate(50);
+        assert_eq!(merged, want);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The user-facing MUST framework (Fig. 4): multi-vector corpus in, learned
 //! or user-defined weights, fused index, joint search out.
 
+use std::time::Instant;
+
 use must_graph::{GraphRecipe, SearchParams, SearchScratch};
 use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
 
 use crate::index::{build_index, BuildReport, IndexOptions, MustIndex};
-use crate::oracle::JointOracle;
-use crate::search::{brute_force_search, request_params, JointSearcher, SearchOutcome};
+use crate::oracle::{JointOracle, MustQueryScorer};
+use crate::search::{brute_force_search, request_params, SearchOutcome};
 use crate::weights::{LearnedWeights, WeightLearnConfig, WeightLearner};
 use crate::MustError;
 
@@ -356,7 +358,8 @@ impl Must {
         MustSearcher {
             joint: JointDistance::new(&self.objects, self.weights.clone())
                 .expect("weight arity validated when this instance was built"),
-            inner: JointSearcher::new(),
+            scratch: SearchScratch::default(),
+            query_counter: 0,
             must: self,
         }
     }
@@ -390,10 +393,15 @@ impl Must {
     }
 }
 
-/// Reusable search handle bound to a [`Must`] instance.
+/// Reusable search handle bound to a [`Must`] instance: Algorithm 2 over
+/// the fused index, with visited stamps and result pool reused across a
+/// query batch (allocation-free steady state, as the response-time
+/// experiments require).  Unlike the serving layer's fixed seed, the
+/// random pool initialisation varies per query via a counter.
 pub struct MustSearcher<'a> {
     joint: JointDistance<'a>,
-    inner: JointSearcher,
+    scratch: SearchScratch,
+    query_counter: u64,
     must: &'a Must,
 }
 
@@ -424,8 +432,17 @@ impl MustSearcher<'_> {
             params.k = wanted + deleted;
             params.l = params.l.max(params.k);
         }
-        let mut out =
-            self.inner.search(self.must.index(), &self.joint, query, params, self.must.prune())?;
+        let scorer = MustQueryScorer::from_joint(&self.joint, query, self.must.prune())?;
+        let t0 = Instant::now();
+        self.query_counter += 1;
+        let rng_seed = 0x9A5E ^ self.query_counter;
+        let res = self.must.index().search(&scorer, params, &mut self.scratch, rng_seed);
+        let mut out = SearchOutcome {
+            results: res.results,
+            stats: res.stats,
+            kernel_evals: scorer.kernel_evals(),
+            secs: t0.elapsed().as_secs_f64(),
+        };
         if deleted > 0 {
             out.results.retain(|(id, _)| !self.must.is_deleted(*id));
             out.results.truncate(wanted);

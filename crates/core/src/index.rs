@@ -31,7 +31,7 @@ pub enum MustIndex {
 
 impl MustIndex {
     /// Runs Algorithm 2 for `scorer`.  `rng_seed` drives the flat walk's
-    /// random pool initialisation: [`crate::search::JointSearcher`] varies
+    /// random pool initialisation: [`crate::framework::MustSearcher`] varies
     /// it per query, a server passes one constant so a query's results do
     /// not depend on arrival order.  HNSW descends from its entry point
     /// and draws nothing.

@@ -39,10 +39,12 @@
 //!   — and merges the per-shard top-`k` by exact joint similarity;
 //!   bundle v6 persists the whole deployment, summaries included, in
 //!   one file.
-//! * [`runtime`] — the contention-free serve loop behind both servers'
-//!   `serve` entry points: per-worker request lanes, work stealing from
-//!   the longest lane, and batch affinity, with drain-on-shutdown
-//!   delivery guarantees.
+//! * [`runtime`] — the one serving interface: each engine's worker
+//!   writes one query body ([`runtime::EngineWorker::run_query`]) and the
+//!   weighted one-off, batch and `serve` entry points are provided
+//!   methods of [`runtime::ServeEngine`]; plus the contention-free
+//!   runtime behind `serve` — per-worker request lanes, work stealing
+//!   from the longest lane, batch affinity, drain-on-shutdown.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate DAG
 //! and a one-paragraph tour of every crate.

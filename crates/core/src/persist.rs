@@ -828,6 +828,7 @@ fn read_sharded_body(r: &mut CountingReader<impl Read>) -> Result<ShardedMust, M
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::ServeEngine;
     use crate::server::MustServer;
     use crate::shard::{ShardSpec, ShardedServer};
     use must_graph::GraphRecipe;

@@ -1,16 +1,27 @@
-//! The contention-free serving runtime: per-worker request lanes, work
-//! stealing, and batch affinity.
+//! The serving layer's one engine interface and its contention-free
+//! runtime: per-worker request lanes, work stealing, and batch affinity.
 //!
-//! [`MustServer::serve`]'s original loop funnelled every request through
-//! one shared `std::sync::mpsc` receiver behind a mutex, so every dequeue
-//! contended on the same lock and cache line no matter how many workers
-//! served — the committed bench showed 2 threads *losing* to 1.  This
-//! module replaces that hot path:
+//! ## One query body per engine
+//!
+//! [`EngineWorker::run_query`]`(query, Option<&Weights>, k, l)` is the only
+//! place an engine plans and runs a query: [`crate::server::ServerWorker`]
+//! and [`crate::shard::ShardedWorker`] each write it once.  Every
+//! handle-level entry point is a provided method of [`ServeEngine`] over
+//! that body — [`ServeEngine::search_weighted`],
+//! [`ServeEngine::search_batch`] / [`ServeEngine::search_batch_weighted`]
+//! (scoped threads, atomic chunk claiming) and [`ServeEngine::serve`] (a
+//! [`ServeRuntime`] fed from a channel) — so a default-weight query and an
+//! overridden one, one-off or batched or queued, do the same work in the
+//! same order on either engine.
+//!
+//! ## The runtime
 //!
 //! * **Per-worker lanes.**  Each worker owns a bounded-contention lane
 //!   (`Mutex<VecDeque>` touched by one producer round-robin step and one
 //!   consumer in the common case).  Submission round-robins across lanes,
-//!   so producers and workers almost never collide on a lock.
+//!   so producers and workers almost never collide on a lock — a single
+//!   shared `mpsc` receiver behind a mutex, the original serve loop, made
+//!   2 threads *lose* to 1.
 //! * **Work stealing.**  A worker whose own lane runs dry steals the
 //!   oldest job from the currently **longest** lane (lane depths are
 //!   advertised in atomics, so victim selection never takes a lock).
@@ -33,30 +44,29 @@
 //! Stealing only changes *which* worker runs a query, never the work the
 //! query performs, so replies are bit-identical to serial execution in
 //! any interleaving.  The same argument covers the sharded engine: a
-//! [`ShardedWorker`] searches its shards in a fixed order whichever
-//! runtime worker drives it.
-//!
-//! The runtime is generic over a [`ServeEngine`] — both [`MustServer`]
-//! and [`ShardedServer`] implement it, so single-shard and scatter-gather
-//! deployments share one serve loop.
+//! [`crate::shard::ShardedWorker`] searches its shards in a fixed order
+//! whichever runtime worker drives it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use must_vector::{MultiQuery, Weights};
 
 use crate::search::SearchOutcome;
-use crate::server::{MustServer, ServeReply, ServeRequest, ServerWorker};
-use crate::shard::{ShardedServer, ShardedWorker};
+use crate::server::{ServeReply, ServeRequest};
 use crate::MustError;
 
 /// A serving snapshot the runtime can drive: cheaply cloneable (the clone
 /// is an `Arc` bump), shareable across threads, and able to mint a
-/// reusable per-thread worker.
-pub trait ServeEngine: Clone + Send + 'static {
+/// reusable per-thread worker.  The handle-level conveniences — weighted
+/// one-off search, batch fan-out and the blocking serve loop — are written
+/// once here, over [`ServeEngine::serve_worker`] and
+/// [`EngineWorker::run_query`], for both [`crate::server::MustServer`]
+/// and [`crate::shard::ShardedServer`].
+pub trait ServeEngine: Clone + Send + Sync + 'static {
     /// The per-thread search state (scratch buffers survive across
     /// queries; the snapshot itself is shared, never copied).
     type Worker<'a>: EngineWorker
@@ -65,17 +75,91 @@ pub trait ServeEngine: Clone + Send + 'static {
 
     /// Mints a worker bound to this snapshot.
     fn serve_worker(&self) -> Self::Worker<'_>;
+
+    /// One-off top-`k` search under a per-query weight override: the same
+    /// frozen snapshot and graph, but the joint similarity is
+    /// `sum_k w_k^2 IP_k` for the caller's `weights` — equivalent (ids
+    /// identical, similarities to float tolerance) to a snapshot frozen
+    /// with `weights` as its defaults, pinned by
+    /// `crates/core/tests/weighted_search.rs`.
+    ///
+    /// # Errors
+    /// Propagates weight-arity and query/corpus mismatches;
+    /// [`MustError::Config`] for `k = 0`.
+    fn search_weighted(
+        &self,
+        query: &MultiQuery,
+        weights: &Weights,
+        k: usize,
+        l: usize,
+    ) -> Result<SearchOutcome, MustError> {
+        self.serve_worker().run_query(query, Some(weights), k, l)
+    }
+
+    /// Searches `queries` under the snapshot's default weights with
+    /// `threads` scoped workers (clamped to `[1, queries.len()]`, one
+    /// reusable worker each, atomic chunk claiming) and returns outcomes
+    /// in input order, bit-identical for every thread count.  Per-query
+    /// errors are returned in their slot.
+    #[must_use]
+    fn search_batch(
+        &self,
+        queries: &[MultiQuery],
+        k: usize,
+        l: usize,
+        threads: usize,
+    ) -> Vec<Result<SearchOutcome, MustError>> {
+        fan_out_batch(self, queries, None, k, l, threads)
+    }
+
+    /// [`ServeEngine::search_batch`] under one weight override for the
+    /// whole batch — the weight-churn serving path: switching `weights`
+    /// between batches costs nothing beyond the per-query evaluator each
+    /// search already builds.
+    #[must_use]
+    fn search_batch_weighted(
+        &self,
+        queries: &[MultiQuery],
+        weights: &Weights,
+        k: usize,
+        l: usize,
+        threads: usize,
+    ) -> Vec<Result<SearchOutcome, MustError>> {
+        fan_out_batch(self, queries, Some(weights), k, l, threads)
+    }
+
+    /// Blocking request/reply serve loop: pumps `requests` into a
+    /// [`ServeRuntime`] of `threads` workers, sending one [`ServeReply`]
+    /// per request on `replies`, and returns the number served once the
+    /// request channel is closed and drained.  Replies may interleave;
+    /// correlate by [`ServeRequest::id`].  For weighted requests, batch
+    /// affinity or lane counters, drive a [`ServeRuntime`] directly.
+    #[must_use]
+    fn serve(
+        &self,
+        requests: Receiver<ServeRequest>,
+        replies: Sender<ServeReply>,
+        threads: usize,
+    ) -> usize {
+        let runtime = ServeRuntime::start(self, threads, replies);
+        for req in requests {
+            runtime.submit(req);
+        }
+        runtime.shutdown()
+    }
 }
 
-/// The one operation the runtime needs from an engine's worker: answer a
-/// query under the snapshot's default weights or a per-request override.
+/// The one operation every serving path needs from an engine's worker:
+/// plan and run a query under the snapshot's default weights or a
+/// per-request override.  Each engine writes this body once; every entry
+/// point — one-off, batch, serve loop, runtime — calls it.
 pub trait EngineWorker {
     /// Runs one query; `weights: None` means the snapshot's defaults.
     ///
     /// # Errors
     /// Propagates per-query validation errors (arity/dimension
-    /// mismatches); the runtime forwards them in the reply rather than
-    /// tearing anything down.
+    /// mismatches, non-finite query components, `k = 0`); the runtime
+    /// forwards them in the reply rather than tearing anything down.
     fn run_query(
         &mut self,
         query: &MultiQuery,
@@ -85,47 +169,73 @@ pub trait EngineWorker {
     ) -> Result<SearchOutcome, MustError>;
 }
 
-impl EngineWorker for ServerWorker<'_> {
-    fn run_query(
-        &mut self,
-        query: &MultiQuery,
-        weights: Option<&Weights>,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        match weights {
-            Some(w) => self.search_weighted(query, w, k, l),
-            None => self.search(query, k, l),
+/// The batch fan-out behind [`ServeEngine::search_batch`] and
+/// [`ServeEngine::search_batch_weighted`]: `threads` is clamped to
+/// `[1, queries.len()]` and each scoped thread mints one reusable worker.
+///
+/// Work is distributed by **atomic chunk claiming**, not static slices:
+/// workers repeatedly claim the next `~n/(4·threads)` queries off a
+/// shared cursor until the batch is exhausted.  Static contiguous chunks
+/// (`n.div_ceil(threads)` each) left the last worker with up to
+/// `n/threads` extra queries on ragged batches — e.g. 17 queries over 4
+/// threads ran as 5+5+5+2, with two workers idle while the tail drained.
+/// Claiming bounds the imbalance to a single small chunk.
+///
+/// Each worker records `(original index, outcome)` pairs and the results
+/// are scattered back by index afterwards, so outcomes come back in input
+/// order and — because per-query work is deterministic and only *which*
+/// worker runs a query changes — results are bit-identical for every
+/// thread count and every claiming interleaving.
+fn fan_out_batch<E: ServeEngine>(
+    engine: &E,
+    queries: &[MultiQuery],
+    weights: Option<&Weights>,
+    k: usize,
+    l: usize,
+    threads: usize,
+) -> Vec<Result<SearchOutcome, MustError>> {
+    let n = queries.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = threads.max(1).min(n);
+    if threads == 1 {
+        let mut worker = engine.serve_worker();
+        return queries.iter().map(|q| worker.run_query(q, weights, k, l)).collect();
+    }
+    // ~4 chunks per worker: small enough to level a ragged tail, large
+    // enough that the shared cursor is touched rarely.
+    let chunk = (n.div_ceil(4 * threads)).max(1);
+    let cursor = AtomicUsize::new(0);
+    let mut out: Vec<Option<Result<SearchOutcome, MustError>>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let cursor = &cursor;
+                scope.spawn(move || {
+                    let mut worker = engine.serve_worker();
+                    let mut ran: Vec<(usize, Result<SearchOutcome, MustError>)> = Vec::new();
+                    loop {
+                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= n {
+                            break;
+                        }
+                        let end = (start + chunk).min(n);
+                        for (off, q) in queries[start..end].iter().enumerate() {
+                            ran.push((start + off, worker.run_query(q, weights, k, l)));
+                        }
+                    }
+                    ran
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, outcome) in handle.join().expect("batch worker panicked") {
+                out[i] = Some(outcome);
+            }
         }
-    }
-}
-
-impl ServeEngine for MustServer {
-    type Worker<'a> = ServerWorker<'a>;
-
-    fn serve_worker(&self) -> Self::Worker<'_> {
-        self.worker()
-    }
-}
-
-impl EngineWorker for ShardedWorker<'_> {
-    fn run_query(
-        &mut self,
-        query: &MultiQuery,
-        weights: Option<&Weights>,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        self.run(query, weights, k, l)
-    }
-}
-
-impl ServeEngine for ShardedServer {
-    type Worker<'a> = ShardedWorker<'a>;
-
-    fn serve_worker(&self) -> Self::Worker<'_> {
-        self.worker()
-    }
+    });
+    out.into_iter().map(|x| x.expect("every index claimed exactly once")).collect()
 }
 
 /// One queued query: the request plus an optional weight override.
@@ -374,20 +484,12 @@ impl ServeRuntime {
         self.push(Job::Single(Unit::from_request(req, Some(weights))));
     }
 
-    /// Submits a batch as **one affinity unit**: all its queries run
-    /// back-to-back on a single worker (whichever owns — or steals — the
-    /// unit), never interleaved with other traffic.
-    pub fn submit_batch(&self, reqs: Vec<ServeRequest>) {
-        self.push_batch(reqs, None);
-    }
-
-    /// [`ServeRuntime::submit_batch`] under one weight override for the
-    /// whole batch.
-    pub fn submit_batch_weighted(&self, reqs: Vec<ServeRequest>, weights: Weights) {
-        self.push_batch(reqs, Some(weights));
-    }
-
-    fn push_batch(&self, reqs: Vec<ServeRequest>, weights: Option<Weights>) {
+    /// Submits a batch as **one affinity unit** under the snapshot's
+    /// default weights (`weights: None`) or one override for the whole
+    /// batch: all its queries run back-to-back on a single worker
+    /// (whichever owns — or steals — the unit), never interleaved with
+    /// other traffic.
+    pub fn submit_batch(&self, reqs: Vec<ServeRequest>, weights: Option<Weights>) {
         if reqs.is_empty() {
             return;
         }
@@ -470,6 +572,7 @@ fn run_unit<W: EngineWorker>(worker: &mut W, unit: Unit, replies: &Sender<ServeR
 mod tests {
     use super::*;
     use crate::framework::{Must, MustBuildOptions};
+    use crate::server::MustServer;
     use must_vector::{MultiVectorSet, VectorSetBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -509,7 +612,7 @@ mod tests {
         let batch: Vec<ServeRequest> = (10..20u64)
             .map(|i| ServeRequest { id: i, query: self_query(&srv, i as u32), k: 1, l: 40 })
             .collect();
-        rt.submit_batch(batch);
+        rt.submit_batch(batch, None);
         assert_eq!(rt.shutdown(), 20);
         let mut seen = [false; 20];
         for rep in rx.iter() {

@@ -1,14 +1,14 @@
-//! The joint search (Algorithm 2) over the fused index, the brute-force
-//! searcher (`MUST--`), and exact ground-truth computation for the
-//! semi-synthetic workloads.
+//! The search outcome every searcher returns, the request-parameter
+//! check, the brute-force searcher (`MUST--`), and exact ground-truth
+//! computation for the semi-synthetic workloads.  Algorithm 2 over the
+//! fused index runs in [`crate::framework::MustSearcher`] (offline) and
+//! [`crate::server::ServerWorker`] (serving).
 
 use std::time::Instant;
 
-use must_graph::search::SearchScratch;
 use must_graph::{QueryScorer, SearchParams, SearchStats};
 use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, Weights};
 
-use crate::index::MustIndex;
 use crate::oracle::MustQueryScorer;
 use crate::MustError;
 
@@ -35,50 +35,6 @@ pub struct SearchOutcome {
     pub kernel_evals: u64,
     /// Wall-clock seconds.
     pub secs: f64,
-}
-
-/// Reusable search state (visited stamps + result pool) — allocation-free
-/// steady state across a query batch, as the response-time experiments
-/// require.
-#[derive(Default)]
-pub struct JointSearcher {
-    scratch: SearchScratch,
-    query_counter: u64,
-}
-
-impl JointSearcher {
-    /// Creates a fresh searcher.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs Algorithm 2 for `query` on `index`.
-    ///
-    /// `prune` toggles the Lemma-4 multi-vector computation optimisation.
-    ///
-    /// # Errors
-    /// Propagates query/corpus arity mismatches.
-    pub fn search(
-        &mut self,
-        index: &MustIndex,
-        joint: &JointDistance<'_>,
-        query: &MultiQuery,
-        params: SearchParams,
-        prune: bool,
-    ) -> Result<SearchOutcome, MustError> {
-        let scorer = MustQueryScorer::from_joint(joint, query, prune)?;
-        let t0 = Instant::now();
-        self.query_counter += 1;
-        let rng_seed = 0x9A5E ^ self.query_counter;
-        let res = index.search(&scorer, params, &mut self.scratch, rng_seed);
-        Ok(SearchOutcome {
-            results: res.results,
-            stats: res.stats,
-            kernel_evals: scorer.kernel_evals(),
-            secs: t0.elapsed().as_secs_f64(),
-        })
-    }
 }
 
 /// Brute-force joint top-`k` (the `MUST--` baseline): scans every object,
@@ -147,6 +103,7 @@ pub fn exact_ground_truth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framework::{Must, MustBuildOptions};
     use crate::index::{build_index, IndexOptions};
     use crate::oracle::JointOracle;
     use must_vector::VectorSetBuilder;
@@ -206,17 +163,16 @@ mod tests {
         let oracle = JointOracle::new(&set, weights.clone()).unwrap();
         let (index, _) =
             build_index(&oracle, IndexOptions { gamma: 12, ..Default::default() }).unwrap();
-        let joint = JointDistance::new(&set, weights).unwrap();
-        let mut searcher = JointSearcher::new();
+        let joint = JointDistance::new(&set, weights.clone()).unwrap();
+        let must = Must::from_parts(set.clone(), weights, index, MustBuildOptions::default()).unwrap();
+        let mut searcher = must.searcher();
         let mut hits = 0;
         let total = 25;
         for t in 0..total {
             let id = (t * 16) as u32 % 400;
             let q = query_for(&set, id);
             let exact = brute_force_search(&joint, &q, 1, true).unwrap();
-            let approx = searcher
-                .search(&index, &joint, &q, SearchParams::new(1, 100), true)
-                .unwrap();
+            let approx = searcher.search_with_params(&q, SearchParams::new(1, 100)).unwrap();
             if approx.results[0].0 == exact.results[0].0 {
                 hits += 1;
             }

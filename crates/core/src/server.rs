@@ -14,27 +14,21 @@
 //! in what order — the concurrency tests pin this down.
 //!
 //! Because the fused storage is unscaled and weighting happens on the
-//! query row alone, the frozen weights are merely a **default**: every
-//! entry point has a `*_weighted` twin taking a per-query [`Weights`]
-//! override, served from the same snapshot with zero extra state — the
-//! paper's user-defined-weight scenario (Tab. IX, §VIII-F) as a serving
-//! feature instead of an offline rebuild.
+//! query row alone, the frozen weights are merely a **default**: a query
+//! may carry a per-query [`Weights`] override, served from the same
+//! snapshot with zero extra state — the paper's user-defined-weight
+//! scenario (Tab. IX, §VIII-F) as a parameter of one query, not a second
+//! API.
 //!
-//! Three entry points, by traffic shape:
-//!
-//! * [`MustServer::search`] / [`MustServer::search_weighted`] — one-off
-//!   query, transient scratch state.
-//! * [`MustServer::search_batch`] / [`MustServer::search_batch_weighted`]
-//!   — a query slice fanned over worker threads (the throughput bench
-//!   path).
-//! * [`MustServer::serve`] — a blocking request/reply loop over
-//!   [`std::sync::mpsc`] channels, for streams whose length is unknown
-//!   up front; backed by the per-worker-lane
-//!   [`crate::runtime::ServeRuntime`] (no shared dequeue lock on the hot
-//!   path).
+//! One query body: [`ServerWorker`]'s
+//! [`crate::runtime::EngineWorker::run_query`] resolves the weights and
+//! the search parameters and calls
+//! [`ServerWorker::search_weighted_with_params`].  [`MustServer::search`]
+//! (one-off, transient scratch) and [`ServerWorker::search`] (reusable
+//! scratch) are its default-weight shorthands; the weighted one-off, the
+//! batch fan-out and the blocking serve loop are the provided methods of
+//! [`crate::runtime::ServeEngine`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,6 +38,7 @@ use must_vector::{MultiQuery, MultiVectorSet, QuantizedRows, Weights};
 
 use crate::framework::Must;
 use crate::oracle::{MustQueryScorer, QuantizedQueryScorer};
+use crate::runtime::{EngineWorker, ServeEngine};
 use crate::search::{request_params, SearchOutcome};
 use crate::MustError;
 
@@ -63,7 +58,7 @@ struct ServerCore {
     /// worker scores against, shared via the core's [`Arc`].
     objects: MultiVectorSet,
     /// The default weights (the configuration the index was built under);
-    /// any query may override them via the `*_weighted` entry points.
+    /// any query may override them.
     weights: Weights,
     index: ServingIndex,
     prune: bool,
@@ -82,7 +77,8 @@ pub struct MustServer {
     core: Arc<ServerCore>,
 }
 
-/// One request on a [`MustServer::serve`] stream.
+/// One request on a [`ServeEngine::serve`] stream or a
+/// [`crate::runtime::ServeRuntime`].
 pub struct ServeRequest {
     /// Caller-chosen correlation id, echoed in the reply.
     pub id: u64,
@@ -190,25 +186,6 @@ impl MustServer {
         self.worker().search(query, k, l)
     }
 
-    /// One-off top-`k` search under a per-query weight override: the same
-    /// frozen snapshot, the same graph, but the joint similarity is
-    /// `sum_k w_k^2 IP_k` for the caller's `weights`.  Equivalent (ids
-    /// identical, similarities to float tolerance) to freezing a server
-    /// whose default weights are `weights` over the same index — pinned by
-    /// `tests/weighted_search.rs`.
-    ///
-    /// # Errors
-    /// Propagates weight-arity and query/corpus mismatches.
-    pub fn search_weighted(
-        &self,
-        query: &MultiQuery,
-        weights: &Weights,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        self.worker().search_weighted(query, weights, k, l)
-    }
-
     /// A reusable per-thread search handle (allocation-free steady state:
     /// the search scratch persists across queries; the fused storage is
     /// shared, never copied).  Infallible by construction: the snapshot's
@@ -223,148 +200,6 @@ impl MustServer {
         scratch.reserve(self.core.index.len());
         ServerWorker { scratch, core: &self.core }
     }
-
-    /// Searches `queries` with `threads` workers (atomic chunk claiming,
-    /// one reusable [`ServerWorker`] per thread) and returns outcomes in
-    /// input order.  `threads` is clamped to `[1, queries.len()]`.
-    /// Results are bit-identical to running [`MustServer::search`]
-    /// serially.
-    ///
-    /// # Errors
-    /// Per-query errors are returned in the corresponding slot.
-    #[must_use]
-    pub fn search_batch(
-        &self,
-        queries: &[MultiQuery],
-        k: usize,
-        l: usize,
-        threads: usize,
-    ) -> Vec<Result<SearchOutcome, MustError>> {
-        fan_out_batch(queries, threads, || {
-            let mut worker = self.worker();
-            move |q: &MultiQuery| worker.search(q, k, l)
-        })
-    }
-
-    /// [`MustServer::search_batch`] under a per-batch weight override —
-    /// the weight-churn serving path: switching `weights` between batches
-    /// costs nothing beyond the per-query evaluator each search already
-    /// builds.
-    ///
-    /// # Errors
-    /// Per-query errors are returned in the corresponding slot.
-    #[must_use]
-    pub fn search_batch_weighted(
-        &self,
-        queries: &[MultiQuery],
-        weights: &Weights,
-        k: usize,
-        l: usize,
-        threads: usize,
-    ) -> Vec<Result<SearchOutcome, MustError>> {
-        fan_out_batch(queries, threads, || {
-            let mut worker = self.worker();
-            move |q: &MultiQuery| worker.search_weighted(q, weights, k, l)
-        })
-    }
-
-    /// Blocking request/reply serve loop: fans `requests` over `threads`
-    /// worker threads, sending one [`ServeReply`] per request on `replies`.
-    /// Returns the number of requests served, once the request channel is
-    /// closed and drained.  Replies may interleave across requests; use
-    /// [`ServeRequest::id`] to correlate.  Dropped reply receivers are
-    /// tolerated (remaining requests are still drained).
-    ///
-    /// Backed by [`crate::runtime::ServeRuntime`]: the calling thread
-    /// pumps the channel into per-worker lanes (round-robin), workers
-    /// steal from the longest lane when their own runs dry, and shutdown
-    /// drains every lane — no shared dequeue lock anywhere on the hot
-    /// path.  For finer control (weighted requests, batch affinity, lane
-    /// counters) drive a [`crate::runtime::ServeRuntime`] directly.
-    #[must_use]
-    pub fn serve(
-        &self,
-        requests: Receiver<ServeRequest>,
-        replies: Sender<ServeReply>,
-        threads: usize,
-    ) -> usize {
-        let runtime = crate::runtime::ServeRuntime::start(self, threads, replies);
-        for req in requests {
-            runtime.submit(req);
-        }
-        runtime.shutdown()
-    }
-}
-
-/// Shared fan-out behind the batch entry points of [`MustServer`] and
-/// [`crate::shard::ShardedServer`]: `threads` is clamped to
-/// `[1, queries.len()]` and each scoped thread builds one reusable worker
-/// via `mk_worker`.
-///
-/// Work is distributed by **atomic chunk claiming**, not static slices:
-/// workers repeatedly claim the next `~n/(4·threads)` queries off a
-/// shared cursor until the batch is exhausted.  Static contiguous chunks
-/// (`n.div_ceil(threads)` each) left the last worker with up to
-/// `n/threads` extra queries on ragged batches — e.g. 17 queries over 4
-/// threads ran as 5+5+5+2, with two workers idle while the tail drained.
-/// Claiming bounds the imbalance to a single small chunk.
-///
-/// Each worker records `(original index, outcome)` pairs and the results
-/// are scattered back by index afterwards, so outcomes come back in input
-/// order and — because per-query work is deterministic and only *which*
-/// worker runs a query changes — results are bit-identical for every
-/// thread count and every claiming interleaving.
-pub(crate) fn fan_out_batch<W, F>(
-    queries: &[MultiQuery],
-    threads: usize,
-    mk_worker: F,
-) -> Vec<Result<SearchOutcome, MustError>>
-where
-    F: Fn() -> W + Sync,
-    W: FnMut(&MultiQuery) -> Result<SearchOutcome, MustError>,
-{
-    let n = queries.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return queries.iter().map(mk_worker()).collect();
-    }
-    // ~4 chunks per worker: small enough to level a ragged tail, large
-    // enough that the shared cursor is touched rarely.
-    let chunk = (n.div_ceil(4 * threads)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<Result<SearchOutcome, MustError>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let mk_worker = &mk_worker;
-                scope.spawn(move || {
-                    let mut worker = mk_worker();
-                    let mut ran: Vec<(usize, Result<SearchOutcome, MustError>)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for (off, q) in queries[start..end].iter().enumerate() {
-                            ran.push((start + off, worker(q)));
-                        }
-                    }
-                    ran
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("batch worker panicked") {
-                out[i] = Some(outcome);
-            }
-        }
-    });
-    out.into_iter().map(|x| x.expect("every index claimed exactly once")).collect()
 }
 
 /// Reusable per-thread search state bound to a [`MustServer`] snapshot.
@@ -388,43 +223,12 @@ impl ServerWorker<'_> {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
-        self.search_with_params(query, request_params(k, l)?)
+        self.run_query(query, None, k, l)
     }
 
-    /// Top-`k` search under a per-query weight override; see
-    /// [`MustServer::search_weighted`].
-    ///
-    /// # Errors
-    /// Propagates weight-arity and query/corpus mismatches;
-    /// [`MustError::Config`] for `k = 0`.
-    pub fn search_weighted(
-        &mut self,
-        query: &MultiQuery,
-        weights: &Weights,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        self.search_weighted_with_params(query, weights, request_params(k, l)?)
-    }
-
-    /// Same as [`ServerWorker::search`], with explicit [`SearchParams`].
-    ///
-    /// # Errors
-    /// Propagates query/corpus arity and dimension mismatches.
-    pub fn search_with_params(
-        &mut self,
-        query: &MultiQuery,
-        params: SearchParams,
-    ) -> Result<SearchOutcome, MustError> {
-        // The default path is the weighted path with the frozen
-        // configuration; the core reference outlives the &mut self borrow,
-        // so no clone is needed.
-        let core = self.core;
-        self.search_weighted_with_params(query, &core.weights, params)
-    }
-
-    /// Same as [`ServerWorker::search_weighted`], with explicit
-    /// [`SearchParams`].
+    /// The search under explicit `weights` and [`SearchParams`]: the f32
+    /// walk, or — when the snapshot carries SQ8 codes — the quantized
+    /// walk plus exact re-rank.
     ///
     /// # Errors
     /// Propagates weight-arity and query/corpus mismatches.
@@ -493,6 +297,30 @@ impl ServerWorker<'_> {
             kernel_evals: qscorer.kernel_evals() + exact.kernel_evals(),
             secs: t0.elapsed().as_secs_f64(),
         })
+    }
+}
+
+impl EngineWorker for ServerWorker<'_> {
+    /// The single-shard query body: `None` resolves to the frozen
+    /// weights, `(k, l)` to validated [`SearchParams`].
+    fn run_query(
+        &mut self,
+        query: &MultiQuery,
+        weights: Option<&Weights>,
+        k: usize,
+        l: usize,
+    ) -> Result<SearchOutcome, MustError> {
+        let params = request_params(k, l)?;
+        let core = self.core;
+        self.search_weighted_with_params(query, weights.unwrap_or(&core.weights), params)
+    }
+}
+
+impl ServeEngine for MustServer {
+    type Worker<'a> = ServerWorker<'a>;
+
+    fn serve_worker(&self) -> Self::Worker<'_> {
+        self.worker()
     }
 }
 

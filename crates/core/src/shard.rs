@@ -17,9 +17,13 @@
 //!   *and* within shards), plus the local→global id maps.  Dynamic
 //!   insertion routes each new object to the currently smallest shard.
 //! * [`ShardedServer`] — the online side: one frozen [`MustServer`] per
-//!   shard behind a single [`Arc`].  A query fans out to every shard
-//!   (scatter), runs the existing per-shard beam search, and the per-shard
-//!   top-`k` lists merge into one global top-`k` (gather).
+//!   shard behind a single [`Arc`].  A [`ShardedWorker`] holds one
+//!   [`ServerWorker`] per shard; its [`EngineWorker::run_query`] — the one
+//!   sharded query body — runs the existing per-shard beam search on each
+//!   selected shard in shard order (scatter) and merges the per-shard
+//!   top-`k` lists into one global top-`k` (gather).  Parallelism comes
+//!   from concurrent queries (the [`ServeEngine`] batch and serve paths),
+//!   not from spreading one query over threads.
 //! * [`ShardSummary`] + [`RoutePolicy`] — selective routing.  Every shard
 //!   carries a summary (per-modality centroid segments plus residual
 //!   radii); [`ShardedServer::with_routing`] scores a query against each
@@ -40,7 +44,7 @@
 //! Per-shard searches inherit [`MustServer`]'s fixed-seed determinism, and
 //! the gather step orders candidates by `(similarity desc, global id asc)`
 //! — a total order — so a sharded query's results are a pure function of
-//! the query: bit-identical across thread counts, scatter strategies, and
+//! the query: bit-identical across entry points, batch thread counts, and
 //! repeated runs, exactly like the single-shard server.  Routing preserves
 //! this: the router's scores are a pure function of `(query, weights,
 //! summaries)` and ties break toward the lower shard index, so the set of
@@ -90,7 +94,8 @@ use must_vector::{kernels, FusedRows, MultiQuery, MultiVectorSet, ObjectId, Vect
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::search::{request_params, SearchOutcome};
-use crate::server::{fan_out_batch, MustServer, ServerWorker};
+use crate::runtime::{EngineWorker, ServeEngine};
+use crate::server::{MustServer, ServerWorker};
 use crate::MustError;
 
 /// Deterministic object→shard assignment policy.
@@ -1217,8 +1222,8 @@ impl ShardedServer {
     /// weights (defaults or per-query overrides alike), searching each
     /// with the policy's per-shard pool.  Cheap (one [`Arc`] clone); the
     /// unrouted handle keeps serving full fan-out.  Workers minted by
-    /// [`ShardedServer::worker`] — and therefore [`ShardedServer::serve`]
-    /// and the batch paths — inherit the policy.
+    /// [`ShardedServer::worker`] — and therefore every [`ServeEngine`]
+    /// entry point — inherit the policy.
     #[must_use]
     pub fn with_routing(&self, policy: RoutePolicy) -> Self {
         Self { core: Arc::clone(&self.core), routing: Some(policy) }
@@ -1275,71 +1280,26 @@ impl ShardedServer {
         &self.core.global_ids[s]
     }
 
-    /// One-off top-`k` search with pool size `l`: **scatters** the query
-    /// over the shards concurrently (scoped threads, clamped to the
-    /// available parallelism so a many-shard deployment never attempts
-    /// more spawns than the machine supports), then **gathers** the
-    /// per-shard top-`k` into the global top-`k` by exact joint
-    /// similarity.  Results are bit-identical to the sequential
-    /// [`ShardedWorker::search`] path.
+    /// One-off top-`k` search with pool size `l` under the default
+    /// weights: a transient [`ShardedWorker`] searches the routed shards in
+    /// shard order and gathers the per-shard top-`k` into the global
+    /// top-`k` by exact joint similarity.  Concurrency comes from running
+    /// many queries at once — [`ServeEngine::search_batch`],
+    /// [`ServeEngine::serve`] — never from splitting one query over
+    /// threads.
     ///
     /// # Errors
     /// Propagates query/corpus arity and dimension mismatches (the first
     /// failing shard's error, by shard order).
     pub fn search(&self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
-        self.scatter(query, None, k, l)
-    }
-
-    /// [`ShardedServer::search`] under a per-query weight override: the
-    /// scatter step threads the **same** `weights` to every shard (each
-    /// shard worker scores with the override, not its frozen default), and
-    /// the gather step merges per-shard candidates whose similarities were
-    /// all computed under that same override — so the DESIGN §7
-    /// bit-identity argument carries over unchanged: shard rows hold the
-    /// same floats at the same lane offsets as the global rows, and the
-    /// merge's `(similarity desc, id asc)` order is total.
-    ///
-    /// # Errors
-    /// Propagates weight-arity and query/corpus mismatches (the first
-    /// failing shard's error, by shard order).
-    pub fn search_weighted(
-        &self,
-        query: &MultiQuery,
-        weights: &Weights,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        self.scatter(query, Some(weights), k, l)
-    }
-
-    /// The one scoped-thread scatter body behind [`ShardedServer::search`]
-    /// (`weights: None` — the frozen configuration, which
-    /// [`ShardedMust`] validated identical across shards) and
-    /// [`ShardedServer::search_weighted`].
-    fn scatter(
-        &self,
-        query: &MultiQuery,
-        weights: Option<&Weights>,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        let t0 = Instant::now();
-        let weights = weights.unwrap_or_else(|| self.core.shards[0].weights());
-        let (selected, params) = self.core.plan(self.routing, query, weights, k, l)?;
-        let workers =
-            std::thread::available_parallelism().map_or(1, usize::from).min(selected.len());
-        let per_shard = par::par_map(selected.len(), workers, |i| {
-            self.core.shards[selected[i]].worker().search_weighted_with_params(query, weights, params)
-        });
-        let per_shard: Vec<SearchOutcome> = per_shard.into_iter().collect::<Result<_, _>>()?;
-        Ok(self.core.gather(selected.into_iter().zip(per_shard).collect(), k, t0))
+        self.worker().search(query, k, l)
     }
 
     /// A reusable per-thread scatter-gather handle: one [`ServerWorker`]
     /// (with its own [`must_graph::SearchScratch`]) per shard, so a query
     /// batch's steady state allocates nothing inside any shard's search
     /// loop.  The handle's routing policy is baked in, which is how
-    /// routing reaches [`ShardedServer::serve`] and the batch paths.
+    /// routing reaches [`ServeEngine::serve`] and the batch paths.
     #[must_use]
     pub fn worker(&self) -> ShardedWorker<'_> {
         ShardedWorker {
@@ -1347,70 +1307,6 @@ impl ShardedServer {
             core: &self.core,
             routing: self.routing,
         }
-    }
-
-    /// Searches `queries` with `threads` workers (atomic chunk claiming,
-    /// one reusable [`ShardedWorker`] per thread) and returns outcomes in
-    /// input order.  `threads` is clamped to `[1, queries.len()]`.
-    /// Results are bit-identical for every thread count.
-    ///
-    /// # Errors
-    /// Per-query errors are returned in the corresponding slot.
-    #[must_use]
-    pub fn search_batch(
-        &self,
-        queries: &[MultiQuery],
-        k: usize,
-        l: usize,
-        threads: usize,
-    ) -> Vec<Result<SearchOutcome, MustError>> {
-        fan_out_batch(queries, threads, || {
-            let mut worker = self.worker();
-            move |q: &MultiQuery| worker.search(q, k, l)
-        })
-    }
-
-    /// Blocking request/reply serve loop over the whole sharded
-    /// deployment: the sharded twin of [`MustServer::serve`], backed by
-    /// the same [`crate::runtime::ServeRuntime`].  Each runtime worker
-    /// holds one [`ShardedWorker`] for its entire lifetime — per-shard
-    /// scratch stays warm across the stream instead of being re-created
-    /// by per-batch scoped threads — and searches the shards sequentially
-    /// per query, so parallelism comes from concurrent queries, not from
-    /// per-query scatter spawns.  Returns the number of requests served
-    /// once the request channel is closed and drained.
-    #[must_use]
-    pub fn serve(
-        &self,
-        requests: std::sync::mpsc::Receiver<crate::server::ServeRequest>,
-        replies: std::sync::mpsc::Sender<crate::server::ServeReply>,
-        threads: usize,
-    ) -> usize {
-        let runtime = crate::runtime::ServeRuntime::start(self, threads, replies);
-        for req in requests {
-            runtime.submit(req);
-        }
-        runtime.shutdown()
-    }
-
-    /// [`ShardedServer::search_batch`] under a per-batch weight override
-    /// (see [`ShardedServer::search_weighted`] for the merge argument).
-    ///
-    /// # Errors
-    /// Per-query errors are returned in the corresponding slot.
-    #[must_use]
-    pub fn search_batch_weighted(
-        &self,
-        queries: &[MultiQuery],
-        weights: &Weights,
-        k: usize,
-        l: usize,
-        threads: usize,
-    ) -> Vec<Result<SearchOutcome, MustError>> {
-        fan_out_batch(queries, threads, || {
-            let mut worker = self.worker();
-            move |q: &MultiQuery| worker.search_weighted(q, weights, k, l)
-        })
     }
 }
 
@@ -1425,10 +1321,9 @@ pub struct ShardedWorker<'a> {
 }
 
 impl ShardedWorker<'_> {
-    /// Top-`k` search with pool size `l`: the routed shards are searched
-    /// sequentially on the calling thread (batch parallelism comes from
-    /// [`ShardedServer::search_batch`]), then gathered.  Bit-identical to
-    /// the scattered [`ShardedServer::search`] under the same policy.
+    /// Top-`k` search with pool size `l` under the default weights: the
+    /// routed shards are searched sequentially on the calling thread, then
+    /// gathered.
     ///
     /// # Errors
     /// Propagates query/corpus arity and dimension mismatches.
@@ -1438,31 +1333,18 @@ impl ShardedWorker<'_> {
         k: usize,
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
-        self.run(query, None, k, l)
+        self.run_query(query, None, k, l)
     }
+}
 
-    /// Top-`k` search under a per-query weight override, sequential
-    /// per-shard variant — bit-identical to the scattered
-    /// [`ShardedServer::search_weighted`] under the same policy (the
-    /// router scores summaries with the override too).
-    ///
-    /// # Errors
-    /// Propagates weight-arity and query/corpus mismatches.
-    pub fn search_weighted(
-        &mut self,
-        query: &MultiQuery,
-        weights: &Weights,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
-        self.run(query, Some(weights), k, l)
-    }
-
-    /// The one sequential body behind [`ShardedWorker::search`]
-    /// (`weights: None` — the frozen configuration),
-    /// [`ShardedWorker::search_weighted`] and the serve runtime's
-    /// [`crate::runtime::EngineWorker::run_query`].
-    pub(crate) fn run(
+impl EngineWorker for ShardedWorker<'_> {
+    /// The sharded query body: `None` resolves to the frozen weights
+    /// (which [`ShardedMust`] validated identical across shards); the
+    /// handle's routing policy picks the shards and the per-shard
+    /// parameters; each selected shard runs on its own [`ServerWorker`];
+    /// the per-shard top-`k` lists are gathered.  The router scores
+    /// summaries under the same weights the shards search with.
+    fn run_query(
         &mut self,
         query: &MultiQuery,
         weights: Option<&Weights>,
@@ -1478,6 +1360,14 @@ impl ShardedWorker<'_> {
             per_shard.push((s, self.workers[s].search_weighted_with_params(query, weights, params)?));
         }
         Ok(core.gather(per_shard, k, t0))
+    }
+}
+
+impl ServeEngine for ShardedServer {
+    type Worker<'a> = ShardedWorker<'a>;
+
+    fn serve_worker(&self) -> Self::Worker<'_> {
+        self.worker()
     }
 }
 
@@ -1596,8 +1486,10 @@ mod tests {
         }
     }
 
+    // The one-off path (a transient worker) and a reused worker, whose
+    // per-shard scratch carries over between queries, agree bitwise.
     #[test]
-    fn scattered_and_sequential_search_agree_bitwise() {
+    fn one_off_and_reused_worker_search_agree_bitwise() {
         let set = corpus(180);
         let sharded = ShardedMust::build(
             set.clone(),

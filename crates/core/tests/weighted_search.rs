@@ -8,6 +8,7 @@
 //! and **all seven graph backends**.
 
 use must_core::framework::{Must, MustBuildOptions};
+use must_core::runtime::ServeEngine;
 use must_core::server::MustServer;
 use must_graph::GraphRecipe;
 use must_vector::{MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};

@@ -523,6 +523,11 @@ impl<'a> QuantizedQueryEvaluator<'a> {
                     got: slot.len(),
                 });
             }
+            // A NaN or infinite component would poison every score and
+            // every sort the walk makes; refuse it, weighted or not.
+            if slot.iter().any(|x| !x.is_finite()) {
+                return Err(VectorError::NotNormalisable);
+            }
             let wsq = weights.sq(k);
             if wsq <= 0.0 {
                 continue;

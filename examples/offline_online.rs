@@ -53,8 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect();
 
-    // The batch API fans the queries over worker threads; results are
-    // bit-identical to serial execution.
+    // The batch API (a `ServeEngine` method, shared with `ShardedServer`)
+    // fans the queries over worker threads; results are bit-identical to
+    // serial execution.
     let outcomes = server.search_batch(&queries, 3, 16, 4);
     for (i, out) in outcomes.into_iter().enumerate() {
         let out = out?;
@@ -65,7 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(out.results[0].0, (i as u32) * 7, "self-query must find itself");
     }
 
-    // The serve loop handles open-ended request streams.
+    // The serve loop (also a `ServeEngine` method) handles open-ended
+    // request streams through a `ServeRuntime`.
     let (req_tx, req_rx) = std::sync::mpsc::channel();
     let (rep_tx, rep_rx) = std::sync::mpsc::channel();
     for (i, q) in queries.iter().enumerate() {

@@ -53,7 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Several producers submit a mixed request stream. -------------
     // Each producer interleaves singles, a weight-overridden single, and
-    // a batch (one affinity unit: its queries stay on one worker).
+    // a batch (one affinity unit: its queries stay on one worker), every
+    // other batch under the override too — `submit_batch` takes the
+    // weights as an `Option`, `None` meaning the snapshot's defaults.
     const PRODUCERS: u64 = 4;
     const ROUNDS: u64 = 8;
     let heavy_img = Weights::from_squared(vec![0.8, 0.2])?;
@@ -74,7 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     };
                     runtime.submit(req(base));
                     runtime.submit_weighted(req(base + 1), heavy_img.clone());
-                    runtime.submit_batch((2..6).map(|j| req(base + j)).collect());
+                    let weights = (r % 2 == 1).then(|| heavy_img.clone());
+                    runtime.submit_batch((2..6).map(|j| req(base + j)).collect(), weights);
                 }
             });
         }

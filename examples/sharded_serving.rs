@@ -69,6 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Online: reload and serve scatter-gather. ---------------------
+    // `search_batch` is the same `ServeEngine` method a `MustServer`
+    // serves with: each query runs on one worker, which searches the
+    // shards in order and gathers; the batch spreads queries over threads.
     let server = ShardedServer::load(&path)?;
     let outcomes = server.search_batch(&queries, 3, 16, 2);
     for (i, out) in outcomes.into_iter().enumerate() {

@@ -7,6 +7,12 @@
 //! **concurrently** from the same frozen snapshot, printing each user's
 //! top-k.
 //!
+//! A weight override is a parameter of one query, not a second API: every
+//! entry point funnels into `EngineWorker::run_query(query, weights, k,
+//! l)`, where `None` means the frozen defaults.  `search_weighted` is a
+//! provided method of the `ServeEngine` trait (in the prelude), so the
+//! same call serves a `ShardedServer` too.
+//!
 //! Run with `cargo run --release --example user_weights`.
 
 use must::prelude::*;
@@ -100,6 +106,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let txt_top = server.search_weighted(&query, &Weights::from_squared(vec![0.001, 0.999])?, 1, 64)?;
     assert_eq!(img_top.results[0].0, 10, "image-heavy weights find the image anchor");
     assert_eq!(txt_top.results[0].0, 55, "text-heavy weights find the text anchor");
+
+    // The default path is the same body with `None`: overriding with the
+    // frozen weights changes nothing, bit for bit.
+    let mut worker = server.worker();
+    let default = worker.run_query(&query, None, 3, 32)?;
+    let explicit = worker.run_query(&query, Some(server.weights()), 3, 32)?;
+    assert_eq!((default.results, default.stats), (explicit.results, explicit.stats));
 
     std::fs::remove_file(&path)?;
     Ok(())

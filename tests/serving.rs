@@ -8,14 +8,15 @@
 
 use std::sync::mpsc;
 
+use must::core::search::SearchOutcome;
 use must::core::MustError;
 use must::data::embed::embed_dataset;
 use must::encoders::{ComposerKind, EncoderConfig, EncoderRegistry, LatentSpace, TargetEncoding, UnimodalKind};
 use must::prelude::*;
 
-/// Embeds a small MIT-States-style corpus and returns a built `Must`
-/// plus a 64-query workload.
-fn built_fixture() -> (Must, Vec<MultiQuery>) {
+/// Embeds a small MIT-States-style corpus and returns its objects plus a
+/// 64-query workload.
+fn embedded_fixture() -> (MultiVectorSet, Vec<MultiQuery>) {
     let ds = must::data::catalog::mit_states(0.05, 4242);
     let registry = EncoderRegistry::new(LatentSpace::DEFAULT, 4242);
     let config = EncoderConfig::new(
@@ -26,12 +27,19 @@ fn built_fixture() -> (Must, Vec<MultiQuery>) {
     let queries: Vec<MultiQuery> =
         embedded.queries.iter().take(64).map(|q| q.query.clone()).collect();
     assert_eq!(queries.len(), 64, "fixture needs a full 64-query workload");
-    let must = Must::build(
-        embedded.objects,
-        Weights::uniform(2),
-        MustBuildOptions { gamma: 16, ..Default::default() },
-    )
-    .unwrap();
+    (embedded.objects, queries)
+}
+
+/// The fixture's build options.
+fn fixture_opts() -> MustBuildOptions {
+    MustBuildOptions { gamma: 16, ..Default::default() }
+}
+
+/// Embeds the fixture corpus and returns a built `Must` plus the
+/// 64-query workload.
+fn built_fixture() -> (Must, Vec<MultiQuery>) {
+    let (objects, queries) = embedded_fixture();
+    let must = Must::build(objects, Weights::uniform(2), fixture_opts()).unwrap();
     (must, queries)
 }
 
@@ -150,7 +158,7 @@ fn runtime_stress_every_request_answered_exactly_once() {
         queries.iter().map(|q| worker.search(q, k, l).unwrap()).collect();
     let oracle_override: Vec<_> = queries
         .iter()
-        .map(|q| worker.search_weighted(q, &override_w, k, l).unwrap())
+        .map(|q| worker.run_query(q, Some(&override_w), k, l).unwrap())
         .collect();
 
     // Request plan: id encodes (producer, sequence); the map records which
@@ -193,10 +201,11 @@ fn runtime_stress_every_request_answered_exactly_once() {
                     runtime.submit_weighted(req(base + 1, base as usize + 7), override_w.clone());
                     runtime.submit_batch(
                         (0..4u64).map(|j| req(base + 10 + j, base as usize + 13 + j as usize)).collect(),
+                        None,
                     );
-                    runtime.submit_batch_weighted(
+                    runtime.submit_batch(
                         (0..4u64).map(|j| req(base + 20 + j, base as usize + 29 + j as usize)).collect(),
-                        override_w.clone(),
+                        Some(override_w.clone()),
                     );
                 }
             });
@@ -256,11 +265,11 @@ fn runtime_answers_k_zero_with_one_error_and_keeps_serving() {
     let mut worker = server.worker();
     assert!(matches!(worker.search(&queries[0], 0, l), Err(MustError::Config(_))));
     assert!(matches!(
-        worker.search_weighted(&queries[0], &override_w, 0, l),
+        worker.run_query(&queries[0], Some(&override_w), 0, l),
         Err(MustError::Config(_))
     ));
     let oracle = worker.search(&queries[1], k, l).unwrap();
-    let oracle_w = worker.search_weighted(&queries[1], &override_w, k, l).unwrap();
+    let oracle_w = worker.run_query(&queries[1], Some(&override_w), k, l).unwrap();
 
     let (rep_tx, rep_rx) = mpsc::channel();
     let runtime = ServeRuntime::start(&server, 1, rep_tx);
@@ -270,7 +279,7 @@ fn runtime_answers_k_zero_with_one_error_and_keeps_serving() {
     runtime.submit(req(1, k));
     runtime.submit_weighted(req(2, 0), override_w.clone());
     runtime.submit_weighted(req(3, k), override_w.clone());
-    runtime.submit_batch(vec![req(5, k), req(4, 0), req(7, k)]);
+    runtime.submit_batch(vec![req(5, k), req(4, 0), req(7, k)], None);
     assert_eq!(runtime.shutdown(), 7, "the error replies count as served; no worker died");
 
     let mut replies: Vec<ServeReply> = rep_rx.iter().collect();
@@ -284,6 +293,75 @@ fn runtime_answers_k_zero_with_one_error_and_keeps_serving() {
                 assert_eq!((got.results, got.stats), (want.results.clone(), want.stats), "id {}", rep.id);
             }
             (_, other) => panic!("id {}: {other:?}", rep.id),
+        }
+    }
+}
+
+/// Whether `result` is the typed refusal of a non-finite query component.
+fn refused<T>(result: &Result<T, MustError>) -> bool {
+    matches!(result, Err(MustError::Vector(must::vector::VectorError::NotNormalisable)))
+}
+
+/// A NaN, +inf or −inf component, in a full query or a partial one, is
+/// refused with a typed `MustError::Vector` on every path — instead of a
+/// graph walk over poisoned scores returning `Ok` — and a runtime answers
+/// it with that error and keeps serving the requests behind it.
+#[test]
+fn non_finite_queries_are_typed_errors_on_every_path() {
+    let (objects, queries) = embedded_fixture();
+    let row = |k: usize| objects.modality(k).get(7).to_vec();
+    let poisoned = |k: usize, x: f32| {
+        let mut v = row(k);
+        v[0] = x;
+        v
+    };
+    let bad: Vec<MultiQuery> = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .flat_map(|x| {
+            [
+                MultiQuery::full(vec![poisoned(0, x), row(1)]),
+                MultiQuery::partial(vec![None, Some(poisoned(1, x))]),
+            ]
+        })
+        .collect();
+    let (k, l) = (10, 60);
+
+    let build = || Must::build(objects.clone(), Weights::uniform(2), fixture_opts()).unwrap();
+    let must = build();
+    let mut quantized = build();
+    quantized.quantize();
+    let f32_server = MustServer::freeze(build());
+    let sq8_server = MustServer::freeze(quantized);
+    let routed = ShardedServer::freeze(
+        ShardedMust::build(objects.clone(), Weights::uniform(2), fixture_opts(), ShardSpec::clustered(3))
+            .unwrap(),
+    )
+    .with_routing(RoutePolicy::with_beam(2, 40));
+    let mut routed_worker = routed.worker();
+    for (i, q) in bad.iter().enumerate() {
+        assert!(refused(&must.search(q, k, l)), "Must::search, query {i}");
+        assert!(refused(&f32_server.search(q, k, l)), "f32 MustServer, query {i}");
+        assert!(refused(&sq8_server.search(q, k, l)), "SQ8 MustServer, query {i}");
+        assert!(refused(&routed_worker.search(q, k, l)), "routed ShardedWorker, query {i}");
+    }
+
+    // One worker, one lane: each refused request sits right before an
+    // ordinary one, which must still get its serial answer.
+    let (rep_tx, rep_rx) = mpsc::channel();
+    let runtime = ServeRuntime::start(&sq8_server, 1, rep_tx);
+    for (i, q) in bad.iter().enumerate() {
+        let i = i as u64;
+        runtime.submit(ServeRequest { id: 2 * i, query: q.clone(), k, l });
+        runtime.submit(ServeRequest { id: 2 * i + 1, query: queries[i as usize].clone(), k, l });
+    }
+    assert_eq!(runtime.shutdown(), 2 * bad.len());
+    for (id, outcome) in replies_by_id(rep_rx, 2 * bad.len()).into_iter().enumerate() {
+        if id % 2 == 0 {
+            assert!(refused(&outcome), "runtime reply {id}");
+        } else {
+            let want = sq8_server.search(&queries[id / 2], k, l).unwrap();
+            let got = outcome.unwrap();
+            assert_eq!((got.results, got.stats), (want.results, want.stats), "runtime reply {id}");
         }
     }
 }
@@ -334,6 +412,134 @@ fn quantized_serving_recall_matches_f32_within_half_a_point() {
              {f32_recall:.4} by more than 0.005"
         );
     }
+}
+
+/// FNV-1a over a word stream, each word hashed as 8 little-endian bytes —
+/// the golden-hash function of `must_graph`'s pins, which is test-only
+/// there.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Appends one served outcome to a golden word stream: ids, similarity
+/// bits, `SearchStats` and `kernel_evals` (never the clock).
+fn push_outcome(words: &mut Vec<u64>, out: Result<SearchOutcome, MustError>) {
+    let out = out.expect("golden workload queries are well-formed");
+    words.push(out.results.len() as u64);
+    for (id, sim) in out.results {
+        words.extend([u64::from(id), u64::from(sim.to_bits())]);
+    }
+    words.extend([out.stats.hops, out.stats.evaluated, out.stats.pruned, out.kernel_evals]);
+}
+
+/// Drains `n` replies and returns their outcomes in request-id order.
+fn replies_by_id(rx: mpsc::Receiver<ServeReply>, n: usize) -> Vec<Result<SearchOutcome, MustError>> {
+    let mut replies: Vec<ServeReply> = rx.iter().collect();
+    assert_eq!(replies.len(), n);
+    replies.sort_by_key(|r| r.id);
+    replies.into_iter().map(|r| r.outcome).collect()
+}
+
+const GOLDEN_K: usize = 10;
+const GOLDEN_L: usize = 60;
+
+/// Every entry point of one engine, under the default weights and an
+/// override, appended to `words` in a fixed order.  `search` is the
+/// engine's inherent default-weight one-off search.
+fn golden_words<E: ServeEngine>(
+    engine: &E,
+    queries: &[MultiQuery],
+    search: impl Fn(&MultiQuery) -> Result<SearchOutcome, MustError>,
+    words: &mut Vec<u64>,
+) {
+    let (k, l) = (GOLDEN_K, GOLDEN_L);
+    let n = queries.len();
+    let override_w = Weights::from_squared(vec![0.7, 0.3]).unwrap();
+    let req = |id: usize| ServeRequest { id: id as u64, query: queries[id % n].clone(), k, l };
+    for weights in [None, Some(&override_w)] {
+        for q in queries {
+            push_outcome(words, match weights {
+                Some(w) => engine.search_weighted(q, w, k, l),
+                None => search(q),
+            });
+        }
+        let mut worker = engine.serve_worker();
+        for q in queries {
+            push_outcome(words, worker.run_query(q, weights, k, l));
+        }
+        for threads in [1, 3] {
+            let batch = match weights {
+                Some(w) => engine.search_batch_weighted(queries, w, k, l, threads),
+                None => engine.search_batch(queries, k, l, threads),
+            };
+            for out in batch {
+                push_outcome(words, out);
+            }
+        }
+        if weights.is_none() {
+            let (req_tx, req_rx) = mpsc::channel();
+            let (rep_tx, rep_rx) = mpsc::channel();
+            for i in 0..n {
+                req_tx.send(req(i)).unwrap();
+            }
+            drop(req_tx);
+            assert_eq!(engine.serve(req_rx, rep_tx, 3), n);
+            for out in replies_by_id(rep_rx, n) {
+                push_outcome(words, out);
+            }
+        }
+        let (rep_tx, rep_rx) = mpsc::channel();
+        let runtime = ServeRuntime::start(engine, 3, rep_tx);
+        for i in 0..n {
+            match weights {
+                None => runtime.submit(req(i)),
+                Some(w) => runtime.submit_weighted(req(i), w.clone()),
+            }
+        }
+        runtime.submit_batch((n..2 * n).map(req).collect(), weights.cloned());
+        assert_eq!(runtime.shutdown(), 2 * n);
+        for out in replies_by_id(rep_rx, 2 * n) {
+            push_outcome(words, out);
+        }
+    }
+}
+
+/// Golden pin over every served outcome — ids, similarity bits,
+/// `SearchStats`, `kernel_evals` — from every entry point (one-off,
+/// worker, batch at 1 and 3 threads, `serve`, `submit`,
+/// `submit_weighted`, `submit_batch`) under the default weights and an
+/// override, on four engines: `MustServer` over f32 rows and over SQ8
+/// codes, and a clustered S = 3 `ShardedServer`, unrouted and routed.
+/// The constant was taken on the parent of the change that gave each
+/// engine one query body (the `*_weighted` twins and the per-query
+/// scatter went), and must not move.
+#[test]
+fn served_outcomes_match_the_golden_hash() {
+    let (objects, queries) = embedded_fixture();
+    let build = || Must::build(objects.clone(), Weights::uniform(2), fixture_opts()).unwrap();
+    let f32_server = MustServer::freeze(build());
+    let mut quantized = build();
+    quantized.quantize();
+    let sq8_server = MustServer::freeze(quantized);
+    let sharded = ShardedServer::freeze(
+        ShardedMust::build(objects.clone(), Weights::uniform(2), fixture_opts(), ShardSpec::clustered(3))
+            .unwrap(),
+    );
+    let routed = sharded.with_routing(RoutePolicy::with_beam(2, 40));
+
+    let (k, l) = (GOLDEN_K, GOLDEN_L);
+    let mut words = Vec::new();
+    golden_words(&f32_server, &queries, |q| f32_server.search(q, k, l), &mut words);
+    golden_words(&sq8_server, &queries, |q| sq8_server.search(q, k, l), &mut words);
+    golden_words(&sharded, &queries, |q| sharded.search(q, k, l), &mut words);
+    golden_words(&routed, &queries, |q| routed.search(q, k, l), &mut words);
+    assert_eq!(fnv1a(words), 0xEA18_EFD7_009A_BFCE, "served outcomes drifted from the golden hash");
 }
 
 /// Offline build → binary bundle on disk → `MustServer::load` → serving

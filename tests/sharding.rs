@@ -88,7 +88,7 @@ fn sharded_serving_is_thread_count_invariant() {
     let mut worker = server.worker();
     let serial: Vec<_> = queries.iter().map(|q| worker.search(q, k, l).unwrap()).collect();
 
-    // The scattered one-off path agrees with the sequential worker path.
+    // The one-off path (a transient worker) agrees with a reused worker.
     for (qi, (q, want)) in queries.iter().zip(&serial).enumerate() {
         let got = server.search(q, k, l).unwrap();
         assert_eq!(got.results, want.results, "scatter query {qi}");
@@ -157,9 +157,9 @@ fn sharded_weight_overrides_match_refrozen_shards() {
                 "S={shards} query {qi}: override must equal re-frozen shards"
             );
             assert_eq!(got.stats, want.stats, "S={shards} query {qi}");
-            // Sequential worker path and scattered path agree under
-            // overrides too.
-            let seq = worker.search_weighted(q, &override_w, k, l).unwrap();
+            // A reused worker and the one-off path agree under overrides
+            // too.
+            let seq = worker.run_query(q, Some(&override_w), k, l).unwrap();
             assert_eq!(seq.results, got.results, "S={shards} query {qi}: worker");
             // Gather ordering: total order (sim desc, global id asc).
             for pair in got.results.windows(2) {
