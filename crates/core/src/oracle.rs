@@ -198,9 +198,10 @@ impl QueryScorer for MustQueryScorer<'_> {
     }
 }
 
-/// Query scorer over the SQ8 engine: the graph walk scans `u8` codes with
-/// the widened (never-under-pruning) Lemma-4 bound and ranks survivors by
-/// their decoded approximate similarity.  The serving layer pairs it with
+/// Query scorer over the SQ8 engine: the graph walk scans `u8` codes in
+/// one pass, prunes only rows whose certified margin shows the exact
+/// similarity clears nothing, and ranks survivors by their decoded
+/// approximate similarity.  The serving layer pairs it with
 /// an exact re-rank of the top pool on the retained f32 rows — the
 /// DiskANN/SPANN recipe adapted to multi-vector joint similarity.
 pub struct QuantizedQueryScorer<'a> {

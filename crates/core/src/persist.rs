@@ -597,7 +597,7 @@ fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
         .chunks_exact(3)
         .map(|c| SegParams { min: c[0], step: c[1], eps: c[2] })
         .collect();
-    let quant = QuantizedRows::from_parts(dims.clone(), sect(3), &params, &norms)
+    let quant = QuantizedRows::from_parts(dims.clone(), sect(3), &params)
         .map_err(|e| MustError::Config(format!("v7 quantized engine: {e}")))?;
     let rows = FusedRows::from_raw_parts_with_norms(dims, data, norms)
         .map_err(|e| MustError::Config(e.to_string()))?;
@@ -1000,7 +1000,7 @@ mod tests {
             must.objects().fused().seg_norms(),
             "v7 adopts the persisted norms verbatim"
         );
-        // Codes, parameters and both norms: `PartialEq` is over the blocks.
+        // Codes and parameters: `PartialEq` is over the blocks.
         assert_eq!(loaded.quant(), must.quant());
         assert_identical_searches(&must, &loaded, &[3, 77, 149]);
         // Dynamic insertion after a load keeps the engines in lockstep.
@@ -1009,12 +1009,36 @@ mod tests {
     }
 
     #[test]
+    fn v7_bundle_with_a_shrunk_radius_is_refused() {
+        // The scan's prune guarantee rests on every stored `eps`, and a v7
+        // bundle has no checksum: one radius overwritten by 0.0 must fail
+        // the load, not serve unsound prunes.
+        let must = hnsw_quantized(80);
+        let good = via_file("bundle-v7-eps.mustb", |p| save_quantized(&must, p), |p| {
+            std::fs::read(p).unwrap()
+        });
+        let p = must.quant().unwrap().seg_params(5, 1);
+        let triple: Vec<u8> = [p.min, p.step, p.eps].iter().flat_map(|x| x.to_le_bytes()).collect();
+        let at = good.windows(12).position(|w| w == &triple[..]).expect("the triple is in the file");
+        let mut bad = good.clone();
+        bad[at + 8..at + 12].copy_from_slice(&0.0f32.to_le_bytes());
+        for got in load_bytes("bundle-v7-eps-bad.mustb", &bad) {
+            let Err(MustError::Config(msg)) = got else { panic!("{got:?}") };
+            assert!(msg.contains("row 5 modality 1"), "{msg}");
+        }
+        for got in load_bytes("bundle-v7-eps-good.mustb", &good) {
+            assert!(got.is_ok(), "{got:?}");
+        }
+    }
+
+    /// The name dates from when `||o_hat||^2` was derived in-memory
+    /// state; what it pins is that every way of building the engine
+    /// agrees.
+    #[test]
     fn derived_code_norms_agree_across_every_construction_path() {
-        // `||o_hat||^2` is in-memory state no bundle carries: quantizing
-        // the rows, loading a v7 bundle and appending to either must all
-        // rebuild it identically — equal engines (`PartialEq` is over the
-        // row blocks, the derived norm included) and bit-identical
-        // quantized serving.
+        // Quantizing the rows, loading a v7 bundle and appending to either
+        // must all build the same engine — equal row blocks — and
+        // bit-identical quantized serving.
         let mut fresh = hnsw_quantized(150);
         let mut loaded =
             via_file("bundle-v7-derived.mustb", |p| save_quantized(&fresh, p), |p| load(p).unwrap());

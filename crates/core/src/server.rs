@@ -64,8 +64,8 @@ struct ServerCore {
     prune: bool,
     /// The SQ8 companion engine, when the frozen [`Must`] carried one.
     /// Its presence flips every search into quantized-scan mode: the
-    /// graph walk scores `u8` codes (widened, never-under-pruning
-    /// Lemma-4 bound) and the top `4k` pool is exact-re-ranked on the
+    /// graph walk scores `u8` codes (one pass, pruning only under a
+    /// certified margin) and the top `4k` pool is exact-re-ranked on the
     /// retained f32 rows.
     quant: Option<QuantizedRows>,
 }
@@ -255,7 +255,7 @@ impl ServerWorker<'_> {
 
     /// The quantized-scan + exact-re-rank recipe (DiskANN/SPANN-style,
     /// adapted to multi-vector joint similarity): the graph walk scores
-    /// `u8` codes under the widened Lemma-4 bound with an over-fetched
+    /// `u8` codes in one pass per candidate with an over-fetched
     /// pool of `rerank_k = 4 * k`, then the pool is re-scored exactly on
     /// the retained f32 rows and the true top `k` returned.  Both stages
     /// weight the query side only, so per-query overrides compose

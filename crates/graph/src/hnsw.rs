@@ -210,22 +210,6 @@ impl Hnsw {
         index.into_inner().expect("index lock")
     }
 
-    /// Builds the index by strictly sequential insertion — the legacy
-    /// algorithm the wave schedule replaced.  Kept as the recall-parity
-    /// reference: tests pin the wave build's recall against this path on
-    /// the exact oracle before trusting the parallel schedule.
-    pub fn build_sequential<O: SimilarityOracle>(oracle: &O, params: HnswParams) -> Self {
-        let n = oracle.len();
-        assert!(n > 0, "cannot index an empty object set");
-        let levels = assign_levels(n, &params);
-        let mut index = Self::with_levels(&levels, params);
-        let mut scratch = SearchScratch::default();
-        for node in 1..n as u32 {
-            index.insert(oracle, node, &mut scratch);
-        }
-        index
-    }
-
     /// Dynamically inserts a new vertex (Section IX of the paper: HNSW
     /// "adeptly handles dynamic updates by incrementally inserting data
     /// points").  `node` must equal the current `len()` — the oracle must
@@ -861,34 +845,23 @@ mod tests {
     }
 
     #[test]
-    fn wave_build_recall_parity_with_sequential() {
-        // The wave schedule replaced sequential insertion as the canonical
-        // algorithm; this pins its recall@10 against the exact oracle to
-        // within 0.005 of the legacy path at identical beam width.
+    fn wave_build_recall_floor_against_the_exact_answer() {
+        // Recall@10 of the wave build against the exact oracle at beam 64.
+        // The floor is the recall measured on 48e31f7 (1.0000, equal to the
+        // sequential-insertion build deleted then) less 0.005.
         let oracle = crate::testutil::RandOracle::new(4_000, 12, 0x5EED);
         let params = HnswParams { m: 12, ef_construction: 80, rng_seed: 5 };
         let wave = Hnsw::build_with_threads(&oracle, params, 2);
-        let seq = Hnsw::build_sequential(&oracle, params);
-        let recall = |index: &Hnsw| {
-            let mut hits = 0usize;
-            let mut total = 0usize;
-            for q in 0..200u32 {
-                let target = (q * 19) % oracle.len() as u32;
-                let exact = oracle.exact_top_k(target, 10);
-                let scorer = FnScorer(|id| oracle.sim(id, target));
-                let res = index.search(&scorer, SearchParams::seed_only(10, 64), 0);
-                hits += res.results.iter().filter(|(id, _)| exact.contains(id)).count();
-                total += 10;
-            }
-            hits as f64 / total as f64
-        };
-        let r_wave = recall(&wave);
-        let r_seq = recall(&seq);
-        assert!(
-            r_wave >= r_seq - 0.005,
-            "wave recall {r_wave:.4} fell more than 0.005 below sequential {r_seq:.4}"
-        );
-        assert!(r_seq > 0.9, "sequential baseline suspiciously low: {r_seq:.4}");
+        let mut hits = 0usize;
+        for q in 0..200u32 {
+            let target = (q * 19) % oracle.len() as u32;
+            let exact = oracle.exact_top_k(target, 10);
+            let scorer = FnScorer(|id| oracle.sim(id, target));
+            let res = wave.search(&scorer, SearchParams::seed_only(10, 64), 0);
+            hits += res.results.iter().filter(|(id, _)| exact.contains(id)).count();
+        }
+        let recall = hits as f64 / 2_000.0;
+        assert!(recall >= 0.995, "wave-build recall@10 {recall:.4} fell below the 0.995 floor");
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!   [`ModalityView`]s keep the old per-modality API.
 //! * [`quant`] — the SQ8 scalar-quantized companion engine
 //!   ([`QuantizedRows`]): per-row per-segment affine `u8` codes in the same
-//!   stride-aligned layout, with certified reconstruction radii so the
-//!   Lemma-4 walk on codes uses a provably-never-under-pruning widened
-//!   bound.  Codes are weight-free for the same reason stored rows are
-//!   unscaled.
+//!   stride-aligned layout, with certified reconstruction radii so a
+//!   one-pass scan over the codes prunes only rows whose exact similarity
+//!   provably clears nothing.  Codes are weight-free for the same reason
+//!   stored rows are unscaled.
 //! * [`Weights`] — the per-modality weight vector `omega` learned by the
 //!   vector-weight-learning model (Section VI), exposed through its squared
 //!   form as required by Lemma 1.
@@ -92,6 +92,16 @@ pub enum VectorError {
         /// Number of weights provided.
         weights: usize,
     },
+    /// Persisted SQ8 parameters the encoder cannot have written (a
+    /// non-finite field, a negative step, or a reconstruction radius below
+    /// the certified one); trusting them would void the scan's prune
+    /// guarantee.
+    InvalidSegParams {
+        /// Row of the offending parameters.
+        row: usize,
+        /// Modality of the offending parameters.
+        modality: usize,
+    },
 }
 
 impl std::fmt::Display for VectorError {
@@ -107,6 +117,10 @@ impl std::fmt::Display for VectorError {
             Self::WeightArity { modalities, weights } => write!(
                 f,
                 "weight arity mismatch: {modalities} modalities but {weights} weights"
+            ),
+            Self::InvalidSegParams { row, modality } => write!(
+                f,
+                "row {row} modality {modality}: SQ8 parameters the encoder cannot have written"
             ),
         }
     }

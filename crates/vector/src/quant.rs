@@ -17,68 +17,60 @@
 //! `omega_k^2` per segment at evaluation time — so one set of codes
 //! serves every weight configuration, exactly like the f32 rows.
 //!
-//! **The widened Lemma-4 bound never under-prunes.**  The exact walk
-//! shrinks the Eq. 8 bound by `0.5 omega_k^2 ||q_k - o_k||^2` per segment.
-//! The quantized walk only knows the decoded point `o_hat_k`, but the
+//! **One pass, one verdict.**  The scan scores every active segment of a
+//! candidate with one dot product over its raw codes ([`kernels::ip_u8`])
+//! and never decodes; there is no Lemma-4 prefix walk on codes.
+//! [`QuantizedQueryEvaluator::ip_pruned`] prunes a row only when its
+//! approximate similarity plus a certified *margin* clears nothing:
+//!
+//! ```text
+//! dot_k  = min_rk * sum(q_k) + step_rk * <q_k, c>   (<q_k, o_hat_k>, rounded)
+//! approx = sum_k omega_k^2 * dot_k                   (= ip(id), bit for bit)
+//! margin = sum_k a_k * eps_rk + b_k * (|min_rk| + 255 step_rk)
+//! Pruned  iff  approx + margin <= threshold
+//! ```
+//!
+//! The per-query coefficients, rounded up to f32, are
+//! `a_k = omega_k^2 ||q_k|| (1 + r)` and
+//! `b_k = omega_k^2 ||q_k||_1 (c_k + r) (1 + r)`, with
+//! `c_k = (d_k/8 + 8) EPSILON` (`d_k` the padded width) and
+//! `r = (m + 4) EPSILON` (`m` modalities, at least the active segments
+//! the sums run over).  Cauchy–Schwarz with the
 //! per-row-segment radius `eps_rk >= ||o_k - o_hat_k||` (stored at encode
-//! time) turns the triangle inequality into a certified lower bound:
+//! time) bounds what quantization moved,
+//! `|<q_k, o_k> - <q_k, o_hat_k>| <= ||q_k|| eps_rk`; `c_k` bounds the
+//! rounding of `dot_k`; `r` every other f32 rounding (approx's sum, the
+//! margin's own arithmetic, the final add).  So `Pruned` implies the exact
+//! similarity `sum_k omega_k^2 <q_k, o_k>` is `<= threshold`.  And since
+//! the margin is non-negative, `Pruned` implies `approx <= threshold`: the
+//! walk's approx-ranked pool would have refused the row anyway, so pruning
+//! changes what the walk counts, never what it returns.  Survivors come
+//! back with the decoded similarity, which is why the serving layer
+//! re-ranks the top pool on the retained f32 rows.
 //!
-//! ```text
-//! ||q_k - o_k|| >= max(0, ||q_k - o_hat_k|| - eps_rk)
-//! ```
-//!
-//! so subtracting `0.5 omega_k^2 * max(0, ||q_k - o_hat_k|| - eps_rk)^2`
-//! keeps the quantized prefix bound at or above the exact f32 prefix
-//! bound at *every* prefix: any candidate the quantized walk prunes, the
-//! exact walk would have pruned too.  `eps_rk` additionally carries a
-//! small multiplicative + absolute float-rounding margin for the encoder's
-//! own rounding.  Survivors come back with the *decoded* joint similarity
-//! — an approximation — which is why the serving layer re-ranks the top
-//! pool on the retained f32 rows before answering.
-//!
-//! **One dot product per segment.**  The scan never decodes: its only
-//! per-candidate pass is `<q_k, c>` over the raw codes
-//! ([`kernels::ip_u8`]), from which both statistics follow, `sum(q_k)`,
-//! `||q_k||^2`, `||q_k||_1` being per-query terms and `||o_hat_k||^2` per
-//! (row, segment) — derived in-memory state, rebuilt by every constructor
-//! and never persisted:
-//!
-//! ```text
-//! <q_k, o_hat_k>      = min * sum(q_k) + step * <q_k, c>
-//! ||q_k - o_hat_k||^2 = ||q_k||^2 - 2 <q_k, o_hat_k> + ||o_hat_k||^2
-//! ```
-//!
-//! **The rounding slack.**  The difference form cancels when
-//! `q_k ~ o_hat_k`, so its error is certified here, not left to `eps_rk`.
-//! Let `u = EPSILON / 2`, `d` the padded width, `n = d/8 + 3` and
-//! `B = ||q_k||_1 (|min| + 255 step)`, which dominates `|min| sum|q_i|`,
-//! `step sum|q_i| c_i` and `|<q_k, o_hat_k>|`.  Per-query and per-row
-//! terms are accumulated in f64 and rounded once; each product in `ip_u8`
-//! meets at most `n` roundings, so `|dot - <q_k, o_hat_k>| <= gamma_{n+2} B`
-//! and, with `T = ||q_k||^2 + ||o_hat_k||^2 + 2 B >= ||q_k - o_hat_k||^2`,
-//! `|d2 - ||q_k - o_hat_k||^2| <= gamma_{n+3} T`; a further `4 u T` absorbs
-//! the roundings of the `sqrt` and the `- eps_rk`.  The evaluator subtracts
-//! `(d/8 + 8) EPSILON T`, i.e. `(d/4 + 16) u T` against the
-//! `(d/8 + 10) u T` needed, so the computed
-//! `max(0, sqrt(max(0, d2 - slack)) - eps_rk)` never exceeds
-//! `max(0, ||q_k - o_hat_k|| - eps_rk) <= ||q_k - o_k||`.  DESIGN.md §11
-//! has the step-by-step; a NaN `d2` widens to 0 and prunes nothing.
+//! **The rounding of `dot_k`.**  Let `u = EPSILON / 2`, `d` the padded
+//! width and `B = ||q_k||_1 (|min| + 255 step)`, which dominates
+//! `|min| sum|q_i|`, `step sum|q_i| c_i` and `|<q_k, o_hat_k>|`.  Each
+//! product in `ip_u8` meets at most `n = d/8 + 3` roundings (a multiply,
+//! `d/8 - 1` lane adds, three reduction adds) and the affine map two more
+//! (`sum(q_k)` is accumulated in f64 and rounded once), so
+//! `|dot_k - <q_k, o_hat_k>| <= gamma_{n+2} B ~ (d/8 + 5) u B`, inside
+//! `c_k B = (d/4 + 16) u B`.  DESIGN.md §11 has the whole argument.
 //!
 //! **Row blocks.**  Everything the scan reads of a candidate sits in one
-//! record of `stride + 20 m` bytes at `id * (stride + 20 m)` of a single
+//! record of `stride + 12 m` bytes at `id * (stride + 12 m)` of a single
 //! `Vec<u8>`: the row's `stride` codes, then per modality `min`, `step`,
-//! `eps`, `||o_k||^2`, `||o_hat_k||^2` as little-endian `f32`, read with
-//! `f32::from_le_bytes` (no alignment is assumed or arranged).  The walk
-//! visits candidates in graph order, so each one is a cache miss, and what
-//! it costs is the number of *places* touched: four columns put a 136-byte
-//! candidate (dims `[64, 32]`) on five to seven lines in four places; one
-//! record puts it on three consecutive lines, which
-//! [`QuantizedQueryEvaluator::warm`] puts in flight together.  `eps` stays
-//! stored although `eps_for(step, d)` could recompute it: a bundle carries
-//! `eps`, and a loader that recomputed it would have to either trust or
-//! reject the persisted value — the four bytes buy not having that
-//! question.  Bundles keep their sectioned layout
-//! ([`QuantizedRows::from_parts`] interleaves on load,
+//! `eps` as little-endian `f32`, read with `f32::from_le_bytes` (no
+//! alignment is assumed or arranged).  The walk visits candidates in graph
+//! order, so each one is a cache miss, and what it costs is the number of
+//! *places* touched: one 120-byte record (dims `[64, 32]`) sits on two or
+//! three consecutive lines, which [`QuantizedQueryEvaluator::warm`] puts in
+//! flight together.  `eps` stays stored although `eps_for(step, d)` could
+//! recompute it: a bundle carries `eps`, and
+//! [`QuantizedRows::from_parts`] refuses any triple the encoder cannot
+//! have written (non-finite, `step < 0`, `eps < eps_for(step, d)`), so a
+//! corrupt bundle cannot shrink the margin.  Bundles keep their sectioned
+//! layout ([`QuantizedRows::from_parts`] interleaves on load,
 //! [`QuantizedRows::row_codes`] / [`QuantizedRows::seg_params`] take a
 //! block apart on save).
 
@@ -87,7 +79,7 @@ use crate::multi::MultiQuery;
 use crate::{kernels, ObjectId, VectorError, Weights};
 
 /// Per-(row, segment) affine dequantization parameters plus the certified
-/// reconstruction radius used by the widened Lemma-4 bound.
+/// reconstruction radius the scan's margin is built on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegParams {
     /// Segment minimum: the decoded value of code 0.
@@ -100,11 +92,35 @@ pub struct SegParams {
     pub eps: f32,
 }
 
-/// `||o_hat||^2` of one encoded segment (`codes` = its real components),
-/// accumulated in f64 and rounded once, as the slack proof assumes.
-fn code_norm_sq(codes: &[u8], p: SegParams) -> f32 {
-    let (min, step) = (f64::from(p.min), f64::from(p.step));
-    codes.iter().map(|&c| (min + step * f64::from(c)).powi(2)).sum::<f64>() as f32
+/// Bytes of per-modality constants behind a block's codes: `min`, `step`,
+/// `eps`, each a little-endian `f32`.
+const TAIL: usize = 12;
+
+impl SegParams {
+    /// Reads the `TAIL` bytes at `at` in `block`.
+    #[inline]
+    fn read(block: &[u8], at: usize) -> Self {
+        let t: &[u8; TAIL] = block[at..at + TAIL].try_into().expect("TAIL bytes sliced");
+        let f = |i: usize| f32::from_le_bytes([t[i], t[i + 1], t[i + 2], t[i + 3]]);
+        Self { min: f(0), step: f(4), eps: f(8) }
+    }
+
+    /// Writes the `TAIL` bytes at `at` in `block`.
+    fn write(self, block: &mut [u8], at: usize) {
+        let words = [self.min, self.step, self.eps];
+        for (out, w) in block[at..at + TAIL].chunks_exact_mut(4).zip(words) {
+            out.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Whether the encoder can have written these parameters for a
+    /// segment of `d` real components: every field finite, `step >= 0`,
+    /// and a radius no smaller than [`eps_for`] gives.
+    fn encodable(self, d: usize) -> bool {
+        [self.min, self.step, self.eps].iter().all(|x| x.is_finite())
+            && self.step >= 0.0
+            && self.eps >= eps_for(self.step, d)
+    }
 }
 
 /// Encodes one f32 segment of `d` real components into `u8` codes,
@@ -140,56 +156,26 @@ fn encode_segment(values: &[f32], out: &mut [u8]) -> SegParams {
 
 /// The certified per-segment reconstruction radius: half a step per
 /// component, `sqrt(d)` components worst case, widened by a relative and
-/// an absolute float-rounding margin so the never-under-prune guarantee
-/// holds under f32 accumulation-order differences.
+/// an absolute float-rounding margin for the encoder's own rounding.
 fn eps_for(step: f32, d: usize) -> f32 {
     0.5 * step * (d as f32).sqrt() * (1.0 + 1e-4) + 1e-6
 }
 
-/// Bytes of per-modality constants behind a block's codes: `min`, `step`,
-/// `eps`, `||o_k||^2`, `||o_hat_k||^2`, each a little-endian `f32`.
-const TAIL: usize = 20;
-
-/// The per-(row, modality) constants of one block, decoded.
-#[derive(Debug, Clone, Copy)]
-struct SegTail {
-    p: SegParams,
-    /// `||o_k||^2` of the original f32 segment — the candidate half of the
-    /// Eq. 8 norm term must stay exact for the bound proof.
-    seg_norm: f32,
-    /// `||o_hat_k||^2` of the decoded segment.  Derived from the codes and
-    /// `p` by every constructor and never persisted.
-    code_norm: f32,
-}
-
-impl SegTail {
-    /// Reads the `TAIL` bytes at `at` in `block`.
-    #[inline]
-    fn read(block: &[u8], at: usize) -> Self {
-        let t: &[u8; TAIL] = block[at..at + TAIL].try_into().expect("TAIL bytes sliced");
-        let f = |i: usize| f32::from_le_bytes([t[i], t[i + 1], t[i + 2], t[i + 3]]);
-        Self {
-            p: SegParams { min: f(0), step: f(4), eps: f(8) },
-            seg_norm: f(12),
-            code_norm: f(16),
-        }
-    }
-
-    /// Writes the `TAIL` bytes at `at` in `block`.
-    fn write(self, block: &mut [u8], at: usize) {
-        let words = [self.p.min, self.p.step, self.p.eps, self.seg_norm, self.code_norm];
-        for (out, w) in block[at..at + TAIL].chunks_exact_mut(4).zip(words) {
-            out.copy_from_slice(&w.to_le_bytes());
-        }
+/// `x` rounded up to the next f32: never below the f64 value.
+fn round_up(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) < x {
+        y.next_up()
+    } else {
+        y
     }
 }
 
 /// SQ8 scalar-quantized row storage mirroring a [`FusedRows`] layout:
 /// same dims, same [`FUSED_LANE`]-aligned stride, one `u8` code per
-/// component (padding positions zero and never scored), one
-/// [`SegParams`] per (row, modality), and the f32 squared segment norms
-/// of the *original* rows for the exact side of the Eq. 8 norm term —
-/// all of a row in one block (module docs, "Row blocks").
+/// component (padding positions zero and never scored) and one
+/// [`SegParams`] per (row, modality) — all of a row in one block (module
+/// docs, "Row blocks").
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedRows {
     /// Unpadded per-modality dimensionalities.
@@ -197,20 +183,20 @@ pub struct QuantizedRows {
     /// Padded segment starts within a row; `seg[m]` is the row stride.
     seg: Vec<usize>,
     /// One block of `stride + TAIL * m` bytes per row: its codes, then
-    /// modality by modality the [`SegTail`] constants.
+    /// modality by modality the [`SegParams`].
     blocks: Vec<u8>,
 }
 
 impl QuantizedRows {
-    /// Quantizes every row of an f32 engine.  The segment layout (and the
-    /// exact segment norms) carry over unchanged.
+    /// Quantizes every row of an f32 engine.  The segment layout carries
+    /// over unchanged.
     #[must_use]
     pub fn from_fused(rows: &FusedRows) -> Self {
         let mut q = Self::empty(rows.dims().to_vec()).expect("an f32 engine's dims are valid");
         q.blocks = vec![0u8; rows.len() * q.block_len()];
         for id in 0..rows.len() as ObjectId {
             for k in 0..q.dims.len() {
-                q.encode(id, k, rows.modality_slice(id, k), rows.seg_norm(id, k));
+                q.encode(id, k, rows.modality_slice(id, k));
             }
         }
         q
@@ -232,31 +218,31 @@ impl QuantizedRows {
     }
 
     /// Encodes `values` as modality `k` of the (already allocated, zeroed)
-    /// block `id`: codes, then the segment's constants.
-    fn encode(&mut self, id: ObjectId, k: usize, values: &[f32], seg_norm: f32) {
+    /// block `id`: codes, then the segment's parameters.
+    fn encode(&mut self, id: ObjectId, k: usize, values: &[f32]) {
         let (codes, tail) = (self.seg[k]..self.seg[k] + self.dims[k], self.tail_at(k));
         let at = id as usize * self.block_len();
         let block = &mut self.blocks[at..];
-        let p = encode_segment(values, &mut block[codes.clone()]);
-        let code_norm = code_norm_sq(&block[codes], p);
-        SegTail { p, seg_norm, code_norm }.write(block, tail);
+        encode_segment(values, &mut block[codes]).write(block, tail);
     }
 
     /// Reassembles a quantized engine from persisted parts (the bundle-v7
     /// load path), interleaving them into row blocks: `codes` row-major,
-    /// `stride` bytes a row; `params` and `seg_norms` one entry per
-    /// (row, modality), row-major.
+    /// `stride` bytes a row; `params` one entry per (row, modality),
+    /// row-major.
     ///
     /// # Errors
     /// [`VectorError::DimensionMismatch`] for empty/zero dims or a code
     /// buffer that is not a whole number of rows;
-    /// [`VectorError::CardinalityMismatch`] when `params` or `seg_norms`
-    /// do not hold exactly one entry per (row, modality) pair.
+    /// [`VectorError::CardinalityMismatch`] when `params` does not hold
+    /// exactly one entry per (row, modality) pair;
+    /// [`VectorError::InvalidSegParams`] for a triple the encoder cannot
+    /// have written — a non-finite field, `step < 0`, or a radius below
+    /// the one it certifies for the segment's width.
     pub fn from_parts(
         dims: Vec<usize>,
         codes: &[u8],
         params: &[SegParams],
-        seg_norms: &[f32],
     ) -> Result<Self, VectorError> {
         let mut q = Self::empty(dims)?;
         let (m, stride) = (q.dims.len(), q.stride());
@@ -267,20 +253,18 @@ impl QuantizedRows {
             });
         }
         let len = codes.len() / stride;
-        for got in [params.len(), seg_norms.len()] {
-            if got != len * m {
-                return Err(VectorError::CardinalityMismatch { expected: len * m, got });
-            }
+        if params.len() != len * m {
+            return Err(VectorError::CardinalityMismatch { expected: len * m, got: params.len() });
+        }
+        if let Some(i) = (0..params.len()).find(|&i| !params[i].encodable(q.dims[i % m])) {
+            return Err(VectorError::InvalidSegParams { row: i / m, modality: i % m });
         }
         let mut blocks = vec![0u8; len * q.block_len()];
         let rows = blocks.chunks_exact_mut(q.block_len()).zip(codes.chunks_exact(stride));
         for (id, (block, row)) in rows.enumerate() {
             block[..stride].copy_from_slice(row);
             for k in 0..m {
-                let p = params[id * m + k];
-                let code_norm = code_norm_sq(&row[q.seg[k]..q.seg[k] + q.dims[k]], p);
-                let tail = SegTail { p, seg_norm: seg_norms[id * m + k], code_norm };
-                tail.write(block, q.tail_at(k));
+                params[id * m + k].write(block, q.tail_at(k));
             }
         }
         q.blocks = blocks;
@@ -315,7 +299,7 @@ impl QuantizedRows {
         self.stride() + TAIL * self.dims.len()
     }
 
-    /// Offset of modality `k`'s constants within a block.
+    /// Offset of modality `k`'s parameters within a block.
     #[inline]
     fn tail_at(&self, k: usize) -> usize {
         self.stride() + TAIL * k
@@ -354,15 +338,7 @@ impl QuantizedRows {
     #[inline]
     #[must_use]
     pub fn seg_params(&self, id: ObjectId, k: usize) -> SegParams {
-        SegTail::read(self.block(id), self.tail_at(k)).p
-    }
-
-    /// The squared f32 norm `||o_k||^2` of modality `k`'s original
-    /// segment in row `id`.
-    #[inline]
-    #[must_use]
-    pub fn seg_norm(&self, id: ObjectId, k: usize) -> f32 {
-        SegTail::read(self.block(id), self.tail_at(k)).seg_norm
+        SegParams::read(self.block(id), self.tail_at(k))
     }
 
     /// The `u8` codes of modality `k`'s real components in row `id`
@@ -409,14 +385,13 @@ impl QuantizedRows {
         let id = self.len() as ObjectId;
         self.blocks.resize(self.blocks.len() + self.block_len(), 0);
         for (k, r) in rows.iter().enumerate() {
-            let r = r.as_ref();
-            self.encode(id, k, r, kernels::ip(r, r));
+            self.encode(id, k, r.as_ref());
         }
         Ok(id)
     }
 
-    /// Heap footprint in bytes: per row its codes, affine parameters,
-    /// segment norms and derived decoded-segment norms — the blocks.
+    /// Heap footprint in bytes: per row its codes and affine parameters —
+    /// the blocks.
     #[must_use]
     pub fn bytes(&self) -> usize {
         self.blocks.len()
@@ -439,46 +414,27 @@ impl QuantizedRows {
 }
 
 /// One active (supplied, positive-weight) modality of a quantized query,
-/// in Lemma-4 prefix order, with the per-query terms of the two
-/// identities in the module docs.
+/// with its per-query terms (module docs).
 #[derive(Debug, Clone, Copy)]
 struct ActiveSegment {
     /// Padded segment bounds within a row (the query's padding is zero).
     start: usize,
     end: usize,
-    /// Offset of the modality's [`SegTail`] within a row block.
+    /// Offset of the modality's [`SegParams`] within a row block.
     tail: usize,
     /// `omega_k^2`.
     wsq: f32,
-    /// `0.5 * omega_k^2`.
-    half_wsq: f32,
     /// `sum(q_k)`.
     sum: f32,
-    /// `||q_k||^2`.
-    norm_sq: f32,
-    /// `2 * ||q_k||_1`.
-    l1_x2: f32,
-    /// `(d/8 + 8) * EPSILON`, `d` the padded width: the slack multiple.
-    slack_coef: f32,
-}
-
-impl ActiveSegment {
-    /// `max(0, ||q_k - o_hat_k|| - eps_rk)` from the difference form less its
-    /// slack, given the row's `||o_hat_k||^2` and `dot = <q_k, o_hat_k>`:
-    /// certified never to exceed `||q_k - o_k||` (module docs).
-    #[inline]
-    fn widened(&self, code_norm: f32, p: SegParams, dot: f32) -> f32 {
-        let norms = self.norm_sq + code_norm;
-        let d2 = norms - 2.0 * dot;
-        let slack = self.slack_coef * (norms + self.l1_x2 * (p.min.abs() + 255.0 * p.step));
-        ((d2 - slack).max(0.0).sqrt() - p.eps).max(0.0)
-    }
+    /// `a_k`: margin per unit of `eps_rk`.
+    eps_coef: f32,
+    /// `b_k`: margin per unit of `|min_rk| + 255 step_rk`.
+    code_coef: f32,
 }
 
 /// Per-query evaluator over a [`QuantizedRows`] engine: the approximate
-/// (decoded) joint similarity for pool ranking, and the widened Lemma-4
-/// walk whose prefix bound provably dominates the exact f32 bound — see
-/// the module docs for the derivation.
+/// (decoded) joint similarity for pool ranking, and a prune verdict that
+/// certifies the exact f32 similarity — see the module docs.
 #[derive(Debug)]
 pub struct QuantizedQueryEvaluator<'a> {
     /// The engine's row blocks and their length, bound once per query.
@@ -488,13 +444,10 @@ pub struct QuantizedQueryEvaluator<'a> {
     /// per-segment `omega_k^2` lives in `active`, matching the f32
     /// evaluator's query-side weighting.
     qraw: Vec<f32>,
-    /// Active modalities in modality order — the Lemma-4 prefix order.
+    /// Active modalities in modality order.
     active: Vec<ActiveSegment>,
     /// `sum of active omega_k^2`.
     w_total: f32,
-    /// `sum_k 0.5 * omega_k^2 * ||q_k||^2` — the query half of the Eq. 8
-    /// norm term.
-    q_half_norm: f32,
     kernel_evals: std::cell::Cell<u64>,
 }
 
@@ -514,7 +467,9 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         let mut qraw = vec![0.0f32; rows.stride()];
         let mut active = Vec::with_capacity(m);
         let mut w_total = 0.0;
-        let mut q_half_norm = 0.0;
+        // `r` for up to `m` active segments: more is never unsound.
+        let eps = f64::from(f32::EPSILON);
+        let r = (m + 4) as f64 * eps;
         for k in 0..m {
             let Some(slot) = query.slot(k) else { continue };
             if slot.len() != rows.dims[k] {
@@ -534,7 +489,8 @@ impl<'a> QuantizedQueryEvaluator<'a> {
             }
             let (start, end) = (rows.seg[k], rows.seg[k + 1]);
             qraw[start..start + slot.len()].copy_from_slice(slot);
-            // f64 accumulation, one rounding each (the slack proof's input).
+            // f64 accumulation, one rounding for `sum`; the norms go into
+            // the margin coefficients, rounded up (module docs).
             let (mut sum, mut norm_sq, mut l1) = (0.0f64, 0.0f64, 0.0f64);
             for &x in slot {
                 let x = f64::from(x);
@@ -542,19 +498,18 @@ impl<'a> QuantizedQueryEvaluator<'a> {
                 norm_sq += x * x;
                 l1 += x.abs();
             }
+            let c = ((end - start) / 8 + 8) as f64 * eps;
+            let w = f64::from(wsq) * (1.0 + r);
             active.push(ActiveSegment {
                 start,
                 end,
                 tail: rows.tail_at(k),
                 wsq,
-                half_wsq: 0.5 * wsq,
                 sum: sum as f32,
-                norm_sq: norm_sq as f32,
-                l1_x2: (2.0 * l1) as f32,
-                slack_coef: ((end - start) / 8 + 8) as f32 * f32::EPSILON,
+                eps_coef: round_up(w * norm_sq.sqrt()),
+                code_coef: round_up(w * l1 * (c + r)),
             });
             w_total += wsq;
-            q_half_norm += 0.5 * wsq * kernels::ip(slot, slot);
         }
         Ok(Self {
             blocks: &rows.blocks,
@@ -562,7 +517,6 @@ impl<'a> QuantizedQueryEvaluator<'a> {
             qraw,
             active,
             w_total,
-            q_half_norm,
             kernel_evals: std::cell::Cell::new(0),
         })
     }
@@ -579,11 +533,6 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         self.w_total
     }
 
-    #[inline]
-    fn bump(&self, by: u64) {
-        self.kernel_evals.set(self.kernel_evals.get() + by);
-    }
-
     /// Row `id`'s block.
     #[inline]
     fn block(&self, id: ObjectId) -> &'a [u8] {
@@ -598,18 +547,28 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         p.min * seg.sum + p.step * kernels::ip_u8(&self.qraw[seg.start..seg.end], codes)
     }
 
+    /// `(approx, margin)` of row `id`, one pass over its block: the
+    /// decoded joint similarity and the bound on its distance from the
+    /// exact one (module docs).
+    #[inline]
+    fn scan(&self, id: ObjectId) -> (f32, f32) {
+        self.kernel_evals.set(self.kernel_evals.get() + self.active.len() as u64);
+        let block = self.block(id);
+        let (mut approx, mut margin) = (0.0, 0.0);
+        for seg in &self.active {
+            let p = SegParams::read(block, seg.tail);
+            approx += seg.wsq * self.seg_dot(seg, block, p);
+            margin += seg.eps_coef * p.eps + seg.code_coef * (p.min.abs() + 255.0 * p.step);
+        }
+        (approx, margin)
+    }
+
     /// Approximate joint similarity of object `id` to the query:
     /// `sum_k omega_k^2 * <q_k, o_hat_k>` over the decoded codes.  Used
     /// for pool ranking; exact answers come from re-ranking on the f32
     /// rows.
     pub fn ip(&self, id: ObjectId) -> f32 {
-        self.bump(self.active.len() as u64);
-        let block = self.block(id);
-        let mut sum = 0.0;
-        for seg in &self.active {
-            sum += seg.wsq * self.seg_dot(seg, block, SegTail::read(block, seg.tail).p);
-        }
-        sum
+        self.scan(id).0
     }
 
     /// Pulls row `id`'s block towards the cache ahead of [`Self::ip`] /
@@ -626,36 +585,18 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         std::hint::black_box(acc);
     }
 
-    /// The widened Lemma-4 walk: starts from the exact norm term (query
-    /// half precomputed, candidate half from the stored **f32** segment
-    /// norms) and shrinks the bound by
-    /// `0.5 omega_k^2 * max(0, ||q_k - o_hat_k|| - eps_rk)^2` per
-    /// segment.  By the triangle inequality this never subtracts more
-    /// than the exact walk would, so [`PartialIpVerdict::Pruned`] implies
-    /// the exact f32 walk would also have pruned at `threshold`.  The
-    /// surviving value is the *approximate* decoded similarity (for pool
-    /// ranking), not the widened bound.
+    /// [`Self::ip`] with a verdict: [`PartialIpVerdict::Pruned`] iff
+    /// `approx + margin <= threshold`, which certifies that the exact f32
+    /// similarity is `<= threshold` too; otherwise the approximate
+    /// similarity, bit for bit [`Self::ip`]'s.  Every active segment is
+    /// scanned either way.
     pub fn ip_pruned(&self, id: ObjectId, threshold: f32) -> PartialIpVerdict {
-        let block = self.block(id);
-        let mut bound = self.q_half_norm;
-        for seg in &self.active {
-            bound += seg.half_wsq * SegTail::read(block, seg.tail).seg_norm;
+        let (approx, margin) = self.scan(id);
+        if approx + margin <= threshold {
+            PartialIpVerdict::Pruned
+        } else {
+            PartialIpVerdict::Exact(approx)
         }
-        let mut approx = 0.0;
-        for seg in &self.active {
-            let SegTail { p, code_norm, .. } = SegTail::read(block, seg.tail);
-            let dot = self.seg_dot(seg, block, p);
-            self.bump(1);
-            let widened = seg.widened(code_norm, p, dot);
-            bound -= seg.half_wsq * widened * widened;
-            approx += seg.wsq * dot;
-            if bound <= threshold {
-                // Even the widened bound clears nothing (after the last
-                // segment too): the exact walk would have discarded it.
-                return PartialIpVerdict::Pruned;
-            }
-        }
-        PartialIpVerdict::Exact(approx)
     }
 }
 
@@ -678,15 +619,13 @@ mod tests {
         FusedRows::from_sets(&[m0.finish(), m1.finish()]).unwrap()
     }
 
-    /// What a bundle saves of `q`: the code section, the quantization
-    /// parameters and the segment norms, each row-major.
-    fn saved_sections(q: &QuantizedRows) -> (Vec<u8>, Vec<SegParams>, Vec<f32>) {
+    /// What a bundle saves of `q`: the code section and the quantization
+    /// parameters, each row-major.
+    fn saved_sections(q: &QuantizedRows) -> (Vec<u8>, Vec<SegParams>) {
         let ids = || 0..q.len() as ObjectId;
-        let per_segment = || ids().flat_map(|id| (0..q.num_modalities()).map(move |k| (id, k)));
         (
             ids().flat_map(|id| q.row_codes(id).iter().copied()).collect(),
-            per_segment().map(|(id, k)| q.seg_params(id, k)).collect(),
-            per_segment().map(|(id, k)| q.seg_norm(id, k)).collect(),
+            ids().flat_map(|id| (0..q.num_modalities()).map(move |k| q.seg_params(id, k))).collect(),
         )
     }
 
@@ -704,7 +643,6 @@ mod tests {
                 assert_eq!(&q.row_codes(id)[start..start + q.dims()[k]], q.modality_codes(id, k));
                 let padding = &q.row_codes(id)[start + q.dims()[k]..end];
                 assert!(padding.iter().all(|&c| c == 0), "padding codes stay zero");
-                assert_eq!(q.seg_norm(id, k), rows.seg_norm(id, k));
             }
         }
     }
@@ -794,55 +732,47 @@ mod tests {
         }
     }
 
-    /// The claim the slack proof certifies, checked against f64 truth with
-    /// no tolerance: the computed widened distance never exceeds
-    /// `max(0, ||q - o_hat|| - eps)`.  Queries sit at `o_hat + delta` for
-    /// `||delta||` from 0 to ~1e-3 — the cancellation regime, where the
-    /// un-slacked difference form overshoots — and at unrelated points.
+    /// What the margin certifies, checked against f64 truth with no
+    /// tolerance: `|sum omega^2 <q, o> - approx| <= margin`, `o` the row as
+    /// pushed.  Rows are spread, constant (step = 0, eps = 1e-6: rounding
+    /// is nearly all the margin covers) and all-zero; queries sit at
+    /// `o_hat + delta` for `||delta||` from 0 to ~1e-3 and at unrelated
+    /// points, under a unit and a fractional weight.
     #[test]
-    fn widened_distance_never_exceeds_the_true_distance() {
+    fn scan_margin_bounds_the_error_against_f64_truth() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         let mut unit = move || rng.random::<f32>() * 2.0 - 1.0;
         for d in [1usize, 3, 8, 32, 64, 130] {
-            let mut q = QuantizedRows::from_parts(vec![d], &[], &[], &[]).unwrap();
-            // A spread segment, a constant one (step = 0, eps = 1e-6: the
-            // slack is all that stands between rounding and a prune) and
-            // an all-zero one.
+            let mut q = QuantizedRows::from_parts(vec![d], &[], &[]).unwrap();
             let mut spread: Vec<f32> = (0..d).map(|_| unit()).collect();
             let _ = kernels::normalize(&mut spread);
-            for row in [spread, vec![(d as f32).sqrt().recip(); d], vec![0.0; d]] {
+            let rows = [spread, vec![(d as f32).sqrt().recip(); d], vec![0.0; d]];
+            for row in &rows {
                 q.push_row(&[row]).unwrap();
             }
-            for id in 0..3u32 {
+            for (id, row) in (0..).zip(&rows) {
                 let p = q.seg_params(id, 0);
                 let decoded: Vec<f64> = q
                     .modality_codes(id, 0)
                     .iter()
                     .map(|&c| f64::from(p.min) + f64::from(p.step) * f64::from(c))
                     .collect();
-                for scale in [0.0f32, 1e-7, 1e-5, 1e-4, 1e-3, 1.0] {
-                    for _ in 0..50 {
-                        let query: Vec<f32> =
-                            decoded.iter().map(|&v| v as f32 + scale * unit()).collect();
-                        let mq = MultiQuery::full(vec![query.clone()]);
-                        let qe = q.query(&mq, &Weights::uniform(1)).unwrap();
-                        let Some(seg) = qe.active.first() else { continue };
-                        let block = qe.block(id);
-                        let dot = qe.seg_dot(seg, block, p);
-                        let widened =
-                            seg.widened(SegTail::read(block, seg.tail).code_norm, p, dot);
-                        let dist = query
-                            .iter()
-                            .zip(&decoded)
-                            .map(|(&x, &v)| (f64::from(x) - v).powi(2))
-                            .sum::<f64>()
-                            .sqrt();
-                        assert!(
-                            f64::from(widened) <= (dist - f64::from(p.eps)).max(0.0),
-                            "d {d} id {id} scale {scale}: widened {widened} > {dist} - {}",
-                            p.eps
-                        );
+                for w in [Weights::uniform(1), Weights::from_squared(vec![0.37]).unwrap()] {
+                    for scale in [0.0f32, 1e-7, 1e-5, 1e-4, 1e-3, 1.0] {
+                        for _ in 0..50 {
+                            let query: Vec<f32> =
+                                decoded.iter().map(|&v| v as f32 + scale * unit()).collect();
+                            let qe = q.query(&MultiQuery::full(vec![query.clone()]), &w).unwrap();
+                            let (approx, margin) = qe.scan(id);
+                            let ip: f64 =
+                                query.iter().zip(row).map(|(&x, &o)| f64::from(x) * f64::from(o)).sum();
+                            let err = (f64::from(w.sq(0)) * ip - f64::from(approx)).abs();
+                            assert!(
+                                err <= f64::from(margin),
+                                "d {d} id {id} scale {scale}: error {err} > margin {margin}"
+                            );
+                        }
                     }
                 }
             }
@@ -911,9 +841,8 @@ mod tests {
         let rows = engine();
         let owned = QuantizedRows::from_fused(&rows);
         // Rebuild from the sections a bundle carries.
-        let (codes, params, norms) = saved_sections(&owned);
-        let mut q =
-            QuantizedRows::from_parts(owned.dims().to_vec(), &codes, &params, &norms).unwrap();
+        let (codes, params) = saved_sections(&owned);
+        let mut q = QuantizedRows::from_parts(owned.dims().to_vec(), &codes, &params).unwrap();
         assert_eq!(q, owned);
         let new0 = {
             let mut v = vec![0.1f32, -0.4, 0.2, 0.8, 0.3];
@@ -937,28 +866,28 @@ mod tests {
         assert!(q.push_row(&[vec![1.0f32; 4], vec![1.0f32; 3]]).is_err());
         assert_eq!(q.len(), 5);
         // The rows that were there are untouched by the append.
-        let (grown, _, _) = saved_sections(&q);
+        let (grown, _) = saved_sections(&q);
         assert_eq!(grown[..codes.len()], codes[..]);
     }
 
     #[test]
     fn from_parts_validates_shapes() {
         let q = QuantizedRows::from_fused(&engine());
-        let (codes, params, norms) = saved_sections(&q);
+        let (codes, params) = saved_sections(&q);
         let dims = || q.dims().to_vec();
-        assert_eq!(QuantizedRows::from_parts(dims(), &codes, &params, &norms).unwrap(), q);
+        assert_eq!(QuantizedRows::from_parts(dims(), &codes, &params).unwrap(), q);
         assert!(matches!(
-            QuantizedRows::from_parts(vec![], &[], &[], &[]),
+            QuantizedRows::from_parts(vec![], &[], &[]),
             Err(VectorError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            QuantizedRows::from_parts(vec![5, 0], &[], &[], &[]),
+            QuantizedRows::from_parts(vec![5, 0], &[], &[]),
             Err(VectorError::DimensionMismatch { .. })
         ));
         // A code section that is not a whole number of rows, either way.
         for bad in [&codes[..codes.len() - 1], &vec![0u8; q.stride() + 1][..]] {
             assert!(matches!(
-                QuantizedRows::from_parts(dims(), bad, &params, &norms),
+                QuantizedRows::from_parts(dims(), bad, &params),
                 Err(VectorError::DimensionMismatch { .. })
             ));
         }
@@ -966,17 +895,43 @@ mod tests {
         let extra_param = [&params[..], &params[..1]].concat();
         for bad in [&params[..3], &extra_param[..]] {
             assert!(matches!(
-                QuantizedRows::from_parts(dims(), &codes, bad, &norms),
+                QuantizedRows::from_parts(dims(), &codes, bad),
                 Err(VectorError::CardinalityMismatch { .. })
             ));
         }
-        let extra_norm = [&norms[..], &[1.0][..]].concat();
-        for bad in [&norms[..3], &extra_norm[..]] {
-            assert!(matches!(
-                QuantizedRows::from_parts(dims(), &codes, &params, bad),
-                Err(VectorError::CardinalityMismatch { .. })
-            ));
+    }
+
+    #[test]
+    fn from_parts_refuses_parameters_the_encoder_cannot_write() {
+        let q = QuantizedRows::from_fused(&engine());
+        let (codes, params) = saved_sections(&q);
+        // Row 3, modality 1 is spread (step > 0), so eps = eps_for(step, 3)
+        // sits well above the 1e-6 floor.
+        let at = 3 * q.num_modalities() + 1;
+        let p = params[at];
+        assert!(p.step > 0.0);
+        let shrunk = f32::from_bits(p.eps.to_bits() - 1);
+        let bad = [
+            SegParams { eps: shrunk, ..p },
+            SegParams { eps: 0.0, ..p },
+            SegParams { step: -p.step, ..p },
+            SegParams { min: f32::NAN, ..p },
+            SegParams { step: f32::INFINITY, ..p },
+            SegParams { eps: f32::NAN, ..p },
+        ];
+        for corrupt in bad {
+            let mut edited = params.clone();
+            edited[at] = corrupt;
+            assert_eq!(
+                QuantizedRows::from_parts(q.dims().to_vec(), &codes, &edited),
+                Err(VectorError::InvalidSegParams { row: 3, modality: 1 }),
+                "{corrupt:?}"
+            );
         }
+        // A radius above the encoder's is merely conservative.
+        let mut wider = params.clone();
+        wider[at].eps *= 2.0;
+        assert!(QuantizedRows::from_parts(q.dims().to_vec(), &codes, &wider).is_ok());
     }
 
     /// FNV-1a (64-bit) over every `ip` bit pattern, every `ip_pruned`
@@ -1009,9 +964,13 @@ mod tests {
         })
     }
 
-    /// The scan's every bit, pinned on 2c37e38, the last commit with four
-    /// columns in place of one row block (debug and release): a seeded corpus whose
-    /// segments cycle through spread / spread / constant / all-zero, at a
+    /// The scan's every bit (debug and release), re-pinned when the
+    /// one-pass margin replaced the widened prefix walk: `ip` bits held,
+    /// verdicts and `kernel_evals` moved.  The widened walk's hashes,
+    /// pinned on 2c37e38, were `0x03F8_726D_CFF7_46BC`,
+    /// `0x1FC2_28E2_855C_3AF3` and `0x62A3_4F61_0D7D_C6A6`.  A seeded
+    /// corpus whose segments cycle through spread / spread / constant /
+    /// all-zero, at a
     /// lane-aligned, a padded and a single-modality layout, built three
     /// ways — `from_fused`, `from_parts` over what a bundle saves, and
     /// `push_row` one row at a time — which must agree with each other and
@@ -1020,9 +979,9 @@ mod tests {
     fn scan_bits_match_the_golden_hash_on_every_construction_path() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let cases: [(&[usize], u64); 3] = [
-            (&[64, 32], 0x03F8_726D_CFF7_46BC),
-            (&[5, 3], 0x1FC2_28E2_855C_3AF3),
-            (&[130], 0x62A3_4F61_0D7D_C6A6),
+            (&[64, 32], 0x744D_F30C_21A4_C55C),
+            (&[5, 3], 0x1810_3F01_C830_F453),
+            (&[130], 0xED19_021E_B691_5391),
         ];
         for (dims, want) in cases {
             let mut rng = StdRng::seed_from_u64(0x5108 + dims[0] as u64);
@@ -1057,8 +1016,8 @@ mod tests {
                 pushed.push_row(object).unwrap();
             }
             let fused = QuantizedRows::from_fused(&rows);
-            let (codes, params, norms) = saved_sections(&fused);
-            let parts = QuantizedRows::from_parts(dims.to_vec(), &codes, &params, &norms).unwrap();
+            let (codes, params) = saved_sections(&fused);
+            let parts = QuantizedRows::from_parts(dims.to_vec(), &codes, &params).unwrap();
             assert_eq!(fused, parts, "dims {dims:?}");
             assert_eq!(fused, pushed, "dims {dims:?}");
             for (how, q) in [("from_fused", &fused), ("from_parts", &parts), ("push_row", &pushed)] {
@@ -1071,9 +1030,8 @@ mod tests {
     #[test]
     fn bytes_counts_codes_and_per_row_constants() {
         let q = QuantizedRows::from_fused(&engine());
-        // Per row: its codes, then per modality three affine parameters,
-        // the f32 segment norm and the derived decoded-segment norm.
-        let per_row = q.stride() + q.num_modalities() * (3 + 2) * 4;
+        // Per row: its codes, then per modality three affine parameters.
+        let per_row = q.stride() + q.num_modalities() * 3 * 4;
         assert_eq!(q.bytes(), q.len() * per_row);
     }
 

@@ -80,7 +80,7 @@ fn sq8_scores_match_a_decode_then_ip_reference() {
     };
     let w = Weights::new(vec![0.8, 0.5]).unwrap();
     for d in 1..=130usize {
-        let mut quant = QuantizedRows::from_parts(vec![d, d], &[], &[], &[]).unwrap();
+        let mut quant = QuantizedRows::from_parts(vec![d, d], &[], &[]).unwrap();
         quant.push_row(&[unit_vector(d), unit_vector(d)]).unwrap();
         quant.push_row(&[vec![(d as f32).sqrt().recip(); d], vec![0.0; d]]).unwrap();
         quant.push_row(&[vec![0.0; d], unit_vector(d)]).unwrap();
@@ -195,7 +195,7 @@ proptest! {
         s1 in quant_segment(4),
         s2 in quant_segment(1),
     ) {
-        let mut q = QuantizedRows::from_parts(vec![7, 4, 1], &[], &[], &[])
+        let mut q = QuantizedRows::from_parts(vec![7, 4, 1], &[], &[])
             .expect("an empty engine is valid");
         let segs = [s0, s1, s2];
         let id = q.push_row(&segs).expect("matching arity and dims");

@@ -12,6 +12,7 @@ use must::core::search::SearchOutcome;
 use must::core::MustError;
 use must::data::embed::embed_dataset;
 use must::encoders::{ComposerKind, EncoderConfig, EncoderRegistry, LatentSpace, TargetEncoding, UnimodalKind};
+use must::graph::GraphRecipe;
 use must::prelude::*;
 
 /// Embeds a small MIT-States-style corpus and returns its objects plus a
@@ -414,6 +415,40 @@ fn quantized_serving_recall_matches_f32_within_half_a_point() {
     }
 }
 
+/// The SQ8 prune is a pure shortcut: a row it discards is one the
+/// approx-ranked pool would have refused.  Two SQ8 servers that differ
+/// only in `prune` serve the same results, hops, evaluations and
+/// `kernel_evals` on a layered and a flat graph, under the default weights
+/// and an override; only `stats.pruned` may differ.
+#[test]
+fn sq8_pruning_never_changes_what_is_served() {
+    let (objects, queries) = embedded_fixture();
+    let override_w = Weights::from_squared(vec![0.7, 0.3]).unwrap();
+    for recipe in [GraphRecipe::Hnsw, GraphRecipe::Fused] {
+        let [on, off] = [true, false].map(|prune| {
+            let opts = MustBuildOptions { recipe, prune, ..fixture_opts() };
+            let mut must = Must::build(objects.clone(), Weights::uniform(2), opts).unwrap();
+            must.quantize();
+            MustServer::freeze(must)
+        });
+        let mut pruned = 0;
+        for weights in [None, Some(&override_w)] {
+            let (mut a, mut b) = (on.worker(), off.worker());
+            for (qi, q) in queries.iter().enumerate() {
+                let x = a.run_query(q, weights, GOLDEN_K, GOLDEN_L).unwrap();
+                let y = b.run_query(q, weights, GOLDEN_K, GOLDEN_L).unwrap();
+                let what = format!("{recipe:?}, weights {weights:?}, query {qi}");
+                assert_eq!(x.results, y.results, "{what}");
+                assert_eq!((x.stats.hops, x.stats.evaluated), (y.stats.hops, y.stats.evaluated), "{what}");
+                assert_eq!(x.kernel_evals, y.kernel_evals, "{what}");
+                assert_eq!(y.stats.pruned, 0, "{what}");
+                pruned += x.stats.pruned;
+            }
+        }
+        assert!(pruned > 0, "{recipe:?}: the prune-on server never pruned; the test proves nothing");
+    }
+}
+
 /// FNV-1a over a word stream, each word hashed as 8 little-endian bytes —
 /// the golden-hash function of `must_graph`'s pins, which is test-only
 /// there.
@@ -449,15 +484,15 @@ fn replies_by_id(rx: mpsc::Receiver<ServeReply>, n: usize) -> Vec<Result<SearchO
 const GOLDEN_K: usize = 10;
 const GOLDEN_L: usize = 60;
 
-/// Every entry point of one engine, under the default weights and an
-/// override, appended to `words` in a fixed order.  `search` is the
-/// engine's inherent default-weight one-off search.
-fn golden_words<E: ServeEngine>(
+/// The hash of every entry point of one engine, under the default weights
+/// and an override, in a fixed order.  `search` is the engine's inherent
+/// default-weight one-off search.
+fn golden_hash<E: ServeEngine>(
     engine: &E,
     queries: &[MultiQuery],
     search: impl Fn(&MultiQuery) -> Result<SearchOutcome, MustError>,
-    words: &mut Vec<u64>,
-) {
+) -> u64 {
+    let words = &mut Vec::new();
     let (k, l) = (GOLDEN_K, GOLDEN_L);
     let n = queries.len();
     let override_w = Weights::from_squared(vec![0.7, 0.3]).unwrap();
@@ -508,6 +543,7 @@ fn golden_words<E: ServeEngine>(
             push_outcome(words, out);
         }
     }
+    fnv1a(words.drain(..))
 }
 
 /// Golden pin over every served outcome — ids, similarity bits,
@@ -515,10 +551,16 @@ fn golden_words<E: ServeEngine>(
 /// worker, batch at 1 and 3 threads, `serve`, `submit`,
 /// `submit_weighted`, `submit_batch`) under the default weights and an
 /// override, on four engines: `MustServer` over f32 rows and over SQ8
-/// codes, and a clustered S = 3 `ShardedServer`, unrouted and routed.
-/// The constant was taken on the parent of the change that gave each
-/// engine one query body (the `*_weighted` twins and the per-query
-/// scatter went), and must not move.
+/// codes, and a clustered S = 3 `ShardedServer`, unrouted and routed —
+/// one hash per engine, so a change can say which engine it moves.  The
+/// one combined hash `0xEA18_EFD7_009A_BFCE` (taken on the parent of the
+/// change that gave each engine one query body) was split into these on
+/// 48e31f7.  The f32 and both sharded constants have not moved since.
+/// The SQ8 one was `0xBFE8_3532_AA9E_8343` until the one-pass SQ8 scan
+/// made it `0x729C_3F4B_FB2C_13DE`: `stats.pruned` and `kernel_evals`
+/// moved (every candidate now scans every segment), while results, hops
+/// and evaluations did not (`sq8_pruning_never_changes_what_is_served`
+/// held on the parent too, apart from `kernel_evals`).
 #[test]
 fn served_outcomes_match_the_golden_hash() {
     let (objects, queries) = embedded_fixture();
@@ -534,12 +576,19 @@ fn served_outcomes_match_the_golden_hash() {
     let routed = sharded.with_routing(RoutePolicy::with_beam(2, 40));
 
     let (k, l) = (GOLDEN_K, GOLDEN_L);
-    let mut words = Vec::new();
-    golden_words(&f32_server, &queries, |q| f32_server.search(q, k, l), &mut words);
-    golden_words(&sq8_server, &queries, |q| sq8_server.search(q, k, l), &mut words);
-    golden_words(&sharded, &queries, |q| sharded.search(q, k, l), &mut words);
-    golden_words(&routed, &queries, |q| routed.search(q, k, l), &mut words);
-    assert_eq!(fnv1a(words), 0xEA18_EFD7_009A_BFCE, "served outcomes drifted from the golden hash");
+    let got = [
+        golden_hash(&f32_server, &queries, |q| f32_server.search(q, k, l)),
+        golden_hash(&sq8_server, &queries, |q| sq8_server.search(q, k, l)),
+        golden_hash(&sharded, &queries, |q| sharded.search(q, k, l)),
+        golden_hash(&routed, &queries, |q| routed.search(q, k, l)),
+    ];
+    let want = [0x672B_6653_E2B2_42E9, 0x729C_3F4B_FB2C_13DE, 0xFE80_912F_5ABB_3D60, 0x438C_FFC6_E076_F495];
+    let names = ["f32 MustServer", "SQ8 MustServer", "S = 3 unrouted", "S = 3 routed"];
+    let drifted: Vec<String> = (0..4)
+        .filter(|&i| got[i] != want[i])
+        .map(|i| format!("{}: {:#018X}", names[i], got[i]))
+        .collect();
+    assert!(drifted.is_empty(), "served outcomes drifted from the golden hash: {drifted:?}");
 }
 
 /// Offline build → binary bundle on disk → `MustServer::load` → serving
