@@ -3,6 +3,7 @@
 //! multi-vector pruning.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use must_core::runtime::EngineWorker;
 use must_core::{Must, MustBuildOptions};
 use must_data::embed::embed_dataset;
 use must_vector::Weights;
@@ -22,12 +23,12 @@ fn bench_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("joint_search");
     for (prune, name) in [(true, "l200_pruned"), (false, "l200_unpruned")] {
         must.set_prune(prune);
-        let mut searcher = must.searcher();
+        let mut worker = must.worker();
         let mut qi = 0usize;
         group.bench_function(name, |b| {
             b.iter(|| {
                 qi = (qi + 1) % queries.len();
-                searcher.search(&queries[qi], 10, 200).unwrap()
+                worker.run_query(&queries[qi], None, 10, 200).unwrap()
             })
         });
     }

@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use must_core::baselines::{BaselineOptions, MultiStreamedRetrieval};
 use must_core::metrics::recall_at;
+use must_core::runtime::EngineWorker;
 use must_core::search::exact_ground_truth;
 use must_core::weights::WeightLearnConfig;
 use must_core::{Must, MustBuildOptions};
@@ -12,7 +13,6 @@ use must_data::embed::embed_dataset;
 use must_data::LatentDataset;
 use must_encoders::{EncoderConfig, TargetEncoding, UnimodalKind};
 use must_graph::search::SearchScratch;
-use must_graph::SearchParams;
 use must_vector::{MultiQuery, ObjectId, Weights};
 
 /// The default encoder configuration for semi-synthetic datasets
@@ -108,13 +108,11 @@ fn timed_point(
 /// Sweeps pool size `l` for MUST's joint search (Fig. 6 "MUST" curve).
 #[must_use]
 pub fn must_sweep(setup: &EffSetup, ls: &[usize]) -> Vec<SweepPoint> {
-    let mut searcher = setup.must.searcher();
+    let mut worker = setup.must.worker();
     ls.iter()
         .map(|&l| {
             timed_point(setup, l, |q| {
-                let out = searcher
-                    .search_with_params(q, SearchParams::new(setup.k, l.max(setup.k)))
-                    .expect("valid query");
+                let out = worker.run_query(q, None, setup.k, l).expect("valid query");
                 out.results.iter().map(|r| r.0).collect()
             })
         })

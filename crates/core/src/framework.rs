@@ -1,14 +1,12 @@
 //! The user-facing MUST framework (Fig. 4): multi-vector corpus in, learned
 //! or user-defined weights, fused index, joint search out.
 
-use std::time::Instant;
-
-use must_graph::{GraphRecipe, SearchParams, SearchScratch};
+use must_graph::{GraphRecipe, SearchScratch};
 use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
 
 use crate::index::{build_index, BuildReport, IndexOptions, MustIndex};
-use crate::oracle::{JointOracle, MustQueryScorer};
-use crate::search::{brute_force_search, request_params, SearchOutcome};
+use crate::oracle::JointOracle;
+use crate::search::{brute_force_search, SearchOutcome};
 use crate::weights::{LearnedWeights, WeightLearnConfig, WeightLearner};
 use crate::MustError;
 
@@ -71,23 +69,6 @@ pub struct Must {
     insert_scratch: SearchScratch,
 }
 
-/// The owned parts of a [`Must`] instance, as handed to
-/// [`crate::server::MustServer::freeze`].  The corpus carries its own
-/// fused-row storage, so freezing never re-copies or re-scales anything.
-pub struct MustParts {
-    /// The multi-vector corpus (with its fused-row storage engine).
-    pub objects: MultiVectorSet,
-    /// The default weights the index was built under.
-    pub weights: Weights,
-    /// The built index.
-    pub index: MustIndex,
-    /// Whether searches prune (Lemma 4).
-    pub prune: bool,
-    /// The SQ8 companion engine, when one was attached — the serving
-    /// layer's quantized-scan + exact-re-rank mode rides on it.
-    pub quant: Option<QuantizedRows>,
-}
-
 impl Must {
     /// Builds the fused index over `objects` under `weights`
     /// (either learned via [`Must::learn_weights`] or user-defined —
@@ -129,28 +110,40 @@ impl Must {
 
     /// Marks object `id` as deleted (Section IX).  The vertex stays in the
     /// graph — it may be essential for connectivity — but is filtered from
-    /// all future result sets until the index is rebuilt.  Returns whether
-    /// the state changed.
-    pub fn mark_deleted(&mut self, id: ObjectId) -> bool {
-        assert!((id as usize) < self.objects.len(), "id out of range");
-        let (w, b) = (id as usize / 64, id as usize % 64);
-        let was = self.deleted[w] & (1 << b) != 0;
-        if !was {
-            self.deleted[w] |= 1 << b;
-            self.deleted_count += 1;
-        }
-        !was
+    /// all future result sets, frozen serving included, until the index is
+    /// rebuilt.  Returns whether the state changed.
+    ///
+    /// # Errors
+    /// [`MustError::Config`] for `id >= len()`; nothing changes.
+    pub fn mark_deleted(&mut self, id: ObjectId) -> Result<bool, MustError> {
+        self.set_deleted(id, true)
     }
 
     /// Undoes [`Must::mark_deleted`].  Returns whether the state changed.
-    pub fn restore(&mut self, id: ObjectId) -> bool {
-        let (w, b) = (id as usize / 64, id as usize % 64);
-        let was = self.deleted[w] & (1 << b) != 0;
-        if was {
-            self.deleted[w] &= !(1 << b);
+    ///
+    /// # Errors
+    /// [`MustError::Config`] for `id >= len()`; nothing changes.
+    pub fn restore(&mut self, id: ObjectId) -> Result<bool, MustError> {
+        self.set_deleted(id, false)
+    }
+
+    fn set_deleted(&mut self, id: ObjectId, deleted: bool) -> Result<bool, MustError> {
+        if id as usize >= self.len() {
+            return Err(MustError::Config(format!(
+                "object id {id} out of range for {} objects",
+                self.len()
+            )));
+        }
+        if self.is_deleted(id) == deleted {
+            return Ok(false);
+        }
+        self.deleted[id as usize / 64] ^= 1 << (id % 64);
+        if deleted {
+            self.deleted_count += 1;
+        } else {
             self.deleted_count -= 1;
         }
-        was
+        Ok(true)
     }
 
     /// Whether object `id` is tombstoned.
@@ -246,25 +239,9 @@ impl Must {
         })
     }
 
-    /// Decomposes the instance into its owned [`MustParts`] — how
-    /// [`crate::server::MustServer`] takes ownership of a freshly loaded
-    /// bundle without re-cloning the corpus.  Tombstone state is
-    /// discarded: serving snapshots are frozen at reconstruction time,
-    /// matching the paper's offline/online split.
-    #[must_use]
-    pub fn into_parts(self) -> MustParts {
-        MustParts {
-            objects: self.objects,
-            weights: self.weights,
-            index: self.index,
-            prune: self.prune,
-            quant: self.quant,
-        }
-    }
-
     /// Builds and attaches the SQ8 companion engine from the current
     /// corpus (idempotent: re-quantizes in place).  After this,
-    /// [`Must::into_parts`] carries the codes into serving and
+    /// [`Must::search`] and the frozen server walk the codes, and
     /// [`crate::persist::save_quantized`] persists them as bundle v7.
     pub fn quantize(&mut self) {
         self.quant = Some(self.objects.fused().quantize());
@@ -351,31 +328,17 @@ impl Must {
         self.prune = prune;
     }
 
-    /// Creates a reusable searcher (allocation-free across a batch): the
-    /// corpus's fused storage is shared, never copied.
-    #[must_use]
-    pub fn searcher(&self) -> MustSearcher<'_> {
-        MustSearcher {
-            joint: JointDistance::new(&self.objects, self.weights.clone())
-                .expect("weight arity validated when this instance was built"),
-            scratch: SearchScratch::default(),
-            query_counter: 0,
-            must: self,
-        }
-    }
-
-    /// One-off top-`k` search with pool size `l` (Algorithm 2).
-    /// For query batches prefer [`Must::searcher`].
+    /// One-off top-`k` search with pool size `l` (Algorithm 2) under the
+    /// instance's weights: the serving query body itself, so a `Must` and
+    /// the [`crate::server::MustServer`] frozen from it answer alike —
+    /// SQ8 codes used when attached, tombstones filtered.  For query
+    /// batches prefer [`Must::worker`].
     ///
     /// # Errors
-    /// Propagates arity/dimension mismatches.
-    pub fn search(
-        &self,
-        query: &MultiQuery,
-        k: usize,
-        l: usize,
-    ) -> Result<Vec<(ObjectId, f32)>, MustError> {
-        Ok(self.searcher().search(query, k, l)?.results)
+    /// Propagates arity/dimension mismatches; [`MustError::Config`] for
+    /// `k = 0`.
+    pub fn search(&self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
+        self.worker().search(query, k, l)
     }
 
     /// Exact joint top-`k` (`MUST--`), excluding tombstoned objects.
@@ -389,64 +352,6 @@ impl Must {
             out.results.retain(|(id, _)| !self.is_deleted(*id));
         }
         out.results.truncate(k);
-        Ok(out)
-    }
-}
-
-/// Reusable search handle bound to a [`Must`] instance: Algorithm 2 over
-/// the fused index, with visited stamps and result pool reused across a
-/// query batch (allocation-free steady state, as the response-time
-/// experiments require).  Unlike the serving layer's fixed seed, the
-/// random pool initialisation varies per query via a counter.
-pub struct MustSearcher<'a> {
-    joint: JointDistance<'a>,
-    scratch: SearchScratch,
-    query_counter: u64,
-    must: &'a Must,
-}
-
-impl MustSearcher<'_> {
-    /// Top-`k` search with pool size `l`, excluding tombstoned objects.
-    ///
-    /// # Errors
-    /// Propagates arity/dimension mismatches; [`MustError::Config`] for
-    /// `k = 0`.
-    pub fn search(&mut self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
-        self.search_with_params(query, request_params(k, l)?)
-    }
-
-    /// Same, with explicit [`SearchParams`] (seed-only initialisation etc.).
-    ///
-    /// # Errors
-    /// Propagates arity/dimension mismatches.
-    pub fn search_with_params(
-        &mut self,
-        query: &MultiQuery,
-        params: SearchParams,
-    ) -> Result<SearchOutcome, MustError> {
-        let deleted = self.must.deleted_count();
-        let wanted = params.k;
-        let mut params = params;
-        if deleted > 0 {
-            // Over-fetch so tombstone filtering still yields k results.
-            params.k = wanted + deleted;
-            params.l = params.l.max(params.k);
-        }
-        let scorer = MustQueryScorer::from_joint(&self.joint, query, self.must.prune())?;
-        let t0 = Instant::now();
-        self.query_counter += 1;
-        let rng_seed = 0x9A5E ^ self.query_counter;
-        let res = self.must.index().search(&scorer, params, &mut self.scratch, rng_seed);
-        let mut out = SearchOutcome {
-            results: res.results,
-            stats: res.stats,
-            kernel_evals: scorer.kernel_evals(),
-            secs: t0.elapsed().as_secs_f64(),
-        };
-        if deleted > 0 {
-            out.results.retain(|(id, _)| !self.must.is_deleted(*id));
-            out.results.truncate(wanted);
-        }
         Ok(out)
     }
 }
@@ -482,12 +387,12 @@ mod tests {
     fn end_to_end_build_and_search() {
         let set = corpus(300);
         let must = Must::build(set, Weights::uniform(2), MustBuildOptions::default()).unwrap();
-        let mut searcher = must.searcher();
+        let mut worker = must.worker();
         let mut hits = 0;
         for t in 0..20u32 {
             let id = t * 14;
             let q = self_query(must.objects(), id);
-            let out = searcher.search(&q, 1, 60).unwrap();
+            let out = worker.search(&q, 1, 60).unwrap();
             if out.results[0].0 == id {
                 hits += 1;
             }
@@ -495,7 +400,7 @@ mod tests {
         assert!(hits >= 19, "self-queries must be found: {hits}/20");
         // Zero results asked for is a typed error, not `SearchParams::new`'s panic.
         let q = self_query(must.objects(), 0);
-        assert!(matches!(searcher.search(&q, 0, 60), Err(MustError::Config(_))));
+        assert!(matches!(worker.search(&q, 0, 60), Err(MustError::Config(_))));
         assert!(matches!(must.search(&q, 0, 60), Err(MustError::Config(_))));
     }
 
@@ -507,7 +412,7 @@ mod tests {
         let q = self_query(must.objects(), 123);
         let exact = must.brute_force(&q, 5).unwrap();
         let approx = must.search(&q, 5, 120).unwrap();
-        assert_eq!(exact.results[0].0, approx[0].0);
+        assert_eq!(exact.results[0].0, approx.results[0].0);
     }
 
     #[test]
@@ -522,9 +427,9 @@ mod tests {
         let mut must =
             Must::build(set, Weights::uniform(2), MustBuildOptions::default()).unwrap();
         let q = self_query(must.objects(), 42);
-        let with = must.search(&q, 5, 50).unwrap();
+        let with = must.search(&q, 5, 50).unwrap().results;
         must.set_prune(false);
-        let without = must.search(&q, 5, 50).unwrap();
+        let without = must.search(&q, 5, 50).unwrap().results;
         let ids = |v: &[(u32, f32)]| v.iter().map(|r| r.0).collect::<Vec<_>>();
         assert_eq!(ids(&with), ids(&without), "Lemma 4 is lossless");
     }
@@ -534,7 +439,7 @@ mod tests {
         let set = corpus(150);
         let must = Must::build(set, Weights::uniform(2), MustBuildOptions::default()).unwrap();
         let q = MultiQuery::partial(vec![Some(must.objects().modality(0).get(7).to_vec()), None]);
-        let res = must.search(&q, 3, 80).unwrap();
+        let res = must.search(&q, 3, 80).unwrap().results;
         assert_eq!(res[0].0, 7, "target-only query still routes to the anchor");
     }
 
@@ -543,17 +448,32 @@ mod tests {
         let set = corpus(200);
         let mut must = Must::build(set, Weights::uniform(2), MustBuildOptions::default()).unwrap();
         let q = self_query(must.objects(), 42);
-        assert_eq!(must.search(&q, 1, 60).unwrap()[0].0, 42);
-        assert!(must.mark_deleted(42));
-        assert!(!must.mark_deleted(42), "double delete is a no-op");
+        assert_eq!(must.search(&q, 1, 60).unwrap().results[0].0, 42);
+        assert!(must.mark_deleted(42).unwrap());
+        assert!(!must.mark_deleted(42).unwrap(), "double delete is a no-op");
         assert_eq!(must.deleted_count(), 1);
-        let res = must.search(&q, 5, 60).unwrap();
+        let res = must.search(&q, 5, 60).unwrap().results;
         assert!(res.iter().all(|(id, _)| *id != 42), "tombstone filtered");
         assert_eq!(res.len(), 5, "over-fetch keeps k results");
         let bf = must.brute_force(&q, 5).unwrap();
         assert!(bf.results.iter().all(|(id, _)| *id != 42));
-        assert!(must.restore(42));
-        assert_eq!(must.search(&q, 1, 60).unwrap()[0].0, 42);
+        assert!(must.restore(42).unwrap());
+        assert_eq!(must.search(&q, 1, 60).unwrap().results[0].0, 42);
+    }
+
+    #[test]
+    fn out_of_range_tombstone_ids_are_typed_errors() {
+        // n = 200 leaves ids 200..256 inside the last bitset word and 256
+        // just past it: both edges are refused, and nothing changes.
+        let mut must =
+            Must::build(corpus(200), Weights::uniform(2), MustBuildOptions::default()).unwrap();
+        for id in [200u32, 256] {
+            assert!(matches!(must.mark_deleted(id), Err(MustError::Config(_))), "delete {id}");
+            assert!(matches!(must.restore(id), Err(MustError::Config(_))), "restore {id}");
+            assert!(!must.is_deleted(id));
+        }
+        assert_eq!(must.deleted_count(), 0);
+        assert!(must.mark_deleted(199).unwrap() && must.restore(199).unwrap());
     }
 
     #[test]
@@ -572,7 +492,7 @@ mod tests {
         assert_eq!(id, 150);
         assert_eq!(must.objects().len(), 151);
         let q = MultiQuery::full(vec![new0, new1]);
-        let res = must.search(&q, 1, 80).unwrap();
+        let res = must.search(&q, 1, 80).unwrap().results;
         assert_eq!(res[0].0, id, "freshly inserted object must be findable");
     }
 
@@ -595,7 +515,7 @@ mod tests {
         )
         .unwrap();
         let q = self_query(must.objects(), 99);
-        let res = must.search(&q, 1, 60).unwrap();
+        let res = must.search(&q, 1, 60).unwrap().results;
         assert_eq!(res[0].0, 99);
     }
 }

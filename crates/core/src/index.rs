@@ -29,21 +29,26 @@ pub enum MustIndex {
     Hnsw(Hnsw),
 }
 
+/// Fixed RNG seed for the flat walk's random pool initialisation.  A
+/// constant makes a query's results a pure function of the query — the
+/// property that lets concurrent and serial execution, and an offline
+/// `Must` and the server frozen from it, agree bit-for-bit.  The repo
+/// benchmark's layer probes replicate this value.
+const SERVE_RNG_SEED: u64 = 0x5E7E_D05E_ED00;
+
 impl MustIndex {
-    /// Runs Algorithm 2 for `scorer`.  `rng_seed` drives the flat walk's
-    /// random pool initialisation: [`crate::framework::MustSearcher`] varies
-    /// it per query, a server passes one constant so a query's results do
-    /// not depend on arrival order.  HNSW descends from its entry point
-    /// and draws nothing.
+    /// Runs Algorithm 2 for `scorer`.  The flat walk seeds its random pool
+    /// initialisation with one constant for every query, so results do
+    /// not depend on arrival order; HNSW descends from its entry point and
+    /// draws nothing.
     pub(crate) fn search<S: QueryScorer>(
         &self,
         scorer: &S,
         params: SearchParams,
         scratch: &mut SearchScratch,
-        rng_seed: u64,
     ) -> SearchResult {
         match self {
-            Self::Csr(csr) => beam_search_csr(csr, scorer, params, scratch, rng_seed),
+            Self::Csr(csr) => beam_search_csr(csr, scorer, params, scratch, SERVE_RNG_SEED),
             Self::Hnsw(h) => h.search_with_scratch(scorer, params, scratch),
         }
     }

@@ -29,9 +29,11 @@
 //!   all backends incl. HNSW), its quantized (v7) and sharded (v6)
 //!   siblings, and loaders for exactly those three.
 //! * [`server`] — the online serving layer: a `Send + Sync`
-//!   [`MustServer`] handle answering queries from many threads with
-//!   results bit-identical to serial execution, and per-query weight
-//!   overrides (`search_weighted`) served from the same frozen snapshot.
+//!   [`MustServer`] handle (a frozen [`Must`] behind an `Arc`, searched by
+//!   the same query body as [`Must::search`]) answering queries from many
+//!   threads with results bit-identical to serial execution, and
+//!   per-query weight overrides (`search_weighted`) served from the same
+//!   frozen snapshot.
 //! * [`shard`] — sharded scatter-gather serving: [`ShardedMust`] builds
 //!   `S` shards in parallel (round-robin, hashed, or clustered),
 //!   [`ShardedServer`] fans each query out — or **routes** it to only
@@ -69,7 +71,7 @@
 //! let must = Must::build(objects, Weights::uniform(2), MustBuildOptions::default()).unwrap();
 //! let query = MultiQuery::full(vec![vec![0., 0., 0.9, 0.1], vec![0., 1.]]);
 //! let hits = must.search(&query, 1, 8).unwrap();
-//! assert_eq!(hits[0].0, 2);
+//! assert_eq!(hits.results[0].0, 2);
 //! ```
 
 #![deny(missing_docs)]

@@ -1,8 +1,8 @@
 //! The search outcome every searcher returns, the request-parameter
 //! check, the brute-force searcher (`MUST--`), and exact ground-truth
 //! computation for the semi-synthetic workloads.  Algorithm 2 over the
-//! fused index runs in [`crate::framework::MustSearcher`] (offline) and
-//! [`crate::server::ServerWorker`] (serving).
+//! fused index runs in one place, [`crate::server::ServerWorker`], for an
+//! offline [`crate::Must`] and a frozen [`crate::MustServer`] alike.
 
 use std::time::Instant;
 
@@ -165,14 +165,14 @@ mod tests {
             build_index(&oracle, IndexOptions { gamma: 12, ..Default::default() }).unwrap();
         let joint = JointDistance::new(&set, weights.clone()).unwrap();
         let must = Must::from_parts(set.clone(), weights, index, MustBuildOptions::default()).unwrap();
-        let mut searcher = must.searcher();
+        let mut worker = must.worker();
         let mut hits = 0;
         let total = 25;
         for t in 0..total {
             let id = (t * 16) as u32 % 400;
             let q = query_for(&set, id);
             let exact = brute_force_search(&joint, &q, 1, true).unwrap();
-            let approx = searcher.search_with_params(&q, SearchParams::new(1, 100)).unwrap();
+            let approx = worker.search(&q, 1, 100).unwrap();
             if approx.results[0].0 == exact.results[0].0 {
                 hits += 1;
             }

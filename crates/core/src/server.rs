@@ -2,16 +2,29 @@
 //! `Send + Sync` handle over a frozen MUST snapshot that many threads can
 //! search concurrently.
 //!
-//! [`Must`] owns a mutable corpus (tombstones, dynamic insertion) and its
-//! searcher advances an RNG counter per query, so neither is shareable
-//! across threads nor order-deterministic.  [`MustServer`] freezes the
-//! corpus + weights + graph behind an [`Arc`].  The index moves in as it
-//! is: flat graphs were frozen to CSR when construction ended, HNSW sits
-//! in two fixed-stride slabs, and both are served from the arrays they
-//! were built or loaded on.
-//! Every search derives its RNG seed from a fixed serving constant, so a
-//! query's results are **bit-identical** no matter which worker runs it or
-//! in what order — the concurrency tests pin this down.
+//! A [`MustServer`] **is** a frozen [`Must`]: [`MustServer::freeze`] moves
+//! the instance behind an [`Arc`] — corpus, weights, index, SQ8 codes,
+//! prune flag and tombstones, nothing converted or copied — and every
+//! accessor comes through `Deref`.  The index moves in as it is: flat
+//! graphs were frozen to CSR when construction ended, HNSW sits in two
+//! fixed-stride slabs, and both are served from the arrays they were built
+//! or loaded on.
+//!
+//! One query body, offline and online: [`Must::worker`] mints a
+//! [`ServerWorker`] that borrows the `Must`, and its
+//! [`crate::runtime::EngineWorker::run_query`] resolves the weights and the
+//! search parameters and calls [`ServerWorker::search_weighted_with_params`]
+//! — the f32 walk or the SQ8 walk + exact re-rank, with tombstones
+//! (Section IX) filtered around both.  [`Must::search`] (one-off, transient
+//! scratch) and [`ServerWorker::search`] (reusable scratch) are its
+//! default-weight shorthands, so a `Must` and the server frozen from it
+//! give one answer to a query.  The weighted one-off, the batch fan-out and
+//! the blocking serve loop are the provided methods of
+//! [`crate::runtime::ServeEngine`].
+//!
+//! The flat walk's random pool initialisation draws from one constant
+//! seed, so a query's results are **bit-identical** no matter which worker
+//! runs it or in what order — the concurrency tests pin this down.
 //!
 //! Because the fused storage is unscaled and weighting happens on the
 //! query row alone, the frozen weights are merely a **default**: a query
@@ -19,22 +32,14 @@
 //! snapshot with zero extra state — the paper's user-defined-weight
 //! scenario (Tab. IX, §VIII-F) as a parameter of one query, not a second
 //! API.
-//!
-//! One query body: [`ServerWorker`]'s
-//! [`crate::runtime::EngineWorker::run_query`] resolves the weights and
-//! the search parameters and calls
-//! [`ServerWorker::search_weighted_with_params`].  [`MustServer::search`]
-//! (one-off, transient scratch) and [`ServerWorker::search`] (reusable
-//! scratch) are its default-weight shorthands; the weighted one-off, the
-//! batch fan-out and the blocking serve loop are the provided methods of
-//! [`crate::runtime::ServeEngine`].
 
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
 use must_graph::search::SearchScratch;
 use must_graph::{QueryScorer, SearchParams};
-use must_vector::{MultiQuery, MultiVectorSet, QuantizedRows, Weights};
+use must_vector::{MultiQuery, QuantizedRows, Weights};
 
 use crate::framework::Must;
 use crate::oracle::{MustQueryScorer, QuantizedQueryScorer};
@@ -42,39 +47,24 @@ use crate::runtime::{EngineWorker, ServeEngine};
 use crate::search::{request_params, SearchOutcome};
 use crate::MustError;
 
-/// Fixed RNG seed for the random pool initialisation of every served
-/// query.  A *constant* (rather than `Must`'s per-searcher counter) makes
-/// serving results a pure function of the query — the property that lets
-/// concurrent and serial execution agree bit-for-bit.
-const SERVE_RNG_SEED: u64 = 0x5E7E_D05E_ED00;
-
 /// The index a server searches is the index its [`Must`] owned — one
 /// enum, [`crate::index::MustIndex`].  The name stays at this path because
 /// the repo benchmark matches on `server::ServingIndex::{Csr, Hnsw}`.
 pub use crate::index::MustIndex as ServingIndex;
 
-struct ServerCore {
-    /// The frozen corpus; its fused rows are the storage engine every
-    /// worker scores against, shared via the core's [`Arc`].
-    objects: MultiVectorSet,
-    /// The default weights (the configuration the index was built under);
-    /// any query may override them.
-    weights: Weights,
-    index: ServingIndex,
-    prune: bool,
-    /// The SQ8 companion engine, when the frozen [`Must`] carried one.
-    /// Its presence flips every search into quantized-scan mode: the
-    /// graph walk scores `u8` codes (one pass, pruning only under a
-    /// certified margin) and the top `4k` pool is exact-re-ranked on the
-    /// retained f32 rows.
-    quant: Option<QuantizedRows>,
-}
-
-/// A shared, read-only serving handle: cheap to clone, safe to search
-/// from any number of threads.
+/// A shared, read-only serving handle: a frozen [`Must`] behind an
+/// [`Arc`], cheap to clone, safe to search from any number of threads.
+/// Its corpus, weights, index, codes and search entry points are the
+/// frozen `Must`'s, through `Deref`; nothing can mutate it.
 #[derive(Clone)]
-pub struct MustServer {
-    core: Arc<ServerCore>,
+pub struct MustServer(Arc<Must>);
+
+impl Deref for MustServer {
+    type Target = Must;
+
+    fn deref(&self) -> &Must {
+        &self.0
+    }
 }
 
 /// One request on a [`ServeEngine::serve`] stream or a
@@ -100,30 +90,14 @@ pub struct ServeReply {
 
 impl MustServer {
     /// Freezes a built [`Must`] into a serving snapshot, consuming it.
-    /// Nothing is converted or copied; tombstone state is discarded
-    /// (serving snapshots are immutable — rebuild and re-freeze to apply
-    /// deletions, as the paper's Section IX prescribes).
-    ///
-    /// `Must` guarantees its weights cover the corpus, so the snapshot's
-    /// default-weight invariant holds by construction and
-    /// [`MustServer::worker`] is infallible.
+    /// Nothing is converted or copied, and nothing is dropped: SQ8 codes,
+    /// the prune flag and tombstones carry over, so the snapshot answers
+    /// every query exactly as the `Must` did.  Tombstoned objects stay
+    /// filtered until the next rebuild (Section IX);
+    /// [`crate::persist::save`] still refuses an instance that has them.
     #[must_use]
     pub fn freeze(must: Must) -> Self {
-        let parts = must.into_parts();
-        debug_assert_eq!(
-            parts.weights.modalities(),
-            parts.objects.num_modalities(),
-            "Must validates weight arity at build/load time"
-        );
-        Self {
-            core: Arc::new(ServerCore {
-                objects: parts.objects,
-                weights: parts.weights,
-                index: parts.index,
-                prune: parts.prune,
-                quant: parts.quant,
-            }),
-        }
+        Self(Arc::new(must))
     }
 
     /// Loads a persisted single-shard bundle (v5 or v7 — see
@@ -137,82 +111,38 @@ impl MustServer {
     pub fn load(path: &std::path::Path) -> Result<Self, MustError> {
         Ok(Self::freeze(crate::persist::load(path)?))
     }
+}
 
-    /// The frozen SQ8 engine, when this snapshot serves in
-    /// quantized-scan + re-rank mode.
-    #[must_use]
-    pub fn quant(&self) -> Option<&QuantizedRows> {
-        self.core.quant.as_ref()
-    }
-
-    /// The frozen corpus.
-    #[must_use]
-    pub fn objects(&self) -> &MultiVectorSet {
-        &self.core.objects
-    }
-
-    /// The default weights (used when a query carries no override).
-    #[must_use]
-    pub fn weights(&self) -> &Weights {
-        &self.core.weights
-    }
-
-    /// The frozen index.
-    #[must_use]
-    pub fn index(&self) -> &ServingIndex {
-        &self.core.index
-    }
-
-    /// Number of served objects.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.core.objects.len()
-    }
-
-    /// Whether the snapshot is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.core.objects.is_empty()
-    }
-
-    /// One-off top-`k` search with pool size `l` under the default
-    /// weights.  Deterministic: the same query always yields the same
-    /// ranked ids and [`must_graph::SearchStats`], regardless of thread or
-    /// arrival order.
-    ///
-    /// # Errors
-    /// Propagates query/corpus arity and dimension mismatches.
-    pub fn search(&self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
-        self.worker().search(query, k, l)
-    }
-
+impl Must {
     /// A reusable per-thread search handle (allocation-free steady state:
     /// the search scratch persists across queries; the fused storage is
-    /// shared, never copied).  Infallible by construction: the snapshot's
-    /// weight/corpus invariant was validated at freeze time, and all
-    /// per-query plumbing reports through each search's `Result`.  The
-    /// visited stamps are pre-sized to this snapshot's graph here — the
+    /// borrowed, never copied).  Infallible by construction: `Must`
+    /// validated its weight/corpus invariant at build or load time, and
+    /// all per-query plumbing reports through each search's `Result`.  The
+    /// visited stamps are pre-sized to this instance's graph here — the
     /// `O(n)` scratch allocation — so a sharded deployment's workers each
     /// carry scratch sized to their own shard.
     #[must_use]
     pub fn worker(&self) -> ServerWorker<'_> {
         let mut scratch = SearchScratch::default();
-        scratch.reserve(self.core.index.len());
-        ServerWorker { scratch, core: &self.core }
+        scratch.reserve(self.index().len());
+        ServerWorker { scratch, must: self }
     }
 }
 
-/// Reusable per-thread search state bound to a [`MustServer`] snapshot.
-/// Holds no per-weight state: the default and override paths share the
-/// same scratch, so one worker can serve a weight-churning stream.
+/// Reusable per-thread search state bound to a [`Must`] (frozen in a
+/// [`MustServer`] or not).  Holds no per-weight state: the default and
+/// override paths share the same scratch, so one worker can serve a
+/// weight-churning stream.
 pub struct ServerWorker<'a> {
     scratch: SearchScratch,
-    core: &'a ServerCore,
+    must: &'a Must,
 }
 
 impl ServerWorker<'_> {
-    /// Top-`k` search with pool size `l` under the snapshot's default
-    /// weights; see [`MustServer::search`] for the determinism contract.
+    /// Top-`k` search with pool size `l` under the default weights.
+    /// Deterministic: the same query always yields the same ranked ids and
+    /// [`must_graph::SearchStats`], regardless of thread or arrival order.
     ///
     /// # Errors
     /// Propagates query/corpus arity and dimension mismatches;
@@ -227,8 +157,10 @@ impl ServerWorker<'_> {
     }
 
     /// The search under explicit `weights` and [`SearchParams`]: the f32
-    /// walk, or — when the snapshot carries SQ8 codes — the quantized
-    /// walk plus exact re-rank.
+    /// walk, or — when the instance carries SQ8 codes — the quantized
+    /// walk plus exact re-rank.  Tombstoned objects are filtered here, for
+    /// every entry point: the walk over-fetches `k + deleted_count` and
+    /// keeps the live top `k`.  With nothing deleted it is the bare walk.
     ///
     /// # Errors
     /// Propagates weight-arity and query/corpus mismatches.
@@ -238,13 +170,34 @@ impl ServerWorker<'_> {
         weights: &Weights,
         params: SearchParams,
     ) -> Result<SearchOutcome, MustError> {
-        if self.core.quant.is_some() {
-            return self.search_quantized_with_params(query, weights, params);
+        let must = self.must;
+        let deleted = must.deleted_count();
+        if deleted == 0 {
+            return self.search_unfiltered(query, weights, params);
+        }
+        let k = params.k + deleted;
+        let fetch = SearchParams { k, l: params.l.max(k), ..params };
+        let mut out = self.search_unfiltered(query, weights, fetch)?;
+        out.results.retain(|&(id, _)| !must.is_deleted(id));
+        out.results.truncate(params.k);
+        Ok(out)
+    }
+
+    /// The walk with tombstones still in: f32, or SQ8 + re-rank.
+    fn search_unfiltered(
+        &mut self,
+        query: &MultiQuery,
+        weights: &Weights,
+        params: SearchParams,
+    ) -> Result<SearchOutcome, MustError> {
+        let must = self.must;
+        if let Some(quant) = must.quant() {
+            return self.search_quantized_with_params(quant, query, weights, params);
         }
         let scorer =
-            MustQueryScorer::from_rows(self.core.objects.fused(), query, weights, self.core.prune)?;
+            MustQueryScorer::from_rows(must.objects().fused(), query, weights, must.prune())?;
         let t0 = Instant::now();
-        let res = self.core.index.search(&scorer, params, &mut self.scratch, SERVE_RNG_SEED);
+        let res = must.index().search(&scorer, params, &mut self.scratch);
         Ok(SearchOutcome {
             results: res.results,
             stats: res.stats,
@@ -262,24 +215,24 @@ impl ServerWorker<'_> {
     /// unchanged.
     fn search_quantized_with_params(
         &mut self,
+        quant: &QuantizedRows,
         query: &MultiQuery,
         weights: &Weights,
         params: SearchParams,
     ) -> Result<SearchOutcome, MustError> {
-        let core = self.core;
-        let quant = core.quant.as_ref().expect("checked by the caller");
-        let qscorer = QuantizedQueryScorer::from_rows(quant, query, weights, core.prune)?;
+        let must = self.must;
+        let qscorer = QuantizedQueryScorer::from_rows(quant, query, weights, must.prune())?;
         // Exact re-rank wants ip() only; the prune flag is irrelevant.
-        let exact = MustQueryScorer::from_rows(core.objects.fused(), query, weights, false)?;
+        let exact = MustQueryScorer::from_rows(must.objects().fused(), query, weights, false)?;
         let t0 = Instant::now();
-        let n = core.index.len();
+        let n = must.index().len();
         let rerank_k = params.k.saturating_mul(4).min(n).max(params.k.min(n)).max(1);
         let walk = SearchParams {
             k: rerank_k,
             l: params.l.max(rerank_k),
             random_init: params.random_init,
         };
-        let res = core.index.search(&qscorer, walk, &mut self.scratch, SERVE_RNG_SEED);
+        let res = must.index().search(&qscorer, walk, &mut self.scratch);
         // The pool's f32 rows are cold (the walk read codes): start all the
         // misses before the first score needs one.
         for &(id, _) in &res.results {
@@ -301,7 +254,7 @@ impl ServerWorker<'_> {
 }
 
 impl EngineWorker for ServerWorker<'_> {
-    /// The single-shard query body: `None` resolves to the frozen
+    /// The single-shard query body: `None` resolves to the instance's
     /// weights, `(k, l)` to validated [`SearchParams`].
     fn run_query(
         &mut self,
@@ -311,8 +264,8 @@ impl EngineWorker for ServerWorker<'_> {
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
         let params = request_params(k, l)?;
-        let core = self.core;
-        self.search_weighted_with_params(query, weights.unwrap_or(&core.weights), params)
+        let must = self.must;
+        self.search_weighted_with_params(query, weights.unwrap_or(must.weights()), params)
     }
 }
 
@@ -329,7 +282,7 @@ mod tests {
     use super::*;
     use crate::framework::MustBuildOptions;
     use must_graph::GraphRecipe;
-    use must_vector::VectorSetBuilder;
+    use must_vector::{MultiVectorSet, VectorSetBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -1303,7 +1303,7 @@ impl ShardedServer {
     #[must_use]
     pub fn worker(&self) -> ShardedWorker<'_> {
         ShardedWorker {
-            workers: self.core.shards.iter().map(MustServer::worker).collect(),
+            workers: self.core.shards.iter().map(|shard| shard.worker()).collect(),
             core: &self.core,
             routing: self.routing,
         }

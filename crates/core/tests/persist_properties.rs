@@ -68,7 +68,8 @@ proptest! {
             let q = self_query(must.objects(), id);
             let a = must.search(&q, 3, 24).unwrap();
             let b = loaded.search(&q, 3, 24).unwrap();
-            prop_assert_eq!(a, b, "recipe {} query {}", recipe.label(), id);
+            let what = format!("recipe {} query {}", recipe.label(), id);
+            prop_assert_eq!((a.results, a.stats), (b.results, b.stats), "{}", what);
         }
     }
 }
@@ -196,7 +197,7 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     let q = loaded.quant().unwrap();
     assert_eq!(q.len(), 41, "codes stay in lockstep with the corpus");
     let out = loaded.search(&self_query(loaded.objects(), 0), 3, 24).unwrap();
-    assert_eq!(out.len(), 3);
+    assert_eq!(out.results.len(), 3);
 
     // Sharded container (v6): round-trips through its own loader.
     let sharded = must_core::shard::ShardedMust::build(

@@ -60,14 +60,12 @@ proptest! {
         // weights, the oracle server is frozen with the override as its
         // default — what "retrain/adjust omega then redeploy" used to
         // require.
-        let parts = Must::build(set, default_w.clone(), opts).unwrap().into_parts();
-        let production = MustServer::freeze(
-            Must::from_parts(parts.objects.clone(), default_w.clone(), parts.index.clone(), opts)
+        let must = Must::build(set, default_w.clone(), opts).unwrap();
+        let oracle = MustServer::freeze(
+            Must::from_parts(must.objects().clone(), override_w.clone(), must.index().clone(), opts)
                 .unwrap(),
         );
-        let oracle = MustServer::freeze(
-            Must::from_parts(parts.objects, override_w.clone(), parts.index, opts).unwrap(),
-        );
+        let production = MustServer::freeze(must);
 
         for probe in 0..4u32 {
             let id = probe * (n as u32 / 4);

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let weights = Weights::from_squared(vec![w0_sq, w1_sq])?;
         let must = Must::build(embedded.objects.clone(), weights, MustBuildOptions::default())?;
-        let hits = must.search(&query.query, 5, 100)?;
+        let hits = must.search(&query.query, 5, 100)?.results;
         // Report how similar the top hit is to each query modality.
         let top = hits[0].0;
         let s_img = kernels::ip(

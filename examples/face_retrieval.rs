@@ -50,11 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Evaluate Recall@1(1) on held-out queries.
     let eval = &embedded.queries[200..700.min(embedded.queries.len())];
-    let mut searcher = must.searcher();
+    let mut worker = must.worker();
     let mut visited = SearchScratch::default();
     let (mut r_must, mut r_mr, mut r_je) = (0.0, 0.0, 0.0);
     for q in eval {
-        let m = searcher.search(&q.query, 1, 200)?;
+        let m = worker.search(&q.query, 1, 200)?;
         let ids: Vec<u32> = m.results.iter().map(|r| r.0).collect();
         r_must += recall_at(&ids, &q.ground_truth, 1);
         let mr_out = mr.search(&q.query, 1, 300, &mut visited);

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Round 1 — text only (t = 1): the user has no reference image yet.
     let text_only = MultiQuery::partial(vec![None, sample.query.slot(1).map(<[f32]>::to_vec)]);
-    let round1 = must.search(&text_only, 5, 200)?;
+    let round1 = must.search(&text_only, 5, 200)?.results;
     println!("\nround 1 (text only) top-5:");
     let mut reference: Option<u32> = None;
     for (id, sim) in &round1 {
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         must.objects().modality(0).get(reference).to_vec(),
         sample.query.slot(1).unwrap().to_vec(),
     ]);
-    let round2 = must.search(&refined, 5, 200)?;
+    let round2 = must.search(&refined, 5, 200)?.results;
     println!("round 2 (image + text) top-5:");
     let mut class_hits_r1 = 0;
     let mut class_hits_r2 = 0;

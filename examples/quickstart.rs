@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Modality 0 carries the reference image, modality 1 the desired
     // attribute.
     let query = MultiQuery::full(vec![images[0].to_vec(), vec![0.0, 1.0]]);
-    let hits = must.search(&query, 3, 8)?;
+    let hits = must.search(&query, 3, 8)?.results;
 
     println!("query: image of '{}' + text 'make it blue'", names[0]);
     for (rank, (id, sim)) in hits.iter().enumerate() {
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Queries may omit modalities: a text-only search (t < m) masks the
     // missing modality's weight (Section VII-B of the paper).
     let text_only = MultiQuery::partial(vec![None, Some(vec![0.0, 1.0])]);
-    let blue_things = must.search(&text_only, 4, 8)?;
+    let blue_things = must.search(&text_only, 4, 8)?.results;
     println!("\ntext-only query 'blue':");
     for (id, _) in &blue_things {
         println!("  {}", names[*id as usize]);

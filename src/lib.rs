@@ -31,7 +31,7 @@ pub use must_vector as vector;
 
 /// Convenience prelude: the types most applications need.
 pub mod prelude {
-    pub use must_core::framework::{Must, MustBuildOptions, MustParts, MustSearcher};
+    pub use must_core::framework::{Must, MustBuildOptions};
     pub use must_core::metrics::recall_at;
     pub use must_core::persist;
     pub use must_core::runtime::{EngineWorker, RuntimeCounters, ServeEngine, ServeRuntime};

@@ -55,12 +55,12 @@ fn tiny_corpus_build_search_roundtrip() {
         MustBuildOptions { gamma: 16, ..Default::default() },
     )
     .unwrap();
-    let mut searcher = must.searcher();
+    let mut worker = must.worker();
 
     let (mut agree, mut pruned_total, total) = (0usize, 0u64, 25usize);
     for q in embedded.queries.iter().take(total) {
         let exact = must.brute_force(&q.query, 1).unwrap();
-        let approx = searcher.search(&q.query, 1, 120).unwrap();
+        let approx = worker.search(&q.query, 1, 120).unwrap();
         if exact.results[0].0 == approx.results[0].0 {
             agree += 1;
         }
@@ -80,13 +80,13 @@ fn tiny_corpus_build_search_roundtrip() {
 
     // And switching pruning off preserves results (the Fig. 10(c) claim).
     let q = embedded.queries[0].query.clone();
-    let with = searcher.search(&q, 5, 80).unwrap();
-    drop(searcher);
+    let with = worker.search(&q, 5, 80).unwrap();
+    drop(worker);
     let mut must = must;
     must.set_prune(false);
     let without = must.search(&q, 5, 80).unwrap();
     let ids = |r: &[(u32, f32)]| r.iter().map(|x| x.0).collect::<Vec<_>>();
-    assert_eq!(ids(&with.results), ids(&without));
+    assert_eq!(ids(&with.results), ids(&without.results));
 }
 
 /// Mean recall@k of the three frameworks (exact search each, the Tabs.
@@ -168,12 +168,12 @@ fn fused_index_matches_brute_force() {
         MustBuildOptions { gamma: 20, ..Default::default() },
     )
     .unwrap();
-    let mut searcher = must.searcher();
+    let mut worker = must.worker();
     let mut agree = 0;
     let total = 40;
     for q in p.embedded.queries.iter().skip(120).take(total) {
         let exact = must.brute_force(&q.query, 1).unwrap();
-        let approx = searcher.search(&q.query, 1, 300).unwrap();
+        let approx = worker.search(&q.query, 1, 300).unwrap();
         if exact.results[0].0 == approx.results[0].0 {
             agree += 1;
         }

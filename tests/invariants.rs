@@ -74,7 +74,7 @@ proptest! {
         let must = Must::build(embedded.objects, weights.clone(), MustBuildOptions::default())
             .unwrap();
         let q = &embedded.queries[qi].query;
-        let hits = must.search(q, 10, l).unwrap();
+        let hits = must.search(q, 10, l).unwrap().results;
         // Sorted descending, unique ids.
         for w in hits.windows(2) {
             prop_assert!(w[0].1 >= w[1].1);
@@ -96,13 +96,13 @@ fn recall_is_monotone_in_l() {
     let must =
         Must::build(embedded.objects.clone(), Weights::uniform(2), MustBuildOptions::default())
             .unwrap();
-    let mut searcher = must.searcher();
+    let mut worker = must.worker();
     let mut last = -1.0f64;
     for l in [10usize, 40, 160, 600] {
         let mut recall = 0.0;
         for q in &embedded.queries {
             let exact = must.brute_force(&q.query, 1).unwrap().results[0].0;
-            let out = searcher.search(&q.query, 1, l).unwrap();
+            let out = worker.search(&q.query, 1, l).unwrap();
             if out.results[0].0 == exact {
                 recall += 1.0;
             }

@@ -591,6 +591,123 @@ fn served_outcomes_match_the_golden_hash() {
     assert!(drifted.is_empty(), "served outcomes drifted from the golden hash: {drifted:?}");
 }
 
+/// Golden pin over `Must::search` on an HNSW build without SQ8 codes:
+/// ids, similarity bits, `SearchStats` and `kernel_evals`.  The constant
+/// was taken through the old offline searcher, on the parent of the change
+/// that made `Must::search` the serving body; HNSW draws no random pool
+/// initialisation, so that change left it in place.
+#[test]
+fn offline_hnsw_search_matches_the_golden_hash() {
+    let (objects, queries) = embedded_fixture();
+    let opts = MustBuildOptions { recipe: GraphRecipe::Hnsw, ..fixture_opts() };
+    let must = Must::build(objects, Weights::uniform(2), opts).unwrap();
+    let words = &mut Vec::new();
+    for q in &queries {
+        push_outcome(words, must.search(q, GOLDEN_K, GOLDEN_L));
+    }
+    assert_eq!(fnv1a(words.drain(..)), 0x3423_4C5C_DC67_21F0);
+}
+
+/// One query body offline and online: for every graph recipe, with and
+/// without SQ8 codes, `Must::search` and the server frozen from that same
+/// instance return the same results, stats and `kernel_evals`.  On the
+/// parent of the change that made a server an `Arc<Must>` this failed for
+/// 13 of the 14 configurations, all but HNSW without codes: the offline
+/// searcher drew a per-query random-init seed and ignored the codes.
+#[test]
+fn offline_and_served_answers_are_one_answer() {
+    let (objects, queries) = embedded_fixture();
+    let (k, l) = (GOLDEN_K, GOLDEN_L);
+    for recipe in GraphRecipe::all() {
+        for codes in [false, true] {
+            let opts = MustBuildOptions { recipe, ..fixture_opts() };
+            let mut must = Must::build(objects.clone(), Weights::uniform(2), opts).unwrap();
+            if codes {
+                must.quantize();
+            }
+            let offline: Vec<SearchOutcome> =
+                queries.iter().map(|q| must.search(q, k, l).unwrap()).collect();
+            let server = MustServer::freeze(must);
+            for (qi, (q, want)) in queries.iter().zip(offline).enumerate() {
+                let got = server.search(q, k, l).unwrap();
+                assert_eq!(
+                    (got.results, got.stats, got.kernel_evals),
+                    (want.results, want.stats, want.kernel_evals),
+                    "{recipe:?}, codes {codes}, query {qi}"
+                );
+            }
+        }
+    }
+}
+
+/// Tombstones survive `freeze` (Section IX): three deleted ids, one of
+/// them a self-query anchor, never come back from any served entry point
+/// — `search`, `search_batch` at 1 and 3 threads, `submit`, `submit_batch`
+/// — on f32 rows or SQ8 codes.  Each returns `min(k, live n)` results, at
+/// `k` past the live count too, and equals `Must::search` on the instance
+/// before it was frozen.
+#[test]
+fn tombstones_are_filtered_on_every_served_path() {
+    let (objects, _) = embedded_fixture();
+    let n = objects.len();
+    let anchor = 42u32;
+    let dead = [anchor, 7, n as u32 - 1];
+    let live = n - dead.len();
+    let row = |k: usize, id: u32| objects.modality(k).get(id).to_vec();
+    let self_query = |id: u32| MultiQuery::full(vec![row(0, id), row(1, id)]);
+    let queries: Vec<MultiQuery> = [anchor, 7, 100, 300].map(self_query).into();
+    let nq = queries.len();
+    let cases = [(GOLDEN_K, GOLDEN_L), (live, live), (n + 5, n + 5)];
+    for codes in [false, true] {
+        let mut must = Must::build(objects.clone(), Weights::uniform(2), fixture_opts()).unwrap();
+        if codes {
+            must.quantize();
+        }
+        assert_eq!(must.search(&queries[0], 1, GOLDEN_L).unwrap().results[0].0, anchor);
+        for id in dead {
+            assert!(must.mark_deleted(id).unwrap());
+        }
+        let offline: Vec<Vec<SearchOutcome>> = cases
+            .iter()
+            .map(|&(k, l)| queries.iter().map(|q| must.search(q, k, l).unwrap()).collect())
+            .collect();
+        let server = MustServer::freeze(must);
+        for (&(k, l), want) in cases.iter().zip(&offline) {
+            let req =
+                |id: usize| ServeRequest { id: id as u64, query: queries[id % nq].clone(), k, l };
+            let (rep_tx, rep_rx) = mpsc::channel();
+            let runtime = ServeRuntime::start(&server, 3, rep_tx);
+            for i in 0..nq {
+                runtime.submit(req(i));
+            }
+            runtime.submit_batch((nq..2 * nq).map(req).collect(), None);
+            assert_eq!(runtime.shutdown(), 2 * nq);
+            let mut submitted = replies_by_id(rep_rx, 2 * nq);
+            let batched = submitted.split_off(nq);
+            let paths = [
+                ("search", queries.iter().map(|q| server.search(q, k, l)).collect()),
+                ("search_batch(1)", server.search_batch(&queries, k, l, 1)),
+                ("search_batch(3)", server.search_batch(&queries, k, l, 3)),
+                ("submit", submitted),
+                ("submit_batch", batched),
+            ];
+            for (path, outs) in paths {
+                for (qi, (out, want)) in outs.into_iter().zip(want).enumerate() {
+                    let what = format!("{path}, codes {codes}, k {k}, query {qi}");
+                    let out = out.unwrap();
+                    assert_eq!(out.results.len(), k.min(live), "{what}");
+                    assert!(out.results.iter().all(|(id, _)| !dead.contains(id)), "{what}");
+                    assert_eq!(
+                        (out.results, out.stats, out.kernel_evals),
+                        (want.results.clone(), want.stats, want.kernel_evals),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Offline build → binary bundle on disk → `MustServer::load` → serving
 /// results identical to the in-process freeze (the README quickstart
 /// deployment path).
