@@ -697,7 +697,7 @@ pub fn load(path: &Path) -> Result<Must, MustError> {
 /// }
 /// let objects = MultiVectorSet::new(vec![m0.finish()]).unwrap();
 /// let sharded = ShardedMust::build(
-///     objects, Weights::uniform(1), MustBuildOptions::default(), ShardSpec::new(2),
+///     objects, Weights::uniform(1), MustBuildOptions::default(), ShardSpec::clustered(2),
 /// ).unwrap();
 /// let path = std::env::temp_dir().join(format!("doc-v6-{}.mustb", std::process::id()));
 /// save_sharded(&sharded, &path).unwrap();
@@ -1249,7 +1249,7 @@ mod tests {
                 set.clone(),
                 Weights::new(vec![0.8, 0.4]).unwrap(),
                 MustBuildOptions { gamma: 8, recipe, ..Default::default() },
-                ShardSpec::hashed(3),
+                ShardSpec::clustered(3),
             )
             .unwrap();
             let loaded = via_file(
@@ -1259,7 +1259,7 @@ mod tests {
             );
             assert_eq!(loaded.num_shards(), 3, "{}", recipe.label());
             assert_eq!(loaded.len(), 120, "{}", recipe.label());
-            assert_eq!(loaded.assignment(), ShardAssignment::Hash);
+            assert_eq!(loaded.assignment(), ShardAssignment::Clustered);
             for s in 0..3 {
                 assert_eq!(loaded.global_ids(s), sharded.global_ids(s), "{}", recipe.label());
                 // v6 carries the summaries verbatim.
@@ -1302,7 +1302,7 @@ mod tests {
             corpus(80),
             Weights::uniform(2),
             MustBuildOptions { recipe: GraphRecipe::Hnsw, ..Default::default() },
-            ShardSpec::new(2),
+            ShardSpec::clustered(2),
         )
         .unwrap();
         // Insert *before* saving: the target shard's radii grow around the
@@ -1326,7 +1326,7 @@ mod tests {
 
     #[test]
     fn single_shard_loader_rejects_sharded_bundles_with_a_pointer() {
-        let sharded = build_sharded(40, Weights::uniform(2), ShardSpec::new(2));
+        let sharded = build_sharded(40, Weights::uniform(2), ShardSpec::clustered(2));
         let got = via_file("bundle-v6-reject.mustb", |p| save_sharded(&sharded, p), load);
         let Err(err) = got else { panic!("load() must reject v6") };
         assert!(err.to_string().contains("load_sharded"), "{err}");
@@ -1336,12 +1336,13 @@ mod tests {
     /// the summary section, so the same corruptions apply.
     #[test]
     fn corrupt_v4_manifests_error_cleanly() {
-        let sharded = build_sharded(30, Weights::uniform(2), ShardSpec::new(2));
+        let sharded = build_sharded(30, Weights::uniform(2), ShardSpec::clustered(2));
         let good = via_file("v6-good.mustb", |p| save_sharded(&sharded, p), |p| std::fs::read(p).unwrap());
         // The summary section starts after magic + version + count(4) +
-        // tag(1) + two id maps (8 + 4*15 each); each summary is two
+        // tag(1) + two length-prefixed id maps; each summary is two
         // length-prefixed f32 arrays, and the offset table follows.
-        let summaries_at = PREAMBLE + 4 + 1 + 2 * (8 + 4 * 15);
+        let summaries_at =
+            PREAMBLE + 4 + 1 + (0..2).map(|i| 8 + 4 * sharded.global_ids(i).len()).sum::<usize>();
         let summary_bytes =
             |s: &ShardSummary| 8 + 4 * s.centroid().len() + 8 + 4 * s.radii().len();
         let offsets_at = summaries_at + (0..2).map(|i| summary_bytes(sharded.summary(i))).sum::<usize>();

@@ -74,7 +74,7 @@
 //!     objects,
 //!     Weights::uniform(2),
 //!     MustBuildOptions::default(),
-//!     ShardSpec::new(2),
+//!     ShardSpec::clustered(2),
 //! )
 //! .unwrap();
 //! assert_eq!(sharded.num_shards(), 2);
@@ -1020,7 +1020,7 @@ impl ShardedMust {
     /// let objects = MultiVectorSet::new(vec![m0.finish()]).unwrap();
     /// // The default recipe builds flat graphs, which cannot grow online.
     /// let mut sharded = ShardedMust::build(
-    ///     objects, Weights::uniform(1), MustBuildOptions::default(), ShardSpec::new(2),
+    ///     objects, Weights::uniform(1), MustBuildOptions::default(), ShardSpec::clustered(2),
     /// ).unwrap();
     /// let err = sharded.insert_object(&[vec![0.6, 0.8]]).unwrap_err();
     /// assert!(matches!(err, MustError::Config(_)));
@@ -1417,7 +1417,7 @@ mod tests {
         // Clustered closure replication stores boundary objects in several
         // shards, so the merged pool really does hold duplicates that the
         // dedup must collapse *before* the truncate.
-        for spec in [ShardSpec::new(8), ShardSpec::hashed(8), ShardSpec::clustered(8)] {
+        for spec in [ShardSpec::clustered(6), ShardSpec::clustered(8)] {
             let sharded = ShardedMust::build(
                 set.clone(),
                 Weights::uniform(2),
@@ -1444,26 +1444,30 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_split_covers_every_object_exactly_once() {
+    fn clustered_split_makes_every_object_a_primary_of_exactly_one_shard() {
         let set = corpus(103);
-        for spec in [ShardSpec::new(4), ShardSpec::hashed(4)] {
-            let router = ShardRouter::new(spec).unwrap();
-            let pieces = router.split(&set);
-            assert_eq!(pieces.len(), 4);
-            let mut seen = [false; 103];
-            for (piece, ids) in &pieces {
-                assert_eq!(piece.len(), ids.len());
-                for (local, &global) in ids.iter().enumerate() {
-                    assert!(!std::mem::replace(&mut seen[global as usize], true));
-                    // Rows must be copied bit-exact.
+        let router = ShardRouter::new(ShardSpec::clustered(4)).unwrap();
+        let pieces = router.split_counted(&set, None);
+        assert_eq!(pieces.len(), 4);
+        let mut primary_of = [None; 103];
+        for (s, (piece, ids, primaries)) in pieces.iter().enumerate() {
+            assert_eq!(piece.len(), ids.len());
+            assert!(*primaries >= 1 && *primaries <= ids.len(), "shard {s}");
+            for (local, &global) in ids.iter().enumerate() {
+                if local < *primaries {
+                    let prior = primary_of[global as usize].replace(s);
+                    assert_eq!(prior, None, "object {global} is a primary of two shards");
+                }
+                // Rows, replicas included, must be copied bit-exact.
+                for k in 0..2 {
                     assert_eq!(
-                        piece.modality(0).get(local as ObjectId),
-                        set.modality(0).get(global)
+                        piece.modality(k).get(local as ObjectId),
+                        set.modality(k).get(global)
                     );
                 }
             }
-            assert!(seen.iter().all(|&s| s), "{spec:?} must cover the corpus");
         }
+        assert!(primary_of.iter().all(Option::is_some), "every object has a primary shard");
     }
 
     #[test]
@@ -1473,7 +1477,7 @@ mod tests {
             set.clone(),
             Weights::uniform(2),
             MustBuildOptions::default(),
-            ShardSpec::new(4),
+            ShardSpec::clustered(4),
         )
         .unwrap();
         assert_eq!(sharded.num_shards(), 4);
@@ -1495,7 +1499,7 @@ mod tests {
             set.clone(),
             Weights::new(vec![0.7, 0.5]).unwrap(),
             MustBuildOptions::default(),
-            ShardSpec::hashed(3),
+            ShardSpec::clustered(3),
         )
         .unwrap();
         let server = ShardedServer::freeze(sharded);
@@ -1516,7 +1520,7 @@ mod tests {
             set.clone(),
             Weights::uniform(2),
             MustBuildOptions::default(),
-            ShardSpec::new(2),
+            ShardSpec::clustered(2),
         )
         .unwrap();
         let server = ShardedServer::freeze(sharded);
@@ -1535,22 +1539,26 @@ mod tests {
 
     #[test]
     fn insertion_routes_to_smallest_shard() {
-        let set = corpus(91); // round-robin over 3: sizes 31, 30, 30
+        let set = corpus(91);
         let mut sharded = ShardedMust::build(
             set,
             Weights::uniform(2),
             MustBuildOptions { recipe: GraphRecipe::Hnsw, ..Default::default() },
-            ShardSpec::new(3),
+            ShardSpec::clustered(3),
         )
         .unwrap();
-        assert_eq!(sharded.global_ids(0).len(), 31);
+        // The smallest shard, lowest index on a tie.
+        let sizes: Vec<usize> = (0..3).map(|s| sharded.global_ids(s).len()).collect();
+        let smallest = (0..3).min_by_key(|&s| sizes[s]).unwrap();
         let new0: Vec<f32> = (0..8).map(|i| if i == 3 { 1.0 } else { 0.01 }).collect();
         let new1: Vec<f32> = (0..4).map(|i| if i == 2 { 1.0 } else { 0.01 }).collect();
         let id = sharded.insert_object(&[new0.clone(), new1.clone()]).unwrap();
         assert_eq!(id, 91, "global ids keep growing densely");
-        // Smallest shard was 1 (30 objects, lowest index tie-break).
-        assert_eq!(sharded.global_ids(1).len(), 31);
-        assert_eq!(*sharded.global_ids(1).last().unwrap(), 91);
+        for s in 0..3 {
+            let grown = usize::from(s == smallest);
+            assert_eq!(sharded.global_ids(s).len(), sizes[s] + grown, "shard {s}");
+        }
+        assert_eq!(*sharded.global_ids(smallest).last().unwrap(), 91);
         assert_eq!(sharded.len(), 92);
         // The inserted object is findable through the frozen server.
         let server = ShardedServer::freeze(sharded);
@@ -1566,7 +1574,7 @@ mod tests {
             set,
             Weights::uniform(2),
             MustBuildOptions::default(),
-            ShardSpec::new(2),
+            ShardSpec::clustered(2),
         )
         .unwrap();
         assert!(matches!(
@@ -1584,7 +1592,7 @@ mod tests {
                 set.clone(),
                 Weights::uniform(2),
                 MustBuildOptions::default(),
-                ShardSpec::new(0)
+                ShardSpec::clustered(0)
             ),
             Err(MustError::Config(_))
         ));
@@ -1593,7 +1601,7 @@ mod tests {
                 set,
                 Weights::uniform(2),
                 MustBuildOptions::default(),
-                ShardSpec::new(11)
+                ShardSpec::clustered(11)
             ),
             Err(MustError::Config(_))
         ));

@@ -204,7 +204,7 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
         set,
         w,
         MustBuildOptions { gamma: 6, ..Default::default() },
-        must_core::shard::ShardSpec::new(2),
+        must_core::shard::ShardSpec::clustered(2),
     )
     .unwrap();
     let p = tmp("matrix-sharded", 11);

@@ -59,7 +59,7 @@ fn sharded_results_match_single_shard_oracle_bitwise() {
             objects.clone(),
             weights.clone(),
             build_opts(),
-            ShardSpec::new(shards),
+            ShardSpec::clustered(shards),
         )
         .unwrap();
         assert_eq!(sharded.num_shards(), shards);
@@ -82,7 +82,7 @@ fn sharded_serving_is_thread_count_invariant() {
     let (objects, weights, queries) = fixture();
     let (k, l) = (10, 60);
     let sharded =
-        ShardedMust::build(objects, weights, build_opts(), ShardSpec::hashed(4)).unwrap();
+        ShardedMust::build(objects, weights, build_opts(), ShardSpec::clustered(4)).unwrap();
     let server = ShardedServer::freeze(sharded);
 
     let mut worker = server.worker();
@@ -125,7 +125,7 @@ fn sharded_weight_overrides_match_refrozen_shards() {
             objects.clone(),
             default_w.clone(),
             build_opts(),
-            ShardSpec::new(shards),
+            ShardSpec::clustered(shards),
         )
         .unwrap();
         // Re-wrap every shard's prebuilt index under the override weights
@@ -188,7 +188,7 @@ fn sharded_weight_overrides_match_refrozen_shards() {
 fn bundle_v6_load_serves_identically() {
     let (objects, weights, queries) = fixture();
     let sharded =
-        ShardedMust::build(objects, weights, build_opts(), ShardSpec::new(3)).unwrap();
+        ShardedMust::build(objects, weights, build_opts(), ShardSpec::clustered(3)).unwrap();
     let dir = std::env::temp_dir().join("must-sharding-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("sharded-{}.mustb", std::process::id()));
@@ -448,7 +448,7 @@ fn routed_weight_overrides_match_refrozen_summaries() {
 fn sharded_serve_loop_matches_sequential_worker() {
     let (objects, weights, queries) = fixture();
     let (k, l) = (10, 80);
-    let sharded = ShardedMust::build(objects, weights, build_opts(), ShardSpec::new(3)).unwrap();
+    let sharded = ShardedMust::build(objects, weights, build_opts(), ShardSpec::clustered(3)).unwrap();
     let server = ShardedServer::freeze(sharded);
     let mut worker = server.worker();
     let serial: Vec<_> = queries.iter().map(|q| worker.search(q, k, l).unwrap()).collect();
