@@ -154,12 +154,12 @@ impl Workload {
 fn shard_sweep(w: &Workload) -> io::Result<()> {
     let mut table = Table::new(
         "Serving shards",
-        &format!("round-robin shards, full fan-out, batch={BATCH} ({})", w.label()),
+        &format!("clustered shards, full fan-out, batch={BATCH} ({})", w.label()),
         &headers(&["S", "Build (s)", "Build threads"]),
     );
     for shards in [1usize, 2, 4, 8].into_iter().filter(|&s| s <= w.corpus.len()) {
         let t0 = Instant::now();
-        let sharded = w.sharded(ShardSpec::new(shards));
+        let sharded = w.sharded(ShardSpec::clustered(shards));
         let build_secs = t0.elapsed().as_secs_f64();
         let point = w.measure_sharded(&ShardedServer::freeze(sharded));
         let mut row = vec![

@@ -35,7 +35,7 @@
 //!   per-query weight overrides (`search_weighted`) served from the same
 //!   frozen snapshot.
 //! * [`shard`] — sharded scatter-gather serving: [`ShardedMust`] builds
-//!   `S` shards in parallel (round-robin, hashed, or clustered),
+//!   `S` clustered shards in parallel,
 //!   [`ShardedServer`] fans each query out — or **routes** it to only
 //!   the best-scoring shards via per-shard summaries ([`RoutePolicy`])
 //!   — and merges the per-shard top-`k` by exact joint similarity;
@@ -94,9 +94,7 @@ pub use metrics::{recall_at, sme};
 pub use oracle::{JointOracle, MustQueryScorer};
 pub use runtime::{RuntimeCounters, ServeRuntime};
 pub use server::{MustServer, ServeReply, ServeRequest};
-pub use shard::{
-    RoutePolicy, ShardAssignment, ShardRouter, ShardSpec, ShardSummary, ShardedMust, ShardedServer,
-};
+pub use shard::{RoutePolicy, ShardSpec, ShardSummary, ShardedMust, ShardedServer};
 pub use weights::{LearnedWeights, TrainingCurve, WeightLearnConfig, WeightLearner};
 
 /// Crate-level error type.

@@ -56,7 +56,7 @@ use must_vector::{FusedRows, MultiVectorSet, QuantizedRows, SegParams, Weights, 
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::index::MustIndex;
-use crate::shard::{ShardAssignment, ShardSummary, ShardedMust};
+use crate::shard::{ShardSummary, ShardedMust};
 use crate::MustError;
 
 /// Version written by [`save`]: fused rows, an explicit segment-norms
@@ -82,6 +82,12 @@ const PREAMBLE: usize = 12;
 
 /// What every refusal to read a file ends with.
 const READS: &str = "this build reads bundle v5, v6 (sharded) and v7; v1-v4 are retired";
+
+/// The v6 manifest's assignment byte.  Membership is always clustered,
+/// written as 2; 0 (round-robin) and 1 (hash), written by older builds, are
+/// accepted and ignored, since loading never depended on how a corpus was
+/// split.
+const V6_CLUSTERED_TAG: u8 = 2;
 
 /// Sanity cap on the shard count of a v6 manifest.
 const MAX_SHARDS: u64 = 1 << 16;
@@ -723,7 +729,7 @@ pub fn save_sharded(sharded: &ShardedMust, path: &Path) -> Result<(), MustError>
     w.write_all(&BUNDLE_V2_MAGIC).map_err(io("write magic"))?;
     wr_u32(&mut w, BUNDLE_V6_VERSION)?;
     wr_u32(&mut w, s as u32)?;
-    wr_u8(&mut w, sharded.assignment().tag())?;
+    wr_u8(&mut w, V6_CLUSTERED_TAG)?;
     for i in 0..s {
         wr_u32s(&mut w, sharded.global_ids(i))?;
     }
@@ -771,7 +777,7 @@ pub fn load_sharded(path: &Path) -> Result<ShardedMust, MustError> {
     }
     let must = read_single(&mut r, version)?;
     let n = must.objects().len() as u32;
-    ShardedMust::from_parts(vec![must], vec![(0..n).collect()], ShardAssignment::RoundRobin)
+    ShardedMust::from_parts(vec![must], vec![(0..n).collect()])
 }
 
 /// `Read` adapter that tracks the absolute byte position, so the v6 loader
@@ -796,8 +802,9 @@ fn read_sharded_body(r: &mut CountingReader<impl Read>) -> Result<ShardedMust, M
         return Err(MustError::Config(format!("corrupt shard count {shard_count}")));
     }
     let s = shard_count as usize;
-    let assignment = ShardAssignment::from_tag(rd_u8(r)?)
-        .ok_or_else(|| MustError::Config("unknown shard assignment tag".into()))?;
+    if rd_u8(r)? > V6_CLUSTERED_TAG {
+        return Err(MustError::Config("unknown shard assignment tag".into()));
+    }
     let mut global_ids = Vec::with_capacity(s.min(MAX_PREALLOC));
     for _ in 0..s {
         global_ids.push(rd_u32s(r, "shard id map")?);
@@ -822,7 +829,7 @@ fn read_sharded_body(r: &mut CountingReader<impl Read>) -> Result<ShardedMust, M
         }
         shards.push(read_stream_body(r, false)?);
     }
-    ShardedMust::from_parts_with_summaries(shards, global_ids, assignment, summaries)
+    ShardedMust::from_parts_with_summaries(shards, global_ids, summaries)
 }
 
 #[cfg(test)]
@@ -1259,7 +1266,6 @@ mod tests {
             );
             assert_eq!(loaded.num_shards(), 3, "{}", recipe.label());
             assert_eq!(loaded.len(), 120, "{}", recipe.label());
-            assert_eq!(loaded.assignment(), ShardAssignment::Clustered);
             for s in 0..3 {
                 assert_eq!(loaded.global_ids(s), sharded.global_ids(s), "{}", recipe.label());
                 // v6 carries the summaries verbatim.
@@ -1367,6 +1373,16 @@ mod tests {
             let [_, got] = load_bytes("v6-corrupt.mustb", &bytes);
             let Err(MustError::Config(msg)) = got else { panic!("{what}: {got:?}") };
             assert!(msg.contains(names), "{what}: {msg}");
+        }
+        // Tags 0 (round-robin) and 1 (hash), written by older builds, load
+        // and are ignored: the tag byte follows the shard count.
+        assert_eq!(good[PREAMBLE + 4], V6_CLUSTERED_TAG);
+        for tag in [0u8, 1] {
+            let bytes = patched(PREAMBLE + 4, &[tag]);
+            let write = |p: &Path| std::fs::write(p, &bytes).map_err(io("write fixture"));
+            let loaded = via_file("v6-old-tag.mustb", write, load_sharded)
+                .unwrap_or_else(|e| panic!("tag {tag}: {e}"));
+            assert_eq!(loaded.global_ids(1), sharded.global_ids(1), "tag {tag}");
         }
     }
 }

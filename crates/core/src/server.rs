@@ -111,6 +111,16 @@ impl MustServer {
     pub fn load(path: &std::path::Path) -> Result<Self, MustError> {
         Ok(Self::freeze(crate::persist::load(path)?))
     }
+
+    /// The frozen `Must` of a snapshot that has one owner — a shard of a
+    /// [`crate::shard::ShardedMust`], which never hands its `MustServer`s
+    /// out, so insertion can reach the shard it grows.
+    ///
+    /// # Panics
+    /// Panics when the snapshot has been cloned.
+    pub(crate) fn sole_mut(&mut self) -> &mut Must {
+        Arc::get_mut(&mut self.0).expect("a ShardedMust shard has a single owner")
+    }
 }
 
 impl Must {

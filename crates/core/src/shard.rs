@@ -1,6 +1,6 @@
-//! Sharded scatter-gather serving: split a corpus into `S` independently
-//! built shards, search them all per query, and merge the per-shard top-`k`
-//! by exact joint similarity.
+//! Sharded serving: split a corpus into `S` clustered shards, search the
+//! shards a query routes to, and merge the per-shard top-`k` by exact joint
+//! similarity.
 //!
 //! The paper's offline/online split (Fig. 4) extends naturally to many
 //! offline-built shards merged online: build time, memory, and insertion
@@ -8,36 +8,36 @@
 //! production deployment partitions the corpus and builds every partition
 //! in parallel.  The pieces:
 //!
-//! * [`ShardRouter`] — the deterministic object→shard assignment
-//!   ([`ShardAssignment::RoundRobin`], [`ShardAssignment::Hash`] or the
-//!   similarity-aware [`ShardAssignment::Clustered`]) and the corpus
-//!   splitter.
-//! * [`ShardedMust`] — the build-side object: one [`Must`] per shard, built
-//!   in parallel (`MUST_BUILD_THREADS` governs the worker budget across
-//!   *and* within shards), plus the local→global id maps.  Dynamic
-//!   insertion routes each new object to the currently smallest shard.
-//! * [`ShardedServer`] — the online side: one frozen [`MustServer`] per
-//!   shard behind a single [`Arc`].  A [`ShardedWorker`] holds one
-//!   [`ServerWorker`] per shard; its [`EngineWorker::run_query`] — the one
-//!   sharded query body — runs the existing per-shard beam search on each
-//!   selected shard in shard order (scatter) and merges the per-shard
-//!   top-`k` lists into one global top-`k` (gather).  Parallelism comes
-//!   from concurrent queries (the [`ServeEngine`] batch and serve paths),
-//!   not from spreading one query over threads.
+//! * [`ShardSpec`] — the shard count.  Membership is always clustered: a
+//!   deterministic balanced k-means over the weighted fused rows, with
+//!   boundary objects *replicated* into their runner-up shards (closure
+//!   assignment), so shards are spatially coherent and may overlap.
+//! * [`ShardedMust`] — the sharded instance: one [`MustServer`] per shard,
+//!   built in parallel (`MUST_BUILD_THREADS` governs the worker budget
+//!   across *and* within shards), plus the local→global id maps and the
+//!   routing summaries.  Dynamic insertion routes each new object to the
+//!   currently smallest shard.
+//! * [`ShardedServer`] — the online side: a frozen [`ShardedMust`] behind
+//!   one [`Arc`], every accessor through `Deref`, plus the handle's
+//!   [`RoutePolicy`].  A [`ShardedWorker`] holds one [`ServerWorker`] per
+//!   shard; its [`EngineWorker::run_query`] — the one sharded query body —
+//!   runs the existing per-shard beam search on each selected shard in
+//!   shard order and merges the per-shard top-`k` lists into one global
+//!   top-`k` (gather).  Parallelism comes from concurrent queries (the
+//!   [`ServeEngine`] batch and serve paths), not from spreading one query
+//!   over threads.
 //! * [`ShardSummary`] + [`RoutePolicy`] — selective routing.  Every shard
 //!   carries a summary (per-modality centroid segments plus residual
 //!   radii); [`ShardedServer::with_routing`] scores a query against each
-//!   summary under the active `ω²` weights and scatters to only the
-//!   top-`r` shards, optionally with a reduced per-shard beam `l_shard`.
-//!   `r = S` reproduces the full fan-out bit-identically.  Pair it with
-//!   [`ShardAssignment::Clustered`] so shard membership is spatially
-//!   coherent — under random assignment every shard holds a uniform slice
-//!   of any query's neighbours and `r < S` routing must lose recall.
-//!   Clustered membership additionally *replicates* boundary objects into
-//!   their runner-up shards (closure assignment): per-shard beam cost
-//!   scales with the beam, not the shard size, so the overlap buys
-//!   low-fan-out coverage at almost no query-time cost, and the gather
-//!   step drops the duplicate copies.
+//!   summary under the active `ω²` weights and searches only the top-`r`
+//!   shards, optionally with a reduced per-shard beam `l_shard`.
+//!   `r = S` reproduces the full fan-out bit-identically.  Clustering is
+//!   what makes `r < S` work: each shard covers a coherent region and
+//!   holds copies of the borderline objects nearby, so a query's
+//!   neighbours concentrate in few shards.  Per-shard beam cost scales with
+//!   the beam, not the shard size, so the replicas buy low-fan-out
+//!   coverage at almost no query-time cost, and the gather step drops the
+//!   duplicate copies.
 //!
 //! ## Determinism contract
 //!
@@ -49,11 +49,10 @@
 //! this: the router's scores are a pure function of `(query, weights,
 //! summaries)` and ties break toward the lower shard index, so the set of
 //! shards searched — and therefore the merged result — is deterministic
-//! too.  Similarities
-//! themselves are bit-identical to the unsharded engine's because a shard
-//! row holds the same `f32` values at the same lane offsets as the
-//! corresponding global row, so the fused dot product performs the same
-//! float operations in the same order.
+//! too.  Similarities themselves are bit-identical to the unsharded
+//! engine's because a shard row holds the same `f32` values at the same
+//! lane offsets as the corresponding global row, so the fused dot product
+//! performs the same float operations in the same order.
 //!
 //! ```
 //! use must_core::framework::MustBuildOptions;
@@ -85,6 +84,7 @@
 //! assert_eq!(out.results[0].0, 1); // global id, not a shard-local one
 //! ```
 
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -98,276 +98,35 @@ use crate::runtime::{EngineWorker, ServeEngine};
 use crate::server::{MustServer, ServerWorker};
 use crate::MustError;
 
-/// Deterministic object→shard assignment policy.
+/// How to split a corpus: the shard count.  Membership is clustered — each
+/// object goes to the shard whose weighted fused centroid it is most
+/// similar to (deterministic balanced k-means over the fused rows, capacity
+/// `ceil(1.25 · n / S)` per shard), and *boundary* objects are additionally
+/// **replicated** into their strongest runner-up shards (closure
+/// assignment, costing ~1.6× rows for coverage no disjoint partition
+/// reaches).  This is what makes selective routing ([`RoutePolicy`])
+/// effective.
 ///
 /// ```
-/// use must_core::shard::ShardAssignment;
+/// use must_core::shard::ShardSpec;
 ///
-/// // Round-robin cycles through shards in id order…
-/// assert_eq!(ShardAssignment::RoundRobin.shard_of(5, 4), 1);
-/// // …while hashing scatters contiguous ids (but stays deterministic).
-/// assert_eq!(
-///     ShardAssignment::Hash.shard_of(5, 4),
-///     ShardAssignment::Hash.shard_of(5, 4),
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardAssignment {
-    /// Object `id` goes to shard `id % S` — perfectly balanced for the
-    /// initial corpus.
-    RoundRobin,
-    /// Object `id` goes to shard `splitmix64(id) % S` — decorrelates shard
-    /// membership from insertion order, so range-clustered corpora spread
-    /// evenly.
-    Hash,
-    /// Objects go to the shard whose weighted fused centroid they are most
-    /// similar to (deterministic balanced k-means over the fused rows,
-    /// capacity `ceil(1.25 · n / S)` per shard), and *boundary* objects
-    /// are additionally **replicated** into their strongest runner-up
-    /// shards (closure assignment — shard membership overlaps, costing
-    /// ~1.6× rows for coverage no disjoint partition reaches).
-    /// Membership depends on the *data*, not the id, so
-    /// [`ShardAssignment::shard_of`] is undefined — use
-    /// [`ShardRouter::split_weighted`].  This is the assignment that
-    /// makes selective routing ([`RoutePolicy`]) effective: each shard
-    /// covers a coherent region and holds copies of the borderline
-    /// objects nearby, so a query's neighbours concentrate in few shards.
-    Clustered,
-}
-
-impl ShardAssignment {
-    /// The shard object `id` belongs to, out of `shards`.
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero, or for
-    /// [`ShardAssignment::Clustered`], whose assignment is data-dependent
-    /// (split a corpus via [`ShardRouter::split_weighted`] instead).
-    #[must_use]
-    pub fn shard_of(self, id: ObjectId, shards: usize) -> usize {
-        assert!(shards > 0, "shard count must be positive");
-        match self {
-            Self::RoundRobin => id as usize % shards,
-            Self::Clustered => {
-                panic!("clustered assignment is data-dependent; use ShardRouter::split_weighted")
-            }
-            Self::Hash => {
-                // SplitMix64 finaliser: cheap, well-mixed, stable across
-                // platforms (the assignment is part of the bundle format).
-                let mut x = u64::from(id).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                // Reduce in u64: truncating to usize first would change
-                // assignments on 32-bit targets.
-                ((x ^ (x >> 31)) % shards as u64) as usize
-            }
-        }
-    }
-
-    /// Stable wire tag (bundle v6 manifests).
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            Self::RoundRobin => 0,
-            Self::Hash => 1,
-            Self::Clustered => 2,
-        }
-    }
-
-    /// Inverse of [`ShardAssignment::tag`]; `None` for unknown tags.
-    #[must_use]
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Self::RoundRobin),
-            1 => Some(Self::Hash),
-            2 => Some(Self::Clustered),
-            _ => None,
-        }
-    }
-}
-
-/// How to split a corpus: shard count plus assignment policy.
-///
-/// ```
-/// use must_core::shard::{ShardAssignment, ShardSpec};
-///
-/// let spec = ShardSpec::new(4);
-/// assert_eq!(spec.shards, 4);
-/// assert_eq!(spec.assignment, ShardAssignment::RoundRobin);
-/// assert_eq!(ShardSpec::hashed(2).assignment, ShardAssignment::Hash);
+/// assert_eq!(ShardSpec::clustered(4).shards, 4);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSpec {
     /// Number of shards `S >= 1`.
     pub shards: usize,
-    /// Assignment policy.
-    pub assignment: ShardAssignment,
 }
 
 impl ShardSpec {
-    /// A round-robin spec over `shards` shards.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self { shards, assignment: ShardAssignment::RoundRobin }
-    }
-
-    /// A hash-assigned spec over `shards` shards.
-    #[must_use]
-    pub fn hashed(shards: usize) -> Self {
-        Self { shards, assignment: ShardAssignment::Hash }
-    }
-
-    /// A clustered spec over `shards` shards (balanced k-means membership
-    /// — the natural partner of [`RoutePolicy`] selective routing).
+    /// A clustered spec over `shards` shards.
     #[must_use]
     pub fn clustered(shards: usize) -> Self {
-        Self { shards, assignment: ShardAssignment::Clustered }
+        Self { shards }
     }
 }
 
-/// Splits a corpus into per-shard corpora under a [`ShardSpec`].
-///
-/// ```
-/// use must_core::shard::{ShardRouter, ShardSpec};
-/// use must_vector::{MultiVectorSet, VectorSetBuilder};
-///
-/// let mut m0 = VectorSetBuilder::new(2, 5);
-/// for i in 0..5 {
-///     m0.push_normalized(&[1.0, i as f32]).unwrap();
-/// }
-/// let set = MultiVectorSet::new(vec![m0.finish()]).unwrap();
-/// let router = ShardRouter::new(ShardSpec::new(2)).unwrap();
-/// let pieces = router.split(&set);
-/// // Round-robin: shard 0 gets ids {0, 2, 4}, shard 1 gets {1, 3}.
-/// assert_eq!(pieces[0].1, vec![0, 2, 4]);
-/// assert_eq!(pieces[1].1, vec![1, 3]);
-/// assert_eq!(pieces[0].0.len() + pieces[1].0.len(), 5);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRouter {
-    spec: ShardSpec,
-}
-
-impl ShardRouter {
-    /// Validates and wraps a spec.
-    ///
-    /// # Errors
-    /// [`MustError::Config`] when the spec asks for zero shards.
-    pub fn new(spec: ShardSpec) -> Result<Self, MustError> {
-        if spec.shards == 0 {
-            return Err(MustError::Config("shard count must be at least 1".into()));
-        }
-        Ok(Self { spec })
-    }
-
-    /// The spec in force.
-    #[must_use]
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The shard object `id` belongs to.
-    ///
-    /// # Panics
-    /// Panics for [`ShardAssignment::Clustered`] (data-dependent — see
-    /// [`ShardRouter::split_weighted`]).
-    #[must_use]
-    pub fn shard_of(&self, id: ObjectId) -> usize {
-        self.spec.assignment.shard_of(id, self.spec.shards)
-    }
-
-    /// Splits `objects` into `S` per-shard corpora, each paired with its
-    /// local→global id map (`map[local] = global`).  Vector values are
-    /// copied bit-exact, so per-shard similarities equal the unsharded
-    /// engine's.  Id-based assignments partition the corpus; clustered
-    /// specs may *overlap* (closure replication of boundary objects).
-    /// Clustered specs cluster under uniform weights; use
-    /// [`ShardRouter::split_weighted`] to cluster under the serving
-    /// weights.
-    #[must_use]
-    pub fn split(&self, objects: &MultiVectorSet) -> Vec<(MultiVectorSet, Vec<ObjectId>)> {
-        self.split_weighted(objects, None)
-    }
-
-    /// [`ShardRouter::split`] with explicit clustering weights: a
-    /// [`ShardAssignment::Clustered`] spec groups objects by weighted
-    /// fused similarity to `S` balanced k-means centroids (weights falling
-    /// back to uniform when absent or of mismatched arity — the arity
-    /// error then surfaces from the per-shard build, as it would
-    /// unsharded).  Id-based assignments ignore `weights`.  Membership is
-    /// deterministic: farthest-point seeding, fixed Lloyd rounds, and a
-    /// margin-ordered balanced pass with all ties broken by id/index.
-    #[must_use]
-    pub fn split_weighted(
-        &self,
-        objects: &MultiVectorSet,
-        weights: Option<&Weights>,
-    ) -> Vec<(MultiVectorSet, Vec<ObjectId>)> {
-        self.split_counted(objects, weights)
-            .into_iter()
-            .map(|(corpus, ids, _)| (corpus, ids))
-            .collect()
-    }
-
-    /// [`ShardRouter::split_weighted`] that additionally reports each
-    /// shard's *primary* member count: clustered shards lay their rows out
-    /// primaries-first (closure replicas after), and the build path
-    /// computes routing summaries over only that prefix.
-    fn split_counted(
-        &self,
-        objects: &MultiVectorSet,
-        weights: Option<&Weights>,
-    ) -> Vec<(MultiVectorSet, Vec<ObjectId>, usize)> {
-        let s = self.spec.shards;
-        let members: Vec<(Vec<ObjectId>, usize)> = if self.spec.assignment
-            == ShardAssignment::Clustered
-        {
-            let m = objects.num_modalities().max(1);
-            let uniform;
-            let w = match weights {
-                Some(w) if w.modalities() == objects.num_modalities() => w,
-                _ => {
-                    uniform = Weights::uniform(m);
-                    &uniform
-                }
-            };
-            cluster_members(objects.fused(), w, s)
-        } else {
-            let mut members: Vec<Vec<ObjectId>> = vec![Vec::new(); s];
-            for id in 0..objects.len() as ObjectId {
-                members[self.shard_of(id)].push(id);
-            }
-            members
-                .into_iter()
-                .map(|m| {
-                    let p = m.len();
-                    (m, p)
-                })
-                .collect()
-        };
-        members
-            .into_iter()
-            .map(|(ids, primaries)| {
-                let sets: Vec<VectorSet> = objects
-                    .dims()
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &dim)| {
-                        let view = objects.modality(k);
-                        let mut flat = Vec::with_capacity(ids.len() * dim);
-                        for &id in &ids {
-                            flat.extend_from_slice(view.get(id));
-                        }
-                        VectorSet::from_flat(dim, flat).expect("split rows are well-formed")
-                    })
-                    .collect();
-                let corpus = MultiVectorSet::new(sets).expect("equal cardinalities by construction");
-                (corpus, ids, primaries)
-            })
-            .collect()
-    }
-}
-
-/// Fixed Lloyd refinement rounds for [`ShardAssignment::Clustered`].  A
+/// Fixed Lloyd refinement rounds for the clustered split.  A
 /// constant rather than a knob: clustered membership is a pure function of
 /// `(corpus, weights, S)` and is recorded in bundles, so it must not vary
 /// across builds of the same corpus.  Twenty rounds converges measurably
@@ -421,6 +180,48 @@ fn prescale_centroid(rows: &FusedRows, centroid: &[f32], weights: &Weights) -> V
     scaled
 }
 
+/// Splits `objects` into `s` clustered per-shard corpora, each paired with
+/// its local→global id map (`map[local] = global`) and its *primary*
+/// member count: rows are laid out primaries-first (closure replicas
+/// after), and the build computes routing summaries over only that prefix.
+/// Vector values are copied bit-exact, so per-shard similarities equal the
+/// unsharded engine's.  Clustering runs under `weights`, falling back to
+/// uniform when their arity mismatches the corpus — the arity error then
+/// surfaces from the per-shard build, as it would unsharded.
+fn split(
+    objects: &MultiVectorSet,
+    weights: &Weights,
+    s: usize,
+) -> Vec<(MultiVectorSet, Vec<ObjectId>, usize)> {
+    let uniform;
+    let weights = if weights.modalities() == objects.num_modalities() {
+        weights
+    } else {
+        uniform = Weights::uniform(objects.num_modalities().max(1));
+        &uniform
+    };
+    cluster_members(objects.fused(), weights, s)
+        .into_iter()
+        .map(|(ids, primaries)| {
+            let sets: Vec<VectorSet> = objects
+                .dims()
+                .iter()
+                .enumerate()
+                .map(|(k, &dim)| {
+                    let view = objects.modality(k);
+                    let mut flat = Vec::with_capacity(ids.len() * dim);
+                    for &id in &ids {
+                        flat.extend_from_slice(view.get(id));
+                    }
+                    VectorSet::from_flat(dim, flat).expect("split rows are well-formed")
+                })
+                .collect();
+            let corpus = MultiVectorSet::new(sets).expect("equal cardinalities by construction");
+            (corpus, ids, primaries)
+        })
+        .collect()
+}
+
 /// Deterministic balanced k-means membership over the fused rows: seeds by
 /// farthest-point, refines centroids for [`CLUSTER_ROUNDS`] Lloyd rounds,
 /// then assigns points in descending best-vs-second-margin order to their
@@ -432,15 +233,11 @@ fn prescale_centroid(rows: &FusedRows, centroid: &[f32], weights: &Weights) -> V
 /// across thread counts and platforms.  Returns `S` member lists, each
 /// laid out as ascending-id primaries followed by ascending-id replicas,
 /// paired with its primary count (summaries are computed over the primary
-/// prefix only); corpora smaller than `S` fall back to round-robin.
+/// prefix only).  Needs `1 <= S <= n`; one shard holds every object.
 fn cluster_members(rows: &FusedRows, weights: &Weights, s: usize) -> Vec<(Vec<ObjectId>, usize)> {
     let n = rows.len();
-    if n < s || s <= 1 {
-        let mut members: Vec<Vec<ObjectId>> = vec![Vec::new(); s];
-        for id in 0..n as ObjectId {
-            members[id as usize % s.max(1)].push(id);
-        }
-        return members.into_iter().map(|m| { let p = m.len(); (m, p) }).collect();
+    if s == 1 {
+        return vec![((0..n as ObjectId).collect(), n)];
     }
     let sim = |i: usize, scaled: &[f32]| kernels::ip_prescaled_segments(rows.row(i as ObjectId), scaled);
 
@@ -716,12 +513,21 @@ impl RoutePolicy {
     }
 }
 
-/// The build-side sharded instance: one [`Must`] per shard plus the
-/// local→global id maps.  See the module docs for the full dataflow.
+/// The sharded instance: one [`MustServer`] per shard — each frozen where
+/// it is built or assembled — plus the local→global id maps and routing
+/// summaries.  See the module docs for the full dataflow.
+///
+/// The instance never hands a shard's `MustServer` out (only `&Must`), so
+/// each shard's [`Arc`] has a single owner until [`ShardedServer::freeze`]
+/// shares the whole instance; that is what lets
+/// [`ShardedMust::insert_object`] still grow a shard.
 pub struct ShardedMust {
-    shards: Vec<Must>,
+    shards: Vec<MustServer>,
     global_ids: Vec<Vec<ObjectId>>,
-    assignment: ShardAssignment,
+    /// `identity[s]` ⇔ `global_ids[s][local] == local` for every local id
+    /// — true for any single-shard bundle, where gather can skip the remap
+    /// entirely.
+    identity: Vec<bool>,
     summaries: Vec<ShardSummary>,
     /// Distinct global objects (≤ the sum of shard sizes: clustered
     /// closure replication stores boundary objects in several shards).
@@ -729,11 +535,11 @@ pub struct ShardedMust {
 }
 
 impl ShardedMust {
-    /// Splits `objects` under `spec` and builds every shard's fused engine
-    /// and graph **in parallel**: the `MUST_BUILD_THREADS` budget is
-    /// divided between concurrent shard builds and each build's internal
-    /// workers, so small shard counts still saturate the machine while
-    /// the machine-wide cap holds.
+    /// Splits `objects` into `spec.shards` clustered shards and builds
+    /// every shard's fused engine and graph **in parallel**: the
+    /// `MUST_BUILD_THREADS` budget is divided between concurrent shard
+    /// builds and each build's internal workers, so small shard counts
+    /// still saturate the machine while the machine-wide cap holds.
     ///
     /// Each shard derives its build seed from `opts.rng_seed` and the shard
     /// index, so the result is deterministic for a given `(corpus, opts,
@@ -751,7 +557,9 @@ impl ShardedMust {
         opts: MustBuildOptions,
         spec: ShardSpec,
     ) -> Result<Self, MustError> {
-        let router = ShardRouter::new(spec)?;
+        if spec.shards == 0 {
+            return Err(MustError::Config("shard count must be at least 1".into()));
+        }
         if objects.is_empty() {
             return Err(MustError::Config("cannot shard an empty object set".into()));
         }
@@ -762,8 +570,7 @@ impl ShardedMust {
                 objects.len()
             )));
         }
-        let distinct = objects.len();
-        let pieces = router.split_counted(&objects, Some(&weights));
+        let pieces = split(&objects, &weights, spec.shards);
         drop(objects);
         let mut global_ids = Vec::with_capacity(pieces.len());
         let mut primaries = Vec::with_capacity(pieces.len());
@@ -772,7 +579,7 @@ impl ShardedMust {
             .map(|(corpus, ids, primary)| {
                 if corpus.is_empty() {
                     return Err(MustError::Config(
-                        "assignment left a shard empty; use fewer shards or round-robin".into(),
+                        "clustering left a shard empty; use fewer shards".into(),
                     ));
                 }
                 global_ids.push(ids);
@@ -795,7 +602,7 @@ impl ShardedMust {
                 .expect("no prior panic")
                 .take()
                 .expect("each shard corpus is taken once");
-            let opts = MustBuildOptions { threads: inner, ..Self::shard_opts(opts, s) };
+            let opts = MustBuildOptions { threads: inner, ..shard_opts(opts, s) };
             Must::build(corpus, weights.clone(), opts)
         });
         let shards = built.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -804,39 +611,25 @@ impl ShardedMust {
             .zip(&primaries)
             .map(|(sh, &p)| ShardSummary::compute_prefix(sh.objects().fused(), p))
             .collect();
-        Ok(Self { shards, global_ids, assignment: spec.assignment, summaries, total: distinct })
-    }
-
-    /// Build options for shard `s`: the caller's options with a
-    /// shard-decorrelated RNG seed (shard 0 keeps the original seed, so a
-    /// 1-shard build reproduces the unsharded one exactly).
-    #[must_use]
-    pub fn shard_opts(opts: MustBuildOptions, s: usize) -> MustBuildOptions {
-        MustBuildOptions {
-            rng_seed: opts.rng_seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..opts
-        }
+        Self::assemble(shards, global_ids, Some(summaries))
     }
 
     /// Reassembles a sharded instance from prebuilt shards and their
     /// local→global maps — the load path for single-shard bundles (v5,
     /// v7), which carry no summaries: routing summaries are **derived**
-    /// from the shard rows here.  (Correct only when no post-derivation insertions happened
-    /// before the save; bundle v6 persists summaries verbatim for exactly
-    /// that reason — see [`ShardedMust::from_parts_with_summaries`].)
+    /// from the shard rows here.  (Correct only when nothing was inserted
+    /// after derivation and before the save; bundle v6 persists summaries
+    /// verbatim for that reason — see
+    /// [`ShardedMust::from_parts_with_summaries`].)
     ///
     /// # Errors
     /// [`MustError::Config`] when a map's length disagrees with its shard's
     /// corpus, a global id repeats within one shard, the maps' union does
     /// not densely cover `0..total` (ids may repeat *across* shards —
     /// clustered closure replication does), or the shards disagree on
-    /// weights (every shard must serve the same joint similarity).
-    pub fn from_parts(
-        shards: Vec<Must>,
-        global_ids: Vec<Vec<ObjectId>>,
-        assignment: ShardAssignment,
-    ) -> Result<Self, MustError> {
-        Self::assemble(shards, global_ids, assignment, None)
+    /// dims or weights (every shard must serve the same joint similarity).
+    pub fn from_parts(shards: Vec<Must>, global_ids: Vec<Vec<ObjectId>>) -> Result<Self, MustError> {
+        Self::assemble(shards, global_ids, None)
     }
 
     /// [`ShardedMust::from_parts`] with persisted summaries (the bundle-v6
@@ -849,16 +642,14 @@ impl ShardedMust {
     pub fn from_parts_with_summaries(
         shards: Vec<Must>,
         global_ids: Vec<Vec<ObjectId>>,
-        assignment: ShardAssignment,
         summaries: Vec<ShardSummary>,
     ) -> Result<Self, MustError> {
-        Self::assemble(shards, global_ids, assignment, Some(summaries))
+        Self::assemble(shards, global_ids, Some(summaries))
     }
 
     fn assemble(
         shards: Vec<Must>,
         global_ids: Vec<Vec<ObjectId>>,
-        assignment: ShardAssignment,
         summaries: Option<Vec<ShardSummary>>,
     ) -> Result<Self, MustError> {
         if shards.is_empty() {
@@ -884,6 +675,11 @@ impl ShardedMust {
                     shard.objects().len(),
                     ids.len()
                 )));
+            }
+            // The router slices every summary at the first shard's
+            // segment bounds, so the layouts must agree.
+            if shard.objects().dims() != shards[0].objects().dims() {
+                return Err(MustError::Config("shards disagree on dims".into()));
             }
             if shard.weights() != shards[0].weights() {
                 return Err(MustError::Config("shards disagree on weights".into()));
@@ -935,7 +731,12 @@ impl ShardedMust {
             }
             None => shards.iter().map(|sh| ShardSummary::compute(sh.objects().fused())).collect(),
         };
-        Ok(Self { shards, global_ids, assignment, summaries, total })
+        let identity = global_ids
+            .iter()
+            .map(|ids| ids.iter().enumerate().all(|(local, &global)| global as usize == local))
+            .collect();
+        let shards = shards.into_iter().map(MustServer::freeze).collect();
+        Ok(Self { shards, global_ids, identity, summaries, total })
     }
 
     /// Number of shards `S`.
@@ -956,7 +757,7 @@ impl ShardedMust {
         self.len() == 0
     }
 
-    /// The build-side instance of shard `s`.
+    /// The instance of shard `s`.
     ///
     /// # Panics
     /// Panics when `s` is out of range.
@@ -972,13 +773,6 @@ impl ShardedMust {
     #[must_use]
     pub fn global_ids(&self, s: usize) -> &[ObjectId] {
         &self.global_ids[s]
-    }
-
-    /// The assignment policy the corpus was split under (recorded in the
-    /// bundle manifest; insertions use size-based routing instead).
-    #[must_use]
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
     }
 
     /// Shard `s`'s routing summary.
@@ -1031,35 +825,21 @@ impl ShardedMust {
             .min_by_key(|&s| self.global_ids[s].len())
             .expect("at least one shard");
         let global = self.len() as ObjectId;
-        self.shards[target].insert_object(rows)?;
-        self.global_ids[target].push(global);
+        let shard = self.shards[target].sole_mut();
+        shard.insert_object(rows)?;
+        let ids = &mut self.global_ids[target];
+        self.identity[target] &= global as usize == ids.len();
+        ids.push(global);
         self.total += 1;
         // Keep the routing bound valid: widen the target's radii around
         // its *fixed* centroid so the new row is covered (re-deriving the
         // centroid would shift every other member's residual).
-        let fused = self.shards[target].objects().fused();
+        let fused = shard.objects().fused();
         let local = fused.len() as ObjectId - 1;
         self.summaries[target].grow(fused, local);
         Ok(global)
     }
-}
 
-/// The gather state every serving handle shares: frozen per-shard servers,
-/// the local→global maps (plus a precomputed is-identity flag per map),
-/// and the routing summaries.
-struct ShardedCore {
-    shards: Vec<MustServer>,
-    global_ids: Vec<Vec<ObjectId>>,
-    /// `identity[s]` ⇔ `global_ids[s][local] == local` for every local id
-    /// — true for any single-shard bundle, where gather can skip the remap
-    /// entirely.
-    identity: Vec<bool>,
-    summaries: Vec<ShardSummary>,
-    /// Distinct global objects (see [`ShardedMust::len`]).
-    total: usize,
-}
-
-impl ShardedCore {
     /// The shards to search for `query` under `weights`: the `fan_out`
     /// summaries with the highest weighted upper bound
     /// `Σ_k ω²_k (IP(q_k, c_k) + ‖q_k‖ · radius_k)`, returned in ascending
@@ -1172,38 +952,44 @@ impl ShardedCore {
     }
 }
 
-/// The online sharded serving handle: cheap to clone, `Send + Sync`, and —
-/// like [`MustServer`] — bit-deterministic: a query's merged results are a
-/// pure function of the query.  See the module docs for the dataflow.
+/// Build options for shard `s`: the caller's options with a
+/// shard-decorrelated RNG seed (shard 0 keeps the original seed, so a
+/// 1-shard build reproduces the unsharded one exactly).
+fn shard_opts(opts: MustBuildOptions, s: usize) -> MustBuildOptions {
+    MustBuildOptions {
+        rng_seed: opts.rng_seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ..opts
+    }
+}
+
+/// The online sharded serving handle: a frozen [`ShardedMust`] behind an
+/// [`Arc`] — every accessor through `Deref` — plus the handle's routing
+/// policy.  Cheap to clone, `Send + Sync`, and — like [`MustServer`] —
+/// bit-deterministic: a query's merged results are a pure function of the
+/// query.  See the module docs for the dataflow.
 #[derive(Clone)]
 pub struct ShardedServer {
-    core: Arc<ShardedCore>,
+    inner: Arc<ShardedMust>,
     routing: Option<RoutePolicy>,
+}
+
+impl Deref for ShardedServer {
+    type Target = ShardedMust;
+
+    fn deref(&self) -> &ShardedMust {
+        &self.inner
+    }
 }
 
 impl ShardedServer {
     /// Freezes a built [`ShardedMust`] into a serving snapshot, consuming
-    /// it.  Each shard freezes exactly as [`MustServer::freeze`] does (its
-    /// index moves in unconverted).  The snapshot starts with
-    /// routing disabled (full fan-out); dial it with
+    /// it: nothing is converted or copied, the shards were frozen when the
+    /// instance was built or assembled.  The snapshot starts with routing
+    /// disabled (full fan-out); dial it with
     /// [`ShardedServer::with_routing`].
     #[must_use]
     pub fn freeze(sharded: ShardedMust) -> Self {
-        let identity = sharded
-            .global_ids
-            .iter()
-            .map(|ids| ids.iter().enumerate().all(|(local, &global)| global as usize == local))
-            .collect();
-        Self {
-            core: Arc::new(ShardedCore {
-                shards: sharded.shards.into_iter().map(MustServer::freeze).collect(),
-                global_ids: sharded.global_ids,
-                identity,
-                summaries: sharded.summaries,
-                total: sharded.total,
-            }),
-            routing: None,
-        }
+        Self { inner: Arc::new(sharded), routing: None }
     }
 
     /// Loads a persisted bundle straight into a sharded serving snapshot.
@@ -1217,7 +1003,7 @@ impl ShardedServer {
     }
 
     /// A handle over the **same** snapshot that routes every search
-    /// through `policy`: queries scatter to only the `policy.fan_out`
+    /// through `policy`: queries go to only the `policy.fan_out`
     /// shards whose [`ShardSummary`] scores highest under the active
     /// weights (defaults or per-query overrides alike), searching each
     /// with the policy's per-shard pool.  Cheap (one [`Arc`] clone); the
@@ -1226,7 +1012,7 @@ impl ShardedServer {
     /// entry point — inherit the policy.
     #[must_use]
     pub fn with_routing(&self, policy: RoutePolicy) -> Self {
-        Self { core: Arc::clone(&self.core), routing: Some(policy) }
+        Self { inner: Arc::clone(&self.inner), routing: Some(policy) }
     }
 
     /// The routing policy in force, if any.
@@ -1235,49 +1021,13 @@ impl ShardedServer {
         self.routing
     }
 
-    /// Shard `s`'s routing summary.
-    ///
-    /// # Panics
-    /// Panics when `s` is out of range.
-    #[must_use]
-    pub fn summary(&self, s: usize) -> &ShardSummary {
-        &self.core.summaries[s]
-    }
-
-    /// Number of shards `S`.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.core.shards.len()
-    }
-
-    /// Distinct served objects (closure replicas counted once).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.core.total
-    }
-
-    /// Whether the snapshot serves no objects.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The frozen server of shard `s` (per-shard introspection).
     ///
     /// # Panics
     /// Panics when `s` is out of range.
     #[must_use]
     pub fn shard(&self, s: usize) -> &MustServer {
-        &self.core.shards[s]
-    }
-
-    /// Shard `s`'s local→global id map.
-    ///
-    /// # Panics
-    /// Panics when `s` is out of range.
-    #[must_use]
-    pub fn global_ids(&self, s: usize) -> &[ObjectId] {
-        &self.core.global_ids[s]
+        &self.inner.shards[s]
     }
 
     /// One-off top-`k` search with pool size `l` under the default
@@ -1303,8 +1053,8 @@ impl ShardedServer {
     #[must_use]
     pub fn worker(&self) -> ShardedWorker<'_> {
         ShardedWorker {
-            workers: self.core.shards.iter().map(|shard| shard.worker()).collect(),
-            core: &self.core,
+            workers: self.inner.shards.iter().map(|shard| shard.worker()).collect(),
+            sharded: &self.inner,
             routing: self.routing,
         }
     }
@@ -1316,7 +1066,7 @@ impl ShardedServer {
 /// stream.
 pub struct ShardedWorker<'a> {
     workers: Vec<ServerWorker<'a>>,
-    core: &'a ShardedCore,
+    sharded: &'a ShardedMust,
     routing: Option<RoutePolicy>,
 }
 
@@ -1327,12 +1077,7 @@ impl ShardedWorker<'_> {
     ///
     /// # Errors
     /// Propagates query/corpus arity and dimension mismatches.
-    pub fn search(
-        &mut self,
-        query: &MultiQuery,
-        k: usize,
-        l: usize,
-    ) -> Result<SearchOutcome, MustError> {
+    pub fn search(&mut self, query: &MultiQuery, k: usize, l: usize) -> Result<SearchOutcome, MustError> {
         self.run_query(query, None, k, l)
     }
 }
@@ -1352,14 +1097,14 @@ impl EngineWorker for ShardedWorker<'_> {
         l: usize,
     ) -> Result<SearchOutcome, MustError> {
         let t0 = Instant::now();
-        let core = self.core;
-        let weights = weights.unwrap_or_else(|| core.shards[0].weights());
-        let (selected, params) = core.plan(self.routing, query, weights, k, l)?;
+        let sharded = self.sharded;
+        let weights = weights.unwrap_or_else(|| sharded.weights());
+        let (selected, params) = sharded.plan(self.routing, query, weights, k, l)?;
         let mut per_shard = Vec::with_capacity(selected.len());
         for s in selected {
             per_shard.push((s, self.workers[s].search_weighted_with_params(query, weights, params)?));
         }
-        Ok(core.gather(per_shard, k, t0))
+        Ok(sharded.gather(per_shard, k, t0))
     }
 }
 
@@ -1380,12 +1125,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn corpus(n: usize) -> MultiVectorSet {
+        corpus_of_dims(n, 8, 4)
+    }
+
+    fn corpus_of_dims(n: usize, d0: usize, d1: usize) -> MultiVectorSet {
         let mut rng = StdRng::seed_from_u64(99);
-        let mut m0 = VectorSetBuilder::new(8, n);
-        let mut m1 = VectorSetBuilder::new(4, n);
+        let mut m0 = VectorSetBuilder::new(d0, n);
+        let mut m1 = VectorSetBuilder::new(d1, n);
         for _ in 0..n {
-            let v0: Vec<f32> = (0..8).map(|_| rng.random::<f32>() - 0.5).collect();
-            let v1: Vec<f32> = (0..4).map(|_| rng.random::<f32>() - 0.5).collect();
+            let v0: Vec<f32> = (0..d0).map(|_| rng.random::<f32>() - 0.5).collect();
+            let v1: Vec<f32> = (0..d1).map(|_| rng.random::<f32>() - 0.5).collect();
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
@@ -1446,8 +1195,7 @@ mod tests {
     #[test]
     fn clustered_split_makes_every_object_a_primary_of_exactly_one_shard() {
         let set = corpus(103);
-        let router = ShardRouter::new(ShardSpec::clustered(4)).unwrap();
-        let pieces = router.split_counted(&set, None);
+        let pieces = split(&set, &Weights::uniform(2), 4);
         assert_eq!(pieces.len(), 4);
         let mut primary_of = [None; 103];
         for (s, (piece, ids, primaries)) in pieces.iter().enumerate() {
@@ -1554,9 +1302,9 @@ mod tests {
         let new1: Vec<f32> = (0..4).map(|i| if i == 2 { 1.0 } else { 0.01 }).collect();
         let id = sharded.insert_object(&[new0.clone(), new1.clone()]).unwrap();
         assert_eq!(id, 91, "global ids keep growing densely");
-        for s in 0..3 {
+        for (s, size) in sizes.into_iter().enumerate() {
             let grown = usize::from(s == smallest);
-            assert_eq!(sharded.global_ids(s).len(), sizes[s] + grown, "shard {s}");
+            assert_eq!(sharded.global_ids(s).len(), size + grown, "shard {s}");
         }
         assert_eq!(*sharded.global_ids(smallest).last().unwrap(), 91);
         assert_eq!(sharded.len(), 92);
@@ -1614,23 +1362,16 @@ mod tests {
         // Cross-shard overlap is legal (clustered closure replication
         // stores boundary objects in several shards): 20 + 20 rows over
         // ids 0..30 assemble into 30 distinct objects.
-        let overlapping = ShardedMust::from_parts(
-            vec![a, b],
-            vec![(0..20).collect(), (10..30).collect()],
-            ShardAssignment::RoundRobin,
-        )
-        .expect("overlapping maps with dense union are valid");
+        let overlapping =
+            ShardedMust::from_parts(vec![a, b], vec![(0..20).collect(), (10..30).collect()])
+                .expect("overlapping maps with dense union are valid");
         assert_eq!(overlapping.len(), 30, "replicas count once");
         // …but the union must stay dense: a gap breaks the id allocator.
-        let (a, b) = {
-            let mut shards = overlapping.shards.into_iter();
-            (shards.next().unwrap(), shards.next().unwrap())
-        };
-        let Err(err) = ShardedMust::from_parts(
-            vec![a, b],
-            vec![(0..20).collect(), (21..41).collect()],
-            ShardAssignment::RoundRobin,
-        ) else {
+        let a = Must::build(corpus(20), Weights::uniform(2), MustBuildOptions::default()).unwrap();
+        let b = Must::build(corpus(20), Weights::uniform(2), MustBuildOptions::default()).unwrap();
+        let Err(err) =
+            ShardedMust::from_parts(vec![a, b], vec![(0..20).collect(), (21..41).collect()])
+        else {
             panic!("a gap in the id union must be rejected");
         };
         assert!(matches!(err, MustError::Config(_)));
@@ -1639,13 +1380,13 @@ mod tests {
         let mut dup: Vec<u32> = (0..20).collect();
         dup[19] = 0;
         assert!(matches!(
-            ShardedMust::from_parts(vec![e], vec![dup], ShardAssignment::RoundRobin),
+            ShardedMust::from_parts(vec![e], vec![dup]),
             Err(MustError::Config(_))
         ));
         // Mismatched map length must be rejected.
         let c = Must::build(corpus(20), Weights::uniform(2), MustBuildOptions::default()).unwrap();
         assert!(matches!(
-            ShardedMust::from_parts(vec![c], vec![(0..19).collect()], ShardAssignment::Hash),
+            ShardedMust::from_parts(vec![c], vec![(0..19).collect()]),
             Err(MustError::Config(_))
         ));
         // An id past the corpus but inside the last partial bitmap word
@@ -1655,7 +1396,16 @@ mod tests {
         let mut ids: Vec<u32> = (0..10).collect();
         ids[9] = 63;
         assert!(matches!(
-            ShardedMust::from_parts(vec![d], vec![ids], ShardAssignment::RoundRobin),
+            ShardedMust::from_parts(vec![d], vec![ids]),
+            Err(MustError::Config(_))
+        ));
+        // Shards of different dims must be rejected: the router slices
+        // every summary at the first shard's segment bounds.
+        let opts = MustBuildOptions::default();
+        let wide = Must::build(corpus_of_dims(20, 16, 4), Weights::uniform(2), opts).unwrap();
+        let narrow = Must::build(corpus_of_dims(20, 4, 4), Weights::uniform(2), opts).unwrap();
+        assert!(matches!(
+            ShardedMust::from_parts(vec![wide, narrow], vec![(0..20).collect(), (0..20).collect()]),
             Err(MustError::Config(_))
         ));
     }

@@ -37,8 +37,7 @@ pub mod prelude {
     pub use must_core::runtime::{EngineWorker, RuntimeCounters, ServeEngine, ServeRuntime};
     pub use must_core::server::{MustServer, ServeReply, ServeRequest, ServerWorker};
     pub use must_core::shard::{
-        RoutePolicy, ShardAssignment, ShardRouter, ShardSpec, ShardSummary, ShardedMust,
-        ShardedServer, ShardedWorker,
+        RoutePolicy, ShardSpec, ShardSummary, ShardedMust, ShardedServer, ShardedWorker,
     };
     pub use must_core::weights::{WeightLearnConfig, WeightLearner};
     pub use must_vector::{

@@ -144,7 +144,7 @@ fn sharded_weight_overrides_match_refrozen_shards() {
             .collect();
         let id_maps: Vec<Vec<u32>> = (0..shards).map(|s| built.global_ids(s).to_vec()).collect();
         let refrozen = ShardedServer::freeze(
-            ShardedMust::from_parts(refrozen_shards, id_maps, built.assignment()).unwrap(),
+            ShardedMust::from_parts(refrozen_shards, id_maps).unwrap(),
         );
         let server = ShardedServer::freeze(built);
 
@@ -412,13 +412,7 @@ fn routed_weight_overrides_match_refrozen_summaries() {
     let id_maps: Vec<Vec<u32>> = (0..shards).map(|s| built.global_ids(s).to_vec()).collect();
     let summaries: Vec<_> = (0..shards).map(|s| built.summary(s).clone()).collect();
     let refrozen = ShardedServer::freeze(
-        ShardedMust::from_parts_with_summaries(
-            refrozen_shards,
-            id_maps,
-            built.assignment(),
-            summaries,
-        )
-        .unwrap(),
+        ShardedMust::from_parts_with_summaries(refrozen_shards, id_maps, summaries).unwrap(),
     );
     let server = ShardedServer::freeze(built);
     for s in 0..shards {
