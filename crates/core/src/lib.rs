@@ -44,9 +44,9 @@
 //! * [`runtime`] — the one serving interface: each engine's worker
 //!   writes one query body ([`runtime::EngineWorker::run_query`]) and the
 //!   weighted one-off, batch and `serve` entry points are provided
-//!   methods of [`runtime::ServeEngine`]; plus the contention-free
-//!   runtime behind `serve` — per-worker request lanes, work stealing
-//!   from the longest lane, batch affinity, drain-on-shutdown.
+//!   methods of [`runtime::ServeEngine`]; plus the runtime behind
+//!   `serve` — one shared queue, batch affinity, panic isolation,
+//!   drain-on-shutdown.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate DAG
 //! and a one-paragraph tour of every crate.
@@ -118,6 +118,11 @@ pub enum MustError {
     /// assert!(err.to_string().contains("i/o error"));
     /// ```
     Io(String),
+    /// The engine panicked while running this one query; the string is
+    /// the panic message.  [`runtime::ServeRuntime`] and
+    /// [`runtime::ServeEngine::search_batch`] answer such a query with
+    /// this error and keep serving every other one.
+    Panicked(String),
 }
 
 impl std::fmt::Display for MustError {
@@ -126,6 +131,7 @@ impl std::fmt::Display for MustError {
             Self::Vector(e) => write!(f, "vector error: {e}"),
             Self::Config(msg) => write!(f, "configuration error: {msg}"),
             Self::Io(msg) => write!(f, "i/o error: {msg}"),
+            Self::Panicked(msg) => write!(f, "query panicked: {msg}"),
         }
     }
 }

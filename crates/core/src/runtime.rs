@@ -1,5 +1,5 @@
-//! The serving layer's one engine interface and its contention-free
-//! runtime: per-worker request lanes, work stealing, and batch affinity.
+//! The serving layer's one engine interface and its runtime: one shared
+//! queue, a fixed pool of workers, batch affinity, and panic isolation.
 //!
 //! ## One query body per engine
 //!
@@ -16,41 +16,44 @@
 //!
 //! ## The runtime
 //!
-//! * **Per-worker lanes.**  Each worker owns a bounded-contention lane
-//!   (`Mutex<VecDeque>` touched by one producer round-robin step and one
-//!   consumer in the common case).  Submission round-robins across lanes,
-//!   so producers and workers almost never collide on a lock — a single
-//!   shared `mpsc` receiver behind a mutex, the original serve loop, made
-//!   2 threads *lose* to 1.
-//! * **Work stealing.**  A worker whose own lane runs dry steals the
-//!   oldest job from the currently **longest** lane (lane depths are
-//!   advertised in atomics, so victim selection never takes a lock).
-//!   Tail latency stops depending on which lane a burst happened to land
-//!   in.
-//! * **Batch affinity.**  A [`ServeRuntime::submit_batch`] call lands on
-//!   one lane as a single job unit: its queries run back-to-back on one
-//!   worker's warm scratch instead of interleaving with unrelated
-//!   requests — and a steal moves the *whole* unit, never a slice of it.
-//! * **Drain-on-shutdown.**  [`ServeRuntime::shutdown`] wakes every
-//!   worker and joins them only after all lanes are empty: every
-//!   submitted request gets exactly one reply, pinned by the stress test
-//!   in `tests/serving.rs`.
+//! * **One queue.**  Every submission appends one job to a single
+//!   `Mutex<VecDeque>`; an idle worker waits on a `Condvar` and takes the
+//!   oldest job.  Workers and producers read the queue, the waiting count
+//!   and the shutdown flag under the same lock, so no wake-up can be lost
+//!   and an idle runtime burns no CPU; a producer signals only when a
+//!   worker is waiting.
+//! * **Batch affinity.**  A [`ServeRuntime::submit_batch`] call is one job:
+//!   its queries run back-to-back on one worker's warm scratch, never
+//!   interleaved with other traffic.
+//! * **Panic isolation.**  A query that panics inside the engine is
+//!   answered with [`MustError::Panicked`], and its worker carries on with
+//!   a freshly minted engine worker: the panic costs that query's reply
+//!   and nothing else.  [`ServeEngine::search_batch`] isolates its queries
+//!   the same way.
+//! * **Drain-on-shutdown.**  [`ServeRuntime::shutdown`] sets the flag under
+//!   the queue lock and wakes every worker; a worker exits only when it
+//!   finds the queue empty with the flag set, so every request submitted
+//!   before it gets exactly one reply — pinned by the stress test in
+//!   `tests/serving.rs` and the seeded fault schedules in
+//!   `crates/core/tests/runtime_faults.rs`.
 //!
-//! ## Why bit-identity survives work stealing
+//! ## Why bit-identity survives any worker count
 //!
 //! A served query's result is a pure function of `(snapshot, query,
 //! weights, k, l)` — the per-query RNG seed is a serving constant and the
-//! scratch state is reset per search ([`crate::server`]'s contract).
-//! Stealing only changes *which* worker runs a query, never the work the
-//! query performs, so replies are bit-identical to serial execution in
-//! any interleaving.  The same argument covers the sharded engine: a
+//! scratch state is reset per search ([`crate::server`]'s contract).  The
+//! runtime only changes *which* worker runs a query, never the work the
+//! query performs, so replies are bit-identical to serial execution in any
+//! interleaving.  The same argument covers the sharded engine: a
 //! [`crate::shard::ShardedWorker`] searches its shards in a fixed order
 //! whichever runtime worker drives it.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use must_vector::{MultiQuery, Weights};
@@ -100,7 +103,8 @@ pub trait ServeEngine: Clone + Send + Sync + 'static {
     /// `threads` scoped workers (clamped to `[1, queries.len()]`, one
     /// reusable worker each, atomic chunk claiming) and returns outcomes
     /// in input order, bit-identical for every thread count.  Per-query
-    /// errors are returned in their slot.
+    /// errors are returned in their slot; so is a query that panicked, as
+    /// [`MustError::Panicked`].
     #[must_use]
     fn search_batch(
         &self,
@@ -133,7 +137,7 @@ pub trait ServeEngine: Clone + Send + Sync + 'static {
     /// per request on `replies`, and returns the number served once the
     /// request channel is closed and drained.  Replies may interleave;
     /// correlate by [`ServeRequest::id`].  For weighted requests, batch
-    /// affinity or lane counters, drive a [`ServeRuntime`] directly.
+    /// affinity or counters, drive a [`ServeRuntime`] directly.
     #[must_use]
     fn serve(
         &self,
@@ -169,6 +173,36 @@ pub trait EngineWorker {
     ) -> Result<SearchOutcome, MustError>;
 }
 
+/// Runs one query on `worker`, turning a panic inside the engine into
+/// [`MustError::Panicked`] for this query alone.  The worker is minted
+/// afresh after a panic, since the unwound search may have left its
+/// scratch half-written; on the normal path this costs nothing.
+fn run_isolated<'e, E: ServeEngine>(
+    engine: &'e E,
+    worker: &mut E::Worker<'e>,
+    query: &MultiQuery,
+    weights: Option<&Weights>,
+    k: usize,
+    l: usize,
+) -> Result<SearchOutcome, MustError> {
+    match catch_unwind(AssertUnwindSafe(|| worker.run_query(query, weights, k, l))) {
+        Ok(outcome) => outcome,
+        Err(payload) => {
+            *worker = engine.serve_worker();
+            Err(MustError::Panicked(panic_message(payload.as_ref())))
+        }
+    }
+}
+
+/// The message of a `panic!` payload (a `&str` or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(msg), _) => (*msg).to_owned(),
+        (None, Some(msg)) => msg.clone(),
+        (None, None) => "panic with a non-string payload".to_owned(),
+    }
+}
+
 /// The batch fan-out behind [`ServeEngine::search_batch`] and
 /// [`ServeEngine::search_batch_weighted`]: `threads` is clamped to
 /// `[1, queries.len()]` and each scoped thread mints one reusable worker.
@@ -185,7 +219,9 @@ pub trait EngineWorker {
 /// are scattered back by index afterwards, so outcomes come back in input
 /// order and — because per-query work is deterministic and only *which*
 /// worker runs a query changes — results are bit-identical for every
-/// thread count and every claiming interleaving.
+/// thread count and every claiming interleaving.  Every query runs
+/// through [`run_isolated`], so a panicking query fills its own slot and
+/// no scoped thread dies.
 fn fan_out_batch<E: ServeEngine>(
     engine: &E,
     queries: &[MultiQuery],
@@ -201,7 +237,7 @@ fn fan_out_batch<E: ServeEngine>(
     let threads = threads.max(1).min(n);
     if threads == 1 {
         let mut worker = engine.serve_worker();
-        return queries.iter().map(|q| worker.run_query(q, weights, k, l)).collect();
+        return queries.iter().map(|q| run_isolated(engine, &mut worker, q, weights, k, l)).collect();
     }
     // ~4 chunks per worker: small enough to level a ragged tail, large
     // enough that the shared cursor is touched rarely.
@@ -222,7 +258,7 @@ fn fan_out_batch<E: ServeEngine>(
                         }
                         let end = (start + chunk).min(n);
                         for (off, q) in queries[start..end].iter().enumerate() {
-                            ran.push((start + off, worker.run_query(q, weights, k, l)));
+                            ran.push((start + off, run_isolated(engine, &mut worker, q, weights, k, l)));
                         }
                     }
                     ran
@@ -230,7 +266,7 @@ fn fan_out_batch<E: ServeEngine>(
             })
             .collect();
         for handle in handles {
-            for (i, outcome) in handle.join().expect("batch worker panicked") {
+            for (i, outcome) in handle.join().expect("a worker panicked outside a query") {
                 out[i] = Some(outcome);
             }
         }
@@ -238,192 +274,79 @@ fn fan_out_batch<E: ServeEngine>(
     out.into_iter().map(|x| x.expect("every index claimed exactly once")).collect()
 }
 
-/// One queued query: the request plus an optional weight override.
-struct Unit {
-    id: u64,
-    query: MultiQuery,
-    weights: Option<Weights>,
-    k: usize,
-    l: usize,
-}
+/// One submission: a single query or a whole batch, which one worker runs
+/// back-to-back.  Each request carries its optional weight override.
+type Job = Vec<(ServeRequest, Option<Weights>)>;
 
-impl Unit {
-    fn from_request(req: ServeRequest, weights: Option<Weights>) -> Self {
-        Self { id: req.id, query: req.query, weights, k: req.k, l: req.l }
-    }
-}
-
-/// One lane entry: a single query or a whole batch (the affinity unit —
-/// it is queued, stolen, and executed as one piece).
-enum Job {
-    Single(Unit),
-    Batch(Vec<Unit>),
-}
-
-impl Job {
-    fn units(&self) -> usize {
-        match self {
-            Self::Single(_) => 1,
-            Self::Batch(b) => b.len(),
-        }
-    }
-}
-
-/// One worker's lane plus its lightweight counters.  `depth` mirrors the
-/// queued unit count so victim selection and [`ServeRuntime::lane_depths`]
-/// never touch the queue lock.
-struct Lane {
-    queue: Mutex<VecDeque<Job>>,
-    depth: AtomicUsize,
-    executed: AtomicU64,
-    stolen: AtomicU64,
-}
-
-impl Lane {
-    fn new() -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            depth: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let units = job.units();
-        let mut q = self.queue.lock().expect("lane poisoned");
-        q.push_back(job);
-        // Under the lock, so depth never over-reports against the queue.
-        // SeqCst: paired with the parking handshake in `next_job` (see
-        // the store-buffer argument there).
-        self.depth.fetch_add(units, Ordering::SeqCst);
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.queue.lock().expect("lane poisoned");
-        let job = q.pop_front()?;
-        self.depth.fetch_sub(job.units(), Ordering::Release);
-        Some(job)
-    }
+/// Everything workers wait on, under one lock.
+#[derive(Default)]
+struct Queue {
+    /// Jobs in arrival order.
+    jobs: VecDeque<Job>,
+    /// Query units in `jobs`.
+    queued: usize,
+    /// Workers blocked on [`Shared::ready`]; a producer signals only when
+    /// one is.
+    waiting: usize,
+    shutdown: bool,
 }
 
 struct Shared {
-    lanes: Vec<Lane>,
-    shutdown: AtomicBool,
-    /// Workers currently parked; producers skip the wake lock entirely
-    /// while this is zero (the loaded steady state).
-    sleepers: AtomicUsize,
-    wake_lock: Mutex<()>,
-    wake: Condvar,
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    /// Query units each worker has completed.
+    executed: Vec<AtomicU64>,
 }
 
 impl Shared {
-    /// Wakes parked workers after a push; free when nobody sleeps.
-    /// SeqCst load: paired with the parking handshake in `next_job`
-    /// (see the store-buffer argument there).
-    fn notify(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.wake_lock.lock().expect("wake lock poisoned");
-            self.wake.notify_all();
-        }
+    /// The queue lock.  Queries run outside it and nothing inside it can
+    /// panic, so it is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("runtime queue poisoned")
     }
 
-    /// Picks the deepest lane other than `me` (ties toward the lowest
-    /// index) without taking any lock; `None` when all are empty.
-    fn longest_other_lane(&self, me: usize) -> Option<usize> {
-        let mut best = None;
-        let mut best_depth = 0;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if i == me {
-                continue;
-            }
-            let d = lane.depth.load(Ordering::Acquire);
-            if d > best_depth {
-                best_depth = d;
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Dequeues the next job for worker `me`: own lane first, then steal
-    /// from the longest other lane.  Returns `None` only after shutdown
-    /// once every lane is drained.
-    fn next_job(&self, me: usize) -> Option<Job> {
-        // A scan that races the shutdown flag proves nothing: a producer
-        // may push and then set the flag *between* our empty scan and
-        // our flag load.  So `None` is only returned when a scan that
-        // *started after* observing `shutdown` comes up empty — that
-        // observation (Acquire) happens-after every pre-shutdown push
-        // (which the Release store in `begin_shutdown` orders behind),
-        // so the post-observation scan cannot miss a drainable job.
-        let mut saw_shutdown = false;
+    /// Dequeues the oldest job, waiting while the queue is empty; `None`
+    /// once shutdown has begun and the queue is drained.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.lock();
         loop {
-            if let Some(job) = self.lanes[me].pop() {
+            if let Some(job) = queue.jobs.pop_front() {
+                queue.queued -= job.len();
                 return Some(job);
             }
-            if let Some(victim) = self.longest_other_lane(me) {
-                if let Some(job) = self.lanes[victim].pop() {
-                    self.lanes[me].stolen.fetch_add(job.units() as u64, Ordering::Relaxed);
-                    return Some(job);
-                }
-                // Someone else drained the victim first; rescan.
-                continue;
-            }
-            if saw_shutdown {
-                // Empty scan performed entirely after seeing the flag:
-                // every lane is truly drained.
+            if queue.shutdown {
                 return None;
             }
-            if self.shutdown.load(Ordering::Acquire) {
-                saw_shutdown = true;
-                continue;
-            }
-            // Park until a producer pushes or shutdown begins.  The
-            // sleepers counter and `notify` form a store-buffer pair
-            // (producer: push depth, load sleepers; worker: add
-            // sleepers, load depth) — SeqCst on those four accesses
-            // guarantees at least one side sees the other, so either
-            // the producer notifies (under `wake_lock`, which we hold
-            // until `wait` — the notify cannot slip between our recheck
-            // and the wait) or our recheck sees the pushed depth and we
-            // skip the wait.  Hence the untimed wait: no lost wake-ups,
-            // and an idle runtime burns no CPU on periodic polling.
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            let guard = self.wake_lock.lock().expect("wake lock poisoned");
-            let must_recheck = self.shutdown.load(Ordering::Acquire)
-                || self.lanes.iter().any(|l| l.depth.load(Ordering::SeqCst) > 0);
-            if !must_recheck {
-                drop(self.wake.wait(guard).expect("wake lock poisoned"));
-            }
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            queue.waiting += 1;
+            queue = self.ready.wait(queue).expect("runtime queue poisoned");
+            queue.waiting -= 1;
         }
     }
 }
 
-/// A snapshot of the runtime's per-worker counters, for observability
-/// (the `serve_runtime` example prints them live).
+/// A snapshot of the runtime's counters, for observability (the
+/// `serve_runtime` example prints them live).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeCounters {
-    /// Queued (not yet started) query units per lane.
+    /// Queued (not yet started) query units: one entry, the one queue.
     pub lane_depths: Vec<usize>,
     /// Query units each worker has completed.
     pub executed: Vec<u64>,
-    /// Query units each worker obtained by stealing from another lane.
+    /// Always empty: one queue leaves nothing to steal.  Kept, like the
+    /// one-entry `lane_depths`, for callers written against per-worker
+    /// lanes (the repo benchmark's `core.runtime.*` metrics).
     pub stolen: Vec<u64>,
 }
 
-/// The contention-free serve loop: a fixed pool of workers, one lane
-/// each, driven by any number of producer threads through `&self`
-/// submission.  See the module docs for the design and the determinism
-/// argument.
+/// The serve loop: a fixed pool of workers over one shared queue, driven
+/// by any number of producer threads through `&self` submission.  See the
+/// module docs for the design and the determinism argument.
 ///
 /// Replies flow to the `Sender<ServeReply>` given at [`ServeRuntime::start`];
 /// a dropped receiver is tolerated (remaining requests still drain, their
 /// replies are discarded).
 pub struct ServeRuntime {
     shared: Arc<Shared>,
-    next_lane: AtomicUsize,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -436,11 +359,9 @@ impl ServeRuntime {
     pub fn start<E: ServeEngine>(engine: &E, workers: usize, replies: Sender<ServeReply>) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            lanes: (0..workers).map(|_| Lane::new()).collect(),
-            shutdown: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            wake_lock: Mutex::new(()),
-            wake: Condvar::new(),
+            queue: Mutex::new(Queue::default()),
+            ready: Condvar::new(),
+            executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         });
         let handles = (0..workers)
             .map(|me| {
@@ -449,105 +370,92 @@ impl ServeRuntime {
                 let replies = replies.clone();
                 std::thread::spawn(move || {
                     let mut worker = engine.serve_worker();
-                    while let Some(job) = shared.next_job(me) {
-                        let units = job.units() as u64;
-                        match job {
-                            Job::Single(u) => run_unit(&mut worker, u, &replies),
-                            Job::Batch(batch) => {
-                                for u in batch {
-                                    run_unit(&mut worker, u, &replies);
-                                }
-                            }
+                    while let Some(job) = shared.next_job() {
+                        let units = job.len() as u64;
+                        for (req, weights) in job {
+                            let outcome =
+                                run_isolated(&engine, &mut worker, &req.query, weights.as_ref(), req.k, req.l);
+                            // The caller may have stopped listening; keep draining regardless.
+                            let _ = replies.send(ServeReply { id: req.id, outcome });
                         }
-                        shared.lanes[me].executed.fetch_add(units, Ordering::Relaxed);
+                        shared.executed[me].fetch_add(units, Ordering::Relaxed);
                     }
                 })
             })
             .collect();
-        Self { shared, next_lane: AtomicUsize::new(0), handles }
+        Self { shared, handles }
     }
 
-    /// Number of worker threads (and lanes).
+    /// Number of worker threads.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.shared.lanes.len()
+        self.shared.executed.len()
     }
 
-    /// Submits one request under the snapshot's default weights
-    /// (round-robin lane placement).
+    /// Submits one request under the snapshot's default weights.
     pub fn submit(&self, req: ServeRequest) {
-        self.push(Job::Single(Unit::from_request(req, None)));
+        self.push(vec![(req, None)]);
     }
 
     /// Submits one request under a per-request weight override.
     pub fn submit_weighted(&self, req: ServeRequest, weights: Weights) {
-        self.push(Job::Single(Unit::from_request(req, Some(weights))));
+        self.push(vec![(req, Some(weights))]);
     }
 
-    /// Submits a batch as **one affinity unit** under the snapshot's
-    /// default weights (`weights: None`) or one override for the whole
-    /// batch: all its queries run back-to-back on a single worker
-    /// (whichever owns — or steals — the unit), never interleaved with
-    /// other traffic.
+    /// Submits a batch as **one job** under the snapshot's default weights
+    /// (`weights: None`) or one override for the whole batch: all its
+    /// queries run back-to-back on a single worker, never interleaved
+    /// with other traffic.
     pub fn submit_batch(&self, reqs: Vec<ServeRequest>, weights: Option<Weights>) {
         if reqs.is_empty() {
             return;
         }
-        let units: Vec<Unit> =
-            reqs.into_iter().map(|r| Unit::from_request(r, weights.clone())).collect();
-        self.push(Job::Batch(units));
+        self.push(reqs.into_iter().map(|r| (r, weights.clone())).collect());
     }
 
     fn push(&self, job: Job) {
-        let lane = self.next_lane.fetch_add(1, Ordering::Relaxed) % self.shared.lanes.len();
-        self.shared.lanes[lane].push(job);
-        self.shared.notify();
-    }
-
-    /// Current counters: lane depths, executed units, and steal counts
-    /// per worker.
-    #[must_use]
-    pub fn counters(&self) -> RuntimeCounters {
-        RuntimeCounters {
-            lane_depths: self
-                .shared
-                .lanes
-                .iter()
-                .map(|l| l.depth.load(Ordering::Acquire))
-                .collect(),
-            executed: self
-                .shared
-                .lanes
-                .iter()
-                .map(|l| l.executed.load(Ordering::Relaxed))
-                .collect(),
-            stolen: self.shared.lanes.iter().map(|l| l.stolen.load(Ordering::Relaxed)).collect(),
+        let mut queue = self.shared.lock();
+        queue.queued += job.len();
+        queue.jobs.push_back(job);
+        let wake = queue.waiting > 0;
+        drop(queue);
+        if wake {
+            self.shared.ready.notify_one();
         }
     }
 
-    /// Queued (not yet started) query units per lane.
+    /// Current counters: the queue depth and executed units per worker.
     #[must_use]
-    pub fn lane_depths(&self) -> Vec<usize> {
-        self.counters().lane_depths
+    pub fn counters(&self) -> RuntimeCounters {
+        RuntimeCounters {
+            lane_depths: self.lane_depths(),
+            executed: self.shared.executed.iter().map(|e| e.load(Ordering::Relaxed)).collect(),
+            stolen: Vec::new(),
+        }
     }
 
-    /// Stops accepting the calling thread's submissions, drains every
-    /// lane (workers keep stealing until all lanes are empty), joins the
-    /// workers, and returns the total number of query units served.
-    /// Every request submitted before this call gets exactly one reply.
+    /// Queued (not yet started) query units, as a one-entry list: the
+    /// runtime has one queue.
+    #[must_use]
+    pub fn lane_depths(&self) -> Vec<usize> {
+        vec![self.shared.lock().queued]
+    }
+
+    /// Begins shutdown, lets the workers drain the queue, joins them, and
+    /// returns the total number of query units served.  Every request
+    /// submitted before this call gets exactly one reply.
     #[must_use]
     pub fn shutdown(mut self) -> usize {
         self.begin_shutdown();
         for h in self.handles.drain(..) {
-            h.join().expect("runtime worker panicked");
+            h.join().expect("a worker panicked outside a query");
         }
-        self.shared.lanes.iter().map(|l| l.executed.load(Ordering::Relaxed)).sum::<u64>() as usize
+        self.shared.executed.iter().map(|e| e.load(Ordering::Relaxed)).sum::<u64>() as usize
     }
 
     fn begin_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _guard = self.shared.wake_lock.lock().expect("wake lock poisoned");
-        self.shared.wake.notify_all();
+        self.shared.lock().shutdown = true;
+        self.shared.ready.notify_all();
     }
 }
 
@@ -560,12 +468,6 @@ impl Drop for ServeRuntime {
             let _ = h.join();
         }
     }
-}
-
-fn run_unit<W: EngineWorker>(worker: &mut W, unit: Unit, replies: &Sender<ServeReply>) {
-    let outcome = worker.run_query(&unit.query, unit.weights.as_ref(), unit.k, unit.l);
-    // The caller may have stopped listening; keep draining regardless.
-    let _ = replies.send(ServeReply { id: unit.id, outcome });
 }
 
 #[cfg(test)]
@@ -656,6 +558,9 @@ mod tests {
                 l: 30,
             });
         }
+        // One queue, one executed count per worker, nothing to steal.
+        let c = rt.counters();
+        assert_eq!((c.lane_depths.len(), c.executed.len(), c.stolen.len()), (1, 4, 0));
         let served = rt.shutdown();
         assert_eq!(served, 40);
         assert_eq!(rx.iter().count(), 40);
@@ -673,11 +578,8 @@ mod tests {
         assert_eq!(rt.shutdown(), 8, "replies are discarded, requests still served");
     }
 
-    /// Regression for the shutdown-drain race: with a single worker
-    /// (nowhere to steal from), a push followed at once by `shutdown()`
-    /// can land exactly between the worker's empty scan and its flag
-    /// load.  The worker must rescan after observing the flag rather
-    /// than abandon the queued request.
+    /// A push followed at once by `shutdown()` is still served: a worker
+    /// never sees the shutdown flag without the request queued before it.
     #[test]
     fn submit_then_immediate_shutdown_never_drops() {
         let srv = server(60);

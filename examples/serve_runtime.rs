@@ -1,8 +1,8 @@
-//! The contention-free serving runtime end to end: freeze a snapshot,
-//! start a [`ServeRuntime`] with a few workers, drive it from several
-//! producer threads with a mixed stream of single, batch, and
-//! weight-overridden requests, and watch the per-worker lanes — depths,
-//! executed counts, and steals — while it runs.
+//! The serving runtime end to end: freeze a snapshot, start a
+//! [`ServeRuntime`] with a few workers over its one queue, drive it from
+//! several producer threads with a mixed stream of single, batch, and
+//! weight-overridden requests, and watch the queue depth and each
+//! worker's executed count while it runs.
 //!
 //! Run with `cargo run --release --example serve_runtime`.
 
@@ -46,14 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = MustServer::freeze(must);
     println!("snapshot: {n} objects, 2 modalities, frozen for serving");
 
-    // ---- Start the runtime: 3 workers, one lane each. -----------------
+    // ---- Start the runtime: 3 workers sharing one queue. --------------
     let (rep_tx, rep_rx) = mpsc::channel();
     let runtime = ServeRuntime::start(&server, 3, rep_tx);
     println!("runtime: {} workers started\n", runtime.workers());
 
     // ---- Several producers submit a mixed request stream. -------------
     // Each producer interleaves singles, a weight-overridden single, and
-    // a batch (one affinity unit: its queries stay on one worker), every
+    // a batch (one job: its queries run back-to-back on one worker), every
     // other batch under the override too — `submit_batch` takes the
     // weights as an `Option`, `None` meaning the snapshot's defaults.
     const PRODUCERS: u64 = 4;
@@ -81,24 +81,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             });
         }
-        // Meanwhile: sample the lanes a few times while traffic flows.
+        // Meanwhile: sample the counters a few times while traffic flows.
         for tick in 0..3 {
             std::thread::sleep(std::time::Duration::from_millis(2));
             let c = runtime.counters();
-            println!(
-                "tick {tick}: lane depths {:?}  executed {:?}  stolen {:?}",
-                c.lane_depths, c.executed, c.stolen
-            );
+            println!("tick {tick}: queued {:?}  executed {:?}", c.lane_depths, c.executed);
         }
     });
     submitted += (PRODUCERS * ROUNDS) as usize * 6; // 2 singles + 4-query batch
 
     // ---- Drain and inspect the counters. ------------------------------
     let pre = runtime.counters();
-    println!(
-        "\npre-shutdown: lane depths {:?}  executed {:?}  stolen {:?}",
-        pre.lane_depths, pre.executed, pre.stolen
-    );
+    println!("\npre-shutdown: queued {:?}  executed {:?}", pre.lane_depths, pre.executed);
     let served = runtime.shutdown();
     println!("shutdown: drained; served {served} query units (submitted {submitted})");
 

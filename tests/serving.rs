@@ -4,7 +4,7 @@
 //! through the current binary bundle, and the [`ServeRuntime`] delivery
 //! guarantees — every submitted request gets exactly one reply matching
 //! the serial oracle bitwise, under producer concurrency, mixed
-//! single/batch/weighted traffic, work stealing, and shutdown drain.
+//! single/batch/weighted traffic, several workers, and shutdown drain.
 
 use std::sync::mpsc;
 
@@ -145,8 +145,8 @@ fn ragged_batches_match_serial_for_any_thread_count() {
 /// The runtime stress pin: several producer threads submit an interleaved
 /// mix of single, batch, and weight-overridden requests; every request id
 /// must get **exactly one** reply, bit-identical to the serial oracle
-/// under the same weights, and shutdown must drain all in-flight lanes
-/// without dropping or duplicating anything.
+/// under the same weights, and shutdown must drain the queue without
+/// dropping or duplicating anything.
 #[test]
 fn runtime_stress_every_request_answered_exactly_once() {
     let (server, queries) = serving_fixture();
@@ -214,7 +214,7 @@ fn runtime_stress_every_request_answered_exactly_once() {
     });
 
     let served = runtime.shutdown();
-    assert_eq!(served, total, "shutdown must drain every lane");
+    assert_eq!(served, total, "shutdown must drain the queue");
 
     let mut seen = std::collections::HashSet::new();
     let mut replies = 0usize;
@@ -246,7 +246,7 @@ fn runtime_shutdown_drains_queued_backlog() {
             l: 30,
         });
     }
-    // No waiting: lanes are still (mostly) full when shutdown begins.
+    // No waiting: the queue is still (mostly) full when shutdown begins.
     assert_eq!(runtime.shutdown() as u64, n);
     let mut ids: Vec<u64> = rep_rx.iter().map(|r| r.id).collect();
     ids.sort_unstable();
@@ -254,7 +254,7 @@ fn runtime_shutdown_drains_queued_backlog() {
 }
 
 /// A request for zero results is answered with one typed error, not a
-/// worker panic: on the single lane of a one-worker runtime the requests
+/// worker panic: in the queue of a one-worker runtime the requests
 /// behind it — single, weighted and inside the same batch — are answered
 /// as if it had never been there, and `shutdown()` joins cleanly with the
 /// full count.
@@ -346,7 +346,7 @@ fn non_finite_queries_are_typed_errors_on_every_path() {
         assert!(refused(&routed_worker.search(q, k, l)), "routed ShardedWorker, query {i}");
     }
 
-    // One worker, one lane: each refused request sits right before an
+    // One worker, one queue: each refused request sits right before an
     // ordinary one, which must still get its serial answer.
     let (rep_tx, rep_rx) = mpsc::channel();
     let runtime = ServeRuntime::start(&sq8_server, 1, rep_tx);

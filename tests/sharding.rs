@@ -436,8 +436,8 @@ fn routed_weight_overrides_match_refrozen_summaries() {
 
 /// The sharded serve loop (runtime-backed, persistent per-worker shard
 /// scratch) answers a full request stream with, per query, exactly the
-/// sequential `ShardedWorker` outcome — bit-identity across workers and
-/// work stealing, through the scatter path.
+/// sequential `ShardedWorker` outcome — bit-identity across runtime
+/// workers, through the scatter path.
 #[test]
 fn sharded_serve_loop_matches_sequential_worker() {
     let (objects, weights, queries) = fixture();
