@@ -178,6 +178,10 @@ mod tests {
             }
         }
         assert!(hits >= total - 1, "recall {hits}/{total}");
+        // k = 0 is the caller's mistake on the exact scan as on the graph.
+        let q = query_for(&set, 0);
+        assert!(matches!(must.search(&q, 0, 100), Err(MustError::Config(_))));
+        assert!(matches!(must.brute_force(&q, 0), Err(MustError::Config(_))));
     }
 
     #[test]
@@ -193,6 +197,8 @@ mod tests {
             let ids: Vec<u32> = bf.results.iter().map(|r| r.0).collect();
             assert_eq!(&ids, g);
         }
+        assert!(matches!(brute_force_search(&joint, &queries[0], 0, true), Err(MustError::Config(_))));
+        assert!(matches!(exact_ground_truth(&set, &Weights::uniform(2), &queries, 0), Err(MustError::Config(_))));
     }
 
     #[test]
