@@ -12,7 +12,8 @@ fn bench_build(c: &mut Criterion) {
     let ds = must_data::catalog::image_text(4_000, 16, 1);
     let registry = must_bench::registry();
     let embedded = embed_dataset(&ds, &must_bench::efficiency::semisynthetic_config(), &registry);
-    let oracle = JointOracle::new(&embedded.objects, Weights::uniform(2)).unwrap();
+    let weights = Weights::uniform(2);
+    let oracle = JointOracle::new(&embedded.objects, &weights).unwrap();
 
     let mut group = c.benchmark_group("index_build_4k");
     group.sample_size(10);

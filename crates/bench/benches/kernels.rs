@@ -221,7 +221,7 @@ fn sq8_scan_out_of_cache() {
 }
 
 fn bench_joint(c: &mut Criterion) {
-    use must_vector::{JointDistance, MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};
+    use must_vector::{MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};
     let n = 4096;
     let mut m0 = VectorSetBuilder::new(64, n);
     let mut m1 = VectorSetBuilder::new(32, n);
@@ -232,12 +232,12 @@ fn bench_joint(c: &mut Criterion) {
         m1.push_normalized(&v1).unwrap();
     }
     let set = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
-    let joint = JointDistance::new(&set, Weights::new(vec![0.8, 0.33]).unwrap()).unwrap();
+    let weights = Weights::new(vec![0.8, 0.33]).unwrap();
     let query = MultiQuery::full(vec![
         set.modality(0).get(0).to_vec(),
         set.modality(1).get(0).to_vec(),
     ]);
-    let ev = joint.query(&query).unwrap();
+    let ev = set.fused().query(&query, &weights).unwrap();
 
     let mut group = c.benchmark_group("joint");
     group.bench_function("exact_ip", |b| {

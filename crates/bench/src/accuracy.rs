@@ -17,7 +17,7 @@ use must_core::Must;
 use must_data::embed::{embed_dataset, EmbeddedDataset, EmbeddedQuery};
 use must_data::LatentDataset;
 use must_encoders::{EncoderConfig, EncoderRegistry};
-use must_vector::{JointDistance, MultiQuery, ObjectId, Weights};
+use must_vector::{MultiQuery, ObjectId, Weights};
 
 /// The three frameworks of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,10 +167,9 @@ pub fn run_mr(prepared: &Prepared, ks: &[usize], l_candidates: usize) -> Accurac
 #[must_use]
 pub fn run_must(prepared: &Prepared, ks: &[usize], weights: &Weights) -> AccuracyRun {
     let max_k = ks.iter().copied().max().unwrap_or(1);
-    let joint = JointDistance::new(&prepared.embedded.objects, weights.clone())
-        .expect("weights cover all modalities");
+    let rows = prepared.embedded.objects.fused();
     eval_results(prepared, ks, |q| {
-        brute_force_search(&joint, &q.query, max_k, true)
+        brute_force_search(rows, &q.query, weights, max_k, true)
             .expect("valid query")
             .results
             .into_iter()

@@ -12,7 +12,7 @@ use must_data::{LatentDataset, ObjectLabels};
 use must_encoders::{
     Composer, ComposerKind, EncoderConfig, EncoderRegistry, Latent, TargetEncoding, UnimodalKind,
 };
-use must_vector::{kernels, JointDistance, MultiQuery, Weights};
+use must_vector::{kernels, MultiQuery, Weights};
 
 use crate::accuracy::{
     accuracy_table, prepare, run_mr, run_must_learned, run_single_modality, Framework, RowSpec,
@@ -189,9 +189,9 @@ pub fn fig5_case_study(scale: f64) -> Vec<Artefact> {
     println!("(the real query shows e.g. fresh cheese + \"change state to moldy\")\n");
 
     // MUST: weighted joint top-5.
-    let joint = JointDistance::new(objects, learned.weights.clone()).unwrap();
     let must_top5 = |q: &EmbeddedQuery| -> Vec<u32> {
-        let out = brute_force_search(&joint, &q.query, 5, true).unwrap();
+        let out =
+            brute_force_search(objects.fused(), &q.query, &learned.weights, 5, true).unwrap();
         out.results.iter().map(|r| r.0).collect()
     };
     // MR: per-modality candidates + merge.
@@ -301,13 +301,10 @@ pub fn sec8f_weight_generalization(scale: f64) -> Vec<Artefact> {
     );
     let prepared = prepare(&ds, &config, &registry);
     let learned = prepared.learn(&WeightLearnConfig::default());
-    // One binding over the unscaled storage; the learned configuration is
-    // a query-side rebind, not an engine rebuild (the same seam
-    // `search_weighted` serves online).
-    let joint = JointDistance::new(&prepared.embedded.objects, Weights::uniform(2))
-        .unwrap()
-        .with_query_weights(learned.weights.clone())
-        .unwrap();
+    // The learned configuration weights the query side of the unscaled
+    // storage, not an engine rebuild (the same seam `search_weighted`
+    // serves online).
+    let (rows, weights) = (prepared.embedded.objects.fused(), &learned.weights);
     println!("fixed learned weights^2 = {:?}\n", learned.weights.squared());
 
     // Rebuild Case-1 variants of evaluation queries: text describes the
@@ -325,7 +322,7 @@ pub fn sec8f_weight_generalization(scale: f64) -> Vec<Artefact> {
     for (qi, q) in ds.queries.iter().enumerate().skip(prepared.train.len()).take(300) {
         let eq = &prepared.embedded.queries[qi];
         // Case 2 (original): text asks for a *different* attribute.
-        let out2 = brute_force_search(&joint, &eq.query, 1, true).unwrap();
+        let out2 = brute_force_search(rows, &eq.query, weights, 1, true).unwrap();
         if out2.results.first().map(|r| r.0) == Some(q.anchor) {
             recall2 += 1.0;
         }
@@ -337,7 +334,7 @@ pub fn sec8f_weight_generalization(scale: f64) -> Vec<Artefact> {
         let slot0 = composer.compose(&[&reference, &ref_attr_desc]);
         let slot1 = lstm.embed(&ref_attr_desc);
         let q1 = MultiQuery::full(vec![slot0, slot1]);
-        let out1 = brute_force_search(&joint, &q1, 1, true).unwrap();
+        let out1 = brute_force_search(rows, &q1, weights, 1, true).unwrap();
         // Ground truth for case 1: nearest object with the reference's
         // class; accept any object of the anchor's class.
         if let Some((top, _)) = out1.results.first() {
@@ -366,10 +363,9 @@ pub fn sec8f_weight_generalization(scale: f64) -> Vec<Artefact> {
 /// modality 0, at the cost of modality 1 (the customisation property of
 /// Fig. 4(g), Option 2).
 ///
-/// Since the query-time-weighting refactor the whole sweep runs over
-/// **one** joint-distance binding: each weight setting is a
-/// [`JointDistance::with_query_weights`] rebind of the same unscaled
-/// storage — no per-setting engine rebuild.
+/// The whole sweep runs over **one** unscaled fused-row engine: each
+/// weight setting is a [`Weights`] the exact scan bakes into the query
+/// row — no per-setting engine rebuild.
 pub fn tab9_user_weights(scale: f64) -> Vec<Artefact> {
     let ds = must_data::catalog::mit_states(scale, DATASET_SEED);
     crate::banner(&ds);
@@ -386,14 +382,13 @@ pub fn tab9_user_weights(scale: f64) -> Vec<Artefact> {
         "Effect of different user-defined weights (q = query, r = returned)",
         &["w0^2", "w1^2", "IP(q0, r0)", "IP(q1, r1)"],
     );
-    let base = JointDistance::new(objects, Weights::uniform(2)).unwrap();
     for w0_sq in [0.5f32, 0.6, 0.7, 0.8, 0.9] {
         let w1_sq = 1.0 - w0_sq;
         let weights = Weights::from_squared(vec![w0_sq, w1_sq]).unwrap();
-        let joint = base.with_query_weights(weights).unwrap();
         let (mut sim0, mut sim1, mut n) = (0.0f64, 0.0f64, 0usize);
         for q in prepared.eval_queries().take(300) {
-            let out = brute_force_search(&joint, &q.query, 1, true).expect("valid query");
+            let out = brute_force_search(objects.fused(), &q.query, &weights, 1, true)
+                .expect("valid query");
             let Some(&(top, _)) = out.results.first() else { continue };
             let (Some(s0), Some(s1)) = (q.query.slot(0), q.query.slot(1)) else { continue };
             sim0 += kernels::ip(s0, objects.modality(0).get(top)) as f64;

@@ -240,10 +240,11 @@ pub fn tab11_graph_quality(scale: f64) -> Vec<Artefact> {
     let embedded: Vec<_> =
         datasets.iter().map(|ds| embed_dataset(ds, &config, &registry)).collect();
 
+    let uniform = Weights::uniform(2);
     for eps in 1..=3usize {
         let mut row = vec![eps.to_string()];
         for e in &embedded {
-            let oracle = JointOracle::new(&e.objects, Weights::uniform(2)).unwrap();
+            let oracle = JointOracle::new(&e.objects, &uniform).unwrap();
             // Measure the *initialisation* component's quality: top-gamma
             // lists straight out of NNDescent (no pruning afterwards).
             let builder = PipelineBuilder {

@@ -2,11 +2,11 @@
 //! or user-defined weights, fused index, joint search out.
 
 use must_graph::{GraphRecipe, SearchScratch};
-use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
+use must_vector::{MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
 
 use crate::index::{build_index, BuildReport, IndexOptions, MustIndex};
 use crate::oracle::JointOracle;
-use crate::search::{brute_force_search, SearchOutcome};
+use crate::search::{brute_force_search, positive_k, SearchOutcome};
 use crate::weights::{LearnedWeights, WeightLearnConfig, WeightLearner};
 use crate::MustError;
 
@@ -82,7 +82,7 @@ impl Must {
         opts: MustBuildOptions,
     ) -> Result<Self, MustError> {
         let (index, report) = {
-            let oracle = JointOracle::borrowed(&objects, &weights)?;
+            let oracle = JointOracle::new(&objects, &weights)?;
             build_index(
                 &oracle,
                 IndexOptions {
@@ -192,7 +192,7 @@ impl Must {
                 (0..fused.num_modalities()).map(|k| fused.modality_slice(id, k)).collect();
             q.push_row(&normalized)?;
         }
-        let oracle = JointOracle::borrowed(objects, weights)?;
+        let oracle = JointOracle::new(objects, weights)?;
         match index {
             MustIndex::Hnsw(h) => h.insert_new_with_scratch(&oracle, id, 0x1A5E, insert_scratch),
             MustIndex::Csr(_) => unreachable!("checked above"),
@@ -344,10 +344,13 @@ impl Must {
     /// Exact joint top-`k` (`MUST--`), excluding tombstoned objects.
     ///
     /// # Errors
-    /// Propagates arity/dimension mismatches.
+    /// Propagates arity/dimension mismatches; [`MustError::Config`] for
+    /// `k = 0`.
     pub fn brute_force(&self, query: &MultiQuery, k: usize) -> Result<SearchOutcome, MustError> {
-        let joint = JointDistance::new(&self.objects, self.weights.clone())?;
-        let mut out = brute_force_search(&joint, query, k + self.deleted_count, self.prune)?;
+        positive_k(k)?;
+        let rows = self.objects.fused();
+        let mut out =
+            brute_force_search(rows, query, &self.weights, k + self.deleted_count, self.prune)?;
         if self.deleted_count > 0 {
             out.results.retain(|(id, _)| !self.is_deleted(*id));
         }

@@ -221,7 +221,8 @@ mod tests {
     #[test]
     fn builds_all_backends() {
         let set = corpus(300);
-        let oracle = JointOracle::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
+        let oracle = JointOracle::new(&set, &w).unwrap();
         for recipe in GraphRecipe::all() {
             let (index, report) = build_index(
                 &oracle,
@@ -241,14 +242,16 @@ mod tests {
     #[test]
     fn rejects_zero_gamma_and_empty_sets() {
         let set = corpus(10);
-        let oracle = JointOracle::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
+        let oracle = JointOracle::new(&set, &w).unwrap();
         assert!(build_index(&oracle, IndexOptions { gamma: 0, ..Default::default() }).is_err());
     }
 
     #[test]
     fn larger_gamma_means_larger_index() {
         let set = corpus(400);
-        let oracle = JointOracle::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
+        let oracle = JointOracle::new(&set, &w).unwrap();
         let (_, small) =
             build_index(&oracle, IndexOptions { gamma: 6, ..Default::default() }).unwrap();
         let (_, large) =

@@ -5,22 +5,25 @@
 //! Both sides run on the shared **unscaled** fused-row storage engine
 //! ([`must_vector::FusedRows`]): the corpus is never copied or rescaled.
 //! Pairwise similarities apply the squared weights per segment of the two
-//! raw rows; every query is fused into one `omega^2`-scaled padded row up
-//! front, so changing weights is a per-query decision — the seam the
-//! serving layer's `search_weighted` rides on.
+//! raw rows ([`FusedRows::weighted_pair_ip`]); a query scorer is built one
+//! way, [`MustQueryScorer::from_rows`], which fuses the query into one
+//! `omega^2`-scaled padded row up front ([`FusedRows::query`]), so changing
+//! weights is a per-query decision — the seam the serving layer's
+//! `search_weighted` rides on.
 
 use std::sync::OnceLock;
 
 use must_graph::{QueryScorer, SimilarityOracle};
 use must_vector::{
-    FusedRows, JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedQueryEvaluator,
-    QuantizedRows, QueryEvaluator, VectorError, Weights,
+    FusedQueryEvaluator, FusedRows, MultiQuery, MultiVectorSet, PartialIpVerdict,
+    QuantizedQueryEvaluator, QuantizedRows, VectorError, Weights,
 };
 
 /// Joint-similarity oracle over a multi-vector corpus under fixed weights —
 /// what Algorithm 1 builds the fused index on.
 pub struct JointOracle<'a> {
-    joint: JointDistance<'a>,
+    set: &'a MultiVectorSet,
+    weights: &'a Weights,
     /// The fused centroid of all virtual points with the oracle's
     /// `omega^2` baked in (component ④ support): `sim_to_centroid` is one
     /// dot product of this row against a raw stored row.  One pass over
@@ -32,26 +35,22 @@ pub struct JointOracle<'a> {
 }
 
 impl<'a> JointOracle<'a> {
-    /// Creates the oracle.  No corpus copy happens — the oracle scores
-    /// against `set`'s own fused storage, weighting query-side.
+    /// Creates the oracle.  Nothing is copied — the oracle scores against
+    /// `set`'s own fused storage under weights the caller keeps, so one per
+    /// dynamic insert is free.
     ///
     /// # Errors
-    /// Propagates weight-arity mismatches from the vector layer.
-    pub fn new(set: &'a MultiVectorSet, weights: Weights) -> Result<Self, VectorError> {
-        JointDistance::new(set, weights).map(Self::over)
-    }
-
-    /// [`JointOracle::new`] over weights the caller keeps: nothing is cloned.
-    ///
-    /// # Errors
-    /// Propagates weight-arity mismatches from the vector layer.
-    pub fn borrowed(set: &'a MultiVectorSet, weights: &'a Weights) -> Result<Self, VectorError> {
-        JointDistance::borrowed(set, weights).map(Self::over)
-    }
-
-    fn over(joint: JointDistance<'a>) -> Self {
-        let w_total = joint.weights().squared().iter().sum();
-        Self { joint, centroid_row: OnceLock::new(), w_total }
+    /// [`VectorError::WeightArity`] when `weights` does not cover every
+    /// modality of `set`.
+    pub fn new(set: &'a MultiVectorSet, weights: &'a Weights) -> Result<Self, VectorError> {
+        if weights.modalities() != set.num_modalities() {
+            return Err(VectorError::WeightArity {
+                modalities: set.num_modalities(),
+                weights: weights.modalities(),
+            });
+        }
+        let w_total = weights.squared().iter().sum();
+        Ok(Self { set, weights, centroid_row: OnceLock::new(), w_total })
     }
 
     /// The `omega^2`-baked centroid, computed by whichever caller asks
@@ -59,11 +58,11 @@ impl<'a> JointOracle<'a> {
     /// value.
     fn centroid_row(&self) -> &[f32] {
         self.centroid_row.get_or_init(|| {
-            let engine = self.joint.engine();
+            let engine = self.set.fused();
             // Bake omega^2 into the centroid once: against unscaled rows the
             // plain fused dot product then yields the Lemma-1 weighted sum.
             let mut centroid_row = engine.centroid_row();
-            for (k, &wsq) in self.joint.weights().squared().iter().enumerate() {
+            for (k, &wsq) in self.weights.squared().iter().enumerate() {
                 let (start, end) = engine.segment_bounds(k);
                 for x in &mut centroid_row[start..end] {
                     *x *= wsq;
@@ -79,32 +78,26 @@ impl<'a> JointOracle<'a> {
         self.centroid_row.get().map(Vec::as_slice)
     }
 
-    /// The underlying joint-distance computer.
-    #[must_use]
-    pub fn joint(&self) -> &JointDistance<'a> {
-        &self.joint
-    }
-
     /// The weights in force.
     #[must_use]
     pub fn weights(&self) -> &Weights {
-        self.joint.weights()
+        self.weights
     }
 
     /// The multi-vector corpus.
     #[must_use]
     pub fn set(&self) -> &'a MultiVectorSet {
-        self.joint.set()
+        self.set
     }
 }
 
 impl SimilarityOracle for JointOracle<'_> {
     fn len(&self) -> usize {
-        self.joint.set().len()
+        self.set.len()
     }
 
     fn sim(&self, a: u32, b: u32) -> f32 {
-        self.joint.pair_ip(a, b)
+        self.set.fused().weighted_pair_ip(a, b, self.weights.squared())
     }
 
     fn self_sim(&self, _a: u32) -> f32 {
@@ -117,48 +110,23 @@ impl SimilarityOracle for JointOracle<'_> {
         // The centroid row carries omega^2, the stored row is raw, so this
         // is the Lemma-1 weighted sum against the centroid — one dot
         // product.
-        must_vector::kernels::ip_prescaled_segments(self.joint.engine().row(a), self.centroid_row())
+        must_vector::kernels::ip_prescaled_segments(self.set.fused().row(a), self.centroid_row())
     }
 }
 
 /// Query scorer feeding graph search, with the Lemma-4 incremental
 /// multi-vector computation toggleable (the Fig. 10(c) ablation).
 pub struct MustQueryScorer<'a> {
-    eval: QueryEvaluator<'a>,
+    eval: FusedQueryEvaluator<'a>,
     prune: bool,
 }
 
 impl<'a> MustQueryScorer<'a> {
-    /// Prepares a scorer for `query` over `oracle`'s corpus and weights.
-    ///
-    /// # Errors
-    /// Propagates slot-arity / dimension mismatches.
-    pub fn new(
-        oracle: &'a JointOracle<'_>,
-        query: &MultiQuery,
-        prune: bool,
-    ) -> Result<Self, VectorError> {
-        Self::from_joint(&oracle.joint, query, prune)
-    }
-
-    /// Prepares a scorer from a [`JointDistance`]: the query is scaled by
-    /// `omega^2` and fused into one row here, once, so scoring a candidate
-    /// costs a single dot product (exact) or an early-exiting segment walk
-    /// (pruned).
-    ///
-    /// # Errors
-    /// Propagates slot-arity / dimension mismatches.
-    pub fn from_joint(
-        joint: &'a JointDistance<'_>,
-        query: &MultiQuery,
-        prune: bool,
-    ) -> Result<Self, VectorError> {
-        Ok(Self { eval: joint.query(query)?, prune })
-    }
-
-    /// Prepares a scorer straight from the shared fused-row engine under
-    /// explicit weights — the serving hot path, where the engine sits
-    /// behind an `Arc` and each query may carry its own weight override.
+    /// Prepares a scorer over the shared fused-row engine under explicit
+    /// weights: the query is scaled by `omega^2` and fused into one row
+    /// here, once, so scoring a candidate costs a single dot product
+    /// (exact) or an early-exiting segment walk (pruned).  Each query may
+    /// carry its own weights over the one engine.
     ///
     /// # Errors
     /// Propagates weight-arity, slot-arity, and dimension mismatches.
@@ -317,7 +285,7 @@ mod tests {
     fn oracle_sim_matches_lemma1() {
         let set = corpus();
         let w = Weights::new(vec![0.8, 0.33]).unwrap();
-        let oracle = JointOracle::new(&set, w.clone()).unwrap();
+        let oracle = JointOracle::new(&set, &w).unwrap();
         let want = set.joint_ip(0, 1, &w).unwrap();
         assert!((oracle.sim(0, 1) - want).abs() < 1e-6);
         assert_eq!(oracle.len(), 4);
@@ -328,7 +296,8 @@ mod tests {
     #[test]
     fn centroid_similarity_prefers_central_objects() {
         let set = corpus();
-        let oracle = JointOracle::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
+        let oracle = JointOracle::new(&set, &w).unwrap();
         // sim_to_centroid must be finite and bounded by self_sim.
         for id in 0..4 {
             let s = oracle.sim_to_centroid(id);
@@ -353,7 +322,7 @@ mod tests {
     fn centroid_similarity_matches_per_modality_expansion() {
         let set = corpus();
         let w = Weights::new(vec![0.7, 0.4]).unwrap();
-        let oracle = JointOracle::new(&set, w.clone()).unwrap();
+        let oracle = JointOracle::new(&set, &w).unwrap();
         let centroids: Vec<Vec<f32>> = set.modalities().map(|m| m.centroid()).collect();
         let fused_centroid = scaled_centroid(&set, &w);
         for id in 0..4u32 {
@@ -393,7 +362,7 @@ mod tests {
         let mut set = random_corpus(200);
         let w = Weights::new(vec![0.8, 0.4]).unwrap();
         let mut hnsw = {
-            let oracle = JointOracle::borrowed(&set, &w).unwrap();
+            let oracle = JointOracle::new(&set, &w).unwrap();
             let hnsw = Hnsw::build(&oracle, HnswParams::default());
             assert!(oracle.centroid_cell().is_none(), "Hnsw::build read the centroid");
             hnsw
@@ -402,7 +371,7 @@ mod tests {
             let row = |dim: usize| (0..dim).map(|i| if i == hot { 1.0 } else { 0.02 }).collect();
             set.push_object(&[row(8), row(4)]).unwrap();
         }
-        let oracle = JointOracle::borrowed(&set, &w).unwrap();
+        let oracle = JointOracle::new(&set, &w).unwrap();
         let mut scratch = SearchScratch::default();
         for id in 200..204 {
             hnsw.insert_new_with_scratch(&oracle, id, 0x1A5E, &mut scratch);
@@ -426,7 +395,7 @@ mod tests {
         for threads in [1, 2, 4] {
             // A fresh oracle per thread count: its workers race to fill the
             // empty cell; a second scan only reads what the first left.
-            let oracle = JointOracle::borrowed(&set, &w).unwrap();
+            let oracle = JointOracle::new(&set, &w).unwrap();
             assert!(oracle.centroid_cell().is_none());
             let first = scan(&oracle, threads);
             assert_eq!(scan(&oracle, 4), first, "refilled or moved at {threads} threads");
@@ -438,10 +407,10 @@ mod tests {
     #[test]
     fn scorer_prune_toggle_changes_counters_not_results() {
         let set = corpus();
-        let oracle = JointOracle::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
         let q = MultiQuery::full(vec![vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
-        let pruning = MustQueryScorer::new(&oracle, &q, true).unwrap();
-        let plain = MustQueryScorer::new(&oracle, &q, false).unwrap();
+        let pruning = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
+        let plain = MustQueryScorer::from_rows(set.fused(), &q, &w, false).unwrap();
         for id in 0..4 {
             let a = pruning.score_pruned(id, f32::NEG_INFINITY);
             let b = plain.score_pruned(id, f32::NEG_INFINITY);
@@ -477,14 +446,17 @@ mod tests {
 
     #[test]
     fn rows_backed_scorer_matches_oracle_scorer() {
+        // Query-side omega^2 (the scorer) and per-segment omega^2 (the
+        // oracle's pair similarity) are the same Lemma-1 sum: a query
+        // that is object 1 scores every object as the oracle pairs it
+        // with object 1.
         let set = corpus();
         let w = Weights::new(vec![0.9, 0.5]).unwrap();
-        let oracle = JointOracle::new(&set, w.clone()).unwrap();
-        let q = MultiQuery::full(vec![vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
-        let via_oracle = MustQueryScorer::new(&oracle, &q, true).unwrap();
+        let oracle = JointOracle::new(&set, &w).unwrap();
+        let q = MultiQuery::full(set.object(1).map(<[f32]>::to_vec).collect());
         let via_rows = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
         for id in 0..4 {
-            assert_eq!(via_oracle.score(id), via_rows.score(id));
+            assert!((oracle.sim(1, id) - via_rows.score(id)).abs() < 1e-6);
         }
     }
 

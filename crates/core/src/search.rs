@@ -2,12 +2,14 @@
 //! check, the brute-force searcher (`MUST--`), and exact ground-truth
 //! computation for the semi-synthetic workloads.  Algorithm 2 over the
 //! fused index runs in one place, [`crate::server::ServerWorker`], for an
-//! offline [`crate::Must`] and a frozen [`crate::MustServer`] alike.
+//! offline [`crate::Must`] and a frozen [`crate::MustServer`] alike.  The
+//! exact scan scores through the same [`MustQueryScorer::from_rows`] the
+//! graph walk does, taking its arguments in that order.
 
 use std::time::Instant;
 
 use must_graph::{QueryScorer, SearchParams, SearchStats};
-use must_vector::{JointDistance, MultiQuery, MultiVectorSet, ObjectId, Weights};
+use must_vector::{FusedRows, MultiQuery, MultiVectorSet, ObjectId, Weights};
 
 use crate::oracle::MustQueryScorer;
 use crate::MustError;
@@ -18,10 +20,16 @@ use crate::MustError;
 /// [`SearchParams::new`]'s panic — which, on a serve-runtime worker, would
 /// take the worker and then `shutdown()` down with it.
 pub(crate) fn request_params(k: usize, l: usize) -> Result<SearchParams, MustError> {
+    positive_k(k)?;
+    Ok(SearchParams::new(k, l.max(k)))
+}
+
+/// Refuses `k = 0` for every searcher, graph walk and exact scan alike.
+pub(crate) fn positive_k(k: usize) -> Result<(), MustError> {
     if k == 0 {
         return Err(MustError::Config("k must be positive: a search returns at least one result".into()));
     }
-    Ok(SearchParams::new(k, l.max(k)))
+    Ok(())
 }
 
 /// One search outcome with instrumentation.
@@ -37,21 +45,24 @@ pub struct SearchOutcome {
     pub secs: f64,
 }
 
-/// Brute-force joint top-`k` (the `MUST--` baseline): scans every object,
-/// still benefiting from the Lemma-4 pruning against the running top-`k`
-/// threshold.
+/// Brute-force joint top-`k` (the `MUST--` baseline) of `query` under
+/// `weights`: scans every row, still benefiting from the Lemma-4 pruning
+/// against the running top-`k` threshold.
 ///
 /// # Errors
-/// Propagates query/corpus arity mismatches.
+/// Propagates weight/query/corpus arity mismatches;
+/// [`MustError::Config`] for `k = 0`.
 pub fn brute_force_search(
-    joint: &JointDistance<'_>,
+    rows: &FusedRows,
     query: &MultiQuery,
+    weights: &Weights,
     k: usize,
     prune: bool,
 ) -> Result<SearchOutcome, MustError> {
-    let scorer = MustQueryScorer::from_joint(joint, query, prune)?;
+    positive_k(k)?;
+    let scorer = MustQueryScorer::from_rows(rows, query, weights, prune)?;
     let t0 = Instant::now();
-    let n = joint.set().len();
+    let n = rows.len();
     let mut top: Vec<(ObjectId, f32)> = Vec::with_capacity(k + 1);
     let mut stats = SearchStats::default();
     for id in 0..n as u32 {
@@ -91,10 +102,9 @@ pub fn exact_ground_truth(
     queries: &[MultiQuery],
     k: usize,
 ) -> Result<Vec<Vec<ObjectId>>, MustError> {
-    let joint = JointDistance::new(set, weights.clone())?;
     let threads = must_graph::par::build_threads();
     let out = must_graph::par::par_map(queries.len(), threads, |qi| {
-        brute_force_search(&joint, &queries[qi], k, true)
+        brute_force_search(set.fused(), &queries[qi], weights, k, true)
             .map(|o| o.results.into_iter().map(|(id, _)| id).collect::<Vec<_>>())
     });
     out.into_iter().collect()
@@ -133,10 +143,10 @@ mod tests {
     #[test]
     fn brute_force_finds_self_as_top1() {
         let set = corpus(200);
-        let joint = JointDistance::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
         for id in [0u32, 57, 199] {
             let q = query_for(&set, id);
-            let out = brute_force_search(&joint, &q, 3, true).unwrap();
+            let out = brute_force_search(set.fused(), &q, &w, 3, true).unwrap();
             assert_eq!(out.results[0].0, id);
         }
     }
@@ -144,11 +154,11 @@ mod tests {
     #[test]
     fn pruned_and_unpruned_brute_force_agree() {
         let set = corpus(150);
-        let joint = JointDistance::new(&set, Weights::new(vec![0.9, 0.3]).unwrap()).unwrap();
+        let w = Weights::new(vec![0.9, 0.3]).unwrap();
         for id in [5u32, 99] {
             let q = query_for(&set, id);
-            let a = brute_force_search(&joint, &q, 10, true).unwrap();
-            let b = brute_force_search(&joint, &q, 10, false).unwrap();
+            let a = brute_force_search(set.fused(), &q, &w, 10, true).unwrap();
+            let b = brute_force_search(set.fused(), &q, &w, 10, false).unwrap();
             let ids_a: Vec<u32> = a.results.iter().map(|r| r.0).collect();
             let ids_b: Vec<u32> = b.results.iter().map(|r| r.0).collect();
             assert_eq!(ids_a, ids_b, "Lemma 4 must be lossless");
@@ -160,18 +170,17 @@ mod tests {
     fn graph_search_reaches_brute_force_at_large_l() {
         let set = corpus(400);
         let weights = Weights::uniform(2);
-        let oracle = JointOracle::new(&set, weights.clone()).unwrap();
+        let oracle = JointOracle::new(&set, &weights).unwrap();
         let (index, _) =
             build_index(&oracle, IndexOptions { gamma: 12, ..Default::default() }).unwrap();
-        let joint = JointDistance::new(&set, weights.clone()).unwrap();
-        let must = Must::from_parts(set.clone(), weights, index, MustBuildOptions::default()).unwrap();
+        let must = Must::from_parts(set.clone(), weights.clone(), index, MustBuildOptions::default()).unwrap();
         let mut worker = must.worker();
         let mut hits = 0;
         let total = 25;
         for t in 0..total {
             let id = (t * 16) as u32 % 400;
             let q = query_for(&set, id);
-            let exact = brute_force_search(&joint, &q, 1, true).unwrap();
+            let exact = brute_force_search(set.fused(), &q, &weights, 1, true).unwrap();
             let approx = worker.search(&q, 1, 100).unwrap();
             if approx.results[0].0 == exact.results[0].0 {
                 hits += 1;
@@ -191,23 +200,24 @@ mod tests {
         let queries: Vec<MultiQuery> = (0..6).map(|i| query_for(&set, i * 17)).collect();
         let gt = exact_ground_truth(&set, &w, &queries, 5).unwrap();
         assert_eq!(gt.len(), 6);
-        let joint = JointDistance::new(&set, w).unwrap();
         for (q, g) in queries.iter().zip(&gt) {
-            let bf = brute_force_search(&joint, q, 5, false).unwrap();
+            let bf = brute_force_search(set.fused(), q, &w, 5, false).unwrap();
             let ids: Vec<u32> = bf.results.iter().map(|r| r.0).collect();
             assert_eq!(&ids, g);
         }
-        assert!(matches!(brute_force_search(&joint, &queries[0], 0, true), Err(MustError::Config(_))));
-        assert!(matches!(exact_ground_truth(&set, &Weights::uniform(2), &queries, 0), Err(MustError::Config(_))));
+        // k = 0 is refused as the graph walk refuses it, never a panic.
+        let zero = brute_force_search(set.fused(), &queries[0], &w, 0, true);
+        assert!(matches!(zero, Err(MustError::Config(_))));
+        assert!(matches!(exact_ground_truth(&set, &w, &queries, 0), Err(MustError::Config(_))));
     }
 
     #[test]
     fn partial_query_searches_with_masked_weights() {
         let set = corpus(200);
-        let joint = JointDistance::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
         // Text-only query (t = 1, auxiliary only).
         let q = MultiQuery::partial(vec![None, Some(set.modality(1).get(42).to_vec())]);
-        let out = brute_force_search(&joint, &q, 1, true).unwrap();
+        let out = brute_force_search(set.fused(), &q, &w, 1, true).unwrap();
         assert_eq!(out.results[0].0, 42);
     }
 }

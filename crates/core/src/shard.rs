@@ -1162,7 +1162,7 @@ mod tests {
         // top-10 by brute force — the capacity hint, dedup, and truncate in
         // `gather` all run on a pool smaller than `k`.
         let set = corpus(24);
-        let eng = must_vector::JointDistance::new(&set, Weights::uniform(2)).unwrap();
+        let w = Weights::uniform(2);
         // Clustered closure replication stores boundary objects in several
         // shards, so the merged pool really does hold duplicates that the
         // dedup must collapse *before* the truncate.
@@ -1179,7 +1179,7 @@ mod tests {
                 let q = self_query(&set, id);
                 let out = server.search(&q, 10, 60).unwrap();
                 assert_eq!(out.results.len(), 10, "query {id} ({spec:?})");
-                let qe = eng.query(&q).unwrap();
+                let qe = set.fused().query(&q, &w).unwrap();
                 let mut exact: Vec<(ObjectId, f32)> = (0..24).map(|o| (o, qe.ip(o))).collect();
                 exact.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 exact.truncate(10);

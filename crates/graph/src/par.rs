@@ -62,55 +62,6 @@ pub fn par_map_with<S, T: Send>(
     out.into_iter().map(|x| x.expect("all slots filled")).collect()
 }
 
-/// Like [`par_map`], but workers claim fixed-size chunks through a shared
-/// atomic counter instead of pre-assigned contiguous stripes.  When per-item
-/// cost is skewed (graph insertion: late, high-degree nodes cost far more
-/// than early ones) striping leaves the unlucky thread running alone at the
-/// end; chunk claiming keeps every worker busy until the tail.  Results are
-/// still index-ordered — each chunk is a disjoint window of the output, so
-/// the claim order never shows in the returned `Vec`.
-pub fn par_map_chunked<T: Send, F: Fn(usize) -> T + Sync>(
-    n: usize,
-    threads: usize,
-    f: F,
-) -> Vec<T> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        return (0..n).map(f).collect();
-    }
-    // Small chunks relative to n/threads so claim order can absorb skew;
-    // each chunk is claimed exactly once, so the per-chunk mutex is never
-    // contended — it only exists to hand the disjoint window to a worker.
-    let chunk = (n / (threads * 8)).max(1);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots: Vec<Mutex<&mut [Option<T>]>> =
-        out.chunks_mut(chunk).map(Mutex::new).collect();
-    let counter = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let f = &f;
-            let slots = &slots;
-            let counter = &counter;
-            scope.spawn(move || loop {
-                let c = counter.fetch_add(1, Ordering::Relaxed);
-                if c >= slots.len() {
-                    break;
-                }
-                let mut slot = slots[c].lock().expect("chunk slot");
-                let base = c * chunk;
-                for (off, s) in slot.iter_mut().enumerate() {
-                    *s = Some(f(base + off));
-                }
-            });
-        }
-    });
-    drop(slots);
-    out.into_iter().map(|x| x.expect("all slots filled")).collect()
-}
-
 /// Shared state for a [`wave_pool`] — start/finish rendezvous for one pool
 /// of persistent workers executing a sequence of parallel phases.
 struct WaveShared {
@@ -331,33 +282,6 @@ mod tests {
     #[test]
     fn build_threads_is_positive() {
         assert!(build_threads() >= 1);
-    }
-
-    #[test]
-    fn par_map_chunked_is_index_ordered_under_skew() {
-        // Wildly uneven per-item cost scrambles the claim order; the output
-        // must still be index-ordered and identical to the serial map.
-        let n = 2_731;
-        let f = |i: usize| {
-            let spin = if i.is_multiple_of(97) { 5_000 } else { 1 };
-            let mut acc = i as u64;
-            for _ in 0..spin {
-                acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            }
-            (i as u64) << 20 | (acc & 0xFFF)
-        };
-        let serial: Vec<u64> = (0..n).map(f).collect();
-        for threads in [2, 3, 8] {
-            assert_eq!(par_map_chunked(n, threads, f), serial, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_chunked_handles_edge_cases() {
-        assert!(par_map_chunked(0, 4, |i| i).is_empty());
-        assert_eq!(par_map_chunked(1, 4, |i| i + 1), vec![1]);
-        assert_eq!(par_map_chunked(5, 1, |i| i), vec![0, 1, 2, 3, 4]);
-        assert_eq!(par_map_chunked(3, 64, |i| i * 3), vec![0, 3, 6]);
     }
 
     #[test]

@@ -456,9 +456,15 @@ impl FusedRows {
     }
 }
 
-/// Verdict of the incremental (pruned) fused-row similarity computation —
-/// re-exported alias of the per-modality verdict for seam compatibility.
-pub use crate::joint::PartialIpVerdict;
+/// Verdict of the incremental (pruned) joint-similarity computation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PartialIpVerdict {
+    /// The candidate was discarded after scanning only a prefix of its
+    /// modality segments: its joint similarity is provably `<= threshold`.
+    Pruned,
+    /// All modality segments were scanned; the exact joint similarity.
+    Exact(f32),
+}
 
 /// One active (supplied, positive-weight) modality of a fused query, in
 /// Lemma-4 prefix order.
@@ -807,6 +813,41 @@ mod tests {
         let before = ev.kernel_evals();
         let _ = ev.ip_pruned(0, f32::NEG_INFINITY);
         assert_eq!(ev.kernel_evals() - before, 1);
+    }
+
+    fn set3() -> MultiVectorSet {
+        // Three objects, two modalities.
+        let mut m0 = VectorSetBuilder::new(4, 3);
+        m0.push_normalized(&[1.0, 0.0, 0.0, 0.0]).unwrap();
+        m0.push_normalized(&[0.6, 0.8, 0.0, 0.0]).unwrap();
+        m0.push_normalized(&[0.0, 0.0, 1.0, 0.0]).unwrap();
+        let mut m1 = VectorSetBuilder::new(3, 3);
+        m1.push_normalized(&[1.0, 0.0, 0.0]).unwrap();
+        m1.push_normalized(&[0.0, 1.0, 0.0]).unwrap();
+        m1.push_normalized(&[0.5, 0.5, 0.5]).unwrap();
+        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    }
+
+    #[test]
+    fn pruning_saves_kernel_evaluations() {
+        let set = set3();
+        let q = MultiQuery::full(vec![vec![0.0, 0.0, 0.0, 1.0], vec![0.0, 0.0, 1.0]]);
+        let ev = set.fused().query(&q, &Weights::uniform(2)).unwrap();
+        // With a very high threshold everything prunes after modality 0.
+        for id in 0..3u32 {
+            assert_eq!(ev.ip_pruned(id, 10.0), PartialIpVerdict::Pruned);
+        }
+        assert_eq!(ev.kernel_evals(), 3, "each pruned candidate costs one kernel");
+    }
+
+    #[test]
+    fn query_with_wrong_dim_is_rejected() {
+        let set = set3();
+        let q = MultiQuery::full(vec![vec![1.0, 0.0], vec![1.0, 0.0, 0.0]]);
+        assert!(matches!(
+            set.fused().query(&q, &Weights::uniform(2)),
+            Err(VectorError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

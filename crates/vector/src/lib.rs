@@ -17,6 +17,11 @@
 //!   into the fused query row, so the Lemma-1 joint similarity is still
 //!   one dot product and the Lemma-4 bound walks raw segments of the same
 //!   stored row — and the same engine serves any weight configuration.
+//!   Joint similarity is computed in two places only:
+//!   [`FusedRows::query`] (the per-query [`FusedQueryEvaluator`], exact or
+//!   with Lemma 4's safe early termination, Eqs. 8–9) and
+//!   [`FusedRows::weighted_pair_ip`] (object against object, for index
+//!   construction).
 //! * [`MultiVectorSet`] — the paper's multi-vector object representation
 //!   (Fig. 4(b)): a thin view over a raw [`FusedRows`] engine whose
 //!   [`ModalityView`]s keep the old per-modality API.
@@ -29,9 +34,6 @@
 //! * [`Weights`] — the per-modality weight vector `omega` learned by the
 //!   vector-weight-learning model (Section VI), exposed through its squared
 //!   form as required by Lemma 1.
-//! * [`joint`] — joint similarity between multi-vector points and the
-//!   incremental multi-vector computation with safe early termination
-//!   (Lemma 4, Eqs. 8–9).
 //!
 //! All similarities in this crate follow the paper's convention: vectors are
 //! unit-norm and similarity is the inner product (`IP`), to be *maximised*;
@@ -46,15 +48,13 @@
 #![forbid(unsafe_code)]
 
 pub mod fused;
-pub mod joint;
 pub mod kernels;
 mod multi;
 pub mod quant;
 mod set;
 mod weights;
 
-pub use fused::{FusedQueryEvaluator, FusedRows, FUSED_LANE};
-pub use joint::{JointDistance, PartialIpVerdict, QueryEvaluator};
+pub use fused::{FusedQueryEvaluator, FusedRows, PartialIpVerdict, FUSED_LANE};
 pub use quant::{QuantizedQueryEvaluator, QuantizedRows, SegParams};
 pub use multi::{ModalityView, MultiQuery, MultiVectorSet};
 pub use set::{VectorSet, VectorSetBuilder};

@@ -6,7 +6,7 @@
 //! Lemma-4 bound must never under-prune.
 
 use must_vector::{
-    kernels, FusedRows, JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict,
+    kernels, FusedRows, MultiQuery, MultiVectorSet, PartialIpVerdict,
     VectorSetBuilder, Weights, FUSED_LANE,
 };
 use proptest::prelude::*;
@@ -79,10 +79,10 @@ proptest! {
         a in 0u32..6,
         b in 0u32..6,
     ) {
-        let jd = JointDistance::new(&set, w.clone()).unwrap();
+        let fused = set.fused().weighted_pair_ip(a, b, w.squared());
         let reference = set.joint_ip(a, b, &w).unwrap();
-        prop_assert!((jd.pair_ip(a, b) - reference).abs() < 1e-5,
-            "fused {} vs per-modality {}", jd.pair_ip(a, b), reference);
+        prop_assert!((fused - reference).abs() < 1e-5,
+            "fused {} vs per-modality {}", fused, reference);
     }
 
     #[test]
@@ -96,9 +96,8 @@ proptest! {
         let mut q1 = q1;
         prop_assume!(kernels::normalize(&mut q0));
         prop_assume!(kernels::normalize(&mut q1));
-        let jd = JointDistance::new(&set, w.clone()).unwrap();
         let query = MultiQuery::full(vec![q0.clone(), q1.clone()]);
-        let ev = jd.query(&query).unwrap();
+        let ev = set.fused().query(&query, &w).unwrap();
         for id in 0..5u32 {
             let reference = w.sq(0) * set.modality(0).ip_to(id, &q0)
                 + w.sq(1) * set.modality(1).ip_to(id, &q1);
@@ -121,9 +120,8 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q0));
         prop_assume!(kernels::normalize(&mut q1));
         prop_assume!(kernels::normalize(&mut q2));
-        let jd = JointDistance::new(&set, w.clone()).unwrap();
         let query = MultiQuery::full(vec![q0, q1, q2]);
-        let ev = jd.query(&query).unwrap();
+        let ev = set.fused().query(&query, &w).unwrap();
         for id in 0..6u32 {
             let exact = ev.ip(id);
             let fused = ev.ip_pruned(id, threshold);
@@ -154,10 +152,9 @@ proptest! {
     ) {
         let mut q1 = q1;
         prop_assume!(kernels::normalize(&mut q1));
-        let jd = JointDistance::new(&set, w.clone()).unwrap();
         // Auxiliary-only query: modality 0 unsupplied.
         let query = MultiQuery::partial(vec![None, Some(q1.clone())]);
-        let ev = jd.query(&query).unwrap();
+        let ev = set.fused().query(&query, &w).unwrap();
         prop_assert!((ev.w_total() - w.sq(1)).abs() < 1e-5);
         for id in 0..5u32 {
             let reference = w.sq(1) * set.modality(1).ip_to(id, &q1);

@@ -7,7 +7,7 @@
 
 use must_vector::kernels;
 use must_vector::{
-    JointDistance, MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedRows,
+    MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedRows,
     VectorSetBuilder, Weights,
 };
 use proptest::prelude::*;
@@ -141,9 +141,8 @@ proptest! {
         a in 0u32..5,
         b in 0u32..5,
     ) {
-        let jd = JointDistance::new(&set, w.clone()).unwrap();
         let want: f32 = set.modality_ips(a, b).zip(w.squared()).map(|(s, q)| s * q).sum();
-        prop_assert!((jd.pair_ip(a, b) - want).abs() < 1e-4);
+        prop_assert!((set.fused().weighted_pair_ip(a, b, w.squared()) - want).abs() < 1e-4);
     }
 
     #[test]
@@ -158,9 +157,8 @@ proptest! {
         let mut q1 = q1;
         prop_assume!(kernels::normalize(&mut q0));
         prop_assume!(kernels::normalize(&mut q1));
-        let jd = JointDistance::new(&set, w).unwrap();
         let query = MultiQuery::full(vec![q0, q1]);
-        let ev = jd.query(&query).unwrap();
+        let ev = set.fused().query(&query, &w).unwrap();
         for id in 0..6u32 {
             let exact = ev.ip(id);
             match ev.ip_pruned(id, threshold) {
@@ -239,12 +237,11 @@ proptest! {
         // weights and any per-query override identically.
         let quant = set.fused().quantize();
         for w in [w, w_override] {
-            let jd = JointDistance::new(&set, w.clone()).unwrap();
-            for query in [
+                for query in [
                 MultiQuery::full(vec![q0.clone(), q1.clone()]),
                 MultiQuery::partial(vec![Some(q0.clone()), None]),
             ] {
-                let exact_ev = jd.query(&query).unwrap();
+                let exact_ev = set.fused().query(&query, &w).unwrap();
                 let qev = quant.query(&query, &w).unwrap();
                 for id in 0..6u32 {
                     let exact = exact_ev.ip(id);
@@ -342,10 +339,9 @@ proptest! {
     ) {
         let mut q0 = q0;
         prop_assume!(kernels::normalize(&mut q0));
-        let jd = JointDistance::new(&set, w.clone()).unwrap();
         // A t=1 query must score exactly like scaling modality 0 alone.
         let partial = MultiQuery::partial(vec![Some(q0.clone()), None]);
-        let ev = jd.query(&partial).unwrap();
+        let ev = set.fused().query(&partial, &w).unwrap();
         for id in 0..5u32 {
             let want = w.sq(0) * set.modality(0).ip_to(id, &q0);
             prop_assert!((ev.ip(id) - want).abs() < 1e-4);

@@ -11,7 +11,6 @@ use must::encoders::{
 };
 use must::graph::search::SearchScratch;
 use must::prelude::*;
-use must::vector::JointDistance;
 
 fn mit_small() -> must::data::LatentDataset {
     must::data::catalog::mit_states(0.2, 42)
@@ -92,12 +91,12 @@ fn tiny_corpus_build_search_roundtrip() {
 /// Mean recall@k of the three frameworks (exact search each, the Tabs.
 /// III–VI protocol) over the evaluation slice: `(MUST, MR, JE)`.
 fn framework_recalls(p: &Pipeline, k: usize) -> (f64, f64, f64) {
-    let joint = JointDistance::new(&p.embedded.objects, p.weights.clone()).unwrap();
+    let rows = p.embedded.objects.fused();
     let objects = &p.embedded.objects;
     let eval = &p.embedded.queries[120..520.min(p.embedded.queries.len())];
     let (mut r_must, mut r_mr, mut r_je) = (0.0, 0.0, 0.0);
     for q in eval {
-        let ids: Vec<u32> = brute_force_search(&joint, &q.query, k, true)
+        let ids: Vec<u32> = brute_force_search(rows, &q.query, &p.weights, k, true)
             .unwrap()
             .results
             .iter()
@@ -200,11 +199,11 @@ fn baselines_run_on_real_embeddings() {
 #[test]
 fn multimodal_queries_beat_single_modality() {
     let p = pipeline();
-    let joint = JointDistance::new(&p.embedded.objects, p.weights.clone()).unwrap();
+    let rows = p.embedded.objects.fused();
     let eval = &p.embedded.queries[120..420.min(p.embedded.queries.len())];
     let (mut r_full, mut r_target_only) = (0.0, 0.0);
     for q in eval {
-        let full: Vec<u32> = brute_force_search(&joint, &q.query, 10, true)
+        let full: Vec<u32> = brute_force_search(rows, &q.query, &p.weights, 10, true)
             .unwrap()
             .results
             .iter()
@@ -215,7 +214,7 @@ fn multimodal_queries_beat_single_modality() {
             q.query.slot(0).map(<[f32]>::to_vec),
             None,
         ]);
-        let t_ids: Vec<u32> = brute_force_search(&joint, &target_only, 10, true)
+        let t_ids: Vec<u32> = brute_force_search(rows, &target_only, &p.weights, 10, true)
             .unwrap()
             .results
             .iter()
@@ -234,12 +233,12 @@ fn multimodal_queries_beat_single_modality() {
 #[test]
 fn learned_weights_generalize_to_unseen_queries() {
     let p = pipeline();
-    let joint = JointDistance::new(&p.embedded.objects, p.weights.clone()).unwrap();
+    let rows = p.embedded.objects.fused();
     // Evaluate only on queries far outside the training slice.
     let eval = &p.embedded.queries[p.embedded.queries.len() - 200..];
     let mut recall = 0.0;
     for q in eval {
-        let ids: Vec<u32> = brute_force_search(&joint, &q.query, 10, true)
+        let ids: Vec<u32> = brute_force_search(rows, &q.query, &p.weights, 10, true)
             .unwrap()
             .results
             .iter()

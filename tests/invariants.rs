@@ -6,7 +6,6 @@ use must::data::embed::embed_dataset;
 use must::encoders::{EncoderConfig, EncoderRegistry, LatentSpace, TargetEncoding, UnimodalKind};
 use must::graph::quality::audit;
 use must::prelude::*;
-use must::vector::JointDistance;
 use proptest::prelude::*;
 
 fn small_embedded() -> must::data::embed::EmbeddedDataset {
@@ -32,10 +31,10 @@ proptest! {
     ) {
         let embedded = small_embedded();
         let weights = Weights::new(vec![w0, w1]).unwrap();
-        let joint = JointDistance::new(&embedded.objects, weights).unwrap();
+        let rows = embedded.objects.fused();
         let q = &embedded.queries[qi].query;
-        let a = brute_force_search(&joint, q, 10, true).unwrap();
-        let b = brute_force_search(&joint, q, 10, false).unwrap();
+        let a = brute_force_search(rows, q, &weights, 10, true).unwrap();
+        let b = brute_force_search(rows, q, &weights, 10, false).unwrap();
         let ids = |o: &must::core::search::SearchOutcome| {
             o.results.iter().map(|r| r.0).collect::<Vec<_>>()
         };
@@ -81,8 +80,7 @@ proptest! {
             prop_assert!(w[0].0 != w[1].0);
         }
         // Reported similarity equals the Lemma-1 weighted sum.
-        let joint = JointDistance::new(must.objects(), weights).unwrap();
-        let ev = joint.query(q).unwrap();
+        let ev = must.objects().fused().query(q, &weights).unwrap();
         for (id, sim) in &hits {
             prop_assert!((ev.ip(*id) - sim).abs() < 1e-4);
         }
