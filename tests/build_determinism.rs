@@ -82,3 +82,89 @@ fn sharded_bundles_are_byte_identical_across_thread_budgets() {
         }
     }
 }
+
+/// FNV-1a (64-bit) over a byte stream — the bundle-hash function of the
+/// persist golden pins.
+fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a over a word stream, each word as 8 little-endian bytes.
+fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    fnv1a_bytes(words.into_iter().flat_map(u64::to_le_bytes))
+}
+
+/// The rows of object `id`, as `insert_object` takes them.
+fn object_rows(set: &MultiVectorSet, id: u32) -> Vec<Vec<f32>> {
+    set.object(id).map(<[f32]>::to_vec).collect()
+}
+
+#[test]
+fn joint_oracle_hnsw_build_and_inserts_match_the_golden_bytes() {
+    // A JointOracle (two modalities, unequal weights) under the HNSW
+    // backend at gamma = 16 (M = 8, efConstruction = 64): the v7 bundle
+    // after the wave build, and again after 300 `insert_object` calls.
+    // Every pair similarity of construction, insertion, back-edge
+    // re-pruning and the occlusion test goes through the oracle, so a
+    // kernel that moved one bit of one score moves these hashes.
+    let n0 = 1_900;
+    let grow = corpus(300, 24, 16, 0x1D5E);
+    for threads in [1usize, 2] {
+        let mut must = Must::build(
+            corpus(n0, 24, 16, 0xB0D1),
+            Weights::new(vec![0.8, 0.45]).unwrap(),
+            MustBuildOptions { gamma: 16, recipe: GraphRecipe::Hnsw, threads, ..Default::default() },
+        )
+        .unwrap();
+        let save = |must: &Must, tag: &str| {
+            let path = tmp(tag);
+            persist::save_quantized(must, &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            fnv1a_bytes(bytes)
+        };
+        let built = save(&must, &format!("joint-hnsw-t{threads}"));
+        for id in 0..grow.len() as u32 {
+            must.insert_object(&object_rows(&grow, id)).unwrap();
+        }
+        let grown = save(&must, &format!("joint-hnsw-grown-t{threads}"));
+        assert_eq!(
+            (built, grown),
+            (0x4357_A07D_CC87_671B, 0xF8C4_2BCF_AD31_A7EC),
+            "T={threads}: {built:#018X} {grown:#018X}"
+        );
+    }
+}
+
+#[test]
+fn joint_oracle_fused_build_matches_the_golden_lists_and_graph() {
+    // Algorithm 1 on a JointOracle: component 1's NNDescent lists with
+    // every similarity bit, then the Fused recipe's CSR and seed.
+    use must::core::oracle::JointOracle;
+    use must::graph::nndescent::build_init_graph;
+    let set = corpus(1_200, 24, 16, 0xF05E);
+    let weights = Weights::new(vec![0.7, 0.55]).unwrap();
+    for threads in [1usize, 2] {
+        let oracle = JointOracle::new(&set, &weights).unwrap();
+        let lists = build_init_graph(&oracle, 16, 3, 0x5EED, threads);
+        let init = fnv1a_words(lists.iter().flat_map(|l| {
+            std::iter::once(l.len() as u64)
+                .chain(l.iter().flat_map(|nb| [u64::from(nb.id), u64::from(nb.sim.to_bits())]))
+        }));
+        let must = Must::build(
+            set.clone(),
+            weights.clone(),
+            MustBuildOptions { gamma: 16, recipe: GraphRecipe::Fused, threads, ..Default::default() },
+        )
+        .unwrap();
+        let csr = must.index().graph().expect("the Fused recipe serves a CSR graph");
+        let graph = fnv1a_words(
+            csr.offsets().iter().chain(csr.edges()).chain([&csr.seed()]).map(|&x| u64::from(x)),
+        );
+        assert_eq!(
+            (init, graph),
+            (0x6F1A_1815_67DC_D223, 0x80CA_D5AD_785F_93FD),
+            "T={threads}: {init:#018X} {graph:#018X}"
+        );
+    }
+}
