@@ -24,6 +24,55 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Four pairs per pass: `kernels::ip4` against four `kernels::ip` calls on
+/// the same in-cache vectors, at the repo benchmark's segment widths (64,
+/// 32) and their fused sum (96).  Reports ns per pair for both and their
+/// ratio — the kernel half of what graph construction gains by scoring
+/// its candidate batches four at a time.
+fn bench_ip4(c: &mut Criterion) {
+    use std::time::Instant;
+
+    let mut group = c.benchmark_group("ip4");
+    let mut report: Vec<(usize, f64, f64)> = Vec::new();
+    for dim in [32usize, 64, 96] {
+        let (a, _) = vectors(dim);
+        let bs: Vec<Vec<f32>> = (0..4)
+            .map(|j| (0..dim).map(|i| ((i * 53 + j * 29 + 7) as f32).cos()).collect())
+            .collect();
+        let quad = || [bs[0].as_slice(), &bs[1], &bs[2], &bs[3]];
+        group.bench_with_input(BenchmarkId::new("ip4", dim), &dim, |bch, _| {
+            bch.iter(|| kernels::ip4(black_box(&a), black_box(quad())))
+        });
+        group.bench_with_input(BenchmarkId::new("ip_x4", dim), &dim, |bch, _| {
+            bch.iter(|| quad().map(|b| kernels::ip(black_box(&a), black_box(b))))
+        });
+
+        // Direct interleaved timing so the bench output carries the numbers.
+        let iters = 400_000u32;
+        let mut acc = 0.0f32;
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            acc += kernels::ip4(black_box(&a), black_box(quad())).iter().sum::<f32>();
+        }
+        let ip4_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters * 4);
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            acc += quad().map(|b| kernels::ip(black_box(&a), black_box(b))).iter().sum::<f32>();
+        }
+        let ip_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters * 4);
+        black_box(acc);
+        report.push((dim, ip4_ns, ip_ns));
+    }
+    group.finish();
+    for (dim, ip4_ns, ip_ns) in &report {
+        eprintln!(
+            "[kernels] four pairs per pass d={dim}: ip4 {ip4_ns:.1} ns/pair, ip {ip_ns:.1} ns/pair, \
+             ip4 / ip = {:.2}x",
+            ip4_ns / ip_ns
+        );
+    }
+}
+
 /// Fused-row vs per-modality joint similarity: `m` modality segments of
 /// dimension `d` each, weights baked into the fused *query* row (stored
 /// rows stay raw), against the old layout's loop of `m` separate `ip`
@@ -260,6 +309,6 @@ fn bench_joint(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_kernels, bench_ip_prescaled_segments, bench_sq8_scan, bench_joint
+    targets = bench_kernels, bench_ip4, bench_ip_prescaled_segments, bench_sq8_scan, bench_joint
 }
 criterion_main!(benches);

@@ -37,6 +37,9 @@ impl SimilarityOracle for SingleModalityOracle<'_> {
     fn sim(&self, a: u32, b: u32) -> f32 {
         self.set.ip(a, b)
     }
+    fn sims(&self, a: u32, ids: &[u32], out: &mut [f32]) {
+        self.set.ips(a, ids, out);
+    }
     fn sim_to_centroid(&self, a: u32) -> f32 {
         self.set.ip_to(a, &self.centroid)
     }
@@ -270,6 +273,23 @@ mod tests {
             m1.push_normalized(&v1).unwrap();
         }
         MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    }
+
+    #[test]
+    fn batched_single_modality_sims_are_the_per_pair_ones() {
+        // Every id-list length 0..=9: every remainder past a chunk of four.
+        let set = corpus(30);
+        for k in 0..set.num_modalities() {
+            let oracle = SingleModalityOracle::new(set.modality(k));
+            for len in 0..=9u32 {
+                let ids: Vec<u32> = (0..len).map(|i| (i * 7 + 3) % 30).collect();
+                let mut out = vec![f32::NAN; ids.len()];
+                oracle.sims(5, &ids, &mut out);
+                for (&b, got) in ids.iter().zip(&out) {
+                    assert_eq!(got.to_bits(), oracle.sim(5, b).to_bits(), "modality {k}, len {len}");
+                }
+            }
+        }
     }
 
     #[test]

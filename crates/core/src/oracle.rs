@@ -5,7 +5,8 @@
 //! Both sides run on the shared **unscaled** fused-row storage engine
 //! ([`must_vector::FusedRows`]): the corpus is never copied or rescaled.
 //! Pairwise similarities apply the squared weights per segment of the two
-//! raw rows ([`FusedRows::weighted_pair_ip`]); a query scorer is built one
+//! raw rows ([`FusedRows::weighted_pair_ip`], or
+//! [`FusedRows::weighted_pair_ips`] for a batch); a query scorer is built one
 //! way, [`MustQueryScorer::from_rows`], which fuses the query into one
 //! `omega^2`-scaled padded row up front ([`FusedRows::query`]), so changing
 //! weights is a per-query decision — the seam the serving layer's
@@ -98,6 +99,10 @@ impl SimilarityOracle for JointOracle<'_> {
 
     fn sim(&self, a: u32, b: u32) -> f32 {
         self.set.fused().weighted_pair_ip(a, b, self.weights.squared())
+    }
+
+    fn sims(&self, a: u32, ids: &[u32], out: &mut [f32]) {
+        self.set.fused().weighted_pair_ips(a, ids, self.weights.squared(), out);
     }
 
     fn self_sim(&self, _a: u32) -> f32 {
@@ -353,6 +358,27 @@ mod tests {
             m1.push_normalized(&v1).unwrap();
         }
         MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    }
+
+    #[test]
+    fn batched_sims_are_the_per_pair_ones_bit_for_bit() {
+        // Id lists of every length 0..=9 (every remainder past a chunk of
+        // four), under weights with one modality at zero and with none.
+        let set = random_corpus(40);
+        for w in [vec![0.0, 0.7], vec![0.9, 0.0], vec![0.8, 0.45]] {
+            let w = Weights::new(w).unwrap();
+            let oracle = JointOracle::new(&set, &w).unwrap();
+            for len in 0..=9u32 {
+                let ids: Vec<u32> = (0..len).map(|i| (i * 13 + 2) % 40).collect();
+                let mut out = vec![f32::NAN; ids.len()];
+                oracle.sims(7, &ids, &mut out);
+                for (&b, got) in ids.iter().zip(&out) {
+                    assert_eq!(got.to_bits(), oracle.sim(7, b).to_bits(), "{w:?}, len {len}: 7-{b}");
+                    // The occlusion tests read sim(v, u) for sim(u, v).
+                    assert_eq!(got.to_bits(), oracle.sim(b, 7).to_bits(), "{w:?}: symmetry 7-{b}");
+                }
+            }
+        }
     }
 
     #[test]

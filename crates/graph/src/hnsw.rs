@@ -9,7 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::par;
 use crate::search::{expand, SearchParams, SearchResult, SearchScratch, SearchStats};
-use crate::{AnnIndex, FnScorer, QueryScorer, SimilarityOracle};
+use crate::select::unoccluded;
+use crate::{AnnIndex, QueryScorer, SimilarityOracle};
 
 /// Maximum wave length for the wave-scheduled build: bounds transient
 /// candidate memory and keeps the frozen prefix a large fraction of the
@@ -172,11 +173,11 @@ impl Hnsw {
         let worker = |w: usize, item: usize| {
             let index = index.read().expect("index lock");
             let groups = groups.read().expect("group lock");
+            let mut scratch = scratches[w].lock().expect("scratch lock");
             if let Some(g) = groups.get(item) {
-                *g.pruned.lock().expect("pruned slot") = index.reprune(oracle, g);
+                *g.pruned.lock().expect("pruned slot") = index.reprune(oracle, g, &mut scratch);
             } else {
                 let node = (wave_start.load(Ordering::Relaxed) + item) as u32;
-                let mut scratch = scratches[w].lock().expect("scratch lock");
                 *cand_slots[item].lock().expect("candidate slot") =
                     index.candidates(oracle, node, &mut scratch);
             }
@@ -452,17 +453,19 @@ impl Hnsw {
         pending
     }
 
-    /// Phase C for one group: scores `current ∪ additions` (in that order —
-    /// the transient over-cap entries live in this chain, never in the
-    /// slab), sorts best first with ties by id, and re-runs the selection.
-    fn reprune<O: SimilarityOracle>(&self, oracle: &O, g: &BackGroup) -> Vec<u32> {
+    /// Phase C for one group: scores `current ∪ additions` as one batch
+    /// (in that order — the transient over-cap entries live in `scratch`,
+    /// never in the slab), sorts best first with ties by id, and re-runs
+    /// the selection.
+    fn reprune<O: SimilarityOracle>(&self, oracle: &O, g: &BackGroup, scratch: &mut SearchScratch) -> Vec<u32> {
         let layer = g.layer as usize;
-        let mut scored: Vec<(u32, f32)> = self
-            .neighbors(g.nb, layer)
-            .iter()
-            .chain(&g.adds)
-            .map(|&x| (x, oracle.sim(g.nb, x)))
-            .collect();
+        let SearchScratch { fresh: ids, scores, .. } = scratch;
+        ids.clear();
+        ids.extend_from_slice(self.neighbors(g.nb, layer));
+        ids.extend_from_slice(&g.adds);
+        scores.resize(ids.len(), 0.0);
+        oracle.sims(g.nb, ids, scores);
+        let mut scored: Vec<(u32, f32)> = ids.iter().copied().zip(scores.iter().copied()).collect();
         scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         heuristic_select(oracle, g.nb, &scored, self.cap(layer))
     }
@@ -471,7 +474,7 @@ impl Hnsw {
     fn insert<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, scratch: &mut SearchScratch) {
         let selected = self.candidates(oracle, node, scratch);
         for g in self.commit(node, std::iter::once(selected)) {
-            let pruned = self.reprune(oracle, &g);
+            let pruned = self.reprune(oracle, &g, scratch);
             self.set_neighbors(g.nb, g.layer as usize, &pruned);
         }
     }
@@ -537,8 +540,10 @@ impl Hnsw {
         scratch: &mut SearchScratch,
     ) -> Vec<Vec<u32>> {
         // `sim(node, ·)` through the query seam: construction runs the
-        // same hop loop searches do.
-        let scorer = FnScorer(|id| oracle.sim(node, id));
+        // hop loop searches run, but its scorer never prunes, so each
+        // hop's unseen neighbours are scored as one batch instead of
+        // warmed and scored one at a time.
+        let scorer = NodeScorer { oracle, node };
         let mut stats = SearchStats::default();
         let level = self.level(node);
         let mut ep = self.descend(&scorer, (level + 1..=self.max_level).rev(), &mut stats);
@@ -571,6 +576,25 @@ impl Hnsw {
     }
 }
 
+/// Construction's query: `sim(node, ·)`.  It never prunes, so a hop's
+/// fresh neighbours are scored as one batch ([`QueryScorer::score_batch`]).
+struct NodeScorer<'o, O> {
+    oracle: &'o O,
+    node: u32,
+}
+
+impl<O: SimilarityOracle> QueryScorer for NodeScorer<'_, O> {
+    fn score(&self, id: u32) -> f32 {
+        self.oracle.sim(self.node, id)
+    }
+
+    fn score_batch(&self, ids: &[u32], out: &mut Vec<f32>) -> bool {
+        out.resize(ids.len(), 0.0);
+        self.oracle.sims(self.node, ids, out);
+        true
+    }
+}
+
 /// HNSW's neighbour-selection heuristic — the same occlusion rule as MRNG,
 /// expressed on scored candidates.
 fn heuristic_select<O: SimilarityOracle>(
@@ -579,7 +603,7 @@ fn heuristic_select<O: SimilarityOracle>(
     candidates: &[(u32, f32)],
     cap: usize,
 ) -> Vec<u32> {
-    let mut kept: Vec<(u32, f32)> = Vec::with_capacity(cap);
+    let mut kept: Vec<u32> = Vec::with_capacity(cap);
     for &(id, sim) in candidates {
         if id == owner {
             continue;
@@ -587,24 +611,24 @@ fn heuristic_select<O: SimilarityOracle>(
         if kept.len() >= cap {
             break;
         }
-        if kept.iter().all(|&(k, _)| sim > oracle.sim(k, id)) {
-            kept.push((id, sim));
+        if unoccluded(oracle, id, sim, &kept) {
+            kept.push(id);
         }
     }
     // Fill up with closest skipped candidates if the heuristic was too
     // aggressive (standard keepPrunedConnections behaviour).
     if kept.len() < cap {
-        for &(id, sim) in candidates {
-            if id == owner || kept.iter().any(|&(k, _)| k == id) {
+        for &(id, _) in candidates {
+            if id == owner || kept.contains(&id) {
                 continue;
             }
-            kept.push((id, sim));
+            kept.push(id);
             if kept.len() >= cap {
                 break;
             }
         }
     }
-    kept.into_iter().map(|(id, _)| id).collect()
+    kept
 }
 
 impl AnnIndex for Hnsw {

@@ -41,7 +41,8 @@ pub use pool::Pool;
 pub use search::{SearchParams, SearchResult, SearchScratch, SearchStats};
 
 /// A similarity oracle over `len()` objects: everything graph construction
-/// needs.  Similarities are symmetric and *higher means closer*.
+/// needs.  Similarities are *higher means closer* and symmetric bit for
+/// bit: the occlusion tests score `sim(v, u)` for `sim(u, v)`.
 pub trait SimilarityOracle: Sync {
     /// Number of objects.
     fn len(&self) -> usize;
@@ -53,6 +54,20 @@ pub trait SimilarityOracle: Sync {
 
     /// Similarity between objects `a` and `b`.
     fn sim(&self, a: u32, b: u32) -> f32;
+
+    /// `sim(a, b)` for every `b` in `ids`, in order, into `out` — how
+    /// construction scores a batch of candidates with no threshold
+    /// between them.  Must equal the per-pair values bit for bit; an
+    /// oracle with a multi-pair kernel overrides it.
+    ///
+    /// # Panics
+    /// Panics when `out` and `ids` differ in length.
+    fn sims(&self, a: u32, ids: &[u32], out: &mut [f32]) {
+        assert_eq!(ids.len(), out.len(), "one output slot per id");
+        for (&b, s) in ids.iter().zip(out) {
+            *s = self.sim(a, b);
+        }
+    }
 
     /// Self-similarity `sim(a, a)` — the squared norm of the virtual point.
     ///
@@ -97,6 +112,20 @@ pub trait QueryScorer {
     /// change any later `score` / `score_pruned` result.  Default: no-op.
     #[inline]
     fn warm(&self, _id: u32) {}
+
+    /// Exact scores of a hop's freshly seen neighbours `ids`, in order,
+    /// into `out` (resized to fit); returns whether it wrote them.  For a scorer with a
+    /// multi-pair kernel and nothing to prune — HNSW construction's
+    /// `sim(node, ·)` — one batch beats `ids.len()` single calls, and the
+    /// hop loop then files each score against the evolving pool
+    /// threshold exactly as the default [`QueryScorer::score_pruned`]
+    /// would, so only a scorer that keeps that default may return `true`.
+    /// Default: `false`, and the hop loop warms and scores one id at a
+    /// time, which is what a pruning scorer needs.
+    #[inline]
+    fn score_batch(&self, _ids: &[u32], _out: &mut Vec<f32>) -> bool {
+        false
+    }
 }
 
 /// Blanket scorer for ad-hoc closures (used heavily in tests).

@@ -43,6 +43,51 @@ pub fn insert_bounded(list: &mut NeighborList, cand: Neighbor, cap: usize) -> bo
     true
 }
 
+/// Per-worker scratch for scoring a vertex's candidates as one batch:
+/// visited stamps (membership in O(1)), the ids gathered since the last
+/// [`Gather::drain_scored`] in first-seen order, and their similarities.
+/// Marking never depends on a score, so gathering first and scoring the
+/// batch offers every candidate in the order a mark-and-score loop did,
+/// with the same similarity bits ([`SimilarityOracle::sims`]).
+#[derive(Debug, Default)]
+pub(crate) struct Gather {
+    visited: VisitedSet,
+    ids: Vec<u32>,
+    sims: Vec<f32>,
+}
+
+impl Gather {
+    /// Forgets every mark and gathered id, for a walk over `n` vertices.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.visited.reset(n);
+        self.ids.clear();
+    }
+
+    /// Marks `id` seen without gathering it.
+    pub(crate) fn mark(&mut self, id: u32) {
+        self.visited.mark(id);
+    }
+
+    /// Gathers `id` the first time it is offered.
+    pub(crate) fn offer(&mut self, id: u32) {
+        if self.visited.mark(id) {
+            self.ids.push(id);
+        }
+    }
+
+    /// Scores the gathered ids against `a` in one batch and hands them
+    /// out, scored, in gather order.
+    pub(crate) fn drain_scored<O: SimilarityOracle>(
+        &mut self,
+        oracle: &O,
+        a: u32,
+    ) -> impl Iterator<Item = Neighbor> + '_ {
+        self.sims.resize(self.ids.len(), 0.0);
+        oracle.sims(a, &self.ids, &mut self.sims);
+        self.ids.drain(..).zip(&self.sims).map(|(id, &sim)| Neighbor { id, sim })
+    }
+}
+
 /// Random initial neighbour lists (Line 3 of Algorithm 1): `gamma` distinct
 /// random neighbours per vertex, scored.
 pub fn random_init<O: SimilarityOracle>(
@@ -94,32 +139,30 @@ pub fn nndescent_iteration<O: SimilarityOracle>(
         rev
     };
 
-    // One stamped set per worker, re-stamped per vertex: membership is O(1)
-    // and the candidates are offered in the order a sorted list saw them.
-    let updated = par_map_with(n, threads, VisitedSet::default, |visited, o| {
+    // One gather per worker, re-stamped per vertex: membership is O(1),
+    // the candidates are offered in the order a sorted list saw them, and
+    // all of a vertex's new candidates are scored as one batch.
+    let updated = par_map_with(n, threads, Gather::default, |gather, o| {
         let me = o as u32;
-        let mut list = lists[o].clone();
-        visited.reset(n);
-        visited.mark(me);
-        for nb in &list {
-            visited.mark(nb.id);
+        gather.reset(n);
+        gather.mark(me);
+        for nb in &lists[o] {
+            gather.mark(nb.id);
         }
-        let mut changed = false;
-        let mut try_add = |id: u32| {
-            if visited.mark(id) {
-                let sim = oracle.sim(me, id);
-                changed |= insert_bounded(&mut list, Neighbor { id, sim }, gamma);
-            }
-        };
         // Reverse neighbours join the pool directly.
         for &r in &reverse[o] {
-            try_add(r);
+            gather.offer(r);
         }
         // Two-hop: neighbours of (forward + reverse) neighbours.
         for v in lists[o].iter().map(|nb| nb.id).chain(reverse[o].iter().copied()) {
             for nb in &lists[v as usize] {
-                try_add(nb.id);
+                gather.offer(nb.id);
             }
+        }
+        let mut list = lists[o].clone();
+        let mut changed = false;
+        for cand in gather.drain_scored(oracle, me) {
+            changed |= insert_bounded(&mut list, cand, gamma);
         }
         (list, changed)
     });

@@ -11,9 +11,8 @@
 use std::time::Instant;
 
 use crate::connect::{ensure_connectivity, ConnectivityStats};
-use crate::nndescent::{build_init_graph, insert_bounded, random_init, Neighbor, NeighborList};
+use crate::nndescent::{build_init_graph, insert_bounded, random_init, Gather, Neighbor, NeighborList};
 use crate::par::{build_threads, par_map, par_map_with};
-use crate::search::VisitedSet;
 use crate::seed::{choose_seed, SeedStrategy};
 use crate::select::{select_neighbors, SelectionStrategy};
 use crate::{Graph, SimilarityOracle};
@@ -149,24 +148,24 @@ impl PipelineBuilder {
         // Component 2: candidate acquisition.
         let candidate_lists: Vec<Vec<Neighbor>> = match self.candidates {
             CandidateStrategy::InitOnly => lists.to_vec(),
-            CandidateStrategy::Expand => par_map_with(n, threads, VisitedSet::default, |visited, o| {
+            CandidateStrategy::Expand => par_map_with(n, threads, Gather::default, |gather, o| {
                 let me = o as u32;
                 // Candidate cap: keep the pool bounded like the paper's
                 // implementation (expansion would otherwise be gamma^2).
                 let cap = (self.gamma * 4).max(8);
-                let mut pool: NeighborList = lists[o].clone();
-                visited.reset(n);
-                visited.mark(me);
+                gather.reset(n);
+                gather.mark(me);
                 for nb in &lists[o] {
-                    visited.mark(nb.id);
+                    gather.mark(nb.id);
                 }
                 for nb in &lists[o] {
                     for hop in &lists[nb.id as usize] {
-                        if visited.mark(hop.id) {
-                            let sim = oracle.sim(me, hop.id);
-                            insert_bounded(&mut pool, Neighbor { id: hop.id, sim }, cap);
-                        }
+                        gather.offer(hop.id);
                     }
+                }
+                let mut pool: NeighborList = lists[o].clone();
+                for cand in gather.drain_scored(oracle, me) {
+                    insert_bounded(&mut pool, cand, cap);
                 }
                 pool
             }),
@@ -176,8 +175,8 @@ impl PipelineBuilder {
                     lists.iter().map(|l| l.iter().map(|n| n.id).collect()).collect();
                 let seed = choose_seed(oracle, SeedStrategy::Medoid, threads);
                 let tmp = Graph::new(neighbors, seed);
-                par_map_with(n, threads, VisitedSet::default, |visited, o| {
-                    search_candidates(&tmp, oracle, o as u32, l, visited)
+                par_map_with(n, threads, Gather::default, |gather, o| {
+                    search_candidates(&tmp, oracle, o as u32, l, gather)
                 })
             }
         };
@@ -218,19 +217,20 @@ fn candidate_sim(cands: &[Neighbor], id: u32) -> f32 {
 }
 
 /// Greedy-search `graph` for the vertex most similar to `o`, recording every
-/// scored vertex — NSG's candidate acquisition.
+/// scored vertex — NSG's candidate acquisition.  Each hop's unseen
+/// neighbours are scored as one batch.
 fn search_candidates<O: SimilarityOracle>(
     graph: &Graph,
     oracle: &O,
     o: u32,
     l: usize,
-    visited: &mut VisitedSet,
+    gather: &mut Gather,
 ) -> Vec<Neighbor> {
     use crate::pool::Pool;
     let mut pool = Pool::new(l);
     let mut scored: Vec<Neighbor> = Vec::with_capacity(l * 4);
-    visited.reset(graph.len());
-    visited.mark(graph.seed());
+    gather.reset(graph.len());
+    gather.mark(graph.seed());
     let s = oracle.sim(o, graph.seed());
     pool.insert(graph.seed(), s);
     if graph.seed() != o {
@@ -239,14 +239,13 @@ fn search_candidates<O: SimilarityOracle>(
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         for &u in graph.neighbors(v) {
-            if !visited.mark(u) {
-                continue;
+            gather.offer(u);
+        }
+        for nb in gather.drain_scored(oracle, o) {
+            if nb.id != o {
+                scored.push(nb);
             }
-            let sim = oracle.sim(o, u);
-            if u != o {
-                scored.push(Neighbor { id: u, sim });
-            }
-            pool.insert(u, sim);
+            pool.insert(nb.id, nb.sim);
         }
     }
     scored.sort_unstable_by(|a, b| b.sim.total_cmp(&a.sim));

@@ -126,8 +126,12 @@ pub struct SearchScratch {
     /// The fixed-size result pool `R` of Algorithm 2, re-sized per query.
     pub pool: Pool,
     /// The current hop's not-yet-seen neighbours, gathered before any is
-    /// scored (see [`expand`]).
-    fresh: Vec<u32>,
+    /// scored (see [`expand`]); HNSW construction also gathers a
+    /// re-pruned list's ids here.
+    pub(crate) fresh: Vec<u32>,
+    /// Their scores, when the scorer batches them (see
+    /// [`QueryScorer::score_batch`]), or the re-pruned list's.
+    pub(crate) scores: Vec<f32>,
 }
 
 impl SearchScratch {
@@ -220,19 +224,29 @@ fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
 /// score them in the same order against the evolving pool threshold —
 /// marking never depended on scoring, so the `(id, threshold)` sequence
 /// is that of a mark-and-score loop, with every candidate's row fetch in
-/// flight before the first kernel runs.
+/// flight before the first kernel runs.  A scorer that batches
+/// ([`QueryScorer::score_batch`]) scores the whole gather in one call
+/// instead, and each score is filed in the same order against the same
+/// evolving threshold.
 pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
     neighbors: impl Fn(u32) -> &'g [u32],
     scorer: &S,
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) {
-    let SearchScratch { visited, pool, fresh } = scratch;
+    let SearchScratch { visited, pool, fresh, scores } = scratch;
     while let Some(idx) = pool.best_unvisited() {
         let v = pool.visit(idx);
         stats.hops += 1;
         fresh.clear();
         fresh.extend(neighbors(v).iter().copied().filter(|&u| visited.mark(u)));
+        if scorer.score_batch(fresh, scores) {
+            for (&u, &s) in fresh.iter().zip(scores.iter()) {
+                stats.evaluated += 1;
+                file(u, (s > pool.threshold()).then_some(s), pool, stats);
+            }
+            continue;
+        }
         for &u in fresh.iter() {
             scorer.warm(u);
         }
@@ -247,7 +261,13 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
 #[inline]
 fn offer<S: QueryScorer + ?Sized>(id: u32, scorer: &S, pool: &mut Pool, stats: &mut SearchStats) {
     stats.evaluated += 1;
-    match scorer.score_pruned(id, pool.threshold()) {
+    file(id, scorer.score_pruned(id, pool.threshold()), pool, stats);
+}
+
+/// Files one verdict: a score goes into the pool, `None` counts as pruned.
+#[inline]
+fn file(id: u32, verdict: Option<f32>, pool: &mut Pool, stats: &mut SearchStats) {
+    match verdict {
         Some(s) => {
             pool.insert(id, s);
         }

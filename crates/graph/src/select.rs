@@ -38,6 +38,21 @@ fn distance<O: SimilarityOracle>(oracle: &O, a: u32, b: u32) -> f32 {
     (oracle.self_sim(a) + oracle.self_sim(b) - 2.0 * oracle.sim(a, b)).max(0.0).sqrt()
 }
 
+/// The MRNG / HNSW occlusion test: whether `sim`, the candidate `id`'s
+/// similarity to the owning vertex, beats `sim(u, id)` for every kept `u`.
+/// The kept list is scored four ids per [`SimilarityOracle::sims`] call
+/// (as `sim(id, u)`, the same bits by symmetry) and checked in order, so
+/// the verdict is the one-pair-at-a-time loop's; a chunk that holds an
+/// occluder may score up to three pairs that loop would have skipped.
+pub(crate) fn unoccluded<O: SimilarityOracle>(oracle: &O, id: u32, sim: f32, kept: &[u32]) -> bool {
+    let mut sims = [0.0f32; 4];
+    kept.chunks(4).all(|chunk| {
+        let sims = &mut sims[..chunk.len()];
+        oracle.sims(id, chunk, sims);
+        sims.iter().all(|&s| sim > s)
+    })
+}
+
 /// Applies `strategy` to the candidates of vertex `o`, returning at most
 /// `gamma` neighbour ids.
 ///
@@ -54,18 +69,17 @@ pub fn select_neighbors<O: SimilarityOracle>(
     match strategy {
         SelectionStrategy::TopGamma => candidates.iter().take(gamma).map(|n| n.id).collect(),
         SelectionStrategy::Mrng => {
-            let mut kept: Vec<Neighbor> = Vec::with_capacity(gamma);
+            let mut kept: Vec<u32> = Vec::with_capacity(gamma);
             for &cand in candidates {
                 if kept.len() >= gamma {
                     break;
                 }
                 // Keep v iff it is more similar to o than to every kept u.
-                let ok = kept.iter().all(|u| cand.sim > oracle.sim(u.id, cand.id));
-                if ok {
-                    kept.push(cand);
+                if unoccluded(oracle, cand.id, cand.sim, &kept) {
+                    kept.push(cand.id);
                 }
             }
-            kept.into_iter().map(|n| n.id).collect()
+            kept
         }
         SelectionStrategy::Nssg { min_angle_deg } => {
             let cos_max = min_angle_deg.to_radians().cos();

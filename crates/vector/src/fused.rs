@@ -337,11 +337,61 @@ impl FusedRows {
         sum
     }
 
+    /// [`FusedRows::weighted_pair_ip`] of row `a` against every row in
+    /// `ids`, in order, into `out` — bit for bit the per-pair values.
+    /// Four ids at a time share one [`kernels::ip4`] pass per segment;
+    /// the last `ids.len() % 4` go pair by pair.
+    ///
+    /// # Panics
+    /// Panics when `out` and `ids` differ in length.
+    pub fn weighted_pair_ips(&self, a: ObjectId, ids: &[ObjectId], wsq: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(wsq.len(), self.num_modalities());
+        assert_eq!(ids.len(), out.len(), "one output slot per id");
+        let ra = self.row(a);
+        let (quads, rest) = ids.as_chunks::<4>();
+        let (out_quads, out_rest) = out.as_chunks_mut::<4>();
+        for (quad, sums) in quads.iter().zip(out_quads) {
+            let rows = quad.map(|id| self.row(id));
+            *sums = [0.0; 4];
+            for (k, &w) in wsq.iter().enumerate() {
+                if w > 0.0 {
+                    let seg = self.seg[k]..self.seg[k + 1];
+                    let ips = kernels::ip4(&ra[seg.clone()], rows.map(|r| &r[seg.clone()]));
+                    for (sum, ip) in sums.iter_mut().zip(ips) {
+                        *sum += w * ip;
+                    }
+                }
+            }
+        }
+        for (&b, sum) in rest.iter().zip(out_rest) {
+            *sum = self.weighted_pair_ip(a, b, wsq);
+        }
+    }
+
     /// Inner product of modality `k` between rows `a` and `b`.
     #[inline]
     #[must_use]
     pub fn modality_ip(&self, a: ObjectId, b: ObjectId, k: usize) -> f32 {
         kernels::ip(self.segment(a, k), self.segment(b, k))
+    }
+
+    /// [`FusedRows::modality_ip`] of row `a` against every row in `ids`,
+    /// in order, into `out` — bit for bit the per-pair values, four ids
+    /// per [`kernels::ip4`] pass.
+    ///
+    /// # Panics
+    /// Panics when `out` and `ids` differ in length.
+    pub fn modality_ips(&self, a: ObjectId, ids: &[ObjectId], k: usize, out: &mut [f32]) {
+        assert_eq!(ids.len(), out.len(), "one output slot per id");
+        let sa = self.segment(a, k);
+        let (quads, rest) = ids.as_chunks::<4>();
+        let (out_quads, out_rest) = out.as_chunks_mut::<4>();
+        for (quad, ips) in quads.iter().zip(out_quads) {
+            *ips = kernels::ip4(sa, quad.map(|id| self.segment(id, k)));
+        }
+        for (&b, ip) in rest.iter().zip(out_rest) {
+            *ip = self.modality_ip(a, b, k);
+        }
     }
 
     /// Pulls row `id` (and its norm column) towards the cache ahead of a

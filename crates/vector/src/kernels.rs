@@ -4,7 +4,8 @@
 //! vector computation can consume up to 90 % of total search time
 //! (Section VII-B).  The kernels are written so that LLVM auto-vectorises
 //! them: independent accumulators over exact chunks (four in [`ip`], eight
-//! — the `FUSED_LANE` width — in [`ip_u8`]), with a scalar tail.
+//! — the `FUSED_LANE` width — in [`ip_u8`]), with a scalar tail.  [`ip4`]
+//! runs four of `ip`'s chains side by side for batches of pairs.
 
 /// Inner product of two equal-length slices.
 ///
@@ -32,6 +33,51 @@ pub fn ip(a: &[f32], b: &[f32]) -> f32 {
         sum += x * y;
     }
     sum
+}
+
+/// Four inner products `ip(a, b[j])` in one pass over `a` — for callers
+/// with a batch of pairs and no threshold between them (graph
+/// construction).  Each result is bit-identical to [`ip`]: four
+/// independent chains, each running `ip`'s four accumulators over the
+/// same exact chunks, the same final reduction tree and the same scalar
+/// tail.  What changes is only the schedule: one chain's adds wait on
+/// each other, four chains' do not, and every load of `a` feeds four
+/// multiplies.
+///
+/// # Panics
+/// Panics if any `b[j]` is shorter than `a`.
+#[inline]
+#[must_use]
+pub fn ip4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
+    let n = a.len();
+    let (a_head, a_tail) = a.as_chunks::<4>();
+    let [b0, b1, b2, b3] = b.map(|bj| bj[..n].as_chunks::<4>().0);
+    let mut acc = [[0.0f32; 4]; 4];
+    for ((((ca, c0), c1), c2), c3) in a_head.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+        for lane in 0..4 {
+            acc[0][lane] += ca[lane] * c0[lane];
+            acc[1][lane] += ca[lane] * c1[lane];
+            acc[2][lane] += ca[lane] * c2[lane];
+            acc[3][lane] += ca[lane] * c3[lane];
+        }
+    }
+    let mut sums = sum_chains(&acc);
+    let head = n - a_tail.len();
+    for (sum, bj) in sums.iter_mut().zip(b) {
+        for (x, y) in a_tail.iter().zip(&bj[head..n]) {
+            *sum += x * y;
+        }
+    }
+    sums
+}
+
+/// `ip4`'s final reductions, `(a0+a1)+(a2+a3)` per chain — [`ip`]'s tree.
+/// Out of line for the reason [`sum_lanes`] is: inlined next to the loop,
+/// LLVM transposes the four chains into shuffles to share the tree across
+/// them, and the independent-chain gain is gone.
+#[inline(never)]
+fn sum_chains(acc: &[[f32; 4]; 4]) -> [f32; 4] {
+    acc.map(|c| (c[0] + c[1]) + (c[2] + c[3]))
 }
 
 /// Inner product of an f32 slice with `u8` codes read as `0.0..=255.0`:

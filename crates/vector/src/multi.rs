@@ -218,6 +218,16 @@ impl<'a> ModalityView<'a> {
         self.rows.modality_ip(a, b, self.k)
     }
 
+    /// [`ModalityView::ip`] of row `a` against every row in `ids`, in
+    /// order, into `out` (see [`FusedRows::modality_ips`]).
+    ///
+    /// # Panics
+    /// Panics when `out` and `ids` differ in length.
+    #[inline]
+    pub fn ips(&self, a: ObjectId, ids: &[ObjectId], out: &mut [f32]) {
+        self.rows.modality_ips(a, ids, self.k, out);
+    }
+
     /// Inner product between row `a` and an external query vector.
     #[inline]
     #[must_use]

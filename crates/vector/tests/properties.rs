@@ -108,6 +108,79 @@ fn sq8_scores_match_a_decode_then_ip_reference() {
     }
 }
 
+/// Deterministic values in `[-1, 1)` for the bit-identity pins: a
+/// 64-bit LCG, so a length's vectors do not depend on the other lengths.
+fn lcg_values(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        })
+        .collect()
+}
+
+#[test]
+fn ip4_is_ip_bit_for_bit_on_every_length() {
+    // Lengths 0..=130 run every tail (0-3 lanes past the last chunk of
+    // four) against short and long heads; the four right-hand sides
+    // differ, so a chain that read a neighbour's lanes would show.
+    for len in 0..=130usize {
+        let a = lcg_values(len, len as u64);
+        let bs: Vec<Vec<f32>> = (0..4u64).map(|j| lcg_values(len, 1_000 + 4 * len as u64 + j)).collect();
+        let got = kernels::ip4(&a, [&bs[0], &bs[1], &bs[2], &bs[3]]);
+        for (j, b) in bs.iter().enumerate() {
+            let want = kernels::ip(&a, b);
+            assert_eq!(got[j].to_bits(), want.to_bits(), "len {len}, chain {j}: {} vs {want}", got[j]);
+        }
+    }
+}
+
+#[test]
+fn batched_pair_similarities_are_the_per_pair_ones_bit_for_bit() {
+    // Three modalities (one padded segment of each width class), 40 rows;
+    // id lists of every length 0..=9 cover every remainder past a chunk
+    // of four, repeats and the owner itself included.  Modality 1 carries
+    // weight 0, which the batched path must skip exactly as the per-pair
+    // one does.
+    let dims = [12usize, 5, 16];
+    let n = 40u32;
+    let sets = dims
+        .iter()
+        .enumerate()
+        .map(|(k, &d)| {
+            let mut b = VectorSetBuilder::new(d, n as usize);
+            for i in 0..n {
+                let mut v = lcg_values(d, u64::from(i) * 7 + k as u64);
+                v[0] += 2.5; // keep the norm away from zero
+                b.push_normalized(&v).unwrap();
+            }
+            b.finish()
+        })
+        .collect();
+    let set = MultiVectorSet::new(sets).unwrap();
+    let rows = set.fused();
+    let wsq = [0.64f32, 0.0, 0.3];
+    for len in 0..=9usize {
+        for a in [0u32, 17, 39] {
+            let ids: Vec<u32> = (0..len as u32).map(|i| (a + i * 11) % n).collect();
+            let mut out = vec![f32::NAN; len];
+            rows.weighted_pair_ips(a, &ids, &wsq, &mut out);
+            for (&b, got) in ids.iter().zip(&out) {
+                let want = rows.weighted_pair_ip(a, b, &wsq);
+                assert_eq!(got.to_bits(), want.to_bits(), "weighted, len {len}: {a}-{b}");
+            }
+            for k in 0..dims.len() {
+                rows.modality_ips(a, &ids, k, &mut out);
+                for (&b, got) in ids.iter().zip(&out) {
+                    let want = rows.modality_ip(a, b, k);
+                    assert_eq!(got.to_bits(), want.to_bits(), "modality {k}, len {len}: {a}-{b}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
