@@ -114,11 +114,11 @@ pub trait QueryScorer {
     fn warm(&self, _id: u32) {}
 
     /// Exact scores of a hop's freshly seen neighbours `ids`, in order,
-    /// into `out` (resized to fit); returns whether it wrote them.  For a scorer with a
-    /// multi-pair kernel and nothing to prune — HNSW construction's
-    /// `sim(node, ·)` — one batch beats `ids.len()` single calls, and the
-    /// hop loop then files each score against the evolving pool
-    /// threshold exactly as the default [`QueryScorer::score_pruned`]
+    /// into `out` (resized to fit); returns whether it wrote them.  For a
+    /// scorer with a multi-pair kernel and nothing to prune — HNSW
+    /// construction's `sim(node, ·)` — one batch beats `ids.len()` single
+    /// calls, and the hop loop then files each score against the evolving
+    /// pool threshold exactly as the default [`QueryScorer::score_pruned`]
     /// would, so only a scorer that keeps that default may return `true`.
     /// Default: `false`, and the hop loop warms and scores one id at a
     /// time, which is what a pruning scorer needs.
