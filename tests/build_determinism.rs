@@ -168,3 +168,34 @@ fn joint_oracle_fused_build_matches_the_golden_lists_and_graph() {
         );
     }
 }
+
+#[test]
+fn joint_oracle_nsg_and_vamana_builds_match_the_golden_graphs() {
+    // The search-based candidate recipes on a JointOracle: every vertex's
+    // candidates come from a greedy walk over the current lists, so a walk
+    // that visits, scores or files one candidate differently moves these.
+    let set = corpus(800, 24, 16, 0x5E4C);
+    let weights = Weights::new(vec![0.75, 0.5]).unwrap();
+    for threads in [1usize, 2] {
+        let mut got = Vec::new();
+        for recipe in [GraphRecipe::Nsg, GraphRecipe::Vamana] {
+            let must = Must::build(
+                set.clone(),
+                weights.clone(),
+                MustBuildOptions { gamma: 12, recipe, threads, ..Default::default() },
+            )
+            .unwrap();
+            let csr = must.index().graph().expect("a pipeline recipe serves a CSR graph");
+            got.push(fnv1a_words(
+                csr.offsets().iter().chain(csr.edges()).chain([&csr.seed()]).map(|&x| u64::from(x)),
+            ));
+        }
+        assert_eq!(
+            got,
+            [0x0290_4160_6ED7_00EF, 0xCE4C_409A_2A1A_C876],
+            "T={threads}: NSG {:#018X}, Vamana {:#018X}",
+            got[0],
+            got[1]
+        );
+    }
+}
