@@ -2,7 +2,8 @@
 //! graph recipes on a small corpus.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use must_core::index::{build_index, IndexOptions};
+use must_core::index::build_index;
+use must_core::MustBuildOptions;
 use must_core::oracle::JointOracle;
 use must_data::embed::embed_dataset;
 use must_graph::GraphRecipe;
@@ -20,7 +21,7 @@ fn bench_build(c: &mut Criterion) {
     for recipe in [GraphRecipe::Fused, GraphRecipe::KGraph, GraphRecipe::Nssg, GraphRecipe::Hnsw] {
         group.bench_with_input(BenchmarkId::from_parameter(recipe.label()), &recipe, |b, &r| {
             b.iter(|| {
-                build_index(&oracle, IndexOptions { gamma: 16, recipe: r, ..Default::default() })
+                build_index(&oracle, &MustBuildOptions { gamma: 16, recipe: r, ..Default::default() })
                     .unwrap()
             })
         });

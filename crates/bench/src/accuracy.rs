@@ -9,7 +9,7 @@
 //! Tabs. III–VI is negligible; index effects are measured separately in
 //! Figs. 6–10).
 
-use must_core::baselines::merge_candidates;
+use must_core::baselines::mr_brute_force;
 use must_core::metrics::{recall_at, sme};
 use must_core::search::brute_force_search;
 use must_core::weights::{LearnedWeights, WeightLearnConfig};
@@ -152,15 +152,7 @@ pub fn run_je(prepared: &Prepared, ks: &[usize]) -> AccuracyRun {
 pub fn run_mr(prepared: &Prepared, ks: &[usize], l_candidates: usize) -> AccuracyRun {
     let max_k = ks.iter().copied().max().unwrap_or(1);
     let objects = &prepared.embedded.objects;
-    eval_results(prepared, ks, |q| {
-        let mut per_modality = Vec::new();
-        for mi in 0..objects.num_modalities() {
-            if let Some(slot) = q.query.slot(mi) {
-                per_modality.push(objects.modality(mi).brute_force_top_k(slot, l_candidates));
-            }
-        }
-        merge_candidates(&per_modality, max_k).0
-    })
+    eval_results(prepared, ks, |q| mr_brute_force(objects, &q.query, max_k, l_candidates).0)
 }
 
 /// Runs the MUST framework under `weights` (exact joint search).

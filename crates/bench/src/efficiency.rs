@@ -144,7 +144,11 @@ pub fn mr_sweep(
     let mut visited = SearchScratch::default();
     candidate_sizes
         .iter()
-        .map(|&c| timed_point(setup, c, |q| mr.search(q, setup.k, c, &mut visited).results))
+        .map(|&c| {
+            timed_point(setup, c, |q| {
+                mr.search(q, setup.k, c, &mut visited).expect("valid query").results
+            })
+        })
         .collect()
 }
 

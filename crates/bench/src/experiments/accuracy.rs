@@ -2,7 +2,7 @@
 //! [`crate::accuracy`]): Tabs. III–VI, VIII–X, XIII–XXI, Figs. 5 and 11,
 //! §VIII-F.
 
-use must_core::baselines::{merge_candidates, BaselineOptions, MultiStreamedRetrieval};
+use must_core::baselines::{mr_brute_force, BaselineOptions, MultiStreamedRetrieval};
 use must_core::search::brute_force_search;
 use must_core::weights::WeightLearnConfig;
 use must_core::{Must, MustBuildOptions};
@@ -195,15 +195,7 @@ pub fn fig5_case_study(scale: f64) -> Vec<Artefact> {
         out.results.iter().map(|r| r.0).collect()
     };
     // MR: per-modality candidates + merge.
-    let mr_top5 = |q: &EmbeddedQuery| -> Vec<u32> {
-        let mut per_modality = Vec::new();
-        for mi in 0..objects.num_modalities() {
-            if let Some(slot) = q.query.slot(mi) {
-                per_modality.push(objects.modality(mi).brute_force_top_k(slot, 500));
-            }
-        }
-        merge_candidates(&per_modality, 5).0
-    };
+    let mr_top5 = |q: &EmbeddedQuery| -> Vec<u32> { mr_brute_force(objects, &q.query, 5, 500).0 };
     // JE: composition vector over the target modality.
     let je_top5 = |q: &EmbeddedQuery| -> Vec<u32> {
         let top = objects.modality(0).brute_force_top_k(q.query.slot(0).unwrap(), 5);

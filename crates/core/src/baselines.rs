@@ -10,10 +10,13 @@
 
 use std::time::Instant;
 
-use must_graph::search::{beam_search, SearchScratch};
-use must_graph::{Graph, GraphRecipe, SearchParams, SimilarityOracle};
-use must_vector::{kernels, ModalityView, MultiQuery, MultiVectorSet, ObjectId};
+use must_graph::csr::CsrGraph;
+use must_graph::search::{beam_search_csr, SearchScratch};
+use must_graph::{GraphRecipe, SimilarityOracle};
+use must_vector::{ModalityView, MultiQuery, MultiVectorSet, ObjectId};
 
+use crate::oracle::SingleModalityScorer;
+use crate::search::request_params;
 use crate::MustError;
 
 /// Similarity oracle over a single modality (unit-norm IP).
@@ -63,16 +66,18 @@ impl Default for BaselineOptions {
     }
 }
 
+/// Builds one modality's graph and freezes it into the CSR layout MUST
+/// searches.
 fn build_single_modality_graph(
     set: ModalityView<'_>,
     opts: &BaselineOptions,
-) -> Result<Graph, MustError> {
+) -> Result<CsrGraph, MustError> {
     let oracle = SingleModalityOracle::new(set);
     let builder = opts
         .recipe
         .pipeline(opts.gamma, opts.rng_seed)
         .ok_or_else(|| MustError::Config("baselines require a pipeline recipe".into()))?;
-    Ok(builder.build(&oracle).0)
+    Ok(CsrGraph::from_graph(&builder.build(&oracle).0))
 }
 
 // ---------------------------------------------------------------------------
@@ -82,7 +87,7 @@ fn build_single_modality_graph(
 /// MR: one graph per modality, merged candidates.
 pub struct MultiStreamedRetrieval<'a> {
     set: &'a MultiVectorSet,
-    graphs: Vec<Graph>,
+    graphs: Vec<CsrGraph>,
     /// Total build seconds (sum over the per-modality indexes).
     pub build_secs: f64,
 }
@@ -112,57 +117,69 @@ impl<'a> MultiStreamedRetrieval<'a> {
         Ok(Self { set, graphs, build_secs: t0.elapsed().as_secs_f64() })
     }
 
-    /// Total index bytes across all per-modality graphs (Fig. 7).
+    /// Total index bytes across all per-modality graphs (Fig. 7), counted
+    /// as [`crate::index::MustIndex::bytes`] counts a flat graph.
     pub fn index_bytes(&self) -> usize {
-        self.graphs.iter().map(Graph::bytes).sum()
+        self.graphs.iter().map(CsrGraph::bytes).sum()
     }
 
     /// Runs one sub-query per supplied modality with candidate-set size
     /// `l_candidates`, then merges (Section III / VIII-D).
     ///
-    /// # Panics
-    /// When a supplied query slot's dimensionality does not match its
-    /// modality's vector set (queries must come from the same encoder
-    /// configuration as the corpus).
-    ///
     /// Merge rule: candidates present in *every* sub-query's set form the
     /// intersection, ranked by their unweighted similarity sum (modality
     /// importance is unknown to MR); if the intersection is smaller than
     /// `k`, remaining slots are filled by presence count, then similarity.
+    ///
+    /// # Errors
+    /// [`MustError::Config`] for `l_candidates = 0`; [`MustError::Vector`]
+    /// when a supplied slot's dimensionality does not match its modality.
     pub fn search(
         &self,
         query: &MultiQuery,
         k: usize,
         l_candidates: usize,
         scratch: &mut SearchScratch,
-    ) -> MrOutcome {
+    ) -> Result<MrOutcome, MustError> {
         let t0 = Instant::now();
+        let params = request_params(l_candidates, l_candidates.max(k))?;
         let mut per_modality: Vec<Vec<(ObjectId, f32)>> = Vec::new();
         for (mi, graph) in self.graphs.iter().enumerate() {
             let Some(slot) = query.slot(mi) else { continue };
-            let set = self.set.modality(mi);
-            let scorer = crate::oracle::SingleModalityScorer::new(set, slot)
-                .expect("corpus and query dimensions agree per modality");
-            let params = SearchParams::new(l_candidates, l_candidates.max(k));
-            let res = beam_search(graph, &scorer, params, scratch, 0x111 + mi as u64);
+            let scorer = SingleModalityScorer::new(self.set.modality(mi), slot)?;
+            let res = beam_search_csr(graph, &scorer, params, scratch, 0x111 + mi as u64);
             per_modality.push(res.results);
         }
         let (results, intersection_size) = merge_candidates(&per_modality, k);
-        MrOutcome { results, intersection_size, secs: t0.elapsed().as_secs_f64() }
+        Ok(MrOutcome { results, intersection_size, secs: t0.elapsed().as_secs_f64() })
     }
 
-    /// Brute-force variant (`MR--`): exact per-modality top-`l` + merge.
+    /// Brute-force variant (`MR--`), timed: [`mr_brute_force`].
     #[must_use]
     pub fn brute_force_search(&self, query: &MultiQuery, k: usize, l_candidates: usize) -> MrOutcome {
         let t0 = Instant::now();
-        let mut per_modality: Vec<Vec<(ObjectId, f32)>> = Vec::new();
-        for mi in 0..self.set.num_modalities() {
-            let Some(slot) = query.slot(mi) else { continue };
-            per_modality.push(self.set.modality(mi).brute_force_top_k(slot, l_candidates));
-        }
-        let (results, intersection_size) = merge_candidates(&per_modality, k);
+        let (results, intersection_size) = mr_brute_force(self.set, query, k, l_candidates);
         MrOutcome { results, intersection_size, secs: t0.elapsed().as_secs_f64() }
     }
+}
+
+/// `MR--`: the exact top-`l_candidates` of every supplied modality (a
+/// brute-force scan, no graph), then [`merge_candidates`].  Returns the
+/// merged top-`k` ids and the intersection size.
+#[must_use]
+pub fn mr_brute_force(
+    objects: &MultiVectorSet,
+    query: &MultiQuery,
+    k: usize,
+    l_candidates: usize,
+) -> (Vec<ObjectId>, usize) {
+    let per_modality: Vec<Vec<(ObjectId, f32)>> = (0..objects.num_modalities())
+        .filter_map(|mi| {
+            let slot = query.slot(mi)?;
+            Some(objects.modality(mi).brute_force_top_k(slot, l_candidates))
+        })
+        .collect();
+    merge_candidates(&per_modality, k)
 }
 
 /// The MR merge: intersection first (ranked by similarity sum), then by
@@ -203,7 +220,7 @@ pub fn merge_candidates(
 /// composition vector in slot 0 (Option 2 encoding).
 pub struct JointEmbedding<'a> {
     set: ModalityView<'a>,
-    graph: Graph,
+    graph: CsrGraph,
     /// Build seconds.
     pub build_secs: f64,
 }
@@ -220,10 +237,13 @@ impl<'a> JointEmbedding<'a> {
         Ok(Self { set, graph, build_secs: t0.elapsed().as_secs_f64() })
     }
 
-    /// Searches with the query's composition vector (slot 0).
+    /// Searches with the query's composition vector (slot 0); `l < k`
+    /// searches at `l = k`, as [`crate::Must::search`] does.
     ///
     /// # Errors
-    /// [`MustError::Config`] when slot 0 is missing.
+    /// [`MustError::Config`] for `k = 0` and when slot 0 is missing;
+    /// [`MustError::Vector`] when its dimensionality is not the target
+    /// modality's.
     pub fn search(
         &self,
         query: &MultiQuery,
@@ -231,28 +251,13 @@ impl<'a> JointEmbedding<'a> {
         l: usize,
         scratch: &mut SearchScratch,
     ) -> Result<Vec<(ObjectId, f32)>, MustError> {
+        let params = request_params(k, l)?;
         let slot = query
             .slot(0)
             .ok_or_else(|| MustError::Config("JE requires the composed target slot".into()))?;
-        if slot.len() != self.set.dim() {
-            return Err(MustError::Config(format!(
-                "composition vector dim {} does not match target modality dim {}",
-                slot.len(),
-                self.set.dim()
-            )));
-        }
-        let scorer = crate::oracle::SingleModalityScorer::new(self.set, slot)
-            .expect("dimensions checked above");
-        let res = beam_search(&self.graph, &scorer, SearchParams::new(k, l), scratch, 0x7E);
-        Ok(res.results)
+        let scorer = SingleModalityScorer::new(self.set, slot)?;
+        Ok(beam_search_csr(&self.graph, &scorer, params, scratch, 0x7E).results)
     }
-}
-
-/// Cosine-style single-vector distance check used in tests and case
-/// studies: the similarity JE believes it is ranking by.
-#[must_use]
-pub fn je_similarity(set: ModalityView<'_>, id: ObjectId, composition: &[f32]) -> f32 {
-    kernels::ip(set.get(id), composition)
 }
 
 #[cfg(test)]
@@ -346,7 +351,7 @@ mod tests {
             set.modality(0).get(37).to_vec(),
             set.modality(1).get(37).to_vec(),
         ]);
-        let out = mr.search(&q, 5, 50, &mut visited);
+        let out = mr.search(&q, 5, 50, &mut visited).unwrap();
         assert!(out.results.contains(&37), "results: {:?}", out.results);
         assert!(out.intersection_size >= 1);
     }
@@ -362,7 +367,7 @@ mod tests {
         ]);
         let exact = mr.brute_force_search(&q, 3, 80);
         let mut visited = SearchScratch::default();
-        let approx = mr.search(&q, 3, 80, &mut visited);
+        let approx = mr.search(&q, 3, 80, &mut visited).unwrap();
         assert_eq!(exact.results[0], approx.results[0]);
     }
 

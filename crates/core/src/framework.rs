@@ -4,7 +4,7 @@
 use must_graph::{GraphRecipe, SearchScratch};
 use must_vector::{MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
 
-use crate::index::{build_index, BuildReport, IndexOptions, MustIndex};
+use crate::index::{build_index, BuildReport, MustIndex};
 use crate::oracle::JointOracle;
 use crate::search::{brute_force_search, positive_k, SearchOutcome};
 use crate::weights::{LearnedWeights, WeightLearnConfig, WeightLearner};
@@ -83,16 +83,7 @@ impl Must {
     ) -> Result<Self, MustError> {
         let (index, report) = {
             let oracle = JointOracle::new(&objects, &weights)?;
-            build_index(
-                &oracle,
-                IndexOptions {
-                    gamma: opts.gamma,
-                    init_iterations: opts.init_iterations,
-                    recipe: opts.recipe,
-                    rng_seed: opts.rng_seed,
-                    threads: opts.threads,
-                },
-            )?
+            build_index(&oracle, &opts)?
         };
         let deleted = vec![0u64; objects.len().div_ceil(64)];
         Ok(Self {

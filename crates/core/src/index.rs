@@ -9,8 +9,9 @@ use must_graph::hcnng::{build_hcnng, HcnngParams};
 use must_graph::hnsw::{Hnsw, HnswParams};
 use must_graph::pipeline::PipelineStats;
 use must_graph::search::{beam_search_csr, SearchScratch};
-use must_graph::{AnnIndex, GraphRecipe, QueryScorer, SearchParams, SearchResult};
+use must_graph::{GraphRecipe, QueryScorer, SearchParams, SearchResult};
 
+use crate::framework::MustBuildOptions;
 use crate::oracle::JointOracle;
 use crate::MustError;
 
@@ -67,7 +68,7 @@ impl MustIndex {
     pub fn len(&self) -> usize {
         match self {
             Self::Csr(csr) => csr.len(),
-            Self::Hnsw(h) => AnnIndex::len(h),
+            Self::Hnsw(h) => h.len(),
         }
     }
 
@@ -91,8 +92,8 @@ impl MustIndex {
     #[must_use]
     pub fn bytes(&self) -> usize {
         match self {
-            Self::Csr(csr) => AnnIndex::bytes(csr),
-            Self::Hnsw(h) => AnnIndex::bytes(h),
+            Self::Csr(csr) => csr.bytes(),
+            Self::Hnsw(h) => h.bytes(),
         }
     }
 }
@@ -112,41 +113,15 @@ pub struct BuildReport {
     pub pipeline: Option<PipelineStats>,
 }
 
-/// Index construction options.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexOptions {
-    /// Maximum neighbours per vertex (`gamma`, default 30 — Appendix H).
-    pub gamma: usize,
-    /// NNDescent iterations (`epsilon`, default 3 — Tab. XI).
-    pub init_iterations: usize,
-    /// Graph backend.
-    pub recipe: GraphRecipe,
-    /// Build RNG seed.
-    pub rng_seed: u64,
-    /// Worker threads for construction; `0` (the default) resolves to
-    /// [`must_graph::par::build_threads`] (`MUST_BUILD_THREADS`-capped
-    /// available parallelism).  Sharded builds pass an explicit share so
-    /// concurrent shard builds never exceed the machine budget.
-    pub threads: usize,
-}
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        Self {
-            gamma: 30,
-            init_iterations: 3,
-            recipe: GraphRecipe::Fused,
-            rng_seed: 0x1D3,
-            threads: 0,
-        }
-    }
-}
-
-/// Builds the fused index over `oracle` (Algorithm 1 / the chosen backend).
+/// Builds the fused index over `oracle` (Algorithm 1 / the chosen backend)
+/// from the graph fields of `opts` (`prune` is a search option).
 ///
 /// # Errors
 /// Returns [`MustError::Config`] for degenerate options.
-pub fn build_index(oracle: &JointOracle<'_>, opts: IndexOptions) -> Result<(MustIndex, BuildReport), MustError> {
+pub fn build_index(
+    oracle: &JointOracle<'_>,
+    opts: &MustBuildOptions,
+) -> Result<(MustIndex, BuildReport), MustError> {
     if opts.gamma == 0 {
         return Err(MustError::Config("gamma must be positive".into()));
     }
@@ -226,7 +201,7 @@ mod tests {
         for recipe in GraphRecipe::all() {
             let (index, report) = build_index(
                 &oracle,
-                IndexOptions { gamma: 10, recipe, ..IndexOptions::default() },
+                &MustBuildOptions { gamma: 10, recipe, ..Default::default() },
             )
             .unwrap();
             assert_eq!(index.len(), 300, "{}", recipe.label());
@@ -244,7 +219,7 @@ mod tests {
         let set = corpus(10);
         let w = Weights::uniform(2);
         let oracle = JointOracle::new(&set, &w).unwrap();
-        assert!(build_index(&oracle, IndexOptions { gamma: 0, ..Default::default() }).is_err());
+        assert!(build_index(&oracle, &MustBuildOptions { gamma: 0, ..Default::default() }).is_err());
     }
 
     #[test]
@@ -253,9 +228,9 @@ mod tests {
         let w = Weights::uniform(2);
         let oracle = JointOracle::new(&set, &w).unwrap();
         let (_, small) =
-            build_index(&oracle, IndexOptions { gamma: 6, ..Default::default() }).unwrap();
+            build_index(&oracle, &MustBuildOptions { gamma: 6, ..Default::default() }).unwrap();
         let (_, large) =
-            build_index(&oracle, IndexOptions { gamma: 20, ..Default::default() }).unwrap();
+            build_index(&oracle, &MustBuildOptions { gamma: 20, ..Default::default() }).unwrap();
         assert!(
             large.index_bytes > small.index_bytes,
             "{} vs {}",

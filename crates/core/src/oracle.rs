@@ -266,7 +266,7 @@ mod tests {
     use super::*;
     use must_graph::hnsw::{Hnsw, HnswParams};
     use must_graph::seed::{choose_seed, SeedStrategy};
-    use must_graph::{AnnIndex, SearchScratch};
+    use must_graph::SearchScratch;
     use must_vector::VectorSetBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -402,7 +402,7 @@ mod tests {
         for id in 200..204 {
             hnsw.insert_new_with_scratch(&oracle, id, 0x1A5E, &mut scratch);
         }
-        assert_eq!(AnnIndex::len(&hnsw), 204);
+        assert_eq!(hnsw.len(), 204);
         assert!(oracle.centroid_cell().is_none(), "an insert read the centroid");
     }
 

@@ -114,7 +114,7 @@ pub fn exact_ground_truth(
 mod tests {
     use super::*;
     use crate::framework::{Must, MustBuildOptions};
-    use crate::index::{build_index, IndexOptions};
+    use crate::index::build_index;
     use crate::oracle::JointOracle;
     use must_vector::VectorSetBuilder;
     use rand::rngs::StdRng;
@@ -172,7 +172,7 @@ mod tests {
         let weights = Weights::uniform(2);
         let oracle = JointOracle::new(&set, &weights).unwrap();
         let (index, _) =
-            build_index(&oracle, IndexOptions { gamma: 12, ..Default::default() }).unwrap();
+            build_index(&oracle, &MustBuildOptions { gamma: 12, ..Default::default() }).unwrap();
         let must = Must::from_parts(set.clone(), weights.clone(), index, MustBuildOptions::default()).unwrap();
         let mut worker = must.worker();
         let mut hits = 0;

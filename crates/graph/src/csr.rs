@@ -1,10 +1,9 @@
 //! Compressed sparse-row form of a built graph: two flat arrays instead of
 //! `n` heap-allocated neighbour lists.  Roughly halves index memory and
-//! removes per-vertex pointer chasing on the search hot path — the form a
-//! deployment would serve from.
+//! removes per-vertex pointer chasing on the search hot path — the one
+//! form a flat graph is searched in, served or under construction.
 
-use crate::search::{beam_search_csr, SearchParams, SearchResult, SearchScratch};
-use crate::{AnnIndex, Graph, QueryScorer};
+use crate::Graph;
 
 /// A frozen graph in CSR layout plus the search seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,25 +105,9 @@ impl CsrGraph {
         self.edges.len()
     }
 
-    /// Thaws back into adjacency-list form.
+    /// Memory footprint in bytes: `4·(n+1) + 4·edges`.
     #[must_use]
-    pub fn to_graph(&self) -> Graph {
-        let neighbors =
-            (0..self.len() as u32).map(|v| self.neighbors(v).to_vec()).collect();
-        Graph::new(neighbors, self.seed)
-    }
-}
-
-impl AnnIndex for CsrGraph {
-    fn search(&self, scorer: &dyn QueryScorer, params: SearchParams, rng_seed: u64) -> SearchResult {
-        beam_search_csr(self, scorer, params, &mut SearchScratch::default(), rng_seed)
-    }
-
-    fn len(&self) -> usize {
-        CsrGraph::len(self)
-    }
-
-    fn bytes(&self) -> usize {
+    pub fn bytes(&self) -> usize {
         (self.offsets.len() + self.edges.len()) * std::mem::size_of::<u32>()
     }
 }
@@ -134,19 +117,15 @@ mod tests {
     use super::*;
     use crate::pipeline::PipelineBuilder;
     use crate::testutil::GridOracle;
-    use crate::FnScorer;
-    use crate::SimilarityOracle;
 
-    fn built() -> (GridOracle, Graph) {
+    fn built() -> Graph {
         let oracle = GridOracle::new(10);
-        let (g, _) =
-            PipelineBuilder { gamma: 6, threads: 1, ..Default::default() }.build(&oracle);
-        (oracle, g)
+        PipelineBuilder { gamma: 6, threads: 1, ..Default::default() }.build(&oracle).0
     }
 
     #[test]
     fn round_trip_preserves_structure() {
-        let (_, g) = built();
+        let g = built();
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.len(), g.len());
         assert_eq!(csr.num_edges(), g.num_edges());
@@ -154,31 +133,20 @@ mod tests {
         for v in 0..g.len() as u32 {
             assert_eq!(csr.neighbors(v), g.neighbors(v));
         }
-        assert_eq!(csr.to_graph(), g);
-    }
-
-    #[test]
-    fn csr_search_matches_adjacency_search() {
-        let (oracle, g) = built();
-        let csr = CsrGraph::from_graph(&g);
-        for target in [0u32, 17, 42, 99] {
-            let scorer = FnScorer(|id| oracle.sim(id, target));
-            let a = AnnIndex::search(&g, &scorer, SearchParams::seed_only(3, 20), 5);
-            let b = AnnIndex::search(&csr, &scorer, SearchParams::seed_only(3, 20), 5);
-            assert_eq!(a.results, b.results, "target {target}");
-        }
     }
 
     #[test]
     fn csr_is_smaller_than_adjacency() {
-        let (_, g) = built();
+        let g = built();
         let csr = CsrGraph::from_graph(&g);
-        assert!(AnnIndex::bytes(&csr) <= AnnIndex::bytes(&g));
+        let adjacency = g.num_edges() * std::mem::size_of::<u32>()
+            + g.len() * std::mem::size_of::<Vec<u32>>();
+        assert!(csr.bytes() <= adjacency);
     }
 
     #[test]
     fn from_parts_round_trips_and_rejects_corruption() {
-        let (_, g) = built();
+        let g = built();
         let csr = CsrGraph::from_graph(&g);
         let back = CsrGraph::from_parts(
             csr.offsets().to_vec(),

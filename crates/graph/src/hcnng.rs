@@ -178,7 +178,8 @@ pub fn build_hcnng<O: SimilarityOracle>(oracle: &O, params: HcnngParams) -> Grap
 mod tests {
     use super::*;
     use crate::connect::reachable_from_seed;
-    use crate::search::{beam_search, SearchParams, SearchScratch};
+    use crate::csr::CsrGraph;
+    use crate::search::{beam_search_csr, SearchParams, SearchScratch};
     use crate::testutil::GridOracle;
     use crate::FnScorer;
 
@@ -228,11 +229,12 @@ mod tests {
         assert_eq!(reachable_from_seed(&graph), oracle.len());
         let mut hits = 0;
         let mut visited = SearchScratch::default();
+        let csr = CsrGraph::from_graph(&graph);
         let total = 24;
         for t in 0..total {
             let target = (t * 6) as u32 % oracle.len() as u32;
             let scorer = FnScorer(|id| oracle.sim(id, target));
-            let res = beam_search(&graph, &scorer, SearchParams::seed_only(1, 16), &mut visited, 1);
+            let res = beam_search_csr(&csr, &scorer, SearchParams::seed_only(1, 16), &mut visited, 1);
             if res.results[0].0 == target {
                 hits += 1;
             }

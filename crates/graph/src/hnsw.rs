@@ -8,9 +8,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::par;
-use crate::search::{expand, SearchParams, SearchResult, SearchScratch, SearchStats};
+use crate::search::{expand, NodeScorer, SearchParams, SearchResult, SearchScratch, SearchStats};
 use crate::select::unoccluded;
-use crate::{AnnIndex, QueryScorer, SimilarityOracle};
+use crate::{QueryScorer, SimilarityOracle};
 
 /// Maximum wave length for the wave-scheduled build: bounds transient
 /// candidate memory and keeps the frozen prefix a large fraction of the
@@ -229,12 +229,32 @@ impl Hnsw {
         level_seed: u64,
         scratch: &mut SearchScratch,
     ) {
-        assert_eq!(node as usize, AnnIndex::len(self), "insert ids must be dense");
+        assert_eq!(node as usize, self.len(), "insert ids must be dense");
         assert!(oracle.len() > node as usize, "oracle must cover the new point");
         let mut rng = StdRng::seed_from_u64(level_seed ^ node as u64);
         let level = draw_level(&mut rng, self.params.m);
         self.push_node(level);
         self.insert(oracle, node, scratch);
+    }
+
+    /// Number of indexed objects.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.upper_at.len() - 1
+    }
+
+    /// Whether the index holds no objects.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slabs' real heap footprint in bytes: every node pays its full
+    /// layer-0 stride (`2M + 1` words) and `M + 1` words per upper layer
+    /// whether or not the lists are full, plus one offset word.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        (self.base.len() + self.upper.len() + self.upper_at.len()) * std::mem::size_of::<u32>()
     }
 
     /// Entry vertex at the top layer.
@@ -521,7 +541,7 @@ impl Hnsw {
         stats: &mut SearchStats,
     ) {
         scratch.pool.reset(ef);
-        scratch.visited.reset(AnnIndex::len(self));
+        scratch.visited.reset(self.len());
         scratch.visited.mark(ep);
         scratch.pool.insert(ep, ep_sim);
         expand(|v| self.neighbors(v, layer), scorer, scratch, stats);
@@ -543,7 +563,7 @@ impl Hnsw {
         // hop loop searches run, but its scorer never prunes, so each
         // hop's unseen neighbours are scored as one batch instead of
         // warmed and scored one at a time.
-        let scorer = NodeScorer { oracle, node };
+        let scorer = NodeScorer { oracle, node, scored: None };
         let mut stats = SearchStats::default();
         let level = self.level(node);
         let mut ep = self.descend(&scorer, (level + 1..=self.max_level).rev(), &mut stats);
@@ -558,9 +578,9 @@ impl Hnsw {
         out
     }
 
-    /// [`AnnIndex::search`] with caller-provided scratch (visited stamps +
-    /// result pool), so a query batch's steady state allocates nothing —
-    /// the serving layer's per-worker entry point.
+    /// Algorithm 2 for `scorer` with caller-provided scratch (visited
+    /// stamps + result pool), so a query batch's steady state allocates
+    /// nothing — the serving layer's per-worker entry point.
     pub fn search_with_scratch<S: QueryScorer + ?Sized>(
         &self,
         scorer: &S,
@@ -573,25 +593,6 @@ impl Hnsw {
         let ep = self.descend(scorer, (1..=self.max_level).rev(), &mut stats);
         self.search_layer(scorer, ep, 0, params.l, scratch, &mut stats);
         SearchResult { results: scratch.pool.top_k(params.k), stats }
-    }
-}
-
-/// Construction's query: `sim(node, ·)`.  It never prunes, so a hop's
-/// fresh neighbours are scored as one batch ([`QueryScorer::score_batch`]).
-struct NodeScorer<'o, O> {
-    oracle: &'o O,
-    node: u32,
-}
-
-impl<O: SimilarityOracle> QueryScorer for NodeScorer<'_, O> {
-    fn score(&self, id: u32) -> f32 {
-        self.oracle.sim(self.node, id)
-    }
-
-    fn score_batch(&self, ids: &[u32], out: &mut Vec<f32>) -> bool {
-        out.resize(ids.len(), 0.0);
-        self.oracle.sims(self.node, ids, out);
-        true
     }
 }
 
@@ -631,23 +632,6 @@ fn heuristic_select<O: SimilarityOracle>(
     kept
 }
 
-impl AnnIndex for Hnsw {
-    fn search(&self, scorer: &dyn QueryScorer, params: SearchParams, _rng_seed: u64) -> SearchResult {
-        self.search_with_scratch(scorer, params, &mut SearchScratch::default())
-    }
-
-    fn len(&self) -> usize {
-        self.upper_at.len() - 1
-    }
-
-    /// The slabs' real heap footprint: every node pays its full layer-0
-    /// stride (`2M + 1` words) and `M + 1` words per upper layer whether
-    /// or not the lists are full, plus one offset word.
-    fn bytes(&self) -> usize {
-        (self.base.len() + self.upper.len() + self.upper_at.len()) * std::mem::size_of::<u32>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,11 +643,12 @@ mod tests {
         let oracle = GridOracle::new(12);
         let index = Hnsw::build(&oracle, HnswParams { m: 8, ef_construction: 32, rng_seed: 3 });
         let mut hits = 0;
+        let mut scratch = SearchScratch::default();
         let total = 28;
         for t in 0..total {
             let target = (t * 7) as u32 % oracle.len() as u32;
             let scorer = FnScorer(|id| oracle.sim(id, target));
-            let res = index.search(&scorer, SearchParams::seed_only(1, 16), 0);
+            let res = index.search_with_scratch(&scorer, SearchParams::seed_only(1, 16), &mut scratch);
             if res.results[0].0 == target {
                 hits += 1;
             }
@@ -676,7 +661,7 @@ mod tests {
         let oracle = GridOracle::new(20); // 400 points
         let index = Hnsw::build(&oracle, HnswParams { m: 6, ef_construction: 24, rng_seed: 1 });
         assert!(index.max_level() >= 1, "400 points should produce > 1 layer");
-        assert_eq!(AnnIndex::len(&index), 400);
+        assert_eq!(index.len(), 400);
         assert!(index.bytes() > 0);
     }
 
@@ -700,15 +685,17 @@ mod tests {
         let oracle = GridOracle::new(14);
         let index = Hnsw::build(&oracle, HnswParams { m: 6, ef_construction: 32, rng_seed: 9 });
         let flat = index.to_flat();
-        assert_eq!(flat.levels.len(), AnnIndex::len(&index));
+        assert_eq!(flat.levels.len(), index.len());
         let back = Hnsw::from_flat(&flat).unwrap();
         assert_eq!(back.to_flat(), flat);
         assert_eq!(back.entry(), index.entry());
         assert_eq!(back.max_level(), index.max_level());
+        let mut scratch = SearchScratch::default();
         for target in [0u32, 41, 97, 195] {
             let scorer = FnScorer(|id| oracle.sim(id, target));
-            let a = index.search(&scorer, SearchParams::seed_only(3, 20), 0);
-            let b = back.search(&scorer, SearchParams::seed_only(3, 20), 0);
+            let params = SearchParams::seed_only(3, 20);
+            let a = index.search_with_scratch(&scorer, params, &mut scratch);
+            let b = back.search_with_scratch(&scorer, params, &mut scratch);
             assert_eq!(a.results, b.results, "target {target}");
         }
     }
@@ -877,11 +864,12 @@ mod tests {
         let params = HnswParams { m: 12, ef_construction: 80, rng_seed: 5 };
         let wave = Hnsw::build_with_threads(&oracle, params, 2);
         let mut hits = 0usize;
+        let mut scratch = SearchScratch::default();
         for q in 0..200u32 {
             let target = (q * 19) % oracle.len() as u32;
             let exact = oracle.exact_top_k(target, 10);
             let scorer = FnScorer(|id| oracle.sim(id, target));
-            let res = wave.search(&scorer, SearchParams::seed_only(10, 64), 0);
+            let res = wave.search_with_scratch(&scorer, SearchParams::seed_only(10, 64), &mut scratch);
             hits += res.results.iter().filter(|(id, _)| exact.contains(id)).count();
         }
         let recall = hits as f64 / 2_000.0;
@@ -905,7 +893,7 @@ mod tests {
                 assert!(nbrs.len() <= cap, "node {node} level {level}: {}", nbrs.len());
                 for &nb in nbrs {
                     assert_ne!(nb, node as u32, "self edge at node {node}");
-                    assert!((nb as usize) < AnnIndex::len(&index));
+                    assert!((nb as usize) < index.len());
                 }
             }
         }
@@ -917,7 +905,8 @@ mod tests {
         let oracle = GridOracle::new(10);
         let index = Hnsw::build(&oracle, HnswParams::default());
         let scorer = FnScorer(|id| oracle.sim(id, 55));
-        let res = index.search(&scorer, SearchParams::seed_only(5, 20), 0);
+        let params = SearchParams::seed_only(5, 20);
+        let res = index.search_with_scratch(&scorer, params, &mut SearchScratch::default());
         assert_eq!(res.results.len(), 5);
         for w in res.results.windows(2) {
             assert!(w[0].1 >= w[1].1);

@@ -15,6 +15,12 @@
 //! * Search follows Algorithm 2 of the paper (best-first routing over a
 //!   fixed-size result pool of size `l`), with a hook for the incremental
 //!   multi-vector pruning of Lemma 4 via [`QueryScorer::score_pruned`].
+//!   One hop loop runs every search, and it walks one of two layouts: a
+//!   [`csr::CsrGraph`] ([`search::beam_search_csr`]) or one layer of an
+//!   [`hnsw::Hnsw`].
+//! * [`Graph`] (adjacency lists) is construction's mutable format only:
+//!   a built flat graph is frozen with [`csr::CsrGraph::from_graph`]
+//!   before it is searched.
 
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate DAG
@@ -138,7 +144,8 @@ impl<F: Fn(u32) -> f32> QueryScorer for FnScorer<F> {
 }
 
 /// An adjacency-list proximity graph plus the fixed search seed
-/// (the output of Algorithm 1).
+/// (the output of Algorithm 1) — construction's mutable format.  Searches
+/// walk its frozen form, [`csr::CsrGraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     neighbors: Vec<Vec<u32>>,
@@ -205,38 +212,6 @@ impl Graph {
     pub fn max_degree(&self) -> usize {
         self.neighbors.iter().map(Vec::len).max().unwrap_or(0)
     }
-
-    /// Approximate in-memory size of the adjacency structure in bytes
-    /// (what Fig. 7 reports as "index size").
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.num_edges() * std::mem::size_of::<u32>()
-            + self.len() * std::mem::size_of::<Vec<u32>>()
-    }
-}
-
-/// A search-capable index: flat graphs and HNSW both implement this, which
-/// is how MUST swaps graph backends (Fig. 10(b)).
-pub trait AnnIndex: Send + Sync {
-    /// Approximate top-`k` search; `l >= k` is the result-pool size
-    /// (accuracy/efficiency knob of Algorithm 2).
-    fn search(
-        &self,
-        scorer: &dyn QueryScorer,
-        params: SearchParams,
-        rng_seed: u64,
-    ) -> SearchResult;
-
-    /// Number of indexed objects.
-    fn len(&self) -> usize;
-
-    /// Whether the index is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Index memory footprint in bytes.
-    fn bytes(&self) -> usize;
 }
 
 #[cfg(test)]
@@ -391,7 +366,6 @@ mod tests {
         assert_eq!(g.num_edges(), 4);
         assert!((g.mean_degree() - 4.0 / 3.0).abs() < 1e-9);
         assert_eq!(g.max_degree(), 2);
-        assert!(g.bytes() > 0);
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! [`GraphRecipe`] captures the paper's assemblies, including the ones used
 //! in the Fig. 10 backend ablation.
 
+use std::cell::RefCell;
 use std::time::Instant;
 
 use crate::connect::{ensure_connectivity, ConnectivityStats};
+use crate::csr::CsrGraph;
 use crate::nndescent::{build_init_graph, insert_bounded, random_init, Gather, Neighbor, NeighborList};
 use crate::par::{build_threads, par_map, par_map_with};
 use crate::seed::{choose_seed, SeedStrategy};
+use crate::search::{expand, NodeScorer, SearchScratch, SearchStats};
 use crate::select::{select_neighbors, SelectionStrategy};
 use crate::{Graph, SimilarityOracle};
 
@@ -170,13 +173,13 @@ impl PipelineBuilder {
                 pool
             }),
             CandidateStrategy::Search { l } => {
-                // Build a temporary graph over the current lists to search.
+                // Freeze the current lists to walk them.
                 let neighbors: Vec<Vec<u32>> =
                     lists.iter().map(|l| l.iter().map(|n| n.id).collect()).collect();
                 let seed = choose_seed(oracle, SeedStrategy::Medoid, threads);
-                let tmp = Graph::new(neighbors, seed);
-                par_map_with(n, threads, Gather::default, |gather, o| {
-                    search_candidates(&tmp, oracle, o as u32, l, gather)
+                let frozen = CsrGraph::from_graph(&Graph::new(neighbors, seed));
+                par_map_with(n, threads, SearchScratch::default, |scratch, o| {
+                    search_candidates(&frozen, oracle, o as u32, l, scratch)
                 })
             }
         };
@@ -216,38 +219,28 @@ fn candidate_sim(cands: &[Neighbor], id: u32) -> f32 {
         .expect("selected id comes from the candidate list")
 }
 
-/// Greedy-search `graph` for the vertex most similar to `o`, recording every
-/// scored vertex — NSG's candidate acquisition.  Each hop's unseen
-/// neighbours are scored as one batch.
+/// Greedy-search `graph` for the vertex most similar to `o` and keep every
+/// vertex the walk scored but `o`, best first, at most `2l` — NSG's
+/// candidate acquisition.  The walk is [`expand`] from the seed with a
+/// pool of size `l`; each hop's unseen neighbours are scored as one batch.
 fn search_candidates<O: SimilarityOracle>(
-    graph: &Graph,
+    graph: &CsrGraph,
     oracle: &O,
     o: u32,
     l: usize,
-    gather: &mut Gather,
+    scratch: &mut SearchScratch,
 ) -> Vec<Neighbor> {
-    use crate::pool::Pool;
-    let mut pool = Pool::new(l);
-    let mut scored: Vec<Neighbor> = Vec::with_capacity(l * 4);
-    gather.reset(graph.len());
-    gather.mark(graph.seed());
-    let s = oracle.sim(o, graph.seed());
-    pool.insert(graph.seed(), s);
-    if graph.seed() != o {
-        scored.push(Neighbor { id: graph.seed(), sim: s });
-    }
-    while let Some(idx) = pool.best_unvisited() {
-        let v = pool.visit(idx);
-        for &u in graph.neighbors(v) {
-            gather.offer(u);
-        }
-        for nb in gather.drain_scored(oracle, o) {
-            if nb.id != o {
-                scored.push(nb);
-            }
-            pool.insert(nb.id, nb.sim);
-        }
-    }
+    let seed = graph.seed();
+    let seed_sim = oracle.sim(o, seed);
+    let scored = RefCell::new(vec![Neighbor { id: seed, sim: seed_sim }]);
+    let scorer = NodeScorer { oracle, node: o, scored: Some(&scored) };
+    scratch.pool.reset(l);
+    scratch.visited.reset(graph.len());
+    scratch.visited.mark(seed);
+    scratch.pool.insert(seed, seed_sim);
+    expand(|v| graph.neighbors(v), &scorer, scratch, &mut SearchStats::default());
+    let mut scored = scored.into_inner();
+    scored.retain(|nb| nb.id != o);
     scored.sort_unstable_by(|a, b| b.sim.total_cmp(&a.sim));
     scored.truncate(l * 2);
     scored
@@ -337,7 +330,7 @@ impl GraphRecipe {
 mod tests {
     use super::*;
     use crate::connect::reachable_from_seed;
-    use crate::search::{beam_search, SearchParams, SearchScratch};
+    use crate::search::{beam_search_csr, SearchParams};
     use crate::testutil::GridOracle;
     use crate::FnScorer;
 
@@ -348,10 +341,11 @@ mod tests {
     fn recall_at_1(oracle: &GridOracle, graph: &Graph) -> f64 {
         let mut hits = 0;
         let mut visited = SearchScratch::default();
+        let csr = CsrGraph::from_graph(graph);
         let n = oracle.len();
         for target in (0..n as u32).step_by(7) {
             let scorer = FnScorer(|id| crate::SimilarityOracle::sim(oracle, id, target));
-            let res = beam_search(graph, &scorer, SearchParams::seed_only(1, 10), &mut visited, 1);
+            let res = beam_search_csr(&csr, &scorer, SearchParams::seed_only(1, 10), &mut visited, 1);
             if res.results[0].0 == target {
                 hits += 1;
             }

@@ -1,11 +1,19 @@
 //! The joint search procedure (Algorithm 2 of the paper): best-first
-//! routing over a fixed-size result pool.
+//! routing over a fixed-size result pool.  One hop loop, `expand`, walks
+//! the one serving layout of a flat graph — a [`CsrGraph`], through
+//! [`beam_search_csr`] — and one layer of an HNSW.  The adjacency-list
+//! [`crate::Graph`] is construction's mutable format; nothing searches it
+//! (NSG / Vamana candidate acquisition freezes the current lists first).
+
+use std::cell::RefCell;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::csr::CsrGraph;
+use crate::nndescent::Neighbor;
 use crate::pool::Pool;
-use crate::{AnnIndex, Graph, QueryScorer};
+use crate::{QueryScorer, SimilarityOracle};
 
 /// Tuning parameters of Algorithm 2.
 #[derive(Debug, Clone, Copy)]
@@ -152,52 +160,14 @@ impl SearchScratch {
 /// pool initialisation (Line 2).  The scorer's `score_pruned` receives the
 /// pool threshold, enabling the Lemma-4 multi-vector pruning when the
 /// scorer supports it.
-pub fn beam_search<S: QueryScorer + ?Sized>(
-    graph: &Graph,
-    scorer: &S,
-    params: SearchParams,
-    scratch: &mut SearchScratch,
-    rng_seed: u64,
-) -> SearchResult {
-    beam_search_impl(
-        graph.len(),
-        graph.seed(),
-        |v| graph.neighbors(v),
-        scorer,
-        params,
-        scratch,
-        rng_seed,
-    )
-}
-
-/// [`beam_search`] over a frozen [`crate::csr::CsrGraph`].
 pub fn beam_search_csr<S: QueryScorer + ?Sized>(
-    graph: &crate::csr::CsrGraph,
+    graph: &CsrGraph,
     scorer: &S,
     params: SearchParams,
     scratch: &mut SearchScratch,
     rng_seed: u64,
 ) -> SearchResult {
-    beam_search_impl(
-        graph.len(),
-        graph.seed(),
-        |v| graph.neighbors(v),
-        scorer,
-        params,
-        scratch,
-        rng_seed,
-    )
-}
-
-fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
-    n: usize,
-    seed: u32,
-    neighbors: impl Fn(u32) -> &'g [u32],
-    scorer: &S,
-    params: SearchParams,
-    scratch: &mut SearchScratch,
-    rng_seed: u64,
-) -> SearchResult {
+    let n = graph.len();
     let mut stats = SearchStats::default();
     let SearchScratch { visited, pool, .. } = &mut *scratch;
     pool.reset(params.l);
@@ -207,18 +177,19 @@ fn beam_search_impl<'g, S: QueryScorer + ?Sized>(
     let random = if params.random_init && n > 1 { (params.l - 1).min(n - 1) } else { 0 };
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let picks = (0..random).map(|_| rng.random_range(0..n as u32));
-    for id in std::iter::once(seed).chain(picks) {
+    for id in std::iter::once(graph.seed()).chain(picks) {
         if visited.mark(id) {
             offer(id, scorer, pool, &mut stats);
         }
     }
 
-    expand(neighbors, scorer, scratch, &mut stats);
+    expand(|v| graph.neighbors(v), scorer, scratch, &mut stats);
     SearchResult { results: scratch.pool.top_k(params.k), stats }
 }
 
 /// The hop loop (Lines 4-10 of Algorithm 2) every search in this crate
-/// runs — flat graphs, CSR, HNSW queries and HNSW construction alike:
+/// runs — CSR queries, HNSW queries, HNSW construction and NSG / Vamana
+/// candidate acquisition alike:
 /// expand the best unvisited pool entry until none remain.  Per hop:
 /// gather the newly seen neighbours, [`QueryScorer::warm`] each, then
 /// score them in the same order against the evolving pool threshold —
@@ -256,6 +227,33 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
     }
 }
 
+/// Construction's query: `sim(node, ·)`.  It never prunes, so [`expand`]
+/// scores each hop's fresh neighbours as one batch
+/// ([`QueryScorer::score_batch`]).  With `scored` set, every batch is also
+/// appended there as it is scored: NSG / Vamana candidate acquisition keeps
+/// every vertex its walk scored.
+pub(crate) struct NodeScorer<'o, O> {
+    pub(crate) oracle: &'o O,
+    pub(crate) node: u32,
+    pub(crate) scored: Option<&'o RefCell<Vec<Neighbor>>>,
+}
+
+impl<O: SimilarityOracle> QueryScorer for NodeScorer<'_, O> {
+    fn score(&self, id: u32) -> f32 {
+        self.oracle.sim(self.node, id)
+    }
+
+    fn score_batch(&self, ids: &[u32], out: &mut Vec<f32>) -> bool {
+        out.resize(ids.len(), 0.0);
+        self.oracle.sims(self.node, ids, out);
+        if let Some(scored) = self.scored {
+            let batch = ids.iter().zip(out.iter()).map(|(&id, &sim)| Neighbor { id, sim });
+            scored.borrow_mut().extend(batch);
+        }
+        true
+    }
+}
+
 /// Scores `id` against the pool's current threshold (the Lemma-4 hook) and
 /// files the verdict: into the pool, or counted as pruned.
 #[inline]
@@ -275,21 +273,6 @@ fn file(id: u32, verdict: Option<f32>, pool: &mut Pool, stats: &mut SearchStats)
     }
 }
 
-impl AnnIndex for Graph {
-    fn search(&self, scorer: &dyn QueryScorer, params: SearchParams, rng_seed: u64) -> SearchResult {
-        let mut scratch = SearchScratch::default();
-        beam_search(self, scorer, params, &mut scratch, rng_seed)
-    }
-
-    fn len(&self) -> usize {
-        Graph::len(self)
-    }
-
-    fn bytes(&self) -> usize {
-        Graph::bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +280,7 @@ mod tests {
     use crate::{FnScorer, SimilarityOracle};
 
     /// A simple path graph 0-1-2-...-n-1 seeded in the middle.
-    fn line_graph(n: usize) -> Graph {
+    fn line_graph(n: usize) -> CsrGraph {
         let neighbors = (0..n)
             .map(|i| {
                 let mut v = Vec::new();
@@ -310,7 +293,7 @@ mod tests {
                 v
             })
             .collect();
-        Graph::new(neighbors, (n / 2) as u32)
+        CsrGraph::from_graph(&crate::Graph::new(neighbors, (n / 2) as u32))
     }
 
     #[test]
@@ -320,7 +303,7 @@ mod tests {
         let oracle = LineOracle(n);
         for target in [0u32, 37, 120, 199] {
             let scorer = FnScorer(|id| oracle.sim(id, target));
-            let res = beam_search(&g, &scorer, SearchParams::seed_only(1, 8), &mut SearchScratch::default(), 1);
+            let res = beam_search_csr(&g, &scorer, SearchParams::seed_only(1, 8), &mut SearchScratch::default(), 1);
             assert_eq!(res.results[0].0, target, "target {target}");
         }
     }
@@ -330,7 +313,7 @@ mod tests {
         let n = 100;
         let g = line_graph(n);
         let scorer = FnScorer(|id| -(id as f32 - 42.0).abs());
-        let res = beam_search(&g, &scorer, SearchParams::new(10, 32), &mut SearchScratch::default(), 7);
+        let res = beam_search_csr(&g, &scorer, SearchParams::new(10, 32), &mut SearchScratch::default(), 7);
         for w in res.results.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
@@ -342,8 +325,8 @@ mod tests {
         let n = 300;
         let g = line_graph(n);
         let scorer = FnScorer(|id| -(id as f32 - 7.0).abs());
-        let small = beam_search(&g, &scorer, SearchParams::seed_only(1, 2), &mut SearchScratch::default(), 3);
-        let large = beam_search(&g, &scorer, SearchParams::seed_only(1, 64), &mut SearchScratch::default(), 3);
+        let small = beam_search_csr(&g, &scorer, SearchParams::seed_only(1, 2), &mut SearchScratch::default(), 3);
+        let large = beam_search_csr(&g, &scorer, SearchParams::seed_only(1, 64), &mut SearchScratch::default(), 3);
         assert!(large.results[0].1 >= small.results[0].1);
     }
 
@@ -352,7 +335,7 @@ mod tests {
         let n = 50;
         let g = line_graph(n);
         let scorer = FnScorer(|id| -(id as f32));
-        let res = beam_search(&g, &scorer, SearchParams::new(1, 4), &mut SearchScratch::default(), 9);
+        let res = beam_search_csr(&g, &scorer, SearchParams::new(1, 4), &mut SearchScratch::default(), 9);
         assert!(res.stats.hops >= 1);
         assert!(res.stats.evaluated >= res.stats.hops);
     }
@@ -381,8 +364,8 @@ mod tests {
         let n = 120;
         let g = line_graph(n);
         let exact = FnScorer(|id| -((id as f32) - 33.0).abs());
-        let a = beam_search(&g, &exact, SearchParams::seed_only(5, 16), &mut SearchScratch::default(), 1);
-        let b = beam_search(&g, &Pruning, SearchParams::seed_only(5, 16), &mut SearchScratch::default(), 1);
+        let a = beam_search_csr(&g, &exact, SearchParams::seed_only(5, 16), &mut SearchScratch::default(), 1);
+        let b = beam_search_csr(&g, &Pruning, SearchParams::seed_only(5, 16), &mut SearchScratch::default(), 1);
         assert_eq!(a.results, b.results);
     }
 
@@ -482,8 +465,6 @@ mod tests {
         assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "CSR, random_init");
         let h = walk_hash(|s, q| beam_search_csr(&csr, s, seed_only, &mut scratch, rng(q)), &oracle);
         assert_eq!(h, 0xdd02_5d57_f47a_3e9a, "CSR, seed only");
-        let h = walk_hash(|s, q| beam_search(&graph, s, random, &mut scratch, rng(q)), &oracle);
-        assert_eq!(h, 0x39c3_9ff5_56c6_2a58, "adjacency-list graph, random_init");
     }
 }
 

@@ -6,7 +6,8 @@ use must_graph::connect::reachable_from_seed;
 use must_graph::nndescent::{exact_knn_sample, insert_bounded, Neighbor};
 use must_graph::pipeline::PipelineBuilder;
 use must_graph::pool::Pool;
-use must_graph::search::{beam_search, SearchParams, SearchScratch};
+use must_graph::csr::CsrGraph;
+use must_graph::search::{beam_search_csr, SearchParams, SearchScratch};
 use must_graph::select::{select_neighbors, SelectionStrategy};
 use must_graph::{FnScorer, SimilarityOracle};
 use proptest::prelude::*;
@@ -147,8 +148,8 @@ proptest! {
         let (graph, _) = PipelineBuilder { gamma: 6, threads: 1, ..Default::default() }
             .build(&oracle);
         let scorer = FnScorer(|id| oracle.sim(id, target));
-        let res = beam_search(
-            &graph,
+        let res = beam_search_csr(
+            &CsrGraph::from_graph(&graph),
             &scorer,
             SearchParams::seed_only(1, 50),
             &mut SearchScratch::default(),
@@ -180,8 +181,8 @@ proptest! {
         let (graph, _) = PipelineBuilder { gamma: 5, threads: 1, ..Default::default() }
             .build(&oracle);
         let scorer = FnScorer(|id| oracle.sim(id, target));
-        let res = beam_search(
-            &graph,
+        let res = beam_search_csr(
+            &CsrGraph::from_graph(&graph),
             &scorer,
             SearchParams::new(3, 12),
             &mut SearchScratch::default(),

@@ -129,9 +129,9 @@ impl FusedRows {
         let mut data = vec![0.0f32; n * stride];
         for (k, set) in sets.iter().enumerate() {
             let (start, dim) = (seg[k], dims[k]);
-            for (id, v) in set.iter() {
-                let row = id as usize * stride + start;
-                data[row..row + dim].copy_from_slice(v);
+            for id in 0..n {
+                let row = id * stride + start;
+                data[row..row + dim].copy_from_slice(set.get(id as ObjectId));
             }
         }
         let seg_norms = Self::compute_norms(&dims, &seg, &data);
@@ -741,11 +741,13 @@ mod tests {
         let w = Weights::new(vec![0.8, 0.33]).unwrap();
         let rows = FusedRows::from_sets(&src).unwrap();
         for (a, b) in [(0u32, 1u32), (1, 2), (0, 2)] {
-            let want = w.sq(0) * src[0].ip(a, b) + w.sq(1) * src[1].ip(a, b);
+            let want = w.sq(0) * kernels::ip(src[0].get(a), src[0].get(b))
+                + w.sq(1) * kernels::ip(src[1].get(a), src[1].get(b));
             assert!((rows.weighted_pair_ip(a, b, w.squared()) - want).abs() < 1e-5);
         }
         // The unweighted pair similarity is the plain modality sum.
-        let want = src[0].ip(0, 1) + src[1].ip(0, 1);
+        let want =
+            kernels::ip(src[0].get(0), src[0].get(1)) + kernels::ip(src[1].get(0), src[1].get(1));
         assert!((rows.pair_ip(0, 1) - want).abs() < 1e-5);
     }
 
@@ -786,8 +788,8 @@ mod tests {
         let q = MultiQuery::full(vec![src[0].get(1).to_vec(), src[1].get(2).to_vec()]);
         let ev = engine.query(&q, &w).unwrap();
         for id in 0..3u32 {
-            let want = w.sq(0) * src[0].ip_to(id, src[0].get(1))
-                + w.sq(1) * src[1].ip_to(id, src[1].get(2));
+            let want = w.sq(0) * kernels::ip(src[0].get(id), src[0].get(1))
+                + w.sq(1) * kernels::ip(src[1].get(id), src[1].get(2));
             assert!((ev.ip(id) - want).abs() < 1e-5);
         }
         assert!((ev.w_total() - (w.sq(0) + w.sq(1))).abs() < 1e-6);
@@ -808,8 +810,8 @@ mod tests {
         ] {
             let ev = engine.query(&q, &w).unwrap();
             for id in 0..3u32 {
-                let want = w.sq(0) * src[0].ip_to(id, src[0].get(0))
-                    + w.sq(1) * src[1].ip_to(id, src[1].get(1));
+                let want = w.sq(0) * kernels::ip(src[0].get(id), src[0].get(0))
+                    + w.sq(1) * kernels::ip(src[1].get(id), src[1].get(1));
                 assert!((ev.ip(id) - want).abs() < 1e-5);
             }
         }
@@ -843,7 +845,7 @@ mod tests {
         let q = MultiQuery::partial(vec![Some(src[0].get(0).to_vec()), None]);
         let ev = engine.query(&q, &Weights::uniform(2)).unwrap();
         assert!((ev.w_total() - 0.5).abs() < 1e-6);
-        let want = 0.5 * src[0].ip_to(0, src[0].get(0));
+        let want = 0.5 * kernels::ip(src[0].get(0), src[0].get(0));
         assert!((ev.ip(0) - want).abs() < 1e-6);
     }
 
@@ -856,7 +858,7 @@ mod tests {
         let ev = engine.query(&q, &w).unwrap();
         assert!((ev.w_total() - w.sq(0)).abs() < 1e-6);
         for id in 0..3u32 {
-            let want = w.sq(0) * src[0].ip_to(id, src[0].get(0));
+            let want = w.sq(0) * kernels::ip(src[0].get(id), src[0].get(0));
             assert!((ev.ip(id) - want).abs() < 1e-5);
         }
         // One active modality means one kernel per pruned evaluation.

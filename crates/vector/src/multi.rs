@@ -251,17 +251,50 @@ impl<'a> ModalityView<'a> {
     }
 
     /// Exact top-`k` ids by inner product to `query`, descending
-    /// (brute-force scan; ground truth and the `MUST--` baseline).
+    /// (brute-force scan; ground truth and the `MR--` / JE baselines).
     #[must_use]
     pub fn brute_force_top_k(&self, query: &[f32], k: usize) -> Vec<(ObjectId, f32)> {
-        crate::set::brute_force_top_k_impl(self.iter(), query, k)
+        let mut heap: Vec<(ObjectId, f32)> = Vec::with_capacity(k + 1);
+        for (id, v) in self.iter() {
+            let s = kernels::ip(v, query);
+            if heap.len() < k {
+                heap.push((id, s));
+                if heap.len() == k {
+                    heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1));
+                }
+            } else if k > 0 && s > heap[k - 1].1 {
+                heap[k - 1] = (id, s);
+                let mut i = k - 1;
+                while i > 0 && heap[i].1 > heap[i - 1].1 {
+                    heap.swap(i, i - 1);
+                    i -= 1;
+                }
+            }
+        }
+        if heap.len() < k {
+            heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1));
+        }
+        heap
     }
 
     /// Mean of all vectors (the centroid used by the paper's seed
     /// preprocessing, component 4 of Algorithm 1).
     #[must_use]
     pub fn centroid(&self) -> Vec<f32> {
-        crate::set::centroid_impl(self.dim(), self.len(), self.iter())
+        let mut c = vec![0.0f32; self.dim()];
+        if self.is_empty() {
+            return c;
+        }
+        for (_, v) in self.iter() {
+            for (ci, vi) in c.iter_mut().zip(v) {
+                *ci += vi;
+            }
+        }
+        let inv = 1.0 / self.len() as f32;
+        for ci in c.iter_mut() {
+            *ci *= inv;
+        }
+        c
     }
 }
 
@@ -310,12 +343,6 @@ impl MultiQuery {
     #[must_use]
     pub fn slot(&self, i: usize) -> Option<&[f32]> {
         self.vectors.get(i).and_then(|v| v.as_deref())
-    }
-
-    /// Replaces the vector of modality `i` (used by MR's composition-vector
-    /// optimisation, which swaps `phi_0(q_0)` for `Phi(q_0..q_{t-1})`).
-    pub fn set_slot(&mut self, i: usize, v: Vec<f32>) {
-        self.vectors[i] = Some(v);
     }
 
     /// Weight mask for this query: the input weights with unsupplied

@@ -1,4 +1,6 @@
-//! Contiguous storage for a set of equal-dimensional vectors.
+//! Contiguous storage for a set of equal-dimensional vectors: the build
+//! format of one modality.  Reads go through the fused rows it is packed
+//! into (`MultiVectorSet::modality`).
 
 use crate::kernels;
 use crate::{ObjectId, VectorError};
@@ -78,14 +80,6 @@ impl VectorSet {
         &self.data[start..start + self.dim]
     }
 
-    /// Borrow vector `id`, or `None` when out of bounds.
-    #[inline]
-    #[must_use]
-    pub fn try_get(&self, id: ObjectId) -> Option<&[f32]> {
-        let start = (id as usize).checked_mul(self.dim)?;
-        self.data.get(start..start + self.dim)
-    }
-
     /// Appends a vector without normalising it.
     ///
     /// # Errors
@@ -98,105 +92,6 @@ impl VectorSet {
         self.data.extend_from_slice(v);
         Ok(id)
     }
-
-    /// Inner product between rows `a` and `b`.
-    #[inline]
-    #[must_use]
-    pub fn ip(&self, a: ObjectId, b: ObjectId) -> f32 {
-        kernels::ip(self.get(a), self.get(b))
-    }
-
-    /// Inner product between row `a` and an external query vector.
-    #[inline]
-    #[must_use]
-    pub fn ip_to(&self, a: ObjectId, query: &[f32]) -> f32 {
-        kernels::ip(self.get(a), query)
-    }
-
-    /// Squared Euclidean distance between row `a` and an external query.
-    #[inline]
-    #[must_use]
-    pub fn l2_sq_to(&self, a: ObjectId, query: &[f32]) -> f32 {
-        kernels::l2_sq(self.get(a), query)
-    }
-
-    /// Iterator over `(id, vector)` pairs.
-    #[must_use]
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ObjectId, &[f32])> + '_ {
-        self.data
-            .chunks_exact(self.dim)
-            .enumerate()
-            .map(|(i, v)| (i as ObjectId, v))
-    }
-
-    /// Exact top-`k` ids by inner product to `query`, descending
-    /// (brute-force scan; used for ground truth and the `MUST--` baseline).
-    #[must_use]
-    pub fn brute_force_top_k(&self, query: &[f32], k: usize) -> Vec<(ObjectId, f32)> {
-        brute_force_top_k_impl(self.iter(), query, k)
-    }
-
-    /// Mean of all vectors (the centroid used by the paper's seed
-    /// preprocessing, component 4 of Algorithm 1).
-    #[must_use]
-    pub fn centroid(&self) -> Vec<f32> {
-        centroid_impl(self.dim, self.len(), self.iter())
-    }
-}
-
-/// Exact top-`k` `(id, similarity)` by inner product over `(id, vector)`
-/// pairs, descending — shared by [`VectorSet`] and the fused-row modality
-/// views so the subtle partial-sort maintenance (tie handling, `k == 0`,
-/// bubble-up) can never diverge between the two storage layouts.
-pub(crate) fn brute_force_top_k_impl<'a>(
-    rows: impl Iterator<Item = (ObjectId, &'a [f32])>,
-    query: &[f32],
-    k: usize,
-) -> Vec<(ObjectId, f32)> {
-    let mut heap: Vec<(ObjectId, f32)> = Vec::with_capacity(k + 1);
-    for (id, v) in rows {
-        let s = kernels::ip(v, query);
-        if heap.len() < k {
-            heap.push((id, s));
-            if heap.len() == k {
-                heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1));
-            }
-        } else if k > 0 && s > heap[k - 1].1 {
-            heap[k - 1] = (id, s);
-            let mut i = k - 1;
-            while i > 0 && heap[i].1 > heap[i - 1].1 {
-                heap.swap(i, i - 1);
-                i -= 1;
-            }
-        }
-    }
-    if heap.len() < k {
-        heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1));
-    }
-    heap
-}
-
-/// Mean of `n` vectors of dimensionality `dim` (shared with the fused-row
-/// modality views, like [`brute_force_top_k_impl`]).
-pub(crate) fn centroid_impl<'a>(
-    dim: usize,
-    n: usize,
-    rows: impl Iterator<Item = (ObjectId, &'a [f32])>,
-) -> Vec<f32> {
-    let mut c = vec![0.0f32; dim];
-    if n == 0 {
-        return c;
-    }
-    for (_, v) in rows {
-        for (ci, vi) in c.iter_mut().zip(v) {
-            *ci += vi;
-        }
-    }
-    let inv = 1.0 / n as f32;
-    for ci in c.iter_mut() {
-        *ci *= inv;
-    }
-    c
 }
 
 /// Incremental builder that normalises vectors as they are appended.
@@ -239,6 +134,12 @@ impl VectorSetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MultiVectorSet;
+
+    /// `s` as the one modality of a fused set, where reads happen.
+    fn fused(s: VectorSet) -> MultiVectorSet {
+        MultiVectorSet::new(vec![s]).unwrap()
+    }
 
     fn sample_set() -> VectorSet {
         let mut b = VectorSetBuilder::new(4, 3);
@@ -252,8 +153,8 @@ mod tests {
     fn builder_normalises_rows() {
         let s = sample_set();
         assert_eq!(s.len(), 3);
-        for (_, v) in s.iter() {
-            assert!(kernels::is_unit_norm(v, 1e-5));
+        for id in 0..s.len() as ObjectId {
+            assert!(kernels::is_unit_norm(s.get(id), 1e-5));
         }
     }
 
@@ -281,8 +182,8 @@ mod tests {
 
     #[test]
     fn brute_force_top_k_is_sorted_and_exact() {
-        let s = sample_set();
-        let top = s.brute_force_top_k(&[1.0, 0.0, 0.0, 0.0], 2);
+        let s = fused(sample_set());
+        let top = s.modality(0).brute_force_top_k(&[1.0, 0.0, 0.0, 0.0], 2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, 0);
         assert!((top[0].1 - 1.0).abs() < 1e-5);
@@ -292,8 +193,8 @@ mod tests {
 
     #[test]
     fn brute_force_top_k_handles_k_larger_than_n() {
-        let s = sample_set();
-        let top = s.brute_force_top_k(&[0.0, 0.0, 0.0, 1.0], 10);
+        let s = fused(sample_set());
+        let top = s.modality(0).brute_force_top_k(&[0.0, 0.0, 0.0, 1.0], 10);
         assert_eq!(top.len(), 3);
         for w in top.windows(2) {
             assert!(w[0].1 >= w[1].1);
@@ -305,8 +206,7 @@ mod tests {
         let mut b = VectorSetBuilder::new(2, 2);
         b.push_normalized(&[0.0, 2.0]).unwrap();
         b.push_normalized(&[0.0, 5.0]).unwrap();
-        let s = b.finish();
-        let c = s.centroid();
+        let c = fused(b.finish()).modality(0).centroid();
         assert!((c[0]).abs() < 1e-6 && (c[1] - 1.0).abs() < 1e-6);
     }
 }

@@ -43,25 +43,6 @@ impl Weights {
         Self::new(vec![w; m]).expect("uniform weights are valid")
     }
 
-    /// Builds weights from a borrowed slice of raw `omega` values — the
-    /// ergonomic entry point for user-supplied weight overrides
-    /// (`search_weighted` callers usually hold a slice, not a `Vec`).
-    ///
-    /// # Errors
-    /// Returns [`VectorError::NotNormalisable`] if any weight is negative or
-    /// non-finite:
-    ///
-    /// ```
-    /// use must_vector::Weights;
-    ///
-    /// let w = Weights::try_from_slice(&[0.8, 0.6]).unwrap();
-    /// assert!((w.sq(0) - 0.64).abs() < 1e-6);
-    /// assert!(Weights::try_from_slice(&[0.5, -1.0]).is_err());
-    /// ```
-    pub fn try_from_slice(omega: &[f32]) -> Result<Self, crate::VectorError> {
-        Self::new(omega.to_vec())
-    }
-
     /// Linear interpolation between two weight configurations in *squared*
     /// space: `omega_i^2 = (1 - t) * a_i^2 + t * b_i^2`, with `t` clamped
     /// to `[0, 1]`.  Interpolating the squared weights keeps the blend

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let m = worker.search(&q.query, 1, 200)?;
         let ids: Vec<u32> = m.results.iter().map(|r| r.0).collect();
         r_must += recall_at(&ids, &q.ground_truth, 1);
-        let mr_out = mr.search(&q.query, 1, 300, &mut visited);
+        let mr_out = mr.search(&q.query, 1, 300, &mut visited)?;
         r_mr += recall_at(&mr_out.results, &q.ground_truth, 1);
         let je_out = je.search(&q.query, 1, 200, &mut visited)?;
         let je_ids: Vec<u32> = je_out.iter().map(|r| r.0).collect();

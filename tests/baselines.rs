@@ -56,7 +56,7 @@ fn baseline_answers_match_the_golden_hashes() {
     for q in 0..50 {
         let q = query(&set, q);
         for l in [20, 60] {
-            let out = mr.search(&q, 10, l, &mut scratch);
+            let out = mr.search(&q, 10, l, &mut scratch).unwrap();
             mr_words.push(out.intersection_size as u64);
             mr_words.extend(out.results.iter().map(|&id| u64::from(id)));
         }
@@ -95,9 +95,8 @@ fn mr_refuses_zero_candidates_and_wrong_dimension_slots() {
         MultiStreamedRetrieval::build(&set, BaselineOptions { gamma: 8, ..Default::default() }).unwrap();
     let q = query(&set, 5);
     let wrong_dim = MultiQuery::full(vec![set.modality(0).get(0).to_vec(), vec![1.0, 0.0]]);
-    for (what, q, l) in [("l_candidates = 0", &q, 0), ("wrong-dimension slot", &wrong_dim, 20)] {
-        let search = || mr.search(q, 5, l, &mut SearchScratch::default());
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(search));
-        assert!(out.is_ok(), "{what}: panicked");
-    }
+    let mut scratch = SearchScratch::default();
+    assert!(matches!(mr.search(&q, 5, 0, &mut scratch), Err(MustError::Config(_))));
+    assert!(matches!(mr.search(&wrong_dim, 5, 20, &mut scratch), Err(MustError::Vector(_))));
+    assert!(mr.search(&q, 5, 20, &mut scratch).is_ok());
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: generate → embed → learn → index →
 //! search, and the paper's headline claims at small scale.
 
-use must::core::baselines::{BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
 use must::core::metrics::recall_at;
 use must::core::search::brute_force_search;
 use must::core::weights::WeightLearnConfig;
@@ -104,13 +104,7 @@ fn framework_recalls(p: &Pipeline, k: usize) -> (f64, f64, f64) {
             .collect();
         r_must += recall_at(&ids, &q.ground_truth, k);
 
-        let mut per = Vec::new();
-        for mi in 0..objects.num_modalities() {
-            if let Some(slot) = q.query.slot(mi) {
-                per.push(objects.modality(mi).brute_force_top_k(slot, 300));
-            }
-        }
-        let merged = must::core::baselines::merge_candidates(&per, k).0;
+        let merged = mr_brute_force(objects, &q.query, k, 300).0;
         r_mr += recall_at(&merged, &q.ground_truth, k);
 
         let je_ids: Vec<u32> = objects
@@ -189,7 +183,7 @@ fn baselines_run_on_real_embeddings() {
     let je = JointEmbedding::build(&p.embedded.objects, opts).unwrap();
     let mut visited = SearchScratch::default();
     let q = &p.embedded.queries[200];
-    let mr_out = mr.search(&q.query, 10, 200, &mut visited);
+    let mr_out = mr.search(&q.query, 10, 200, &mut visited).unwrap();
     assert_eq!(mr_out.results.len(), 10);
     let je_out = je.search(&q.query, 10, 100, &mut visited).unwrap();
     assert_eq!(je_out.len(), 10);
