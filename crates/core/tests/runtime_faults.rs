@@ -223,7 +223,7 @@ fn seeded_fault_batches_fill_every_slot() {
         let engine = FaultEngine { seed };
         let n = (seed % 37) as usize;
         let queries: Vec<MultiQuery> = (0..n as u64).map(|id| request(id).query).collect();
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 3, 4] {
             for weighted in [false, true] {
                 let outs = if weighted {
                     engine.search_batch_weighted(&queries, &w, 1, 1, threads)

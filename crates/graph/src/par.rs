@@ -280,6 +280,17 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_item_resumes_with_its_own_payload() {
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map(100, threads, |i| if i == 37 { panic!("item 37 failed") } else { i })
+            });
+            let payload = caught.expect_err("item 37 panics");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 37 failed"), "threads {threads}");
+        }
+    }
+
+    #[test]
     fn build_threads_is_positive() {
         assert!(build_threads() >= 1);
     }

@@ -1,6 +1,6 @@
 //! Build determinism across thread budgets: the wave-scheduled HNSW (and
 //! every other backend touched by the thread knob) must produce
-//! byte-identical bundles for `threads ∈ {1, 2, 4}` — the on-disk proof
+//! byte-identical bundles for `threads ∈ {1, 2, 3, 4}` — the on-disk proof
 //! that the worker budget is a wall-clock knob, not an algorithm knob.
 
 use must::graph::GraphRecipe;
@@ -50,7 +50,7 @@ fn v7_bundles_are_byte_identical_across_thread_budgets() {
     let set = corpus(900, 12, 8, 0xD1CE);
     for recipe in [GraphRecipe::Hnsw, GraphRecipe::Fused] {
         let t1 = bundle_bytes(&set, recipe, 1, &format!("{recipe:?}-t1"));
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             let tn = bundle_bytes(&set, recipe, threads, &format!("{recipe:?}-t{threads}"));
             assert_eq!(t1, tn, "{recipe:?}: bundle differs between T=1 and T={threads}");
         }
@@ -76,7 +76,7 @@ fn sharded_bundles_are_byte_identical_across_thread_budgets() {
     };
     for recipe in [GraphRecipe::Hnsw, GraphRecipe::Fused] {
         let t1 = save(recipe, 1);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             let tn = save(recipe, threads);
             assert_eq!(t1, tn, "{recipe:?}: sharded bundle differs between T=1 and T={threads}");
         }
