@@ -9,10 +9,12 @@
 //! handle-level entry point is a provided method of [`ServeEngine`] over
 //! that body — [`ServeEngine::search_weighted`],
 //! [`ServeEngine::search_batch`] / [`ServeEngine::search_batch_weighted`]
-//! (scoped threads, atomic chunk claiming) and [`ServeEngine::serve`] (a
-//! [`ServeRuntime`] fed from a channel) — so a default-weight query and an
-//! overridden one, one-off or batched or queued, do the same work in the
-//! same order on either engine.
+//! (one [`must_graph::par::par_map_with`] fork–join) and
+//! [`ServeEngine::serve`] (a [`ServeRuntime`] fed from a channel) — so a
+//! default-weight query and an overridden one, one-off or batched or
+//! queued, do the same work in the same order on either engine.  The
+//! runtime's [`ServeRuntime::start`] is the layer's one long-lived thread
+//! pool; a batch is a fork–join.
 //!
 //! ## The runtime
 //!
@@ -51,7 +53,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -204,24 +206,15 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// The batch fan-out behind [`ServeEngine::search_batch`] and
-/// [`ServeEngine::search_batch_weighted`]: `threads` is clamped to
-/// `[1, queries.len()]` and each scoped thread mints one reusable worker.
-///
-/// Work is distributed by **atomic chunk claiming**, not static slices:
-/// workers repeatedly claim the next `~n/(4·threads)` queries off a
-/// shared cursor until the batch is exhausted.  Static contiguous chunks
-/// (`n.div_ceil(threads)` each) left the last worker with up to
-/// `n/threads` extra queries on ragged batches — e.g. 17 queries over 4
-/// threads ran as 5+5+5+2, with two workers idle while the tail drained.
-/// Claiming bounds the imbalance to a single small chunk.
-///
-/// Each worker records `(original index, outcome)` pairs and the results
-/// are scattered back by index afterwards, so outcomes come back in input
-/// order and — because per-query work is deterministic and only *which*
-/// worker runs a query changes — results are bit-identical for every
-/// thread count and every claiming interleaving.  Every query runs
-/// through [`run_isolated`], so a panicking query fills its own slot and
-/// no scoped thread dies.
+/// [`ServeEngine::search_batch_weighted`]: one
+/// [`must_graph::par::par_map_with`] call, each of its workers minting one
+/// reusable engine worker and claiming chunks of `~n/(4·threads)` queries
+/// off a shared cursor, so a ragged batch leaves at most one small chunk
+/// of imbalance.  Outcomes come back in input order and — because
+/// per-query work is deterministic and only *which* worker runs a query
+/// changes — bit-identical for every thread count and every claiming
+/// interleaving.  Every query runs through [`run_isolated`], so a
+/// panicking query fills its own slot and no worker dies.
 fn fan_out_batch<E: ServeEngine>(
     engine: &E,
     queries: &[MultiQuery],
@@ -230,48 +223,9 @@ fn fan_out_batch<E: ServeEngine>(
     l: usize,
     threads: usize,
 ) -> Vec<Result<SearchOutcome, MustError>> {
-    let n = queries.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        let mut worker = engine.serve_worker();
-        return queries.iter().map(|q| run_isolated(engine, &mut worker, q, weights, k, l)).collect();
-    }
-    // ~4 chunks per worker: small enough to level a ragged tail, large
-    // enough that the shared cursor is touched rarely.
-    let chunk = (n.div_ceil(4 * threads)).max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<Option<Result<SearchOutcome, MustError>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut worker = engine.serve_worker();
-                    let mut ran: Vec<(usize, Result<SearchOutcome, MustError>)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        for (off, q) in queries[start..end].iter().enumerate() {
-                            ran.push((start + off, run_isolated(engine, &mut worker, q, weights, k, l)));
-                        }
-                    }
-                    ran
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("a worker panicked outside a query") {
-                out[i] = Some(outcome);
-            }
-        }
-    });
-    out.into_iter().map(|x| x.expect("every index claimed exactly once")).collect()
+    must_graph::par::par_map_with(queries.len(), threads, || engine.serve_worker(), |worker, i| {
+        run_isolated(engine, worker, &queries[i], weights, k, l)
+    })
 }
 
 /// One submission: a single query or a whole batch, which one worker runs
@@ -356,6 +310,7 @@ impl ServeRuntime {
     /// bump) and keeps one reusable [`ServeEngine::Worker`] for its whole
     /// lifetime — no per-request or per-batch thread spawning.
     #[must_use]
+    #[allow(clippy::disallowed_methods)] // the serving layer's one long-lived pool
     pub fn start<E: ServeEngine>(engine: &E, workers: usize, replies: Sender<ServeReply>) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {

@@ -11,6 +11,7 @@
 //!   else — the worker behind it serves on with a fresh engine worker;
 //! * `shutdown()` returns and counts every unit;
 //! * no queued unit is left behind once every reply is in.
+#![allow(clippy::disallowed_methods)] // simulates concurrent clients
 
 use std::collections::HashMap;
 use std::sync::mpsc;

@@ -1,9 +1,6 @@
 //! HNSW (Malkov & Yashunin, TPAMI 2020): the layered small-world graph used
 //! as one of the pluggable backends in the paper's Fig. 10 ablation.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,13 +94,12 @@ pub struct HnswFlat {
 }
 
 /// A deferred back-edge batch for one `(node, layer)` whose list would
-/// overflow its cap: re-pruned read-only in the parallel phase, applied in
-/// the serial commit.
+/// overflow its cap: re-pruned read-only in the parallel phase, applied
+/// serially after it.
 struct BackGroup {
     nb: u32,
     layer: u32,
     adds: Vec<u32>,
-    pruned: Mutex<Vec<u32>>,
 }
 
 /// Draws one node's level from `rng` (exponential with mean `1 / ln M`).
@@ -142,9 +138,11 @@ impl Hnsw {
     /// serially in ascending node id with the same selection and pruning
     /// rules the sequential path used.  Back-edge lists that overflow
     /// their cap are re-pruned in a second parallel phase (read-only,
-    /// per-list) and applied serially.  No phase ever reads state another
-    /// concurrent task writes, so the result is byte-identical across
-    /// thread counts, including `threads == 1`.
+    /// per-list) and applied serially.  Each parallel phase is one
+    /// [`par::par_map_with`] call over `&self` and each serial one runs on
+    /// `&mut self` between them, so no phase ever reads state another
+    /// concurrent task writes and the build takes no lock: the result is
+    /// byte-identical across thread counts, including `threads == 1`.
     pub fn build_with_threads<O: SimilarityOracle>(
         oracle: &O,
         params: HnswParams,
@@ -152,63 +150,27 @@ impl Hnsw {
     ) -> Self {
         let n = oracle.len();
         assert!(n > 0, "cannot index an empty object set");
-        let levels = assign_levels(n, &params);
-        let threads = threads.max(1).min(n);
-        let index = RwLock::new(Self::with_levels(&levels, params));
-        // Per-worker search scratch (visited stamps + beam pool), reused
-        // across every wave — the sequential path used to reallocate both
-        // per inserted node, which dominated large builds.
-        let scratches: Vec<Mutex<SearchScratch>> =
-            (0..threads).map(|_| Mutex::new(SearchScratch::default())).collect();
-        let wave_start = AtomicUsize::new(1);
-        // One slot per wave offset; a worker owns slot `item` for the
-        // duration of the phase, so each mutex is locked exactly once.
-        let cand_slots: Vec<Mutex<Vec<Vec<u32>>>> = (0..n.saturating_sub(1).min(WAVE_MAX))
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        // Non-empty exactly while the re-prune phase runs: which of the two
-        // parallel phases an item belongs to.
-        let groups: RwLock<Vec<BackGroup>> = RwLock::new(Vec::new());
-
-        let worker = |w: usize, item: usize| {
-            let index = index.read().expect("index lock");
-            let groups = groups.read().expect("group lock");
-            let mut scratch = scratches[w].lock().expect("scratch lock");
-            if let Some(g) = groups.get(item) {
-                *g.pruned.lock().expect("pruned slot") = index.reprune(oracle, g, &mut scratch);
-            } else {
-                let node = (wave_start.load(Ordering::Relaxed) + item) as u32;
-                *cand_slots[item].lock().expect("candidate slot") =
-                    index.candidates(oracle, node, &mut scratch);
+        let mut index = Self::with_levels(&assign_levels(n, &params), params);
+        let mut start = 1usize;
+        while start < n {
+            let len = (start / 3).clamp(1, WAVE_MAX).min(n - start);
+            // (A) every node of the wave against the frozen prefix; each
+            // worker keeps one search scratch for the phase.
+            let selected = par::par_map_with(len, threads, SearchScratch::default, |scratch, item| {
+                index.candidates(oracle, (start + item) as u32, scratch)
+            });
+            // (B) serial commit in ascending node id.
+            let pending = index.commit(start as u32, selected);
+            // (C) re-prune every overflowing list read-only, (D) apply.
+            let pruned = par::par_map_with(pending.len(), threads, SearchScratch::default, |scratch, g| {
+                index.reprune(oracle, &pending[g], scratch)
+            });
+            for (g, list) in pending.iter().zip(pruned) {
+                index.set_neighbors(g.nb, g.layer as usize, &list);
             }
-        };
-
-        par::wave_pool(threads, &worker, |pool| {
-            let mut start = 1usize;
-            while start < n {
-                let len = (start / 3).clamp(1, WAVE_MAX).min(n - start);
-                wave_start.store(start, Ordering::Relaxed);
-                pool.run(len);
-                let selected = cand_slots[..len]
-                    .iter()
-                    .map(|slot| std::mem::take(&mut *slot.lock().expect("candidate slot")));
-                let pending = index.write().expect("index lock").commit(start as u32, selected);
-                if !pending.is_empty() {
-                    let n_groups = pending.len();
-                    *groups.write().expect("group lock") = pending;
-                    pool.run(n_groups);
-                    let done = std::mem::take(&mut *groups.write().expect("group lock"));
-                    let mut index = index.write().expect("index lock");
-                    for g in done {
-                        let pruned = g.pruned.into_inner().expect("pruned slot");
-                        index.set_neighbors(g.nb, g.layer as usize, &pruned);
-                    }
-                }
-                start += len;
-            }
-        });
-
-        index.into_inner().expect("index lock")
+            start += len;
+        }
+        index
     }
 
     /// Dynamically inserts a new vertex (Section IX of the paper: HNSW
@@ -449,7 +411,7 @@ impl Hnsw {
     /// in phase A in ascending node id, appends the back edges that fit, and
     /// returns the `(neighbour, layer)` groups whose lists would overflow —
     /// for the caller to re-prune (phase C) and apply (phase D).
-    fn commit(&mut self, start: u32, selected: impl Iterator<Item = Vec<Vec<u32>>>) -> Vec<BackGroup> {
+    fn commit(&mut self, start: u32, selected: impl IntoIterator<Item = Vec<Vec<u32>>>) -> Vec<BackGroup> {
         let mut requests: Vec<(u32, u32, u32)> = Vec::new();
         for (node, lists) in (start..).zip(selected) {
             for (l, list) in lists.iter().enumerate() {
@@ -467,7 +429,7 @@ impl Hnsw {
             let (nb, layer, _) = group[0];
             let adds: Vec<u32> = group.iter().map(|r| r.2).collect();
             if !self.try_extend(nb, layer as usize, &adds) {
-                pending.push(BackGroup { nb, layer, adds, pruned: Mutex::new(Vec::new()) });
+                pending.push(BackGroup { nb, layer, adds });
             }
         }
         pending
@@ -493,7 +455,7 @@ impl Hnsw {
     /// Sequential insertion of `node` (already pushed): a wave of one.
     fn insert<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, scratch: &mut SearchScratch) {
         let selected = self.candidates(oracle, node, scratch);
-        for g in self.commit(node, std::iter::once(selected)) {
+        for g in self.commit(node, [selected]) {
             let pruned = self.reprune(oracle, &g, scratch);
             self.set_neighbors(g.nb, g.layer as usize, &pruned);
         }
