@@ -554,7 +554,7 @@ impl Hnsw {
         // pool size and pruning hook.
         let ep = self.descend(scorer, (1..=self.max_level).rev(), &mut stats);
         self.search_layer(scorer, ep, 0, params.l, scratch, &mut stats);
-        SearchResult { results: scratch.pool.top_k(params.k), stats }
+        SearchResult { results: scratch.pool.ranked(params.k), stats }
     }
 }
 

@@ -140,10 +140,31 @@ impl Pool {
         &self.entries
     }
 
-    /// The best `k` `(id, sim)` pairs, descending.
+    /// The best `k` `(id, sim)` pairs, descending, in pool order: equal
+    /// similarities in the order the walk met them (what construction's
+    /// candidate lists are pinned to).
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<(u32, f32)> {
         self.entries.iter().take(k).map(|e| (e.id, e.sim)).collect()
+    }
+
+    /// The best `k` `(id, sim)` pairs ranked by (similarity desc, id asc),
+    /// the total order a search answers in, so an answer is a pure
+    /// function of the query and not of the order the walk met its
+    /// members.  A tie across the `k`-th place takes part too.  Without
+    /// ties this is [`Pool::top_k`].
+    #[must_use]
+    pub fn ranked(&self, k: usize) -> Vec<(u32, f32)> {
+        let mut end = k.min(self.entries.len());
+        while end > 0 && self.entries.get(end).is_some_and(|e| e.sim == self.entries[end - 1].sim) {
+            end += 1;
+        }
+        let mut out: Vec<(u32, f32)> = self.entries[..end].iter().map(|e| (e.id, e.sim)).collect();
+        out.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
+        out.truncate(k);
+        out
     }
 
     /// Sum of all pool similarities — the monotone function `f(eta)` of
@@ -167,6 +188,18 @@ mod tests {
         let sims: Vec<f32> = p.entries().iter().map(|e| e.sim).collect();
         assert_eq!(sims, vec![0.9, 0.7, 0.5]);
         assert!(p.is_full());
+    }
+
+    #[test]
+    fn ranked_breaks_ties_by_id_across_the_cut() {
+        let mut p = Pool::new(6);
+        for (id, sim) in [(9, 0.5), (2, 0.9), (7, 0.5), (3, 0.5), (8, 0.1)] {
+            p.insert(id, sim);
+        }
+        assert_eq!(p.top_k(3), vec![(2, 0.9), (9, 0.5), (7, 0.5)], "pool order: as met");
+        assert_eq!(p.ranked(3), vec![(2, 0.9), (3, 0.5), (7, 0.5)]);
+        assert_eq!(p.ranked(9), vec![(2, 0.9), (3, 0.5), (7, 0.5), (9, 0.5), (8, 0.1)]);
+        assert_eq!(p.ranked(0), vec![]);
     }
 
     #[test]

@@ -184,7 +184,7 @@ pub fn beam_search_csr<S: QueryScorer + ?Sized>(
     }
 
     expand(|v| graph.neighbors(v), scorer, scratch, &mut stats);
-    SearchResult { results: scratch.pool.top_k(params.k), stats }
+    SearchResult { results: scratch.pool.ranked(params.k), stats }
 }
 
 /// The hop loop (Lines 4-10 of Algorithm 2) every search in this crate
