@@ -24,15 +24,27 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Four pairs per pass: `kernels::ip4` against four `kernels::ip` calls on
-/// the same in-cache vectors, at the repo benchmark's segment widths (64,
-/// 32) and their fused sum (96).  Reports ns per pair for both and their
-/// ratio — the kernel half of what graph construction gains by scoring
-/// its candidate batches four at a time.
+/// Four pairs per pass: `kernels::ip4` against four `kernels::ip` calls
+/// and `kernels::l2_sq4` against four `kernels::l2_sq` calls on the same
+/// in-cache vectors, at the repo benchmark's segment widths (64, 32) and
+/// their fused sum (96).  Reports ns per pair for both and their ratio —
+/// the kernel half of what graph construction (`ip4`) and the exact scan
+/// (`l2_sq4`, a row against four queries) gain by working four at a time.
 fn bench_ip4(c: &mut Criterion) {
+    four_per_pass(c, "ip4", "ip", kernels::ip4, kernels::ip);
+    four_per_pass(c, "l2_sq4", "l2_sq", kernels::l2_sq4, kernels::l2_sq);
+}
+
+fn four_per_pass(
+    c: &mut Criterion,
+    quad_name: &str,
+    one_name: &str,
+    quad_kernel: impl Fn(&[f32], [&[f32]; 4]) -> [f32; 4],
+    one_kernel: impl Fn(&[f32], &[f32]) -> f32,
+) {
     use std::time::Instant;
 
-    let mut group = c.benchmark_group("ip4");
+    let mut group = c.benchmark_group(quad_name);
     let mut report: Vec<(usize, f64, f64)> = Vec::new();
     for dim in [32usize, 64, 96] {
         let (a, _) = vectors(dim);
@@ -40,11 +52,11 @@ fn bench_ip4(c: &mut Criterion) {
             .map(|j| (0..dim).map(|i| ((i * 53 + j * 29 + 7) as f32).cos()).collect())
             .collect();
         let quad = || [bs[0].as_slice(), &bs[1], &bs[2], &bs[3]];
-        group.bench_with_input(BenchmarkId::new("ip4", dim), &dim, |bch, _| {
-            bch.iter(|| kernels::ip4(black_box(&a), black_box(quad())))
+        group.bench_with_input(BenchmarkId::new(quad_name, dim), &dim, |bch, _| {
+            bch.iter(|| quad_kernel(black_box(&a), black_box(quad())))
         });
-        group.bench_with_input(BenchmarkId::new("ip_x4", dim), &dim, |bch, _| {
-            bch.iter(|| quad().map(|b| kernels::ip(black_box(&a), black_box(b))))
+        group.bench_with_input(BenchmarkId::new(format!("{one_name}_x4"), dim), &dim, |bch, _| {
+            bch.iter(|| quad().map(|b| one_kernel(black_box(&a), black_box(b))))
         });
 
         // Direct interleaved timing so the bench output carries the numbers.
@@ -52,23 +64,23 @@ fn bench_ip4(c: &mut Criterion) {
         let mut acc = 0.0f32;
         let t0 = Instant::now();
         for _ in 0..iters {
-            acc += kernels::ip4(black_box(&a), black_box(quad())).iter().sum::<f32>();
+            acc += quad_kernel(black_box(&a), black_box(quad())).iter().sum::<f32>();
         }
-        let ip4_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters * 4);
+        let quad_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters * 4);
         let t0 = Instant::now();
         for _ in 0..iters {
-            acc += quad().map(|b| kernels::ip(black_box(&a), black_box(b))).iter().sum::<f32>();
+            acc += quad().map(|b| one_kernel(black_box(&a), black_box(b))).iter().sum::<f32>();
         }
-        let ip_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters * 4);
+        let one_ns = t0.elapsed().as_nanos() as f64 / f64::from(iters * 4);
         black_box(acc);
-        report.push((dim, ip4_ns, ip_ns));
+        report.push((dim, quad_ns, one_ns));
     }
     group.finish();
-    for (dim, ip4_ns, ip_ns) in &report {
+    for (dim, quad_ns, one_ns) in &report {
         eprintln!(
-            "[kernels] four pairs per pass d={dim}: ip4 {ip4_ns:.1} ns/pair, ip {ip_ns:.1} ns/pair, \
-             ip4 / ip = {:.2}x",
-            ip4_ns / ip_ns
+            "[kernels] four pairs per pass d={dim}: {quad_name} {quad_ns:.1} ns/pair, \
+             {one_name} {one_ns:.1} ns/pair, {quad_name} / {one_name} = {:.2}x",
+            quad_ns / one_ns
         );
     }
 }

@@ -6,7 +6,7 @@ use must_vector::{MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
 
 use crate::index::{build_index, BuildReport, MustIndex};
 use crate::oracle::JointOracle;
-use crate::search::{brute_force_search, positive_k, SearchOutcome};
+use crate::search::{exact_scan, SearchOutcome};
 use crate::weights::{LearnedWeights, WeightLearnConfig, WeightLearner};
 use crate::MustError;
 
@@ -332,27 +332,22 @@ impl Must {
         self.worker().search(query, k, l)
     }
 
-    /// Exact joint top-`k` (`MUST--`), excluding tombstoned objects.
+    /// Exact joint top-`k` (`MUST--`) over the live objects: the scan
+    /// skips tombstoned rows (neither scored nor counted in the stats).
     ///
     /// # Errors
     /// Propagates arity/dimension mismatches; [`MustError::Config`] for
     /// `k = 0`.
     pub fn brute_force(&self, query: &MultiQuery, k: usize) -> Result<SearchOutcome, MustError> {
-        positive_k(k)?;
-        let rows = self.objects.fused();
-        let mut out =
-            brute_force_search(rows, query, &self.weights, k + self.deleted_count, self.prune)?;
-        if self.deleted_count > 0 {
-            out.results.retain(|(id, _)| !self.is_deleted(*id));
-        }
-        out.results.truncate(k);
-        Ok(out)
+        let live = |id| !self.is_deleted(id);
+        exact_scan(self.objects.fused(), query, &self.weights, k, self.prune, live)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::brute_force_search;
     use must_vector::VectorSetBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -453,6 +448,34 @@ mod tests {
         assert!(bf.results.iter().all(|(id, _)| *id != 42));
         assert!(must.restore(42).unwrap());
         assert_eq!(must.search(&q, 1, 60).unwrap().results[0].0, 42);
+    }
+
+    #[test]
+    fn brute_force_skips_half_a_corpus_of_tombstones_exactly() {
+        // Half of 2 000 rows tombstoned: the scan skips them in place
+        // (no `k + deleted` over-fetch) and still returns the exact top-k
+        // of the live rows: the full ranking (k = n prunes nothing, so
+        // the similarities are the same float ops), filtered.
+        let n = 2_000u32;
+        let set = corpus(n as usize);
+        let opts = MustBuildOptions { gamma: 8, ..Default::default() };
+        let mut must = Must::build(set, Weights::new(vec![0.8, 0.4]).unwrap(), opts).unwrap();
+        for id in (0..n).filter(|id| id % 2 == 0 || id % 7 == 0) {
+            assert!(must.mark_deleted(id).unwrap());
+        }
+        assert!(must.deleted_count() >= n as usize / 2);
+        let rows = must.objects().fused();
+        for (anchor, k) in [(14u32, 10usize), (15, 1), (999, 25)] {
+            let q = self_query(must.objects(), anchor);
+            let full = brute_force_search(rows, &q, must.weights(), n as usize, must.prune()).unwrap();
+            let model: Vec<(ObjectId, f32)> =
+                full.results.into_iter().filter(|&(id, _)| !must.is_deleted(id)).take(k).collect();
+            let got = must.brute_force(&q, k).unwrap();
+            assert!(got.results.iter().all(|&(id, _)| !must.is_deleted(id)), "anchor {anchor}");
+            assert_eq!(got.results, model, "anchor {anchor}, k {k}");
+            let live = u64::from(n) - must.deleted_count() as u64;
+            assert_eq!(got.stats.evaluated, live, "only live rows are scanned");
+        }
     }
 
     #[test]

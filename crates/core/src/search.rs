@@ -3,15 +3,19 @@
 //! computation for the semi-synthetic workloads.  Algorithm 2 over the
 //! fused index runs in one place, [`crate::server::ServerWorker`], for an
 //! offline [`crate::Must`] and a frozen [`crate::MustServer`] alike.  The
-//! exact scan scores through the same [`MustQueryScorer::from_rows`] the
-//! graph walk does, taking its arguments in that order.
+//! exact scan is one body, `scan`: `MUST--` ([`brute_force_search`],
+//! [`crate::Must::brute_force`]) runs it one query at a time, and
+//! [`exact_ground_truth`] four queries per pass over the rows.  It scores
+//! through the [`FusedQueryEvaluator`] that
+//! [`crate::MustQueryScorer::from_rows`] wraps for the graph walk.
 
 use std::time::Instant;
 
-use must_graph::{QueryScorer, SearchParams, SearchStats};
-use must_vector::{FusedRows, MultiQuery, MultiVectorSet, ObjectId, Weights};
+use must_graph::{SearchParams, SearchStats};
+use must_vector::{
+    FusedQueryEvaluator, FusedRows, MultiQuery, MultiVectorSet, ObjectId, PartialIpVerdict, Weights,
+};
 
-use crate::oracle::MustQueryScorer;
 use crate::MustError;
 
 /// `SearchParams::new(k, max(l, k))` for a caller-supplied `(k, l)`.  A
@@ -47,7 +51,7 @@ pub struct SearchOutcome {
 
 /// Brute-force joint top-`k` (the `MUST--` baseline) of `query` under
 /// `weights`: scans every row, still benefiting from the Lemma-4 pruning
-/// against the running top-`k` threshold.
+/// against the running top-`k` threshold.  The one scan body at width 1.
 ///
 /// # Errors
 /// Propagates weight/query/corpus arity mismatches;
@@ -59,55 +63,162 @@ pub fn brute_force_search(
     k: usize,
     prune: bool,
 ) -> Result<SearchOutcome, MustError> {
+    exact_scan(rows, query, weights, k, prune, |_| true)
+}
+
+/// [`brute_force_search`] over the rows `live` accepts: the others are
+/// skipped inside the scan (neither scored nor counted), so the top-`k`
+/// is exact over the live rows with no over-fetch.
+pub(crate) fn exact_scan(
+    rows: &FusedRows,
+    query: &MultiQuery,
+    weights: &Weights,
+    k: usize,
+    prune: bool,
+    live: impl Fn(ObjectId) -> bool,
+) -> Result<SearchOutcome, MustError> {
     positive_k(k)?;
-    let scorer = MustQueryScorer::from_rows(rows, query, weights, prune)?;
+    let eval = rows.query(query, weights)?;
     let t0 = Instant::now();
-    let n = rows.len();
-    let mut top: Vec<(ObjectId, f32)> = Vec::with_capacity(k + 1);
-    let mut stats = SearchStats::default();
-    for id in 0..n as u32 {
-        stats.evaluated += 1;
-        let threshold = if top.len() == k {
-            top[k - 1].1
-        } else {
-            f32::NEG_INFINITY
-        };
-        match scorer.score_pruned(id, threshold) {
-            Some(s) => {
-                if top.len() < k || s > threshold {
-                    let pos = top.partition_point(|t| t.1 >= s);
-                    top.insert(pos, (id, s));
-                    if top.len() > k {
-                        top.pop();
-                    }
-                }
-            }
-            None => stats.pruned += 1,
-        }
-    }
+    let top = scan(std::slice::from_ref(&eval), rows.len(), k, prune, live)
+        .pop()
+        .expect("one query, one top list");
     Ok(SearchOutcome {
-        results: top,
-        stats,
-        kernel_evals: scorer.kernel_evals(),
+        results: top.results,
+        stats: top.stats,
+        kernel_evals: eval.kernel_evals(),
         secs: t0.elapsed().as_secs_f64(),
     })
 }
 
 /// Exact top-`k` ground truth for a batch of queries under `weights`
 /// (the protocol of the efficiency experiments: Figs. 6–8, Tab. VII).
-/// Parallel over queries.
+/// Queries go in order in blocks of [`BLOCK`], one block per
+/// [`must_graph::par::par_map`] item, each block one pass over the rows.
+///
+/// # Errors
+/// As [`brute_force_search`].
 pub fn exact_ground_truth(
     set: &MultiVectorSet,
     weights: &Weights,
     queries: &[MultiQuery],
     k: usize,
 ) -> Result<Vec<Vec<ObjectId>>, MustError> {
-    let threads = must_graph::par::build_threads();
-    let out = must_graph::par::par_map(queries.len(), threads, |qi| {
-        brute_force_search(set.fused(), &queries[qi], weights, k, true)
-            .map(|o| o.results.into_iter().map(|(id, _)| id).collect::<Vec<_>>())
+    ground_truth_on(set.fused(), weights, queries, k, must_graph::par::build_threads())
+}
+
+/// [`exact_ground_truth`] on `threads` workers.
+fn ground_truth_on(
+    rows: &FusedRows,
+    weights: &Weights,
+    queries: &[MultiQuery],
+    k: usize,
+    threads: usize,
+) -> Result<Vec<Vec<ObjectId>>, MustError> {
+    positive_k(k)?;
+    let blocks = queries.chunks(BLOCK).collect::<Vec<_>>();
+    let out = must_graph::par::par_map(blocks.len(), threads, |b| {
+        let evals = blocks[b]
+            .iter()
+            .map(|q| rows.query(q, weights))
+            .collect::<Result<Vec<_>, _>>()?;
+        let tops = scan(&evals, rows.len(), k, true, |_| true);
+        Ok(tops.into_iter().map(|t| t.results.into_iter().map(|(id, _)| id).collect()).collect())
     });
-    out.into_iter().collect()
+    let blocks: Vec<Vec<Vec<ObjectId>>> = out.into_iter().collect::<Result<_, MustError>>()?;
+    Ok(blocks.into_iter().flatten().collect())
+}
+
+/// Queries per pass of the exact scan: [`kernels::l2_sq4`]'s width.
+///
+/// [`kernels::l2_sq4`]: must_vector::kernels::l2_sq4
+const BLOCK: usize = 4;
+
+/// One query's running top-`k` in the exact scan, with its counters.
+struct TopK {
+    k: usize,
+    /// Best first; ties by id, since rows arrive in id order and a tie
+    /// goes behind its equals.
+    results: Vec<(ObjectId, f32)>,
+    stats: SearchStats,
+}
+
+impl TopK {
+    fn new(k: usize) -> Self {
+        Self { k, results: Vec::with_capacity(k + 1), stats: SearchStats::default() }
+    }
+
+    /// The `k`-th best similarity once `k` rows are held, else `-inf`.
+    #[inline]
+    fn threshold(&self) -> f32 {
+        if self.results.len() == self.k {
+            self.results[self.k - 1].1
+        } else {
+            f32::NEG_INFINITY
+        }
+    }
+
+    /// Row `id`'s verdict against the `threshold` it was scored under.
+    #[inline]
+    fn offer(&mut self, id: ObjectId, threshold: f32, verdict: PartialIpVerdict) {
+        self.stats.evaluated += 1;
+        match verdict {
+            PartialIpVerdict::Exact(s) => {
+                if self.results.len() < self.k || s > threshold {
+                    let pos = self.results.partition_point(|t| t.1 >= s);
+                    self.results.insert(pos, (id, s));
+                    if self.results.len() > self.k {
+                        self.results.pop();
+                    }
+                }
+            }
+            PartialIpVerdict::Pruned => self.stats.pruned += 1,
+        }
+    }
+}
+
+/// The one exact scan body: rows `0..n` in order, those `live` accepts,
+/// for a block of one to [`BLOCK`] queries over one `n`-row engine.  A
+/// full block of one layout ([`FusedQueryEvaluator::same_layout`]) under
+/// pruning shares each row pass across its four queries
+/// ([`FusedQueryEvaluator::ip_pruned4`]); any other block runs query by
+/// query through the width-1 calls, `ip_pruned` (or `ip` unpruned).
+/// Either way each query's scores, verdicts, top list and counters are
+/// those of its own width-1 scan, bit for bit.
+fn scan(
+    evals: &[FusedQueryEvaluator<'_>],
+    n: usize,
+    k: usize,
+    prune: bool,
+    live: impl Fn(ObjectId) -> bool,
+) -> Vec<TopK> {
+    let mut tops: Vec<TopK> = evals.iter().map(|_| TopK::new(k)).collect();
+    let n = n as ObjectId;
+    match <&[FusedQueryEvaluator<'_>; BLOCK]>::try_from(evals) {
+        Ok(quad) if prune && quad.iter().all(|e| quad[0].same_layout(e)) => {
+            for id in (0..n).filter(|&id| live(id)) {
+                let thresholds: [f32; BLOCK] = std::array::from_fn(|j| tops[j].threshold());
+                let verdicts = FusedQueryEvaluator::ip_pruned4(quad, id, thresholds);
+                for ((top, threshold), verdict) in tops.iter_mut().zip(thresholds).zip(verdicts) {
+                    top.offer(id, threshold, verdict);
+                }
+            }
+        }
+        _ => {
+            for (eval, top) in evals.iter().zip(&mut tops) {
+                for id in (0..n).filter(|&id| live(id)) {
+                    let threshold = top.threshold();
+                    let verdict = if prune {
+                        eval.ip_pruned(id, threshold)
+                    } else {
+                        PartialIpVerdict::Exact(eval.ip(id))
+                    };
+                    top.offer(id, threshold, verdict);
+                }
+            }
+        }
+    }
+    tops
 }
 
 #[cfg(test)]
@@ -209,6 +320,87 @@ mod tests {
         let zero = brute_force_search(set.fused(), &queries[0], &w, 0, true);
         assert!(matches!(zero, Err(MustError::Config(_))));
         assert!(matches!(exact_ground_truth(&set, &w, &queries, 0), Err(MustError::Config(_))));
+    }
+
+    /// `corpus(n)` with rows `3, 40, 41, 77` copied bit for bit into
+    /// rows `4, 90, 42, n - 1`: ties the scan must break by id.
+    fn corpus_with_duplicates(n: usize) -> MultiVectorSet {
+        let set = corpus(n);
+        let mut data = set.fused().raw_data().to_vec();
+        let stride = set.fused().stride();
+        for (from, to) in [(3usize, 4usize), (40, 90), (41, 42), (77, n - 1)] {
+            data.copy_within(from * stride..(from + 1) * stride, to * stride);
+        }
+        MultiVectorSet::from_fused(FusedRows::from_raw_parts(set.fused().dims().to_vec(), data).unwrap())
+    }
+
+    /// A full self-query of `id`, or one with modality `drop` left out.
+    fn query_of(set: &MultiVectorSet, id: ObjectId, drop: Option<usize>) -> MultiQuery {
+        MultiQuery::partial(
+            (0..2).map(|m| (drop != Some(m)).then(|| set.modality(m).get(id).to_vec())).collect(),
+        )
+    }
+
+    #[test]
+    fn a_block_of_four_is_four_width_one_scans_bit_for_bit() {
+        let set = corpus_with_duplicates(300);
+        let rows = set.fused();
+        let w = Weights::new(vec![0.9, 0.3]).unwrap();
+        let queries: Vec<MultiQuery> = [3u32, 41, 77, 150].map(|id| query_of(&set, id, None)).into();
+        for k in [1usize, 7, 300, 305] {
+            let quad: Vec<_> = queries.iter().map(|q| rows.query(q, &w).unwrap()).collect();
+            let block = scan(&quad, rows.len(), k, true, |_| true);
+            for ((q, eval), got) in queries.iter().zip(&quad).zip(block) {
+                let want = brute_force_search(rows, q, &w, k, true).unwrap();
+                assert_eq!(got.results.len(), k.min(rows.len()));
+                let bits = |r: &[(ObjectId, f32)]| {
+                    r.iter().map(|&(id, s)| (id, s.to_bits())).collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got.results), bits(&want.results), "k {k}");
+                assert_eq!(got.stats, want.stats, "k {k}");
+                assert_eq!(eval.kernel_evals(), want.kernel_evals, "k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn ground_truth_is_brute_force_for_every_block_shape_and_thread_count() {
+        let set = corpus_with_duplicates(240);
+        let rows = set.fused();
+        let w = Weights::new(vec![0.8, 0.5]).unwrap();
+        // Blocks: four full queries (one pass), two with partial queries
+        // mixed in (layouts differ), and a remainder of one.
+        let plan = [
+            (3u32, None),
+            (40, None),
+            (41, None),
+            (77, None),
+            (4, Some(1)),
+            (90, None),
+            (120, Some(0)),
+            (42, None),
+            (200, None),
+            (77, Some(1)),
+            (5, Some(1)),
+            (6, Some(1)),
+            (239, None),
+        ];
+        let queries: Vec<MultiQuery> = plan.iter().map(|&(id, drop)| query_of(&set, id, drop)).collect();
+        for k in [1usize, 10, 240, 250] {
+            let want: Vec<Vec<ObjectId>> = queries
+                .iter()
+                .map(|q| {
+                    let out = brute_force_search(rows, q, &w, k, true).unwrap();
+                    out.results.into_iter().map(|(id, _)| id).collect()
+                })
+                .collect();
+            for threads in [1usize, 2, 3] {
+                for count in [1, 4, 5, 8, 9, queries.len()] {
+                    let got = ground_truth_on(rows, &w, &queries[..count], k, threads).unwrap();
+                    assert_eq!(got, want[..count], "k {k}, T {threads}, {count} queries");
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::time::Instant;
 
 use must_graph::par;
-use must_vector::{MultiQuery, MultiVectorSet, ObjectId, Weights};
+use must_vector::{kernels, MultiQuery, MultiVectorSet, ObjectId, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -158,15 +158,22 @@ impl WeightLearner {
             .iter()
             .map(|&a| corpus.binary_search(&anchors[a].1).expect("positive is in corpus"))
             .collect();
-        // Every table entry is one independent inner product.
+        // Every table entry is one independent inner product: four corpus
+        // rows per `ip4` pass, bit for bit `ip_to`'s values.
         let sims = par::par_map(anchor_idx.len(), par::build_threads(), |ai| {
             let query = anchors[anchor_idx[ai]].0;
             let mut columns = vec![0.0f32; m * corpus_len];
-            for (oi, &obj) in corpus.iter().enumerate() {
-                for i in 0..m {
-                    if let Some(slot) = query.slot(i) {
-                        columns[i * corpus_len + oi] = set.modality(i).ip_to(obj, slot);
-                    }
+            for i in 0..m {
+                let Some(slot) = query.slot(i) else { continue };
+                let view = set.modality(i);
+                let column = &mut columns[i * corpus_len..(i + 1) * corpus_len];
+                let (quads, rest) = corpus.as_chunks::<4>();
+                let (out_quads, out_rest) = column.as_chunks_mut::<4>();
+                for (quad, out) in quads.iter().zip(out_quads) {
+                    *out = kernels::ip4(slot, quad.map(|obj| view.get(obj)));
+                }
+                for (&obj, out) in rest.iter().zip(out_rest) {
+                    *out = view.ip_to(obj, slot);
                 }
             }
             columns

@@ -5,7 +5,8 @@
 //! (Section VII-B).  The kernels are written so that LLVM auto-vectorises
 //! them: independent accumulators over exact chunks (four in [`ip`], eight
 //! — the `FUSED_LANE` width — in [`ip_u8`]), with a scalar tail.  [`ip4`]
-//! runs four of `ip`'s chains side by side for batches of pairs.
+//! runs four of `ip`'s chains side by side for batches of pairs, and
+//! [`l2_sq4`] four of `l2_sq`'s for a row against four queries.
 
 /// Inner product of two equal-length slices.
 ///
@@ -71,7 +72,8 @@ pub fn ip4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
     sums
 }
 
-/// `ip4`'s final reductions, `(a0+a1)+(a2+a3)` per chain — [`ip`]'s tree.
+/// `ip4`'s and `l2_sq4`'s final reductions, `(a0+a1)+(a2+a3)` per chain
+/// — [`ip`]'s and [`l2_sq`]'s tree.
 /// Out of line for the reason [`sum_lanes`] is: inlined next to the loop,
 /// LLVM transposes the four chains into shuffles to share the tree across
 /// them, and the independent-chain gain is gone.
@@ -163,6 +165,41 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         sum += d * d;
     }
     sum
+}
+
+/// Four squared distances `l2_sq(a, b[j])` in one pass over `a` — the
+/// exact scan's row against a block of four queries.  Each result is
+/// bit-identical to [`l2_sq`], by [`ip4`]'s argument: four independent
+/// chains, each running `l2_sq`'s four accumulators over the same exact
+/// chunks (`a - b[j]` per lane, then its square), the same final
+/// reduction tree ([`sum_chains`]) and the same scalar tail.
+///
+/// # Panics
+/// Panics if any `b[j]` is shorter than `a`.
+#[inline]
+#[must_use]
+pub fn l2_sq4(a: &[f32], b: [&[f32]; 4]) -> [f32; 4] {
+    let n = a.len();
+    let (a_head, a_tail) = a.as_chunks::<4>();
+    let [b0, b1, b2, b3] = b.map(|bj| bj[..n].as_chunks::<4>().0);
+    let mut acc = [[0.0f32; 4]; 4];
+    for ((((ca, c0), c1), c2), c3) in a_head.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+        for (acc, c) in acc.iter_mut().zip([c0, c1, c2, c3]) {
+            for lane in 0..4 {
+                let d = ca[lane] - c[lane];
+                acc[lane] += d * d;
+            }
+        }
+    }
+    let mut sums = sum_chains(&acc);
+    let head = n - a_tail.len();
+    for (sum, bj) in sums.iter_mut().zip(b) {
+        for (x, y) in a_tail.iter().zip(&bj[head..n]) {
+            let d = x - y;
+            *sum += d * d;
+        }
+    }
+    sums
 }
 
 /// Converts a squared Euclidean distance between two *unit-norm* vectors into

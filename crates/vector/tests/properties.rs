@@ -137,6 +137,21 @@ fn ip4_is_ip_bit_for_bit_on_every_length() {
 }
 
 #[test]
+fn l2_sq4_is_l2_sq_bit_for_bit_on_every_length() {
+    // ip4's lengths and right-hand sides: every tail against short and
+    // long heads, four different queries per row.
+    for len in 0..=130usize {
+        let a = lcg_values(len, 7 + len as u64);
+        let bs: Vec<Vec<f32>> = (0..4u64).map(|j| lcg_values(len, 3_000 + 4 * len as u64 + j)).collect();
+        let got = kernels::l2_sq4(&a, [&bs[0], &bs[1], &bs[2], &bs[3]]);
+        for (j, b) in bs.iter().enumerate() {
+            let want = kernels::l2_sq(&a, b);
+            assert_eq!(got[j].to_bits(), want.to_bits(), "len {len}, chain {j}: {} vs {want}", got[j]);
+        }
+    }
+}
+
+#[test]
 fn batched_pair_similarities_are_the_per_pair_ones_bit_for_bit() {
     // Three modalities (one padded segment of each width class), 40 rows;
     // id lists of every length 0..=9 cover every remainder past a chunk
