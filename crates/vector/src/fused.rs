@@ -693,12 +693,9 @@ impl<'a> FusedQueryEvaluator<'a> {
     /// one [`kernels::l2_sq4`] call, bit-identical to the four `l2_sq`
     /// calls.  Per query the bound arithmetic, its order, the prune test
     /// and the kernel count are `ip_pruned`'s, so verdict `j` equals
-    /// `quad[j].ip_pruned(id, thresholds[j])` bit for bit.  Once a query
-    /// is pruned its later distances are computed only inside a pass the
-    /// others need: with three or four queries live a segment is one
-    /// `l2_sq4` (about 2.5 `l2_sq` calls' time in cache), with one or two
-    /// it is one `l2_sq` per live query; the row is left as soon as all
-    /// four are pruned.
+    /// `quad[j].ip_pruned(id, thresholds[j])` bit for bit.  A pruned
+    /// query's later distances are computed and discarded (the live ones
+    /// need the pass anyway); the row is left once all four are pruned.
     pub fn ip_pruned4(quad: &[Self; 4], id: ObjectId, thresholds: [f32; 4]) -> [PartialIpVerdict; 4] {
         let lead = &quad[0];
         debug_assert!(quad.iter().all(|e| lead.same_layout(e)));
@@ -713,18 +710,8 @@ impl<'a> FusedQueryEvaluator<'a> {
         let last = lead.active.len().saturating_sub(1);
         let mut live = [true; 4];
         for (scanned, seg) in lead.active.iter().enumerate() {
-            let (span, seg_row) = (seg.start..seg.end, &row[seg.start..seg.end]);
-            let dists = if live.iter().filter(|&&l| l).count() > 2 {
-                kernels::l2_sq4(seg_row, quad.each_ref().map(|e| &e.qraw[span.clone()]))
-            } else {
-                std::array::from_fn(|j| {
-                    if live[j] {
-                        kernels::l2_sq(seg_row, &quad[j].qraw[span.clone()])
-                    } else {
-                        0.0
-                    }
-                })
-            };
+            let span = seg.start..seg.end;
+            let dists = kernels::l2_sq4(&row[span.clone()], quad.each_ref().map(|e| &e.qraw[span.clone()]));
             for j in 0..4 {
                 if live[j] {
                     bounds[j] -= seg.half_wsq * dists[j];
