@@ -93,7 +93,7 @@ pub(crate) fn exact_scan(
 
 /// Exact top-`k` ground truth for a batch of queries under `weights`
 /// (the protocol of the efficiency experiments: Figs. 6–8, Tab. VII).
-/// Queries go in order in blocks of [`BLOCK`], one block per
+/// Queries go in order in blocks of four, one block per
 /// [`must_graph::par::par_map`] item, each block one pass over the rows.
 ///
 /// # Errors

@@ -155,6 +155,19 @@ impl Pool {
     /// ties this is [`Pool::top_k`].
     #[must_use]
     pub fn ranked(&self, k: usize) -> Vec<(u32, f32)> {
+        let head = &self.entries[..(k + 1).min(self.entries.len())];
+        if head.windows(2).any(|w| w[0].sim == w[1].sim) {
+            self.ranked_with_ties(k)
+        } else {
+            self.top_k(k)
+        }
+    }
+
+    /// [`Pool::ranked`] when two of its entries tie: the tied run across
+    /// the `k`-th place joins the sort.
+    #[cold]
+    #[inline(never)]
+    fn ranked_with_ties(&self, k: usize) -> Vec<(u32, f32)> {
         let mut end = k.min(self.entries.len());
         while end > 0 && self.entries.get(end).is_some_and(|e| e.sim == self.entries[end - 1].sim) {
             end += 1;

@@ -172,7 +172,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 /// bit-identical to [`l2_sq`], by [`ip4`]'s argument: four independent
 /// chains, each running `l2_sq`'s four accumulators over the same exact
 /// chunks (`a - b[j]` per lane, then its square), the same final
-/// reduction tree ([`sum_chains`]) and the same scalar tail.
+/// reduction tree (`sum_chains`) and the same scalar tail.
 ///
 /// # Panics
 /// Panics if any `b[j]` is shorter than `a`.
