@@ -155,7 +155,7 @@ impl Pool {
     /// ties this is [`Pool::top_k`].
     #[must_use]
     pub fn ranked(&self, k: usize) -> Vec<(u32, f32)> {
-        let head = &self.entries[..(k + 1).min(self.entries.len())];
+        let head = &self.entries[..k.saturating_add(1).min(self.entries.len())];
         if head.windows(2).any(|w| w[0].sim == w[1].sim) {
             self.ranked_with_ties(k)
         } else {
