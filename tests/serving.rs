@@ -6,14 +6,16 @@
 //! the serial oracle bitwise, under producer concurrency, mixed
 //! single/batch/weighted traffic, several workers, and shutdown drain.
 
+use std::slice;
 use std::sync::mpsc;
 
-use must::core::search::SearchOutcome;
+use must::core::search::{self, SearchOutcome};
 use must::core::MustError;
 use must::data::embed::embed_dataset;
 use must::encoders::{ComposerKind, EncoderConfig, EncoderRegistry, LatentSpace, TargetEncoding, UnimodalKind};
 use must::graph::GraphRecipe;
 use must::prelude::*;
+use must::vector::{VectorError, FUSED_LANE};
 
 /// Embeds a small MIT-States-style corpus and returns its objects plus a
 /// 64-query workload.
@@ -300,7 +302,7 @@ fn runtime_answers_k_zero_with_one_error_and_keeps_serving() {
 
 /// Whether `result` is the typed refusal of a non-finite query component.
 fn refused<T>(result: &Result<T, MustError>) -> bool {
-    matches!(result, Err(MustError::Vector(must::vector::VectorError::NotNormalisable)))
+    matches!(result, Err(MustError::Vector(VectorError::NotNormalisable)))
 }
 
 /// A NaN, +inf or −inf component, in a full query or a partial one, is
@@ -365,6 +367,283 @@ fn non_finite_queries_are_typed_errors_on_every_path() {
             assert_eq!((got.results, got.stats), (want.results, want.stats), "runtime reply {id}");
         }
     }
+}
+
+/// The typed error a malformed request must meet.
+#[derive(Debug)]
+enum Refusal {
+    Vector(VectorError),
+    Config,
+}
+
+impl Refusal {
+    fn is<T>(&self, result: &Result<T, MustError>) -> bool {
+        match (self, result) {
+            (Self::Vector(want), Err(MustError::Vector(got))) => want == got,
+            (Self::Config, Err(MustError::Config(_))) => true,
+            _ => false,
+        }
+    }
+}
+
+/// One malformed request: a query, an optional weight override, `k`, and
+/// the refusal it must meet on every path.
+struct Malformed {
+    what: &'static str,
+    query: MultiQuery,
+    weights: Option<Weights>,
+    k: usize,
+    want: Refusal,
+}
+
+/// The malformed-request table over a two-modality corpus: wrong slot
+/// counts, overrides of the wrong arity, slots of the wrong length in each
+/// modality (short, long, longer than the padded segment, supplied alone),
+/// `k = 0`, and pairs of faults that pin which check speaks first.
+fn malformed_requests(objects: &MultiVectorSet) -> Vec<Malformed> {
+    let dims = objects.dims().to_vec();
+    assert_eq!(dims.len(), 2, "the table is written for two modalities");
+    let row = |k: usize| objects.modality(k).get(7).to_vec();
+    let resized = |k: usize, len: usize| {
+        let mut v = row(k);
+        v.resize(len, 0.25);
+        v
+    };
+    let nan = |k: usize| {
+        let mut v = row(k);
+        v[0] = f32::NAN;
+        v
+    };
+    let full = |a: Vec<f32>, b: Vec<f32>| MultiQuery::full(vec![a, b]);
+    let arity = |weights| Refusal::Vector(VectorError::WeightArity { modalities: 2, weights });
+    let length =
+        |k: usize, got| Refusal::Vector(VectorError::DimensionMismatch { expected: dims[k], got });
+    let case = |what, query, weights, k, want| Malformed { what, query, weights, k, want };
+    let mut cases = vec![
+        case("three slots", MultiQuery::full(vec![row(0), row(1), row(1)]), None, 10, arity(3)),
+        case("one slot", MultiQuery::full(vec![row(0)]), None, 10, arity(1)),
+        case("three weights", full(row(0), row(1)), Some(Weights::uniform(3)), 10, arity(3)),
+        case("one weight", full(row(0), row(1)), Some(Weights::uniform(1)), 10, arity(1)),
+        case("k = 0", full(row(0), row(1)), None, 0, Refusal::Config),
+        case("k = 0 before the slot count", MultiQuery::full(vec![row(0)]), None, 0, Refusal::Config),
+        case(
+            "slot count before weight arity",
+            MultiQuery::full(vec![row(0)]),
+            Some(Weights::uniform(3)),
+            10,
+            arity(1),
+        ),
+        case(
+            "weight arity before slot length",
+            full(resized(0, dims[0] - 1), row(1)),
+            Some(Weights::uniform(3)),
+            10,
+            arity(3),
+        ),
+        case(
+            "slot 0's length before slot 1's finiteness",
+            full(resized(0, dims[0] + 1), nan(1)),
+            None,
+            10,
+            length(0, dims[0] + 1),
+        ),
+        case(
+            "slot 0's finiteness before slot 1's length",
+            full(nan(0), resized(1, dims[1] - 1)),
+            None,
+            10,
+            Refusal::Vector(VectorError::NotNormalisable),
+        ),
+    ];
+    for k in 0..2 {
+        let padded = dims[k].next_multiple_of(FUSED_LANE);
+        for len in [dims[k] - 1, dims[k] + 1, padded + 1] {
+            let (a, b) = if k == 0 { (resized(0, len), row(1)) } else { (row(0), resized(1, len)) };
+            cases.push(case("a wrong-length slot", full(a, b), None, 10, length(k, len)));
+        }
+        let mut alone = vec![None, None];
+        alone[k] = Some(resized(k, dims[k] + 1));
+        let (alone, want) = (MultiQuery::partial(alone), length(k, dims[k] + 1));
+        cases.push(case("a wrong-length slot supplied alone", alone, None, 10, want));
+    }
+    let unweighted = Some(Weights::from_squared(vec![1.0, 0.0]).unwrap());
+    let (query, want) = (full(row(0), resized(1, dims[1] + 1)), length(1, dims[1] + 1));
+    cases.push(case("a wrong-length slot under a zero weight", query, unweighted, 10, want));
+    cases
+}
+
+/// `case` through one served engine's worker and its batch path.
+fn served<E: ServeEngine>(
+    engine: &E,
+    case: &Malformed,
+    l: usize,
+) -> [Result<SearchOutcome, MustError>; 2] {
+    let (q, k, batch) = (&case.query, case.k, std::slice::from_ref(&case.query));
+    let one = |out: Vec<_>| out.into_iter().next().expect("one query, one outcome");
+    match &case.weights {
+        None => [
+            engine.serve_worker().run_query(q, None, k, l),
+            one(engine.search_batch(batch, k, l, 1)),
+        ],
+        Some(w) => [
+            engine.search_weighted(q, w, k, l),
+            one(engine.search_batch_weighted(batch, w, k, l, 1)),
+        ],
+    }
+}
+
+/// Every malformed request of [`malformed_requests`] — wrong slot count,
+/// wrong-arity override, wrong-length slot in either modality, `k = 0` —
+/// gets the same typed error on every path: `Must::search` on f32 and SQ8,
+/// both `MustServer`s, an S = 3 `ShardedServer` unrouted and routed,
+/// a `ServeRuntime`, `Must::brute_force` and `exact_ground_truth`.  None
+/// panics, none is answered.
+#[test]
+fn malformed_requests_are_typed_errors_on_every_path() {
+    let (objects, queries) = embedded_fixture();
+    let cases = malformed_requests(&objects);
+    let l = 60;
+
+    // `Must`'s own entry points are reached through the frozen servers'
+    // `Deref`: a `MustServer` is the `Must` it froze.
+    let build = || Must::build(objects.clone(), Weights::uniform(2), fixture_opts()).unwrap();
+    let f32_server = MustServer::freeze(build());
+    let mut quantized = build();
+    quantized.quantize();
+    let sq8_server = MustServer::freeze(quantized);
+    let spec = ShardSpec::clustered(3);
+    let sharded = ShardedServer::freeze(
+        ShardedMust::build(objects.clone(), Weights::uniform(2), fixture_opts(), spec).unwrap(),
+    );
+    let routed = sharded.with_routing(RoutePolicy::with_beam(2, 40));
+    let defaults = Weights::uniform(2);
+    let rows = f32_server.objects().fused();
+
+    for case in &cases {
+        let (q, w, k) = (&case.query, case.weights.as_ref(), case.k);
+        let unit = |out: Result<SearchOutcome, MustError>| out.map(|_| ());
+        let brute_force = match w {
+            None => f32_server.brute_force(q, k),
+            Some(w) => search::brute_force_search(rows, q, w, k, true),
+        };
+        let truth = search::exact_ground_truth(&objects, w.unwrap_or(&defaults), slice::from_ref(q), k);
+        let mut outcomes = vec![
+            ("f32 Must worker", unit(f32_server.worker().run_query(q, w, k, l))),
+            ("SQ8 Must worker", unit(sq8_server.worker().run_query(q, w, k, l))),
+            ("Must::brute_force", unit(brute_force)),
+            ("exact_ground_truth", truth.map(|_| ())),
+        ];
+        if w.is_none() {
+            outcomes.push(("f32 Must::search", unit(f32_server.search(q, k, l))));
+            outcomes.push(("SQ8 Must::search", unit(sq8_server.search(q, k, l))));
+        }
+        for (path, out) in outcomes {
+            assert!(case.want.is(&out), "{path}, {}: want {:?}, got {out:?}", case.what, case.want);
+        }
+        let engines: [(&str, [Result<SearchOutcome, MustError>; 2]); 4] = [
+            ("f32 MustServer", served(&f32_server, case, l)),
+            ("SQ8 MustServer", served(&sq8_server, case, l)),
+            ("unrouted ShardedServer", served(&sharded, case, l)),
+            ("routed ShardedServer", served(&routed, case, l)),
+        ];
+        for (path, outs) in engines {
+            for out in outs {
+                assert!(case.want.is(&out), "{path}, {}: want {:?}, got {out:?}", case.what, case.want);
+            }
+        }
+    }
+
+    runtime_refuses_and_serves_on("SQ8 runtime", &sq8_server, &cases, &queries, l);
+    runtime_refuses_and_serves_on("routed runtime", &routed, &cases, &queries, l);
+}
+
+/// One `ServeRuntime` worker, one queue: each malformed request sits right
+/// before an ordinary one; the first must meet its refusal and the second
+/// still get its serial answer.
+fn runtime_refuses_and_serves_on<E: ServeEngine>(
+    name: &str,
+    engine: &E,
+    cases: &[Malformed],
+    queries: &[MultiQuery],
+    l: usize,
+) {
+    let (rep_tx, rep_rx) = mpsc::channel();
+    let runtime = ServeRuntime::start(engine, 1, rep_tx);
+    for (i, case) in cases.iter().enumerate() {
+        let bad = ServeRequest { id: 2 * i as u64, query: case.query.clone(), k: case.k, l };
+        match &case.weights {
+            None => runtime.submit(bad),
+            Some(w) => runtime.submit_weighted(bad, w.clone()),
+        }
+        runtime.submit(ServeRequest { id: 2 * i as u64 + 1, query: queries[i].clone(), k: 10, l });
+    }
+    assert_eq!(runtime.shutdown(), 2 * cases.len());
+    let mut worker = engine.serve_worker();
+    for (id, outcome) in replies_by_id(rep_rx, 2 * cases.len()).into_iter().enumerate() {
+        let case = &cases[id / 2];
+        if id % 2 == 0 {
+            assert!(case.want.is(&outcome), "{name}, {}: got {outcome:?}", case.what);
+        } else {
+            let want = worker.run_query(&queries[id / 2], None, 10, l).unwrap();
+            let got = outcome.unwrap();
+            assert_eq!((got.results, got.stats), (want.results, want.stats), "{name} reply {id}");
+        }
+    }
+}
+
+/// A row of the wrong modality count or the wrong length is refused by
+/// `Must::insert_object` (an SQ8-attached HNSW instance) and by
+/// `ShardedMust::insert_object` with its typed error, and leaves no trace:
+/// `len()` and the SQ8 row count stay put, and a well-formed insert after
+/// the refusals gets the next id.
+#[test]
+fn malformed_inserts_are_typed_errors_and_leave_no_trace() {
+    let (objects, _) = embedded_fixture();
+    let dims = objects.dims().to_vec();
+    let row = |k: usize| objects.modality(k).get(7).to_vec();
+    let resized = |k: usize, len: usize| {
+        let mut v = row(k);
+        v.resize(len, 0.25);
+        v
+    };
+    let bad: Vec<(Vec<Vec<f32>>, VectorError)> = vec![
+        (vec![row(0)], VectorError::CardinalityMismatch { expected: 2, got: 1 }),
+        (vec![row(0), row(1), row(1)], VectorError::CardinalityMismatch { expected: 2, got: 3 }),
+        (
+            vec![resized(0, dims[0] - 1), row(1)],
+            VectorError::DimensionMismatch { expected: dims[0], got: dims[0] - 1 },
+        ),
+        (
+            vec![row(0), resized(1, dims[1] + 1)],
+            VectorError::DimensionMismatch { expected: dims[1], got: dims[1] + 1 },
+        ),
+    ];
+    let opts = MustBuildOptions { recipe: GraphRecipe::Hnsw, ..fixture_opts() };
+
+    let mut must = Must::build(objects.clone(), Weights::uniform(2), opts).unwrap();
+    must.quantize();
+    let n = must.len();
+    for (rows, want) in &bad {
+        match must.insert_object(rows) {
+            Err(MustError::Vector(got)) => assert_eq!(&got, want, "Must::insert_object"),
+            other => panic!("Must::insert_object: want {want:?}, got {other:?}"),
+        }
+        assert_eq!(must.len(), n, "Must::insert_object: refused row left a trace");
+        assert_eq!(must.quant().map(|q| q.len()), Some(n), "SQ8 rows left a trace");
+    }
+    assert_eq!(must.insert_object(&[row(0), row(1)]).unwrap() as usize, n);
+
+    let spec = ShardSpec::clustered(3);
+    let mut sharded = ShardedMust::build(objects.clone(), Weights::uniform(2), opts, spec).unwrap();
+    let n = sharded.len();
+    for (rows, want) in &bad {
+        match sharded.insert_object(rows) {
+            Err(MustError::Vector(got)) => assert_eq!(&got, want, "ShardedMust::insert_object"),
+            other => panic!("ShardedMust::insert_object: want {want:?}, got {other:?}"),
+        }
+        assert_eq!(sharded.len(), n, "ShardedMust::insert_object: refused row left a trace");
+    }
+    assert_eq!(sharded.insert_object(&[row(0), row(1)]).unwrap() as usize, n);
 }
 
 /// The SQ8 serving path — quantized Lemma-4 walk over the u8 codes,
