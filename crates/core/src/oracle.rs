@@ -44,12 +44,7 @@ impl<'a> JointOracle<'a> {
     /// [`VectorError::WeightArity`] when `weights` does not cover every
     /// modality of `set`.
     pub fn new(set: &'a MultiVectorSet, weights: &'a Weights) -> Result<Self, VectorError> {
-        if weights.modalities() != set.num_modalities() {
-            return Err(VectorError::WeightArity {
-                modalities: set.num_modalities(),
-                weights: weights.modalities(),
-            });
-        }
+        set.fused().layout().check_weights(weights)?;
         let w_total = weights.squared().iter().sum();
         Ok(Self { set, weights, centroid_row: OnceLock::new(), w_total })
     }
@@ -134,7 +129,7 @@ impl<'a> MustQueryScorer<'a> {
     /// carry its own weights over the one engine.
     ///
     /// # Errors
-    /// Propagates weight-arity, slot-arity, and dimension mismatches.
+    /// The request check's errors ([`must_vector::Layout::check_request`]).
     pub fn from_rows(
         rows: &'a FusedRows,
         query: &MultiQuery,
@@ -189,7 +184,7 @@ impl<'a> QuantizedQueryScorer<'a> {
     /// codes.
     ///
     /// # Errors
-    /// Propagates weight-arity, slot-arity, and dimension mismatches.
+    /// The request check's errors ([`must_vector::Layout::check_request`]).
     pub fn from_rows(
         rows: &'a QuantizedRows,
         query: &MultiQuery,

@@ -52,7 +52,7 @@ use std::path::Path;
 
 use must_graph::csr::CsrGraph;
 use must_graph::hnsw::{Hnsw, HnswFlat};
-use must_vector::{FusedRows, MultiVectorSet, QuantizedRows, SegParams, Weights, FUSED_LANE};
+use must_vector::{FusedRows, Layout, MultiVectorSet, QuantizedRows, SegParams, Weights, FUSED_LANE};
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::index::MustIndex;
@@ -288,7 +288,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, MustError> {
             "bundle written with fused lane {lane}, this build uses {FUSED_LANE}"
         )));
     }
-    let stride: usize = dims.iter().map(|d| d.div_ceil(lane) * lane).sum();
+    let stride = Layout::new(dims.clone()).expect("dims checked non-empty and non-zero").stride();
     let n = checked_len(rd_u64(r)?, "cardinality")?;
     n.checked_mul(stride)
         .filter(|t| (*t as u64) < MAX_ELEMS)

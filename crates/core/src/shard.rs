@@ -90,7 +90,7 @@ use std::time::Instant;
 
 use must_graph::par;
 use must_graph::{SearchParams, SearchStats};
-use must_vector::{kernels, FusedRows, MultiQuery, MultiVectorSet, ObjectId, VectorSet, Weights};
+use must_vector::{kernels, FusedRows, Layout, MultiQuery, MultiVectorSet, ObjectId, VectorSet, Weights};
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::search::{request_params, SearchOutcome};
@@ -185,21 +185,13 @@ fn prescale_centroid(rows: &FusedRows, centroid: &[f32], weights: &Weights) -> V
 /// member count: rows are laid out primaries-first (closure replicas
 /// after), and the build computes routing summaries over only that prefix.
 /// Vector values are copied bit-exact, so per-shard similarities equal the
-/// unsharded engine's.  Clustering runs under `weights`, falling back to
-/// uniform when their arity mismatches the corpus — the arity error then
-/// surfaces from the per-shard build, as it would unsharded.
+/// unsharded engine's.  Clustering runs under `weights`, whose arity
+/// [`ShardedMust::build`] has checked.
 fn split(
     objects: &MultiVectorSet,
     weights: &Weights,
     s: usize,
 ) -> Vec<(MultiVectorSet, Vec<ObjectId>, usize)> {
-    let uniform;
-    let weights = if weights.modalities() == objects.num_modalities() {
-        weights
-    } else {
-        uniform = Weights::uniform(objects.num_modalities().max(1));
-        &uniform
-    };
     cluster_members(objects.fused(), weights, s)
         .into_iter()
         .map(|(ids, primaries)| {
@@ -550,6 +542,8 @@ impl ShardedMust {
     /// # Errors
     /// [`MustError::Config`] when the spec is degenerate (zero shards, or
     /// more shards than objects, which would leave a shard empty);
+    /// [`must_vector::VectorError::WeightArity`] when `weights` does not
+    /// cover every modality, checked before clustering runs under them;
     /// propagates per-shard build errors.
     pub fn build(
         objects: MultiVectorSet,
@@ -570,6 +564,7 @@ impl ShardedMust {
                 objects.len()
             )));
         }
+        objects.fused().layout().check_weights(&weights)?;
         let pieces = split(&objects, &weights, spec.shards);
         drop(objects);
         let mut global_ids = Vec::with_capacity(pieces.len());
@@ -843,30 +838,19 @@ impl ShardedMust {
     /// The shards to search for `query` under `weights`: the `fan_out`
     /// summaries with the highest weighted upper bound
     /// `Σ_k ω²_k (IP(q_k, c_k) + ‖q_k‖ · radius_k)`, returned in ascending
-    /// shard order.  `fan_out >= S` skips scoring (full fan-out);
-    /// malformed queries also fan out fully so the per-shard search
-    /// reports the same error it would unrouted.
+    /// shard order.  `fan_out >= S` skips scoring (full fan-out).  The
+    /// request has passed the shape check ([`ShardedMust::plan`]), so every
+    /// slot and weight fits the layout.
     fn route(&self, query: &MultiQuery, weights: &Weights, fan_out: usize) -> Vec<usize> {
         let s = self.shards.len();
         if fan_out >= s {
             return (0..s).collect();
         }
-        let rows = self.shards[0].objects().fused();
-        let m = rows.num_modalities();
-        if query.num_slots() != m || weights.modalities() != m {
-            return (0..s).collect();
-        }
-        // Per-modality query norms, shared across shards; a slot of the
-        // wrong dimension scores zero and lets the search surface the
-        // dimension error itself.
-        let probes: Vec<Option<(&[f32], f32)>> = (0..m)
-            .map(|k| {
-                query
-                    .slot(k)
-                    .filter(|q| q.len() == rows.dims()[k])
-                    .map(|q| (q, kernels::ip(q, q).max(0.0).sqrt()))
-            })
-            .collect();
+        let layout = self.layout();
+        let m = layout.num_modalities();
+        // Per-modality query norms, shared across shards.
+        let probes: Vec<Option<(&[f32], f32)>> =
+            (0..m).map(|k| query.slot(k).map(|q| (q, kernels::ip(q, q).max(0.0).sqrt()))).collect();
         let mut terms = vec![0.0f32; m];
         let mut scored: Vec<(f32, usize)> = (0..s)
             .map(|i| {
@@ -874,7 +858,7 @@ impl ShardedMust {
                 for (k, term) in terms.iter_mut().enumerate() {
                     *term = match probes[k] {
                         Some((q, norm)) => {
-                            let (a, _) = rows.segment_bounds(k);
+                            let (a, _) = layout.segment_bounds(k);
                             kernels::ip(q, &summary.centroid()[a..a + q.len()])
                                 + norm * summary.radii()[k]
                         }
@@ -892,7 +876,10 @@ impl ShardedMust {
     }
 
     /// Resolves a routing policy to `(shards to search, per-shard search
-    /// parameters)` for one query.  `routing: None` and `fan_out >= S`
+    /// parameters)` for one query, after the request checks every shard
+    /// would make — `k` first, then the shape
+    /// ([`must_vector::Layout::check_request`]) — so the router never sees
+    /// a malformed query.  `routing: None` and `fan_out >= S`
     /// both yield every shard with the caller's `l` — the bit-identical
     /// full fan-out.  Routed searches keep the standard Algorithm-2
     /// parameters (random pool init included): measured on the committed
@@ -907,13 +894,19 @@ impl ShardedMust {
         k: usize,
         l: usize,
     ) -> Result<(Vec<usize>, SearchParams), MustError> {
-        Ok(match routing {
-            None => ((0..self.shards.len()).collect(), request_params(k, l)?),
-            Some(policy) => {
-                let params = request_params(k, policy.l_shard.unwrap_or(l))?;
-                (self.route(query, weights, policy.fan_out), params)
-            }
-        })
+        let params = request_params(k, routing.and_then(|p| p.l_shard).unwrap_or(l))?;
+        self.layout().check_request(query, weights)?;
+        let selected = match routing {
+            None => (0..self.shards.len()).collect(),
+            Some(policy) => self.route(query, weights, policy.fan_out),
+        };
+        Ok((selected, params))
+    }
+
+    /// The row layout every shard shares (assembly refuses shards that
+    /// disagree on dims).
+    fn layout(&self) -> &Layout {
+        self.shards[0].objects().fused().layout()
     }
 
     /// Merges `(shard index, outcome)` pairs into the global top-`k`: map
@@ -1084,11 +1077,12 @@ impl ShardedWorker<'_> {
 
 impl EngineWorker for ShardedWorker<'_> {
     /// The sharded query body: `None` resolves to the frozen weights
-    /// (which [`ShardedMust`] validated identical across shards); the
-    /// handle's routing policy picks the shards and the per-shard
-    /// parameters; each selected shard runs on its own [`ServerWorker`];
-    /// the per-shard top-`k` lists are gathered.  The router scores
-    /// summaries under the same weights the shards search with.
+    /// (which [`ShardedMust`] validated identical across shards); `k` and
+    /// the request's shape are checked once, before routing; the handle's
+    /// routing policy picks the shards and the per-shard parameters; each
+    /// selected shard runs on its own [`ServerWorker`]; the per-shard
+    /// top-`k` lists are gathered.  The router scores summaries under the
+    /// same weights the shards search with.
     fn run_query(
         &mut self,
         query: &MultiQuery,

@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Each segment is zero-padded to a multiple of [`FUSED_LANE`] floats so
-//! every segment (and every row) starts on a SIMD-friendly boundary; the
-//! padding lanes are always zero, so they contribute nothing to inner
-//! products or squared distances.
+//! every segment (and every row) starts on a SIMD-friendly boundary
+//! ([`Layout`] holds the rule and the shape checks); the padding lanes are
+//! always zero, so they contribute nothing to inner products or squared
+//! distances.
 //!
 //! **Weights never touch the stored rows.**  Lemma 1 gives the joint
 //! similarity as `IP(q_hat, o_hat) = sum_k omega_k^2 * IP_k`, and every
@@ -36,22 +37,15 @@
 
 use crate::kernels;
 use crate::multi::MultiQuery;
-use crate::{ObjectId, VectorError, VectorSet, Weights};
-
-/// Segment alignment in `f32` lanes (32 bytes): every modality segment is
-/// zero-padded to a multiple of this, so rows and segments stay on
-/// SIMD-friendly boundaries.
-pub const FUSED_LANE: usize = 8;
+use crate::{Layout, ObjectId, VectorError, VectorSet, Weights};
+#[cfg(doc)]
+use crate::FUSED_LANE;
 
 /// Distance between the touches a `warm` makes along a row: one per
 /// cache line.  (One per 128 B, trusting the adjacent-line prefetcher for
 /// the other half, measured at a third of the gain: `serve_f32` medians
 /// 14.3 k ops/s untouched, 15.6 k at 128 B, 19.0 k at 64 B.)
 pub(crate) const CACHE_LINE: usize = 64;
-
-fn pad(dim: usize) -> usize {
-    dim.div_ceil(FUSED_LANE) * FUSED_LANE
-}
 
 /// Contiguous multi-modality row storage (see the module docs).
 ///
@@ -60,10 +54,7 @@ fn pad(dim: usize) -> usize {
 /// carries its per-modality squared segment norms for the Lemma-4 bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedRows {
-    /// Unpadded per-modality dimensionalities.
-    dims: Vec<usize>,
-    /// Padded segment starts within a row; `seg[m]` is the row stride.
-    seg: Vec<usize>,
+    layout: Layout,
     /// Number of rows (objects).
     len: usize,
     /// `len * stride` floats, row-major, padding lanes zero.
@@ -73,26 +64,16 @@ pub struct FusedRows {
 }
 
 impl FusedRows {
-    fn layout(dims: &[usize]) -> Vec<usize> {
-        let mut seg = Vec::with_capacity(dims.len() + 1);
-        let mut off = 0;
-        seg.push(0);
-        for &d in dims {
-            off += pad(d);
-            seg.push(off);
-        }
-        seg
-    }
-
     /// Recomputes every row's per-modality squared segment norms from the
     /// padded data (padding lanes are zero, so padded and unpadded norms
     /// agree).
-    fn compute_norms(dims: &[usize], seg: &[usize], data: &[f32]) -> Vec<f32> {
-        let stride = seg[dims.len()];
-        let mut norms = Vec::with_capacity((data.len() / stride.max(1)) * dims.len());
+    fn compute_norms(layout: &Layout, data: &[f32]) -> Vec<f32> {
+        let (m, stride) = (layout.num_modalities(), layout.stride());
+        let mut norms = Vec::with_capacity((data.len() / stride) * m);
         for row in data.chunks_exact(stride) {
-            for k in 0..dims.len() {
-                let s = &row[seg[k]..seg[k + 1]];
+            for k in 0..m {
+                let (start, end) = layout.segment_bounds(k);
+                let s = &row[start..end];
                 norms.push(kernels::ip(s, s));
             }
         }
@@ -102,6 +83,7 @@ impl FusedRows {
     /// Builds fused storage from per-modality sets.
     ///
     /// # Errors
+    /// [`VectorError::DimensionMismatch`] when `sets` is empty;
     /// [`VectorError::CardinalityMismatch`] when the sets disagree on the
     /// number of objects:
     ///
@@ -116,37 +98,35 @@ impl FusedRows {
     /// );
     /// ```
     pub fn from_sets(sets: &[VectorSet]) -> Result<Self, VectorError> {
-        assert!(!sets.is_empty(), "at least one modality required");
+        let layout = Layout::new(sets.iter().map(VectorSet::dim).collect())?;
         let n = sets[0].len();
         for set in &sets[1..] {
             if set.len() != n {
                 return Err(VectorError::CardinalityMismatch { expected: n, got: set.len() });
             }
         }
-        let dims: Vec<usize> = sets.iter().map(VectorSet::dim).collect();
-        let seg = Self::layout(&dims);
-        let stride = seg[dims.len()];
+        let stride = layout.stride();
         let mut data = vec![0.0f32; n * stride];
         for (k, set) in sets.iter().enumerate() {
-            let (start, dim) = (seg[k], dims[k]);
+            let start = layout.segment_bounds(k).0;
             for id in 0..n {
                 let row = id * stride + start;
-                data[row..row + dim].copy_from_slice(set.get(id as ObjectId));
+                data[row..row + set.dim()].copy_from_slice(set.get(id as ObjectId));
             }
         }
-        let seg_norms = Self::compute_norms(&dims, &seg, &data);
-        Ok(Self { dims, seg, len: n, data, seg_norms })
+        let seg_norms = Self::compute_norms(&layout, &data);
+        Ok(Self { layout, len: n, data, seg_norms })
     }
 
-    /// Reassembles fused storage from its raw parts (the bundle-v3/v4 load
-    /// path: the on-disk rows are already in fused layout, so no per-
-    /// modality re-copy happens).  Padding lanes are re-zeroed defensively
-    /// and segment norms are recomputed from the data.
+    /// Reassembles fused storage from its raw parts (the load path of the
+    /// bundle-v6 shard payload, whose rows are already in fused layout, so
+    /// no per-modality re-copy happens).  Padding lanes are re-zeroed
+    /// defensively and segment norms are recomputed from the data.
     ///
     /// # Errors
     /// [`VectorError::DimensionMismatch`] when `data.len()` is not
-    /// `len * stride` for the layout implied by `dims`, or when any
-    /// dimension is zero:
+    /// `len * stride` for the layout implied by `dims`, or when `dims` is
+    /// empty or any dimension is zero:
     ///
     /// ```
     /// use must_vector::{FusedRows, VectorError};
@@ -158,13 +138,13 @@ impl FusedRows {
     /// ```
     pub fn from_raw_parts(dims: Vec<usize>, data: Vec<f32>) -> Result<Self, VectorError> {
         let mut rows = Self::from_raw_parts_unnormed(dims, data)?;
-        rows.seg_norms = Self::compute_norms(&rows.dims, &rows.seg, &rows.data);
+        rows.seg_norms = Self::compute_norms(&rows.layout, &rows.data);
         Ok(rows)
     }
 
     /// Like [`FusedRows::from_raw_parts`], but adopts pre-computed segment
-    /// norms instead of re-deriving them (the bundle-v5 load path, which
-    /// persists the norms block alongside the rows).
+    /// norms instead of re-deriving them (the load path of bundles v5 and
+    /// v7, which persist the norms block alongside the rows).
     ///
     /// # Errors
     /// Everything [`FusedRows::from_raw_parts`] rejects, plus
@@ -176,23 +156,17 @@ impl FusedRows {
         seg_norms: Vec<f32>,
     ) -> Result<Self, VectorError> {
         let mut rows = Self::from_raw_parts_unnormed(dims, data)?;
-        if seg_norms.len() != rows.len * rows.dims.len() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: rows.len * rows.dims.len(),
-                got: seg_norms.len(),
-            });
+        let expected = rows.len * rows.num_modalities();
+        if seg_norms.len() != expected {
+            return Err(VectorError::CardinalityMismatch { expected, got: seg_norms.len() });
         }
         rows.seg_norms = seg_norms;
         Ok(rows)
     }
 
     fn from_raw_parts_unnormed(dims: Vec<usize>, mut data: Vec<f32>) -> Result<Self, VectorError> {
-        assert!(!dims.is_empty(), "at least one modality required");
-        if dims.contains(&0) {
-            return Err(VectorError::DimensionMismatch { expected: 1, got: 0 });
-        }
-        let seg = Self::layout(&dims);
-        let stride = seg[dims.len()];
+        let layout = Layout::new(dims)?;
+        let stride = layout.stride();
         if !data.len().is_multiple_of(stride) {
             return Err(VectorError::DimensionMismatch {
                 expected: stride,
@@ -203,41 +177,48 @@ impl FusedRows {
         // Padding must be zero for fused dot products to be exact; enforce
         // rather than trust the caller (or the bytes on disk).
         for row in data.chunks_exact_mut(stride) {
-            for (k, &d) in dims.iter().enumerate() {
-                for x in &mut row[seg[k] + d..seg[k + 1]] {
-                    *x = 0.0;
-                }
+            for (k, &d) in layout.dims().iter().enumerate() {
+                let (start, end) = layout.segment_bounds(k);
+                row[start + d..end].fill(0.0);
             }
         }
-        Ok(Self { dims, seg, len, data, seg_norms: Vec::new() })
+        Ok(Self { layout, len, data, seg_norms: Vec::new() })
+    }
+
+    /// The row layout: dims, padded segment bounds and stride, and the
+    /// shape checks every row and request goes through.
+    #[inline]
+    #[must_use]
+    pub fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// Number of modalities `m`.
     #[inline]
     #[must_use]
     pub fn num_modalities(&self) -> usize {
-        self.dims.len()
+        self.layout.num_modalities()
     }
 
     /// Unpadded per-modality dimensionalities.
     #[inline]
     #[must_use]
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        self.layout.dims()
     }
 
     /// Row stride in floats (sum of padded segment widths).
     #[inline]
     #[must_use]
     pub fn stride(&self) -> usize {
-        self.seg[self.dims.len()]
+        self.layout.stride()
     }
 
     /// Padded `[start, end)` of modality `k`'s segment within a row.
     #[inline]
     #[must_use]
     pub fn segment_bounds(&self, k: usize) -> (usize, usize) {
-        (self.seg[k], self.seg[k + 1])
+        self.layout.segment_bounds(k)
     }
 
     /// Number of rows (objects).
@@ -259,7 +240,7 @@ impl FusedRows {
     #[inline]
     #[must_use]
     pub fn seg_norm(&self, id: ObjectId, k: usize) -> f32 {
-        self.seg_norms[id as usize * self.dims.len() + k]
+        self.seg_norms[id as usize * self.num_modalities() + k]
     }
 
     /// All squared segment norms, row-major (`len * m` entries) — the
@@ -286,18 +267,17 @@ impl FusedRows {
     #[inline]
     #[must_use]
     pub fn segment(&self, id: ObjectId, k: usize) -> &[f32] {
-        let stride = self.stride();
-        let start = id as usize * stride;
-        &self.data[start + self.seg[k]..start + self.seg[k + 1]]
+        let row = id as usize * self.stride();
+        let (start, end) = self.segment_bounds(k);
+        &self.data[row + start..row + end]
     }
 
     /// The unpadded modality-`k` vector of object `id` (length `dims[k]`).
     #[inline]
     #[must_use]
     pub fn modality_slice(&self, id: ObjectId, k: usize) -> &[f32] {
-        let stride = self.stride();
-        let start = id as usize * stride + self.seg[k];
-        &self.data[start..start + self.dims[k]]
+        let start = id as usize * self.stride() + self.segment_bounds(k).0;
+        &self.data[start..start + self.dims()[k]]
     }
 
     /// The raw row buffer (bundle save path).
@@ -331,7 +311,8 @@ impl FusedRows {
         let mut sum = 0.0;
         for (k, &w) in wsq.iter().enumerate() {
             if w > 0.0 {
-                sum += w * kernels::ip(&ra[self.seg[k]..self.seg[k + 1]], &rb[self.seg[k]..self.seg[k + 1]]);
+                let (start, end) = self.segment_bounds(k);
+                sum += w * kernels::ip(&ra[start..end], &rb[start..end]);
             }
         }
         sum
@@ -355,7 +336,8 @@ impl FusedRows {
             *sums = [0.0; 4];
             for (k, &w) in wsq.iter().enumerate() {
                 if w > 0.0 {
-                    let seg = self.seg[k]..self.seg[k + 1];
+                    let (start, end) = self.segment_bounds(k);
+                    let seg = start..end;
                     let ips = kernels::ip4(&ra[seg.clone()], rows.map(|r| &r[seg.clone()]));
                     for (sum, ip) in sums.iter_mut().zip(ips) {
                         *sum += w * ip;
@@ -403,7 +385,7 @@ impl FusedRows {
     /// system where dependent kernel calls cannot.
     #[inline]
     pub fn warm(&self, id: ObjectId) {
-        let mut acc = self.seg_norms[id as usize * self.dims.len()];
+        let mut acc = self.seg_norms[id as usize * self.num_modalities()];
         for x in self.row(id).iter().step_by(CACHE_LINE / std::mem::size_of::<f32>()) {
             acc += x;
         }
@@ -438,31 +420,16 @@ impl FusedRows {
     /// values as given.
     ///
     /// # Errors
-    /// [`VectorError::CardinalityMismatch`] on wrong modality count,
-    /// [`VectorError::DimensionMismatch`] on wrong slot length; the engine
-    /// is untouched on error.
+    /// [`Layout::check_row`]'s; the engine is untouched on error.
     pub fn push_row<S: AsRef<[f32]>>(&mut self, rows: &[S]) -> Result<ObjectId, VectorError> {
-        if rows.len() != self.num_modalities() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: self.num_modalities(),
-                got: rows.len(),
-            });
-        }
-        for (k, r) in rows.iter().enumerate() {
-            if r.as_ref().len() != self.dims[k] {
-                return Err(VectorError::DimensionMismatch {
-                    expected: self.dims[k],
-                    got: r.as_ref().len(),
-                });
-            }
-        }
+        self.layout.check_row(rows)?;
         let id = self.len as ObjectId;
         let stride = self.stride();
         self.data.resize((self.len + 1) * stride, 0.0);
         let row = &mut self.data[self.len * stride..];
         for (k, r) in rows.iter().enumerate() {
-            let r = r.as_ref();
-            row[self.seg[k]..self.seg[k] + r.len()].copy_from_slice(r);
+            let (r, start) = (r.as_ref(), self.layout.segment_bounds(k).0);
+            row[start..start + r.len()].copy_from_slice(r);
             self.seg_norms.push(kernels::ip(r, r));
         }
         self.len += 1;
@@ -493,10 +460,8 @@ impl FusedRows {
     /// query may carry **its own** weight vector over the same engine.
     ///
     /// # Errors
-    /// [`VectorError::WeightArity`] when `weights` (or the query's slot
-    /// count) does not cover every modality,
-    /// [`VectorError::DimensionMismatch`] when a supplied slot has the
-    /// wrong dimensionality.
+    /// [`Layout::check_request`]'s: the wrong slot count or weight arity,
+    /// a slot of the wrong length, a non-finite component.
     pub fn query(
         &self,
         query: &MultiQuery,
@@ -563,18 +528,7 @@ impl<'a> FusedQueryEvaluator<'a> {
         query: &MultiQuery,
         weights: &Weights,
     ) -> Result<Self, VectorError> {
-        if query.num_slots() != rows.num_modalities() {
-            return Err(VectorError::WeightArity {
-                modalities: rows.num_modalities(),
-                weights: query.num_slots(),
-            });
-        }
-        if weights.modalities() != rows.num_modalities() {
-            return Err(VectorError::WeightArity {
-                modalities: rows.num_modalities(),
-                weights: weights.modalities(),
-            });
-        }
+        rows.layout.check_request(query, weights)?;
         let mut qrow = vec![0.0f32; rows.stride()];
         let mut qraw = vec![0.0f32; rows.stride()];
         let mut active = Vec::with_capacity(rows.num_modalities());
@@ -582,17 +536,6 @@ impl<'a> FusedQueryEvaluator<'a> {
         let mut q_half_norm = 0.0;
         for k in 0..rows.num_modalities() {
             let Some(slot) = query.slot(k) else { continue };
-            if slot.len() != rows.dims()[k] {
-                return Err(VectorError::DimensionMismatch {
-                    expected: rows.dims()[k],
-                    got: slot.len(),
-                });
-            }
-            // A NaN or infinite component would poison every score and
-            // every sort the walk makes; refuse it, weighted or not.
-            if slot.iter().any(|x| !x.is_finite()) {
-                return Err(VectorError::NotNormalisable);
-            }
             let wsq = weights.sq(k);
             if wsq <= 0.0 {
                 continue;

@@ -22,6 +22,8 @@
 //!   with Lemma 4's safe early termination, Eqs. 8–9) and
 //!   [`FusedRows::weighted_pair_ip`] (object against object, for index
 //!   construction).
+//! * [`Layout`] — the padded per-modality segment layout both engines
+//!   share, and the one row check and one request check written on it.
 //! * [`MultiVectorSet`] — the paper's multi-vector object representation
 //!   (Fig. 4(b)): a thin view over a raw [`FusedRows`] engine whose
 //!   [`ModalityView`]s keep the old per-modality API.
@@ -49,12 +51,14 @@
 
 pub mod fused;
 pub mod kernels;
+mod layout;
 mod multi;
 pub mod quant;
 mod set;
 mod weights;
 
-pub use fused::{FusedQueryEvaluator, FusedRows, PartialIpVerdict, FUSED_LANE};
+pub use fused::{FusedQueryEvaluator, FusedRows, PartialIpVerdict};
+pub use layout::{Layout, FUSED_LANE};
 pub use quant::{QuantizedQueryEvaluator, QuantizedRows, SegParams};
 pub use multi::{ModalityView, MultiQuery, MultiVectorSet};
 pub use set::{VectorSet, VectorSetBuilder};

@@ -111,14 +111,9 @@ impl MultiVectorSet {
     ///
     /// # Errors
     /// [`VectorError::WeightArity`] when `weights` does not cover every
-    /// modality.
+    /// modality ([`crate::Layout::check_weights`]).
     pub fn joint_ip(&self, a: ObjectId, b: ObjectId, weights: &Weights) -> Result<f32, VectorError> {
-        if weights.modalities() != self.num_modalities() {
-            return Err(VectorError::WeightArity {
-                modalities: self.num_modalities(),
-                weights: weights.modalities(),
-            });
-        }
+        self.rows.layout().check_weights(weights)?;
         Ok(self
             .modality_ips(a, b)
             .zip(weights.squared())
@@ -130,21 +125,14 @@ impl MultiVectorSet {
     /// each (dynamic insertion, Section IX of the paper).
     ///
     /// # Errors
-    /// Propagates dimension/normalisation errors; on error nothing is
-    /// appended (validated before mutation).
+    /// [`crate::Layout::check_row`]'s, then
+    /// [`VectorError::NotNormalisable`] for a zero or non-finite vector;
+    /// on error nothing is appended (validated before mutation).
     pub fn push_object(&mut self, rows: &[Vec<f32>]) -> Result<ObjectId, VectorError> {
-        if rows.len() != self.num_modalities() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: self.num_modalities(),
-                got: rows.len(),
-            });
-        }
-        // Validate every row first so a failure cannot leave the set torn.
+        self.rows.layout().check_row(rows)?;
+        // Normalise every row first so a failure cannot leave the set torn.
         let mut normalized = Vec::with_capacity(rows.len());
-        for (&dim, row) in self.dims().iter().zip(rows) {
-            if row.len() != dim {
-                return Err(VectorError::DimensionMismatch { expected: dim, got: row.len() });
-            }
+        for row in rows {
             let mut v = row.clone();
             if !kernels::normalize(&mut v) {
                 return Err(VectorError::NotNormalisable);

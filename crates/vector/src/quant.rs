@@ -74,9 +74,11 @@
 //! [`QuantizedRows::row_codes`] / [`QuantizedRows::seg_params`] take a
 //! block apart on save).
 
-use crate::fused::{FusedRows, PartialIpVerdict, FUSED_LANE, CACHE_LINE};
+use crate::fused::{FusedRows, PartialIpVerdict, CACHE_LINE};
 use crate::multi::MultiQuery;
-use crate::{kernels, ObjectId, VectorError, Weights};
+use crate::{kernels, Layout, ObjectId, VectorError, Weights};
+#[cfg(doc)]
+use crate::FUSED_LANE;
 
 /// Per-(row, segment) affine dequantization parameters plus the certified
 /// reconstruction radius the scan's margin is built on.
@@ -172,16 +174,13 @@ fn round_up(x: f64) -> f32 {
 }
 
 /// SQ8 scalar-quantized row storage mirroring a [`FusedRows`] layout:
-/// same dims, same [`FUSED_LANE`]-aligned stride, one `u8` code per
+/// the same [`Layout`] (dims, [`FUSED_LANE`]-aligned stride), one `u8` code per
 /// component (padding positions zero and never scored) and one
 /// [`SegParams`] per (row, modality) — all of a row in one block (module
 /// docs, "Row blocks").
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedRows {
-    /// Unpadded per-modality dimensionalities.
-    dims: Vec<usize>,
-    /// Padded segment starts within a row; `seg[m]` is the row stride.
-    seg: Vec<usize>,
+    layout: Layout,
     /// One block of `stride + TAIL * m` bytes per row: its codes, then
     /// modality by modality the [`SegParams`].
     blocks: Vec<u8>,
@@ -192,35 +191,21 @@ impl QuantizedRows {
     /// over unchanged.
     #[must_use]
     pub fn from_fused(rows: &FusedRows) -> Self {
-        let mut q = Self::empty(rows.dims().to_vec()).expect("an f32 engine's dims are valid");
+        let mut q = Self { layout: rows.layout().clone(), blocks: Vec::new() };
         q.blocks = vec![0u8; rows.len() * q.block_len()];
         for id in 0..rows.len() as ObjectId {
-            for k in 0..q.dims.len() {
+            for k in 0..q.num_modalities() {
                 q.encode(id, k, rows.modality_slice(id, k));
             }
         }
         q
     }
 
-    /// An engine of `dims` holding no rows.
-    fn empty(dims: Vec<usize>) -> Result<Self, VectorError> {
-        if dims.is_empty() || dims.contains(&0) {
-            return Err(VectorError::DimensionMismatch { expected: 1, got: 0 });
-        }
-        let mut seg = Vec::with_capacity(dims.len() + 1);
-        let mut off = 0;
-        seg.push(0);
-        for &d in &dims {
-            off += d.div_ceil(FUSED_LANE) * FUSED_LANE;
-            seg.push(off);
-        }
-        Ok(Self { dims, seg, blocks: Vec::new() })
-    }
-
     /// Encodes `values` as modality `k` of the (already allocated, zeroed)
     /// block `id`: codes, then the segment's parameters.
     fn encode(&mut self, id: ObjectId, k: usize, values: &[f32]) {
-        let (codes, tail) = (self.seg[k]..self.seg[k] + self.dims[k], self.tail_at(k));
+        let start = self.layout.segment_bounds(k).0;
+        let (codes, tail) = (start..start + self.dims()[k], self.tail_at(k));
         let at = id as usize * self.block_len();
         let block = &mut self.blocks[at..];
         encode_segment(values, &mut block[codes]).write(block, tail);
@@ -244,8 +229,8 @@ impl QuantizedRows {
         codes: &[u8],
         params: &[SegParams],
     ) -> Result<Self, VectorError> {
-        let mut q = Self::empty(dims)?;
-        let (m, stride) = (q.dims.len(), q.stride());
+        let mut q = Self { layout: Layout::new(dims)?, blocks: Vec::new() };
+        let (m, stride) = (q.num_modalities(), q.stride());
         if !codes.len().is_multiple_of(stride) {
             return Err(VectorError::DimensionMismatch {
                 expected: stride,
@@ -256,7 +241,7 @@ impl QuantizedRows {
         if params.len() != len * m {
             return Err(VectorError::CardinalityMismatch { expected: len * m, got: params.len() });
         }
-        if let Some(i) = (0..params.len()).find(|&i| !params[i].encodable(q.dims[i % m])) {
+        if let Some(i) = (0..params.len()).find(|&i| !params[i].encodable(q.dims()[i % m])) {
             return Err(VectorError::InvalidSegParams { row: i / m, modality: i % m });
         }
         let mut blocks = vec![0u8; len * q.block_len()];
@@ -271,18 +256,25 @@ impl QuantizedRows {
         Ok(q)
     }
 
+    /// The row layout, the f32 engine's (see [`FusedRows::layout`]).
+    #[inline]
+    #[must_use]
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
     /// Number of modalities `m`.
     #[inline]
     #[must_use]
     pub fn num_modalities(&self) -> usize {
-        self.dims.len()
+        self.layout.num_modalities()
     }
 
     /// Unpadded per-modality dimensionalities.
     #[inline]
     #[must_use]
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        self.layout.dims()
     }
 
     /// Row stride in code bytes (identical to the f32 engine's stride in
@@ -290,13 +282,13 @@ impl QuantizedRows {
     #[inline]
     #[must_use]
     pub fn stride(&self) -> usize {
-        self.seg[self.dims.len()]
+        self.layout.stride()
     }
 
     /// Bytes of one row block: the codes, then `TAIL` bytes a modality.
     #[inline]
     fn block_len(&self) -> usize {
-        self.stride() + TAIL * self.dims.len()
+        self.stride() + TAIL * self.num_modalities()
     }
 
     /// Offset of modality `k`'s parameters within a block.
@@ -346,7 +338,8 @@ impl QuantizedRows {
     #[inline]
     #[must_use]
     pub fn modality_codes(&self, id: ObjectId, k: usize) -> &[u8] {
-        &self.block(id)[self.seg[k]..self.seg[k] + self.dims[k]]
+        let start = self.layout.segment_bounds(k).0;
+        &self.block(id)[start..start + self.dims()[k]]
     }
 
     /// Decodes modality `k` of row `id` back to f32 (test/diagnostic
@@ -364,24 +357,9 @@ impl QuantizedRows {
     /// vectors, quantizing each segment into a new block.
     ///
     /// # Errors
-    /// [`VectorError::CardinalityMismatch`] on wrong modality count,
-    /// [`VectorError::DimensionMismatch`] on wrong slot length; the
-    /// engine is untouched on error.
+    /// [`Layout::check_row`]'s; the engine is untouched on error.
     pub fn push_row<S: AsRef<[f32]>>(&mut self, rows: &[S]) -> Result<ObjectId, VectorError> {
-        if rows.len() != self.num_modalities() {
-            return Err(VectorError::CardinalityMismatch {
-                expected: self.num_modalities(),
-                got: rows.len(),
-            });
-        }
-        for (k, r) in rows.iter().enumerate() {
-            if r.as_ref().len() != self.dims[k] {
-                return Err(VectorError::DimensionMismatch {
-                    expected: self.dims[k],
-                    got: r.as_ref().len(),
-                });
-            }
-        }
+        self.layout.check_row(rows)?;
         let id = self.len() as ObjectId;
         self.blocks.resize(self.blocks.len() + self.block_len(), 0);
         for (k, r) in rows.iter().enumerate() {
@@ -402,8 +380,7 @@ impl QuantizedRows {
     /// stay weight-free, and every query may carry its own weights.
     ///
     /// # Errors
-    /// As [`FusedRows::query`]: weight-arity, slot-arity, and dimension
-    /// mismatches.
+    /// As [`FusedRows::query`]: [`Layout::check_request`]'s.
     pub fn query(
         &self,
         query: &MultiQuery,
@@ -457,13 +434,8 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         query: &MultiQuery,
         weights: &Weights,
     ) -> Result<Self, VectorError> {
+        rows.layout.check_request(query, weights)?;
         let m = rows.num_modalities();
-        if query.num_slots() != m {
-            return Err(VectorError::WeightArity { modalities: m, weights: query.num_slots() });
-        }
-        if weights.modalities() != m {
-            return Err(VectorError::WeightArity { modalities: m, weights: weights.modalities() });
-        }
         let mut qraw = vec![0.0f32; rows.stride()];
         let mut active = Vec::with_capacity(m);
         let mut w_total = 0.0;
@@ -472,22 +444,11 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         let r = (m + 4) as f64 * eps;
         for k in 0..m {
             let Some(slot) = query.slot(k) else { continue };
-            if slot.len() != rows.dims[k] {
-                return Err(VectorError::DimensionMismatch {
-                    expected: rows.dims[k],
-                    got: slot.len(),
-                });
-            }
-            // A NaN or infinite component would poison every score and
-            // every sort the walk makes; refuse it, weighted or not.
-            if slot.iter().any(|x| !x.is_finite()) {
-                return Err(VectorError::NotNormalisable);
-            }
             let wsq = weights.sq(k);
             if wsq <= 0.0 {
                 continue;
             }
-            let (start, end) = (rows.seg[k], rows.seg[k + 1]);
+            let (start, end) = rows.layout.segment_bounds(k);
             qraw[start..start + slot.len()].copy_from_slice(slot);
             // f64 accumulation, one rounding for `sum`; the norms go into
             // the margin coefficients, rounded up (module docs).
