@@ -287,15 +287,6 @@ impl FusedRows {
         &self.data
     }
 
-    /// Unweighted joint similarity of rows `a` and `b`: one contiguous dot
-    /// product summing every per-modality inner product with coefficient 1.
-    /// For the Lemma-1 weighted sum use [`FusedRows::weighted_pair_ip`].
-    #[inline]
-    #[must_use]
-    pub fn pair_ip(&self, a: ObjectId, b: ObjectId) -> f32 {
-        kernels::ip_prescaled_segments(self.row(a), self.row(b))
-    }
-
     /// The Lemma-1 joint similarity `sum_k wsq[k] * IP_k` between rows `a`
     /// and `b` under squared weights `wsq` (`omega_k^2`): one per-segment
     /// dot product per positive weight, all walking the same two
@@ -742,10 +733,6 @@ mod tests {
                 + w.sq(1) * kernels::ip(src[1].get(a), src[1].get(b));
             assert!((rows.weighted_pair_ip(a, b, w.squared()) - want).abs() < 1e-5);
         }
-        // The unweighted pair similarity is the plain modality sum.
-        let want =
-            kernels::ip(src[0].get(0), src[0].get(1)) + kernels::ip(src[1].get(0), src[1].get(1));
-        assert!((rows.pair_ip(0, 1) - want).abs() < 1e-5);
     }
 
     #[test]

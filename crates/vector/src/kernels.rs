@@ -211,14 +211,6 @@ pub fn ip_from_l2_sq(l2_sq: f32) -> f32 {
     1.0 - 0.5 * l2_sq
 }
 
-/// Converts an inner product of unit-norm vectors into squared Euclidean
-/// distance (the inverse of [`ip_from_l2_sq`]).
-#[inline]
-#[must_use]
-pub fn l2_sq_from_ip(ip: f32) -> f32 {
-    2.0 - 2.0 * ip
-}
-
 /// Euclidean norm of a slice.
 #[inline]
 #[must_use]
@@ -293,8 +285,6 @@ mod tests {
         let via_l2 = ip_from_l2_sq(l2_sq(&a, &b));
         let direct = ip(&a, &b);
         assert!((via_l2 - direct).abs() < 1e-5);
-        let back = l2_sq_from_ip(direct);
-        assert!((back - l2_sq(&a, &b)).abs() < 1e-5);
     }
 
     #[test]

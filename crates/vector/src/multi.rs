@@ -192,13 +192,6 @@ impl<'a> ModalityView<'a> {
         self.rows.modality_slice(id, self.k)
     }
 
-    /// Borrow vector `id`, or `None` when out of bounds.
-    #[inline]
-    #[must_use]
-    pub fn try_get(&self, id: ObjectId) -> Option<&'a [f32]> {
-        ((id as usize) < self.rows.len()).then(|| self.get(id))
-    }
-
     /// Inner product between rows `a` and `b` of this modality.
     #[inline]
     #[must_use]
@@ -319,31 +312,11 @@ impl MultiQuery {
         self.vectors.len()
     }
 
-    /// Number of supplied modalities (`t`).
-    #[inline]
-    #[must_use]
-    pub fn supplied(&self) -> usize {
-        self.vectors.iter().filter(|v| v.is_some()).count()
-    }
-
     /// The vector for modality `i`, if supplied.
     #[inline]
     #[must_use]
     pub fn slot(&self, i: usize) -> Option<&[f32]> {
         self.vectors.get(i).and_then(|v| v.as_deref())
-    }
-
-    /// Weight mask for this query: the input weights with unsupplied
-    /// modalities zeroed.
-    #[must_use]
-    pub fn mask_weights(&self, weights: &Weights) -> Weights {
-        let mut omega = weights.raw().to_vec();
-        for (w, v) in omega.iter_mut().zip(&self.vectors) {
-            if v.is_none() {
-                *w = 0.0;
-            }
-        }
-        Weights::new(omega).expect("masking preserves validity")
     }
 }
 
@@ -400,22 +373,12 @@ mod tests {
         assert_eq!(img.dim(), 4);
         assert_eq!(img.len(), 2);
         assert_eq!(img.get(0), &[1.0, 0.0, 0.0, 0.0]);
-        assert!(img.try_get(2).is_none());
         let txt = set.modality(1);
         assert!((txt.ip(0, 0) - 1.0).abs() < 1e-6);
         let top = txt.brute_force_top_k(&[1.0, 0.0], 1);
         assert_eq!(top[0].0, 0);
         assert_eq!(set.object(1).count(), 2);
         assert_eq!(set.dims(), &[4, 2]);
-    }
-
-    #[test]
-    fn query_masking_zeroes_missing_modalities() {
-        let q = MultiQuery::partial(vec![Some(vec![1.0, 0.0, 0.0, 0.0]), None]);
-        assert_eq!(q.supplied(), 1);
-        let w = q.mask_weights(&Weights::uniform(2));
-        assert!(w.sq(0) > 0.0);
-        assert_eq!(w.sq(1), 0.0);
     }
 
     #[test]
