@@ -250,7 +250,7 @@ impl Must {
     /// [`MustError::Config`] when the engine does not mirror the corpus
     /// (cardinality or layout mismatch).
     pub fn attach_quant(&mut self, quant: QuantizedRows) -> Result<(), MustError> {
-        if quant.len() != self.objects.len() || quant.dims() != self.objects.dims() {
+        if quant.len() != self.objects.len() || quant.layout() != self.objects.fused().layout() {
             return Err(MustError::Config(
                 "quantized engine does not mirror the corpus".into(),
             ));

@@ -453,7 +453,7 @@ pub fn save_quantized(must: &Must, path: &Path) -> Result<(), MustError> {
     };
     let rows = must.objects().fused();
     let (n, m, stride) = (rows.len(), rows.num_modalities(), rows.stride());
-    if quant.len() != n || quant.dims() != rows.dims() {
+    if quant.len() != n || quant.layout() != rows.layout() {
         return Err(MustError::Config(
             "attached quantized engine does not mirror the corpus".into(),
         ));

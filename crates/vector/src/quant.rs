@@ -194,7 +194,7 @@ impl QuantizedRows {
         let mut q = Self { layout: rows.layout().clone(), blocks: Vec::new() };
         q.blocks = vec![0u8; rows.len() * q.block_len()];
         for id in 0..rows.len() as ObjectId {
-            for k in 0..q.num_modalities() {
+            for k in 0..q.layout.num_modalities() {
                 q.encode(id, k, rows.modality_slice(id, k));
             }
         }
@@ -205,7 +205,7 @@ impl QuantizedRows {
     /// block `id`: codes, then the segment's parameters.
     fn encode(&mut self, id: ObjectId, k: usize, values: &[f32]) {
         let start = self.layout.segment_bounds(k).0;
-        let (codes, tail) = (start..start + self.dims()[k], self.tail_at(k));
+        let (codes, tail) = (start..start + self.layout.dims()[k], self.tail_at(k));
         let at = id as usize * self.block_len();
         let block = &mut self.blocks[at..];
         encode_segment(values, &mut block[codes]).write(block, tail);
@@ -230,7 +230,7 @@ impl QuantizedRows {
         params: &[SegParams],
     ) -> Result<Self, VectorError> {
         let mut q = Self { layout: Layout::new(dims)?, blocks: Vec::new() };
-        let (m, stride) = (q.num_modalities(), q.stride());
+        let (m, stride) = (q.layout.num_modalities(), q.layout.stride());
         if !codes.len().is_multiple_of(stride) {
             return Err(VectorError::DimensionMismatch {
                 expected: stride,
@@ -241,7 +241,8 @@ impl QuantizedRows {
         if params.len() != len * m {
             return Err(VectorError::CardinalityMismatch { expected: len * m, got: params.len() });
         }
-        if let Some(i) = (0..params.len()).find(|&i| !params[i].encodable(q.dims()[i % m])) {
+        let dims = q.layout.dims();
+        if let Some(i) = (0..params.len()).find(|&i| !params[i].encodable(dims[i % m])) {
             return Err(VectorError::InvalidSegParams { row: i / m, modality: i % m });
         }
         let mut blocks = vec![0u8; len * q.block_len()];
@@ -256,45 +257,24 @@ impl QuantizedRows {
         Ok(q)
     }
 
-    /// The row layout, the f32 engine's (see [`FusedRows::layout`]).
+    /// The row layout, the f32 engine's (see [`FusedRows::layout`]); its
+    /// stride counts code bytes here.
     #[inline]
     #[must_use]
     pub fn layout(&self) -> &Layout {
         &self.layout
     }
 
-    /// Number of modalities `m`.
-    #[inline]
-    #[must_use]
-    pub fn num_modalities(&self) -> usize {
-        self.layout.num_modalities()
-    }
-
-    /// Unpadded per-modality dimensionalities.
-    #[inline]
-    #[must_use]
-    pub fn dims(&self) -> &[usize] {
-        self.layout.dims()
-    }
-
-    /// Row stride in code bytes (identical to the f32 engine's stride in
-    /// floats).
-    #[inline]
-    #[must_use]
-    pub fn stride(&self) -> usize {
-        self.layout.stride()
-    }
-
     /// Bytes of one row block: the codes, then `TAIL` bytes a modality.
     #[inline]
     fn block_len(&self) -> usize {
-        self.stride() + TAIL * self.num_modalities()
+        self.layout.stride() + TAIL * self.layout.num_modalities()
     }
 
     /// Offset of modality `k`'s parameters within a block.
     #[inline]
     fn tail_at(&self, k: usize) -> usize {
-        self.stride() + TAIL * k
+        self.layout.stride() + TAIL * k
     }
 
     /// Row `id`'s block.
@@ -323,7 +303,7 @@ impl QuantizedRows {
     #[inline]
     #[must_use]
     pub fn row_codes(&self, id: ObjectId) -> &[u8] {
-        &self.block(id)[..self.stride()]
+        &self.block(id)[..self.layout.stride()]
     }
 
     /// The affine parameters of modality `k` in row `id`.
@@ -339,7 +319,7 @@ impl QuantizedRows {
     #[must_use]
     pub fn modality_codes(&self, id: ObjectId, k: usize) -> &[u8] {
         let start = self.layout.segment_bounds(k).0;
-        &self.block(id)[start..start + self.dims()[k]]
+        &self.block(id)[start..start + self.layout.dims()[k]]
     }
 
     /// Decodes modality `k` of row `id` back to f32 (test/diagnostic
@@ -435,8 +415,8 @@ impl<'a> QuantizedQueryEvaluator<'a> {
         weights: &Weights,
     ) -> Result<Self, VectorError> {
         rows.layout.check_request(query, weights)?;
-        let m = rows.num_modalities();
-        let mut qraw = vec![0.0f32; rows.stride()];
+        let m = rows.layout.num_modalities();
+        let mut qraw = vec![0.0f32; rows.layout.stride()];
         let mut active = Vec::with_capacity(m);
         let mut w_total = 0.0;
         // `r` for up to `m` active segments: more is never unsound.
@@ -586,7 +566,9 @@ mod tests {
         let ids = || 0..q.len() as ObjectId;
         (
             ids().flat_map(|id| q.row_codes(id).iter().copied()).collect(),
-            ids().flat_map(|id| (0..q.num_modalities()).map(move |k| q.seg_params(id, k))).collect(),
+            ids()
+                .flat_map(|id| (0..q.layout().num_modalities()).map(move |k| q.seg_params(id, k)))
+                .collect(),
         )
     }
 
@@ -594,15 +576,15 @@ mod tests {
     fn layout_mirrors_the_f32_engine() {
         let rows = engine();
         let q = QuantizedRows::from_fused(&rows);
-        assert_eq!(q.dims(), rows.dims());
-        assert_eq!(q.stride(), rows.stride());
+        assert_eq!(q.layout(), rows.layout());
         assert_eq!(q.len(), rows.len());
         for id in 0..rows.len() as ObjectId {
             assert_eq!(q.row_codes(id).len(), rows.stride());
             for k in 0..rows.num_modalities() {
                 let (start, end) = rows.segment_bounds(k);
-                assert_eq!(&q.row_codes(id)[start..start + q.dims()[k]], q.modality_codes(id, k));
-                let padding = &q.row_codes(id)[start + q.dims()[k]..end];
+                let real = start + rows.dims()[k];
+                assert_eq!(&q.row_codes(id)[start..real], q.modality_codes(id, k));
+                let padding = &q.row_codes(id)[real..end];
                 assert!(padding.iter().all(|&c| c == 0), "padding codes stay zero");
             }
         }
@@ -803,7 +785,8 @@ mod tests {
         let owned = QuantizedRows::from_fused(&rows);
         // Rebuild from the sections a bundle carries.
         let (codes, params) = saved_sections(&owned);
-        let mut q = QuantizedRows::from_parts(owned.dims().to_vec(), &codes, &params).unwrap();
+        let dims = owned.layout().dims().to_vec();
+        let mut q = QuantizedRows::from_parts(dims, &codes, &params).unwrap();
         assert_eq!(q, owned);
         let new0 = {
             let mut v = vec![0.1f32, -0.4, 0.2, 0.8, 0.3];
@@ -835,7 +818,7 @@ mod tests {
     fn from_parts_validates_shapes() {
         let q = QuantizedRows::from_fused(&engine());
         let (codes, params) = saved_sections(&q);
-        let dims = || q.dims().to_vec();
+        let dims = || q.layout().dims().to_vec();
         assert_eq!(QuantizedRows::from_parts(dims(), &codes, &params).unwrap(), q);
         assert!(matches!(
             QuantizedRows::from_parts(vec![], &[], &[]),
@@ -846,7 +829,7 @@ mod tests {
             Err(VectorError::DimensionMismatch { .. })
         ));
         // A code section that is not a whole number of rows, either way.
-        for bad in [&codes[..codes.len() - 1], &vec![0u8; q.stride() + 1][..]] {
+        for bad in [&codes[..codes.len() - 1], &vec![0u8; q.layout().stride() + 1][..]] {
             assert!(matches!(
                 QuantizedRows::from_parts(dims(), bad, &params),
                 Err(VectorError::DimensionMismatch { .. })
@@ -868,7 +851,7 @@ mod tests {
         let (codes, params) = saved_sections(&q);
         // Row 3, modality 1 is spread (step > 0), so eps = eps_for(step, 3)
         // sits well above the 1e-6 floor.
-        let at = 3 * q.num_modalities() + 1;
+        let at = 3 * q.layout().num_modalities() + 1;
         let p = params[at];
         assert!(p.step > 0.0);
         let shrunk = f32::from_bits(p.eps.to_bits() - 1);
@@ -884,7 +867,7 @@ mod tests {
             let mut edited = params.clone();
             edited[at] = corrupt;
             assert_eq!(
-                QuantizedRows::from_parts(q.dims().to_vec(), &codes, &edited),
+                QuantizedRows::from_parts(q.layout().dims().to_vec(), &codes, &edited),
                 Err(VectorError::InvalidSegParams { row: 3, modality: 1 }),
                 "{corrupt:?}"
             );
@@ -892,7 +875,7 @@ mod tests {
         // A radius above the encoder's is merely conservative.
         let mut wider = params.clone();
         wider[at].eps *= 2.0;
-        assert!(QuantizedRows::from_parts(q.dims().to_vec(), &codes, &wider).is_ok());
+        assert!(QuantizedRows::from_parts(q.layout().dims().to_vec(), &codes, &wider).is_ok());
     }
 
     /// FNV-1a (64-bit) over every `ip` bit pattern, every `ip_pruned`
@@ -901,7 +884,7 @@ mod tests {
     /// mid-range and +inf.
     fn scan_hash(q: &QuantizedRows, queries: &[MultiQuery]) -> u64 {
         const PRUNED: u32 = 0xFFFF_FFFF; // a NaN pattern no score takes
-        let m = q.num_modalities();
+        let m = q.layout().num_modalities();
         let mut override_sq = vec![0.1f32; m];
         override_sq[0] = 0.9;
         let mut words: Vec<u64> = Vec::new();
@@ -992,7 +975,7 @@ mod tests {
     fn bytes_counts_codes_and_per_row_constants() {
         let q = QuantizedRows::from_fused(&engine());
         // Per row: its codes, then per modality three affine parameters.
-        let per_row = q.stride() + q.num_modalities() * 3 * 4;
+        let per_row = q.layout().stride() + q.layout().num_modalities() * 3 * 4;
         assert_eq!(q.bytes(), q.len() * per_row);
     }
 
