@@ -66,8 +66,8 @@ pub struct Hnsw {
 }
 
 /// The layered graph flattened into length-prefixed arrays — the form a
-/// persistence layer serialises (bundle v2) and a deployment reloads
-/// without rebuilding.
+/// persistence layer serialises (the index block of bundles v5, v6 and
+/// v7) and a deployment reloads without rebuilding.
 ///
 /// Lists are laid out node-major, layer-minor: node 0's layers
 /// `0..=levels[0]`, then node 1's, and so on.  `offsets` is a CSR index

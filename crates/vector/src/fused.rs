@@ -12,11 +12,11 @@
 //! row i: [ seg 0 (dim_0, padded) | seg 1 (dim_1, padded) | ... | seg m-1 ]
 //! ```
 //!
-//! Each segment is zero-padded to a multiple of [`FUSED_LANE`] floats so
-//! every segment (and every row) starts on a SIMD-friendly boundary
-//! ([`Layout`] holds the rule and the shape checks); the padding lanes are
-//! always zero, so they contribute nothing to inner products or squared
-//! distances.
+//! Each segment is zero-padded to a multiple of [`crate::FUSED_LANE`]
+//! floats so every segment (and every row) starts on a SIMD-friendly
+//! boundary ([`Layout`] holds the rule and the shape checks); the padding
+//! lanes are always zero, so they contribute nothing to inner products or
+//! squared distances.
 //!
 //! **Weights never touch the stored rows.**  Lemma 1 gives the joint
 //! similarity as `IP(q_hat, o_hat) = sum_k omega_k^2 * IP_k`, and every
@@ -38,8 +38,6 @@
 use crate::kernels;
 use crate::multi::MultiQuery;
 use crate::{Layout, ObjectId, VectorError, VectorSet, Weights};
-#[cfg(doc)]
-use crate::FUSED_LANE;
 
 /// Distance between the touches a `warm` makes along a row: one per
 /// cache line.  (One per 128 B, trusting the adjacent-line prefetcher for

@@ -77,8 +77,6 @@
 use crate::fused::{FusedRows, PartialIpVerdict, CACHE_LINE};
 use crate::multi::MultiQuery;
 use crate::{kernels, Layout, ObjectId, VectorError, Weights};
-#[cfg(doc)]
-use crate::FUSED_LANE;
 
 /// Per-(row, segment) affine dequantization parameters plus the certified
 /// reconstruction radius the scan's margin is built on.
@@ -174,8 +172,8 @@ fn round_up(x: f64) -> f32 {
 }
 
 /// SQ8 scalar-quantized row storage mirroring a [`FusedRows`] layout:
-/// the same [`Layout`] (dims, [`FUSED_LANE`]-aligned stride), one `u8` code per
-/// component (padding positions zero and never scored) and one
+/// the same [`Layout`] (dims, [`crate::FUSED_LANE`]-aligned stride), one
+/// `u8` code per component (padding positions zero and never scored) and one
 /// [`SegParams`] per (row, modality) — all of a row in one block (module
 /// docs, "Row blocks").
 #[derive(Debug, Clone, PartialEq)]
