@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use must_core::baselines::{BaselineOptions, MultiStreamedRetrieval};
+use must_core::baselines::{mr_brute_force, BaselineOptions, MultiStreamedRetrieval};
 use must_core::metrics::recall_at;
 use must_core::runtime::EngineWorker;
 use must_core::search::exact_ground_truth;
@@ -154,12 +154,10 @@ pub fn mr_sweep(
 
 /// The `MR--` brute-force point.
 #[must_use]
-pub fn mr_brute_point(
-    setup: &EffSetup,
-    mr: &MultiStreamedRetrieval<'_>,
-    candidates: usize,
-) -> SweepPoint {
-    timed_point(setup, candidates, |q| mr.brute_force_search(q, setup.k, candidates).results)
+pub fn mr_brute_point(setup: &EffSetup, candidates: usize) -> SweepPoint {
+    timed_point(setup, candidates, |q| {
+        mr_brute_force(setup.must.objects(), q, setup.k, candidates).0
+    })
 }
 
 /// Converts sweep points to `(recall, qps)` series points.

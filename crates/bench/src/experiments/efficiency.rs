@@ -35,7 +35,7 @@ fn qps_recall_figure(tag: &str, ds: &LatentDataset) -> Artefact {
     fig.push_series("MUST--", vec![(bf.recall, bf.qps)]);
     let mr = build_mr(&setup, BaselineOptions::default());
     fig.push_series("MR", to_series(&mr_sweep(&setup, &mr, MR_LS)));
-    let mr_bf = mr_brute_point(&setup, &mr, 1000);
+    let mr_bf = mr_brute_point(&setup, 1000);
     fig.push_series("MR--", vec![(mr_bf.recall, mr_bf.qps)]);
     Artefact::Figure(fig)
 }

@@ -153,14 +153,6 @@ impl<'a> MultiStreamedRetrieval<'a> {
         let (results, intersection_size) = merge_candidates(&per_modality, k);
         Ok(MrOutcome { results, intersection_size, secs: t0.elapsed().as_secs_f64() })
     }
-
-    /// Brute-force variant (`MR--`), timed: [`mr_brute_force`].
-    #[must_use]
-    pub fn brute_force_search(&self, query: &MultiQuery, k: usize, l_candidates: usize) -> MrOutcome {
-        let t0 = Instant::now();
-        let (results, intersection_size) = mr_brute_force(self.set, query, k, l_candidates);
-        MrOutcome { results, intersection_size, secs: t0.elapsed().as_secs_f64() }
-    }
 }
 
 /// `MR--`: the exact top-`l_candidates` of every supplied modality (a
@@ -365,10 +357,10 @@ mod tests {
             set.modality(0).get(11).to_vec(),
             set.modality(1).get(11).to_vec(),
         ]);
-        let exact = mr.brute_force_search(&q, 3, 80);
+        let (exact, _) = mr_brute_force(&set, &q, 3, 80);
         let mut visited = SearchScratch::default();
         let approx = mr.search(&q, 3, 80, &mut visited).unwrap();
-        assert_eq!(exact.results[0], approx.results[0]);
+        assert_eq!(exact[0], approx.results[0]);
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl Must {
         }
         let oracle = JointOracle::new(objects, weights)?;
         match index {
-            MustIndex::Hnsw(h) => h.insert_new_with_scratch(&oracle, id, 0x1A5E, insert_scratch),
+            MustIndex::Hnsw(h) => h.insert_new(&oracle, id, 0x1A5E, insert_scratch),
             MustIndex::Csr(_) => unreachable!("checked above"),
         }
         Ok(id)

@@ -27,63 +27,6 @@ pub fn sme(objects: &MultiVectorSet, truth: ObjectId, returned: ObjectId) -> f64
     1.0 - objects.modality(0).ip(truth, returned) as f64
 }
 
-/// Aggregates recall and SME over a workload.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WorkloadAccuracy {
-    /// Mean `Recall@k(k')`.
-    pub recall: f64,
-    /// Mean SME of the top-1 result against the first ground-truth object.
-    pub sme: f64,
-    /// Number of queries aggregated.
-    pub queries: usize,
-}
-
-/// Accumulator for [`WorkloadAccuracy`].
-#[derive(Debug, Default)]
-pub struct AccuracyAccumulator {
-    recall_sum: f64,
-    sme_sum: f64,
-    n: usize,
-}
-
-impl AccuracyAccumulator {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one query's results.
-    pub fn record(
-        &mut self,
-        objects: &MultiVectorSet,
-        results: &[ObjectId],
-        ground_truth: &[ObjectId],
-        k: usize,
-    ) {
-        self.recall_sum += recall_at(results, ground_truth, k);
-        if let (Some(&top), Some(&truth)) = (results.first(), ground_truth.first()) {
-            self.sme_sum += sme(objects, truth, top);
-        } else {
-            self.sme_sum += 1.0; // no result: maximal error
-        }
-        self.n += 1;
-    }
-
-    /// Finalises the means.
-    #[must_use]
-    pub fn finish(self) -> WorkloadAccuracy {
-        if self.n == 0 {
-            return WorkloadAccuracy::default();
-        }
-        WorkloadAccuracy {
-            recall: self.recall_sum / self.n as f64,
-            sme: self.sme_sum / self.n as f64,
-            queries: self.n,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,23 +63,5 @@ mod tests {
         let e = sme(&objs, 0, 1);
         assert!((e - 0.4).abs() < 1e-5, "1 - 0.6 expected, got {e}");
         assert!((sme(&objs, 0, 2) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn accumulator_averages() {
-        let objs = objects();
-        let mut acc = AccuracyAccumulator::new();
-        acc.record(&objs, &[0], &[0], 1); // hit, sme 0
-        acc.record(&objs, &[1], &[0], 1); // miss, sme 0.4
-        let out = acc.finish();
-        assert_eq!(out.queries, 2);
-        assert!((out.recall - 0.5).abs() < 1e-9);
-        assert!((out.sme - 0.2).abs() < 1e-5);
-    }
-
-    #[test]
-    fn empty_accumulator_is_zeroed() {
-        let out = AccuracyAccumulator::new().finish();
-        assert_eq!(out, WorkloadAccuracy::default());
     }
 }

@@ -260,7 +260,7 @@ impl QueryScorer for SingleModalityScorer<'_> {
 mod tests {
     use super::*;
     use must_graph::hnsw::{Hnsw, HnswParams};
-    use must_graph::seed::{choose_seed, SeedStrategy};
+    use must_graph::seed::choose_seed;
     use must_graph::SearchScratch;
     use must_vector::VectorSetBuilder;
     use rand::rngs::StdRng;
@@ -395,7 +395,7 @@ mod tests {
         let oracle = JointOracle::new(&set, &w).unwrap();
         let mut scratch = SearchScratch::default();
         for id in 200..204 {
-            hnsw.insert_new_with_scratch(&oracle, id, 0x1A5E, &mut scratch);
+            hnsw.insert_new(&oracle, id, 0x1A5E, &mut scratch);
         }
         assert_eq!(hnsw.len(), 204);
         assert!(oracle.centroid_cell().is_none(), "an insert read the centroid");
@@ -407,7 +407,7 @@ mod tests {
         let w = Weights::new(vec![0.8, 0.4]).unwrap();
         let want = scaled_centroid(&set, &w);
         let scan = |oracle: &JointOracle<'_>, threads: usize| {
-            let seed = choose_seed(oracle, SeedStrategy::Medoid, threads);
+            let seed = choose_seed(oracle, threads);
             let cell = oracle.centroid_cell().expect("the medoid scan fills the cell");
             assert!(cell.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
             (seed, cell.as_ptr())

@@ -1000,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn v7_round_trips_the_quantized_engine_zero_copy() {
+    fn v7_round_trips_the_quantized_engine() {
         let must = hnsw_quantized(150);
         let mut loaded =
             via_file("bundle-v7.mustb", |p| save_quantized(&must, p), |p| load(p).unwrap());

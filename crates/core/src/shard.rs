@@ -90,7 +90,7 @@ use std::time::Instant;
 
 use must_graph::par;
 use must_graph::{SearchParams, SearchStats};
-use must_vector::{kernels, FusedRows, Layout, MultiQuery, MultiVectorSet, ObjectId, VectorSet, Weights};
+use must_vector::{kernels, FusedRows, Layout, MultiQuery, MultiVectorSet, ObjectId, Weights};
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::search::{request_params, SearchOutcome};
@@ -184,32 +184,24 @@ fn prescale_centroid(rows: &FusedRows, centroid: &[f32], weights: &Weights) -> V
 /// its local→global id map (`map[local] = global`) and its *primary*
 /// member count: rows are laid out primaries-first (closure replicas
 /// after), and the build computes routing summaries over only that prefix.
-/// Vector values are copied bit-exact, so per-shard similarities equal the
-/// unsharded engine's.  Clustering runs under `weights`, whose arity
+/// Whole fused rows are copied bit-exact and their segment norms derived
+/// as on load, so per-shard similarities equal the unsharded engine's.  Clustering runs under `weights`, whose arity
 /// [`ShardedMust::build`] has checked.
 fn split(
     objects: &MultiVectorSet,
     weights: &Weights,
     s: usize,
 ) -> Vec<(MultiVectorSet, Vec<ObjectId>, usize)> {
-    cluster_members(objects.fused(), weights, s)
+    let rows = objects.fused();
+    cluster_members(rows, weights, s)
         .into_iter()
         .map(|(ids, primaries)| {
-            let sets: Vec<VectorSet> = objects
-                .dims()
-                .iter()
-                .enumerate()
-                .map(|(k, &dim)| {
-                    let view = objects.modality(k);
-                    let mut flat = Vec::with_capacity(ids.len() * dim);
-                    for &id in &ids {
-                        flat.extend_from_slice(view.get(id));
-                    }
-                    VectorSet::from_flat(dim, flat).expect("split rows are well-formed")
-                })
-                .collect();
-            let corpus = MultiVectorSet::new(sets).expect("equal cardinalities by construction");
-            (corpus, ids, primaries)
+            let mut data = Vec::with_capacity(ids.len() * rows.stride());
+            for &id in &ids {
+                data.extend_from_slice(rows.row(id));
+            }
+            let fused = FusedRows::from_raw_parts(rows.dims().to_vec(), data).expect("whole rows");
+            (MultiVectorSet::from_fused(fused), ids, primaries)
         })
         .collect()
 }
@@ -228,9 +220,6 @@ fn split(
 /// prefix only).  Needs `1 <= S <= n`; one shard holds every object.
 fn cluster_members(rows: &FusedRows, weights: &Weights, s: usize) -> Vec<(Vec<ObjectId>, usize)> {
     let n = rows.len();
-    if s == 1 {
-        return vec![((0..n as ObjectId).collect(), n)];
-    }
     let sim = |i: usize, scaled: &[f32]| kernels::ip_prescaled_segments(rows.row(i as ObjectId), scaled);
 
     // Farthest-point seeding: start from row 0, then repeatedly take the
@@ -516,10 +505,6 @@ impl RoutePolicy {
 pub struct ShardedMust {
     shards: Vec<MustServer>,
     global_ids: Vec<Vec<ObjectId>>,
-    /// `identity[s]` ⇔ `global_ids[s][local] == local` for every local id
-    /// — true for any single-shard bundle, where gather can skip the remap
-    /// entirely.
-    identity: Vec<bool>,
     summaries: Vec<ShardSummary>,
     /// Distinct global objects (≤ the sum of shard sizes: clustered
     /// closure replication stores boundary objects in several shards).
@@ -726,12 +711,8 @@ impl ShardedMust {
             }
             None => shards.iter().map(|sh| ShardSummary::compute(sh.objects().fused())).collect(),
         };
-        let identity = global_ids
-            .iter()
-            .map(|ids| ids.iter().enumerate().all(|(local, &global)| global as usize == local))
-            .collect();
         let shards = shards.into_iter().map(MustServer::freeze).collect();
-        Ok(Self { shards, global_ids, identity, summaries, total })
+        Ok(Self { shards, global_ids, summaries, total })
     }
 
     /// Number of shards `S`.
@@ -822,9 +803,7 @@ impl ShardedMust {
         let global = self.len() as ObjectId;
         let shard = self.shards[target].sole_mut();
         shard.insert_object(rows)?;
-        let ids = &mut self.global_ids[target];
-        self.identity[target] &= global as usize == ids.len();
-        ids.push(global);
+        self.global_ids[target].push(global);
         self.total += 1;
         // Keep the routing bound valid: widen the target's radii around
         // its *fixed* centroid so the new row is covered (re-deriving the
@@ -914,18 +893,8 @@ impl ShardedMust {
     /// total order, so the merge is deterministic — drop closure-replica
     /// duplicates (bit-identical copies of one object score identically in
     /// every shard holding it, so duplicates sort adjacent), and truncate.
-    /// Per-shard stats and kernel counts accumulate.  A lone outcome from
-    /// an identity-mapped shard is already the answer (the per-shard pool
-    /// returns at most `k` results in descending-similarity order), so
-    /// the remap, sort, and truncate are all skipped.
+    /// Per-shard stats and kernel counts accumulate.
     fn gather(&self, per_shard: Vec<(usize, SearchOutcome)>, k: usize, t0: Instant) -> SearchOutcome {
-        if let [(s, out)] = per_shard.as_slice() {
-            if self.identity[*s] {
-                debug_assert!(out.results.len() <= k);
-                let (_, out) = per_shard.into_iter().next().expect("exactly one outcome");
-                return SearchOutcome { secs: t0.elapsed().as_secs_f64(), ..out };
-            }
-        }
         let total: usize = per_shard.iter().map(|(_, out)| out.results.len()).sum();
         let mut results: Vec<(ObjectId, f32)> = Vec::with_capacity(total);
         let mut stats = SearchStats::default();

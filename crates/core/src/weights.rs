@@ -43,14 +43,15 @@ use must_vector::{kernels, MultiQuery, MultiVectorSet, ObjectId, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Learning rate of the omega step (paper: 0.002; our loss is averaged per
+/// anchor so a larger rate converges in fewer epochs).
+const LR: f32 = 0.08;
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct WeightLearnConfig {
     /// Gradient-descent epochs (the paper trains for 700 iterations).
     pub epochs: usize,
-    /// Learning rate (paper: 0.002; our loss is averaged per anchor so a
-    /// larger default converges in fewer epochs).
-    pub lr: f32,
     /// Number of negative examples `|N-|` per anchor (Fig. 13 sweeps
     /// 1..10; 10 by default).
     pub num_negatives: usize,
@@ -69,7 +70,6 @@ impl Default for WeightLearnConfig {
     fn default() -> Self {
         Self {
             epochs: 300,
-            lr: 0.08,
             num_negatives: 10,
             hard_negatives: true,
             max_anchors: 512,
@@ -354,7 +354,7 @@ impl WeightLearner {
             // omega step: dL/domega_i = 2 omega_i dL/du_i.
             for i in 0..m {
                 let g = (grad_u[i] / n_anchors as f64) as f32 * 2.0 * omega[i];
-                omega[i] = (omega[i] - config.lr * g).clamp(1e-3, 8.0);
+                omega[i] = (omega[i] - LR * g).clamp(1e-3, 8.0);
             }
             curve.loss.push(loss_sum / n_anchors as f64);
             curve.recall.push(hits as f64 / n_anchors as f64);
@@ -366,16 +366,6 @@ impl WeightLearner {
             train_secs: t0.elapsed().as_secs_f64(),
         }
     }
-}
-
-/// Convenience wrapper: precompute + train in one call.
-#[must_use]
-pub fn learn_weights(
-    set: &MultiVectorSet,
-    anchors: &[(&MultiQuery, ObjectId)],
-    config: &WeightLearnConfig,
-) -> LearnedWeights {
-    WeightLearner::new(set, anchors, config).train(config)
 }
 
 #[cfg(test)]
@@ -422,6 +412,14 @@ mod tests {
 
     fn as_refs(anchors: &[(MultiQuery, ObjectId)]) -> Vec<(&MultiQuery, ObjectId)> {
         anchors.iter().map(|(q, p)| (q, *p)).collect()
+    }
+
+    fn learn_weights(
+        set: &MultiVectorSet,
+        anchors: &[(&MultiQuery, ObjectId)],
+        config: &WeightLearnConfig,
+    ) -> LearnedWeights {
+        WeightLearner::new(set, anchors, config).train(config)
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests for bundle persistence: arbitrary small corpora × every
 //! graph backend round-trip through `save` (v5) to bit-identical search
-//! results; corrupt v7 bundles error; every written format stays mutable.
+//! results; corrupt v7 bundles error; every written format stays mutable;
+//! no single flipped byte makes a loader, or a search on what it loads,
+//! panic.
 
 use must_core::framework::{Must, MustBuildOptions};
 use must_core::{persist, MustError};
@@ -84,8 +86,8 @@ fn v7_table_at(m: usize) -> usize {
 /// Corrupt v7 bundles must surface `MustError` — truncated offset
 /// tables, overlapping / out-of-bounds / misaligned sections, and lying
 /// lengths all come back as `Config` or `Io`, never a panic (the loader
-/// borrows rows straight out of the read buffer, so a lying table is a
-/// memory-safety question, not just a parsing one).
+/// slices every section out of the one read buffer, so a lying table
+/// must be refused before any slice is taken).
 #[test]
 fn v7_corrupt_bundles_error_instead_of_panicking() {
     let set = corpus(30, 4, 3, 7);
@@ -114,16 +116,28 @@ fn v7_corrupt_bundles_error_instead_of_panicking() {
             matches!(err, MustError::Config(_) | MustError::Io(_)),
             "{tag}: unexpected error class {err:?}"
         );
+        err
     };
 
     // Offset table cut mid-entry.
     check("v7-trunc-table", good[..table_at + 24].to_vec());
     // Sections extend past the end of the buffer (truncated body).
     check("v7-trunc-body", good[..good.len() - 64].to_vec());
-    // Misaligned section offset (the zero-copy borrow requires 32B).
+    // Misaligned section offset (v7 sections start on 32-byte boundaries).
     let mut bad = good.clone();
     bad[table_at] = bad[table_at].wrapping_add(1);
     check("v7-misaligned", bad);
+    // The index section moved 4 bytes later, with its table entry and the
+    // padding before it rewritten to match: in bounds and overlap-free,
+    // so only the alignment rule refuses it.
+    let mut bad = good.clone();
+    let entry = table_at + 5 * 16;
+    let off = u64::from_le_bytes(bad[entry..entry + 8].try_into().unwrap());
+    bad[entry..entry + 8].copy_from_slice(&(off + 4).to_le_bytes());
+    let at = table_at + 6 * 16 + off as usize;
+    bad.splice(at..at, [0u8; 4]);
+    let err = check("v7-index-unaligned", bad);
+    assert!(matches!(err, MustError::Config(_)), "v7-index-unaligned: {err:?}");
     // Section 1 pulled back over section 0: overlap.
     let mut bad = good.clone();
     bad[table_at + 16..table_at + 24].copy_from_slice(&0u64.to_le_bytes());
@@ -150,8 +164,8 @@ fn v7_corrupt_bundles_error_instead_of_panicking() {
 /// format (v5 binary, v7 quantized) plus the sharded container
 /// round-trips, and bundles whose backend supports
 /// dynamic insertion accept `insert_object` after loading — including
-/// the v7 case, where the first insert must promote the zero-copy
-/// (buffer-borrowed) codes to owned storage (copy-on-write).
+/// the v7 case, where the insert appends to the codes copied out of the
+/// bundle.
 #[test]
 fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     let set = corpus(40, 4, 3, 11);
@@ -213,4 +227,107 @@ fn format_matrix_round_trips_and_loaded_bundles_stay_mutable() {
     std::fs::remove_file(&p).unwrap();
     assert_eq!(loaded.num_shards(), sharded.num_shards());
     assert_eq!(loaded.len(), sharded.len());
+}
+
+/// Payload header length for `m` modalities: prune (1) + m (4) + dims
+/// (4·m) + lane (4) + n (8).
+fn header_len(m: usize) -> usize {
+    1 + 4 + 4 * m + 4 + 8
+}
+
+/// Loads `bytes` through both loaders.  Each must return, not panic, and
+/// whatever loads must answer one query (an `Err` answer is fine), routed
+/// as well as unrouted when it is sharded.
+fn load_flipped(path: &std::path::Path, bytes: &[u8], query: &MultiQuery) {
+    use must_core::shard::{RoutePolicy, ShardedServer};
+    std::fs::write(path, bytes).unwrap();
+    if let Ok(must) = persist::load(path) {
+        let _ = must.search(query, 3, 16);
+    }
+    if let Ok(sharded) = persist::load_sharded(path) {
+        let server = ShardedServer::freeze(sharded);
+        let _ = server.search(query, 3, 16);
+        let _ = server.with_routing(RoutePolicy::new(1)).search(query, 3, 16);
+    }
+}
+
+/// Every byte of every header, the v7 section table and the v6 manifest,
+/// flipped three ways, plus a seeded sample of body bytes: `load` and
+/// `load_sharded` return `Ok` or `Err` and never panic, and an `Ok`
+/// answers a query without panicking.  A flip that reaches a panic names
+/// the bundle, the byte and the mask.
+#[test]
+fn byte_flips_never_panic_a_loader() {
+    let set = corpus(30, 4, 3, 21);
+    let w = Weights::new(vec![0.8, 0.5]).unwrap();
+    let query = self_query(&set, 5);
+    let opts = |recipe| MustBuildOptions { gamma: 6, recipe, ..Default::default() };
+    let bytes_of = |tag: &str, save: &dyn Fn(&std::path::Path)| {
+        let p = tmp(tag, 21);
+        save(&p);
+        let bytes = std::fs::read(&p).unwrap();
+        std::fs::remove_file(&p).unwrap();
+        bytes
+    };
+    let m = 2;
+    let head = 12 + header_len(m);
+
+    let csr = Must::build(set.clone(), w.clone(), opts(GraphRecipe::Fused)).unwrap();
+    let hnsw = Must::build(set.clone(), w.clone(), opts(GraphRecipe::Hnsw)).unwrap();
+    let v5_csr = bytes_of("flip-v5-csr", &|p| persist::save(&csr, p).unwrap());
+    let v5_hnsw = bytes_of("flip-v5-hnsw", &|p| persist::save(&hnsw, p).unwrap());
+    let v7 = bytes_of("flip-v7", &|p| persist::save_quantized(&hnsw, p).unwrap());
+    let sharded = must_core::shard::ShardedMust::build(
+        set.clone(),
+        w.clone(),
+        opts(GraphRecipe::Fused),
+        must_core::shard::ShardSpec::clustered(2),
+    )
+    .unwrap();
+    let v6 = bytes_of("flip-v6", &|p| persist::save_sharded(&sharded, p).unwrap());
+
+    // The v6 manifest ends where the offset table (one u64 per shard, the
+    // manifest's last field) says shard 0's payload starts; each payload
+    // opens with its own header.
+    let s = sharded.num_shards();
+    let payload_at = |i: usize| {
+        let at = v6_manifest_len(&sharded, m) - 8 * s + 8 * i;
+        u64::from_le_bytes(v6[at..at + 8].try_into().unwrap()) as usize
+    };
+    let mut v6_heads: Vec<usize> = (0..payload_at(0)).collect();
+    v6_heads.extend((0..s).flat_map(|i| payload_at(i)..payload_at(i) + header_len(m)));
+
+    let bundles: [(&str, &Vec<u8>, Vec<usize>); 4] = [
+        ("v5 CSR", &v5_csr, (0..head).collect()),
+        ("v5 HNSW", &v5_hnsw, (0..head).collect()),
+        ("v7", &v7, (0..v7_table_at(m) + 16 * 6).collect()),
+        ("v6 S=2", &v6, v6_heads),
+    ];
+    let path = tmp("flip", 21);
+    let mut rng = proptest::TestRng::new(0xF11B);
+    for (tag, good, mut positions) in bundles {
+        positions.extend((0..96).map(|_| (rng.unit_f64() * good.len() as f64) as usize));
+        for &at in &positions {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    load_flipped(&path, &bad, &query);
+                }));
+                assert!(outcome.is_ok(), "{tag}: byte {at} ^ {mask:#04x} panicked");
+            }
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Byte length of a v6 bundle's preamble and manifest: preamble (12),
+/// shard count (4), tag (1), the length-prefixed id maps, the
+/// length-prefixed centroid and radii of every summary, the offsets.
+fn v6_manifest_len(sharded: &must_core::shard::ShardedMust, m: usize) -> usize {
+    let s = sharded.num_shards();
+    let ids: usize = (0..s).map(|i| 8 + 4 * sharded.global_ids(i).len()).sum();
+    let sums: usize =
+        (0..s).map(|i| 8 + 4 * sharded.summary(i).centroid().len() + 8 + 4 * m).sum();
+    12 + 4 + 1 + ids + sums + 8 * s
 }

@@ -174,13 +174,6 @@ impl SemiSyntheticStream {
         (splitmix64(self.spec.seed ^ 0x5E51 ^ id) % self.spec.n_attrs as u64) as u32
     }
 
-    /// Labels of object `id`, matching [`generate`]'s shape (`class` is
-    /// the object id — every object is its own unique item).
-    #[must_use]
-    pub fn labels_of(&self, id: u64) -> ObjectLabels {
-        ObjectLabels { class: id as u32, attr: self.attr_of(id) }
-    }
-
     /// Materialises object `id`'s latents (`[grounded target, text]`).
     /// Pure in `(seed, id)`: the same id always yields the same latents.
     ///
@@ -288,7 +281,6 @@ mod tests {
         for id in [0u64, 7, 499] {
             let attr = stream.attr_of(id);
             assert!((attr as usize) < stream.spec().n_attrs);
-            assert_eq!(stream.labels_of(id).attr, attr);
             // The text latent describes exactly the hashed attribute.
             let o = stream.object(id);
             let want = Latent::descriptive(

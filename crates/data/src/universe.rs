@@ -46,18 +46,6 @@ impl Universe {
         self.space
     }
 
-    /// Number of classes.
-    #[must_use]
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Number of attributes.
-    #[must_use]
-    pub fn num_attrs(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// Class prototype `c`.
     #[must_use]
     pub fn class(&self, c: u32) -> &[f32] {
@@ -114,7 +102,7 @@ mod tests {
     #[test]
     fn prototypes_are_unit_norm_and_distinct() {
         let u = universe();
-        for c in 0..u.num_classes() as u32 {
+        for c in 0..u.classes.len() as u32 {
             assert!(kernels::is_unit_norm(u.class(c), 1e-5));
         }
         assert!(kernels::ip(u.class(0), u.class(1)) < 0.99);

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::connect::ensure_connectivity;
 use crate::par::{build_threads, par_map};
-use crate::seed::{choose_seed, SeedStrategy};
+use crate::seed::choose_seed;
 use crate::{Graph, SimilarityOracle};
 
 /// HCNNG construction parameters.
@@ -168,7 +168,7 @@ pub fn build_hcnng<O: SimilarityOracle>(oracle: &O, params: HcnngParams) -> Grap
             }
         }
     }
-    let seed = choose_seed(oracle, SeedStrategy::Medoid, params.threads);
+    let seed = choose_seed(oracle, params.threads);
     let mut graph = Graph::new(neighbors, seed);
     ensure_connectivity(&mut graph, oracle, 64, params.rng_seed ^ 0xCC);
     graph

@@ -176,15 +176,10 @@ impl Hnsw {
     /// Dynamically inserts a new vertex (Section IX of the paper: HNSW
     /// "adeptly handles dynamic updates by incrementally inserting data
     /// points").  `node` must equal the current `len()` — the oracle must
-    /// already know the new point.
-    pub fn insert_new<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, level_seed: u64) {
-        self.insert_new_with_scratch(oracle, node, level_seed, &mut SearchScratch::default());
-    }
-
-    /// [`Self::insert_new`] with caller-provided search scratch, so a
-    /// stream of inserts allocates (and zeroes) the `O(n)` visited stamps
-    /// once instead of per node.
-    pub fn insert_new_with_scratch<O: SimilarityOracle>(
+    /// already know the new point.  The caller provides the search
+    /// scratch, so a stream of inserts allocates (and zeroes) the `O(n)`
+    /// visited stamps once instead of per node.
+    pub fn insert_new<O: SimilarityOracle>(
         &mut self,
         oracle: &O,
         node: u32,
@@ -783,9 +778,9 @@ mod tests {
                 let mut scratch = SearchScratch::default();
                 for node in n0..full.len() {
                     if t == 1 {
-                        index.insert_new(&full, node as u32, 0x1A5E);
+                        index.insert_new(&full, node as u32, 0x1A5E, &mut SearchScratch::default());
                     } else {
-                        index.insert_new_with_scratch(&full, node as u32, 0x1A5E, &mut scratch);
+                        index.insert_new(&full, node as u32, 0x1A5E, &mut scratch);
                     }
                 }
                 assert_eq!(flat_hash(&index.to_flat()), grown, "seed {rng_seed:#x} T={t} + 64");

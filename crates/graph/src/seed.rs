@@ -1,41 +1,19 @@
 //! Component ④ — seed preprocessing (Line 18 of Algorithm 1).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::par::par_map;
 use crate::SimilarityOracle;
 
-/// How the fixed search seed is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedStrategy {
-    /// The vertex nearest the centroid of all virtual points (the paper's
-    /// choice: Line 18 of Algorithm 1).
-    Medoid,
-    /// A seeded random vertex (ablation baseline).
-    Random {
-        /// RNG seed.
-        rng_seed: u64,
-    },
-}
-
-/// Computes the seed vertex under `strategy`.
-pub fn choose_seed<O: SimilarityOracle>(oracle: &O, strategy: SeedStrategy, threads: usize) -> u32 {
+/// The fixed search seed: the vertex nearest the centroid of all virtual
+/// points (the medoid, Line 18 of Algorithm 1).
+pub fn choose_seed<O: SimilarityOracle>(oracle: &O, threads: usize) -> u32 {
     let n = oracle.len();
     assert!(n > 0, "cannot seed an empty graph");
-    match strategy {
-        SeedStrategy::Random { rng_seed } => {
-            StdRng::seed_from_u64(rng_seed).random_range(0..n as u32)
-        }
-        SeedStrategy::Medoid => {
-            let sims = par_map(n, threads, |o| oracle.sim_to_centroid(o as u32));
-            sims.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i as u32)
-                .expect("non-empty")
-        }
-    }
+    let sims = par_map(n, threads, |o| oracle.sim_to_centroid(o as u32));
+    sims.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i as u32)
+        .expect("non-empty")
 }
 
 #[cfg(test)]
@@ -46,22 +24,13 @@ mod tests {
     #[test]
     fn medoid_of_line_is_the_middle() {
         let oracle = LineOracle(101);
-        assert_eq!(choose_seed(&oracle, SeedStrategy::Medoid, 2), 50);
+        assert_eq!(choose_seed(&oracle, 2), 50);
     }
 
     #[test]
     fn medoid_of_grid_is_central() {
         let oracle = GridOracle::new(5);
-        let seed = choose_seed(&oracle, SeedStrategy::Medoid, 1);
+        let seed = choose_seed(&oracle, 1);
         assert_eq!(oracle.pts[seed as usize], (2.0, 2.0));
-    }
-
-    #[test]
-    fn random_seed_is_deterministic_and_in_range() {
-        let oracle = LineOracle(37);
-        let a = choose_seed(&oracle, SeedStrategy::Random { rng_seed: 5 }, 1);
-        let b = choose_seed(&oracle, SeedStrategy::Random { rng_seed: 5 }, 1);
-        assert_eq!(a, b);
-        assert!((a as usize) < 37);
     }
 }

@@ -216,13 +216,6 @@ impl<'a> ModalityView<'a> {
         kernels::ip(self.get(a), query)
     }
 
-    /// Squared Euclidean distance between row `a` and an external query.
-    #[inline]
-    #[must_use]
-    pub fn l2_sq_to(&self, a: ObjectId, query: &[f32]) -> f32 {
-        kernels::l2_sq(self.get(a), query)
-    }
-
     /// Iterator over `(id, vector)` pairs.
     #[must_use]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (ObjectId, &'a [f32])> + '_ {
@@ -231,8 +224,9 @@ impl<'a> ModalityView<'a> {
         (0..rows.len() as ObjectId).map(move |id| (id, rows.modality_slice(id, k)))
     }
 
-    /// Exact top-`k` ids by inner product to `query`, descending
-    /// (brute-force scan; ground truth and the `MR--` / JE baselines).
+    /// Exact top-`k` ids by inner product to `query`, ordered by
+    /// (similarity desc, id asc) (brute-force scan; ground truth and the
+    /// `MR--` / JE baselines).
     #[must_use]
     pub fn brute_force_top_k(&self, query: &[f32], k: usize) -> Vec<(ObjectId, f32)> {
         let mut heap: Vec<(ObjectId, f32)> = Vec::with_capacity(k + 1);
@@ -241,7 +235,7 @@ impl<'a> ModalityView<'a> {
             if heap.len() < k {
                 heap.push((id, s));
                 if heap.len() == k {
-                    heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1));
+                    heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
                 }
             } else if k > 0 && s > heap[k - 1].1 {
                 heap[k - 1] = (id, s);
@@ -253,7 +247,7 @@ impl<'a> ModalityView<'a> {
             }
         }
         if heap.len() < k {
-            heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1));
+            heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
         }
         heap
     }

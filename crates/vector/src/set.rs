@@ -33,21 +33,6 @@ impl VectorSet {
         Self { dim, data: Vec::with_capacity(dim * n) }
     }
 
-    /// Builds a set from a flat row-major buffer.
-    ///
-    /// # Errors
-    /// Returns [`VectorError::DimensionMismatch`] when `data.len()` is not a
-    /// multiple of `dim`.
-    pub fn from_flat(dim: usize, data: Vec<f32>) -> Result<Self, VectorError> {
-        if dim == 0 || !data.len().is_multiple_of(dim) {
-            return Err(VectorError::DimensionMismatch {
-                expected: dim,
-                got: if dim == 0 { data.len() } else { data.len() % dim },
-            });
-        }
-        Ok(Self { dim, data })
-    }
-
     /// Number of vectors in the set.
     #[inline]
     #[must_use]
@@ -171,13 +156,6 @@ mod tests {
     fn builder_rejects_zero_vector() {
         let mut b = VectorSetBuilder::new(3, 1);
         assert!(matches!(b.push_normalized(&[0.0; 3]), Err(VectorError::NotNormalisable)));
-    }
-
-    #[test]
-    fn from_flat_validates_shape() {
-        assert!(VectorSet::from_flat(3, vec![0.0; 7]).is_err());
-        let s = VectorSet::from_flat(3, vec![0.0; 9]).unwrap();
-        assert_eq!(s.len(), 3);
     }
 
     #[test]

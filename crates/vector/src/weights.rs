@@ -10,9 +10,9 @@ use crate::VectorError;
 /// learned weights produced by the vector-weight-learning model, or
 /// user-defined weights supplied directly.
 ///
-/// Weights are non-negative.  Queries with fewer modalities than objects
-/// (`t < m`) are handled by zeroing the trailing weights
-/// ([`Weights::masked`], Section VII-B).
+/// Weights are non-negative.  A query with fewer modalities than objects
+/// (`t < m`) gets the paper's `omega_i = 0` for the slots it does not
+/// supply (Section VII-B): the query evaluators skip those segments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Weights {
     omega: Vec<f32>,
@@ -143,25 +143,10 @@ impl Weights {
     /// let w = Weights::from_squared(vec![0.8, 0.2]).unwrap();
     /// let score = w.weighted_sum(&[0.5, 1.0]);
     /// assert!((score - (0.8 * 0.5 + 0.2 * 1.0)).abs() < 1e-6);
-    /// // A masked modality contributes nothing.
-    /// assert!((w.masked(1).weighted_sum(&[0.5, 1.0]) - 0.8 * 0.5).abs() < 1e-6);
     /// ```
     #[must_use]
     pub fn weighted_sum(&self, terms: &[f32]) -> f32 {
         self.omega_sq.iter().zip(terms).map(|(w, t)| w * t).sum()
-    }
-
-    /// A copy with all weights from modality `t` onwards set to zero —
-    /// how the paper evaluates queries that supply only `t < m` modalities
-    /// (Section VII-B: "the concatenated vectors compute the IP by setting
-    /// omega_i = 0 for t <= i <= m-1").
-    #[must_use]
-    pub fn masked(&self, t: usize) -> Self {
-        let mut omega = self.omega.clone();
-        for w in omega.iter_mut().skip(t) {
-            *w = 0.0;
-        }
-        Self::new(omega).expect("masking preserves validity")
     }
 
     /// A copy rescaled so the squared weights sum to one.  Pure rescaling
@@ -212,15 +197,6 @@ mod tests {
     fn negative_weights_rejected() {
         assert!(Weights::new(vec![0.5, -0.1]).is_err());
         assert!(Weights::from_squared(vec![f32::NAN]).is_err());
-    }
-
-    #[test]
-    fn masked_zeroes_trailing_modalities() {
-        let w = Weights::new(vec![0.6, 0.7, 0.8]).unwrap();
-        let m = w.masked(1);
-        assert!((m.sq(0) - 0.36).abs() < 1e-6);
-        assert_eq!(m.sq(1), 0.0);
-        assert_eq!(m.sq(2), 0.0);
     }
 
     #[test]

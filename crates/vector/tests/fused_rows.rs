@@ -61,7 +61,7 @@ fn reference_pruned(
     let mut bound: f32 = active.iter().map(|&k| w.sq(k)).sum();
     for (scanned, &k) in active.iter().enumerate() {
         let slot = query.slot(k).expect("active");
-        bound -= 0.5 * w.sq(k) * set.modality(k).l2_sq_to(id, slot);
+        bound -= 0.5 * w.sq(k) * kernels::l2_sq(set.modality(k).get(id), slot);
         if bound <= threshold && scanned + 1 < active.len() {
             return PartialIpVerdict::Pruned;
         }

@@ -3,7 +3,7 @@
 //! `l < k`, `l_candidates = 0`, a wrong-dimension slot) is a typed error
 //! or a clamp — as on `Must::search` — never a panic.
 
-use must::core::baselines::{BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
 use must::core::MustError;
 use must::graph::search::SearchScratch;
 use must::prelude::*;
@@ -60,9 +60,9 @@ fn baseline_answers_match_the_golden_hashes() {
             mr_words.push(out.intersection_size as u64);
             mr_words.extend(out.results.iter().map(|&id| u64::from(id)));
         }
-        let out = mr.brute_force_search(&q, 10, 60);
-        exact_words.push(out.intersection_size as u64);
-        exact_words.extend(out.results.iter().map(|&id| u64::from(id)));
+        let (results, intersection_size) = mr_brute_force(&set, &q, 10, 60);
+        exact_words.push(intersection_size as u64);
+        exact_words.extend(results.iter().map(|&id| u64::from(id)));
         let res = je.search(&q, 10, 40, &mut scratch).unwrap();
         je_words.extend(res.iter().flat_map(|&(id, s)| [u64::from(id), u64::from(s.to_bits())]));
     }

@@ -7,12 +7,16 @@
 //! rows and on SQ8 codes, `MustServer`, `ShardedServer`'s gather,
 //! `Must::brute_force`, `brute_force_search`, `exact_ground_truth` at
 //! every query count from 1 to 9 (blocks of four and the remainder), and
-//! `ServeRuntime`.
+//! `ServeRuntime`.  The single-modality exact top-k behind `MR--` and JE
+//! is checked on a corpus of repeated rows, where whole runs of ties
+//! straddle the `k` cut.
 
 use std::sync::mpsc;
 
+use must::core::baselines::{merge_candidates, mr_brute_force};
 use must::core::search::{brute_force_search, exact_ground_truth, SearchOutcome};
 use must::prelude::*;
+use must::vector::{kernels, ModalityView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,7 +126,7 @@ fn walks_return_ties_in_id_order_on_f32_rows_and_sq8_codes() {
 fn sharded_gather_returns_ties_in_id_order() {
     let set = corpus();
     let qs = queries(&set);
-    for shards in [2usize, 3] {
+    for shards in [1usize, 2, 3] {
         let sharded =
             ShardedMust::build(set.clone(), Weights::uniform(2), opts(), ShardSpec::clustered(shards))
                 .unwrap();
@@ -130,5 +134,55 @@ fn sharded_gather_returns_ties_in_id_order() {
         let mut worker = server.worker();
         let outs = qs.iter().map(|q| worker.search(q, K, L).unwrap());
         assert_outcomes(&format!("ShardedServer S={shards}"), outs);
+    }
+}
+
+/// The exact top-`k` of one modality by (similarity desc, id asc), by
+/// sorting every row.
+fn ranked_top_k(view: ModalityView<'_>, query: &[f32], k: usize) -> Vec<(u32, u32)> {
+    let mut all: Vec<(u32, f32)> = view.iter().map(|(id, v)| (id, kernels::ip(v, query))).collect();
+    all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    all.into_iter().take(k).map(|(id, s)| (id, s.to_bits())).collect()
+}
+
+#[test]
+fn single_modality_top_k_returns_ties_in_id_order() {
+    // 200 rows over 7 directions per modality: every score repeats about
+    // 28 times, so from k = 40 on a run of ties straddles the cut.
+    const ROWS: usize = 200;
+    let mut rng = StdRng::seed_from_u64(77);
+    let dirs: Vec<[Vec<f32>; 2]> = (0..7)
+        .map(|_| DIMS.map(|d| (0..d).map(|_| rng.random::<f32>() - 0.5).collect()))
+        .collect();
+    let picks: Vec<[usize; 2]> = (0..ROWS).map(|_| [0, 1].map(|_| rng.random_range(0..7))).collect();
+    let sets = (0..2)
+        .map(|k| {
+            let mut b = VectorSetBuilder::new(DIMS[k], ROWS);
+            for pick in &picks {
+                b.push_normalized(&dirs[pick[k]][k]).unwrap();
+            }
+            b.finish()
+        })
+        .collect();
+    let set = MultiVectorSet::new(sets).unwrap();
+    let query = MultiQuery::full(
+        DIMS.iter().map(|&d| (0..d).map(|_| rng.random::<f32>() - 0.5).collect()).collect(),
+    );
+    for k in [10, 25, 40, 64, 100, 150] {
+        let mut per_modality = Vec::new();
+        for m in 0..2 {
+            let slot = query.slot(m).unwrap();
+            let view = set.modality(m);
+            let got: Vec<(u32, u32)> =
+                view.brute_force_top_k(slot, k).into_iter().map(|(id, s)| (id, s.to_bits())).collect();
+            let want = ranked_top_k(view, slot, k);
+            assert_eq!(got, want, "brute_force_top_k, modality {m}, k = {k}");
+            per_modality.push(want.into_iter().map(|(id, s)| (id, f32::from_bits(s))).collect());
+        }
+        assert_eq!(
+            mr_brute_force(&set, &query, k, k),
+            merge_candidates(&per_modality, k),
+            "mr_brute_force, k = {k}"
+        );
     }
 }
