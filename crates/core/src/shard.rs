@@ -185,8 +185,9 @@ fn prescale_centroid(rows: &FusedRows, centroid: &[f32], weights: &Weights) -> V
 /// member count: rows are laid out primaries-first (closure replicas
 /// after), and the build computes routing summaries over only that prefix.
 /// Whole fused rows are copied bit-exact and their segment norms derived
-/// as on load, so per-shard similarities equal the unsharded engine's.  Clustering runs under `weights`, whose arity
-/// [`ShardedMust::build`] has checked.
+/// as on load, so per-shard similarities equal the unsharded engine's.
+/// Clustering runs under `weights`, whose arity [`ShardedMust::build`] has
+/// checked.
 fn split(
     objects: &MultiVectorSet,
     weights: &Weights,
