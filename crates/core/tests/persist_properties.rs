@@ -294,6 +294,7 @@ fn byte_flips_never_panic_a_loader() {
         let at = v6_manifest_len(&sharded, m) - 8 * s + 8 * i;
         u64::from_le_bytes(v6[at..at + 8].try_into().unwrap()) as usize
     };
+    assert_eq!(payload_at(0), v6_manifest_len(&sharded, m), "shard 0 follows the manifest");
     let mut v6_heads: Vec<usize> = (0..payload_at(0)).collect();
     v6_heads.extend((0..s).flat_map(|i| payload_at(i)..payload_at(i) + header_len(m)));
 
