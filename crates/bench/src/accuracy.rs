@@ -11,7 +11,7 @@
 
 use must_core::baselines::mr_brute_force;
 use must_core::metrics::{recall_at, sme};
-use must_core::search::brute_force_search;
+use must_core::search::{brute_force_search, modality_top_k};
 use must_core::weights::{LearnedWeights, WeightLearnConfig};
 use must_core::Must;
 use must_data::embed::{embed_dataset, EmbeddedDataset, EmbeddedQuery};
@@ -139,8 +139,7 @@ pub fn run_je(prepared: &Prepared, ks: &[usize]) -> AccuracyRun {
     let target = prepared.embedded.objects.modality(0);
     eval_results(prepared, ks, |q| {
         let slot = q.query.slot(0).expect("JE rows use composed configs");
-        target
-            .brute_force_top_k(slot, max_k)
+        modality_top_k(target, slot, max_k)
             .into_iter()
             .map(|(id, _)| id)
             .collect()
@@ -248,9 +247,7 @@ pub fn run_single_modality(prepared: &Prepared, ks: &[usize], modality: usize) -
     let objects = &prepared.embedded.objects;
     eval_results(prepared, ks, |q| {
         match q.query.slot(modality) {
-            Some(slot) => objects
-                .modality(modality)
-                .brute_force_top_k(slot, max_k)
+            Some(slot) => modality_top_k(objects.modality(modality), slot, max_k)
                 .into_iter()
                 .map(|(id, _)| id)
                 .collect(),

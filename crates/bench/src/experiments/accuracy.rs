@@ -3,7 +3,7 @@
 //! §VIII-F.
 
 use must_core::baselines::{mr_brute_force, BaselineOptions, MultiStreamedRetrieval};
-use must_core::search::brute_force_search;
+use must_core::search::{brute_force_search, modality_top_k};
 use must_core::weights::WeightLearnConfig;
 use must_core::{Must, MustBuildOptions};
 use must_data::catalog::ShoppingCategory;
@@ -198,7 +198,7 @@ pub fn fig5_case_study(scale: f64) -> Vec<Artefact> {
     let mr_top5 = |q: &EmbeddedQuery| -> Vec<u32> { mr_brute_force(objects, &q.query, 5, 500).0 };
     // JE: composition vector over the target modality.
     let je_top5 = |q: &EmbeddedQuery| -> Vec<u32> {
-        let top = objects.modality(0).brute_force_top_k(q.query.slot(0).unwrap(), 5);
+        let top = modality_top_k(objects.modality(0), q.query.slot(0).unwrap(), 5);
         top.iter().map(|r| r.0).collect()
     };
 

@@ -16,7 +16,7 @@ use must_graph::{GraphRecipe, SimilarityOracle};
 use must_vector::{ModalityView, MultiQuery, MultiVectorSet, ObjectId};
 
 use crate::oracle::SingleModalityScorer;
-use crate::search::request_params;
+use crate::search::{modality_top_k, request_params};
 use crate::MustError;
 
 /// Similarity oracle over a single modality (unit-norm IP).
@@ -168,7 +168,7 @@ pub fn mr_brute_force(
     let per_modality: Vec<Vec<(ObjectId, f32)>> = (0..objects.num_modalities())
         .filter_map(|mi| {
             let slot = query.slot(mi)?;
-            Some(objects.modality(mi).brute_force_top_k(slot, l_candidates))
+            Some(modality_top_k(objects.modality(mi), slot, l_candidates))
         })
         .collect();
     merge_candidates(&per_modality, k)

@@ -7,13 +7,18 @@
 //! [`crate::Must::brute_force`]) runs it one query at a time, and
 //! [`exact_ground_truth`] four queries per pass over the rows.  It scores
 //! through the [`FusedQueryEvaluator`] that
-//! [`crate::MustQueryScorer::from_rows`] wraps for the graph walk.
+//! [`crate::MustQueryScorer::from_rows`] wraps for the graph walk.  The
+//! per-modality exact top-`k` of the `MR--` and JE baselines,
+//! [`modality_top_k`], lives here too.  Every exact ranking fills a
+//! [`must_graph::Pool`], the walk's own bounded top-`k`, with ids in
+//! ascending order, so it answers in [`must_graph::answer_order`].
 
 use std::time::Instant;
 
-use must_graph::{SearchParams, SearchStats};
+use must_graph::{Pool, SearchParams, SearchStats};
 use must_vector::{
-    FusedQueryEvaluator, FusedRows, MultiQuery, MultiVectorSet, ObjectId, PartialIpVerdict, Weights,
+    kernels, FusedQueryEvaluator, FusedRows, ModalityView, MultiQuery, MultiVectorSet, ObjectId,
+    PartialIpVerdict, Weights,
 };
 
 use crate::MustError;
@@ -80,12 +85,12 @@ pub(crate) fn exact_scan(
     positive_k(k)?;
     let eval = rows.query(query, weights)?;
     let t0 = Instant::now();
-    let top = scan(std::slice::from_ref(&eval), rows.len(), k, prune, live)
+    let (pool, stats) = scan(std::slice::from_ref(&eval), rows.len(), k, prune, live)
         .pop()
         .expect("one query, one top list");
     Ok(SearchOutcome {
-        results: top.results,
-        stats: top.stats,
+        results: pool.top_k(k),
+        stats,
         kernel_evals: eval.kernel_evals(),
         secs: t0.elapsed().as_secs_f64(),
     })
@@ -123,7 +128,7 @@ fn ground_truth_on(
             .map(|q| rows.query(q, weights))
             .collect::<Result<Vec<_>, _>>()?;
         let tops = scan(&evals, rows.len(), k, true, |_| true);
-        Ok(tops.into_iter().map(|t| t.results.into_iter().map(|(id, _)| id).collect()).collect())
+        Ok(tops.into_iter().map(|(pool, _)| pool.entries().iter().map(|e| e.id).collect()).collect())
     });
     let blocks: Vec<Vec<Vec<ObjectId>>> = out.into_iter().collect::<Result<_, MustError>>()?;
     Ok(blocks.into_iter().flatten().collect())
@@ -134,49 +139,6 @@ fn ground_truth_on(
 /// [`kernels::l2_sq4`]: must_vector::kernels::l2_sq4
 const BLOCK: usize = 4;
 
-/// One query's running top-`k` in the exact scan, with its counters.
-struct TopK {
-    k: usize,
-    /// Best first; ties by id, since rows arrive in id order and a tie
-    /// goes behind its equals.
-    results: Vec<(ObjectId, f32)>,
-    stats: SearchStats,
-}
-
-impl TopK {
-    fn new(k: usize) -> Self {
-        Self { k, results: Vec::with_capacity(k + 1), stats: SearchStats::default() }
-    }
-
-    /// The `k`-th best similarity once `k` rows are held, else `-inf`.
-    #[inline]
-    fn threshold(&self) -> f32 {
-        if self.results.len() == self.k {
-            self.results[self.k - 1].1
-        } else {
-            f32::NEG_INFINITY
-        }
-    }
-
-    /// Row `id`'s verdict against the `threshold` it was scored under.
-    #[inline]
-    fn offer(&mut self, id: ObjectId, threshold: f32, verdict: PartialIpVerdict) {
-        self.stats.evaluated += 1;
-        match verdict {
-            PartialIpVerdict::Exact(s) => {
-                if self.results.len() < self.k || s > threshold {
-                    let pos = self.results.partition_point(|t| t.1 >= s);
-                    self.results.insert(pos, (id, s));
-                    if self.results.len() > self.k {
-                        self.results.pop();
-                    }
-                }
-            }
-            PartialIpVerdict::Pruned => self.stats.pruned += 1,
-        }
-    }
-}
-
 /// The one exact scan body: rows `0..n` in order, those `live` accepts,
 /// for a block of one to [`BLOCK`] queries over one `n`-row engine.  A
 /// full block of one layout ([`FusedQueryEvaluator::same_layout`]) under
@@ -184,41 +146,79 @@ impl TopK {
 /// ([`FusedQueryEvaluator::ip_pruned4`]); any other block runs query by
 /// query through the width-1 calls, `ip_pruned` (or `ip` unpruned).
 /// Either way each query's scores, verdicts, top list and counters are
-/// those of its own width-1 scan, bit for bit.
+/// those of its own width-1 scan, bit for bit.  Each query's top list is a
+/// [`Pool`] of capacity `k`: rows arrive in id order and a tie files
+/// behind its equals, so the pool is ranked by [`must_graph::answer_order`].
 fn scan(
     evals: &[FusedQueryEvaluator<'_>],
     n: usize,
     k: usize,
     prune: bool,
     live: impl Fn(ObjectId) -> bool,
-) -> Vec<TopK> {
-    let mut tops: Vec<TopK> = evals.iter().map(|_| TopK::new(k)).collect();
+) -> Vec<(Pool, SearchStats)> {
+    let mut tops: Vec<(Pool, SearchStats)> =
+        evals.iter().map(|_| (Pool::new(k, n), SearchStats::default())).collect();
     let n = n as ObjectId;
     match <&[FusedQueryEvaluator<'_>; BLOCK]>::try_from(evals) {
         Ok(quad) if prune && quad.iter().all(|e| quad[0].same_layout(e)) => {
             for id in (0..n).filter(|&id| live(id)) {
-                let thresholds: [f32; BLOCK] = std::array::from_fn(|j| tops[j].threshold());
+                let thresholds: [f32; BLOCK] = std::array::from_fn(|j| tops[j].0.threshold());
                 let verdicts = FusedQueryEvaluator::ip_pruned4(quad, id, thresholds);
                 for ((top, threshold), verdict) in tops.iter_mut().zip(thresholds).zip(verdicts) {
-                    top.offer(id, threshold, verdict);
+                    offer(top, id, threshold, verdict);
                 }
             }
         }
         _ => {
             for (eval, top) in evals.iter().zip(&mut tops) {
                 for id in (0..n).filter(|&id| live(id)) {
-                    let threshold = top.threshold();
+                    let threshold = top.0.threshold();
                     let verdict = if prune {
                         eval.ip_pruned(id, threshold)
                     } else {
                         PartialIpVerdict::Exact(eval.ip(id))
                     };
-                    top.offer(id, threshold, verdict);
+                    offer(top, id, threshold, verdict);
                 }
             }
         }
     }
     tops
+}
+
+/// Files row `id`'s verdict, scored against the pool's `threshold`: a
+/// score above it, or any while the pool has room, goes in.
+#[inline]
+fn offer(top: &mut (Pool, SearchStats), id: ObjectId, threshold: f32, verdict: PartialIpVerdict) {
+    let (pool, stats) = top;
+    stats.evaluated += 1;
+    match verdict {
+        PartialIpVerdict::Exact(s) => {
+            if s > threshold || !pool.is_full() {
+                pool.insert(id, s);
+            }
+        }
+        PartialIpVerdict::Pruned => stats.pruned += 1,
+    }
+}
+
+/// Exact top-`k` `(id, inner product)` of one modality's rows to `query`,
+/// ranked by [`must_graph::answer_order`]: the single-modality scan behind
+/// the `MR--` and JE baselines and the single-modality tables.  `k = 0`
+/// returns nothing.
+#[must_use]
+pub fn modality_top_k(view: ModalityView<'_>, query: &[f32], k: usize) -> Vec<(ObjectId, f32)> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut pool = Pool::new(k, view.len());
+    for (id, v) in view.iter() {
+        let s = kernels::ip(v, query);
+        if s > pool.threshold() || !pool.is_full() {
+            pool.insert(id, s);
+        }
+    }
+    pool.top_k(k)
 }
 
 #[cfg(test)]
@@ -350,14 +350,15 @@ mod tests {
         for k in [1usize, 7, 300, 305] {
             let quad: Vec<_> = queries.iter().map(|q| rows.query(q, &w).unwrap()).collect();
             let block = scan(&quad, rows.len(), k, true, |_| true);
-            for ((q, eval), got) in queries.iter().zip(&quad).zip(block) {
+            for ((q, eval), (pool, stats)) in queries.iter().zip(&quad).zip(block) {
                 let want = brute_force_search(rows, q, &w, k, true).unwrap();
-                assert_eq!(got.results.len(), k.min(rows.len()));
+                let got = pool.top_k(k);
+                assert_eq!(got.len(), k.min(rows.len()));
                 let bits = |r: &[(ObjectId, f32)]| {
                     r.iter().map(|&(id, s)| (id, s.to_bits())).collect::<Vec<_>>()
                 };
-                assert_eq!(bits(&got.results), bits(&want.results), "k {k}");
-                assert_eq!(got.stats, want.stats, "k {k}");
+                assert_eq!(bits(&got), bits(&want.results), "k {k}");
+                assert_eq!(stats, want.stats, "k {k}");
                 assert_eq!(eval.kernel_evals(), want.kernel_evals, "k {k}");
             }
         }
@@ -401,6 +402,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rows `[1, 0, 0, 0]`, `[1, 1, 0, 0]` and `[0, 0, 3, 4]`, normalised,
+    /// as the one modality.
+    fn three_rows() -> MultiVectorSet {
+        let mut b = VectorSetBuilder::new(4, 3);
+        b.push_normalized(&[1.0, 0.0, 0.0, 0.0]).unwrap();
+        b.push_normalized(&[1.0, 1.0, 0.0, 0.0]).unwrap();
+        b.push_normalized(&[0.0, 0.0, 3.0, 4.0]).unwrap();
+        MultiVectorSet::new(vec![b.finish()]).unwrap()
+    }
+
+    #[test]
+    fn modality_top_k_is_sorted_and_exact() {
+        let set = three_rows();
+        let top = modality_top_k(set.modality(0), &[1.0, 0.0, 0.0, 0.0], 2);
+        assert_eq!(top.len(), 2);
+        assert_eq!(top[0].0, 0);
+        assert!((top[0].1 - 1.0).abs() < 1e-5);
+        assert_eq!(top[1].0, 1);
+        assert!(top[0].1 >= top[1].1);
+    }
+
+    #[test]
+    fn modality_top_k_handles_k_larger_than_n() {
+        let set = three_rows();
+        let top = modality_top_k(set.modality(0), &[0.0, 0.0, 0.0, 1.0], 10);
+        assert_eq!(top.len(), 3);
+        for w in top.windows(2) {
+            assert!(w[0].1 >= w[1].1);
+        }
+        assert!(modality_top_k(set.modality(0), &[0.0; 4], 0).is_empty());
     }
 
     #[test]

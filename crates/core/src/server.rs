@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use must_graph::search::SearchScratch;
-use must_graph::{QueryScorer, SearchParams};
+use must_graph::{answer_order, QueryScorer, SearchParams};
 use must_vector::{MultiQuery, QuantizedRows, Weights};
 
 use crate::framework::Must;
@@ -250,9 +250,7 @@ impl ServerWorker<'_> {
         }
         let mut pool: Vec<(u32, f32)> =
             res.results.iter().map(|&(id, _)| (id, exact.score(id))).collect();
-        pool.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
+        pool.sort_by(answer_order);
         pool.truncate(params.k);
         Ok(SearchOutcome {
             results: pool,

@@ -89,7 +89,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use must_graph::par;
-use must_graph::{SearchParams, SearchStats};
+use must_graph::{answer_order, SearchParams, SearchStats};
 use must_vector::{kernels, FusedRows, Layout, MultiQuery, MultiVectorSet, ObjectId, Weights};
 
 use crate::framework::{Must, MustBuildOptions};
@@ -908,7 +908,7 @@ impl ShardedMust {
             stats.pruned += out.stats.pruned;
             kernel_evals += out.kernel_evals;
         }
-        results.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        results.sort_unstable_by(answer_order);
         results.dedup_by(|a, b| a.0 == b.0);
         results.truncate(k);
         SearchOutcome { results, stats, kernel_evals, secs: t0.elapsed().as_secs_f64() }

@@ -38,7 +38,7 @@
 
 use std::time::Instant;
 
-use must_graph::par;
+use must_graph::{par, Pool};
 use must_vector::{kernels, MultiQuery, MultiVectorSet, ObjectId, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,13 +200,13 @@ impl WeightLearner {
     }
 
     /// Mines the `k` corpus objects most similar to `anchor` under `u`
-    /// (Eq. 5 — the top-k result objects `R`).
-    fn mine_top_k(&self, anchor: usize, u: &[f32], k: usize) -> Vec<(usize, f32)> {
+    /// (Eq. 5 — the top-k result objects `R`), best first.
+    fn mine_top_k(&self, anchor: usize, u: &[f32], k: usize) -> Vec<usize> {
         const BLOCK: usize = 256;
         let n = self.corpus_len;
         let columns = &self.sims[anchor];
-        let mut top: Vec<(usize, f32)> = Vec::with_capacity(k + 1);
-        // The k-th best score once `top` is full: nearly every object fails
+        let mut pool = Pool::new(k, n);
+        // The pool's threshold: once it is full, nearly every object fails
         // this one comparison and touches nothing else.
         let mut bar = f32::NEG_INFINITY;
         let mut scores = [0.0f32; BLOCK];
@@ -222,20 +222,14 @@ impl WeightLearner {
                     *s += c * w;
                 }
             }
-            for (o, &s) in (base..).zip(scores.iter()) {
-                if top.len() < k || s > bar {
-                    let pos = top.partition_point(|t| t.1 >= s);
-                    top.insert(pos, (o, s));
-                    if top.len() > k {
-                        top.pop();
-                    }
-                    if top.len() == k {
-                        bar = top.last().map_or(f32::NEG_INFINITY, |t| t.1);
-                    }
+            for (o, &s) in (base as ObjectId..).zip(scores.iter()) {
+                if s > bar || !pool.is_full() {
+                    pool.insert(o, s);
+                    bar = pool.threshold();
                 }
             }
         }
-        top
+        pool.entries().iter().map(|e| e.id as usize).collect()
     }
 
     /// One anchor's share of an epoch under squared weights `u`: mine,
@@ -251,14 +245,13 @@ impl WeightLearner {
         let pos = self.positives[a];
         // Recall tracking needs the argmax even in random mode.
         let top = self.mine_top_k(a, u, if drawn.is_some() { 1 } else { num_negatives + 1 });
-        let hit = top.first().map(|t| t.0) == Some(pos);
+        let hit = top.first() == Some(&pos);
         let mined: Vec<usize>;
         let negatives = match drawn {
             Some(drawn) => drawn,
             None => {
                 mined = top
                     .into_iter()
-                    .map(|(o, _)| o)
                     .filter(|&o| o != pos)
                     .take(num_negatives)
                     .collect();

@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::par;
+use crate::pool::answer_order;
 use crate::search::{expand, NodeScorer, SearchParams, SearchResult, SearchScratch, SearchStats};
 use crate::select::unoccluded;
 use crate::{QueryScorer, SimilarityOracle};
@@ -443,7 +444,7 @@ impl Hnsw {
         scores.resize(ids.len(), 0.0);
         oracle.sims(g.nb, ids, scores);
         let mut scored: Vec<(u32, f32)> = ids.iter().copied().zip(scores.iter().copied()).collect();
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scored.sort_unstable_by(answer_order);
         heuristic_select(oracle, g.nb, &scored, self.cap(layer))
     }
 
@@ -497,7 +498,7 @@ impl Hnsw {
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
     ) {
-        scratch.pool.reset(ef);
+        scratch.pool.reset(ef, self.len());
         scratch.visited.reset(self.len());
         scratch.visited.mark(ep);
         scratch.pool.insert(ep, ep_sim);

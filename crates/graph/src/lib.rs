@@ -43,7 +43,7 @@ pub mod seed;
 pub mod select;
 
 pub use pipeline::{GraphRecipe, PipelineBuilder, PipelineStats};
-pub use pool::Pool;
+pub use pool::{answer_order, Pool};
 pub use search::{SearchParams, SearchResult, SearchScratch, SearchStats};
 
 /// A similarity oracle over `len()` objects: everything graph construction
@@ -331,7 +331,7 @@ pub(crate) mod testutil {
         pub fn exact_top_k(&self, target: u32, k: usize) -> Vec<u32> {
             let mut scored: Vec<(u32, f32)> =
                 (0..self.len() as u32).map(|id| (id, self.sim(id, target))).collect();
-            scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            scored.sort_unstable_by(crate::answer_order);
             scored.truncate(k);
             scored.into_iter().map(|(id, _)| id).collect()
         }

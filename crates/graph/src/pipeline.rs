@@ -223,7 +223,7 @@ fn search_candidates<O: SimilarityOracle>(
     let seed_sim = oracle.sim(o, seed);
     let scored = RefCell::new(vec![Neighbor { id: seed, sim: seed_sim }]);
     let scorer = NodeScorer { oracle, node: o, scored: Some(&scored) };
-    scratch.pool.reset(l);
+    scratch.pool.reset(l, graph.len());
     scratch.visited.reset(graph.len());
     scratch.visited.mark(seed);
     scratch.pool.insert(seed, seed_sim);

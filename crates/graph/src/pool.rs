@@ -1,9 +1,23 @@
-//! The fixed-size result pool `R` of the joint search (Algorithm 2).
+//! The fixed-size result pool `R` of the joint search (Algorithm 2), and
+//! the one bounded top-`k` of the tree.
 //!
 //! A sorted (descending similarity) array of at most `l` entries with a
 //! visited flag per entry — the classic proximity-graph search pool.  The
 //! pool's worst similarity once full is the pruning threshold fed to
-//! [`crate::QueryScorer::score_pruned`] (Lemma 4).
+//! [`crate::QueryScorer::score_pruned`] (Lemma 4).  The exact scans and
+//! the weight learner's mining fill the same pool with ids in ascending
+//! order, so their pool order is already [`answer_order`].
+
+use std::cmp::Ordering;
+
+/// The one answer order: similarity descending (by `total_cmp`), then id
+/// ascending.  A total order, so an answer is a pure function of the
+/// query, not of the order its members were met in.
+#[inline]
+#[must_use]
+pub fn answer_order(a: &(u32, f32), b: &(u32, f32)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
 
 /// One pool entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,36 +45,32 @@ impl Default for Pool {
     /// An empty pool of capacity 1; callers reusing a pool as search
     /// scratch size it per query with [`Pool::reset`].
     fn default() -> Self {
-        Self::new(1)
+        Self::new(1, 1)
     }
 }
 
 impl Pool {
-    /// Creates a pool of capacity `l`.
+    /// Creates a pool of capacity `l` for ids drawn from `0..n`.
     #[must_use]
-    pub fn new(l: usize) -> Self {
-        assert!(l > 0, "pool capacity must be positive");
-        Self { entries: Vec::with_capacity(l + 1), capacity: l, cursor: 0 }
+    pub fn new(l: usize, n: usize) -> Self {
+        let mut pool = Self { entries: Vec::new(), capacity: l, cursor: 0 };
+        pool.reset(l, n);
+        pool
     }
 
-    /// Clears the pool and re-sizes it to capacity `l`, keeping the entry
-    /// allocation — the steady state of a query batch allocates nothing.
-    pub fn reset(&mut self, l: usize) {
+    /// Clears the pool and re-sizes it to capacity `l` for ids drawn from
+    /// `0..n`, keeping the entry allocation — the steady state of a query
+    /// batch allocates nothing.
+    pub fn reset(&mut self, l: usize, n: usize) {
         assert!(l > 0, "pool capacity must be positive");
         self.entries.clear();
-        // `reserve` is relative to the (now zero) length, so this
-        // guarantees room for the transient l+1-th entry `insert` holds
-        // before evicting — no growth inside the search loop.
-        self.entries.reserve(l + 1);
+        // `reserve` is relative to the (now zero) length.  At most `n`
+        // distinct ids arrive, plus the transient l+1-th entry `insert`
+        // holds before evicting: no growth inside the search loop, and no
+        // reservation of a huge `l` the allocator cannot satisfy.
+        self.entries.reserve(l.min(n) + 1);
         self.capacity = l;
         self.cursor = 0;
-    }
-
-    /// Capacity `l`.
-    #[inline]
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -148,34 +158,19 @@ impl Pool {
         self.entries.iter().take(k).map(|e| (e.id, e.sim)).collect()
     }
 
-    /// The best `k` `(id, sim)` pairs ranked by (similarity desc, id asc),
-    /// the total order a search answers in, so an answer is a pure
-    /// function of the query and not of the order the walk met its
-    /// members.  A tie across the `k`-th place takes part too.  Without
-    /// ties this is [`Pool::top_k`].
+    /// The best `k` `(id, sim)` pairs in [`answer_order`], so an answer is
+    /// a pure function of the query and not of the order the walk met its
+    /// members.  A tied run across the `k`-th place joins the sort.
+    /// Without ties this is [`Pool::top_k`], and the sort of the already
+    /// sorted head is one pass.
     #[must_use]
     pub fn ranked(&self, k: usize) -> Vec<(u32, f32)> {
-        let head = &self.entries[..k.saturating_add(1).min(self.entries.len())];
-        if head.windows(2).any(|w| w[0].sim == w[1].sim) {
-            self.ranked_with_ties(k)
-        } else {
-            self.top_k(k)
-        }
-    }
-
-    /// [`Pool::ranked`] when two of its entries tie: the tied run across
-    /// the `k`-th place joins the sort.
-    #[cold]
-    #[inline(never)]
-    fn ranked_with_ties(&self, k: usize) -> Vec<(u32, f32)> {
         let mut end = k.min(self.entries.len());
         while end > 0 && self.entries.get(end).is_some_and(|e| e.sim == self.entries[end - 1].sim) {
             end += 1;
         }
         let mut out: Vec<(u32, f32)> = self.entries[..end].iter().map(|e| (e.id, e.sim)).collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
+        out.sort_by(answer_order);
         out.truncate(k);
         out
     }
@@ -194,7 +189,7 @@ mod tests {
 
     #[test]
     fn insert_keeps_descending_order() {
-        let mut p = Pool::new(3);
+        let mut p = Pool::new(3, 16);
         for (id, sim) in [(1, 0.5), (2, 0.9), (3, 0.1), (4, 0.7)] {
             p.insert(id, sim);
         }
@@ -205,7 +200,7 @@ mod tests {
 
     #[test]
     fn ranked_breaks_ties_by_id_across_the_cut() {
-        let mut p = Pool::new(6);
+        let mut p = Pool::new(6, 16);
         for (id, sim) in [(9, 0.5), (2, 0.9), (7, 0.5), (3, 0.5), (8, 0.1)] {
             p.insert(id, sim);
         }
@@ -217,7 +212,7 @@ mod tests {
 
     #[test]
     fn full_pool_rejects_worse_candidates() {
-        let mut p = Pool::new(2);
+        let mut p = Pool::new(2, 16);
         assert!(p.insert(1, 0.5));
         assert!(p.insert(2, 0.8));
         assert!(!p.insert(3, 0.4), "worse than threshold must be rejected");
@@ -228,7 +223,7 @@ mod tests {
 
     #[test]
     fn threshold_is_neg_inf_until_full() {
-        let mut p = Pool::new(4);
+        let mut p = Pool::new(4, 16);
         assert_eq!(p.threshold(), f32::NEG_INFINITY);
         p.insert(0, 0.1);
         assert_eq!(p.threshold(), f32::NEG_INFINITY);
@@ -236,7 +231,7 @@ mod tests {
 
     #[test]
     fn visiting_walks_best_first() {
-        let mut p = Pool::new(3);
+        let mut p = Pool::new(3, 16);
         p.insert(10, 0.2);
         p.insert(20, 0.9);
         p.insert(30, 0.5);
@@ -252,7 +247,7 @@ mod tests {
     #[test]
     fn eviction_never_drops_visited_invariant() {
         // A visited entry evicted by better candidates must not resurface.
-        let mut p = Pool::new(2);
+        let mut p = Pool::new(2, 16);
         p.insert(1, 0.1);
         let i = p.best_unvisited().unwrap();
         p.visit(i);
@@ -266,7 +261,7 @@ mod tests {
     fn sim_sum_monotone_under_replacement() {
         // Lemma 3 core step: replacing the worst with a better candidate
         // cannot decrease the pool's similarity sum.
-        let mut p = Pool::new(3);
+        let mut p = Pool::new(3, 16);
         p.insert(1, 0.1);
         p.insert(2, 0.2);
         p.insert(3, 0.3);
@@ -280,18 +275,22 @@ mod tests {
         // A fresh default pool re-sized up must already have room for the
         // l+1-th entry `insert` briefly holds — no growth mid-search.
         let mut p = Pool::default();
-        p.reset(100);
+        p.reset(100, 150);
         assert!(p.entries.capacity() >= 101, "capacity {}", p.entries.capacity());
         for id in 0..150u32 {
             p.insert(id, id as f32);
         }
         assert_eq!(p.len(), 100);
         assert!(p.entries.capacity() >= 101);
+        // At most `n` distinct ids arrive: a huge `l` reserves for them
+        // alone.
+        p.reset(1 << 40, 64);
+        assert!(p.entries.capacity() < 1 << 10, "capacity {}", p.entries.capacity());
     }
 
     #[test]
     fn top_k_truncates() {
-        let mut p = Pool::new(5);
+        let mut p = Pool::new(5, 16);
         for id in 0..4 {
             p.insert(id, id as f32);
         }

@@ -170,7 +170,7 @@ pub fn beam_search_csr<S: QueryScorer + ?Sized>(
     let n = graph.len();
     let mut stats = SearchStats::default();
     let SearchScratch { visited, pool, .. } = &mut *scratch;
-    pool.reset(params.l);
+    pool.reset(params.l, n);
     visited.reset(n);
 
     // Line 1-3: R = {seed} + (l-1) random vertices, scored exactly.
@@ -380,7 +380,7 @@ mod tests {
         let params = SearchParams::seed_only(1, 12);
         let mut visited = VisitedSet::default();
         visited.reset(n);
-        let mut pool = Pool::new(params.l);
+        let mut pool = Pool::new(params.l, n);
         let s0 = scorer.score(g.seed());
         pool.insert(g.seed(), s0);
         visited.mark(g.seed());

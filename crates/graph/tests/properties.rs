@@ -57,7 +57,7 @@ proptest! {
         // Random insert / best_unvisited / visit / reset interleavings,
         // including visits of entries that are *not* the first unvisited;
         // similarities are quantised so ties are common.
-        let mut pool = Pool::new(cap);
+        let mut pool = Pool::new(cap, 200);
         let mut next_id = 0u32;
         for (op, pick, sim) in ops {
             match op {
@@ -75,7 +75,7 @@ proptest! {
                         pool.visit(pick % pool.len());
                     }
                 }
-                _ => pool.reset(1 + pick % 9),
+                _ => pool.reset(1 + pick % 9, 200),
             }
             let scan = pool.entries().iter().position(|e| !e.visited);
             prop_assert_eq!(pool.best_unvisited(), scan);
@@ -87,7 +87,7 @@ proptest! {
         ops in proptest::collection::vec((0u32..64, -1.0f32..1.0), 1..80),
         cap in 1usize..12,
     ) {
-        let mut pool = Pool::new(cap);
+        let mut pool = Pool::new(cap, 64);
         let mut inserted = std::collections::HashSet::new();
         for (id, sim) in ops {
             if inserted.insert(id) {

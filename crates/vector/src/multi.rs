@@ -224,34 +224,6 @@ impl<'a> ModalityView<'a> {
         (0..rows.len() as ObjectId).map(move |id| (id, rows.modality_slice(id, k)))
     }
 
-    /// Exact top-`k` ids by inner product to `query`, ordered by
-    /// (similarity desc, id asc) (brute-force scan; ground truth and the
-    /// `MR--` / JE baselines).
-    #[must_use]
-    pub fn brute_force_top_k(&self, query: &[f32], k: usize) -> Vec<(ObjectId, f32)> {
-        let mut heap: Vec<(ObjectId, f32)> = Vec::with_capacity(k + 1);
-        for (id, v) in self.iter() {
-            let s = kernels::ip(v, query);
-            if heap.len() < k {
-                heap.push((id, s));
-                if heap.len() == k {
-                    heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-                }
-            } else if k > 0 && s > heap[k - 1].1 {
-                heap[k - 1] = (id, s);
-                let mut i = k - 1;
-                while i > 0 && heap[i].1 > heap[i - 1].1 {
-                    heap.swap(i, i - 1);
-                    i -= 1;
-                }
-            }
-        }
-        if heap.len() < k {
-            heap.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        }
-        heap
-    }
-
     /// Mean of all vectors (the centroid used by the paper's seed
     /// preprocessing, component 4 of Algorithm 1).
     #[must_use]
@@ -369,8 +341,6 @@ mod tests {
         assert_eq!(img.get(0), &[1.0, 0.0, 0.0, 0.0]);
         let txt = set.modality(1);
         assert!((txt.ip(0, 0) - 1.0).abs() < 1e-6);
-        let top = txt.brute_force_top_k(&[1.0, 0.0], 1);
-        assert_eq!(top[0].0, 0);
         assert_eq!(set.object(1).count(), 2);
         assert_eq!(set.dims(), &[4, 2]);
     }

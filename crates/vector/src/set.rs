@@ -159,27 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn brute_force_top_k_is_sorted_and_exact() {
-        let s = fused(sample_set());
-        let top = s.modality(0).brute_force_top_k(&[1.0, 0.0, 0.0, 0.0], 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, 0);
-        assert!((top[0].1 - 1.0).abs() < 1e-5);
-        assert_eq!(top[1].0, 1);
-        assert!(top[0].1 >= top[1].1);
-    }
-
-    #[test]
-    fn brute_force_top_k_handles_k_larger_than_n() {
-        let s = fused(sample_set());
-        let top = s.modality(0).brute_force_top_k(&[0.0, 0.0, 0.0, 1.0], 10);
-        assert_eq!(top.len(), 3);
-        for w in top.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-    }
-
-    #[test]
     fn centroid_of_identical_vectors_is_that_vector() {
         let mut b = VectorSetBuilder::new(2, 2);
         b.push_normalized(&[0.0, 2.0]).unwrap();

@@ -257,25 +257,6 @@ proptest! {
     }
 
     #[test]
-    fn top_k_matches_full_sort(
-        set in multi_set(12, &[10]),
-        q in raw_vector(10),
-        k in 1usize..8,
-    ) {
-        let mut q = q;
-        prop_assume!(kernels::normalize(&mut q));
-        let m0 = set.modality(0);
-        let top = m0.brute_force_top_k(&q, k);
-        let mut all: Vec<_> = m0.iter().map(|(id, v)| (id, kernels::ip(v, &q))).collect();
-        all.sort_by(|x, y| y.1.total_cmp(&x.1));
-        prop_assert_eq!(top.len(), k.min(12));
-        for (got, want) in top.iter().zip(&all) {
-            // Scores must agree exactly (ids may differ under ties).
-            prop_assert!((got.1 - want.1).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn sq8_decode_error_is_at_most_half_a_step(
         s0 in quant_segment(7),
         s1 in quant_segment(4),

@@ -3,7 +3,7 @@
 
 use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
 use must::core::metrics::recall_at;
-use must::core::search::brute_force_search;
+use must::core::search::{brute_force_search, modality_top_k};
 use must::core::weights::WeightLearnConfig;
 use must::data::embed::embed_dataset;
 use must::encoders::{
@@ -107,9 +107,7 @@ fn framework_recalls(p: &Pipeline, k: usize) -> (f64, f64, f64) {
         let merged = mr_brute_force(objects, &q.query, k, 300).0;
         r_mr += recall_at(&merged, &q.ground_truth, k);
 
-        let je_ids: Vec<u32> = objects
-            .modality(0)
-            .brute_force_top_k(q.query.slot(0).unwrap(), k)
+        let je_ids: Vec<u32> = modality_top_k(objects.modality(0), q.query.slot(0).unwrap(), k)
             .iter()
             .map(|r| r.0)
             .collect();

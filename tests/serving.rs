@@ -1008,3 +1008,75 @@ fn bundle_load_serves_identically() {
         assert_eq!(a.stats, b.stats, "query {qi}");
     }
 }
+
+/// A request for `k = l = 2^40` is answered with every row, on every
+/// entry point.  A search reserves room for its pool up front; capped at
+/// the row count, a huge `k` or `l` no longer asks the allocator for
+/// terabytes.  That failure is an abort, not a panic: no
+/// `MustError::Panicked` can catch it, and it would end the process,
+/// every serve worker included.
+#[test]
+fn a_huge_k_is_answered_on_every_entry_point() {
+    use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+    use must::graph::SearchScratch;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const N: usize = 64;
+    const HUGE: usize = 1 << 40;
+    let mut rng = StdRng::seed_from_u64(64);
+    let sets = [8usize, 5].map(|d| {
+        let mut b = VectorSetBuilder::new(d, N);
+        for _ in 0..N {
+            let v: Vec<f32> = (0..d).map(|_| rng.random::<f32>() - 0.5).collect();
+            b.push_normalized(&v).unwrap();
+        }
+        b.finish()
+    });
+    let set = MultiVectorSet::new(sets.into()).unwrap();
+    let w = Weights::uniform(2);
+    let q = MultiQuery::full((0..2).map(|m| set.modality(m).get(5).to_vec()).collect());
+    let opts = |recipe| MustBuildOptions { gamma: 8, recipe, ..Default::default() };
+    let every_row = |what: &str, got: usize| assert_eq!(got, N, "{what}");
+
+    for recipe in [GraphRecipe::Fused, GraphRecipe::Hnsw] {
+        for codes in [false, true] {
+            let mut must = Must::build(set.clone(), w.clone(), opts(recipe)).unwrap();
+            if codes {
+                must.quantize();
+            }
+            let out = must.search(&q, HUGE, HUGE).unwrap();
+            every_row(&format!("Must::search, {recipe:?}, codes {codes}"), out.results.len());
+        }
+    }
+    let must = Must::build(set.clone(), w.clone(), opts(GraphRecipe::Fused)).unwrap();
+    every_row("Must::brute_force", must.brute_force(&q, HUGE).unwrap().results.len());
+    let scan = search::brute_force_search(set.fused(), &q, &w, HUGE, true).unwrap();
+    every_row("brute_force_search", scan.results.len());
+    let truth = search::exact_ground_truth(&set, &w, slice::from_ref(&q), HUGE).unwrap();
+    every_row("exact_ground_truth", truth[0].len());
+
+    let server = MustServer::freeze(must);
+    let batch = server.search_batch(slice::from_ref(&q), HUGE, HUGE, 1);
+    every_row("MustServer::search_batch", batch[0].as_ref().unwrap().results.len());
+    let (rep_tx, rep_rx) = mpsc::channel();
+    let runtime = ServeRuntime::start(&server, 2, rep_tx);
+    runtime.submit(ServeRequest { id: 0, query: q.clone(), k: HUGE, l: HUGE });
+    assert_eq!(runtime.shutdown(), 1);
+    let reply = rep_rx.recv().unwrap();
+    every_row("ServeRuntime", reply.outcome.unwrap().results.len());
+
+    let sharded = ShardedMust::build(set.clone(), w, opts(GraphRecipe::Fused), ShardSpec::clustered(2));
+    let sharded = ShardedServer::freeze(sharded.unwrap());
+    every_row("ShardedServer", sharded.search(&q, HUGE, HUGE).unwrap().results.len());
+    let routed = sharded.with_routing(RoutePolicy::new(1)).search(&q, HUGE, HUGE).unwrap();
+    assert!(!routed.results.is_empty() && routed.results.len() <= N, "routed ShardedServer");
+
+    let baseline = BaselineOptions { gamma: 8, ..Default::default() };
+    let mut scratch = SearchScratch::default();
+    let mr = MultiStreamedRetrieval::build(&set, baseline).unwrap();
+    every_row("MR", mr.search(&q, HUGE, HUGE, &mut scratch).unwrap().results.len());
+    let je = JointEmbedding::build(&set, baseline).unwrap();
+    every_row("JE", je.search(&q, HUGE, HUGE, &mut scratch).unwrap().len());
+    every_row("mr_brute_force", mr_brute_force(&set, &q, HUGE, HUGE).0.len());
+}

@@ -7,14 +7,17 @@
 //! rows and on SQ8 codes, `MustServer`, `ShardedServer`'s gather,
 //! `Must::brute_force`, `brute_force_search`, `exact_ground_truth` at
 //! every query count from 1 to 9 (blocks of four and the remainder), and
-//! `ServeRuntime`.  The single-modality exact top-k behind `MR--` and JE
-//! is checked on a corpus of repeated rows, where whole runs of ties
-//! straddle the `k` cut.
+//! `ServeRuntime`.  The single-modality exact top-k behind `MR--` and JE,
+//! `must_core::search::modality_top_k`, is checked on a corpus of
+//! repeated rows, where whole runs of ties straddle the `k` cut.  Every
+//! path ranks through `must_graph::Pool` and `must_graph::answer_order`;
+//! `scripts/mutants.sh` breaks each (`pool-tie-placement`,
+//! `answer-order-id-reversed`) and this file must fail.
 
 use std::sync::mpsc;
 
 use must::core::baselines::{merge_candidates, mr_brute_force};
-use must::core::search::{brute_force_search, exact_ground_truth, SearchOutcome};
+use must::core::search::{brute_force_search, exact_ground_truth, modality_top_k, SearchOutcome};
 use must::prelude::*;
 use must::vector::{kernels, ModalityView};
 use rand::rngs::StdRng;
@@ -174,9 +177,9 @@ fn single_modality_top_k_returns_ties_in_id_order() {
             let slot = query.slot(m).unwrap();
             let view = set.modality(m);
             let got: Vec<(u32, u32)> =
-                view.brute_force_top_k(slot, k).into_iter().map(|(id, s)| (id, s.to_bits())).collect();
+                modality_top_k(view, slot, k).into_iter().map(|(id, s)| (id, s.to_bits())).collect();
             let want = ranked_top_k(view, slot, k);
-            assert_eq!(got, want, "brute_force_top_k, modality {m}, k = {k}");
+            assert_eq!(got, want, "modality_top_k, modality {m}, k = {k}");
             per_modality.push(want.into_iter().map(|(id, s)| (id, f32::from_bits(s))).collect());
         }
         assert_eq!(
