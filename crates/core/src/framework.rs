@@ -58,7 +58,6 @@ pub struct Must {
     /// Tombstone bitset (Section IX: deleted points stay in the graph for
     /// connectivity and are filtered from results until reconstruction).
     deleted: Vec<u64>,
-    deleted_count: usize,
     /// Optional SQ8 companion engine (same corpus, `u8` codes): when
     /// present, serving walks the graph on codes and exact-re-ranks the
     /// top pool on the f32 rows.  Kept in lockstep with the corpus by
@@ -93,7 +92,6 @@ impl Must {
             report,
             prune: opts.prune,
             deleted,
-            deleted_count: 0,
             quant: None,
             insert_scratch: SearchScratch::default(),
         })
@@ -129,11 +127,6 @@ impl Must {
             return Ok(false);
         }
         self.deleted[id as usize / 64] ^= 1 << (id % 64);
-        if deleted {
-            self.deleted_count += 1;
-        } else {
-            self.deleted_count -= 1;
-        }
         Ok(true)
     }
 
@@ -145,10 +138,10 @@ impl Must {
             .is_some_and(|w| w & (1 << (id as usize % 64)) != 0)
     }
 
-    /// Number of tombstoned objects.
+    /// Number of tombstoned objects (a popcount of the bitset).
     #[must_use]
     pub fn deleted_count(&self) -> usize {
-        self.deleted_count
+        self.deleted.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Dynamically inserts a new object (Section IX).  Supported by the
@@ -224,7 +217,6 @@ impl Must {
             report,
             prune: opts.prune,
             deleted,
-            deleted_count: 0,
             quant: None,
             insert_scratch: SearchScratch::default(),
         })
@@ -443,7 +435,7 @@ mod tests {
         assert_eq!(must.deleted_count(), 1);
         let res = must.search(&q, 5, 60).unwrap().results;
         assert!(res.iter().all(|(id, _)| *id != 42), "tombstone filtered");
-        assert_eq!(res.len(), 5, "over-fetch keeps k results");
+        assert_eq!(res.len(), 5, "the walk routes through the tombstone and keeps k live results");
         let bf = must.brute_force(&q, 5).unwrap();
         assert!(bf.results.iter().all(|(id, _)| *id != 42));
         assert!(must.restore(42).unwrap());

@@ -14,11 +14,11 @@
 //! [`ServerWorker`] that borrows the `Must`, and its
 //! [`crate::runtime::EngineWorker::run_query`] resolves the weights and the
 //! search parameters and calls [`ServerWorker::search_weighted_with_params`]
-//! — the f32 walk or the SQ8 walk + exact re-rank, with tombstones
-//! (Section IX) filtered around both.  [`Must::search`] (one-off, transient
-//! scratch) and [`ServerWorker::search`] (reusable scratch) are its
-//! default-weight shorthands, so a `Must` and the server frozen from it
-//! give one answer to a query.  The weighted one-off, the batch fan-out and
+//! — the f32 walk or the SQ8 walk + exact re-rank, where a tombstoned
+//! vertex (Section IX) routes but never ranks.  [`Must::search`] (one-off,
+//! transient scratch) and [`ServerWorker::search`] (reusable scratch) are
+//! its default-weight shorthands, so a `Must` and the server frozen from
+//! it give one answer to a query.  The weighted one-off, the batch fan-out and
 //! the blocking serve loop are the provided methods of
 //! [`crate::runtime::ServeEngine`].
 //!
@@ -168,33 +168,13 @@ impl ServerWorker<'_> {
 
     /// The search under explicit `weights` and [`SearchParams`]: the f32
     /// walk, or — when the instance carries SQ8 codes — the quantized
-    /// walk plus exact re-rank.  Tombstoned objects are filtered here, for
-    /// every entry point: the walk over-fetches `k + deleted_count` and
-    /// keeps the live top `k`.  With nothing deleted it is the bare walk.
+    /// walk plus exact re-rank.  Tombstones are handled inside the walk,
+    /// for every entry point: a deleted vertex routes it but never ranks
+    /// ([`QueryScorer::is_live`]), so the pool settles `l` live entries.
     ///
     /// # Errors
     /// Propagates weight-arity and query/corpus mismatches.
     pub fn search_weighted_with_params(
-        &mut self,
-        query: &MultiQuery,
-        weights: &Weights,
-        params: SearchParams,
-    ) -> Result<SearchOutcome, MustError> {
-        let must = self.must;
-        let deleted = must.deleted_count();
-        if deleted == 0 {
-            return self.search_unfiltered(query, weights, params);
-        }
-        let k = params.k + deleted;
-        let fetch = SearchParams { k, l: params.l.max(k), ..params };
-        let mut out = self.search_unfiltered(query, weights, fetch)?;
-        out.results.retain(|&(id, _)| !must.is_deleted(id));
-        out.results.truncate(params.k);
-        Ok(out)
-    }
-
-    /// The walk with tombstones still in: f32, or SQ8 + re-rank.
-    fn search_unfiltered(
         &mut self,
         query: &MultiQuery,
         weights: &Weights,
@@ -207,7 +187,7 @@ impl ServerWorker<'_> {
         let scorer =
             MustQueryScorer::from_rows(must.objects().fused(), query, weights, must.prune())?;
         let t0 = Instant::now();
-        let res = must.index().search(&scorer, params, &mut self.scratch);
+        let res = must.index().search(&Live(&scorer, must), params, &mut self.scratch);
         Ok(SearchOutcome {
             results: res.results,
             stats: res.stats,
@@ -218,8 +198,8 @@ impl ServerWorker<'_> {
 
     /// The quantized-scan + exact-re-rank recipe (DiskANN/SPANN-style,
     /// adapted to multi-vector joint similarity): the graph walk scores
-    /// `u8` codes in one pass per candidate with an over-fetched
-    /// pool of `rerank_k = 4 * k`, then the pool is re-scored exactly on
+    /// `u8` codes in one pass per candidate with an over-fetched pool of
+    /// `rerank_k = 4 * k` live ids, then the pool is re-scored exactly on
     /// the retained f32 rows and the true top `k` returned.  Both stages
     /// weight the query side only, so per-query overrides compose
     /// unchanged.
@@ -237,12 +217,8 @@ impl ServerWorker<'_> {
         let t0 = Instant::now();
         let n = must.index().len();
         let rerank_k = params.k.saturating_mul(4).min(n).max(params.k.min(n)).max(1);
-        let walk = SearchParams {
-            k: rerank_k,
-            l: params.l.max(rerank_k),
-            random_init: params.random_init,
-        };
-        let res = must.index().search(&qscorer, walk, &mut self.scratch);
+        let walk = SearchParams { k: rerank_k, l: params.l.max(rerank_k), ..params };
+        let res = must.index().search(&Live(&qscorer, must), walk, &mut self.scratch);
         // The pool's f32 rows are cold (the walk read codes): start all the
         // misses before the first score needs one.
         for &(id, _) in &res.results {
@@ -258,6 +234,28 @@ impl ServerWorker<'_> {
             kernel_evals: qscorer.kernel_evals() + exact.kernel_evals(),
             secs: t0.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// A walk's scorer with the instance's tombstones: `is_live` reads
+/// [`Must::is_deleted`], everything else is the wrapped scorer's.
+struct Live<'s, S>(&'s S, &'s Must);
+
+impl<S: QueryScorer> QueryScorer for Live<'_, S> {
+    fn score(&self, id: u32) -> f32 {
+        self.0.score(id)
+    }
+
+    fn score_pruned(&self, id: u32, threshold: f32) -> Option<f32> {
+        self.0.score_pruned(id, threshold)
+    }
+
+    fn warm(&self, id: u32) {
+        self.0.warm(id);
+    }
+
+    fn is_live(&self, id: u32) -> bool {
+        !self.1.is_deleted(id)
     }
 }
 

@@ -501,7 +501,7 @@ impl Hnsw {
         scratch.pool.reset(ef, self.len());
         scratch.visited.reset(self.len());
         scratch.visited.mark(ep);
-        scratch.pool.insert(ep, ep_sim);
+        scratch.pool.admit(ep, ep_sim, scorer.is_live(ep));
         expand(|v| self.neighbors(v, layer), scorer, scratch, stats);
     }
 

@@ -132,6 +132,13 @@ pub trait QueryScorer {
     fn score_batch(&self, _ids: &[u32], _out: &mut Vec<f32>) -> bool {
         false
     }
+
+    /// Whether `id` may rank.  A vertex that may not (a tombstone) still
+    /// routes the walk as a [`Pool`] routing entry.  Default: `true`.
+    #[inline]
+    fn is_live(&self, _id: u32) -> bool {
+        true
+    }
 }
 
 /// Blanket scorer for ad-hoc closures (used heavily in tests).

@@ -7,6 +7,8 @@
 //! [`crate::QueryScorer::score_pruned`] (Lemma 4).  The exact scans and
 //! the weight learner's mining fill the same pool with ids in ascending
 //! order, so their pool order is already [`answer_order`].
+//! A routing entry (a tombstoned vertex, Section IX) is expanded while it
+//! sits above the `l`-th live entry, but takes no capacity and never ranks.
 
 use std::cmp::Ordering;
 
@@ -28,6 +30,8 @@ pub struct PoolEntry {
     pub id: u32,
     /// Whether the search already expanded this vertex.
     pub visited: bool,
+    /// Whether the entry may rank; `false` for a routing entry.
+    pub live: bool,
 }
 
 /// Fixed-capacity result pool, sorted by descending similarity.
@@ -35,6 +39,8 @@ pub struct PoolEntry {
 pub struct Pool {
     entries: Vec<PoolEntry>,
     capacity: usize,
+    /// Live entries; once it reaches `capacity` the tail entry is live.
+    live: usize,
     /// Index of the first unvisited entry (`entries.len()` when none):
     /// every entry before it is visited.  Lowered by an insert in front of
     /// it, advanced by [`Pool::visit`].
@@ -53,7 +59,7 @@ impl Pool {
     /// Creates a pool of capacity `l` for ids drawn from `0..n`.
     #[must_use]
     pub fn new(l: usize, n: usize) -> Self {
-        let mut pool = Self { entries: Vec::new(), capacity: l, cursor: 0 };
+        let mut pool = Self { entries: Vec::new(), capacity: l, live: 0, cursor: 0 };
         pool.reset(l, n);
         pool
     }
@@ -70,10 +76,11 @@ impl Pool {
         // reservation of a huge `l` the allocator cannot satisfy.
         self.entries.reserve(l.min(n) + 1);
         self.capacity = l;
+        self.live = 0;
         self.cursor = 0;
     }
 
-    /// Current number of entries.
+    /// Current number of entries, routing ones included.
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
@@ -87,15 +94,15 @@ impl Pool {
         self.entries.is_empty()
     }
 
-    /// Whether the pool is at capacity.
+    /// Whether the pool holds `l` live entries.
     #[inline]
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+        self.live == self.capacity
     }
 
-    /// The similarity of the worst entry when full, else `-inf`:
-    /// the safe discard threshold for new candidates.
+    /// The similarity of the worst (the `l`-th live) entry when full, else
+    /// `-inf`: the safe discard threshold for new candidates.
     #[inline]
     #[must_use]
     pub fn threshold(&self) -> f32 {
@@ -106,20 +113,31 @@ impl Pool {
         }
     }
 
-    /// Inserts `(id, sim)` keeping the pool sorted; evicts the worst entry
-    /// when over capacity.  Returns `true` if the entry was kept.
+    /// [`Pool::admit`] of a live entry.
+    pub fn insert(&mut self, id: u32, sim: f32) -> bool {
+        self.admit(id, sim, true)
+    }
+
+    /// Inserts `(id, sim)` keeping the pool sorted; over `l` live entries
+    /// evicts the worst, then every routing entry below the `l`-th live
+    /// one.  Returns `true` if the entry was kept.
     ///
     /// The caller is responsible for not inserting the same id twice (the
     /// search's visited set guarantees this).
-    pub fn insert(&mut self, id: u32, sim: f32) -> bool {
+    pub fn admit(&mut self, id: u32, sim: f32, live: bool) -> bool {
         if self.is_full() && sim <= self.threshold() {
             return false;
         }
         let pos = self
             .entries
             .partition_point(|e| e.sim >= sim);
-        self.entries.insert(pos, PoolEntry { sim, id, visited: false });
-        if self.entries.len() > self.capacity {
+        self.entries.insert(pos, PoolEntry { sim, id, visited: false, live });
+        self.live += usize::from(live);
+        if self.live > self.capacity {
+            self.entries.pop();
+            self.live -= 1;
+        }
+        while self.is_full() && self.entries.last().is_some_and(|e| !e.live) {
             self.entries.pop();
         }
         // The new entry is unvisited; at `pos >= cursor` the visited
@@ -150,26 +168,28 @@ impl Pool {
         &self.entries
     }
 
-    /// The best `k` `(id, sim)` pairs, descending, in pool order: equal
+    /// The best `k` live `(id, sim)` pairs, descending, in pool order: equal
     /// similarities in the order the walk met them (what construction's
     /// candidate lists are pinned to).
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<(u32, f32)> {
-        self.entries.iter().take(k).map(|e| (e.id, e.sim)).collect()
+        self.entries.iter().filter(|e| e.live).take(k).map(|e| (e.id, e.sim)).collect()
     }
 
-    /// The best `k` `(id, sim)` pairs in [`answer_order`], so an answer is
-    /// a pure function of the query and not of the order the walk met its
+    /// The best `k` live `(id, sim)` pairs in [`answer_order`], so an answer
+    /// is a pure function of the query and not of the order the walk met its
     /// members.  A tied run across the `k`-th place joins the sort.
     /// Without ties this is [`Pool::top_k`], and the sort of the already
     /// sorted head is one pass.
     #[must_use]
     pub fn ranked(&self, k: usize) -> Vec<(u32, f32)> {
-        let mut end = k.min(self.entries.len());
-        while end > 0 && self.entries.get(end).is_some_and(|e| e.sim == self.entries[end - 1].sim) {
-            end += 1;
+        let mut out: Vec<(u32, f32)> = Vec::with_capacity(k.min(self.live));
+        for e in self.entries.iter().filter(|e| e.live) {
+            if out.len() >= k && out.last().is_none_or(|l| l.1 != e.sim) {
+                break;
+            }
+            out.push((e.id, e.sim));
         }
-        let mut out: Vec<(u32, f32)> = self.entries[..end].iter().map(|e| (e.id, e.sim)).collect();
         out.sort_by(answer_order);
         out.truncate(k);
         out
@@ -208,6 +228,41 @@ mod tests {
         assert_eq!(p.ranked(3), vec![(2, 0.9), (3, 0.5), (7, 0.5)]);
         assert_eq!(p.ranked(9), vec![(2, 0.9), (3, 0.5), (7, 0.5), (9, 0.5), (8, 0.1)]);
         assert_eq!(p.ranked(0), vec![]);
+    }
+
+    #[test]
+    fn a_routing_entry_is_expanded_but_takes_no_capacity_and_never_ranks() {
+        let mut p = Pool::new(2, 16);
+        assert!(p.admit(1, 0.9, false));
+        p.insert(2, 0.5);
+        assert!(!p.is_full(), "one live entry of two");
+        assert_eq!(p.threshold(), f32::NEG_INFINITY);
+        let i = p.best_unvisited().unwrap();
+        assert_eq!(p.visit(i), 1, "the routing entry is expanded first");
+        p.insert(3, 0.4);
+        assert!(p.is_full());
+        assert_eq!(p.threshold(), 0.4);
+        assert_eq!(p.len(), 3, "the routing entry above the 2nd live one stays");
+        assert_eq!(p.ranked(3), vec![(2, 0.5), (3, 0.4)]);
+        assert_eq!(p.top_k(3), vec![(2, 0.5), (3, 0.4)]);
+    }
+
+    #[test]
+    fn a_full_pool_ends_on_a_live_entry() {
+        let ids = |p: &Pool| p.entries().iter().map(|e| e.id).collect::<Vec<_>>();
+        let mut p = Pool::new(2, 16);
+        p.insert(1, 0.9);
+        p.admit(2, 0.5, false);
+        p.admit(3, 0.3, false);
+        assert_eq!(ids(&p), [1, 2, 3], "room left: every routing entry stays");
+        p.insert(4, 0.6);
+        assert_eq!(ids(&p), [1, 4], "full: the routing entries below the 2nd live one go");
+        assert!(p.admit(5, 0.7, false), "a routing entry above the threshold is kept");
+        assert!(!p.admit(6, 0.6, false), "one at the threshold is not");
+        p.insert(7, 0.8);
+        assert_eq!(ids(&p), [1, 7], "evicting the worst live entry drops the routing tail");
+        assert!(p.is_full() && p.entries().last().unwrap().live);
+        assert_eq!(p.threshold(), 0.8);
     }
 
     #[test]

@@ -214,7 +214,7 @@ pub(crate) fn expand<'g, S: QueryScorer + ?Sized>(
         if scorer.score_batch(fresh, scores) {
             for (&u, &s) in fresh.iter().zip(scores.iter()) {
                 stats.evaluated += 1;
-                file(u, (s > pool.threshold()).then_some(s), pool, stats);
+                file(u, (s > pool.threshold()).then_some(s), scorer.is_live(u), pool, stats);
             }
             continue;
         }
@@ -259,15 +259,15 @@ impl<O: SimilarityOracle> QueryScorer for NodeScorer<'_, O> {
 #[inline]
 fn offer<S: QueryScorer + ?Sized>(id: u32, scorer: &S, pool: &mut Pool, stats: &mut SearchStats) {
     stats.evaluated += 1;
-    file(id, scorer.score_pruned(id, pool.threshold()), pool, stats);
+    file(id, scorer.score_pruned(id, pool.threshold()), scorer.is_live(id), pool, stats);
 }
 
 /// Files one verdict: a score goes into the pool, `None` counts as pruned.
 #[inline]
-fn file(id: u32, verdict: Option<f32>, pool: &mut Pool, stats: &mut SearchStats) {
+fn file(id: u32, verdict: Option<f32>, live: bool, pool: &mut Pool, stats: &mut SearchStats) {
     match verdict {
         Some(s) => {
-            pool.insert(id, s);
+            pool.admit(id, s, live);
         }
         None => stats.pruned += 1,
     }

@@ -108,6 +108,37 @@ proptest! {
     }
 
     #[test]
+    fn routing_entries_take_no_capacity_and_never_rank(
+        ops in proptest::collection::vec((-1.0f32..1.0, any::<bool>()), 1..80),
+        cap in 1usize..12,
+    ) {
+        // Random live / routing inserts, the routing ones also expanded
+        // as a walk would: at most `cap` live entries, sorted, and once
+        // full the tail is the `cap`-th live entry and the threshold.
+        let mut pool = Pool::new(cap, 80);
+        for (id, (sim, live)) in (0u32..).zip(ops) {
+            pool.admit(id, (sim * 4.0).round() / 4.0, live);
+            if let Some(idx) = pool.best_unvisited().filter(|&i| !pool.entries()[i].live) {
+                pool.visit(idx);
+            }
+        }
+        let entries = pool.entries();
+        let live = entries.iter().filter(|e| e.live).count();
+        prop_assert!(live <= cap);
+        prop_assert_eq!(pool.is_full(), live == cap);
+        for w in entries.windows(2) {
+            prop_assert!(w[0].sim >= w[1].sim);
+        }
+        if pool.is_full() {
+            prop_assert!(entries[entries.len() - 1].live, "a full pool ends on a live entry");
+            prop_assert_eq!(pool.threshold(), entries[entries.len() - 1].sim);
+        }
+        let ranked = pool.ranked(cap);
+        prop_assert_eq!(ranked.len(), live);
+        prop_assert!(ranked.iter().all(|r| entries.iter().any(|e| e.id == r.0 && e.live)));
+    }
+
+    #[test]
     fn insert_bounded_maintains_invariants(
         cands in proptest::collection::vec((0u32..48, -1.0f32..1.0), 1..64),
         cap in 1usize..10,

@@ -319,3 +319,15 @@ proptest! {
         check_instance(seed)?;
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(640))]
+    /// Ten times the cases, drawn from a stream of their own (the seed
+    /// derives from the test's name); CI runs it in release with
+    /// `cargo test --release --test differential -- --ignored`.
+    #[test]
+    #[ignore = "640 cases: run in release"]
+    fn every_engine_answers_as_the_model_640_cases(seed in any::<u64>()) {
+        check_instance(seed)?;
+    }
+}
