@@ -7,6 +7,7 @@
 //! [`crate::QueryScorer::score_pruned`] (Lemma 4).  The exact scans and
 //! the weight learner's mining fill the same pool with ids in ascending
 //! order, so their pool order is already [`answer_order`].
+//!
 //! A routing entry (a tombstoned vertex, Section IX) is expanded while it
 //! sits above the `l`-th live entry, but takes no capacity and never ranks.
 
