@@ -200,9 +200,9 @@ impl ServerWorker<'_> {
     /// adapted to multi-vector joint similarity): the graph walk scores
     /// `u8` codes in one pass per candidate with an over-fetched pool of
     /// `rerank_k = 4 * k` live ids, then the pool is re-scored exactly on
-    /// the retained f32 rows and the true top `k` returned.  Both stages
-    /// weight the query side only, so per-query overrides compose
-    /// unchanged.
+    /// the f32 rows kept beside the codes, and the true top `k` returned.
+    /// Both stages weight the query side only, so per-query overrides
+    /// compose unchanged.
     fn search_quantized_with_params(
         &mut self,
         quant: &QuantizedRows,
