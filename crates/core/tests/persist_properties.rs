@@ -1,8 +1,8 @@
 //! Property tests for bundle persistence: arbitrary small corpora × every
 //! graph backend round-trip through `save` (v5) to bit-identical search
 //! results; corrupt v7 bundles error; every written format stays mutable;
-//! no single flipped byte makes a loader, or a search on what it loads,
-//! panic.
+//! every truncated bundle is an `Io` error; no single flipped byte makes a
+//! loader, or a search on what it loads, panic.
 
 use must_core::framework::{Must, MustBuildOptions};
 use must_core::{persist, MustError};
@@ -138,6 +138,19 @@ fn v7_corrupt_bundles_error_instead_of_panicking() {
     bad.splice(at..at, [0u8; 4]);
     let err = check("v7-index-unaligned", bad);
     assert!(matches!(err, MustError::Config(_)), "v7-index-unaligned: {err:?}");
+    // Four zero bytes after the index block, inside its section: the file
+    // and the index entry's length both grow by 4, so only the
+    // trailing-bytes check refuses it.
+    let mut bad = good.clone();
+    let len_at = table_at + 5 * 16 + 8;
+    let len = u64::from_le_bytes(bad[len_at..len_at + 8].try_into().unwrap());
+    bad[len_at..len_at + 8].copy_from_slice(&(len + 4).to_le_bytes());
+    bad.extend_from_slice(&[0; 4]);
+    let err = check("v7-index-trailing", bad);
+    assert!(
+        matches!(&err, MustError::Config(msg) if msg.contains("trailing")),
+        "v7-index-trailing: {err:?}"
+    );
     // Section 1 pulled back over section 0: overlap.
     let mut bad = good.clone();
     bad[table_at + 16..table_at + 24].copy_from_slice(&0u64.to_le_bytes());
@@ -251,11 +264,12 @@ fn load_flipped(path: &std::path::Path, bytes: &[u8], query: &MultiQuery) {
     }
 }
 
-/// Every byte of every header, the v7 section table and the v6 manifest,
-/// flipped three ways, plus a seeded sample of body bytes: `load` and
-/// `load_sharded` return `Ok` or `Err` and never panic, and an `Ok`
-/// answers a query without panicking.  A flip that reaches a panic names
-/// the bundle, the byte and the mask.
+/// Every proper prefix of four bundles is an `Io` error from each loader
+/// that reads its version.  Every byte of every header, the v7 section
+/// table and the v6 manifest, flipped three ways, plus a seeded sample of
+/// body bytes: `load` and `load_sharded` return `Ok` or `Err` and never
+/// panic, and an `Ok` answers a query without panicking.  A flip that
+/// reaches a panic names the bundle, the byte and the mask.
 #[test]
 fn byte_flips_never_panic_a_loader() {
     let set = corpus(30, 4, 3, 21);
@@ -305,6 +319,28 @@ fn byte_flips_never_panic_a_loader() {
         ("v6 S=2", &v6, v6_heads),
     ];
     let path = tmp("flip", 21);
+    // Every proper prefix is one more corruption, and a typed one: each
+    // loader that reads the version fails with `Io` at the first missing
+    // byte.  `load` refuses v6 by its version word instead, with a
+    // `Config` pointing at `load_sharded`, once the preamble is whole.
+    for (tag, good, _) in &bundles {
+        for len in 0..good.len() {
+            std::fs::write(&path, &good[..len]).unwrap();
+            let single = persist::load(&path).map(drop);
+            match single {
+                Err(MustError::Config(msg)) if tag.starts_with("v6") && len >= 12 => {
+                    assert!(msg.contains("load_sharded"), "{tag}: {len}-byte prefix: {msg}");
+                }
+                Err(MustError::Io(_)) if !tag.starts_with("v6") || len < 12 => {}
+                other => panic!("{tag}: {len}-byte prefix, load: {other:?}"),
+            }
+            let sharded = persist::load_sharded(&path).map(drop);
+            assert!(
+                matches!(sharded, Err(MustError::Io(_))),
+                "{tag}: {len}-byte prefix, load_sharded: {sharded:?}"
+            );
+        }
+    }
     let mut rng = proptest::TestRng::new(0xF11B);
     for (tag, good, mut positions) in bundles {
         positions.extend((0..96).map(|_| (rng.unit_f64() * good.len() as f64) as usize));
