@@ -32,26 +32,34 @@
 //!   and finally the six sections themselves: fused rows, segment norms,
 //!   default weights, SQ8 codes, quantization parameters
 //!   (`min`/`step`/`eps` per row-segment), and the index block.  [`load`]
-//!   reads the whole body into one buffer, copies every section into the
-//!   engines — the codes and parameters interleaved into the SQ8 engine's
-//!   row blocks — and drops the buffer: nothing of the file stays resident.
+//!   checks that the table is the layout the header implies, then streams
+//!   the sections in table order, skipping the padding, and copies the
+//!   codes and parameters into the SQ8 engine's row blocks: no buffer ever
+//!   holds the file.
+//!
+//! One codec serves all three: a payload is a header and an ordered list of
+//! sections, and a format is the subset it carries, back to back or behind
+//! v7's table.  One writer loop and one reader loop handle every payload.
 //!
 //! [`load`] reads v5 and v7; [`load_sharded`] reads all three (a
 //! single-shard bundle comes up as one shard).  Versions 1–4 (v1 JSON, the
 //! per-modality v2, a stand-alone v3, the summary-less v4 manifest) were
 //! retired in PR 17 and are refused with a typed error, as is anything
-//! that does not open with the magic.  See `DESIGN.md` §6 for the
+//! that does not open with the magic.  See `DESIGN.md` §7 for the
 //! byte-level table.
 //!
-//! I/O and decoding failures surface as [`MustError::Io`]; semantic
-//! problems (unsupported version, corpus/graph inconsistency) as
+//! I/O and decoding failures — a truncated file among them, at its first
+//! missing byte — surface as [`MustError::Io`]; semantic problems
+//! (unsupported version, corpus/graph inconsistency) as
 //! [`MustError::Config`].
 
+use std::borrow::Cow;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use must_graph::csr::CsrGraph;
 use must_graph::hnsw::{Hnsw, HnswFlat};
+use must_graph::GraphRecipe;
 use must_vector::{FusedRows, Layout, MultiVectorSet, QuantizedRows, SegParams, Weights, FUSED_LANE};
 
 use crate::framework::{Must, MustBuildOptions};
@@ -92,10 +100,6 @@ const V6_CLUSTERED_TAG: u8 = 2;
 /// Sanity cap on the shard count of a v6 manifest.
 const MAX_SHARDS: u64 = 1 << 16;
 
-/// Number of sections in a v7 offset table (rows, norms, weights, codes,
-/// quantization parameters, index).
-const V7_SECTIONS: usize = 6;
-
 /// Alignment (bytes) of every v7 section, relative to the first byte after
 /// the offset table.
 const V7_ALIGN: u64 = 32;
@@ -119,8 +123,15 @@ fn io<E: std::fmt::Display>(ctx: &str) -> impl FnOnce(E) -> MustError + '_ {
     move |e| MustError::Io(format!("{ctx}: {e}"))
 }
 
+fn checked_len(len: u64, what: &str) -> Result<usize, MustError> {
+    if len >= MAX_ELEMS {
+        return Err(MustError::Io(format!("corrupt {what} length {len}")));
+    }
+    Ok(len as usize)
+}
+
 // ---------------------------------------------------------------------------
-// Little-endian primitives.
+// Little-endian primitives, and the one reader.
 
 fn wr_u8(w: &mut impl Write, v: u8) -> Result<(), MustError> {
     w.write_all(&[v]).map_err(io("write u8"))
@@ -151,77 +162,389 @@ fn wr_words<T: Copy>(
     Ok(())
 }
 
-/// Writes a length-prefixed `u32` array.
-fn wr_u32s(w: &mut impl Write, vs: &[u32]) -> Result<(), MustError> {
+/// Writes a `u64`-length-prefixed 4-byte-word array.
+fn wr_array<T: Copy>(
+    w: &mut impl Write,
+    vs: &[T],
+    enc: impl Fn(T) -> [u8; 4],
+) -> Result<(), MustError> {
     wr_u64(w, vs.len() as u64)?;
-    wr_words(w, vs, u32::to_le_bytes)
+    wr_words(w, vs, enc)
 }
 
-fn rd_u8(r: &mut impl Read) -> Result<u8, MustError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b).map_err(io("read u8"))?;
-    Ok(b[0])
+/// The little-endian reader every loader reads through.  It counts the
+/// bytes it has consumed, so v7 can skip to each section's offset and v6
+/// can check that each payload starts where its manifest says.
+struct Reader<R> {
+    inner: R,
+    pos: u64,
 }
 
-fn rd_u32(r: &mut impl Read) -> Result<u32, MustError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b).map_err(io("read u32"))?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn rd_u64(r: &mut impl Read) -> Result<u64, MustError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b).map_err(io("read u64"))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn checked_len(len: u64, what: &str) -> Result<usize, MustError> {
-    if len >= MAX_ELEMS {
-        return Err(MustError::Io(format!("corrupt {what} length {len}")));
+impl<R: Read> Reader<R> {
+    fn fill(&mut self, buf: &mut [u8], what: &str) -> Result<(), MustError> {
+        self.inner.read_exact(buf).map_err(io(what))?;
+        self.pos += buf.len() as u64;
+        Ok(())
     }
-    Ok(len as usize)
-}
 
-/// Reads `len` 4-byte words, decoding each through `dec`.  Pre-allocation
-/// is capped at [`MAX_PREALLOC`]: a corrupt length prefix costs at most
-/// that much memory before the reader hits EOF and errors.
-fn rd_words<T>(
-    r: &mut impl Read,
-    len: usize,
-    what: &str,
-    dec: impl Fn([u8; 4]) -> T,
-) -> Result<Vec<T>, MustError> {
-    let mut out = Vec::with_capacity(len.min(MAX_PREALLOC));
-    let mut buf = vec![0u8; (1 << 16) * 4];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(1 << 16);
-        let bytes = &mut buf[..take * 4];
-        r.read_exact(bytes).map_err(io(what))?;
-        out.extend(bytes.chunks_exact(4).map(|c| dec([c[0], c[1], c[2], c[3]])));
-        remaining -= take;
+    fn le<const N: usize>(&mut self, what: &str) -> Result<[u8; N], MustError> {
+        let mut b = [0u8; N];
+        self.fill(&mut b, what)?;
+        Ok(b)
     }
-    Ok(out)
-}
 
-fn rd_u32s(r: &mut impl Read, what: &str) -> Result<Vec<u32>, MustError> {
-    let len = checked_len(rd_u64(r)?, what)?;
-    rd_words(r, len, what, u32::from_le_bytes)
-}
+    fn u8(&mut self) -> Result<u8, MustError> {
+        Ok(self.le::<1>("read u8")?[0])
+    }
 
-/// Writes a length-prefixed `f32` array (the v6 summary blocks).
-fn wr_f32s(w: &mut impl Write, vs: &[f32]) -> Result<(), MustError> {
-    wr_u64(w, vs.len() as u64)?;
-    wr_words(w, vs, f32::to_le_bytes)
-}
+    fn u32(&mut self) -> Result<u32, MustError> {
+        self.le("read u32").map(u32::from_le_bytes)
+    }
 
-fn rd_f32s(r: &mut impl Read, what: &str) -> Result<Vec<f32>, MustError> {
-    let len = checked_len(rd_u64(r)?, what)?;
-    rd_words(r, len, what, f32::from_le_bytes)
+    fn u64(&mut self) -> Result<u64, MustError> {
+        self.le("read u64").map(u64::from_le_bytes)
+    }
+
+    /// Reads `len` elements of `W` bytes each, decoding each through
+    /// `dec`.  Pre-allocation is capped at [`MAX_PREALLOC`]: a corrupt
+    /// length costs at most that much memory before the reader hits EOF
+    /// and errors.
+    fn block<const W: usize, T>(
+        &mut self,
+        len: usize,
+        what: &str,
+        dec: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, MustError> {
+        let mut out = Vec::with_capacity(len.min(MAX_PREALLOC));
+        let mut buf = vec![0u8; len.min(1 << 16) * W];
+        let mut remaining = len;
+        while remaining > 0 {
+            let take = remaining.min(1 << 16);
+            let bytes = &mut buf[..take * W];
+            self.fill(bytes, what)?;
+            out.extend(bytes.as_chunks::<W>().0.iter().map(|&c| dec(c)));
+            remaining -= take;
+        }
+        Ok(out)
+    }
+
+    /// Reads a `u64`-length-prefixed block of 4-byte words.
+    fn array<T>(&mut self, what: &str, dec: impl Fn([u8; 4]) -> T) -> Result<Vec<T>, MustError> {
+        let len = checked_len(self.u64()?, what)?;
+        self.block(len, what, dec)
+    }
 }
 
 // ---------------------------------------------------------------------------
-// What v5, v6 and v7 share: the payload header and the index block.
+// The payload: a header and one ordered list of sections.
+
+/// The payload sections, in file order: the unscaled fused rows (padding
+/// included), the segment norms, the default weights (raw ω), the SQ8
+/// codes, the SQ8 `(min, step, eps)` per row and modality, and the index
+/// block.  A format carries a subset, in this order; every length but the
+/// index block's is implied by the payload header ([`spans`]).
+#[derive(Clone, Copy)]
+enum Section {
+    Rows,
+    Norms,
+    Omega,
+    Codes,
+    Params,
+    Index,
+}
+use Section::{Codes, Index, Norms, Omega, Params, Rows};
+
+/// A payload layout: its sections, and whether v7's offset table precedes
+/// them (each then 32-byte aligned after it) or they follow the header
+/// back to back.
+struct Format {
+    sections: &'static [Section],
+    table: bool,
+}
+
+const V5: Format = Format { sections: &[Rows, Norms, Omega, Index], table: false };
+/// A v6 shard payload: v5's without the norms, which load re-derives.
+const V6_SHARD: Format = Format { sections: &[Rows, Omega, Index], table: false };
+const V7: Format = Format { sections: &[Rows, Norms, Omega, Codes, Params, Index], table: true };
+
+/// The payload header: prune flag, modality count and dims, lane width,
+/// cardinality — the shape of the fused-row buffer exactly as it sits in
+/// memory — with the row stride it implies.
+struct Header {
+    prune: bool,
+    dims: Vec<usize>,
+    n: usize,
+    stride: usize,
+}
+
+impl Header {
+    /// Reads the header [`write_payload`] writes.  Every count is capped
+    /// before anything is sized from it, and `n · stride` is known to fit.
+    fn read(r: &mut Reader<impl Read>) -> Result<Self, MustError> {
+        let prune = r.u8()? != 0;
+        let m = checked_len(r.u32()? as u64, "modality count")?;
+        if m == 0 {
+            return Err(MustError::Config("bundle has no modalities".into()));
+        }
+        let mut dims = Vec::with_capacity(m.min(MAX_PREALLOC));
+        for mi in 0..m {
+            let dim = checked_len(r.u32()? as u64, "dimension")?;
+            if dim == 0 {
+                return Err(MustError::Config(format!("modality {mi} has zero dimension")));
+            }
+            dims.push(dim);
+        }
+        let lane = r.u32()? as usize;
+        if lane != FUSED_LANE {
+            return Err(MustError::Config(format!(
+                "bundle written with fused lane {lane}, this build uses {FUSED_LANE}"
+            )));
+        }
+        let stride = Layout::new(dims.clone()).expect("dims checked non-empty and non-zero").stride();
+        let n = checked_len(r.u64()?, "cardinality")?;
+        n.checked_mul(stride)
+            .filter(|t| (*t as u64) < MAX_ELEMS)
+            .ok_or_else(|| MustError::Io("corrupt fused block size".into()))?;
+        Ok(Header { prune, dims, n, stride })
+    }
+}
+
+/// Each section's `(offset, byte length)` in `format`, relative to the
+/// first section byte: back to back, or 32-byte aligned behind a table.
+/// Every length follows from `header`, but the index block's, `index`.
+fn spans(header: &Header, format: &Format, index: u64) -> Vec<(u64, u64)> {
+    let (n, m, stride) = (header.n as u64, header.dims.len() as u64, header.stride as u64);
+    let align = if format.table { V7_ALIGN } else { 1 };
+    let mut end = 0u64;
+    let spans = format.sections.iter().map(|section| {
+        let len = match section {
+            Rows => 4 * n * stride,
+            Norms => 4 * n * m,
+            Omega => 4 * m,
+            Codes => n * stride,
+            Params => 12 * n * m,
+            Index => index,
+        };
+        let off = end.next_multiple_of(align);
+        end = off.saturating_add(len);
+        (off, len)
+    });
+    spans.collect()
+}
+
+/// Writes the index block (tag byte + backend-specific arrays).
+fn write_index_block(must: &Must, w: &mut impl Write) -> Result<(), MustError> {
+    match must.index() {
+        MustIndex::Csr(csr) => {
+            wr_u8(w, INDEX_TAG_CSR)?;
+            wr_u32(w, csr.seed())?;
+            wr_array(w, csr.offsets(), u32::to_le_bytes)?;
+            wr_array(w, csr.edges(), u32::to_le_bytes)?;
+        }
+        MustIndex::Hnsw(h) => {
+            let flat = h.to_flat();
+            wr_u8(w, INDEX_TAG_HNSW)?;
+            wr_u32(w, flat.entry)?;
+            wr_u32(w, flat.max_level)?;
+            wr_u32(w, flat.m)?;
+            wr_u32(w, flat.ef_construction)?;
+            wr_u64(w, flat.rng_seed)?;
+            wr_array(w, &flat.levels, u32::to_le_bytes)?;
+            wr_array(w, &flat.offsets, u32::to_le_bytes)?;
+            wr_array(w, &flat.edges, u32::to_le_bytes)?;
+        }
+    }
+    Ok(())
+}
+
+/// Reads the index block written by [`write_index_block`].
+fn read_index_block(r: &mut Reader<impl Read>) -> Result<(MustIndex, GraphRecipe), MustError> {
+    let tag = r.u8()?;
+    match tag {
+        INDEX_TAG_CSR => {
+            let seed = r.u32()?;
+            let offsets = r.array("CSR offsets", u32::from_le_bytes)?;
+            let edges = r.array("CSR edges", u32::from_le_bytes)?;
+            let csr = CsrGraph::from_parts(offsets, edges, seed)
+                .map_err(|e| MustError::Config(format!("corrupt CSR block: {e}")))?;
+            Ok((MustIndex::Csr(csr), GraphRecipe::Fused))
+        }
+        INDEX_TAG_HNSW => {
+            // Field initialisers run in source order: the wire order.
+            let flat = HnswFlat {
+                entry: r.u32()?,
+                max_level: r.u32()?,
+                m: r.u32()?,
+                ef_construction: r.u32()?,
+                rng_seed: r.u64()?,
+                levels: r.array("HNSW levels", u32::from_le_bytes)?,
+                offsets: r.array("HNSW offsets", u32::from_le_bytes)?,
+                edges: r.array("HNSW edges", u32::from_le_bytes)?,
+            };
+            let h = Hnsw::from_flat(&flat)
+                .map_err(|e| MustError::Config(format!("corrupt HNSW block: {e}")))?;
+            Ok((MustIndex::Hnsw(h), GraphRecipe::Hnsw))
+        }
+        other => Err(MustError::Config(format!("unknown index tag {other}"))),
+    }
+}
+
+/// Writes `must`'s payload in `format`: the header, v7's offset table when
+/// the format has one, then each section, padded to its offset.  `quant`
+/// supplies the codes and parameters of a format that carries them.
+fn write_payload(
+    w: &mut impl Write,
+    must: &Must,
+    quant: Option<&QuantizedRows>,
+    format: &Format,
+) -> Result<(), MustError> {
+    let rows = must.objects().fused();
+    let (n, m, stride) = (rows.len(), rows.num_modalities(), rows.stride());
+    let header = Header { prune: must.prune(), dims: rows.dims().to_vec(), n, stride };
+    // The one length the header does not imply: serialise the index first.
+    let mut index = Vec::new();
+    write_index_block(must, &mut index)?;
+    let spans = spans(&header, format, index.len() as u64);
+
+    wr_u8(w, must.prune() as u8)?;
+    wr_u32(w, m as u32)?;
+    for &d in rows.dims() {
+        wr_u32(w, d as u32)?;
+    }
+    wr_u32(w, FUSED_LANE as u32)?;
+    wr_u64(w, n as u64)?;
+    if format.table {
+        wr_u32(w, spans.len() as u32)?;
+        for &(off, len) in &spans {
+            wr_u64(w, off)?;
+            wr_u64(w, len)?;
+        }
+    }
+    let quant = || quant.ok_or_else(|| MustError::Config("no SQ8 engine to write".into()));
+    let mut end = 0;
+    for (&section, &(off, len)) in format.sections.iter().zip(&spans) {
+        let pad = [0u8; V7_ALIGN as usize];
+        w.write_all(&pad[..(off - end) as usize]).map_err(io("write padding"))?;
+        end = off + len;
+        match section {
+            Rows => wr_words(w, rows.raw_data(), f32::to_le_bytes)?,
+            Norms => wr_words(w, rows.seg_norms(), f32::to_le_bytes)?,
+            Omega => wr_words(w, must.weights().raw(), f32::to_le_bytes)?,
+            Codes => {
+                let quant = quant()?;
+                for id in 0..n as u32 {
+                    w.write_all(quant.row_codes(id)).map_err(io("write codes"))?;
+                }
+            }
+            Params => {
+                let quant = quant()?;
+                let params: Vec<f32> = (0..n as u32)
+                    .flat_map(|id| (0..m).map(move |k| quant.seg_params(id, k)))
+                    .flat_map(|p| [p.min, p.step, p.eps])
+                    .collect();
+                wr_words(w, &params, f32::to_le_bytes)?;
+            }
+            Index => w.write_all(&index).map_err(io("write index"))?,
+        }
+    }
+    Ok(())
+}
+
+/// Reads one payload of `format` and assembles it into a ready-to-search
+/// [`Must`].  v7's table is checked in full before any section is read;
+/// sections are checked against each other only once all are in, so a
+/// truncated payload is always an I/O error.
+fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, MustError> {
+    let header = Header::read(r)?;
+    let table = if format.table { read_table(r, &header, format)? } else { Vec::new() };
+    let Header { prune, dims, n, stride } = header;
+    let (m, base) = (dims.len(), r.pos);
+    let (mut data, mut norms, mut omega, mut codes, mut params, mut index) =
+        (Vec::new(), None, Vec::new(), None, Vec::new(), None);
+    for (i, &section) in format.sections.iter().enumerate() {
+        let span = table.get(i).copied();
+        if let Some((off, _)) = span {
+            // The table is the aligned layout: fewer than 32 bytes of padding.
+            r.fill(&mut [0; V7_ALIGN as usize][..(base + off - r.pos) as usize], "v7 padding")?;
+        }
+        match (section, span) {
+            (Rows, _) => data = r.block(n * stride, "fused row block", f32::from_le_bytes)?,
+            (Norms, _) => norms = Some(r.block(n * m, "segment norm block", f32::from_le_bytes)?),
+            (Omega, _) => omega = r.block(m, "weights", f32::from_le_bytes)?,
+            (Codes, _) => codes = Some(r.block(n * stride, "SQ8 codes", |[b]: [u8; 1]| b)?),
+            (Params, _) => params = r.block(3 * n * m, "SQ8 parameters", f32::from_le_bytes)?,
+            (Index, None) => index = Some(read_index_block(r)?),
+            (Index, Some((_, len))) => {
+                // v7 bounds the block by its section, and it must fill it.
+                let mut section = Reader { inner: (&mut r.inner).take(len), pos: r.pos };
+                index = Some(read_index_block(&mut section)?);
+                let trailing = section.inner.limit();
+                if trailing > 0 {
+                    let msg = format!("v7 index section has {trailing} trailing byte(s)");
+                    return Err(MustError::Config(msg));
+                }
+            }
+        }
+    }
+
+    // Assembly: the f32 engine (persisted norms adopted verbatim, absent
+    // ones derived), the default weights, the index, and the SQ8 engine
+    // when codes came with them.
+    let rows = match norms {
+        Some(norms) => FusedRows::from_raw_parts_with_norms(dims.clone(), data, norms),
+        None => FusedRows::from_raw_parts(dims.clone(), data),
+    }
+    .map_err(|e| MustError::Config(e.to_string()))?;
+    let weights = Weights::new(omega).map_err(MustError::Vector)?;
+    let (index, recipe) =
+        index.ok_or_else(|| MustError::Config("bundle payload has no index block".into()))?;
+    let mut must = Must::from_parts(
+        MultiVectorSet::from_fused(rows),
+        weights,
+        index,
+        MustBuildOptions { prune, recipe, ..Default::default() },
+    )?;
+    if let Some(codes) = codes {
+        let params: Vec<SegParams> =
+            params.chunks_exact(3).map(|c| SegParams { min: c[0], step: c[1], eps: c[2] }).collect();
+        let quant = QuantizedRows::from_parts(dims, &codes, &params)
+            .map_err(|e| MustError::Config(format!("v7 quantized engine: {e}")))?;
+        must.attach_quant(quant)?;
+    }
+    Ok(must)
+}
+
+/// Reads v7's offset table and checks it before any section is read: it
+/// must be the layout [`spans`] derives from the header and the index
+/// length — every other length, 32-byte alignment, order, no overlap.  A
+/// truncated table fails here with an I/O error.
+fn read_table(
+    r: &mut Reader<impl Read>,
+    header: &Header,
+    format: &Format,
+) -> Result<Vec<(u64, u64)>, MustError> {
+    let (count, want) = (r.u32()? as usize, format.sections.len());
+    if count != want {
+        return Err(MustError::Config(format!(
+            "v7 bundle declares {count} sections (expected {want})"
+        )));
+    }
+    let mut table = Vec::with_capacity(count);
+    for _ in 0..count {
+        table.push((r.u64()?, r.u64()?));
+    }
+    let want = spans(header, format, table[count - 1].1);
+    match (0..count).find(|&i| table[i] != want[i]) {
+        Some(i) => Err(MustError::Config(format!(
+            "v7 section {i} has (offset, length) {:?}, the header implies {:?}",
+            table[i], want[i]
+        ))),
+        None => Ok(table),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Save.
 
 /// No format records tombstones: a bundle is a frozen snapshot of what the
 /// index *serves*.  Persisting an instance with live tombstones would
@@ -238,125 +561,15 @@ fn reject_tombstones(must: &Must) -> Result<(), MustError> {
     Ok(())
 }
 
-fn create(path: &Path) -> Result<BufWriter<std::fs::File>, MustError> {
+/// Creates `path` and writes the preamble: magic + `version`.
+fn create(path: &Path, version: u32) -> Result<BufWriter<std::fs::File>, MustError> {
     let file = std::fs::File::create(path)
         .map_err(|e| MustError::Io(format!("create {}: {e}", path.display())))?;
-    Ok(BufWriter::new(file))
+    let mut w = BufWriter::new(file);
+    w.write_all(&BUNDLE_V2_MAGIC).map_err(io("write magic"))?;
+    wr_u32(&mut w, version)?;
+    Ok(w)
 }
-
-/// Writes the payload header: prune flag, modality count and dims, lane
-/// width, cardinality — the shape of the fused-row buffer exactly as it
-/// sits in memory.
-fn write_header(must: &Must, w: &mut impl Write) -> Result<(), MustError> {
-    let rows = must.objects().fused();
-    wr_u8(w, must.prune() as u8)?;
-    wr_u32(w, rows.num_modalities() as u32)?;
-    for &d in rows.dims() {
-        wr_u32(w, d as u32)?;
-    }
-    wr_u32(w, FUSED_LANE as u32)?;
-    wr_u64(w, rows.len() as u64)
-}
-
-/// The payload header as read back, with the row stride it implies.
-struct Header {
-    prune: bool,
-    dims: Vec<usize>,
-    n: usize,
-    stride: usize,
-}
-
-/// Reads the header written by [`write_header`].  Every count is capped
-/// before anything is sized from it, and `n · stride` is known to fit.
-fn read_header(r: &mut impl Read) -> Result<Header, MustError> {
-    let prune = rd_u8(r)? != 0;
-    let m = checked_len(rd_u32(r)? as u64, "modality count")?;
-    if m == 0 {
-        return Err(MustError::Config("bundle has no modalities".into()));
-    }
-    let mut dims = Vec::with_capacity(m.min(MAX_PREALLOC));
-    for mi in 0..m {
-        let dim = checked_len(rd_u32(r)? as u64, "dimension")?;
-        if dim == 0 {
-            return Err(MustError::Config(format!("modality {mi} has zero dimension")));
-        }
-        dims.push(dim);
-    }
-    let lane = rd_u32(r)? as usize;
-    if lane != FUSED_LANE {
-        return Err(MustError::Config(format!(
-            "bundle written with fused lane {lane}, this build uses {FUSED_LANE}"
-        )));
-    }
-    let stride = Layout::new(dims.clone()).expect("dims checked non-empty and non-zero").stride();
-    let n = checked_len(rd_u64(r)?, "cardinality")?;
-    n.checked_mul(stride)
-        .filter(|t| (*t as u64) < MAX_ELEMS)
-        .ok_or_else(|| MustError::Io("corrupt fused block size".into()))?;
-    Ok(Header { prune, dims, n, stride })
-}
-
-/// Writes the index block (tag byte + backend-specific arrays).
-fn write_index_block(must: &Must, w: &mut impl Write) -> Result<(), MustError> {
-    match must.index() {
-        MustIndex::Csr(csr) => {
-            wr_u8(w, INDEX_TAG_CSR)?;
-            wr_u32(w, csr.seed())?;
-            wr_u32s(w, csr.offsets())?;
-            wr_u32s(w, csr.edges())?;
-        }
-        MustIndex::Hnsw(h) => {
-            let flat = h.to_flat();
-            wr_u8(w, INDEX_TAG_HNSW)?;
-            wr_u32(w, flat.entry)?;
-            wr_u32(w, flat.max_level)?;
-            wr_u32(w, flat.m)?;
-            wr_u32(w, flat.ef_construction)?;
-            wr_u64(w, flat.rng_seed)?;
-            wr_u32s(w, &flat.levels)?;
-            wr_u32s(w, &flat.offsets)?;
-            wr_u32s(w, &flat.edges)?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads the index block written by [`write_index_block`].
-fn read_index_block(
-    r: &mut impl Read,
-) -> Result<(MustIndex, must_graph::GraphRecipe), MustError> {
-    let tag = rd_u8(r)?;
-    match tag {
-        INDEX_TAG_CSR => {
-            let seed = rd_u32(r)?;
-            let offsets = rd_u32s(r, "CSR offsets")?;
-            let edges = rd_u32s(r, "CSR edges")?;
-            let csr = CsrGraph::from_parts(offsets, edges, seed)
-                .map_err(|e| MustError::Config(format!("corrupt CSR block: {e}")))?;
-            Ok((MustIndex::Csr(csr), must_graph::GraphRecipe::Fused))
-        }
-        INDEX_TAG_HNSW => {
-            // Field initialisers run in source order: the wire order.
-            let flat = HnswFlat {
-                entry: rd_u32(r)?,
-                max_level: rd_u32(r)?,
-                m: rd_u32(r)?,
-                ef_construction: rd_u32(r)?,
-                rng_seed: rd_u64(r)?,
-                levels: rd_u32s(r, "HNSW levels")?,
-                offsets: rd_u32s(r, "HNSW offsets")?,
-                edges: rd_u32s(r, "HNSW edges")?,
-            };
-            let h = Hnsw::from_flat(&flat)
-                .map_err(|e| MustError::Config(format!("corrupt HNSW block: {e}")))?;
-            Ok((MustIndex::Hnsw(h), must_graph::GraphRecipe::Hnsw))
-        }
-        other => Err(MustError::Config(format!("unknown index tag {other}"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bundle v5 and the v6 shard payload: the stream body.
 
 /// Serialises `must` to `path` in the bundle-v5 binary format.  Every
 /// backend is persistable: flat-graph indexes as their CSR arrays, HNSW
@@ -372,58 +585,10 @@ fn read_index_block(
 /// frozen snapshots — rebuild before persisting).
 pub fn save(must: &Must, path: &Path) -> Result<(), MustError> {
     reject_tombstones(must)?;
-    let mut w = create(path)?;
-    w.write_all(&BUNDLE_V2_MAGIC).map_err(io("write magic"))?;
-    wr_u32(&mut w, BUNDLE_V5_VERSION)?;
-    write_stream_body(must, &mut w, true)?;
-    w.flush().map_err(io("flush"))?;
-    Ok(())
+    let mut w = create(path, BUNDLE_V5_VERSION)?;
+    write_payload(&mut w, must, None, &V5)?;
+    w.flush().map_err(io("flush"))
 }
-
-/// Writes a stream payload (everything after magic + version): header,
-/// fused rows, the segment-norms block when `with_norms` (v5; a v6 shard
-/// payload omits it), default weights, index block.
-fn write_stream_body(must: &Must, w: &mut impl Write, with_norms: bool) -> Result<(), MustError> {
-    write_header(must, w)?;
-    let rows = must.objects().fused();
-    wr_words(w, rows.raw_data(), f32::to_le_bytes)?;
-    // Segment norms: n·m floats, length implied by the header.
-    if with_norms {
-        wr_words(w, rows.seg_norms(), f32::to_le_bytes)?;
-    }
-    // Default weights (raw omega; squared form is recomputed on load).
-    wr_words(w, must.weights().raw(), f32::to_le_bytes)?;
-    write_index_block(must, w)
-}
-
-/// Reads the payload written by [`write_stream_body`] into a
-/// ready-to-search [`Must`].
-fn read_stream_body(r: &mut impl Read, with_norms: bool) -> Result<Must, MustError> {
-    let Header { prune, dims, n, stride } = read_header(r)?;
-    let m = dims.len();
-    // The corpus block *is* the fused-row buffer — read it in one sweep and
-    // hand it to the engine, no per-modality re-copy.
-    let data = rd_words(r, n * stride, "fused row block", f32::from_le_bytes)?;
-    let rows = if with_norms {
-        let norms = rd_words(r, n * m, "segment norm block", f32::from_le_bytes)?;
-        FusedRows::from_raw_parts_with_norms(dims, data, norms)
-    } else {
-        FusedRows::from_raw_parts(dims, data)
-    }
-    .map_err(|e| MustError::Config(e.to_string()))?;
-    let omega = rd_words(r, m, "weights", f32::from_le_bytes)?;
-    let weights = Weights::new(omega).map_err(MustError::Vector)?;
-    let (index, recipe) = read_index_block(r)?;
-    Must::from_parts(
-        MultiVectorSet::from_fused(rows),
-        weights,
-        index,
-        MustBuildOptions { prune, recipe, ..Default::default() },
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Bundle v7: the quantized offset-table format.
 
 /// Serialises `must` to `path` in the bundle-v7 format, carrying both the
 /// exact f32 fused rows and their SQ8 companion engine.  Uses the engine
@@ -432,8 +597,8 @@ fn read_stream_body(r: &mut impl Read, with_norms: bool) -> Result<Must, MustErr
 ///
 /// The body is an offset table over six 32-byte-aligned sections (rows,
 /// segment norms, default weights, codes, quantization parameters, index),
-/// so [`load`] can slurp the file once and find each section by offset.  A
-/// v7 bundle loads into a [`Must`] that serves the quantized-scan +
+/// which [`load`] checks in full before it streams the sections in.  A v7
+/// bundle loads into a [`Must`] that serves the quantized-scan +
 /// exact-re-rank path out of the box.
 ///
 /// # Errors
@@ -443,191 +608,16 @@ fn read_stream_body(r: &mut impl Read, with_norms: bool) -> Result<Must, MustErr
 /// corpus.
 pub fn save_quantized(must: &Must, path: &Path) -> Result<(), MustError> {
     reject_tombstones(must)?;
-    let built;
-    let quant = match must.quant() {
-        Some(q) => q,
-        None => {
-            built = must.objects().fused().quantize();
-            &built
-        }
-    };
     let rows = must.objects().fused();
-    let (n, m, stride) = (rows.len(), rows.num_modalities(), rows.stride());
-    if quant.len() != n || quant.layout() != rows.layout() {
+    let quant = must.quant().map_or_else(|| Cow::Owned(rows.quantize()), Cow::Borrowed);
+    if quant.len() != rows.len() || quant.layout() != rows.layout() {
         return Err(MustError::Config(
             "attached quantized engine does not mirror the corpus".into(),
         ));
     }
-
-    // The index section is written through the shared block writer, so its
-    // byte length is only known after serialising it once up front.
-    let mut index_bytes = Vec::new();
-    write_index_block(must, &mut index_bytes)?;
-
-    // Flatten the quantization parameters: (min, step, eps) per
-    // (row, modality), row-major.
-    let mut qparams = Vec::with_capacity(n * m * 3);
-    for id in 0..n as u32 {
-        for k in 0..m {
-            let p = quant.seg_params(id, k);
-            qparams.extend_from_slice(&[p.min, p.step, p.eps]);
-        }
-    }
-
-    let lens = v7_section_lens(n, m, stride, index_bytes.len() as u64);
-    let mut offs = [0u64; V7_SECTIONS];
-    let mut cursor = 0u64;
-    for (off, len) in offs.iter_mut().zip(lens) {
-        cursor = cursor.div_ceil(V7_ALIGN) * V7_ALIGN;
-        *off = cursor;
-        cursor += len;
-    }
-
-    let mut w = create(path)?;
-    w.write_all(&BUNDLE_V2_MAGIC).map_err(io("write magic"))?;
-    wr_u32(&mut w, BUNDLE_V7_VERSION)?;
-    write_header(must, &mut w)?;
-    wr_u32(&mut w, V7_SECTIONS as u32)?;
-    for (off, len) in offs.iter().zip(lens) {
-        wr_u64(&mut w, *off)?;
-        wr_u64(&mut w, len)?;
-    }
-
-    fn pad(w: &mut impl Write, gap: u64) -> Result<(), MustError> {
-        const ZEROS: [u8; V7_ALIGN as usize] = [0u8; V7_ALIGN as usize];
-        w.write_all(&ZEROS[..gap as usize]).map_err(io("write padding"))
-    }
-    let mut written = 0u64;
-    pad(&mut w, offs[0] - written)?;
-    wr_words(&mut w, rows.raw_data(), f32::to_le_bytes)?;
-    written = offs[0] + lens[0];
-    pad(&mut w, offs[1] - written)?;
-    wr_words(&mut w, rows.seg_norms(), f32::to_le_bytes)?;
-    written = offs[1] + lens[1];
-    pad(&mut w, offs[2] - written)?;
-    wr_words(&mut w, must.weights().raw(), f32::to_le_bytes)?;
-    written = offs[2] + lens[2];
-    pad(&mut w, offs[3] - written)?;
-    for id in 0..n as u32 {
-        w.write_all(quant.row_codes(id)).map_err(io("write codes"))?;
-    }
-    written = offs[3] + lens[3];
-    pad(&mut w, offs[4] - written)?;
-    wr_words(&mut w, &qparams, f32::to_le_bytes)?;
-    written = offs[4] + lens[4];
-    pad(&mut w, offs[5] - written)?;
-    w.write_all(&index_bytes).map_err(io("write index"))?;
-    w.flush().map_err(io("flush"))?;
-    Ok(())
-}
-
-/// Byte lengths of the six v7 sections, in file order; only the index
-/// section's is not implied by the header.
-fn v7_section_lens(n: usize, m: usize, stride: usize, index: u64) -> [u64; V7_SECTIONS] {
-    [
-        (n * stride * 4) as u64, // fused rows, f32
-        (n * m * 4) as u64,      // segment norms, f32
-        (m * 4) as u64,          // default weights, f32
-        (n * stride) as u64,     // SQ8 codes, u8
-        (n * m * 12) as u64,     // quantization parameters, 3 f32 each
-        index,
-    ]
-}
-
-fn f32s_from_bytes(b: &[u8]) -> Vec<f32> {
-    b.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect()
-}
-
-/// Reads a v7 payload (everything after magic + version) into a
-/// ready-to-search [`Must`] with the SQ8 engine attached.  The whole body
-/// is read into one buffer, every section is copied out of it into its
-/// engine, and the buffer is dropped before the instance is assembled.
-fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf).map_err(io("read v7 bundle"))?;
-    let mut s: &[u8] = &buf;
-
-    let Header { prune, dims, n, stride } = read_header(&mut s)?;
-    let m = dims.len();
-    let n_sections = rd_u32(&mut s)? as usize;
-    if n_sections != V7_SECTIONS {
-        return Err(MustError::Config(format!(
-            "v7 bundle declares {n_sections} sections (expected {V7_SECTIONS})"
-        )));
-    }
-    // A truncated offset table fails right here with an I/O error.
-    let mut table = [(0u64, 0u64); V7_SECTIONS];
-    for entry in &mut table {
-        *entry = (rd_u64(&mut s)?, rd_u64(&mut s)?);
-    }
-    let body = s;
-
-    // Every section length but the index's is implied by the header; the
-    // table must agree.
-    let expect = v7_section_lens(n, m, stride, table[5].1);
-    let mut prev_end = 0u64;
-    for (i, (&(off, len), &want)) in table.iter().zip(&expect).enumerate() {
-        if len != want {
-            return Err(MustError::Config(format!(
-                "v7 section {i} holds {len} bytes (expected {want})"
-            )));
-        }
-        if off % V7_ALIGN != 0 {
-            return Err(MustError::Config(format!(
-                "v7 section {i} offset {off} is not {V7_ALIGN}-byte aligned"
-            )));
-        }
-        if off < prev_end {
-            return Err(MustError::Config(format!(
-                "v7 section {i} at offset {off} overlaps the previous section"
-            )));
-        }
-        prev_end = off
-            .checked_add(len)
-            .ok_or_else(|| MustError::Config(format!("v7 section {i} offset overflows")))?;
-    }
-    if prev_end > body.len() as u64 {
-        return Err(MustError::Io(format!(
-            "v7 sections need {prev_end} bytes but only {} remain (truncated bundle)",
-            body.len()
-        )));
-    }
-    let sect = |i: usize| {
-        let (off, len) = table[i];
-        &body[off as usize..(off + len) as usize]
-    };
-
-    let data = f32s_from_bytes(sect(0));
-    let norms = f32s_from_bytes(sect(1));
-    let params: Vec<SegParams> = f32s_from_bytes(sect(4))
-        .chunks_exact(3)
-        .map(|c| SegParams { min: c[0], step: c[1], eps: c[2] })
-        .collect();
-    let quant = QuantizedRows::from_parts(dims.clone(), sect(3), &params)
-        .map_err(|e| MustError::Config(format!("v7 quantized engine: {e}")))?;
-    let rows = FusedRows::from_raw_parts_with_norms(dims, data, norms)
-        .map_err(|e| MustError::Config(e.to_string()))?;
-    let objects = MultiVectorSet::from_fused(rows);
-    let weights = Weights::new(f32s_from_bytes(sect(2))).map_err(MustError::Vector)?;
-
-    let mut ir = sect(5);
-    let (index, recipe) = read_index_block(&mut ir)?;
-    if !ir.is_empty() {
-        return Err(MustError::Config(format!(
-            "v7 index section has {} trailing byte(s)",
-            ir.len()
-        )));
-    }
-    drop(buf);
-
-    let mut must = Must::from_parts(
-        objects,
-        weights,
-        index,
-        MustBuildOptions { prune, recipe, ..Default::default() },
-    )?;
-    must.attach_quant(quant)?;
-    Ok(must)
+    let mut w = create(path, BUNDLE_V7_VERSION)?;
+    write_payload(&mut w, must, Some(&quant), &V7)?;
+    w.flush().map_err(io("flush"))
 }
 
 // ---------------------------------------------------------------------------
@@ -637,7 +627,7 @@ fn read_v7_body(r: &mut impl Read) -> Result<Must, MustError> {
 /// first payload byte.  Anything that is not a bundle — too short for the
 /// preamble, or not starting with the magic (a v1 JSON file starts with
 /// `{`) — is refused here, before a single length is read.
-fn open_bundle(path: &Path) -> Result<(BufReader<std::fs::File>, u32), MustError> {
+fn open_bundle(path: &Path) -> Result<(Reader<BufReader<std::fs::File>>, u32), MustError> {
     let file = std::fs::File::open(path)
         .map_err(|e| MustError::Io(format!("open {}: {e}", path.display())))?;
     let mut r = BufReader::new(file);
@@ -647,14 +637,15 @@ fn open_bundle(path: &Path) -> Result<(BufReader<std::fs::File>, u32), MustError
     if head[..8] != BUNDLE_V2_MAGIC {
         return Err(refuse("not a MUST bundle (bad magic)".into()));
     }
-    Ok((r, u32::from_le_bytes([head[8], head[9], head[10], head[11]])))
+    let version = u32::from_le_bytes([head[8], head[9], head[10], head[11]]);
+    Ok((Reader { inner: r, pos: PREAMBLE as u64 }, version))
 }
 
 /// Reads the payload of a single-shard bundle of `version`.
-fn read_single(r: &mut impl Read, version: u32) -> Result<Must, MustError> {
+fn read_single(r: &mut Reader<impl Read>, version: u32) -> Result<Must, MustError> {
     match version {
-        BUNDLE_V5_VERSION => read_stream_body(r, true),
-        BUNDLE_V7_VERSION => read_v7_body(r),
+        BUNDLE_V5_VERSION => read_payload(r, &V5),
+        BUNDLE_V7_VERSION => read_payload(r, &V7),
         BUNDLE_V6_VERSION => Err(MustError::Config(
             "bundle v6 is sharded; load it via persist::load_sharded or ShardedServer::load"
                 .into(),
@@ -725,18 +716,16 @@ pub fn save_sharded(sharded: &ShardedMust, path: &Path) -> Result<(), MustError>
     for i in 0..s {
         reject_tombstones(sharded.shard(i))?;
     }
-    let mut w = create(path)?;
-    w.write_all(&BUNDLE_V2_MAGIC).map_err(io("write magic"))?;
-    wr_u32(&mut w, BUNDLE_V6_VERSION)?;
+    let mut w = create(path, BUNDLE_V6_VERSION)?;
     wr_u32(&mut w, s as u32)?;
     wr_u8(&mut w, V6_CLUSTERED_TAG)?;
     for i in 0..s {
-        wr_u32s(&mut w, sharded.global_ids(i))?;
+        wr_array(&mut w, sharded.global_ids(i), u32::to_le_bytes)?;
     }
     for i in 0..s {
         let summary = sharded.summary(i);
-        wr_f32s(&mut w, summary.centroid())?;
-        wr_f32s(&mut w, summary.radii())?;
+        wr_array(&mut w, summary.centroid(), f32::to_le_bytes)?;
+        wr_array(&mut w, summary.radii(), f32::to_le_bytes)?;
     }
     // Stream the payloads (the corpus-sized part of the bundle) straight
     // to the file — never a second in-memory copy — recording where each
@@ -748,14 +737,13 @@ pub fn save_sharded(sharded: &ShardedMust, path: &Path) -> Result<(), MustError>
     let mut offsets = Vec::with_capacity(s);
     for i in 0..s {
         offsets.push(w.stream_position().map_err(io("tell payload"))?);
-        write_stream_body(sharded.shard(i), &mut w, false)?;
+        write_payload(&mut w, sharded.shard(i), None, &V6_SHARD)?;
     }
     w.seek(SeekFrom::Start(offsets_at)).map_err(io("seek to offsets"))?;
     for offset in offsets {
         wr_u64(&mut w, offset)?;
     }
-    w.flush().map_err(io("flush"))?;
-    Ok(())
+    w.flush().map_err(io("flush"))
 }
 
 /// Loads *any* bundle from `path` into a [`ShardedMust`]: a sharded v6
@@ -773,52 +761,34 @@ pub fn save_sharded(sharded: &ShardedMust, path: &Path) -> Result<(), MustError>
 pub fn load_sharded(path: &Path) -> Result<ShardedMust, MustError> {
     let (mut r, version) = open_bundle(path)?;
     if version == BUNDLE_V6_VERSION {
-        return read_sharded_body(&mut CountingReader { inner: r, pos: PREAMBLE as u64 });
+        return read_sharded_body(&mut r);
     }
     let must = read_single(&mut r, version)?;
     let n = must.objects().len() as u32;
     ShardedMust::from_parts(vec![must], vec![(0..n).collect()])
 }
 
-/// `Read` adapter that tracks the absolute byte position, so the v6 loader
-/// can verify each shard payload starts exactly where the manifest says.
-struct CountingReader<R> {
-    inner: R,
-    pos: u64,
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.pos += n as u64;
-        Ok(n)
-    }
-}
-
 /// Reads a v6 manifest + payloads (everything after magic + version).
-fn read_sharded_body(r: &mut CountingReader<impl Read>) -> Result<ShardedMust, MustError> {
-    let shard_count = u64::from(rd_u32(r)?);
+fn read_sharded_body(r: &mut Reader<impl Read>) -> Result<ShardedMust, MustError> {
+    let shard_count = u64::from(r.u32()?);
     if shard_count == 0 || shard_count > MAX_SHARDS {
         return Err(MustError::Config(format!("corrupt shard count {shard_count}")));
     }
     let s = shard_count as usize;
-    if rd_u8(r)? > V6_CLUSTERED_TAG {
+    if r.u8()? > V6_CLUSTERED_TAG {
         return Err(MustError::Config("unknown shard assignment tag".into()));
     }
     let mut global_ids = Vec::with_capacity(s.min(MAX_PREALLOC));
     for _ in 0..s {
-        global_ids.push(rd_u32s(r, "shard id map")?);
+        global_ids.push(r.array("shard id map", u32::from_le_bytes)?);
     }
     let mut summaries = Vec::with_capacity(s.min(MAX_PREALLOC));
     for _ in 0..s {
-        let centroid = rd_f32s(r, "summary centroid")?;
-        let radii = rd_f32s(r, "summary radii")?;
+        let centroid = r.array("summary centroid", f32::from_le_bytes)?;
+        let radii = r.array("summary radii", f32::from_le_bytes)?;
         summaries.push(ShardSummary::from_parts(centroid, radii)?);
     }
-    let mut offsets = Vec::with_capacity(s.min(MAX_PREALLOC));
-    for _ in 0..s {
-        offsets.push(rd_u64(r)?);
-    }
+    let offsets = r.block(s, "shard payload offsets", u64::from_le_bytes)?;
     let mut shards = Vec::with_capacity(s.min(MAX_PREALLOC));
     for (i, &offset) in offsets.iter().enumerate() {
         if r.pos != offset {
@@ -827,7 +797,7 @@ fn read_sharded_body(r: &mut CountingReader<impl Read>) -> Result<ShardedMust, M
                 r.pos
             )));
         }
-        shards.push(read_stream_body(r, false)?);
+        shards.push(read_payload(r, &V6_SHARD)?);
     }
     ShardedMust::from_parts_with_summaries(shards, global_ids, summaries)
 }
