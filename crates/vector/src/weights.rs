@@ -10,7 +10,9 @@ use crate::VectorError;
 /// learned weights produced by the vector-weight-learning model, or
 /// user-defined weights supplied directly.
 ///
-/// Weights are non-negative.  A query with fewer modalities than objects
+/// Weights are non-negative and not all zero: under all-zero weights every
+/// joint similarity is 0, and no ranking or graph walk has anything to go
+/// by.  A query with fewer modalities than objects
 /// (`t < m`) gets the paper's `omega_i = 0` for the slots it does not
 /// supply (Section VII-B): the query evaluators skip those segments.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,12 +26,15 @@ impl Weights {
     ///
     /// # Errors
     /// Returns [`VectorError::NotNormalisable`] if any weight is negative or
-    /// non-finite.
+    /// non-finite, or if every squared weight is zero.
     pub fn new(omega: Vec<f32>) -> Result<Self, VectorError> {
         if omega.iter().any(|w| !w.is_finite() || *w < 0.0) {
             return Err(VectorError::NotNormalisable);
         }
-        let omega_sq = omega.iter().map(|w| w * w).collect();
+        let omega_sq: Vec<f32> = omega.iter().map(|w| w * w).collect();
+        if omega_sq.iter().all(|w| *w == 0.0) {
+            return Err(VectorError::NotNormalisable);
+        }
         Ok(Self { omega, omega_sq })
     }
 
@@ -90,9 +95,10 @@ impl Weights {
     ///
     /// # Errors
     /// Returns [`VectorError::NotNormalisable`] if any squared weight is
-    /// negative or non-finite.
+    /// negative or non-finite, or if every one is zero.
     pub fn from_squared(omega_sq: Vec<f32>) -> Result<Self, VectorError> {
-        if omega_sq.iter().any(|w| !w.is_finite() || *w < 0.0) {
+        let invalid = |w: &f32| !w.is_finite() || *w < 0.0;
+        if omega_sq.iter().any(invalid) || omega_sq.iter().all(|w| *w == 0.0) {
             return Err(VectorError::NotNormalisable);
         }
         let omega = omega_sq.iter().map(|w| w.sqrt()).collect();
@@ -155,12 +161,10 @@ impl Weights {
     /// configurations comparable across datasets.
     #[must_use]
     pub fn normalized(&self) -> Self {
+        // Positive: `new` and `from_squared` refuse all-zero weights.  The
+        // largest entry divides to 1, so the result is never all zero.
         let total: f32 = self.omega_sq.iter().sum();
-        if total <= f32::EPSILON {
-            return self.clone();
-        }
-        let inv = 1.0 / total;
-        Self::from_squared(self.omega_sq.iter().map(|w| w * inv).collect())
+        Self::from_squared(self.omega_sq.iter().map(|w| w / total).collect())
             .expect("normalisation preserves validity")
     }
 }
@@ -197,6 +201,23 @@ mod tests {
     fn negative_weights_rejected() {
         assert!(Weights::new(vec![0.5, -0.1]).is_err());
         assert!(Weights::from_squared(vec![f32::NAN]).is_err());
+    }
+
+    #[test]
+    fn all_zero_weights_rejected() {
+        // Every joint similarity would be 0: nothing to rank or walk by.
+        // One positive entry is enough, and so is one whose square is
+        // positive; an entry whose square underflows to 0 counts as 0.
+        for zeros in [vec![0.0], vec![0.0, 0.0], vec![0.0, 0.0, 0.0], vec![1e-30, 0.0]] {
+            assert_eq!(Weights::new(zeros.clone()), Err(VectorError::NotNormalisable), "{zeros:?}");
+        }
+        for zeros in [vec![0.0], vec![0.0, 0.0, 0.0]] {
+            assert_eq!(Weights::from_squared(zeros), Err(VectorError::NotNormalisable));
+        }
+        assert!(Weights::new(vec![0.0, 0.3]).is_ok());
+        assert!(Weights::from_squared(vec![0.0, 1e-30]).is_ok());
+        let tiny = Weights::from_squared(vec![1e-40, 3e-40]).unwrap().normalized();
+        assert!((tiny.sq(1) - 0.75).abs() < 1e-3, "{tiny:?}");
     }
 
     #[test]

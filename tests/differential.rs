@@ -84,8 +84,9 @@ fn instance(seed: u64) -> Instance {
         })
         .collect();
     let set = MultiVectorSet::new(sets).unwrap();
-    // Zero weights, but never all of them: under all-zero weights every
-    // pair ties and no graph has anything to navigate by.
+    // Zero weights, but never all of them: `Weights::new` refuses all-zero
+    // weights (every pair would tie, and no graph has anything to navigate
+    // by), so one entry stays positive.
     let positive = rng.random_range(0..m);
     let omega = (0..m)
         .map(|k| {
