@@ -464,8 +464,10 @@ fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, Must
     for (i, &section) in format.sections.iter().enumerate() {
         let span = table.get(i).copied();
         if let Some((off, _)) = span {
-            // The table is the aligned layout: fewer than 32 bytes of padding.
-            r.fill(&mut [0; V7_ALIGN as usize][..(base + off - r.pos) as usize], "v7 padding")?;
+            // The checked table leaves fewer than 32 bytes of padding.
+            let pad = (base + off).checked_sub(r.pos).filter(|&pad| pad < V7_ALIGN);
+            let pad = pad.ok_or_else(|| MustError::Config(format!("v7 section {i} is out of place")))?;
+            r.fill(&mut [0; V7_ALIGN as usize][..pad as usize], "v7 padding")?;
         }
         match (section, span) {
             (Rows, _) => data = r.block(n * stride, "fused row block", f32::from_le_bytes)?,

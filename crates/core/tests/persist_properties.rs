@@ -84,10 +84,10 @@ fn v7_table_at(m: usize) -> usize {
 }
 
 /// Corrupt v7 bundles must surface `MustError` — truncated offset
-/// tables, overlapping / out-of-bounds / misaligned sections, and lying
-/// lengths all come back as `Config` or `Io`, never a panic (the loader
-/// slices every section out of the one read buffer, so a lying table
-/// must be refused before any slice is taken).
+/// tables, overlapping / out-of-bounds / misaligned sections, lying
+/// lengths and bytes after the index block all come back as `Config` or
+/// `Io`, never a panic (the loader checks the whole table before it reads
+/// a section, so a lying table is refused before any section is read).
 #[test]
 fn v7_corrupt_bundles_error_instead_of_panicking() {
     let set = corpus(30, 4, 3, 7);
