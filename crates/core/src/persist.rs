@@ -465,8 +465,9 @@ fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, Must
         let span = table.get(i).copied();
         if let Some((off, _)) = span {
             // The checked table leaves fewer than 32 bytes of padding.
-            let pad = (base + off).checked_sub(r.pos).filter(|&pad| pad < V7_ALIGN);
-            let pad = pad.ok_or_else(|| MustError::Config(format!("v7 section {i} is out of place")))?;
+            let pad = (off.checked_add(base).and_then(|at| at.checked_sub(r.pos)))
+                .filter(|&pad| pad < V7_ALIGN)
+                .ok_or_else(|| MustError::Config(format!("v7 section {i} is out of place")))?;
             r.fill(&mut [0; V7_ALIGN as usize][..pad as usize], "v7 padding")?;
         }
         match (section, span) {
