@@ -162,14 +162,16 @@ fn wr_words<T: Copy>(
     Ok(())
 }
 
-/// Writes a `u64`-length-prefixed 4-byte-word array.
-fn wr_array<T: Copy>(
-    w: &mut impl Write,
-    vs: &[T],
-    enc: impl Fn(T) -> [u8; 4],
-) -> Result<(), MustError> {
+/// Writes a length-prefixed `u32` array.
+fn wr_u32s(w: &mut impl Write, vs: &[u32]) -> Result<(), MustError> {
     wr_u64(w, vs.len() as u64)?;
-    wr_words(w, vs, enc)
+    wr_words(w, vs, u32::to_le_bytes)
+}
+
+/// Writes a length-prefixed `f32` array (the v6 summary blocks).
+fn wr_f32s(w: &mut impl Write, vs: &[f32]) -> Result<(), MustError> {
+    wr_u64(w, vs.len() as u64)?;
+    wr_words(w, vs, f32::to_le_bytes)
 }
 
 /// The little-endian reader every loader reads through.  It counts the
@@ -338,8 +340,8 @@ fn write_index_block(must: &Must, w: &mut impl Write) -> Result<(), MustError> {
         MustIndex::Csr(csr) => {
             wr_u8(w, INDEX_TAG_CSR)?;
             wr_u32(w, csr.seed())?;
-            wr_array(w, csr.offsets(), u32::to_le_bytes)?;
-            wr_array(w, csr.edges(), u32::to_le_bytes)?;
+            wr_u32s(w, csr.offsets())?;
+            wr_u32s(w, csr.edges())?;
         }
         MustIndex::Hnsw(h) => {
             let flat = h.to_flat();
@@ -349,9 +351,9 @@ fn write_index_block(must: &Must, w: &mut impl Write) -> Result<(), MustError> {
             wr_u32(w, flat.m)?;
             wr_u32(w, flat.ef_construction)?;
             wr_u64(w, flat.rng_seed)?;
-            wr_array(w, &flat.levels, u32::to_le_bytes)?;
-            wr_array(w, &flat.offsets, u32::to_le_bytes)?;
-            wr_array(w, &flat.edges, u32::to_le_bytes)?;
+            wr_u32s(w, &flat.levels)?;
+            wr_u32s(w, &flat.offsets)?;
+            wr_u32s(w, &flat.edges)?;
         }
     }
     Ok(())
@@ -420,7 +422,7 @@ fn write_payload(
             wr_u64(w, len)?;
         }
     }
-    let quant = || quant.ok_or_else(|| MustError::Config("no SQ8 engine to write".into()));
+    let quant = || quant.expect("a format with codes is written with its SQ8 engine");
     let mut end = 0;
     for (&section, &(off, len)) in format.sections.iter().zip(&spans) {
         let pad = [0u8; V7_ALIGN as usize];
@@ -431,13 +433,13 @@ fn write_payload(
             Norms => wr_words(w, rows.seg_norms(), f32::to_le_bytes)?,
             Omega => wr_words(w, must.weights().raw(), f32::to_le_bytes)?,
             Codes => {
-                let quant = quant()?;
+                let quant = quant();
                 for id in 0..n as u32 {
                     w.write_all(quant.row_codes(id)).map_err(io("write codes"))?;
                 }
             }
             Params => {
-                let quant = quant()?;
+                let quant = quant();
                 let params: Vec<f32> = (0..n as u32)
                     .flat_map(|id| (0..m).map(move |k| quant.seg_params(id, k)))
                     .flat_map(|p| [p.min, p.step, p.eps])
@@ -478,7 +480,8 @@ fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, Must
             (Params, _) => params = r.block(3 * n * m, "SQ8 parameters", f32::from_le_bytes)?,
             (Index, None) => index = Some(read_index_block(r)?),
             (Index, Some((_, len))) => {
-                // v7 bounds the block by its section, and it must fill it.
+                // v7 bounds the block by its section, and it must fill it;
+                // nothing follows it, so `r.pos` is not read again.
                 let mut section = Reader { inner: (&mut r.inner).take(len), pos: r.pos };
                 index = Some(read_index_block(&mut section)?);
                 let trailing = section.inner.limit();
@@ -499,8 +502,7 @@ fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, Must
     }
     .map_err(|e| MustError::Config(e.to_string()))?;
     let weights = Weights::new(omega).map_err(MustError::Vector)?;
-    let (index, recipe) =
-        index.ok_or_else(|| MustError::Config("bundle payload has no index block".into()))?;
+    let (index, recipe) = index.expect("every format carries an index block");
     let mut must = Must::from_parts(
         MultiVectorSet::from_fused(rows),
         weights,
@@ -723,12 +725,12 @@ pub fn save_sharded(sharded: &ShardedMust, path: &Path) -> Result<(), MustError>
     wr_u32(&mut w, s as u32)?;
     wr_u8(&mut w, V6_CLUSTERED_TAG)?;
     for i in 0..s {
-        wr_array(&mut w, sharded.global_ids(i), u32::to_le_bytes)?;
+        wr_u32s(&mut w, sharded.global_ids(i))?;
     }
     for i in 0..s {
         let summary = sharded.summary(i);
-        wr_array(&mut w, summary.centroid(), f32::to_le_bytes)?;
-        wr_array(&mut w, summary.radii(), f32::to_le_bytes)?;
+        wr_f32s(&mut w, summary.centroid())?;
+        wr_f32s(&mut w, summary.radii())?;
     }
     // Stream the payloads (the corpus-sized part of the bundle) straight
     // to the file — never a second in-memory copy — recording where each
