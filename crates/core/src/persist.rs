@@ -408,9 +408,9 @@ fn write_payload(
     write_index_block(must, &mut index)?;
     let spans = spans(&header, format, index.len() as u64);
 
-    wr_u8(w, must.prune() as u8)?;
+    wr_u8(w, header.prune as u8)?;
     wr_u32(w, m as u32)?;
-    for &d in rows.dims() {
+    for &d in &header.dims {
         wr_u32(w, d as u32)?;
     }
     wr_u32(w, FUSED_LANE as u32)?;
@@ -422,7 +422,7 @@ fn write_payload(
             wr_u64(w, len)?;
         }
     }
-    let quant = || quant.expect("a format with codes is written with its SQ8 engine");
+    let engine = || quant.expect("a format with codes is written with its SQ8 engine");
     let mut end = 0;
     for (&section, &(off, len)) in format.sections.iter().zip(&spans) {
         let pad = [0u8; V7_ALIGN as usize];
@@ -433,13 +433,13 @@ fn write_payload(
             Norms => wr_words(w, rows.seg_norms(), f32::to_le_bytes)?,
             Omega => wr_words(w, must.weights().raw(), f32::to_le_bytes)?,
             Codes => {
-                let quant = quant();
+                let quant = engine();
                 for id in 0..n as u32 {
                     w.write_all(quant.row_codes(id)).map_err(io("write codes"))?;
                 }
             }
             Params => {
-                let quant = quant();
+                let quant = engine();
                 let params: Vec<f32> = (0..n as u32)
                     .flat_map(|id| (0..m).map(move |k| quant.seg_params(id, k)))
                     .flat_map(|p| [p.min, p.step, p.eps])
