@@ -174,28 +174,35 @@ fn joint_oracle_nsg_and_vamana_builds_match_the_golden_graphs() {
     // The search-based candidate recipes on a JointOracle: every vertex's
     // candidates come from a greedy walk over the current lists, so a walk
     // that visits, scores or files one candidate differently moves these.
+    // KGraph, NSSG and HCNNG ride along, so every flat recipe but Fused
+    // (pinned above) has its CSR bytes pinned here.
     let set = corpus(800, 24, 16, 0x5E4C);
     let weights = Weights::new(vec![0.75, 0.5]).unwrap();
+    let recipes =
+        [GraphRecipe::Nsg, GraphRecipe::Vamana, GraphRecipe::KGraph, GraphRecipe::Nssg, GraphRecipe::Hcnng];
     for threads in [1usize, 2] {
         let mut got = Vec::new();
-        for recipe in [GraphRecipe::Nsg, GraphRecipe::Vamana] {
+        for recipe in recipes {
             let must = Must::build(
                 set.clone(),
                 weights.clone(),
                 MustBuildOptions { gamma: 12, recipe, threads, ..Default::default() },
             )
             .unwrap();
-            let csr = must.index().graph().expect("a pipeline recipe serves a CSR graph");
+            let csr = must.index().graph().expect("a flat recipe serves a CSR graph");
             got.push(fnv1a_words(
                 csr.offsets().iter().chain(csr.edges()).chain([&csr.seed()]).map(|&x| u64::from(x)),
             ));
         }
-        assert_eq!(
-            got,
-            [0x0290_4160_6ED7_00EF, 0xCE4C_409A_2A1A_C876],
-            "T={threads}: NSG {:#018X}, Vamana {:#018X}",
-            got[0],
-            got[1]
-        );
+        let want = [
+            0x0290_4160_6ED7_00EF,
+            0xCE4C_409A_2A1A_C876,
+            0x80B1_125A_B9EA_53A1,
+            0x5B77_06F0_303D_FFE6,
+            0xD7D9_5DA5_C406_FD11,
+        ];
+        for ((recipe, got), want) in recipes.iter().zip(&got).zip(want) {
+            assert_eq!(*got, want, "T={threads}: {} {got:#018X}", recipe.label());
+        }
     }
 }
