@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use must_core::baselines::{mr_brute_force, BaselineOptions, MultiStreamedRetrieval};
+use must_core::baselines::{mr_brute_force, MultiStreamedRetrieval};
 use must_core::metrics::recall_at;
 use must_core::runtime::EngineWorker;
 use must_core::search::exact_ground_truth;
@@ -128,10 +128,10 @@ pub fn must_brute_point(setup: &EffSetup) -> SweepPoint {
     })
 }
 
-/// Builds MR over the same corpus (per-modality indexes).
+/// Builds MR over the same corpus (per-modality indexes) at MUST's `gamma`.
 #[must_use]
-pub fn build_mr<'a>(setup: &'a EffSetup, opts: BaselineOptions) -> MultiStreamedRetrieval<'a> {
-    MultiStreamedRetrieval::build(setup.must.objects(), opts).expect("MR build")
+pub fn build_mr(setup: &EffSetup) -> MultiStreamedRetrieval<'_> {
+    MultiStreamedRetrieval::build(setup.must.objects(), setup.must.report().gamma)
 }
 
 /// Sweeps MR's per-modality candidate size (Fig. 6 "MR" curve).

@@ -2,7 +2,7 @@
 //! [`crate::accuracy`]): Tabs. III–VI, VIII–X, XIII–XXI, Figs. 5 and 11,
 //! §VIII-F.
 
-use must_core::baselines::{mr_brute_force, BaselineOptions, MultiStreamedRetrieval};
+use must_core::baselines::mr_brute_force;
 use must_core::search::{brute_force_search, modality_top_k};
 use must_core::weights::WeightLearnConfig;
 use must_core::{Must, MustBuildOptions};
@@ -482,8 +482,6 @@ pub fn fig11_neighbors(scale: f64) -> Vec<Artefact> {
     let objects = prepared.embedded.objects.clone();
 
     let must = Must::build(objects, learned.weights.clone(), MustBuildOptions::default()).unwrap();
-    let mr = MultiStreamedRetrieval::build(must.objects(), BaselineOptions::default()).unwrap();
-    let _ = &mr;
 
     let vertex = 100u32;
     let objects = must.objects();

@@ -3,7 +3,6 @@
 
 use std::time::Instant;
 
-use must_core::baselines::{BaselineOptions, MultiStreamedRetrieval};
 use must_core::oracle::JointOracle;
 use must_core::{Must, MustBuildOptions};
 use must_data::embed::embed_dataset;
@@ -33,7 +32,7 @@ fn qps_recall_figure(tag: &str, ds: &LatentDataset) -> Artefact {
     fig.push_series("MUST", to_series(&must_sweep(&setup, MUST_LS)));
     let bf = must_brute_point(&setup);
     fig.push_series("MUST--", vec![(bf.recall, bf.qps)]);
-    let mr = build_mr(&setup, BaselineOptions::default());
+    let mr = build_mr(&setup);
     fig.push_series("MR", to_series(&mr_sweep(&setup, &mr, MR_LS)));
     let mr_bf = mr_brute_point(&setup, 1000);
     fig.push_series("MR--", vec![(mr_bf.recall, mr_bf.qps)]);
@@ -110,8 +109,7 @@ pub fn tab7_fig7_scalability(scale: f64) -> Vec<Artefact> {
         must_build.push((n as f64, report.build_secs));
         must_size.push((n as f64, report.index_bytes as f64 / (1024.0 * 1024.0)));
         let t0 = Instant::now();
-        let mr = MultiStreamedRetrieval::build(setup.must.objects(), BaselineOptions::default())
-            .expect("MR build");
+        let mr = build_mr(&setup);
         mr_build.push((n as f64, t0.elapsed().as_secs_f64()));
         mr_size.push((n as f64, mr.index_bytes() as f64 / (1024.0 * 1024.0)));
     }
@@ -141,7 +139,7 @@ pub fn fig8_topk(scale: f64) -> Vec<Artefact> {
         );
         let ls: Vec<usize> = MUST_LS.iter().map(|&l| l.max(k)).collect();
         fig.push_series("MUST", to_series(&must_sweep(&setup, &ls)));
-        let mr = build_mr(&setup, BaselineOptions::default());
+        let mr = build_mr(&setup);
         // MR needs candidates >= k per channel; sweep upwards from there.
         let mr_ls: Vec<usize> = [1usize, 3, 10, 30, 100]
             .iter()

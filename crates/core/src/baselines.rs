@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use must_graph::csr::CsrGraph;
 use must_graph::search::{beam_search_csr, SearchScratch};
-use must_graph::{GraphRecipe, SimilarityOracle};
+use must_graph::{PipelineBuilder, SimilarityOracle};
 use must_vector::{ModalityView, MultiQuery, MultiVectorSet, ObjectId};
 
 use crate::oracle::SingleModalityScorer;
@@ -48,36 +48,17 @@ impl SimilarityOracle for SingleModalityOracle<'_> {
     }
 }
 
-/// Construction options shared by the baselines (kept equal to MUST's for
-/// the paper's "same index and search strategy in all competitors" rule).
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineOptions {
-    /// Neighbour bound per graph.
-    pub gamma: usize,
-    /// Graph recipe (defaults to the fused pipeline, as in the paper).
-    pub recipe: GraphRecipe,
-    /// Build RNG seed.
-    pub rng_seed: u64,
-}
+/// Build RNG seed of every baseline graph.
+const BASELINE_RNG_SEED: u64 = 0xBA5E;
 
-impl Default for BaselineOptions {
-    fn default() -> Self {
-        Self { gamma: 30, recipe: GraphRecipe::Fused, rng_seed: 0xBA5E }
-    }
-}
-
-/// Builds one modality's graph and freezes it into the CSR layout MUST
-/// searches.
-fn build_single_modality_graph(
-    set: ModalityView<'_>,
-    opts: &BaselineOptions,
-) -> Result<CsrGraph, MustError> {
+/// Builds one modality's graph with MUST's fused pipeline (the paper's
+/// "same index and search strategy in all competitors" rule) at neighbour
+/// bound `gamma`.
+fn build_single_modality_graph(set: ModalityView<'_>, gamma: usize) -> CsrGraph {
     let oracle = SingleModalityOracle::new(set);
-    let builder = opts
-        .recipe
-        .pipeline(opts.gamma, opts.rng_seed)
-        .ok_or_else(|| MustError::Config("baselines require a pipeline recipe".into()))?;
-    Ok(CsrGraph::from_graph(&builder.build(&oracle).0))
+    PipelineBuilder { gamma, rng_seed: BASELINE_RNG_SEED, ..PipelineBuilder::default() }
+        .build(&oracle)
+        .0
 }
 
 // ---------------------------------------------------------------------------
@@ -104,17 +85,15 @@ pub struct MrOutcome {
 }
 
 impl<'a> MultiStreamedRetrieval<'a> {
-    /// Builds one index per modality.
+    /// Builds one index per modality, each with neighbour bound `gamma`.
     ///
-    /// # Errors
-    /// Propagates configuration errors.
-    pub fn build(set: &'a MultiVectorSet, opts: BaselineOptions) -> Result<Self, MustError> {
+    /// # Panics
+    /// When `gamma` is 0 or `set` is empty.
+    #[must_use]
+    pub fn build(set: &'a MultiVectorSet, gamma: usize) -> Self {
         let t0 = Instant::now();
-        let graphs = set
-            .modalities()
-            .map(|m| build_single_modality_graph(m, &opts))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { set, graphs, build_secs: t0.elapsed().as_secs_f64() })
+        let graphs = set.modalities().map(|m| build_single_modality_graph(m, gamma)).collect();
+        Self { set, graphs, build_secs: t0.elapsed().as_secs_f64() }
     }
 
     /// Total index bytes across all per-modality graphs (Fig. 7), counted
@@ -218,15 +197,16 @@ pub struct JointEmbedding<'a> {
 }
 
 impl<'a> JointEmbedding<'a> {
-    /// Builds the target-modality index.
+    /// Builds the target-modality index with neighbour bound `gamma`.
     ///
-    /// # Errors
-    /// Propagates configuration errors.
-    pub fn build(objects: &'a MultiVectorSet, opts: BaselineOptions) -> Result<Self, MustError> {
+    /// # Panics
+    /// When `gamma` is 0 or `objects` is empty.
+    #[must_use]
+    pub fn build(objects: &'a MultiVectorSet, gamma: usize) -> Self {
         let t0 = Instant::now();
         let set = objects.modality(0);
-        let graph = build_single_modality_graph(set, &opts)?;
-        Ok(Self { set, graph, build_secs: t0.elapsed().as_secs_f64() })
+        let graph = build_single_modality_graph(set, gamma);
+        Self { set, graph, build_secs: t0.elapsed().as_secs_f64() }
     }
 
     /// Searches with the query's composition vector (slot 0); `l < k`
@@ -333,8 +313,7 @@ mod tests {
     #[test]
     fn mr_finds_objects_matching_both_modalities() {
         let set = corpus(300);
-        let mr = MultiStreamedRetrieval::build(&set, BaselineOptions { gamma: 10, ..Default::default() })
-            .unwrap();
+        let mr = MultiStreamedRetrieval::build(&set, 10);
         assert!(mr.index_bytes() > 0);
         let mut visited = SearchScratch::default();
         // Query = object 37's own vectors: it is in both top candidate
@@ -351,8 +330,7 @@ mod tests {
     #[test]
     fn mr_brute_force_agrees_with_graph_version_at_high_l() {
         let set = corpus(200);
-        let mr = MultiStreamedRetrieval::build(&set, BaselineOptions { gamma: 12, ..Default::default() })
-            .unwrap();
+        let mr = MultiStreamedRetrieval::build(&set, 12);
         let q = MultiQuery::full(vec![
             set.modality(0).get(11).to_vec(),
             set.modality(1).get(11).to_vec(),
@@ -366,8 +344,7 @@ mod tests {
     #[test]
     fn je_searches_target_modality_only() {
         let set = corpus(250);
-        let je =
-            JointEmbedding::build(&set, BaselineOptions { gamma: 10, ..Default::default() }).unwrap();
+        let je = JointEmbedding::build(&set, 10);
         let mut visited = SearchScratch::default();
         let q = MultiQuery::full(vec![set.modality(0).get(9).to_vec(), set.modality(1).get(200).to_vec()]);
         let res = je.search(&q, 1, 40, &mut visited).unwrap();
@@ -378,7 +355,7 @@ mod tests {
     #[test]
     fn je_rejects_missing_or_misshapen_slot0() {
         let set = corpus(50);
-        let je = JointEmbedding::build(&set, BaselineOptions { gamma: 8, ..Default::default() }).unwrap();
+        let je = JointEmbedding::build(&set, 8);
         let mut visited = SearchScratch::default();
         let no_slot = MultiQuery::partial(vec![None, Some(set.modality(1).get(0).to_vec())]);
         assert!(je.search(&no_slot, 1, 10, &mut visited).is_err());

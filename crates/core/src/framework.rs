@@ -15,13 +15,8 @@ use crate::MustError;
 pub struct MustBuildOptions {
     /// Neighbour bound `gamma` (Appendix H; default 30).
     pub gamma: usize,
-    /// NNDescent iterations `epsilon` (Tab. XI; default 3).
-    pub init_iterations: usize,
     /// Graph backend (Fig. 10; default the paper's fused pipeline).
     pub recipe: GraphRecipe,
-    /// Whether searches use the Lemma-4 multi-vector computation
-    /// optimisation (Fig. 10(c); default on).
-    pub prune: bool,
     /// Build RNG seed.
     pub rng_seed: u64,
     /// Worker threads for index construction; `0` (the default) resolves
@@ -37,9 +32,7 @@ impl Default for MustBuildOptions {
     fn default() -> Self {
         Self {
             gamma: 30,
-            init_iterations: 3,
             recipe: GraphRecipe::Fused,
-            prune: true,
             rng_seed: 0x4D05,
             threads: 0,
         }
@@ -90,7 +83,7 @@ impl Must {
             weights,
             index,
             report,
-            prune: opts.prune,
+            prune: true,
             deleted,
             quant: None,
             insert_scratch: SearchScratch::default(),
@@ -215,7 +208,7 @@ impl Must {
             weights,
             index,
             report,
-            prune: opts.prune,
+            prune: true,
             deleted,
             quant: None,
             insert_scratch: SearchScratch::default(),
@@ -300,7 +293,8 @@ impl Must {
         &self.index
     }
 
-    /// Whether searches prune multi-vector computations.
+    /// Whether searches use the Lemma-4 multi-vector computation
+    /// optimisation (on after [`Must::build`] and [`Must::from_parts`]).
     #[must_use]
     pub fn prune(&self) -> bool {
         self.prune

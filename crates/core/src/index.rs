@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use must_graph::csr::CsrGraph;
-use must_graph::hcnng::{build_hcnng, HcnngParams};
+use must_graph::hcnng::build_hcnng;
 use must_graph::hnsw::{Hnsw, HnswParams};
 use must_graph::pipeline::PipelineStats;
 use must_graph::search::{beam_search_csr, SearchScratch};
@@ -114,7 +114,7 @@ pub struct BuildReport {
 }
 
 /// Builds the fused index over `oracle` (Algorithm 1 / the chosen backend)
-/// from the graph fields of `opts` (`prune` is a search option).
+/// from the graph fields of `opts`.
 ///
 /// # Errors
 /// Returns [`MustError::Config`] for degenerate options.
@@ -146,21 +146,14 @@ pub fn build_index(
             );
             (MustIndex::Hnsw(h), None)
         }
-        GraphRecipe::Hcnng => {
-            let g = build_hcnng(
-                oracle,
-                HcnngParams { rng_seed: opts.rng_seed, threads, ..HcnngParams::default() },
-            );
-            (MustIndex::Csr(CsrGraph::from_graph(&g)), None)
-        }
+        GraphRecipe::Hcnng => (MustIndex::Csr(build_hcnng(oracle, opts.rng_seed, threads)), None),
         recipe => {
             let mut builder = recipe
                 .pipeline(opts.gamma, opts.rng_seed)
                 .expect("pipeline recipe");
-            builder.init_iterations = opts.init_iterations;
             builder.threads = threads;
             let (g, stats) = builder.build(oracle);
-            (MustIndex::Csr(CsrGraph::from_graph(&g)), Some(stats))
+            (MustIndex::Csr(g), Some(stats))
         }
     };
     let report = BuildReport {

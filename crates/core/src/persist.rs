@@ -507,8 +507,9 @@ fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, Must
         MultiVectorSet::from_fused(rows),
         weights,
         index,
-        MustBuildOptions { prune, recipe, ..Default::default() },
+        MustBuildOptions { recipe, ..Default::default() },
     )?;
+    must.set_prune(prune);
     if let Some(codes) = codes {
         let params: Vec<SegParams> =
             params.chunks_exact(3).map(|c| SegParams { min: c[0], step: c[1], eps: c[2] }).collect();

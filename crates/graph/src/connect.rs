@@ -7,7 +7,8 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Graph, SimilarityOracle};
+use crate::csr::CsrGraph;
+use crate::SimilarityOracle;
 
 /// Statistics of a connectivity pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -18,9 +19,9 @@ pub struct ConnectivityStats {
     pub bridges_added: usize,
 }
 
-/// BFS over `graph` from `start`, marking `visited`; returns how many new
-/// vertices were reached.
-fn bfs(graph: &Graph, start: u32, visited: &mut [bool]) -> usize {
+/// BFS over the out-neighbours `neighbors(v)` from `start`, marking
+/// `visited`; returns how many new vertices were reached.
+fn bfs<'g>(neighbors: impl Fn(u32) -> &'g [u32], start: u32, visited: &mut [bool]) -> usize {
     let mut reached = 0;
     let mut queue = VecDeque::new();
     if !visited[start as usize] {
@@ -29,7 +30,7 @@ fn bfs(graph: &Graph, start: u32, visited: &mut [bool]) -> usize {
         queue.push_back(start);
     }
     while let Some(v) = queue.pop_front() {
-        for &u in graph.neighbors(v) {
+        for &u in neighbors(v) {
             if !visited[u as usize] {
                 visited[u as usize] = true;
                 reached += 1;
@@ -40,19 +41,21 @@ fn bfs(graph: &Graph, start: u32, visited: &mut [bool]) -> usize {
     reached
 }
 
-/// Ensures every vertex is reachable from the seed: repeatedly finds an
-/// unreached vertex, connects it from the most similar vertex among a
-/// random sample of reached ones (plus the seed), and resumes the BFS.
-pub fn ensure_connectivity<O: SimilarityOracle>(
-    graph: &mut Graph,
+/// Ensures every vertex of the adjacency lists is reachable from `seed`:
+/// repeatedly finds an unreached vertex, appends it to the list of the
+/// most similar vertex among a random sample of reached ones (plus the
+/// seed), and resumes the BFS.
+pub(crate) fn ensure_connectivity<O: SimilarityOracle>(
+    lists: &mut [Vec<u32>],
+    seed: u32,
     oracle: &O,
     sample: usize,
     rng_seed: u64,
 ) -> ConnectivityStats {
-    let n = graph.len();
+    let n = lists.len();
     let mut visited = vec![false; n];
     let mut stats = ConnectivityStats::default();
-    let mut total = bfs(graph, graph.seed(), &mut visited);
+    let mut total = bfs(|v| &lists[v as usize], seed, &mut visited);
     stats.reachable_before = total;
     if total == n {
         return stats;
@@ -70,7 +73,7 @@ pub fn ensure_connectivity<O: SimilarityOracle>(
         // Best bridge head: most similar among sampled reached vertices.
         // A sample budget covering the whole pool degrades to an exact
         // scan — sampling with replacement would otherwise miss vertices.
-        let mut best = graph.seed();
+        let mut best = seed;
         let mut best_sim = oracle.sim(best, orphan);
         let consider = |cand: u32, best: &mut u32, best_sim: &mut f32| {
             let s = oracle.sim(cand, orphan);
@@ -89,9 +92,9 @@ pub fn ensure_connectivity<O: SimilarityOracle>(
                 consider(cand, &mut best, &mut best_sim);
             }
         }
-        graph.neighbors_mut(best).push(orphan);
+        lists[best as usize].push(orphan);
         stats.bridges_added += 1;
-        total += bfs(graph, orphan, &mut visited);
+        total += bfs(|v| &lists[v as usize], orphan, &mut visited);
         // Keeping the sample pool slightly stale is fine: it only biases
         // which reached vertex hosts the next bridge.
         reached_pool.push(orphan);
@@ -102,9 +105,9 @@ pub fn ensure_connectivity<O: SimilarityOracle>(
 /// Number of vertices reachable from the seed (diagnostic used by tests and
 /// the index audit).
 #[must_use]
-pub fn reachable_from_seed(graph: &Graph) -> usize {
+pub fn reachable_from_seed(graph: &CsrGraph) -> usize {
     let mut visited = vec![false; graph.len()];
-    bfs(graph, graph.seed(), &mut visited)
+    bfs(|v| graph.neighbors(v), graph.seed(), &mut visited)
 }
 
 #[cfg(test)]
@@ -112,52 +115,56 @@ mod tests {
     use super::*;
     use crate::testutil::LineOracle;
 
-    fn disconnected_graph() -> Graph {
-        // Two components: {0,1,2} chained and {3,4} chained; seed = 0.
-        Graph::new(vec![vec![1], vec![0, 2], vec![1], vec![4], vec![3]], 0)
+    /// Two components: {0,1,2} chained and {3,4} chained; seed = 0.
+    fn disconnected_lists() -> Vec<Vec<u32>> {
+        vec![vec![1], vec![0, 2], vec![1], vec![4], vec![3]]
+    }
+
+    fn reachable(lists: &[Vec<u32>], seed: u32) -> usize {
+        reachable_from_seed(&CsrGraph::from_lists(lists, seed))
     }
 
     #[test]
     fn detects_full_connectivity() {
-        let mut g = Graph::new(vec![vec![1], vec![0]], 0);
+        let mut g = vec![vec![1], vec![0]];
         let oracle = LineOracle(2);
-        let stats = ensure_connectivity(&mut g, &oracle, 4, 1);
+        let stats = ensure_connectivity(&mut g, 0, &oracle, 4, 1);
         assert_eq!(stats.reachable_before, 2);
         assert_eq!(stats.bridges_added, 0);
     }
 
     #[test]
     fn bridges_disconnected_components() {
-        let mut g = disconnected_graph();
+        let mut g = disconnected_lists();
         let oracle = LineOracle(5);
-        assert_eq!(reachable_from_seed(&g), 3);
-        let stats = ensure_connectivity(&mut g, &oracle, 4, 1);
+        assert_eq!(reachable(&g, 0), 3);
+        let stats = ensure_connectivity(&mut g, 0, &oracle, 4, 1);
         assert_eq!(stats.reachable_before, 3);
         assert!(stats.bridges_added >= 1);
-        assert_eq!(reachable_from_seed(&g), 5);
+        assert_eq!(reachable(&g, 0), 5);
     }
 
     #[test]
     fn bridge_head_prefers_similar_vertices() {
         // Orphan 3 is most similar to reached vertex 2 on the line; with a
         // generous sample the bridge should come from vertex 2.
-        let mut g = disconnected_graph();
+        let mut g = disconnected_lists();
         let oracle = LineOracle(5);
-        ensure_connectivity(&mut g, &oracle, 64, 9);
-        let from2 = g.neighbors(2).contains(&3);
-        let from1 = g.neighbors(1).contains(&3);
-        let from0 = g.neighbors(0).contains(&3);
+        ensure_connectivity(&mut g, 0, &oracle, 64, 9);
+        let from2 = g[2].contains(&3);
+        let from1 = g[1].contains(&3);
+        let from0 = g[0].contains(&3);
         assert!(from2 || from1 || from0);
         assert!(from2, "nearest reached vertex should host the bridge");
     }
 
     #[test]
     fn handles_fully_isolated_vertices() {
-        let mut g = Graph::new(vec![vec![], vec![], vec![]], 1);
+        let mut g = vec![vec![], vec![], vec![]];
         let oracle = LineOracle(3);
-        let stats = ensure_connectivity(&mut g, &oracle, 2, 3);
+        let stats = ensure_connectivity(&mut g, 1, &oracle, 2, 3);
         assert_eq!(stats.reachable_before, 1);
-        assert_eq!(reachable_from_seed(&g), 3);
+        assert_eq!(reachable(&g, 1), 3);
         assert_eq!(stats.bridges_added, 2);
     }
 }

@@ -1,11 +1,11 @@
 //! Compressed sparse-row form of a built graph: two flat arrays instead of
 //! `n` heap-allocated neighbour lists.  Roughly halves index memory and
 //! removes per-vertex pointer chasing on the search hot path — the one
-//! form a flat graph is searched in, served or under construction.
+//! form a flat graph is returned, searched and persisted in, served or
+//! under construction.
 
-use crate::Graph;
-
-/// A frozen graph in CSR layout plus the search seed.
+/// A frozen graph in CSR layout plus the fixed search seed (component ④)
+/// — the output of Algorithm 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` indexes `edges` for vertex `v`.
@@ -16,18 +16,23 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Freezes an adjacency-list graph.
+    /// Freezes construction's adjacency lists (`lists[v]` = out-neighbours
+    /// of `v`, in order) and the seed vertex.
+    ///
+    /// # Panics
+    /// When `lists` is empty or `seed` is not one of its vertices.
     #[must_use]
-    pub fn from_graph(graph: &Graph) -> Self {
-        let n = graph.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(graph.num_edges());
+    pub fn from_lists(lists: &[Vec<u32>], seed: u32) -> Self {
+        assert!(!lists.is_empty(), "graph must not be empty");
+        assert!((seed as usize) < lists.len(), "seed out of range");
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut edges = Vec::with_capacity(lists.iter().map(Vec::len).sum());
         offsets.push(0);
-        for v in 0..n as u32 {
-            edges.extend_from_slice(graph.neighbors(v));
+        for list in lists {
+            edges.extend_from_slice(list);
             offsets.push(edges.len() as u32);
         }
-        Self { offsets, edges, seed: graph.seed() }
+        Self { offsets, edges, seed }
     }
 
     /// Reassembles a CSR graph from its raw arrays (the binary-bundle load
@@ -105,6 +110,12 @@ impl CsrGraph {
         self.edges.len()
     }
 
+    /// Maximum out-degree.
+    #[must_use]
+    pub fn max_degree(&self) -> usize {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
+    }
+
     /// Memory footprint in bytes: `4·(n+1) + 4·edges`.
     #[must_use]
     pub fn bytes(&self) -> usize {
@@ -118,36 +129,43 @@ mod tests {
     use crate::pipeline::PipelineBuilder;
     use crate::testutil::GridOracle;
 
-    fn built() -> Graph {
+    fn built() -> CsrGraph {
         let oracle = GridOracle::new(10);
         PipelineBuilder { gamma: 6, threads: 1, ..Default::default() }.build(&oracle).0
     }
 
+    /// Adjacency lists with every degree from 0 to 3.
+    fn lists() -> Vec<Vec<u32>> {
+        vec![vec![1, 2, 3], vec![], vec![0], vec![2, 0]]
+    }
+
     #[test]
     fn round_trip_preserves_structure() {
-        let g = built();
-        let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.len(), g.len());
-        assert_eq!(csr.num_edges(), g.num_edges());
-        assert_eq!(csr.seed(), g.seed());
-        for v in 0..g.len() as u32 {
-            assert_eq!(csr.neighbors(v), g.neighbors(v));
+        let lists = lists();
+        let csr = CsrGraph::from_lists(&lists, 3);
+        assert_eq!(csr.len(), lists.len());
+        assert_eq!(csr.num_edges(), 6);
+        assert_eq!(csr.seed(), 3);
+        for (v, list) in lists.iter().enumerate() {
+            assert_eq!(csr.neighbors(v as u32), &list[..]);
         }
+        assert_eq!(csr.offsets(), &[0, 3, 3, 4, 6]);
+        assert_eq!(csr.edges(), &[1, 2, 3, 0, 2, 0]);
     }
 
     #[test]
     fn csr_is_smaller_than_adjacency() {
-        let g = built();
-        let csr = CsrGraph::from_graph(&g);
-        let adjacency = g.num_edges() * std::mem::size_of::<u32>()
-            + g.len() * std::mem::size_of::<Vec<u32>>();
+        let csr = built();
+        let lists: Vec<Vec<u32>> = (0..csr.len() as u32).map(|v| csr.neighbors(v).to_vec()).collect();
+        let adjacency = csr.num_edges() * std::mem::size_of::<u32>()
+            + lists.len() * std::mem::size_of::<Vec<u32>>();
         assert!(csr.bytes() <= adjacency);
+        assert_eq!(CsrGraph::from_lists(&lists, csr.seed()), csr);
     }
 
     #[test]
     fn from_parts_round_trips_and_rejects_corruption() {
-        let g = built();
-        let csr = CsrGraph::from_graph(&g);
+        let csr = built();
         let back = CsrGraph::from_parts(
             csr.offsets().to_vec(),
             csr.edges().to_vec(),

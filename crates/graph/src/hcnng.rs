@@ -6,30 +6,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::connect::ensure_connectivity;
-use crate::par::{build_threads, par_map};
+use crate::csr::CsrGraph;
+use crate::par::par_map;
 use crate::seed::choose_seed;
-use crate::{Graph, SimilarityOracle};
+use crate::SimilarityOracle;
 
-/// HCNNG construction parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct HcnngParams {
-    /// Number of random clusterings whose MST edges are unioned.
-    pub rounds: usize,
-    /// Maximum leaf size of the divisive partition.
-    pub leaf_size: usize,
-    /// Per-vertex degree cap inside one MST (the original uses 3).
-    pub mst_degree: usize,
-    /// RNG seed.
-    pub rng_seed: u64,
-    /// Worker threads.
-    pub threads: usize,
-}
-
-impl Default for HcnngParams {
-    fn default() -> Self {
-        Self { rounds: 8, leaf_size: 128, mst_degree: 3, rng_seed: 0x4C66, threads: build_threads() }
-    }
-}
+/// Number of random clusterings whose MST edges are unioned.
+const ROUNDS: usize = 8;
+/// Maximum leaf size of the divisive partition.
+const LEAF_SIZE: usize = 128;
+/// Per-vertex degree cap inside one MST (the original uses 3).
+const MST_DEGREE: usize = 3;
 
 /// Recursively partitions `items` with two random pivots until leaves are
 /// at most `leaf_size`, collecting the leaves.
@@ -141,19 +128,19 @@ fn leaf_mst<O: SimilarityOracle>(
     edges
 }
 
-/// Builds the HCNNG graph: union of per-round MST edges + medoid seed +
-/// connectivity patching.
-pub fn build_hcnng<O: SimilarityOracle>(oracle: &O, params: HcnngParams) -> Graph {
+/// Builds the HCNNG graph on `threads` workers: union of per-round MST
+/// edges + medoid seed + connectivity patching.
+pub fn build_hcnng<O: SimilarityOracle>(oracle: &O, rng_seed: u64, threads: usize) -> CsrGraph {
     let n = oracle.len();
     assert!(n > 0, "cannot index an empty object set");
     // Rounds are independent: run them in parallel.
-    let round_edges: Vec<Vec<(u32, u32)>> = par_map(params.rounds, params.threads, |r| {
-        let mut rng = StdRng::seed_from_u64(params.rng_seed ^ (r as u64).wrapping_mul(0x9E37));
+    let round_edges: Vec<Vec<(u32, u32)>> = par_map(ROUNDS, threads, |r| {
+        let mut rng = StdRng::seed_from_u64(rng_seed ^ (r as u64).wrapping_mul(0x9E37));
         let mut leaves = Vec::new();
-        partition(oracle, (0..n as u32).collect(), params.leaf_size.max(2), &mut rng, &mut leaves);
+        partition(oracle, (0..n as u32).collect(), LEAF_SIZE, &mut rng, &mut leaves);
         let mut edges = Vec::with_capacity(n);
         for leaf in &leaves {
-            edges.extend(leaf_mst(oracle, leaf, params.mst_degree));
+            edges.extend(leaf_mst(oracle, leaf, MST_DEGREE));
         }
         edges
     });
@@ -168,17 +155,15 @@ pub fn build_hcnng<O: SimilarityOracle>(oracle: &O, params: HcnngParams) -> Grap
             }
         }
     }
-    let seed = choose_seed(oracle, params.threads);
-    let mut graph = Graph::new(neighbors, seed);
-    ensure_connectivity(&mut graph, oracle, 64, params.rng_seed ^ 0xCC);
-    graph
+    let seed = choose_seed(oracle, threads);
+    ensure_connectivity(&mut neighbors, seed, oracle, 64, rng_seed ^ 0xCC);
+    CsrGraph::from_lists(&neighbors, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::connect::reachable_from_seed;
-    use crate::csr::CsrGraph;
     use crate::search::{beam_search_csr, SearchParams, SearchScratch};
     use crate::testutil::GridOracle;
     use crate::FnScorer;
@@ -222,14 +207,10 @@ mod tests {
     #[test]
     fn hcnng_is_connected_and_navigable() {
         let oracle = GridOracle::new(12);
-        let graph = build_hcnng(
-            &oracle,
-            HcnngParams { rounds: 6, leaf_size: 32, mst_degree: 3, rng_seed: 5, threads: 2 },
-        );
-        assert_eq!(reachable_from_seed(&graph), oracle.len());
+        let csr = build_hcnng(&oracle, 5, 2);
+        assert_eq!(reachable_from_seed(&csr), oracle.len());
         let mut hits = 0;
         let mut visited = SearchScratch::default();
-        let csr = CsrGraph::from_graph(&graph);
         let total = 24;
         for t in 0..total {
             let target = (t * 6) as u32 % oracle.len() as u32;

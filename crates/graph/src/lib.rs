@@ -18,10 +18,10 @@
 //!   One hop loop runs every search, and it walks one of two layouts: a
 //!   [`csr::CsrGraph`] ([`search::beam_search_csr`]) or one layer of an
 //!   [`hnsw::Hnsw`].
-//! * [`Graph`] (adjacency lists) is construction's mutable format only:
-//!   a built flat graph is frozen with [`csr::CsrGraph::from_graph`]
-//!   before it is searched.
-
+//! * A flat builder ([`PipelineBuilder::build`], [`hcnng::build_hcnng`])
+//!   returns the [`csr::CsrGraph`] it is searched in: adjacency lists are
+//!   construction's private scratch, frozen once with
+//!   [`csr::CsrGraph::from_lists`] after component ⑤.
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the crate DAG
 //! and a one-paragraph tour of every crate.
@@ -147,77 +147,6 @@ pub struct FnScorer<F: Fn(u32) -> f32>(pub F);
 impl<F: Fn(u32) -> f32> QueryScorer for FnScorer<F> {
     fn score(&self, id: u32) -> f32 {
         (self.0)(id)
-    }
-}
-
-/// An adjacency-list proximity graph plus the fixed search seed
-/// (the output of Algorithm 1) — construction's mutable format.  Searches
-/// walk its frozen form, [`csr::CsrGraph`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Graph {
-    neighbors: Vec<Vec<u32>>,
-    seed: u32,
-}
-
-impl Graph {
-    /// Wraps adjacency lists and a seed vertex.
-    #[must_use]
-    pub fn new(neighbors: Vec<Vec<u32>>, seed: u32) -> Self {
-        assert!(!neighbors.is_empty(), "graph must not be empty");
-        assert!((seed as usize) < neighbors.len(), "seed out of range");
-        Self { neighbors, seed }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// Whether the graph has no vertices.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.neighbors.is_empty()
-    }
-
-    /// Out-neighbours of `v`.
-    #[inline]
-    #[must_use]
-    pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.neighbors[v as usize]
-    }
-
-    /// The fixed search seed (component ④).
-    #[inline]
-    #[must_use]
-    pub fn seed(&self) -> u32 {
-        self.seed
-    }
-
-    /// Mutable access for construction components.
-    pub(crate) fn neighbors_mut(&mut self, v: u32) -> &mut Vec<u32> {
-        &mut self.neighbors[v as usize]
-    }
-
-    /// Total number of directed edges.
-    pub fn num_edges(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).sum()
-    }
-
-    /// Mean out-degree.
-    #[must_use]
-    pub fn mean_degree(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.num_edges() as f64 / self.len() as f64
-    }
-
-    /// Maximum out-degree.
-    pub fn max_degree(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -364,21 +293,30 @@ pub(crate) mod testutil {
 mod tests {
     use super::*;
 
+    use crate::csr::CsrGraph;
+
     #[test]
     fn graph_accessors() {
-        let g = Graph::new(vec![vec![1], vec![0, 2], vec![1]], 1);
+        let g = CsrGraph::from_lists(&[vec![1], vec![0, 2], vec![1]], 1);
         assert_eq!(g.len(), 3);
         assert_eq!(g.seed(), 1);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.num_edges(), 4);
-        assert!((g.mean_degree() - 4.0 / 3.0).abs() < 1e-9);
         assert_eq!(g.max_degree(), 2);
+        let a = quality::audit(&g);
+        assert!((a.mean_degree - 4.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "seed out of range")]
     fn bad_seed_panics() {
-        let _ = Graph::new(vec![vec![]], 3);
+        let _ = CsrGraph::from_lists(&[vec![]], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "graph must not be empty")]
+    fn empty_lists_panic() {
+        let _ = CsrGraph::from_lists(&[], 0);
     }
 
     #[test]

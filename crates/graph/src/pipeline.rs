@@ -18,7 +18,7 @@ use crate::par::{build_threads, par_map, par_map_with};
 use crate::seed::choose_seed;
 use crate::search::{expand, NodeScorer, SearchScratch, SearchStats};
 use crate::select::{select_neighbors, SelectionStrategy};
-use crate::{Graph, SimilarityOracle};
+use crate::SimilarityOracle;
 
 /// Component ② — how candidate neighbours are acquired from the initial
 /// graph.
@@ -93,8 +93,9 @@ pub struct PipelineStats {
 }
 
 impl PipelineBuilder {
-    /// Runs the pipeline over `oracle`, producing the graph and stats.
-    pub fn build<O: SimilarityOracle>(&self, oracle: &O) -> (Graph, PipelineStats) {
+    /// Runs the pipeline over `oracle`, producing the frozen graph and
+    /// stats.
+    pub fn build<O: SimilarityOracle>(&self, oracle: &O) -> (CsrGraph, PipelineStats) {
         assert!(oracle.len() > 0, "cannot index an empty object set");
         assert!(self.gamma > 0, "gamma must be positive");
         let mut stats = PipelineStats::default();
@@ -119,12 +120,13 @@ impl PipelineBuilder {
         // Components 4 + 5.
         let t2 = Instant::now();
         let seed = choose_seed(oracle, threads);
-        let neighbors: Vec<Vec<u32>> =
+        let mut neighbors: Vec<Vec<u32>> =
             lists.into_iter().map(|l| l.into_iter().map(|n| n.id).collect()).collect();
-        let mut graph = Graph::new(neighbors, seed);
         if self.connectivity {
-            stats.connectivity = ensure_connectivity(&mut graph, oracle, 64, self.rng_seed ^ 0xC0);
+            stats.connectivity =
+                ensure_connectivity(&mut neighbors, seed, oracle, 64, self.rng_seed ^ 0xC0);
         }
+        let graph = CsrGraph::from_lists(&neighbors, seed);
         stats.finalize_secs = t2.elapsed().as_secs_f64();
         (graph, stats)
     }
@@ -166,7 +168,7 @@ impl PipelineBuilder {
                 let neighbors: Vec<Vec<u32>> =
                     lists.iter().map(|l| l.iter().map(|n| n.id).collect()).collect();
                 let seed = choose_seed(oracle, threads);
-                let frozen = CsrGraph::from_graph(&Graph::new(neighbors, seed));
+                let frozen = CsrGraph::from_lists(&neighbors, seed);
                 par_map_with(n, threads, SearchScratch::default, |scratch, o| {
                     search_candidates(&frozen, oracle, o as u32, l, scratch)
                 })
@@ -327,14 +329,13 @@ mod tests {
         GridOracle::new(14) // 196 points
     }
 
-    fn recall_at_1(oracle: &GridOracle, graph: &Graph) -> f64 {
+    fn recall_at_1(oracle: &GridOracle, csr: &CsrGraph) -> f64 {
         let mut hits = 0;
         let mut visited = SearchScratch::default();
-        let csr = CsrGraph::from_graph(graph);
         let n = oracle.len();
         for target in (0..n as u32).step_by(7) {
             let scorer = FnScorer(|id| crate::SimilarityOracle::sim(oracle, id, target));
-            let res = beam_search_csr(&csr, &scorer, SearchParams::seed_only(1, 10), &mut visited, 1);
+            let res = beam_search_csr(csr, &scorer, SearchParams::seed_only(1, 10), &mut visited, 1);
             if res.results[0].0 == target {
                 hits += 1;
             }

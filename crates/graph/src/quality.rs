@@ -9,9 +9,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::connect::reachable_from_seed;
+use crate::csr::CsrGraph;
 use crate::nndescent::exact_knn_sample;
 use crate::par::build_threads;
-use crate::{Graph, SimilarityOracle};
+use crate::SimilarityOracle;
 
 /// Computes graph quality over a random sample of `sample` vertices.
 ///
@@ -20,7 +21,7 @@ use crate::{Graph, SimilarityOracle};
 /// overlap fraction.
 pub fn graph_quality<O: SimilarityOracle>(
     oracle: &O,
-    graph: &Graph,
+    graph: &CsrGraph,
     gamma: usize,
     sample: usize,
     rng_seed: u64,
@@ -67,11 +68,11 @@ pub struct GraphAudit {
 
 /// Audits the structure of `graph`.
 #[must_use]
-pub fn audit(graph: &Graph) -> GraphAudit {
+pub fn audit(graph: &CsrGraph) -> GraphAudit {
     GraphAudit {
         vertices: graph.len(),
         edges: graph.num_edges(),
-        mean_degree: graph.mean_degree(),
+        mean_degree: graph.num_edges() as f64 / graph.len() as f64,
         max_degree: graph.max_degree(),
         reachability: reachable_from_seed(graph) as f64 / graph.len() as f64,
     }
@@ -89,11 +90,11 @@ mod tests {
         // Build adjacency from exact knn.
         let ids: Vec<u32> = (0..oracle.len() as u32).collect();
         let truth = exact_knn_sample(&oracle, &ids, 5, 1);
-        let neighbors = truth
+        let neighbors: Vec<Vec<u32>> = truth
             .into_iter()
             .map(|l| l.into_iter().map(|n| n.id).collect())
             .collect();
-        let graph = Graph::new(neighbors, 0);
+        let graph = CsrGraph::from_lists(&neighbors, 0);
         let q = graph_quality(&oracle, &graph, 5, oracle.len(), 1);
         assert!(q > 0.999, "exact graph quality must be 1, got {q}");
     }
@@ -102,10 +103,10 @@ mod tests {
     fn quality_of_random_graph_is_low() {
         let oracle = GridOracle::new(10);
         let n = oracle.len();
-        let neighbors = (0..n)
+        let neighbors: Vec<Vec<u32>> = (0..n)
             .map(|i| (0..5).map(|j| ((i + 17 * (j + 1)) % n) as u32).collect())
             .collect();
-        let graph = Graph::new(neighbors, 0);
+        let graph = CsrGraph::from_lists(&neighbors, 0);
         let q = graph_quality(&oracle, &graph, 5, 50, 2);
         assert!(q < 0.5, "random graph quality should be low, got {q}");
     }

@@ -1,9 +1,9 @@
 //! The joint search procedure (Algorithm 2 of the paper): best-first
 //! routing over a fixed-size result pool.  One hop loop, `expand`, walks
 //! the one serving layout of a flat graph — a [`CsrGraph`], through
-//! [`beam_search_csr`] — and one layer of an HNSW.  The adjacency-list
-//! [`crate::Graph`] is construction's mutable format; nothing searches it
-//! (NSG / Vamana candidate acquisition freezes the current lists first).
+//! [`beam_search_csr`] — and one layer of an HNSW.  Construction's
+//! adjacency lists are never searched: NSG / Vamana candidate acquisition
+//! freezes the current lists with [`CsrGraph::from_lists`] first.
 
 use std::cell::RefCell;
 
@@ -281,7 +281,7 @@ mod tests {
 
     /// A simple path graph 0-1-2-...-n-1 seeded in the middle.
     fn line_graph(n: usize) -> CsrGraph {
-        let neighbors = (0..n)
+        let neighbors: Vec<Vec<u32>> = (0..n)
             .map(|i| {
                 let mut v = Vec::new();
                 if i > 0 {
@@ -293,7 +293,7 @@ mod tests {
                 v
             })
             .collect();
-        CsrGraph::from_graph(&crate::Graph::new(neighbors, (n / 2) as u32))
+        CsrGraph::from_lists(&neighbors, (n / 2) as u32)
     }
 
     #[test]
@@ -452,9 +452,8 @@ mod tests {
             crate::hnsw::HnswParams { m: 8, ef_construction: 48, rng_seed: 5 },
             2,
         );
-        let (graph, _) =
+        let (csr, _) =
             crate::PipelineBuilder { gamma: 10, threads: 2, ..Default::default() }.build(&oracle);
-        let csr = crate::csr::CsrGraph::from_graph(&graph);
         let mut scratch = SearchScratch::default();
         let seed_only = SearchParams::seed_only(10, 40);
         let random = SearchParams::new(10, 40);

@@ -6,7 +6,6 @@ use must_graph::connect::reachable_from_seed;
 use must_graph::nndescent::{exact_knn_sample, insert_bounded, Neighbor};
 use must_graph::pipeline::PipelineBuilder;
 use must_graph::pool::Pool;
-use must_graph::csr::CsrGraph;
 use must_graph::search::{beam_search_csr, SearchParams, SearchScratch};
 use must_graph::select::{select_neighbors, SelectionStrategy};
 use must_graph::{FnScorer, SimilarityOracle};
@@ -180,7 +179,7 @@ proptest! {
             .build(&oracle);
         let scorer = FnScorer(|id| oracle.sim(id, target));
         let res = beam_search_csr(
-            &CsrGraph::from_graph(&graph),
+            &graph,
             &scorer,
             SearchParams::seed_only(1, 50),
             &mut SearchScratch::default(),
@@ -213,7 +212,7 @@ proptest! {
             .build(&oracle);
         let scorer = FnScorer(|id| oracle.sim(id, target));
         let res = beam_search_csr(
-            &CsrGraph::from_graph(&graph),
+            &graph,
             &scorer,
             SearchParams::new(3, 12),
             &mut SearchScratch::default(),

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example face_retrieval`.
 
-use must::core::baselines::{BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+use must::core::baselines::{JointEmbedding, MultiStreamedRetrieval};
 use must::core::metrics::recall_at;
 use must::core::weights::WeightLearnConfig;
 use must::data::embed::embed_dataset;
@@ -45,8 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build all three systems over the same corpus.
     let objects = embedded.objects.clone();
     let must = Must::build(objects, learned.weights.clone(), MustBuildOptions::default())?;
-    let mr = MultiStreamedRetrieval::build(must.objects(), BaselineOptions::default())?;
-    let je = JointEmbedding::build(must.objects(), BaselineOptions::default())?;
+    let gamma = must.report().gamma;
+    let mr = MultiStreamedRetrieval::build(must.objects(), gamma);
+    let je = JointEmbedding::build(must.objects(), gamma);
 
     // Evaluate Recall@1(1) on held-out queries.
     let eval = &embedded.queries[200..700.min(embedded.queries.len())];

@@ -3,7 +3,7 @@
 //! `l < k`, `l_candidates = 0`, a wrong-dimension slot) is a typed error
 //! or a clamp — as on `Must::search` — never a panic.
 
-use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+use must::core::baselines::{mr_brute_force, JointEmbedding, MultiStreamedRetrieval};
 use must::core::MustError;
 use must::graph::search::SearchScratch;
 use must::prelude::*;
@@ -48,9 +48,8 @@ fn baseline_answers_match_the_golden_hashes() {
     // 1 000 objects, 50 queries: MR over its per-modality graphs at two
     // candidate sizes, the exact MR--, and JE over the target graph.
     let set = corpus(1_000, 16, 12, 0xBA5E);
-    let opts = BaselineOptions { gamma: 12, ..Default::default() };
-    let mr = MultiStreamedRetrieval::build(&set, opts).unwrap();
-    let je = JointEmbedding::build(&set, opts).unwrap();
+    let mr = MultiStreamedRetrieval::build(&set, 12);
+    let je = JointEmbedding::build(&set, 12);
     let mut scratch = SearchScratch::default();
     let (mut mr_words, mut exact_words, mut je_words) = (Vec::new(), Vec::new(), Vec::new());
     for q in 0..50 {
@@ -80,7 +79,7 @@ fn baseline_answers_match_the_golden_hashes() {
 #[test]
 fn je_refuses_k_zero_and_clamps_l_below_k() {
     let set = corpus(200, 16, 12, 0x1E);
-    let je = JointEmbedding::build(&set, BaselineOptions { gamma: 8, ..Default::default() }).unwrap();
+    let je = JointEmbedding::build(&set, 8);
     let mut scratch = SearchScratch::default();
     let q = query(&set, 3);
     assert!(matches!(je.search(&q, 0, 10, &mut scratch), Err(MustError::Config(_))));
@@ -91,8 +90,7 @@ fn je_refuses_k_zero_and_clamps_l_below_k() {
 #[test]
 fn mr_refuses_zero_candidates_and_wrong_dimension_slots() {
     let set = corpus(200, 16, 12, 0x3E);
-    let mr =
-        MultiStreamedRetrieval::build(&set, BaselineOptions { gamma: 8, ..Default::default() }).unwrap();
+    let mr = MultiStreamedRetrieval::build(&set, 8);
     let q = query(&set, 5);
     let wrong_dim = MultiQuery::full(vec![set.modality(0).get(0).to_vec(), vec![1.0, 0.0]]);
     let mut scratch = SearchScratch::default();

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: generate → embed → learn → index →
 //! search, and the paper's headline claims at small scale.
 
-use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+use must::core::baselines::{mr_brute_force, JointEmbedding, MultiStreamedRetrieval};
 use must::core::metrics::recall_at;
 use must::core::search::{brute_force_search, modality_top_k};
 use must::core::weights::WeightLearnConfig;
@@ -176,9 +176,8 @@ fn fused_index_matches_brute_force() {
 #[test]
 fn baselines_run_on_real_embeddings() {
     let p = pipeline();
-    let opts = BaselineOptions { gamma: 16, ..Default::default() };
-    let mr = MultiStreamedRetrieval::build(&p.embedded.objects, opts).unwrap();
-    let je = JointEmbedding::build(&p.embedded.objects, opts).unwrap();
+    let mr = MultiStreamedRetrieval::build(&p.embedded.objects, 16);
+    let je = JointEmbedding::build(&p.embedded.objects, 16);
     let mut visited = SearchScratch::default();
     let q = &p.embedded.queries[200];
     let mr_out = mr.search(&q.query, 10, 200, &mut visited).unwrap();

@@ -5,7 +5,6 @@ use must::core::search::brute_force_search;
 use must::data::embed::embed_dataset;
 use must::encoders::{EncoderConfig, EncoderRegistry, LatentSpace, TargetEncoding, UnimodalKind};
 use must::graph::quality::audit;
-use must::graph::Graph;
 use must::prelude::*;
 use proptest::prelude::*;
 
@@ -59,9 +58,7 @@ proptest! {
             MustBuildOptions { gamma, ..Default::default() },
         )
         .unwrap();
-        let csr = must.index().graph().expect("fused recipe is flat");
-        let lists = (0..csr.len() as u32).map(|v| csr.neighbors(v).to_vec()).collect();
-        let a = audit(&Graph::new(lists, csr.seed()));
+        let a = audit(must.index().graph().expect("fused recipe is flat"));
         prop_assert!((a.reachability - 1.0).abs() < 1e-9);
         prop_assert!(a.vertices == 600);
     }

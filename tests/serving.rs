@@ -705,8 +705,9 @@ fn sq8_pruning_never_changes_what_is_served() {
     let override_w = Weights::from_squared(vec![0.7, 0.3]).unwrap();
     for recipe in [GraphRecipe::Hnsw, GraphRecipe::Fused] {
         let [on, off] = [true, false].map(|prune| {
-            let opts = MustBuildOptions { recipe, prune, ..fixture_opts() };
+            let opts = MustBuildOptions { recipe, ..fixture_opts() };
             let mut must = Must::build(objects.clone(), Weights::uniform(2), opts).unwrap();
+            must.set_prune(prune);
             must.quantize();
             MustServer::freeze(must)
         });
@@ -1072,7 +1073,7 @@ fn bundle_load_serves_identically() {
 /// every serve worker included.
 #[test]
 fn a_huge_k_is_answered_on_every_entry_point() {
-    use must::core::baselines::{mr_brute_force, BaselineOptions, JointEmbedding, MultiStreamedRetrieval};
+    use must::core::baselines::{mr_brute_force, JointEmbedding, MultiStreamedRetrieval};
     use must::graph::SearchScratch;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1127,11 +1128,10 @@ fn a_huge_k_is_answered_on_every_entry_point() {
     let routed = sharded.with_routing(RoutePolicy::new(1)).search(&q, HUGE, HUGE).unwrap();
     assert!(!routed.results.is_empty() && routed.results.len() <= N, "routed ShardedServer");
 
-    let baseline = BaselineOptions { gamma: 8, ..Default::default() };
     let mut scratch = SearchScratch::default();
-    let mr = MultiStreamedRetrieval::build(&set, baseline).unwrap();
+    let mr = MultiStreamedRetrieval::build(&set, 8);
     every_row("MR", mr.search(&q, HUGE, HUGE, &mut scratch).unwrap().results.len());
-    let je = JointEmbedding::build(&set, baseline).unwrap();
+    let je = JointEmbedding::build(&set, 8);
     every_row("JE", je.search(&q, HUGE, HUGE, &mut scratch).unwrap().len());
     every_row("mr_brute_force", mr_brute_force(&set, &q, HUGE, HUGE).0.len());
 }
