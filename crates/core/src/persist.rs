@@ -145,33 +145,36 @@ fn wr_u64(w: &mut impl Write, v: u64) -> Result<(), MustError> {
     w.write_all(&v.to_le_bytes()).map_err(io("write u64"))
 }
 
-/// Writes a 4-byte-word block through a shared chunk buffer.
-fn wr_words<T: Copy>(
+/// Writes a stream of 4-byte words through one chunk buffer of at most
+/// 256 KiB.
+fn wr_words<T>(
     w: &mut impl Write,
-    vs: &[T],
+    vs: impl IntoIterator<Item = T>,
     enc: impl Fn(T) -> [u8; 4],
 ) -> Result<(), MustError> {
-    let mut buf = Vec::with_capacity(vs.len().min(1 << 16) * 4);
-    for chunk in vs.chunks(1 << 16) {
-        buf.clear();
-        for &v in chunk {
-            buf.extend_from_slice(&enc(v));
+    const CHUNK: usize = 1 << 18;
+    let vs = vs.into_iter();
+    let mut buf = Vec::with_capacity(vs.size_hint().0.saturating_mul(4).min(CHUNK));
+    for v in vs {
+        buf.extend_from_slice(&enc(v));
+        if buf.len() == CHUNK {
+            w.write_all(&buf).map_err(io("write block"))?;
+            buf.clear();
         }
-        w.write_all(&buf).map_err(io("write block"))?;
     }
-    Ok(())
+    w.write_all(&buf).map_err(io("write block"))
 }
 
-/// Writes a length-prefixed `u32` array.
+/// Writes a length-prefixed `u32` array: `8 + 4 · len` bytes.
 fn wr_u32s(w: &mut impl Write, vs: &[u32]) -> Result<(), MustError> {
     wr_u64(w, vs.len() as u64)?;
-    wr_words(w, vs, u32::to_le_bytes)
+    wr_words(w, vs.iter().copied(), u32::to_le_bytes)
 }
 
 /// Writes a length-prefixed `f32` array (the v6 summary blocks).
 fn wr_f32s(w: &mut impl Write, vs: &[f32]) -> Result<(), MustError> {
     wr_u64(w, vs.len() as u64)?;
-    wr_words(w, vs, f32::to_le_bytes)
+    wr_words(w, vs.iter().copied(), f32::to_le_bytes)
 }
 
 /// The little-endian reader every loader reads through.  It counts the
@@ -334,32 +337,59 @@ fn spans(header: &Header, format: &Format, index: u64) -> Vec<(u64, u64)> {
     spans.collect()
 }
 
-/// Writes the index block (tag byte + backend-specific arrays).
-fn write_index_block(must: &Must, w: &mut impl Write) -> Result<(), MustError> {
-    match must.index() {
-        MustIndex::Csr(csr) => {
-            wr_u8(w, INDEX_TAG_CSR)?;
-            wr_u32(w, csr.seed())?;
-            wr_u32s(w, csr.offsets())?;
-            wr_u32s(w, csr.edges())?;
-        }
-        MustIndex::Hnsw(h) => {
-            let flat = h.to_flat();
-            wr_u8(w, INDEX_TAG_HNSW)?;
-            wr_u32(w, flat.entry)?;
-            wr_u32(w, flat.max_level)?;
-            wr_u32(w, flat.m)?;
-            wr_u32(w, flat.ef_construction)?;
-            wr_u64(w, flat.rng_seed)?;
-            wr_u32s(w, &flat.levels)?;
-            wr_u32s(w, &flat.offsets)?;
-            wr_u32s(w, &flat.edges)?;
-        }
-    }
-    Ok(())
+/// The index block a payload ends with: a flat graph's CSR arrays, or
+/// HNSW's flattened layers.
+enum IndexBlock<'a> {
+    Csr(&'a CsrGraph),
+    Hnsw(HnswFlat),
 }
 
-/// Reads the index block written by [`write_index_block`].
+impl IndexBlock<'_> {
+    fn of(must: &Must) -> IndexBlock<'_> {
+        match must.index() {
+            MustIndex::Csr(csr) => IndexBlock::Csr(csr),
+            MustIndex::Hnsw(h) => IndexBlock::Hnsw(h.to_flat()),
+        }
+    }
+
+    /// The bytes [`Self::write`] writes, from the block's shape alone: the
+    /// tag byte, the fixed fields, and `8 + 4 · len` per array.
+    fn byte_len(&self) -> u64 {
+        let array = |vs: &[u32]| 8 + 4 * vs.len() as u64;
+        match self {
+            IndexBlock::Csr(csr) => 1 + 4 + array(csr.offsets()) + array(csr.edges()),
+            IndexBlock::Hnsw(flat) => {
+                1 + 4 * 4 + 8 + array(&flat.levels) + array(&flat.offsets) + array(&flat.edges)
+            }
+        }
+    }
+
+    /// Writes the block: tag byte, then the backend's fields and arrays.
+    fn write(&self, w: &mut impl Write) -> Result<(), MustError> {
+        match self {
+            IndexBlock::Csr(csr) => {
+                wr_u8(w, INDEX_TAG_CSR)?;
+                wr_u32(w, csr.seed())?;
+                wr_u32s(w, csr.offsets())?;
+                wr_u32s(w, csr.edges())?;
+            }
+            IndexBlock::Hnsw(flat) => {
+                wr_u8(w, INDEX_TAG_HNSW)?;
+                wr_u32(w, flat.entry)?;
+                wr_u32(w, flat.max_level)?;
+                wr_u32(w, flat.m)?;
+                wr_u32(w, flat.ef_construction)?;
+                wr_u64(w, flat.rng_seed)?;
+                wr_u32s(w, &flat.levels)?;
+                wr_u32s(w, &flat.offsets)?;
+                wr_u32s(w, &flat.edges)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reads the index block [`IndexBlock::write`] writes.
 fn read_index_block(r: &mut Reader<impl Read>) -> Result<(MustIndex, GraphRecipe), MustError> {
     let tag = r.u8()?;
     match tag {
@@ -403,10 +433,9 @@ fn write_payload(
     let rows = must.objects().fused();
     let (n, m, stride) = (rows.len(), rows.num_modalities(), rows.stride());
     let header = Header { prune: must.prune(), dims: rows.dims().to_vec(), n, stride };
-    // The one length the header does not imply: serialise the index first.
-    let mut index = Vec::new();
-    write_index_block(must, &mut index)?;
-    let spans = spans(&header, format, index.len() as u64);
+    // The one length the header does not imply follows from the index's shape.
+    let index = IndexBlock::of(must);
+    let spans = spans(&header, format, index.byte_len());
 
     wr_u8(w, header.prune as u8)?;
     wr_u32(w, m as u32)?;
@@ -429,9 +458,9 @@ fn write_payload(
         w.write_all(&pad[..(off - end) as usize]).map_err(io("write padding"))?;
         end = off + len;
         match section {
-            Rows => wr_words(w, rows.raw_data(), f32::to_le_bytes)?,
-            Norms => wr_words(w, rows.seg_norms(), f32::to_le_bytes)?,
-            Omega => wr_words(w, must.weights().raw(), f32::to_le_bytes)?,
+            Rows => wr_words(w, rows.raw_data().iter().copied(), f32::to_le_bytes)?,
+            Norms => wr_words(w, rows.seg_norms().iter().copied(), f32::to_le_bytes)?,
+            Omega => wr_words(w, must.weights().raw().iter().copied(), f32::to_le_bytes)?,
             Codes => {
                 let quant = engine();
                 for id in 0..n as u32 {
@@ -440,13 +469,10 @@ fn write_payload(
             }
             Params => {
                 let quant = engine();
-                let params: Vec<f32> = (0..n as u32)
-                    .flat_map(|id| (0..m).map(move |k| quant.seg_params(id, k)))
-                    .flat_map(|p| [p.min, p.step, p.eps])
-                    .collect();
-                wr_words(w, &params, f32::to_le_bytes)?;
+                let params = (0..n as u32).flat_map(|id| (0..m).map(move |k| quant.seg_params(id, k)));
+                wr_words(w, params.flat_map(|p| [p.min, p.step, p.eps]), f32::to_le_bytes)?;
             }
-            Index => w.write_all(&index).map_err(io("write index"))?,
+            Index => index.write(w)?,
         }
     }
     Ok(())
@@ -1125,6 +1151,47 @@ mod tests {
         assert!(scratch.quant().is_none());
         let from_scratch = via_file("bundle-v7-resave-c.mustb", |p| save_quantized(&scratch, p), read);
         assert_eq!(resaved, from_scratch);
+    }
+
+    #[test]
+    fn v7_loaded_then_grown_matches_a_never_persisted_twin() {
+        // A load restores every neighbour list with its occlusion split
+        // unknown, so each list's first re-prune runs the full pass where
+        // the never-saved twin reuses the split its build recorded.  After
+        // 500 inserts (every fifth a copy of a stored row, so similarities
+        // tie) both must hold the same graph and write the same bundle.
+        let read = |p: &Path| std::fs::read(p).unwrap();
+        let mut twin = hnsw_quantized(150);
+        let mut loaded = via_file("bundle-v7-twin-a.mustb", |p| save_quantized(&twin, p), |p| load(p).unwrap());
+        let mut rng = StdRng::seed_from_u64(0x7317);
+        for i in 0..500u32 {
+            let object = if i % 5 == 4 {
+                let id = rng.random_range(0..twin.len() as u32);
+                [0, 1].map(|k| twin.objects().modality(k).get(id).to_vec())
+            } else {
+                [8, 4].map(|dim| (0..dim).map(|_| rng.random::<f32>() - 0.5).collect())
+            };
+            assert_eq!(loaded.insert_object(&object).unwrap(), twin.insert_object(&object).unwrap());
+        }
+        let flat = |must: &Must| match must.index() {
+            MustIndex::Hnsw(h) => h.to_flat(),
+            MustIndex::Csr(_) => panic!("an HNSW instance"),
+        };
+        assert!(flat(&loaded) == flat(&twin), "the loaded instance grew another graph");
+        let resaved = via_file("bundle-v7-twin-b.mustb", |p| save_quantized(&loaded, p), read);
+        let never_saved = via_file("bundle-v7-twin-c.mustb", |p| save_quantized(&twin, p), read);
+        assert!(resaved == never_saved);
+    }
+
+    #[test]
+    fn index_block_length_follows_from_its_shape() {
+        for recipe in [GraphRecipe::Fused, GraphRecipe::Hnsw] {
+            let must = build(70, Weights::uniform(2), recipe);
+            let block = IndexBlock::of(&must);
+            let mut bytes = Vec::new();
+            block.write(&mut bytes).unwrap();
+            assert_eq!(block.byte_len(), bytes.len() as u64, "{recipe:?}");
+        }
     }
 
     #[test]

@@ -33,8 +33,16 @@ impl Default for HnswParams {
     }
 }
 
-/// Largest accepted `M`: keeps the slab strides far from overflow.
+/// Largest accepted `M`: keeps the slab strides far from overflow, and a
+/// list's length (at most `2M`) inside the low half of its length word.
 const MAX_M: usize = 4096;
+
+/// A list's length word is `[len | kept << 16]` (DESIGN.md §13): its
+/// length, and its occlusion split — how many leading entries the
+/// occlusion rule kept the last time the list was selected in answer
+/// order.  `SPLIT_UNKNOWN` in the high half means no such record.
+const LEN_MASK: u32 = 0xFFFF;
+const SPLIT_UNKNOWN: u32 = 0xFFFF;
 
 /// [`Hnsw::from_flat`] refuses a header `M` that sizes the slabs beyond
 /// `SLAB_WORDS_UNCHECKED` words (64 MiB) *and* `MAX_SLAB_SLACK` times the
@@ -51,12 +59,13 @@ const MAX_SLAB_SLACK: usize = 64;
 /// list, and a list is re-pruned in place.
 #[derive(Debug, Clone)]
 pub struct Hnsw {
-    /// Layer-0 slab, stride `2M + 1`: `[len, nb_0 .. nb_{2M-1}]` per node —
-    /// the list of `v` is one address computation and one miss away.
+    /// Layer-0 slab, stride `2M + 1`: `[len | kept << 16, nb_0 .. nb_{2M-1}]`
+    /// per node — the list of `v` is one address computation and one miss
+    /// away.
     base: Vec<u32>,
-    /// Upper-layer slab, stride `M + 1`: one `[len, nb_0 .. nb_{M-1}]`
-    /// block per `(node, layer >= 1)`, a node's blocks contiguous with
-    /// layer 1 first.
+    /// Upper-layer slab, stride `M + 1`: one `[len | kept << 16, nb_0 ..
+    /// nb_{M-1}]` block per `(node, layer >= 1)`, a node's blocks contiguous
+    /// with layer 1 first.
     upper: Vec<u32>,
     /// `upper_at[v]..upper_at[v + 1]` are node `v`'s blocks in `upper`
     /// (`n + 1` entries); their count is the node's top layer.
@@ -101,6 +110,24 @@ struct BackGroup {
     nb: u32,
     layer: u32,
     adds: Vec<u32>,
+}
+
+/// A neighbour list and its occlusion split: the first `.1` entries are
+/// the ones the occlusion rule kept, the rest `keepPrunedConnections` fills.
+type Selected = (Vec<u32>, usize);
+
+/// Where a selection candidate stands against its list's last occlusion
+/// split: which pairs [`heuristic_select`] must score to decide it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// No record: tested against everything kept so far.
+    New,
+    /// Kept by the last pass: tested only against members kept now that
+    /// were not kept then.
+    Kept,
+    /// A fill of the last pass: occluded, unscored, until some `Kept`
+    /// member loses its place; then tested as `New`.
+    Fill,
 }
 
 /// Draws one node's level from `rng` (exponential with mean `1 / ln M`).
@@ -166,8 +193,8 @@ impl Hnsw {
             let pruned = par::par_map_with(pending.len(), threads, SearchScratch::default, |scratch, g| {
                 index.reprune(oracle, &pending[g], scratch)
             });
-            for (g, list) in pending.iter().zip(pruned) {
-                index.set_neighbors(g.nb, g.layer as usize, &list);
+            for (g, (list, split)) in pending.iter().zip(pruned) {
+                index.set_neighbors(g.nb, g.layer as usize, &list, Some(split));
             }
             start += len;
         }
@@ -233,7 +260,8 @@ impl Hnsw {
     #[must_use]
     pub fn neighbors(&self, node: u32, layer: usize) -> &[u32] {
         let slab = if layer == 0 { &self.base } else { &self.upper };
-        self.block(node, layer).map_or(&[], |at| &slab[at.start + 1..=at.start + slab[at.start] as usize])
+        self.block(node, layer)
+            .map_or(&[], |at| &slab[at.start + 1..=at.start + (slab[at.start] & LEN_MASK) as usize])
     }
 
     /// Flattens the layered adjacency into [`HnswFlat`] for persistence.
@@ -320,7 +348,7 @@ impl Hnsw {
         }
         let mut index = Self::with_levels(&levels, params);
         for ((node, layer), w) in layers.zip(flat.offsets.windows(2)) {
-            index.set_neighbors(node as u32, layer, &flat.edges[w[0] as usize..w[1] as usize]);
+            index.set_neighbors(node as u32, layer, &flat.edges[w[0] as usize..w[1] as usize], None);
         }
         index.entry = flat.entry;
         index.max_level = flat.max_level as usize;
@@ -384,22 +412,33 @@ impl Hnsw {
         if layer == 0 { &mut self.base[at] } else { &mut self.upper[at] }
     }
 
-    /// Overwrites list `(node, layer)` in place.  The block is one stride
-    /// long, so an over-long list panics instead of crossing into the next.
-    fn set_neighbors(&mut self, node: u32, layer: usize, list: &[u32]) {
-        let block = self.block_mut(node, layer);
-        block[1..=list.len()].copy_from_slice(list);
-        block[0] = list.len() as u32;
+    /// The occlusion split of list `(node, layer)`; `None` when unknown.
+    /// A list never written is empty, and its split of 0 is exact.
+    fn split(&self, node: u32, layer: usize) -> Option<usize> {
+        let slab = if layer == 0 { &self.base } else { &self.upper };
+        let at = self.block(node, layer).expect("layer within the node's levels");
+        Some((slab[at.start] >> 16) as usize).filter(|&kept| kept != SPLIT_UNKNOWN as usize)
     }
 
-    /// Appends `adds` to list `(node, layer)` when the result fits its cap;
+    /// Overwrites list `(node, layer)` in place, with its occlusion split
+    /// when the occlusion rule selected it in answer order.  The block is
+    /// one stride long, so an over-long list panics instead of crossing
+    /// into the next.
+    fn set_neighbors(&mut self, node: u32, layer: usize, list: &[u32], split: Option<usize>) {
+        let block = self.block_mut(node, layer);
+        block[1..=list.len()].copy_from_slice(list);
+        block[0] = list.len() as u32 | split.map_or(SPLIT_UNKNOWN, |kept| kept as u32) << 16;
+    }
+
+    /// Appends `adds` to list `(node, layer)` when the result fits its cap
+    /// (its split becomes unknown: no pass ranked the appended entries);
     /// otherwise leaves the list untouched and returns `false`.
     fn try_extend(&mut self, node: u32, layer: usize, adds: &[u32]) -> bool {
         let block = self.block_mut(node, layer);
-        let len = block[0] as usize;
+        let len = (block[0] & LEN_MASK) as usize;
         let Some(room) = block.get_mut(1 + len..1 + len + adds.len()) else { return false };
         room.copy_from_slice(adds);
-        block[0] += adds.len() as u32;
+        block[0] = (len + adds.len()) as u32 | SPLIT_UNKNOWN << 16;
         true
     }
 
@@ -412,7 +451,7 @@ impl Hnsw {
         for (node, lists) in (start..).zip(selected) {
             for (l, list) in lists.iter().enumerate() {
                 requests.extend(list.iter().map(|&nb| (nb, l as u32, node)));
-                self.set_neighbors(node, l, list);
+                self.set_neighbors(node, l, list, None);
             }
             let level = self.level(node);
             if level > self.max_level {
@@ -434,26 +473,48 @@ impl Hnsw {
     /// Phase C for one group: scores `current ∪ additions` as one batch
     /// (in that order — the transient over-cap entries live in `scratch`,
     /// never in the slab), sorts best first with ties by id, and re-runs
-    /// the selection.
-    fn reprune<O: SimilarityOracle>(&self, oracle: &O, g: &BackGroup, scratch: &mut SearchScratch) -> Vec<u32> {
+    /// the selection — scoring, under a known split, only the pairs whose
+    /// verdict can differ from the pass that wrote the list (DESIGN §13).
+    fn reprune<O: SimilarityOracle>(&self, oracle: &O, g: &BackGroup, scratch: &mut SearchScratch) -> Selected {
+        let scored = self.rescore(oracle, g, scratch);
+        heuristic_select(oracle, g.nb, scored.iter().copied(), self.cap(g.layer as usize))
+    }
+
+    /// `current ∪ additions` of one group scored against its owner, in
+    /// answer order, each marked with where it stands against the list's
+    /// split.
+    fn rescore<O: SimilarityOracle>(
+        &self,
+        oracle: &O,
+        g: &BackGroup,
+        scratch: &mut SearchScratch,
+    ) -> Vec<(u32, f32, Origin)> {
         let layer = g.layer as usize;
+        let current = self.neighbors(g.nb, layer);
+        let split = self.split(g.nb, layer);
         let SearchScratch { fresh: ids, scores, .. } = scratch;
         ids.clear();
-        ids.extend_from_slice(self.neighbors(g.nb, layer));
+        ids.extend_from_slice(current);
         ids.extend_from_slice(&g.adds);
         scores.resize(ids.len(), 0.0);
         oracle.sims(g.nb, ids, scores);
-        let mut scored: Vec<(u32, f32)> = ids.iter().copied().zip(scores.iter().copied()).collect();
-        scored.sort_unstable_by(answer_order);
-        heuristic_select(oracle, g.nb, &scored, self.cap(layer))
+        let origin = |i: usize| match split {
+            Some(kept) if i < kept => Origin::Kept,
+            Some(_) if i < current.len() => Origin::Fill,
+            _ => Origin::New,
+        };
+        let mut scored: Vec<(u32, f32, Origin)> =
+            ids.iter().zip(scores.iter()).enumerate().map(|(i, (&id, &s))| (id, s, origin(i))).collect();
+        scored.sort_unstable_by(|a, b| answer_order(&(a.0, a.1), &(b.0, b.1)));
+        scored
     }
 
     /// Sequential insertion of `node` (already pushed): a wave of one.
     fn insert<O: SimilarityOracle>(&mut self, oracle: &O, node: u32, scratch: &mut SearchScratch) {
         let selected = self.candidates(oracle, node, scratch);
         for g in self.commit(node, [selected]) {
-            let pruned = self.reprune(oracle, &g, scratch);
-            self.set_neighbors(g.nb, g.layer as usize, &pruned);
+            let (list, split) = self.reprune(oracle, &g, scratch);
+            self.set_neighbors(g.nb, g.layer as usize, &list, Some(split));
         }
     }
 
@@ -530,7 +591,8 @@ impl Hnsw {
         for l in (0..=top).rev() {
             self.search_layer(&scorer, ep, l, self.params.ef_construction, scratch, &mut stats);
             let cands = scratch.pool.top_k(self.params.ef_construction);
-            out[l] = heuristic_select(oracle, node, &cands, self.cap(l));
+            let new = cands.iter().map(|&(id, s)| (id, s, Origin::New));
+            out[l] = heuristic_select(oracle, node, new, self.cap(l)).0;
             ep = cands[0];
         }
         out
@@ -555,29 +617,53 @@ impl Hnsw {
 }
 
 /// HNSW's neighbour-selection heuristic — the same occlusion rule as MRNG,
-/// expressed on scored candidates.
+/// expressed on scored candidates in answer order — returning the list and
+/// how many of its leading entries the rule kept.
+///
+/// Each candidate's [`Origin`] says which pairs decide it; the verdicts are
+/// those of testing every candidate against everything kept before it
+/// (DESIGN §13 has the proof), which is what an all-`New` list does.
 fn heuristic_select<O: SimilarityOracle>(
     oracle: &O,
     owner: u32,
-    candidates: &[(u32, f32)],
+    candidates: impl Iterator<Item = (u32, f32, Origin)> + Clone,
     cap: usize,
-) -> Vec<u32> {
+) -> Selected {
     let mut kept: Vec<u32> = Vec::with_capacity(cap);
-    for &(id, sim) in candidates {
+    // Members kept now that the last pass did not keep (tracked only when
+    // some candidate has a record), and whether a member it kept has lost
+    // its place.
+    let reuse = candidates.clone().any(|c| c.2 != Origin::New);
+    let mut newcomers: Vec<u32> = Vec::new();
+    let mut flipped = false;
+    for (id, sim, origin) in candidates.clone() {
         if id == owner {
             continue;
         }
         if kept.len() >= cap {
             break;
         }
-        if unoccluded(oracle, id, sim, &kept) {
+        let keep = match origin {
+            Origin::Kept => {
+                let keep = unoccluded(oracle, id, sim, &newcomers);
+                flipped |= !keep;
+                keep
+            }
+            Origin::Fill if !flipped => false,
+            Origin::Fill | Origin::New => unoccluded(oracle, id, sim, &kept),
+        };
+        if keep {
             kept.push(id);
+            if reuse && origin != Origin::Kept {
+                newcomers.push(id);
+            }
         }
     }
+    let split = kept.len();
     // Fill up with closest skipped candidates if the heuristic was too
     // aggressive (standard keepPrunedConnections behaviour).
     if kept.len() < cap {
-        for &(id, _) in candidates {
+        for (id, ..) in candidates {
             if id == owner || kept.contains(&id) {
                 continue;
             }
@@ -587,7 +673,7 @@ fn heuristic_select<O: SimilarityOracle>(
             }
         }
     }
-    kept
+    (kept, split)
 }
 
 #[cfg(test)]
@@ -856,6 +942,173 @@ mod tests {
             }
         }
         assert_eq!(Hnsw::from_flat(&flat).unwrap().to_flat(), flat);
+    }
+
+    /// Phases C and D of one wave with every re-prune checked against the
+    /// full pass over the same scored candidates (list and kept count);
+    /// returns how many of them reused a split.
+    fn apply_checked<O: SimilarityOracle>(index: &mut Hnsw, oracle: &O, pending: &[BackGroup]) -> usize {
+        let mut scratch = SearchScratch::default();
+        let mut reused = 0;
+        let pruned: Vec<Selected> = pending
+            .iter()
+            .map(|g| {
+                let scored = index.rescore(oracle, g, &mut scratch);
+                reused += usize::from(scored.iter().any(|c| c.2 != Origin::New));
+                let full = scored.iter().map(|&(id, s, _)| (id, s, Origin::New));
+                let want = heuristic_select(oracle, g.nb, full, index.cap(g.layer as usize));
+                let got = index.reprune(oracle, g, &mut scratch);
+                assert_eq!(got, want, "re-prune of node {} layer {} + {:?}", g.nb, g.layer, g.adds);
+                got
+            })
+            .collect();
+        for (g, (list, split)) in pending.iter().zip(pruned) {
+            index.set_neighbors(g.nb, g.layer as usize, &list, Some(split));
+        }
+        reused
+    }
+
+    /// [`Hnsw::build_with_threads`] with its re-prunes checked.
+    fn build_checked<O: SimilarityOracle>(oracle: &O, params: HnswParams, threads: usize) -> (Hnsw, usize) {
+        let n = oracle.len();
+        let mut index = Hnsw::with_levels(&assign_levels(n, &params), params);
+        let (mut start, mut reused) = (1, 0);
+        while start < n {
+            let len = (start / 3).clamp(1, WAVE_MAX).min(n - start);
+            let selected = par::par_map_with(len, threads, SearchScratch::default, |scratch, item| {
+                index.candidates(oracle, (start + item) as u32, scratch)
+            });
+            let pending = index.commit(start as u32, selected);
+            reused += apply_checked(&mut index, oracle, &pending);
+            start += len;
+        }
+        (index, reused)
+    }
+
+    /// [`Hnsw::insert_new`] with its re-prunes checked.
+    fn insert_checked<O: SimilarityOracle>(index: &mut Hnsw, oracle: &O, node: u32, level_seed: u64) -> usize {
+        let level = draw_level(&mut StdRng::seed_from_u64(level_seed ^ node as u64), index.params.m);
+        index.push_node(level);
+        let selected = index.candidates(oracle, node, &mut SearchScratch::default());
+        let pending = index.commit(node, [selected]);
+        apply_checked(index, oracle, &pending)
+    }
+
+    /// One seeded insert stream: small-integer points (exact, often tied
+    /// similarities) with duplicated rows, a prefix built by waves at
+    /// T ∈ {1, 2, 4} or restored by `from_flat` (round-tripped, or lists
+    /// drawn at random, self edges and repeats included), then inserts.
+    /// Every re-prune is checked against the full pass, and the checked
+    /// build and inserts against the real ones.
+    fn check_insert_stream(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(48..160usize);
+        let mut pts: Vec<(f32, f32)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pt = if !pts.is_empty() && rng.random_range(0..5u32) == 0 {
+                pts[rng.random_range(0..pts.len())]
+            } else {
+                (rng.random_range(0..13u32) as f32 - 6.0, rng.random_range(0..13u32) as f32 - 6.0)
+            };
+            pts.push(pt);
+        }
+        let full = GridOracle { pts };
+        let n0 = rng.random_range(n / 3..2 * n / 3);
+        let prefix = GridOracle { pts: full.pts[..n0].to_vec() };
+        let m = rng.random_range(2..6usize);
+        let params = HnswParams { m, ef_construction: rng.random_range(m..25), rng_seed: rng.random() };
+        let threads = [1, 2, 4][rng.random_range(0..3usize)];
+        let (mut index, mut reused) = build_checked(&prefix, params, threads);
+        assert_eq!(index.to_flat(), Hnsw::build_with_threads(&prefix, params, threads).to_flat(), "seed {seed}");
+        match rng.random_range(0..3u32) {
+            0 => {}
+            1 => index = Hnsw::from_flat(&index.to_flat()).unwrap(),
+            _ => {
+                let mut offsets = vec![0u32];
+                let mut edges = Vec::new();
+                for _ in 0..n0 {
+                    let len = rng.random_range(0..2 * m + 1);
+                    edges.extend((0..len).map(|_| rng.random_range(0..n0 as u32)));
+                    offsets.push(edges.len() as u32);
+                }
+                let flat =
+                    HnswFlat { levels: vec![0; n0], offsets, edges, entry: 0, max_level: 0, ..index.to_flat() };
+                index = Hnsw::from_flat(&flat).unwrap();
+            }
+        }
+        let mut twin = index.clone();
+        let level_seed = rng.random();
+        let mut scratch = SearchScratch::default();
+        for node in n0 as u32..n as u32 {
+            reused += insert_checked(&mut index, &full, node, level_seed);
+            twin.insert_new(&full, node, level_seed, &mut scratch);
+        }
+        assert_eq!(index.to_flat(), twin.to_flat(), "seed {seed}");
+        assert!(reused > 0, "seed {seed}: no re-prune reused a split");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn split_reusing_reprune_equals_the_full_pass(seed in proptest::prelude::any::<u64>()) {
+            check_insert_stream(seed);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(640))]
+        /// Ten times the cases, drawn from a stream of their own (the seed
+        /// derives from the test's name); CI runs it in release with
+        /// `cargo test --release -p must-graph --lib hnsw:: -- --ignored`.
+        #[test]
+        #[ignore = "640 cases: run in release"]
+        fn split_reusing_reprune_equals_the_full_pass_640_cases(seed in proptest::prelude::any::<u64>()) {
+            check_insert_stream(seed);
+        }
+    }
+
+    #[test]
+    fn a_fill_resurrected_by_an_add_can_occlude_a_later_kept_member() {
+        // Owner o = 0 and five neighbours (sim = -d²): the first pass keeps
+        // a and b and fills with f and g, both occluded by a.  Then add x
+        // occludes a; f, no longer occluded, comes back, and occludes b —
+        // which x alone does not occlude, so checking old-kept members
+        // against adds only would keep b.
+        let (o, a, b, f, g, x) = (0, 1, 2, 3, 4, 5);
+        let pts = vec![(0.0, 0.0), (1.0, 0.0), (0.3, -2.0), (1.2, -1.2), (2.2, 0.3), (0.5, 0.5)];
+        let oracle = GridOracle { pts };
+        let flat = HnswFlat {
+            levels: vec![0; 6],
+            offsets: vec![0, 3, 3, 3, 3, 3, 3],
+            edges: vec![a, b, f],
+            entry: 0,
+            max_level: 0,
+            m: 2,
+            ef_construction: 8,
+            rng_seed: 0,
+        };
+        let mut index = Hnsw::from_flat(&flat).unwrap();
+        let group = |add: u32| BackGroup { nb: o, layer: 0, adds: vec![add] };
+        // Restored: the split is unknown and the full pass runs.
+        assert_eq!(apply_checked(&mut index, &oracle, &[group(g)]), 0);
+        assert_eq!((index.neighbors(o, 0), index.split(o, 0)), (&[a, b, f, g][..], Some(2)));
+        assert_eq!(apply_checked(&mut index, &oracle, &[group(x)]), 1);
+        assert_eq!((index.neighbors(o, 0), index.split(o, 0)), (&[x, f, a, b][..], Some(2)));
+    }
+
+    #[test]
+    fn writes_that_rank_no_list_leave_its_split_unknown() {
+        let oracle = GridOracle::new(4);
+        let mut index = Hnsw::from_flat(&Hnsw::build(&oracle, HnswParams { m: 2, ..HnswParams::default() }).to_flat())
+            .unwrap();
+        assert!((0..16).all(|v| index.split(v, 0).is_none()), "from_flat");
+        index.set_neighbors(5, 0, &[4, 6], Some(1));
+        assert_eq!(index.split(5, 0), Some(1));
+        assert!(index.try_extend(5, 0, &[1]));
+        assert_eq!((index.neighbors(5, 0), index.split(5, 0)), (&[4, 6, 1][..], None), "try_extend");
+        index.set_neighbors(5, 0, &[4], Some(1));
+        // Node 5's forward list (its back edges may overflow; not applied).
+        index.commit(5, [vec![vec![6, 9]]]);
+        assert_eq!((index.neighbors(5, 0), index.split(5, 0)), (&[6, 9][..], None), "commit");
     }
 
     #[test]
