@@ -114,7 +114,7 @@ fn bench_ip_prescaled_segments(c: &mut Criterion) {
                 })
                 .collect();
             let w = Weights::new((0..m).map(|k| 0.4 + 0.2 * k as f32).collect()).unwrap();
-            let fused = FusedRows::from_sets(&sets).unwrap();
+            let fused = FusedRows::new(sets.clone()).unwrap();
             // The serving-path query row: omega^2 baked into the query
             // side only, stored rows stay raw.
             let mut qrow = fused.row(0).to_vec();
@@ -282,7 +282,7 @@ fn sq8_scan_out_of_cache() {
 }
 
 fn bench_joint(c: &mut Criterion) {
-    use must_vector::{MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};
+    use must_vector::{FusedRows, MultiQuery, VectorSetBuilder, Weights};
     let n = 4096;
     let mut m0 = VectorSetBuilder::new(64, n);
     let mut m1 = VectorSetBuilder::new(32, n);
@@ -292,13 +292,13 @@ fn bench_joint(c: &mut Criterion) {
         m0.push_normalized(&v0).unwrap();
         m1.push_normalized(&v1).unwrap();
     }
-    let set = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
+    let set = FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap();
     let weights = Weights::new(vec![0.8, 0.33]).unwrap();
     let query = MultiQuery::full(vec![
         set.modality(0).get(0).to_vec(),
         set.modality(1).get(0).to_vec(),
     ]);
-    let ev = set.fused().query(&query, &weights).unwrap();
+    let ev = set.query(&query, &weights).unwrap();
 
     let mut group = c.benchmark_group("joint");
     group.bench_function("exact_ip", |b| {

@@ -158,7 +158,7 @@ pub fn run_mr(prepared: &Prepared, ks: &[usize], l_candidates: usize) -> Accurac
 #[must_use]
 pub fn run_must(prepared: &Prepared, ks: &[usize], weights: &Weights) -> AccuracyRun {
     let max_k = ks.iter().copied().max().unwrap_or(1);
-    let rows = prepared.embedded.objects.fused();
+    let rows = &prepared.embedded.objects;
     eval_results(prepared, ks, |q| {
         brute_force_search(rows, &q.query, weights, max_k, true)
             .expect("valid query")

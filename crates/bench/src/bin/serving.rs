@@ -43,7 +43,7 @@ use must_core::{Must, MustBuildOptions, MustError};
 use must_data::semisynthetic::{SemiSyntheticSpec, SemiSyntheticStream};
 use must_encoders::{Embedder, UnimodalKind};
 use must_graph::GraphRecipe;
-use must_vector::{MultiQuery, MultiVectorSet, ObjectId, VectorSetBuilder, Weights};
+use must_vector::{FusedRows, MultiQuery, ObjectId, VectorSetBuilder, Weights};
 
 /// The operating point of every sweep: top-`K` at beam `L` (the scale tier
 /// widens its beam from `L`), arrival batches of `BATCH` queries.
@@ -110,7 +110,7 @@ fn measure(
 
 /// The corpus, learned weights and workload the three sweeps share.
 struct Workload {
-    corpus: MultiVectorSet,
+    corpus: FusedRows,
     weights: Weights,
     queries: Vec<MultiQuery>,
     ground_truth: Vec<Vec<ObjectId>>,
@@ -283,7 +283,7 @@ fn churn_sweep(w: &Workload, server: &MustServer) -> io::Result<()> {
 
 /// Streams `n` semi-synthetic ImageText objects through the encoders one
 /// at a time (constant latent memory) and embeds the 64-query workload.
-fn embed_semisynthetic(n: usize) -> (MultiVectorSet, Vec<MultiQuery>) {
+fn embed_semisynthetic(n: usize) -> (FusedRows, Vec<MultiQuery>) {
     let stream = SemiSyntheticStream::new(SemiSyntheticSpec {
         name: "ImageText1M".into(),
         n_objects: n,
@@ -308,7 +308,7 @@ fn embed_semisynthetic(n: usize) -> (MultiVectorSet, Vec<MultiQuery>) {
         }
     }
     let objects =
-        MultiVectorSet::new(vec![b0.finish(), b1.finish()]).expect("equal cardinality");
+        FusedRows::new(vec![b0.finish(), b1.finish()]).expect("equal cardinality");
     let queries = stream
         .queries()
         .iter()
@@ -348,7 +348,7 @@ fn scale_tier(n: usize) -> io::Result<()> {
 
     // Hot-path bytes: stride f32 lanes retained for the exact re-rank plus
     // stride u8 codes for the quantized walk.
-    let fused = must.objects().fused();
+    let fused = must.objects();
     let total_dims: usize = fused.dims().iter().sum();
     let bytes_per_object = fused.stride() * 5;
     let bytes_per_dim = bytes_per_object as f64 / total_dims as f64;

@@ -191,7 +191,7 @@ pub fn fig5_case_study(scale: f64) -> Vec<Artefact> {
     // MUST: weighted joint top-5.
     let must_top5 = |q: &EmbeddedQuery| -> Vec<u32> {
         let out =
-            brute_force_search(objects.fused(), &q.query, &learned.weights, 5, true).unwrap();
+            brute_force_search(objects, &q.query, &learned.weights, 5, true).unwrap();
         out.results.iter().map(|r| r.0).collect()
     };
     // MR: per-modality candidates + merge.
@@ -296,7 +296,7 @@ pub fn sec8f_weight_generalization(scale: f64) -> Vec<Artefact> {
     // The learned configuration weights the query side of the unscaled
     // storage, not an engine rebuild (the same seam `search_weighted`
     // serves online).
-    let (rows, weights) = (prepared.embedded.objects.fused(), &learned.weights);
+    let (rows, weights) = (&prepared.embedded.objects, &learned.weights);
     println!("fixed learned weights^2 = {:?}\n", learned.weights.squared());
 
     // Rebuild Case-1 variants of evaluation queries: text describes the
@@ -379,7 +379,7 @@ pub fn tab9_user_weights(scale: f64) -> Vec<Artefact> {
         let weights = Weights::from_squared(vec![w0_sq, w1_sq]).unwrap();
         let (mut sim0, mut sim1, mut n) = (0.0f64, 0.0f64, 0usize);
         for q in prepared.eval_queries().take(300) {
-            let out = brute_force_search(objects.fused(), &q.query, &weights, 1, true)
+            let out = brute_force_search(objects, &q.query, &weights, 1, true)
                 .expect("valid query");
             let Some(&(top, _)) = out.results.first() else { continue };
             let (Some(s0), Some(s1)) = (q.query.slot(0), q.query.slot(1)) else { continue };
@@ -494,7 +494,7 @@ pub fn fig11_neighbors(scale: f64) -> Vec<Artefact> {
     println!("MUST fused-index neighbours (top 3) — per-modality + joint similarity:");
     let graph = must.index().graph().expect("fused recipe is flat");
     for &nb in graph.neighbors(vertex).iter().take(3) {
-        let ips: Vec<f32> = objects.modality_ips(vertex, nb).collect();
+        let ips = [0, 1].map(|k| objects.modality_ip(vertex, nb, k));
         let joint = objects.joint_ip(vertex, nb, must.weights()).unwrap();
         println!(
             "   object {nb:>6}  sim(m0) = {:.4}  sim(m1) = {:.4}  joint = {:.4}",
@@ -510,7 +510,7 @@ pub fn fig11_neighbors(scale: f64) -> Vec<Artefact> {
         let (graph, _) = GraphRecipe::Fused.pipeline(30, 0xF19).unwrap().build(&oracle);
         println!("\nMR modality-{mi} index neighbours (top 3):");
         for &nb in graph.neighbors(vertex).iter().take(3) {
-            let ips: Vec<f32> = objects.modality_ips(vertex, nb).collect();
+            let ips = [0, 1].map(|k| objects.modality_ip(vertex, nb, k));
             println!("   object {nb:>6}  sim(m0) = {:.4}  sim(m1) = {:.4}", ips[0], ips[1]);
         }
     }

@@ -13,7 +13,7 @@ use std::time::Instant;
 use must_graph::csr::CsrGraph;
 use must_graph::search::{beam_search_csr, SearchScratch};
 use must_graph::{PipelineBuilder, SimilarityOracle};
-use must_vector::{ModalityView, MultiQuery, MultiVectorSet, ObjectId};
+use must_vector::{FusedRows, ModalityView, MultiQuery, ObjectId};
 
 use crate::oracle::SingleModalityScorer;
 use crate::search::{modality_top_k, request_params};
@@ -67,7 +67,7 @@ fn build_single_modality_graph(set: ModalityView<'_>, gamma: usize) -> CsrGraph 
 
 /// MR: one graph per modality, merged candidates.
 pub struct MultiStreamedRetrieval<'a> {
-    set: &'a MultiVectorSet,
+    set: &'a FusedRows,
     graphs: Vec<CsrGraph>,
     /// Total build seconds (sum over the per-modality indexes).
     pub build_secs: f64,
@@ -90,7 +90,7 @@ impl<'a> MultiStreamedRetrieval<'a> {
     /// # Panics
     /// When `gamma` is 0 or `set` is empty.
     #[must_use]
-    pub fn build(set: &'a MultiVectorSet, gamma: usize) -> Self {
+    pub fn build(set: &'a FusedRows, gamma: usize) -> Self {
         let t0 = Instant::now();
         let graphs = set.modalities().map(|m| build_single_modality_graph(m, gamma)).collect();
         Self { set, graphs, build_secs: t0.elapsed().as_secs_f64() }
@@ -139,7 +139,7 @@ impl<'a> MultiStreamedRetrieval<'a> {
 /// merged top-`k` ids and the intersection size.
 #[must_use]
 pub fn mr_brute_force(
-    objects: &MultiVectorSet,
+    objects: &FusedRows,
     query: &MultiQuery,
     k: usize,
     l_candidates: usize,
@@ -202,7 +202,7 @@ impl<'a> JointEmbedding<'a> {
     /// # Panics
     /// When `gamma` is 0 or `objects` is empty.
     #[must_use]
-    pub fn build(objects: &'a MultiVectorSet, gamma: usize) -> Self {
+    pub fn build(objects: &'a FusedRows, gamma: usize) -> Self {
         let t0 = Instant::now();
         let set = objects.modality(0);
         let graph = build_single_modality_graph(set, gamma);
@@ -239,7 +239,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(21);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -249,7 +249,7 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     #[test]

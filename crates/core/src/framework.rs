@@ -2,7 +2,7 @@
 //! or user-defined weights, fused index, joint search out.
 
 use must_graph::{GraphRecipe, SearchScratch};
-use must_vector::{MultiQuery, MultiVectorSet, ObjectId, QuantizedRows, Weights};
+use must_vector::{FusedRows, MultiQuery, ObjectId, QuantizedRows, Weights};
 
 use crate::index::{build_index, BuildReport, MustIndex};
 use crate::oracle::JointOracle;
@@ -43,7 +43,7 @@ impl Default for MustBuildOptions {
 /// index.  The corpus's own unscaled fused rows are the one and only
 /// storage engine — weights are applied query-side everywhere.
 pub struct Must {
-    objects: MultiVectorSet,
+    objects: FusedRows,
     weights: Weights,
     index: MustIndex,
     report: BuildReport,
@@ -69,7 +69,7 @@ impl Must {
     /// # Errors
     /// Propagates weight-arity and configuration errors.
     pub fn build(
-        objects: MultiVectorSet,
+        objects: FusedRows,
         weights: Weights,
         opts: MustBuildOptions,
     ) -> Result<Self, MustError> {
@@ -164,9 +164,7 @@ impl Must {
             // Keep the codes in lockstep, encoding the *normalised* values
             // the corpus actually stored: one more row block, whether the
             // engine was quantized here or loaded from a bundle.
-            let fused = objects.fused();
-            let normalized: Vec<&[f32]> =
-                (0..fused.num_modalities()).map(|k| fused.modality_slice(id, k)).collect();
+            let normalized: Vec<&[f32]> = objects.object(id).collect();
             q.push_row(&normalized)?;
         }
         let oracle = JointOracle::new(objects, weights)?;
@@ -184,7 +182,7 @@ impl Must {
     /// # Errors
     /// Weight-arity and graph/corpus consistency errors.
     pub fn from_parts(
-        objects: MultiVectorSet,
+        objects: FusedRows,
         weights: Weights,
         index: MustIndex,
         opts: MustBuildOptions,
@@ -220,7 +218,7 @@ impl Must {
     /// [`Must::search`] and the frozen server walk the codes, and
     /// [`crate::persist::save_quantized`] persists them as bundle v7.
     pub fn quantize(&mut self) {
-        self.quant = Some(self.objects.fused().quantize());
+        self.quant = Some(self.objects.quantize());
     }
 
     /// The attached SQ8 engine, if any.
@@ -235,7 +233,7 @@ impl Must {
     /// [`MustError::Config`] when the engine does not mirror the corpus
     /// (cardinality or layout mismatch).
     pub fn attach_quant(&mut self, quant: QuantizedRows) -> Result<(), MustError> {
-        if quant.len() != self.objects.len() || quant.layout() != self.objects.fused().layout() {
+        if quant.len() != self.objects.len() || quant.layout() != self.objects.layout() {
             return Err(MustError::Config(
                 "quantized engine does not mirror the corpus".into(),
             ));
@@ -249,7 +247,7 @@ impl Must {
     /// (Section VI).
     #[must_use]
     pub fn learn_weights(
-        objects: &MultiVectorSet,
+        objects: &FusedRows,
         anchors: &[(&MultiQuery, ObjectId)],
         config: &WeightLearnConfig,
     ) -> LearnedWeights {
@@ -271,7 +269,7 @@ impl Must {
 
     /// The corpus.
     #[must_use]
-    pub fn objects(&self) -> &MultiVectorSet {
+    pub fn objects(&self) -> &FusedRows {
         &self.objects
     }
 
@@ -326,7 +324,7 @@ impl Must {
     /// `k = 0`.
     pub fn brute_force(&self, query: &MultiQuery, k: usize) -> Result<SearchOutcome, MustError> {
         let live = |id| !self.is_deleted(id);
-        exact_scan(self.objects.fused(), query, &self.weights, k, self.prune, live)
+        exact_scan(&self.objects, query, &self.weights, k, self.prune, live)
     }
 }
 
@@ -338,7 +336,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(77);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -348,10 +346,10 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
-    fn self_query(set: &MultiVectorSet, id: ObjectId) -> MultiQuery {
+    fn self_query(set: &FusedRows, id: ObjectId) -> MultiQuery {
         MultiQuery::full(vec![
             set.modality(0).get(id).to_vec(),
             set.modality(1).get(id).to_vec(),
@@ -450,7 +448,7 @@ mod tests {
             assert!(must.mark_deleted(id).unwrap());
         }
         assert!(must.deleted_count() >= n as usize / 2);
-        let rows = must.objects().fused();
+        let rows = must.objects();
         for (anchor, k) in [(14u32, 10usize), (15, 1), (999, 25)] {
             let q = self_query(must.objects(), anchor);
             let full = brute_force_search(rows, &q, must.weights(), n as usize, must.prune()).unwrap();

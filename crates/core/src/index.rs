@@ -169,11 +169,11 @@ pub fn build_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use must_vector::{MultiVectorSet, VectorSetBuilder, Weights};
+    use must_vector::{FusedRows, VectorSetBuilder, Weights};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(11);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -183,7 +183,7 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`metrics`] — `Recall@k(k')` (Eq. 1) and the similarity-measurement
 //!   error `SME` (Eq. 4).
 //! * [`oracle`] — the joint-similarity oracle over a
-//!   [`must_vector::MultiVectorSet`] + [`must_vector::Weights`] (Lemma 1),
+//!   [`must_vector::FusedRows`] + [`must_vector::Weights`] (Lemma 1),
 //!   and the query scorer wiring the Lemma-4 multi-vector pruning into
 //!   graph search.
 //! * [`weights`] — the vector-weight-learning model (Section VI):
@@ -55,7 +55,7 @@
 //!
 //! ```
 //! use must_core::framework::{Must, MustBuildOptions};
-//! use must_vector::{MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};
+//! use must_vector::{FusedRows, MultiQuery, VectorSetBuilder, Weights};
 //!
 //! // A toy corpus: 4 objects x 2 modalities.
 //! let mut m0 = VectorSetBuilder::new(4, 4);
@@ -67,7 +67,7 @@
 //!     m0.push_normalized(&img).unwrap();
 //!     m1.push_normalized(&txt).unwrap();
 //! }
-//! let objects = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
+//! let objects = FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap();
 //! let must = Must::build(objects, Weights::uniform(2), MustBuildOptions::default()).unwrap();
 //! let query = MultiQuery::full(vec![vec![0., 0., 0.9, 0.1], vec![0., 1.]]);
 //! let hits = must.search(&query, 1, 8).unwrap();

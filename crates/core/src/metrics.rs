@@ -1,7 +1,7 @@
 //! Evaluation metrics: `Recall@k(k')` (Eq. 1) and the similarity
 //! measurement error `SME` (Eq. 4).
 
-use must_vector::{MultiVectorSet, ObjectId};
+use must_vector::{FusedRows, ObjectId};
 
 /// `Recall@k(k') = |R ∩ G| / k'` where `R` is the top-`k` result ids and
 /// `G` the ground-truth ids (Eq. 1).
@@ -23,7 +23,7 @@ pub fn recall_at(results: &[ObjectId], ground_truth: &[ObjectId], k: usize) -> f
 /// `SME(a, r) = 1 - IP(phi_0(a_0), phi_0(r_0))` (Eq. 4): how far the
 /// returned object's target-modality content is from the ground truth's.
 #[must_use]
-pub fn sme(objects: &MultiVectorSet, truth: ObjectId, returned: ObjectId) -> f64 {
+pub fn sme(objects: &FusedRows, truth: ObjectId, returned: ObjectId) -> f64 {
     1.0 - objects.modality(0).ip(truth, returned) as f64
 }
 
@@ -32,12 +32,12 @@ mod tests {
     use super::*;
     use must_vector::VectorSetBuilder;
 
-    fn objects() -> MultiVectorSet {
+    fn objects() -> FusedRows {
         let mut m0 = VectorSetBuilder::new(3, 3);
         m0.push_normalized(&[1.0, 0.0, 0.0]).unwrap();
         m0.push_normalized(&[0.6, 0.8, 0.0]).unwrap();
         m0.push_normalized(&[0.0, 0.0, 1.0]).unwrap();
-        MultiVectorSet::new(vec![m0.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish()]).unwrap()
     }
 
     #[test]

@@ -16,14 +16,14 @@ use std::sync::OnceLock;
 
 use must_graph::{QueryScorer, SimilarityOracle};
 use must_vector::{
-    FusedQueryEvaluator, FusedRows, MultiQuery, MultiVectorSet, PartialIpVerdict,
-    QuantizedQueryEvaluator, QuantizedRows, VectorError, Weights,
+    FusedQueryEvaluator, FusedRows, MultiQuery, PartialIpVerdict, QuantizedQueryEvaluator,
+    QuantizedRows, VectorError, Weights,
 };
 
 /// Joint-similarity oracle over a multi-vector corpus under fixed weights —
 /// what Algorithm 1 builds the fused index on.
 pub struct JointOracle<'a> {
-    set: &'a MultiVectorSet,
+    set: &'a FusedRows,
     weights: &'a Weights,
     /// The fused centroid of all virtual points with the oracle's
     /// `omega^2` baked in (component ④ support): `sim_to_centroid` is one
@@ -43,8 +43,8 @@ impl<'a> JointOracle<'a> {
     /// # Errors
     /// [`VectorError::WeightArity`] when `weights` does not cover every
     /// modality of `set`.
-    pub fn new(set: &'a MultiVectorSet, weights: &'a Weights) -> Result<Self, VectorError> {
-        set.fused().layout().check_weights(weights)?;
+    pub fn new(set: &'a FusedRows, weights: &'a Weights) -> Result<Self, VectorError> {
+        set.layout().check_weights(weights)?;
         let w_total = weights.squared().iter().sum();
         Ok(Self { set, weights, centroid_row: OnceLock::new(), w_total })
     }
@@ -54,12 +54,11 @@ impl<'a> JointOracle<'a> {
     /// value.
     fn centroid_row(&self) -> &[f32] {
         self.centroid_row.get_or_init(|| {
-            let engine = self.set.fused();
             // Bake omega^2 into the centroid once: against unscaled rows the
             // plain fused dot product then yields the Lemma-1 weighted sum.
-            let mut centroid_row = engine.centroid_row();
+            let mut centroid_row = self.set.centroid_row();
             for (k, &wsq) in self.weights.squared().iter().enumerate() {
-                let (start, end) = engine.segment_bounds(k);
+                let (start, end) = self.set.segment_bounds(k);
                 for x in &mut centroid_row[start..end] {
                     *x *= wsq;
                 }
@@ -82,7 +81,7 @@ impl<'a> JointOracle<'a> {
 
     /// The multi-vector corpus.
     #[must_use]
-    pub fn set(&self) -> &'a MultiVectorSet {
+    pub fn set(&self) -> &'a FusedRows {
         self.set
     }
 }
@@ -93,11 +92,11 @@ impl SimilarityOracle for JointOracle<'_> {
     }
 
     fn sim(&self, a: u32, b: u32) -> f32 {
-        self.set.fused().weighted_pair_ip(a, b, self.weights.squared())
+        self.set.weighted_pair_ip(a, b, self.weights.squared())
     }
 
     fn sims(&self, a: u32, ids: &[u32], out: &mut [f32]) {
-        self.set.fused().weighted_pair_ips(a, ids, self.weights.squared(), out);
+        self.set.weighted_pair_ips(a, ids, self.weights.squared(), out);
     }
 
     fn self_sim(&self, _a: u32) -> f32 {
@@ -110,7 +109,7 @@ impl SimilarityOracle for JointOracle<'_> {
         // The centroid row carries omega^2, the stored row is raw, so this
         // is the Lemma-1 weighted sum against the centroid — one dot
         // product.
-        must_vector::kernels::ip_prescaled_segments(self.set.fused().row(a), self.centroid_row())
+        must_vector::kernels::ip_prescaled_segments(self.set.row(a), self.centroid_row())
     }
 }
 
@@ -266,7 +265,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus() -> MultiVectorSet {
+    fn corpus() -> FusedRows {
         let mut m0 = VectorSetBuilder::new(4, 4);
         let mut m1 = VectorSetBuilder::new(3, 4);
         for (a, b) in [
@@ -278,7 +277,7 @@ mod tests {
             m0.push_normalized(&a).unwrap();
             m1.push_normalized(&b).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     #[test]
@@ -308,11 +307,10 @@ mod tests {
 
     /// The engine's centroid with `omega^2` applied per segment — what the
     /// oracle's cell must hold, value for value.
-    fn scaled_centroid(set: &MultiVectorSet, w: &Weights) -> Vec<f32> {
-        let rows = set.fused();
-        let mut c = rows.centroid_row();
-        for k in 0..rows.num_modalities() {
-            let (start, end) = rows.segment_bounds(k);
+    fn scaled_centroid(set: &FusedRows, w: &Weights) -> Vec<f32> {
+        let mut c = set.centroid_row();
+        for k in 0..set.num_modalities() {
+            let (start, end) = set.segment_bounds(k);
             c[start..end].iter_mut().for_each(|x| *x *= w.sq(k));
         }
         c
@@ -328,7 +326,7 @@ mod tests {
         for id in 0..4u32 {
             let got = oracle.sim_to_centroid(id);
             // Bit for bit the one dot product over the fused rows ...
-            let row = set.fused().row(id);
+            let row = set.row(id);
             let want = must_vector::kernels::ip_prescaled_segments(row, &fused_centroid);
             assert_eq!(got.to_bits(), want.to_bits(), "object {id}");
             // ... which is Lemma 1's weighted sum over the modalities, up
@@ -342,7 +340,7 @@ mod tests {
         }
     }
 
-    fn random_corpus(n: usize) -> MultiVectorSet {
+    fn random_corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(29);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -352,7 +350,7 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     #[test]
@@ -430,8 +428,8 @@ mod tests {
         let set = corpus();
         let w = Weights::uniform(2);
         let q = MultiQuery::full(vec![vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
-        let pruning = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
-        let plain = MustQueryScorer::from_rows(set.fused(), &q, &w, false).unwrap();
+        let pruning = MustQueryScorer::from_rows(&set, &q, &w, true).unwrap();
+        let plain = MustQueryScorer::from_rows(&set, &q, &w, false).unwrap();
         for id in 0..4 {
             let a = pruning.score_pruned(id, f32::NEG_INFINITY);
             let b = plain.score_pruned(id, f32::NEG_INFINITY);
@@ -450,9 +448,9 @@ mod tests {
         let set = corpus();
         let w = Weights::new(vec![0.9, 0.5]).unwrap();
         let q = MultiQuery::full(vec![vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
-        let quant = set.fused().quantize();
-        let cold = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
-        let warm = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
+        let quant = set.quantize();
+        let cold = MustQueryScorer::from_rows(&set, &q, &w, true).unwrap();
+        let warm = MustQueryScorer::from_rows(&set, &q, &w, true).unwrap();
         let qcold = QuantizedQueryScorer::from_rows(&quant, &q, &w, true).unwrap();
         let qwarm = QuantizedQueryScorer::from_rows(&quant, &q, &w, true).unwrap();
         for id in 0..4 {
@@ -475,7 +473,7 @@ mod tests {
         let w = Weights::new(vec![0.9, 0.5]).unwrap();
         let oracle = JointOracle::new(&set, &w).unwrap();
         let q = MultiQuery::full(set.object(1).map(<[f32]>::to_vec).collect());
-        let via_rows = MustQueryScorer::from_rows(set.fused(), &q, &w, true).unwrap();
+        let via_rows = MustQueryScorer::from_rows(&set, &q, &w, true).unwrap();
         for id in 0..4 {
             assert!((oracle.sim(1, id) - via_rows.score(id)).abs() < 1e-6);
         }
@@ -488,8 +486,8 @@ mod tests {
         let q = MultiQuery::full(vec![vec![0.0, 1.0, 0.0, 0.0], vec![1.0, 0.0, 0.0]]);
         let wa = Weights::from_squared(vec![0.9, 0.1]).unwrap();
         let wb = Weights::from_squared(vec![0.1, 0.9]).unwrap();
-        let sa = MustQueryScorer::from_rows(set.fused(), &q, &wa, true).unwrap();
-        let sb = MustQueryScorer::from_rows(set.fused(), &q, &wb, true).unwrap();
+        let sa = MustQueryScorer::from_rows(&set, &q, &wa, true).unwrap();
+        let sb = MustQueryScorer::from_rows(&set, &q, &wb, true).unwrap();
         for id in 0..4u32 {
             let want_a = wa.sq(0) * set.modality(0).ip_to(id, &[0.0, 1.0, 0.0, 0.0])
                 + wa.sq(1) * set.modality(1).ip_to(id, &[1.0, 0.0, 0.0]);
@@ -499,6 +497,6 @@ mod tests {
             assert!((sb.score(id) - want_b).abs() < 1e-5);
         }
         // Arity mismatches surface as errors, not panics.
-        assert!(MustQueryScorer::from_rows(set.fused(), &q, &Weights::uniform(3), true).is_err());
+        assert!(MustQueryScorer::from_rows(&set, &q, &Weights::uniform(3), true).is_err());
     }
 }

@@ -60,7 +60,7 @@ use std::path::Path;
 use must_graph::csr::CsrGraph;
 use must_graph::hnsw::{Hnsw, HnswFlat};
 use must_graph::GraphRecipe;
-use must_vector::{FusedRows, Layout, MultiVectorSet, QuantizedRows, SegParams, Weights, FUSED_LANE};
+use must_vector::{FusedRows, Layout, QuantizedRows, SegParams, Weights, FUSED_LANE};
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::index::MustIndex;
@@ -430,7 +430,7 @@ fn write_payload(
     quant: Option<&QuantizedRows>,
     format: &Format,
 ) -> Result<(), MustError> {
-    let rows = must.objects().fused();
+    let rows = must.objects();
     let (n, m, stride) = (rows.len(), rows.num_modalities(), rows.stride());
     let header = Header { prune: must.prune(), dims: rows.dims().to_vec(), n, stride };
     // The one length the header does not imply follows from the index's shape.
@@ -530,7 +530,7 @@ fn read_payload(r: &mut Reader<impl Read>, format: &Format) -> Result<Must, Must
     let weights = Weights::new(omega).map_err(MustError::Vector)?;
     let (index, recipe) = index.expect("every format carries an index block");
     let mut must = Must::from_parts(
-        MultiVectorSet::from_fused(rows),
+        rows,
         weights,
         index,
         MustBuildOptions { recipe, ..Default::default() },
@@ -640,7 +640,7 @@ pub fn save(must: &Must, path: &Path) -> Result<(), MustError> {
 /// corpus.
 pub fn save_quantized(must: &Must, path: &Path) -> Result<(), MustError> {
     reject_tombstones(must)?;
-    let rows = must.objects().fused();
+    let rows = must.objects();
     let quant = must.quant().map_or_else(|| Cow::Owned(rows.quantize()), Cow::Borrowed);
     if quant.len() != rows.len() || quant.layout() != rows.layout() {
         return Err(MustError::Config(
@@ -718,13 +718,13 @@ pub fn load(path: &Path) -> Result<Must, MustError> {
 /// use must_core::framework::MustBuildOptions;
 /// use must_core::persist::{load_sharded, save_sharded};
 /// use must_core::shard::{ShardSpec, ShardedMust};
-/// use must_vector::{MultiVectorSet, VectorSetBuilder, Weights};
+/// use must_vector::{FusedRows, VectorSetBuilder, Weights};
 ///
 /// let mut m0 = VectorSetBuilder::new(4, 10);
 /// for i in 0..10 {
 ///     m0.push_normalized(&[1.0, i as f32, 0.5, 0.25]).unwrap();
 /// }
-/// let objects = MultiVectorSet::new(vec![m0.finish()]).unwrap();
+/// let objects = FusedRows::new(vec![m0.finish()]).unwrap();
 /// let sharded = ShardedMust::build(
 ///     objects, Weights::uniform(1), MustBuildOptions::default(), ShardSpec::clustered(2),
 /// ).unwrap();
@@ -845,7 +845,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(13);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -855,7 +855,7 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     fn build(n: usize, weights: Weights, recipe: GraphRecipe) -> Must {
@@ -910,7 +910,7 @@ mod tests {
         [&BUNDLE_V2_MAGIC[..], &version.to_le_bytes()].concat()
     }
 
-    fn self_query(set: &MultiVectorSet, id: u32) -> MultiQuery {
+    fn self_query(set: &FusedRows, id: u32) -> MultiQuery {
         MultiQuery::full(vec![set.modality(0).get(id).to_vec(), set.modality(1).get(id).to_vec()])
     }
 
@@ -952,8 +952,8 @@ mod tests {
         let must = build(90, Weights::uniform(2), GraphRecipe::Fused);
         let loaded = via_file("bundle-v5-weighted.mustb", |p| save(&must, p), |p| load(p).unwrap());
         assert_eq!(
-            loaded.objects().fused().seg_norms(),
-            must.objects().fused().seg_norms(),
+            loaded.objects().seg_norms(),
+            must.objects().seg_norms(),
             "v5 adopts the persisted norms verbatim"
         );
         // A weight override over the loaded snapshot serves exactly like
@@ -1009,8 +1009,8 @@ mod tests {
         assert_eq!(loaded.objects().len(), 150);
         assert_eq!(loaded.weights(), must.weights());
         assert_eq!(
-            loaded.objects().fused().seg_norms(),
-            must.objects().fused().seg_norms(),
+            loaded.objects().seg_norms(),
+            must.objects().seg_norms(),
             "v7 adopts the persisted norms verbatim"
         );
         // Codes and parameters: `PartialEq` is over the blocks.
@@ -1061,7 +1061,7 @@ mod tests {
             assert_eq!(must.insert_object(&new_object(1, 0)).unwrap(), 150);
         }
         assert_eq!(loaded.quant(), fresh.quant());
-        assert_eq!(fresh.quant(), Some(&fresh.objects().fused().quantize()));
+        assert_eq!(fresh.quant(), Some(&fresh.objects().quantize()));
 
         let (fresh, loaded) = (MustServer::freeze(fresh), MustServer::freeze(loaded));
         let w = Weights::from_squared(vec![0.3, 0.7]).unwrap();
@@ -1225,6 +1225,47 @@ mod tests {
     }
 
     #[test]
+    fn v7_hnsw_list_naming_a_node_below_its_layer_is_refused_at_load() {
+        // Node 0 alone reaches layer 1.  The good block's offsets
+        // `[0, 3, 3, ..]` give it an empty layer-1 list; `[0, 2, 3, ..]`
+        // move its last layer-0 neighbour, node 1 (a level-0 node), into
+        // that list.  Such a block must fail the load as `Config`: loaded,
+        // it would panic the first insert that back-links to node 1 there.
+        let flat = HnswFlat {
+            levels: vec![1, 0, 0, 0],
+            offsets: vec![0, 3, 3, 4, 5, 6],
+            edges: vec![2, 3, 1, 0, 0, 0],
+            entry: 0,
+            max_level: 1,
+            m: 2,
+            ef_construction: 8,
+            rng_seed: 0,
+        };
+        let index = MustIndex::Hnsw(Hnsw::from_flat(&flat).unwrap());
+        let opts = MustBuildOptions { recipe: GraphRecipe::Hnsw, ..Default::default() };
+        let must = Must::from_parts(corpus(4), Weights::uniform(2), index, opts).unwrap();
+        let good = via_file("bundle-v7-level.mustb", |p| save_quantized(&must, p), |p| {
+            std::fs::read(p).unwrap()
+        });
+        let offsets: Vec<u8> = flat.offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
+        let at: Vec<usize> = (0..good.len() - offsets.len())
+            .filter(|&i| good[i..i + offsets.len()] == offsets[..])
+            .collect();
+        assert_eq!(at.len(), 1, "the offset array appears once in the bundle");
+        let mut bad = good.clone();
+        bad[at[0] + 4..at[0] + 8].copy_from_slice(&2u32.to_le_bytes());
+        for got in load_bytes("bundle-v7-level-bad.mustb", &bad) {
+            let Err(MustError::Config(msg)) = got else { panic!("{got:?}") };
+            assert!(msg.contains("layer 1 names node 1"), "{msg}");
+        }
+        let write = |p: &Path| std::fs::write(p, &good).map_err(io("write fixture"));
+        let mut loaded = via_file("bundle-v7-level-good.mustb", write, |p| load(p).unwrap());
+        for hot in 0..8 {
+            loaded.insert_object(&new_object(hot, hot % 4)).unwrap();
+        }
+    }
+
+    #[test]
     fn v7_saves_without_a_pre_attached_engine() {
         // `save_quantized` quantizes on the fly when the instance never
         // called `quantize()`; the bundle is byte-identical either way.
@@ -1340,7 +1381,7 @@ mod tests {
             assert_eq!(sharded.global_ids(0), &want[..], "{what}");
             // Single-shard bundles carry no summaries: the loader derives
             // one from the rows, identical to computing it directly.
-            let derived = ShardSummary::compute(sharded.shard(0).objects().fused());
+            let derived = ShardSummary::compute(sharded.shard(0).objects());
             assert_eq!(sharded.summary(0), &derived, "{what}");
         }
     }

@@ -430,7 +430,7 @@ mod tests {
     use super::*;
     use crate::framework::{Must, MustBuildOptions};
     use crate::server::MustServer;
-    use must_vector::{MultiVectorSet, VectorSetBuilder};
+    use must_vector::{FusedRows, VectorSetBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -444,7 +444,7 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        let set = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
+        let set = FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap();
         let must =
             Must::build(set, Weights::uniform(2), MustBuildOptions::default()).unwrap();
         MustServer::freeze(must)

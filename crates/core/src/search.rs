@@ -17,8 +17,8 @@ use std::time::Instant;
 
 use must_graph::{Pool, SearchParams, SearchStats};
 use must_vector::{
-    kernels, FusedQueryEvaluator, FusedRows, ModalityView, MultiQuery, MultiVectorSet, ObjectId,
-    PartialIpVerdict, Weights,
+    kernels, FusedQueryEvaluator, FusedRows, ModalityView, MultiQuery, ObjectId, PartialIpVerdict,
+    Weights,
 };
 
 use crate::MustError;
@@ -104,12 +104,12 @@ pub(crate) fn exact_scan(
 /// # Errors
 /// As [`brute_force_search`].
 pub fn exact_ground_truth(
-    set: &MultiVectorSet,
+    set: &FusedRows,
     weights: &Weights,
     queries: &[MultiQuery],
     k: usize,
 ) -> Result<Vec<Vec<ObjectId>>, MustError> {
-    ground_truth_on(set.fused(), weights, queries, k, must_graph::par::build_threads())
+    ground_truth_on(set, weights, queries, k, must_graph::par::build_threads())
 }
 
 /// [`exact_ground_truth`] on `threads` workers.
@@ -231,7 +231,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(3);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -241,10 +241,10 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
-    fn query_for(set: &MultiVectorSet, id: ObjectId) -> MultiQuery {
+    fn query_for(set: &FusedRows, id: ObjectId) -> MultiQuery {
         MultiQuery::full(vec![
             set.modality(0).get(id).to_vec(),
             set.modality(1).get(id).to_vec(),
@@ -257,7 +257,7 @@ mod tests {
         let w = Weights::uniform(2);
         for id in [0u32, 57, 199] {
             let q = query_for(&set, id);
-            let out = brute_force_search(set.fused(), &q, &w, 3, true).unwrap();
+            let out = brute_force_search(&set, &q, &w, 3, true).unwrap();
             assert_eq!(out.results[0].0, id);
         }
     }
@@ -268,8 +268,8 @@ mod tests {
         let w = Weights::new(vec![0.9, 0.3]).unwrap();
         for id in [5u32, 99] {
             let q = query_for(&set, id);
-            let a = brute_force_search(set.fused(), &q, &w, 10, true).unwrap();
-            let b = brute_force_search(set.fused(), &q, &w, 10, false).unwrap();
+            let a = brute_force_search(&set, &q, &w, 10, true).unwrap();
+            let b = brute_force_search(&set, &q, &w, 10, false).unwrap();
             let ids_a: Vec<u32> = a.results.iter().map(|r| r.0).collect();
             let ids_b: Vec<u32> = b.results.iter().map(|r| r.0).collect();
             assert_eq!(ids_a, ids_b, "Lemma 4 must be lossless");
@@ -291,7 +291,7 @@ mod tests {
         for t in 0..total {
             let id = (t * 16) as u32 % 400;
             let q = query_for(&set, id);
-            let exact = brute_force_search(set.fused(), &q, &weights, 1, true).unwrap();
+            let exact = brute_force_search(&set, &q, &weights, 1, true).unwrap();
             let approx = worker.search(&q, 1, 100).unwrap();
             if approx.results[0].0 == exact.results[0].0 {
                 hits += 1;
@@ -312,30 +312,30 @@ mod tests {
         let gt = exact_ground_truth(&set, &w, &queries, 5).unwrap();
         assert_eq!(gt.len(), 6);
         for (q, g) in queries.iter().zip(&gt) {
-            let bf = brute_force_search(set.fused(), q, &w, 5, false).unwrap();
+            let bf = brute_force_search(&set, q, &w, 5, false).unwrap();
             let ids: Vec<u32> = bf.results.iter().map(|r| r.0).collect();
             assert_eq!(&ids, g);
         }
         // k = 0 is refused as the graph walk refuses it, never a panic.
-        let zero = brute_force_search(set.fused(), &queries[0], &w, 0, true);
+        let zero = brute_force_search(&set, &queries[0], &w, 0, true);
         assert!(matches!(zero, Err(MustError::Config(_))));
         assert!(matches!(exact_ground_truth(&set, &w, &queries, 0), Err(MustError::Config(_))));
     }
 
     /// `corpus(n)` with rows `3, 40, 41, 77` copied bit for bit into
     /// rows `4, 90, 42, n - 1`: ties the scan must break by id.
-    fn corpus_with_duplicates(n: usize) -> MultiVectorSet {
+    fn corpus_with_duplicates(n: usize) -> FusedRows {
         let set = corpus(n);
-        let mut data = set.fused().raw_data().to_vec();
-        let stride = set.fused().stride();
+        let mut data = set.raw_data().to_vec();
+        let stride = set.stride();
         for (from, to) in [(3usize, 4usize), (40, 90), (41, 42), (77, n - 1)] {
             data.copy_within(from * stride..(from + 1) * stride, to * stride);
         }
-        MultiVectorSet::from_fused(FusedRows::from_raw_parts(set.fused().dims().to_vec(), data).unwrap())
+        FusedRows::from_raw_parts(set.dims().to_vec(), data).unwrap()
     }
 
     /// A full self-query of `id`, or one with modality `drop` left out.
-    fn query_of(set: &MultiVectorSet, id: ObjectId, drop: Option<usize>) -> MultiQuery {
+    fn query_of(set: &FusedRows, id: ObjectId, drop: Option<usize>) -> MultiQuery {
         MultiQuery::partial(
             (0..2).map(|m| (drop != Some(m)).then(|| set.modality(m).get(id).to_vec())).collect(),
         )
@@ -344,16 +344,15 @@ mod tests {
     #[test]
     fn a_block_of_four_is_four_width_one_scans_bit_for_bit() {
         let set = corpus_with_duplicates(300);
-        let rows = set.fused();
         let w = Weights::new(vec![0.9, 0.3]).unwrap();
         let queries: Vec<MultiQuery> = [3u32, 41, 77, 150].map(|id| query_of(&set, id, None)).into();
         for k in [1usize, 7, 300, 305] {
-            let quad: Vec<_> = queries.iter().map(|q| rows.query(q, &w).unwrap()).collect();
-            let block = scan(&quad, rows.len(), k, true, |_| true);
+            let quad: Vec<_> = queries.iter().map(|q| set.query(q, &w).unwrap()).collect();
+            let block = scan(&quad, set.len(), k, true, |_| true);
             for ((q, eval), (pool, stats)) in queries.iter().zip(&quad).zip(block) {
-                let want = brute_force_search(rows, q, &w, k, true).unwrap();
+                let want = brute_force_search(&set, q, &w, k, true).unwrap();
                 let got = pool.top_k(k);
-                assert_eq!(got.len(), k.min(rows.len()));
+                assert_eq!(got.len(), k.min(set.len()));
                 let bits = |r: &[(ObjectId, f32)]| {
                     r.iter().map(|&(id, s)| (id, s.to_bits())).collect::<Vec<_>>()
                 };
@@ -367,7 +366,6 @@ mod tests {
     #[test]
     fn ground_truth_is_brute_force_for_every_block_shape_and_thread_count() {
         let set = corpus_with_duplicates(240);
-        let rows = set.fused();
         let w = Weights::new(vec![0.8, 0.5]).unwrap();
         // Blocks: four full queries (one pass), two with partial queries
         // mixed in (layouts differ), and a remainder of one.
@@ -391,13 +389,13 @@ mod tests {
             let want: Vec<Vec<ObjectId>> = queries
                 .iter()
                 .map(|q| {
-                    let out = brute_force_search(rows, q, &w, k, true).unwrap();
+                    let out = brute_force_search(&set, q, &w, k, true).unwrap();
                     out.results.into_iter().map(|(id, _)| id).collect()
                 })
                 .collect();
             for threads in [1usize, 2, 3] {
                 for count in [1, 4, 5, 8, 9, queries.len()] {
-                    let got = ground_truth_on(rows, &w, &queries[..count], k, threads).unwrap();
+                    let got = ground_truth_on(&set, &w, &queries[..count], k, threads).unwrap();
                     assert_eq!(got, want[..count], "k {k}, T {threads}, {count} queries");
                 }
             }
@@ -406,12 +404,12 @@ mod tests {
 
     /// Rows `[1, 0, 0, 0]`, `[1, 1, 0, 0]` and `[0, 0, 3, 4]`, normalised,
     /// as the one modality.
-    fn three_rows() -> MultiVectorSet {
+    fn three_rows() -> FusedRows {
         let mut b = VectorSetBuilder::new(4, 3);
         b.push_normalized(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         b.push_normalized(&[1.0, 1.0, 0.0, 0.0]).unwrap();
         b.push_normalized(&[0.0, 0.0, 3.0, 4.0]).unwrap();
-        MultiVectorSet::new(vec![b.finish()]).unwrap()
+        FusedRows::new(vec![b.finish()]).unwrap()
     }
 
     #[test]
@@ -442,7 +440,7 @@ mod tests {
         let w = Weights::uniform(2);
         // Text-only query (t = 1, auxiliary only).
         let q = MultiQuery::partial(vec![None, Some(set.modality(1).get(42).to_vec())]);
-        let out = brute_force_search(set.fused(), &q, &w, 1, true).unwrap();
+        let out = brute_force_search(&set, &q, &w, 1, true).unwrap();
         assert_eq!(out.results[0].0, 42);
     }
 }

@@ -185,7 +185,7 @@ impl ServerWorker<'_> {
             return self.search_quantized_with_params(quant, query, weights, params);
         }
         let scorer =
-            MustQueryScorer::from_rows(must.objects().fused(), query, weights, must.prune())?;
+            MustQueryScorer::from_rows(must.objects(), query, weights, must.prune())?;
         let t0 = Instant::now();
         let res = must.index().search(&Live(&scorer, must), params, &mut self.scratch);
         Ok(SearchOutcome {
@@ -213,7 +213,7 @@ impl ServerWorker<'_> {
         let must = self.must;
         let qscorer = QuantizedQueryScorer::from_rows(quant, query, weights, must.prune())?;
         // Exact re-rank wants ip() only; the prune flag is irrelevant.
-        let exact = MustQueryScorer::from_rows(must.objects().fused(), query, weights, false)?;
+        let exact = MustQueryScorer::from_rows(must.objects(), query, weights, false)?;
         let t0 = Instant::now();
         let n = must.index().len();
         let rerank_k = params.k.saturating_mul(4).min(n).max(params.k.min(n)).max(1);
@@ -288,11 +288,11 @@ mod tests {
     use super::*;
     use crate::framework::MustBuildOptions;
     use must_graph::GraphRecipe;
-    use must_vector::{MultiVectorSet, VectorSetBuilder};
+    use must_vector::{FusedRows, VectorSetBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(21);
         let mut m0 = VectorSetBuilder::new(8, n);
         let mut m1 = VectorSetBuilder::new(4, n);
@@ -302,10 +302,10 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
-    fn self_query(set: &MultiVectorSet, id: u32) -> MultiQuery {
+    fn self_query(set: &FusedRows, id: u32) -> MultiQuery {
         MultiQuery::full(vec![
             set.modality(0).get(id).to_vec(),
             set.modality(1).get(id).to_vec(),

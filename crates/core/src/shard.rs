@@ -57,7 +57,7 @@
 //! ```
 //! use must_core::framework::MustBuildOptions;
 //! use must_core::shard::{ShardSpec, ShardedMust, ShardedServer};
-//! use must_vector::{MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};
+//! use must_vector::{FusedRows, MultiQuery, VectorSetBuilder, Weights};
 //!
 //! // 8 objects x 2 modalities, split over 2 shards, served scatter-gather.
 //! let mut m0 = VectorSetBuilder::new(4, 8);
@@ -68,7 +68,7 @@
 //!     m0.push_normalized(&img).unwrap();
 //!     m1.push_normalized(&[1.0, i as f32 / 8.0]).unwrap();
 //! }
-//! let objects = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
+//! let objects = FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap();
 //! let sharded = ShardedMust::build(
 //!     objects,
 //!     Weights::uniform(2),
@@ -90,7 +90,7 @@ use std::time::Instant;
 
 use must_graph::par;
 use must_graph::{answer_order, SearchParams, SearchStats};
-use must_vector::{kernels, FusedRows, Layout, MultiQuery, MultiVectorSet, ObjectId, Weights};
+use must_vector::{kernels, FusedRows, Layout, MultiQuery, ObjectId, Weights};
 
 use crate::framework::{Must, MustBuildOptions};
 use crate::search::{request_params, SearchOutcome};
@@ -189,20 +189,19 @@ fn prescale_centroid(rows: &FusedRows, centroid: &[f32], weights: &Weights) -> V
 /// Clustering runs under `weights`, whose arity [`ShardedMust::build`] has
 /// checked.
 fn split(
-    objects: &MultiVectorSet,
+    objects: &FusedRows,
     weights: &Weights,
     s: usize,
-) -> Vec<(MultiVectorSet, Vec<ObjectId>, usize)> {
-    let rows = objects.fused();
-    cluster_members(rows, weights, s)
+) -> Vec<(FusedRows, Vec<ObjectId>, usize)> {
+    cluster_members(objects, weights, s)
         .into_iter()
         .map(|(ids, primaries)| {
-            let mut data = Vec::with_capacity(ids.len() * rows.stride());
+            let mut data = Vec::with_capacity(ids.len() * objects.stride());
             for &id in &ids {
-                data.extend_from_slice(rows.row(id));
+                data.extend_from_slice(objects.row(id));
             }
-            let fused = FusedRows::from_raw_parts(rows.dims().to_vec(), data).expect("whole rows");
-            (MultiVectorSet::from_fused(fused), ids, primaries)
+            let fused = FusedRows::from_raw_parts(objects.dims().to_vec(), data).expect("whole rows");
+            (fused, ids, primaries)
         })
         .collect()
 }
@@ -532,7 +531,7 @@ impl ShardedMust {
     /// cover every modality, checked before clustering runs under them;
     /// propagates per-shard build errors.
     pub fn build(
-        objects: MultiVectorSet,
+        objects: FusedRows,
         weights: Weights,
         opts: MustBuildOptions,
         spec: ShardSpec,
@@ -550,12 +549,12 @@ impl ShardedMust {
                 objects.len()
             )));
         }
-        objects.fused().layout().check_weights(&weights)?;
+        objects.layout().check_weights(&weights)?;
         let pieces = split(&objects, &weights, spec.shards);
         drop(objects);
         let mut global_ids = Vec::with_capacity(pieces.len());
         let mut primaries = Vec::with_capacity(pieces.len());
-        let corpora: Vec<std::sync::Mutex<Option<MultiVectorSet>>> = pieces
+        let corpora: Vec<std::sync::Mutex<Option<FusedRows>>> = pieces
             .into_iter()
             .map(|(corpus, ids, primary)| {
                 if corpus.is_empty() {
@@ -590,7 +589,7 @@ impl ShardedMust {
         let summaries = shards
             .iter()
             .zip(&primaries)
-            .map(|(sh, &p)| ShardSummary::compute_prefix(sh.objects().fused(), p))
+            .map(|(sh, &p)| ShardSummary::compute_prefix(sh.objects(), p))
             .collect();
         Self::assemble(shards, global_ids, Some(summaries))
     }
@@ -694,7 +693,7 @@ impl ShardedMust {
                     )));
                 }
                 for (shard, sum) in shards.iter().zip(&sums) {
-                    let rows = shard.objects().fused();
+                    let rows = shard.objects();
                     if sum.centroid.len() != rows.stride()
                         || sum.radii.len() != rows.num_modalities()
                     {
@@ -710,7 +709,7 @@ impl ShardedMust {
                 }
                 sums
             }
-            None => shards.iter().map(|sh| ShardSummary::compute(sh.objects().fused())).collect(),
+            None => shards.iter().map(|sh| ShardSummary::compute(sh.objects())).collect(),
         };
         let shards = shards.into_iter().map(MustServer::freeze).collect();
         Ok(Self { shards, global_ids, summaries, total })
@@ -782,13 +781,13 @@ impl ShardedMust {
     /// use must_core::framework::MustBuildOptions;
     /// use must_core::shard::{ShardSpec, ShardedMust};
     /// use must_core::MustError;
-    /// use must_vector::{MultiVectorSet, VectorSetBuilder, Weights};
+    /// use must_vector::{FusedRows, VectorSetBuilder, Weights};
     ///
     /// let mut m0 = VectorSetBuilder::new(2, 6);
     /// for i in 0..6 {
     ///     m0.push_normalized(&[1.0, i as f32]).unwrap();
     /// }
-    /// let objects = MultiVectorSet::new(vec![m0.finish()]).unwrap();
+    /// let objects = FusedRows::new(vec![m0.finish()]).unwrap();
     /// // The default recipe builds flat graphs, which cannot grow online.
     /// let mut sharded = ShardedMust::build(
     ///     objects, Weights::uniform(1), MustBuildOptions::default(), ShardSpec::clustered(2),
@@ -809,7 +808,7 @@ impl ShardedMust {
         // Keep the routing bound valid: widen the target's radii around
         // its *fixed* centroid so the new row is covered (re-deriving the
         // centroid would shift every other member's residual).
-        let fused = shard.objects().fused();
+        let fused = shard.objects();
         let local = fused.len() as ObjectId - 1;
         self.summaries[target].grow(fused, local);
         Ok(global)
@@ -886,7 +885,7 @@ impl ShardedMust {
     /// The row layout every shard shares (assembly refuses shards that
     /// disagree on dims).
     fn layout(&self) -> &Layout {
-        self.shards[0].objects().fused().layout()
+        self.shards[0].objects().layout()
     }
 
     /// Merges `(shard index, outcome)` pairs into the global top-`k`: map
@@ -1088,11 +1087,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn corpus(n: usize) -> MultiVectorSet {
+    fn corpus(n: usize) -> FusedRows {
         corpus_of_dims(n, 8, 4)
     }
 
-    fn corpus_of_dims(n: usize, d0: usize, d1: usize) -> MultiVectorSet {
+    fn corpus_of_dims(n: usize, d0: usize, d1: usize) -> FusedRows {
         let mut rng = StdRng::seed_from_u64(99);
         let mut m0 = VectorSetBuilder::new(d0, n);
         let mut m1 = VectorSetBuilder::new(d1, n);
@@ -1102,10 +1101,10 @@ mod tests {
             m0.push_normalized(&v0).unwrap();
             m1.push_normalized(&v1).unwrap();
         }
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
-    fn self_query(set: &MultiVectorSet, id: ObjectId) -> MultiQuery {
+    fn self_query(set: &FusedRows, id: ObjectId) -> MultiQuery {
         MultiQuery::full(vec![
             set.modality(0).get(id).to_vec(),
             set.modality(1).get(id).to_vec(),
@@ -1143,7 +1142,7 @@ mod tests {
                 let q = self_query(&set, id);
                 let out = server.search(&q, 10, 60).unwrap();
                 assert_eq!(out.results.len(), 10, "query {id} ({spec:?})");
-                let qe = set.fused().query(&q, &w).unwrap();
+                let qe = set.query(&q, &w).unwrap();
                 let mut exact: Vec<(ObjectId, f32)> = (0..24).map(|o| (o, qe.ip(o))).collect();
                 exact.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 exact.truncate(10);

@@ -39,7 +39,7 @@
 use std::time::Instant;
 
 use must_graph::{par, Pool};
-use must_vector::{kernels, MultiQuery, MultiVectorSet, ObjectId, Weights};
+use must_vector::{kernels, FusedRows, MultiQuery, ObjectId, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,7 +122,7 @@ impl WeightLearner {
     /// id) and a mining corpus sampled from `set`.
     #[must_use]
     pub fn new(
-        set: &MultiVectorSet,
+        set: &FusedRows,
         anchors: &[(&MultiQuery, ObjectId)],
         config: &WeightLearnConfig,
     ) -> Self {
@@ -368,7 +368,7 @@ mod tests {
 
     /// A corpus where modality 1 (text) is discriminative and modality 0
     /// (image) is noisy/confusing: the learner must upweight modality 1.
-    fn discriminative_text_setup() -> (MultiVectorSet, Vec<(MultiQuery, ObjectId)>) {
+    fn discriminative_text_setup() -> (FusedRows, Vec<(MultiQuery, ObjectId)>) {
         let n = 64;
         let dim0 = 8;
         let dim1 = 8;
@@ -392,7 +392,7 @@ mod tests {
             m1.push_normalized(&txt).unwrap();
             texts.push(txt);
         }
-        let set = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
+        let set = FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap();
         // Anchors: queries whose text equals the positive's text.
         let mut anchors = Vec::new();
         for pos in 0..24u32 {
@@ -408,7 +408,7 @@ mod tests {
     }
 
     fn learn_weights(
-        set: &MultiVectorSet,
+        set: &FusedRows,
         anchors: &[(&MultiQuery, ObjectId)],
         config: &WeightLearnConfig,
     ) -> LearnedWeights {

@@ -11,12 +11,12 @@ use must_core::framework::{Must, MustBuildOptions};
 use must_core::runtime::ServeEngine;
 use must_core::server::MustServer;
 use must_graph::GraphRecipe;
-use must_vector::{MultiQuery, MultiVectorSet, VectorSetBuilder, Weights};
+use must_vector::{FusedRows, MultiQuery, VectorSetBuilder, Weights};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random corpus from a seed: `n` objects, two
 /// modalities of dimensionality `d0`/`d1`.
-fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> MultiVectorSet {
+fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> FusedRows {
     let mut rng = proptest::TestRng::new(seed);
     let mut m0 = VectorSetBuilder::new(d0, n);
     let mut m1 = VectorSetBuilder::new(d1, n);
@@ -27,10 +27,10 @@ fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> MultiVectorSet {
         m0.push_normalized(&v0).unwrap();
         m1.push_normalized(&v1).unwrap();
     }
-    MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
 }
 
-fn self_query(set: &MultiVectorSet, id: u32) -> MultiQuery {
+fn self_query(set: &FusedRows, id: u32) -> MultiQuery {
     MultiQuery::full(vec![
         set.modality(0).get(id).to_vec(),
         set.modality(1).get(id).to_vec(),

@@ -2,7 +2,7 @@
 //! under a chosen encoder configuration (the embedding stage of Fig. 4).
 
 use must_encoders::{Composer, Embedder, EncoderConfig, EncoderRegistry, TargetEncoding};
-use must_vector::{MultiQuery, MultiVectorSet, VectorSet, VectorSetBuilder};
+use must_vector::{FusedRows, MultiQuery, VectorSet, VectorSetBuilder};
 
 use crate::{LatentDataset, ObjectLabels};
 
@@ -28,7 +28,7 @@ pub struct EmbeddedDataset {
     /// Encoder configuration label (paper's table rows).
     pub config_label: String,
     /// The multi-vector object corpus.
-    pub objects: MultiVectorSet,
+    pub objects: FusedRows,
     /// The query workload.
     pub queries: Vec<EmbeddedQuery>,
     /// Object labels (for case studies and label-based recall).
@@ -97,7 +97,7 @@ pub fn embed_dataset(
         }
         modality_sets.push(builder.finish());
     }
-    let objects = MultiVectorSet::new(modality_sets).expect("equal cardinality");
+    let objects = FusedRows::new(modality_sets).expect("equal cardinality");
 
     // Query-side embedding.
     let composer = match config.target {

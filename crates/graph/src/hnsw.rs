@@ -288,9 +288,9 @@ impl Hnsw {
     }
 
     /// Rebuilds the layered index from its flattened form, validating
-    /// structural consistency (offsets monotone, edge targets in range,
-    /// entry on the top layer, every list within its layer's degree cap)
-    /// before anything is written into a slab.
+    /// structural consistency (offsets monotone, entry on the top layer,
+    /// every list within its layer's degree cap and naming only nodes that
+    /// reach its layer) before anything is written into a slab.
     ///
     /// # Errors
     /// A human-readable description of the first inconsistency found.
@@ -314,9 +314,6 @@ impl Hnsw {
         if flat.offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err("offset table is not monotone".into());
         }
-        if flat.edges.iter().any(|&e| e as usize >= n) {
-            return Err("edge target out of range".into());
-        }
         if flat.levels.get(flat.entry as usize).is_none_or(|&l| l < flat.max_level) {
             return Err("entry vertex out of range or below the top layer".into());
         }
@@ -335,9 +332,20 @@ impl Hnsw {
         let levels: Vec<usize> = flat.levels.iter().map(|&l| l as usize).collect();
         let layers = levels.iter().enumerate().flat_map(|(node, &level)| (0..=level).map(move |l| (node, l)));
         for ((node, layer), w) in layers.clone().zip(flat.offsets.windows(2)) {
-            let len = (w[1] - w[0]) as usize;
-            if len > cap(layer) {
-                return Err(format!("node {node} layer {layer} holds {len} neighbours, cap {}", cap(layer)));
+            let list = &flat.edges[w[0] as usize..w[1] as usize];
+            if list.len() > cap(layer) {
+                return Err(format!("node {node} layer {layer} holds {} neighbours, cap {}", list.len(), cap(layer)));
+            }
+            // A layer-`layer` list names only nodes on that layer: a later
+            // insert back-links through it into the target's own list there.
+            for &e in list {
+                match levels.get(e as usize) {
+                    None => return Err(format!("node {node} layer {layer}: edge target {e} out of range")),
+                    Some(&top) if top < layer => {
+                        return Err(format!("node {node} layer {layer} names node {e}, whose top layer is {top}"))
+                    }
+                    Some(_) => {}
+                }
             }
         }
         // The slabs are sized from `M` alone, so a header must not ask for
@@ -772,14 +780,15 @@ mod tests {
 
     #[test]
     fn from_flat_rejects_lists_longer_than_their_stride() {
-        // Three nodes, node 0 on layers 0..=1, M = 1: caps are 2 and 1.
+        // Three nodes, nodes 0 and 1 on layers 0..=1, M = 1: caps are 2
+        // and 1.
         let flat = |layer0: &[u32], layer1: &[u32]| {
             let mut edges = layer0.to_vec();
             edges.extend_from_slice(layer1);
             let (a, b) = (layer0.len() as u32, edges.len() as u32);
             HnswFlat {
-                levels: vec![1, 0, 0],
-                offsets: vec![0, a, b, b, b],
+                levels: vec![1, 1, 0],
+                offsets: vec![0, a, b, b, b, b],
                 edges,
                 entry: 0,
                 max_level: 1,
@@ -796,6 +805,27 @@ mod tests {
         assert!(err.contains("layer 0") && err.contains("cap 2"), "{err}");
         let err = Hnsw::from_flat(&flat(&[1, 2], &[1, 2])).unwrap_err();
         assert!(err.contains("layer 1") && err.contains("cap 1"), "{err}");
+    }
+
+    #[test]
+    fn from_flat_rejects_a_list_naming_a_node_below_its_layer() {
+        // Four nodes, M = 2; node 0 alone reaches layer 1.  Moving one
+        // offset turns node 0's layer-0 tail into its layer-1 list `[1]`,
+        // and node 1 has no layer-1 list to take the insert's back-link.
+        let flat = |offsets: Vec<u32>| HnswFlat {
+            levels: vec![1, 0, 0, 0],
+            offsets,
+            edges: vec![2, 3, 1, 0, 0, 0],
+            entry: 0,
+            max_level: 1,
+            m: 2,
+            ef_construction: 8,
+            rng_seed: 0,
+        };
+        let ok = Hnsw::from_flat(&flat(vec![0, 3, 3, 4, 5, 6])).unwrap();
+        assert!(ok.neighbors(0, 1).is_empty());
+        let err = Hnsw::from_flat(&flat(vec![0, 2, 3, 4, 5, 6])).unwrap_err();
+        assert!(err.contains("layer 1 names node 1"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The fused-row storage engine: one contiguous, **unscaled** row per
 //! object for the joint-similarity hot path, with all modality weighting
-//! applied query-side.
+//! applied query-side.  It is also the corpus: the paper's multi-vector
+//! representation of a multimodal object set (Section V / Fig. 4(b)).
 //!
 //! The paper reports that vector computation consumes up to 90 % of total
 //! search time (Section VII-B).  Storing each object's `m` modality vectors
@@ -36,7 +37,7 @@
 //! factors the evaluator precomputes at construction time.
 
 use crate::kernels;
-use crate::multi::MultiQuery;
+use crate::multi::{ModalityView, MultiQuery};
 use crate::{Layout, ObjectId, VectorError, VectorSet, Weights};
 
 /// Distance between the touches a `warm` makes along a row: one per
@@ -45,7 +46,13 @@ use crate::{Layout, ObjectId, VectorError, VectorSet, Weights};
 /// 14.3 k ops/s untouched, 15.6 k at 128 B, 19.0 k at 64 B.)
 pub(crate) const CACHE_LINE: usize = 64;
 
-/// Contiguous multi-modality row storage (see the module docs).
+/// `m` modalities over `n` objects in contiguous multi-modality rows (see
+/// the module docs): row `id` holds the whole multi-vector representation
+/// of object `id`.
+///
+/// Modality `0` is the *target* modality by the paper's convention; the
+/// remaining modalities are auxiliary.  Per-modality dimensionalities may
+/// differ (e.g. a 128-d image space next to a 64-d text space).
 ///
 /// Rows are stored **unscaled** — weighting happens query-side via
 /// [`FusedRows::query`] / [`FusedRows::weighted_pair_ip`] — and each row
@@ -78,7 +85,8 @@ impl FusedRows {
         norms
     }
 
-    /// Builds fused storage from per-modality sets.
+    /// Assembles the corpus from per-modality sets, fusing their rows
+    /// into the contiguous layout.
     ///
     /// # Errors
     /// [`VectorError::DimensionMismatch`] when `sets` is empty;
@@ -91,11 +99,11 @@ impl FusedRows {
     /// a.push_normalized(&[1.0, 0.0]).unwrap();
     /// let b = VectorSet::new(3); // empty: 0 objects vs 1
     /// assert_eq!(
-    ///     FusedRows::from_sets(&[a.finish(), b]).unwrap_err(),
+    ///     FusedRows::new(vec![a.finish(), b]).unwrap_err(),
     ///     VectorError::CardinalityMismatch { expected: 1, got: 0 },
     /// );
     /// ```
-    pub fn from_sets(sets: &[VectorSet]) -> Result<Self, VectorError> {
+    pub fn new(sets: Vec<VectorSet>) -> Result<Self, VectorError> {
         let layout = Layout::new(sets.iter().map(VectorSet::dim).collect())?;
         let n = sets[0].len();
         for set in &sets[1..] {
@@ -365,6 +373,48 @@ impl FusedRows {
         }
     }
 
+    /// A view of modality `i`'s vectors.
+    ///
+    /// # Panics
+    /// Panics when `i` is not a modality of the layout.
+    #[inline]
+    #[must_use]
+    pub fn modality(&self, i: usize) -> ModalityView<'_> {
+        assert!(i < self.num_modalities(), "modality out of range");
+        ModalityView { rows: self, k: i }
+    }
+
+    /// Views of all modalities, in order.
+    #[must_use]
+    pub fn modalities(&self) -> impl ExactSizeIterator<Item = ModalityView<'_>> + '_ {
+        (0..self.num_modalities()).map(|k| ModalityView { rows: self, k })
+    }
+
+    /// The multi-vector of object `id`: one slice per modality, borrowed
+    /// straight out of the fused row (no allocation).
+    #[must_use]
+    pub fn object(&self, id: ObjectId) -> impl ExactSizeIterator<Item = &[f32]> + '_ {
+        (0..self.num_modalities()).map(move |k| self.modality_slice(id, k))
+    }
+
+    /// Joint similarity between objects `a` and `b` under `weights`
+    /// (Lemma 1: the weighted sum of per-modality inner products).  This is
+    /// the reference per-modality path the fused paths are tested against;
+    /// hot paths use [`FusedRows::weighted_pair_ip`] or a
+    /// [`FusedQueryEvaluator`].
+    ///
+    /// # Errors
+    /// [`VectorError::WeightArity`] when `weights` does not cover every
+    /// modality ([`Layout::check_weights`]).
+    pub fn joint_ip(&self, a: ObjectId, b: ObjectId, weights: &Weights) -> Result<f32, VectorError> {
+        self.layout.check_weights(weights)?;
+        Ok((0..self.num_modalities())
+            .map(|k| self.modality_ip(a, b, k))
+            .zip(weights.squared())
+            .map(|(ip, w)| w * ip)
+            .sum())
+    }
+
     /// Pulls row `id` (and its norm column) towards the cache ahead of a
     /// kernel call on it: one load per cache line, folded into a
     /// `black_box`ed accumulator so the loads are neither elided nor
@@ -404,9 +454,9 @@ impl FusedRows {
     }
 
     /// Appends one object from its per-modality vectors, stored raw.  The
-    /// caller is responsible for normalisation (the public entry point is
-    /// `MultiVectorSet::push_object`); segment norms are recorded from the
-    /// values as given.
+    /// caller is responsible for normalisation ([`FusedRows::push_object`]
+    /// normalises first); segment norms are recorded from the values as
+    /// given.
     ///
     /// # Errors
     /// [`Layout::check_row`]'s; the engine is untouched on error.
@@ -425,7 +475,30 @@ impl FusedRows {
         Ok(id)
     }
 
-    /// Heap footprint of the padded row storage in bytes.
+    /// Appends one object given its per-modality raw vectors, normalising
+    /// each (dynamic insertion, Section IX of the paper).
+    ///
+    /// # Errors
+    /// [`Layout::check_row`]'s, then [`VectorError::NotNormalisable`] for a
+    /// zero or non-finite vector; on error nothing is appended (validated
+    /// before mutation).
+    pub fn push_object(&mut self, rows: &[Vec<f32>]) -> Result<ObjectId, VectorError> {
+        self.layout.check_row(rows)?;
+        // Normalise every row first so a failure cannot leave the set torn.
+        let mut normalized = Vec::with_capacity(rows.len());
+        for row in rows {
+            let mut v = row.clone();
+            if !kernels::normalize(&mut v) {
+                return Err(VectorError::NotNormalisable);
+            }
+            normalized.push(v);
+        }
+        self.push_row(&normalized)
+    }
+
+    /// Heap footprint of the padded row storage in bytes, including the
+    /// SIMD padding lanes and the segment norms (the Fig. 7 index-size
+    /// accounting).
     #[must_use]
     pub fn bytes(&self) -> usize {
         (self.data.len() + self.seg_norms.len()) * std::mem::size_of::<f32>()
@@ -457,6 +530,28 @@ impl FusedRows {
         weights: &Weights,
     ) -> Result<FusedQueryEvaluator<'_>, VectorError> {
         FusedQueryEvaluator::new(self, query, weights)
+    }
+}
+
+/// The repo benchmark's name for [`FusedRows`]; deleted by the first
+/// `[benchmark]` PR (ROADMAP 1b), with [`FusedRows::from_fused`] and
+/// [`FusedRows::fused`].
+pub type MultiVectorSet = FusedRows;
+
+impl FusedRows {
+    /// Returns `rows`.  The repo benchmark's name; deleted by the first
+    /// `[benchmark]` PR (ROADMAP 1b).
+    #[must_use]
+    pub fn from_fused(rows: FusedRows) -> Self {
+        rows
+    }
+
+    /// Returns `self`.  The repo benchmark's name; deleted by the first
+    /// `[benchmark]` PR (ROADMAP 1b).
+    #[inline]
+    #[must_use]
+    pub fn fused(&self) -> &Self {
+        self
     }
 }
 
@@ -670,7 +765,7 @@ impl<'a> FusedQueryEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MultiVectorSet, VectorSetBuilder};
+    use crate::{FusedRows, VectorSetBuilder};
 
     fn sets() -> Vec<VectorSet> {
         let mut m0 = VectorSetBuilder::new(5, 3);
@@ -686,7 +781,7 @@ mod tests {
 
     #[test]
     fn layout_pads_segments_to_lane_multiples() {
-        let rows = FusedRows::from_sets(&sets()).unwrap();
+        let rows = FusedRows::new(sets()).unwrap();
         assert_eq!(rows.dims(), &[5, 3]);
         assert_eq!(rows.segment_bounds(0), (0, 8));
         assert_eq!(rows.segment_bounds(1), (8, 16));
@@ -703,7 +798,7 @@ mod tests {
     #[test]
     fn modality_slices_match_source_sets() {
         let src = sets();
-        let rows = FusedRows::from_sets(&src).unwrap();
+        let rows = FusedRows::new(src.clone()).unwrap();
         for id in 0..3u32 {
             assert_eq!(rows.modality_slice(id, 0), src[0].get(id));
             assert_eq!(rows.modality_slice(id, 1), src[1].get(id));
@@ -712,7 +807,7 @@ mod tests {
 
     #[test]
     fn segment_norms_are_one_for_normalized_rows() {
-        let rows = FusedRows::from_sets(&sets()).unwrap();
+        let rows = FusedRows::new(sets()).unwrap();
         assert_eq!(rows.seg_norms().len(), 3 * 2);
         for id in 0..3u32 {
             for k in 0..2 {
@@ -725,7 +820,7 @@ mod tests {
     fn weighted_pair_ip_matches_lemma1() {
         let src = sets();
         let w = Weights::new(vec![0.8, 0.33]).unwrap();
-        let rows = FusedRows::from_sets(&src).unwrap();
+        let rows = FusedRows::new(src.clone()).unwrap();
         for (a, b) in [(0u32, 1u32), (1, 2), (0, 2)] {
             let want = w.sq(0) * kernels::ip(src[0].get(a), src[0].get(b))
                 + w.sq(1) * kernels::ip(src[1].get(a), src[1].get(b));
@@ -735,7 +830,7 @@ mod tests {
 
     #[test]
     fn raw_parts_round_trip_rezeroes_padding() {
-        let rows = FusedRows::from_sets(&sets()).unwrap();
+        let rows = FusedRows::new(sets()).unwrap();
         let mut data = rows.raw_data().to_vec();
         data[6] = 99.0; // corrupt a padding lane
         let back = FusedRows::from_raw_parts(vec![5, 3], data).unwrap();
@@ -744,7 +839,7 @@ mod tests {
 
     #[test]
     fn raw_parts_with_norms_validates_norm_count() {
-        let rows = FusedRows::from_sets(&sets()).unwrap();
+        let rows = FusedRows::new(sets()).unwrap();
         let back = FusedRows::from_raw_parts_with_norms(
             vec![5, 3],
             rows.raw_data().to_vec(),
@@ -766,7 +861,7 @@ mod tests {
     fn query_evaluator_exact_matches_weighted_sum() {
         let src = sets();
         let w = Weights::new(vec![0.9, 0.4]).unwrap();
-        let engine = FusedRows::from_sets(&src).unwrap();
+        let engine = FusedRows::new(src.clone()).unwrap();
         let q = MultiQuery::full(vec![src[0].get(1).to_vec(), src[1].get(2).to_vec()]);
         let ev = engine.query(&q, &w).unwrap();
         for id in 0..3u32 {
@@ -783,7 +878,7 @@ mod tests {
         // different weights over one engine, each matching its own
         // reference weighted sum.
         let src = sets();
-        let engine = FusedRows::from_sets(&src).unwrap();
+        let engine = FusedRows::new(src.clone()).unwrap();
         let q = MultiQuery::full(vec![src[0].get(0).to_vec(), src[1].get(1).to_vec()]);
         for w in [
             Weights::uniform(2),
@@ -803,7 +898,7 @@ mod tests {
     fn pruned_walk_is_sound_and_exact() {
         let src = sets();
         let w = Weights::new(vec![0.7, 0.6]).unwrap();
-        let engine = FusedRows::from_sets(&src).unwrap();
+        let engine = FusedRows::new(src.clone()).unwrap();
         let q = MultiQuery::full(vec![src[0].get(0).to_vec(), src[1].get(1).to_vec()]);
         let ev = engine.query(&q, &w).unwrap();
         for id in 0..3u32 {
@@ -823,7 +918,7 @@ mod tests {
     #[test]
     fn partial_query_zeroes_missing_segments() {
         let src = sets();
-        let engine = FusedRows::from_sets(&src).unwrap();
+        let engine = FusedRows::new(src.clone()).unwrap();
         let q = MultiQuery::partial(vec![Some(src[0].get(0).to_vec()), None]);
         let ev = engine.query(&q, &Weights::uniform(2)).unwrap();
         assert!((ev.w_total() - 0.5).abs() < 1e-6);
@@ -834,7 +929,7 @@ mod tests {
     #[test]
     fn zero_weight_modalities_are_inactive() {
         let src = sets();
-        let engine = FusedRows::from_sets(&src).unwrap();
+        let engine = FusedRows::new(src.clone()).unwrap();
         let q = MultiQuery::full(vec![src[0].get(0).to_vec(), src[1].get(1).to_vec()]);
         let w = Weights::new(vec![0.8, 0.0]).unwrap();
         let ev = engine.query(&q, &w).unwrap();
@@ -849,7 +944,7 @@ mod tests {
         assert_eq!(ev.kernel_evals() - before, 1);
     }
 
-    fn set3() -> MultiVectorSet {
+    fn set3() -> FusedRows {
         // Three objects, two modalities.
         let mut m0 = VectorSetBuilder::new(4, 3);
         m0.push_normalized(&[1.0, 0.0, 0.0, 0.0]).unwrap();
@@ -859,14 +954,14 @@ mod tests {
         m1.push_normalized(&[1.0, 0.0, 0.0]).unwrap();
         m1.push_normalized(&[0.0, 1.0, 0.0]).unwrap();
         m1.push_normalized(&[0.5, 0.5, 0.5]).unwrap();
-        MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     #[test]
     fn pruning_saves_kernel_evaluations() {
         let set = set3();
         let q = MultiQuery::full(vec![vec![0.0, 0.0, 0.0, 1.0], vec![0.0, 0.0, 1.0]]);
-        let ev = set.fused().query(&q, &Weights::uniform(2)).unwrap();
+        let ev = set.query(&q, &Weights::uniform(2)).unwrap();
         // With a very high threshold everything prunes after modality 0.
         for id in 0..3u32 {
             assert_eq!(ev.ip_pruned(id, 10.0), PartialIpVerdict::Pruned);
@@ -879,7 +974,7 @@ mod tests {
         let set = set3();
         let q = MultiQuery::full(vec![vec![1.0, 0.0], vec![1.0, 0.0, 0.0]]);
         assert!(matches!(
-            set.fused().query(&q, &Weights::uniform(2)),
+            set.query(&q, &Weights::uniform(2)),
             Err(VectorError::DimensionMismatch { .. })
         ));
     }
@@ -887,7 +982,7 @@ mod tests {
     #[test]
     fn push_row_stores_raw_values_and_norms() {
         let src = sets();
-        let mut engine = FusedRows::from_sets(&src).unwrap();
+        let mut engine = FusedRows::new(src.clone()).unwrap();
         let id = engine
             .push_row(&[vec![0.0, 0.0, 0.0, 0.0, 1.0], vec![0.6, 0.8, 0.0]])
             .unwrap();
@@ -906,7 +1001,7 @@ mod tests {
 
     #[test]
     fn centroid_row_is_mean_of_rows() {
-        let rows = FusedRows::from_sets(&sets()).unwrap();
+        let rows = FusedRows::new(sets()).unwrap();
         let c = rows.centroid_row();
         let mut want = vec![0.0f32; rows.stride()];
         for id in 0..3u32 {
@@ -921,8 +1016,10 @@ mod tests {
 
     #[test]
     fn multi_vector_set_view_exposes_the_engine() {
-        let set = MultiVectorSet::new(sets()).unwrap();
-        assert_eq!(set.fused().num_modalities(), 2);
-        assert_eq!(set.fused().seg_norms().len(), 3 * 2);
+        // The benchmark's compatibility names are identities on the engine.
+        let rows = FusedRows::new(sets()).unwrap();
+        assert!(std::ptr::eq(rows.fused(), &rows));
+        let set: MultiVectorSet = FusedRows::from_fused(rows.clone());
+        assert_eq!(set, rows);
     }
 }

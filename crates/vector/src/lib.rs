@@ -11,8 +11,10 @@
 //!   and L2 normalisation.
 //! * [`VectorSet`] — a contiguous, cache-friendly `n x d` matrix of `f32`
 //!   vectors with unit-norm enforcement (the per-modality build format).
-//! * [`FusedRows`] — the fused-row storage engine: all `m` modalities of
-//!   one object in a single contiguous, SIMD-padded, **unscaled** row.
+//! * [`FusedRows`] — the corpus: the paper's multi-vector object
+//!   representation (Fig. 4(b)) as a fused-row storage engine, all `m`
+//!   modalities of one object in a single contiguous, SIMD-padded,
+//!   **unscaled** row.
 //!   Weights are a query-time parameter: the evaluator bakes `omega^2`
 //!   into the fused query row, so the Lemma-1 joint similarity is still
 //!   one dot product and the Lemma-4 bound walks raw segments of the same
@@ -24,9 +26,8 @@
 //!   construction).
 //! * [`Layout`] — the padded per-modality segment layout both engines
 //!   share, and the one row check and one request check written on it.
-//! * [`MultiVectorSet`] — the paper's multi-vector object representation
-//!   (Fig. 4(b)): a thin view over a raw [`FusedRows`] engine whose
-//!   [`ModalityView`]s keep the old per-modality API.
+//! * [`ModalityView`] — a zero-cost strided view of one modality of a
+//!   [`FusedRows`] corpus, keeping the old per-modality API.
 //! * [`quant`] — the SQ8 scalar-quantized companion engine
 //!   ([`QuantizedRows`]): per-row per-segment affine `u8` codes in the same
 //!   stride-aligned layout, with certified reconstruction radii so a
@@ -57,14 +58,14 @@ pub mod quant;
 mod set;
 mod weights;
 
-pub use fused::{FusedQueryEvaluator, FusedRows, PartialIpVerdict};
+pub use fused::{FusedQueryEvaluator, FusedRows, MultiVectorSet, PartialIpVerdict};
 pub use layout::{Layout, FUSED_LANE};
 pub use quant::{QuantizedQueryEvaluator, QuantizedRows, SegParams};
-pub use multi::{ModalityView, MultiQuery, MultiVectorSet};
+pub use multi::{ModalityView, MultiQuery};
 pub use set::{VectorSet, VectorSetBuilder};
 pub use weights::Weights;
 
-/// Identifier of an object (a row) inside a [`VectorSet`] / [`MultiVectorSet`].
+/// Identifier of an object (a row) inside a [`VectorSet`] / [`FusedRows`].
 ///
 /// `u32` keeps hot index structures compact (the paper scales to 16 M
 /// objects, well within `u32`).
@@ -80,7 +81,7 @@ pub enum VectorError {
         /// Dimensionality that was provided.
         got: usize,
     },
-    /// The per-modality sets of a [`MultiVectorSet`] disagree on cardinality.
+    /// The per-modality sets of a [`FusedRows`] corpus disagree on cardinality.
     CardinalityMismatch {
         /// Cardinality of modality 0.
         expected: usize,

@@ -1,163 +1,20 @@
-//! The multi-vector representation of a multimodal object set
-//! (Section V / Fig. 4(b) of the paper).
+//! Per-modality views of the corpus and the multi-vector query form.
 //!
-//! Since the fused-row refactor, [`MultiVectorSet`] is a thin view over the
-//! [`FusedRows`] storage engine: all modalities of one object live in one
-//! contiguous, SIMD-padded row.  The per-modality API survives as
-//! [`ModalityView`], a zero-cost strided view that offers the same methods
-//! the old per-modality `VectorSet` storage did.
+//! The corpus itself is the [`FusedRows`] engine: all modalities of one
+//! object live in one contiguous, SIMD-padded row.  The per-modality API
+//! survives as [`ModalityView`], a zero-cost strided view that offers the
+//! same methods the old per-modality `VectorSet` storage did.
 
 use crate::fused::FusedRows;
-use crate::{kernels, ObjectId, VectorError, VectorSet, Weights};
+use crate::{kernels, ObjectId};
 
-/// `m` modalities over `n` objects, stored fused: row `id` holds the whole
-/// multi-vector representation of object `id` contiguously.
-///
-/// Modality `0` is the *target* modality by the paper's convention; the
-/// remaining modalities are auxiliary.  Per-modality dimensionalities may
-/// differ (e.g. a 128-d image space next to a 64-d text space).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiVectorSet {
-    rows: FusedRows,
-}
-
-impl MultiVectorSet {
-    /// Assembles a multi-vector set from per-modality sets, fusing their
-    /// rows into the contiguous layout.
-    ///
-    /// # Errors
-    /// [`VectorError::CardinalityMismatch`] when the sets disagree on the
-    /// number of objects.
-    pub fn new(modalities: Vec<VectorSet>) -> Result<Self, VectorError> {
-        Ok(Self { rows: FusedRows::from_sets(&modalities)? })
-    }
-
-    /// Wraps an existing fused engine — the binary-bundle load path, which
-    /// reads rows already in fused layout.  Fused storage is always
-    /// unscaled (weights are a query-time parameter), so any engine is a
-    /// valid corpus.
-    #[must_use]
-    pub fn from_fused(rows: FusedRows) -> Self {
-        Self { rows }
-    }
-
-    /// The underlying fused-row storage engine.
-    #[inline]
-    #[must_use]
-    pub fn fused(&self) -> &FusedRows {
-        &self.rows
-    }
-
-    /// Number of modalities `m`.
-    #[inline]
-    #[must_use]
-    pub fn num_modalities(&self) -> usize {
-        self.rows.num_modalities()
-    }
-
-    /// Number of objects `n`.
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// A view of modality `i`'s vectors.
-    #[inline]
-    #[must_use]
-    pub fn modality(&self, i: usize) -> ModalityView<'_> {
-        assert!(i < self.num_modalities(), "modality out of range");
-        ModalityView { rows: &self.rows, k: i }
-    }
-
-    /// Views of all modalities, in order.
-    #[must_use]
-    pub fn modalities(&self) -> impl ExactSizeIterator<Item = ModalityView<'_>> + '_ {
-        (0..self.num_modalities()).map(|k| ModalityView { rows: &self.rows, k })
-    }
-
-    /// Per-modality dimensionalities.
-    #[inline]
-    #[must_use]
-    pub fn dims(&self) -> &[usize] {
-        self.rows.dims()
-    }
-
-    /// The multi-vector of object `id`: one slice per modality, borrowed
-    /// straight out of the fused row (no allocation).
-    #[must_use]
-    pub fn object(&self, id: ObjectId) -> impl ExactSizeIterator<Item = &[f32]> + '_ {
-        (0..self.num_modalities()).map(move |k| self.rows.modality_slice(id, k))
-    }
-
-    /// Per-modality inner products between objects `a` and `b` (no
-    /// allocation; collect if indexed access is needed).
-    #[must_use]
-    pub fn modality_ips(&self, a: ObjectId, b: ObjectId) -> impl ExactSizeIterator<Item = f32> + '_ {
-        (0..self.num_modalities()).map(move |k| self.rows.modality_ip(a, b, k))
-    }
-
-    /// Joint similarity between objects `a` and `b` under `weights`
-    /// (Lemma 1: the weighted sum of per-modality inner products).  This is
-    /// the reference per-modality path; hot paths go through the shared
-    /// [`FusedRows`] engine with the weights applied query-side.
-    ///
-    /// # Errors
-    /// [`VectorError::WeightArity`] when `weights` does not cover every
-    /// modality ([`crate::Layout::check_weights`]).
-    pub fn joint_ip(&self, a: ObjectId, b: ObjectId, weights: &Weights) -> Result<f32, VectorError> {
-        self.rows.layout().check_weights(weights)?;
-        Ok(self
-            .modality_ips(a, b)
-            .zip(weights.squared())
-            .map(|(ip, w)| w * ip)
-            .sum())
-    }
-
-    /// Appends one object given its per-modality raw vectors, normalising
-    /// each (dynamic insertion, Section IX of the paper).
-    ///
-    /// # Errors
-    /// [`crate::Layout::check_row`]'s, then
-    /// [`VectorError::NotNormalisable`] for a zero or non-finite vector;
-    /// on error nothing is appended (validated before mutation).
-    pub fn push_object(&mut self, rows: &[Vec<f32>]) -> Result<ObjectId, VectorError> {
-        self.rows.layout().check_row(rows)?;
-        // Normalise every row first so a failure cannot leave the set torn.
-        let mut normalized = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut v = row.clone();
-            if !kernels::normalize(&mut v) {
-                return Err(VectorError::NotNormalisable);
-            }
-            normalized.push(v);
-        }
-        self.rows.push_row(&normalized)
-    }
-
-    /// Approximate heap footprint of the stored vectors in bytes,
-    /// including the SIMD padding lanes of the fused layout
-    /// (used by the Fig. 7 index-size accounting).
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.rows.bytes()
-    }
-}
-
-/// A zero-cost view of one modality inside a [`MultiVectorSet`]: the same
-/// per-modality API the pre-fused storage offered, reading strided
-/// segments of the fused rows.
+/// A zero-cost view of one modality of a [`FusedRows`] corpus
+/// ([`FusedRows::modality`]): the same per-modality API the pre-fused
+/// storage offered, reading strided segments of the fused rows.
 #[derive(Debug, Clone, Copy)]
 pub struct ModalityView<'a> {
-    rows: &'a FusedRows,
-    k: usize,
+    pub(crate) rows: &'a FusedRows,
+    pub(crate) k: usize,
 }
 
 impl<'a> ModalityView<'a> {
@@ -289,16 +146,16 @@ impl MultiQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VectorSetBuilder;
+    use crate::{VectorError, VectorSetBuilder, Weights};
 
-    fn two_modality_set() -> MultiVectorSet {
+    fn two_modality_set() -> FusedRows {
         let mut img = VectorSetBuilder::new(4, 2);
         img.push_normalized(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         img.push_normalized(&[0.0, 1.0, 0.0, 0.0]).unwrap();
         let mut txt = VectorSetBuilder::new(2, 2);
         txt.push_normalized(&[1.0, 0.0]).unwrap();
         txt.push_normalized(&[1.0, 1.0]).unwrap();
-        MultiVectorSet::new(vec![img.finish(), txt.finish()]).unwrap()
+        FusedRows::new(vec![img.finish(), txt.finish()]).unwrap()
     }
 
     #[test]
@@ -307,7 +164,7 @@ mod tests {
         a.push_normalized(&[1.0, 0.0]).unwrap();
         let b = VectorSetBuilder::new(2, 0).finish();
         assert!(matches!(
-            MultiVectorSet::new(vec![a.finish(), b]),
+            FusedRows::new(vec![a.finish(), b]),
             Err(VectorError::CardinalityMismatch { expected: 1, got: 0 })
         ));
     }
@@ -316,7 +173,7 @@ mod tests {
     fn joint_ip_is_weighted_sum_of_modality_ips() {
         let set = two_modality_set();
         let w = Weights::new(vec![0.8, 0.33]).unwrap();
-        let ips: Vec<f32> = set.modality_ips(0, 1).collect();
+        let ips: Vec<f32> = (0..2).map(|k| set.modality_ip(0, 1, k)).collect();
         let want = 0.64 * ips[0] + 0.1089 * ips[1];
         let got = set.joint_ip(0, 1, &w).unwrap();
         assert!((got - want).abs() < 1e-6);

@@ -542,7 +542,7 @@ impl<'a> QuantizedQueryEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MultiVectorSet, VectorSetBuilder};
+    use crate::{FusedRows, VectorSetBuilder};
 
     fn engine() -> FusedRows {
         let mut m0 = VectorSetBuilder::new(5, 4);
@@ -555,7 +555,7 @@ mod tests {
         m1.push_normalized(&[0.0, 1.0, 1.0]).unwrap();
         m1.push_normalized(&[0.5, 0.5, 0.5]).unwrap();
         m1.push_normalized(&[0.3, -0.8, 0.5]).unwrap();
-        FusedRows::from_sets(&[m0.finish(), m1.finish()]).unwrap()
+        FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
     }
 
     /// What a bundle saves of `q`: the code section and the quantization
@@ -614,7 +614,7 @@ mod tests {
         let mut m0 = VectorSetBuilder::new(4, 2);
         m0.push_normalized(&[0.5, 0.5, 0.5, 0.5]).unwrap();
         m0.push_normalized(&[1.0, 0.0, 0.0, 0.0]).unwrap();
-        let rows = FusedRows::from_sets(&[m0.finish()]).unwrap();
+        let rows = FusedRows::new(vec![m0.finish()]).unwrap();
         let q = QuantizedRows::from_fused(&rows);
         let p = q.seg_params(0, 0);
         assert_eq!(p.step, 0.0);
@@ -979,7 +979,7 @@ mod tests {
 
     #[test]
     fn multi_vector_set_round_trips_through_quantization() {
-        let set = MultiVectorSet::new(vec![
+        let set = FusedRows::new(vec![
             {
                 let mut b = VectorSetBuilder::new(6, 2);
                 b.push_normalized(&[1.0, 2.0, -1.0, 0.5, 0.0, 0.25]).unwrap();
@@ -988,10 +988,10 @@ mod tests {
             },
         ])
         .unwrap();
-        let q = set.fused().quantize();
+        let q = set.quantize();
         for id in 0..2u32 {
             let p = q.seg_params(id, 0);
-            for (d, &orig) in q.decode_modality(id, 0).iter().zip(set.fused().modality_slice(id, 0))
+            for (d, &orig) in q.decode_modality(id, 0).iter().zip(set.modality_slice(id, 0))
             {
                 assert!((d - orig).abs() <= 0.5 * p.step + 1e-6);
             }

@@ -1,6 +1,6 @@
 //! Contiguous storage for a set of equal-dimensional vectors: the build
 //! format of one modality.  Reads go through the fused rows it is packed
-//! into (`MultiVectorSet::modality`).
+//! into (`FusedRows::modality`).
 
 use crate::kernels;
 use crate::{ObjectId, VectorError};
@@ -119,11 +119,11 @@ impl VectorSetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MultiVectorSet;
+    use crate::FusedRows;
 
     /// `s` as the one modality of a fused set, where reads happen.
-    fn fused(s: VectorSet) -> MultiVectorSet {
-        MultiVectorSet::new(vec![s]).unwrap()
+    fn fused(s: VectorSet) -> FusedRows {
+        FusedRows::new(vec![s]).unwrap()
     }
 
     fn sample_set() -> VectorSet {

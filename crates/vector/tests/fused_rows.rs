@@ -6,8 +6,7 @@
 //! Lemma-4 bound must never under-prune.
 
 use must_vector::{
-    kernels, FusedRows, MultiQuery, MultiVectorSet, PartialIpVerdict,
-    VectorSetBuilder, Weights, FUSED_LANE,
+    kernels, FusedRows, MultiQuery, PartialIpVerdict, VectorSetBuilder, Weights, FUSED_LANE,
 };
 use proptest::prelude::*;
 
@@ -20,7 +19,7 @@ fn raw_vector(dim: usize) -> impl Strategy<Value = Vec<f32>> {
 
 /// Corpora over deliberately awkward dims: none is a multiple of the SIMD
 /// lane, so every segment exercises the zero-padding tail.
-fn multi_set(n: usize, dims: &'static [usize]) -> impl Strategy<Value = MultiVectorSet> {
+fn multi_set(n: usize, dims: &'static [usize]) -> impl Strategy<Value = FusedRows> {
     let per_modality: Vec<_> = dims
         .iter()
         .map(|&d| proptest::collection::vec(raw_vector(d), n))
@@ -37,7 +36,7 @@ fn multi_set(n: usize, dims: &'static [usize]) -> impl Strategy<Value = MultiVec
                 b.finish()
             })
             .collect();
-        MultiVectorSet::new(sets).expect("equal cardinality by construction")
+        FusedRows::new(sets).expect("equal cardinality by construction")
     })
 }
 
@@ -49,7 +48,7 @@ fn weights(m: usize) -> impl Strategy<Value = Weights> {
 /// The reference per-modality Lemma-4 walk the old storage performed:
 /// per-modality `l2_sq` against the raw slices, explicitly weighted.
 fn reference_pruned(
-    set: &MultiVectorSet,
+    set: &FusedRows,
     w: &Weights,
     query: &MultiQuery,
     id: u32,
@@ -79,7 +78,7 @@ proptest! {
         a in 0u32..6,
         b in 0u32..6,
     ) {
-        let fused = set.fused().weighted_pair_ip(a, b, w.squared());
+        let fused = set.weighted_pair_ip(a, b, w.squared());
         let reference = set.joint_ip(a, b, &w).unwrap();
         prop_assert!((fused - reference).abs() < 1e-5,
             "fused {} vs per-modality {}", fused, reference);
@@ -97,7 +96,7 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q0));
         prop_assume!(kernels::normalize(&mut q1));
         let query = MultiQuery::full(vec![q0.clone(), q1.clone()]);
-        let ev = set.fused().query(&query, &w).unwrap();
+        let ev = set.query(&query, &w).unwrap();
         for id in 0..5u32 {
             let reference = w.sq(0) * set.modality(0).ip_to(id, &q0)
                 + w.sq(1) * set.modality(1).ip_to(id, &q1);
@@ -121,7 +120,7 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q1));
         prop_assume!(kernels::normalize(&mut q2));
         let query = MultiQuery::full(vec![q0, q1, q2]);
-        let ev = set.fused().query(&query, &w).unwrap();
+        let ev = set.query(&query, &w).unwrap();
         for id in 0..6u32 {
             let exact = ev.ip(id);
             let fused = ev.ip_pruned(id, threshold);
@@ -154,7 +153,7 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q1));
         // Auxiliary-only query: modality 0 unsupplied.
         let query = MultiQuery::partial(vec![None, Some(q1.clone())]);
-        let ev = set.fused().query(&query, &w).unwrap();
+        let ev = set.query(&query, &w).unwrap();
         prop_assert!((ev.w_total() - w.sq(1)).abs() < 1e-5);
         for id in 0..5u32 {
             let reference = w.sq(1) * set.modality(1).ip_to(id, &q1);
@@ -174,26 +173,25 @@ proptest! {
         // The binary-bundle path: raw buffer out, engine back — must be
         // byte-identical, norms included, whether the norms travel with
         // the buffer (v5) or are re-derived from it (v3).
-        let rows = set.fused();
         let back = FusedRows::from_raw_parts(
-            rows.dims().to_vec(),
-            rows.raw_data().to_vec(),
+            set.dims().to_vec(),
+            set.raw_data().to_vec(),
         )
         .unwrap();
-        prop_assert_eq!(rows, &back);
+        prop_assert_eq!(&set, &back);
         let with_norms = FusedRows::from_raw_parts_with_norms(
-            rows.dims().to_vec(),
-            rows.raw_data().to_vec(),
-            rows.seg_norms().to_vec(),
+            set.dims().to_vec(),
+            set.raw_data().to_vec(),
+            set.seg_norms().to_vec(),
         )
         .unwrap();
-        prop_assert_eq!(rows, &with_norms);
+        prop_assert_eq!(&set, &with_norms);
         // Weighted similarities over the round-tripped engine are
         // bit-identical to the original's.
         for a in 0..4u32 {
             for b in 0..4u32 {
                 prop_assert_eq!(
-                    rows.weighted_pair_ip(a, b, w.squared()),
+                    set.weighted_pair_ip(a, b, w.squared()),
                     back.weighted_pair_ip(a, b, w.squared())
                 );
             }
@@ -202,13 +200,12 @@ proptest! {
 
     #[test]
     fn segments_stay_lane_aligned(set in multi_set(3, &[1, 11, 16])) {
-        let rows = set.fused();
-        prop_assert_eq!(rows.stride() % FUSED_LANE, 0);
-        for k in 0..rows.num_modalities() {
-            let (start, end) = rows.segment_bounds(k);
+        prop_assert_eq!(set.stride() % FUSED_LANE, 0);
+        for k in 0..set.num_modalities() {
+            let (start, end) = set.segment_bounds(k);
             prop_assert_eq!(start % FUSED_LANE, 0);
             prop_assert_eq!(end % FUSED_LANE, 0);
-            prop_assert!(end - start >= rows.dims()[k]);
+            prop_assert!(end - start >= set.dims()[k]);
         }
     }
 }

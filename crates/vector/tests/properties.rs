@@ -7,8 +7,7 @@
 
 use must_vector::kernels;
 use must_vector::{
-    MultiQuery, MultiVectorSet, PartialIpVerdict, QuantizedRows,
-    VectorSetBuilder, Weights,
+    FusedRows, MultiQuery, PartialIpVerdict, QuantizedRows, VectorSetBuilder, Weights,
 };
 use proptest::prelude::*;
 
@@ -22,7 +21,7 @@ fn raw_vector(dim: usize) -> impl Strategy<Value = Vec<f32>> {
 fn multi_set(
     n: usize,
     dims: &'static [usize],
-) -> impl Strategy<Value = MultiVectorSet> {
+) -> impl Strategy<Value = FusedRows> {
     let per_modality: Vec<_> = dims
         .iter()
         .map(|&d| proptest::collection::vec(raw_vector(d), n))
@@ -39,7 +38,7 @@ fn multi_set(
                 b.finish()
             })
             .collect();
-        MultiVectorSet::new(sets).expect("equal cardinality by construction")
+        FusedRows::new(sets).expect("equal cardinality by construction")
     })
 }
 
@@ -173,8 +172,7 @@ fn batched_pair_similarities_are_the_per_pair_ones_bit_for_bit() {
             b.finish()
         })
         .collect();
-    let set = MultiVectorSet::new(sets).unwrap();
-    let rows = set.fused();
+    let rows = FusedRows::new(sets).unwrap();
     let wsq = [0.64f32, 0.0, 0.3];
     for len in 0..=9usize {
         for a in [0u32, 17, 39] {
@@ -229,8 +227,8 @@ proptest! {
         a in 0u32..5,
         b in 0u32..5,
     ) {
-        let want: f32 = set.modality_ips(a, b).zip(w.squared()).map(|(s, q)| s * q).sum();
-        prop_assert!((set.fused().weighted_pair_ip(a, b, w.squared()) - want).abs() < 1e-4);
+        let want: f32 = w.squared().iter().enumerate().map(|(k, q)| set.modality_ip(a, b, k) * q).sum();
+        prop_assert!((set.weighted_pair_ip(a, b, w.squared()) - want).abs() < 1e-4);
     }
 
     #[test]
@@ -246,7 +244,7 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q0));
         prop_assume!(kernels::normalize(&mut q1));
         let query = MultiQuery::full(vec![q0, q1]);
-        let ev = set.fused().query(&query, &w).unwrap();
+        let ev = set.query(&query, &w).unwrap();
         for id in 0..6u32 {
             let exact = ev.ip(id);
             match ev.ip_pruned(id, threshold) {
@@ -304,13 +302,13 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q1));
         // Codes are weight-free, so one engine must serve the build-time
         // weights and any per-query override identically.
-        let quant = set.fused().quantize();
+        let quant = set.quantize();
         for w in [w, w_override] {
                 for query in [
                 MultiQuery::full(vec![q0.clone(), q1.clone()]),
                 MultiQuery::partial(vec![Some(q0.clone()), None]),
             ] {
-                let exact_ev = set.fused().query(&query, &w).unwrap();
+                let exact_ev = set.query(&query, &w).unwrap();
                 let qev = quant.query(&query, &w).unwrap();
                 for id in 0..6u32 {
                     let exact = exact_ev.ip(id);
@@ -356,11 +354,11 @@ proptest! {
                 b.finish()
             })
             .collect();
-        let set = MultiVectorSet::new(sets).unwrap();
-        let quant = set.fused().quantize();
+        let set = FusedRows::new(sets).unwrap();
+        let quant = set.quantize();
         let scale = delta_norm / kernels::norm(&delta).max(f32::MIN_POSITIVE);
         let near = |k: usize, d: &[f32]| -> Vec<f32> {
-            let stored = set.fused().modality_slice(target, k);
+            let stored = set.modality_slice(target, k);
             stored.iter().zip(d).map(|(o, x)| o + scale * x).collect()
         };
         let (q0, q1) = (near(0, &delta[..6]), near(1, &delta[6..]));
@@ -374,7 +372,7 @@ proptest! {
                     let exact: f64 = (0..2)
                         .filter_map(|k| Some((k, query.slot(k)?)))
                         .map(|(k, slot)| {
-                            let row = set.fused().modality_slice(id, k);
+                            let row = set.modality_slice(id, k);
                             let pairs = slot.iter().zip(row);
                             let ip: f64 = pairs.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
                             f64::from(w.sq(k)) * ip
@@ -410,7 +408,7 @@ proptest! {
         prop_assume!(kernels::normalize(&mut q0));
         // A t=1 query must score exactly like scaling modality 0 alone.
         let partial = MultiQuery::partial(vec![Some(q0.clone()), None]);
-        let ev = set.fused().query(&partial, &w).unwrap();
+        let ev = set.query(&partial, &w).unwrap();
         for id in 0..5u32 {
             let want = w.sq(0) * set.modality(0).ip_to(id, &q0);
             prop_assert!((ev.ip(id) - want).abs() < 1e-4);

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m0.push_normalized(&img)?;
         m1.push_normalized(&txt)?;
     }
-    let objects = MultiVectorSet::new(vec![m0.finish(), m1.finish()])?;
+    let objects = FusedRows::new(vec![m0.finish(), m1.finish()])?;
     let must = Must::build(objects, Weights::uniform(2), MustBuildOptions::default())?;
 
     let path = std::env::temp_dir().join("must-offline-online.mustb");

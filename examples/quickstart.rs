@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m0.push_normalized(img)?;
         m1.push_normalized(txt)?;
     }
-    let objects = MultiVectorSet::new(vec![m0.finish(), m1.finish()])?;
+    let objects = FusedRows::new(vec![m0.finish(), m1.finish()])?;
 
     // Weights: either learned (see the face_retrieval example) or
     // user-defined.  Here we weight both modalities equally.

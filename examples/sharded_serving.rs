@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m0.push_normalized(&img)?;
         m1.push_normalized(&txt)?;
     }
-    let objects = MultiVectorSet::new(vec![m0.finish(), m1.finish()])?;
+    let objects = FusedRows::new(vec![m0.finish(), m1.finish()])?;
     let queries: Vec<MultiQuery> = (0..6u32)
         .map(|i| {
             let id = i * 19;

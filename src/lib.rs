@@ -40,7 +40,5 @@ pub mod prelude {
         RoutePolicy, ShardSpec, ShardSummary, ShardedMust, ShardedServer, ShardedWorker,
     };
     pub use must_core::weights::{WeightLearnConfig, WeightLearner};
-    pub use must_vector::{
-        FusedRows, ModalityView, MultiQuery, MultiVectorSet, VectorSet, VectorSetBuilder, Weights,
-    };
+    pub use must_vector::{FusedRows, ModalityView, MultiQuery, VectorSet, VectorSetBuilder, Weights};
 }

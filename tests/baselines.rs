@@ -9,7 +9,7 @@ use must::graph::search::SearchScratch;
 use must::prelude::*;
 
 /// Deterministic pseudo-random corpus: `n` objects, two modalities.
-fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> MultiVectorSet {
+fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> FusedRows {
     let mut state = seed | 1;
     let mut next = move || {
         state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
@@ -23,11 +23,11 @@ fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> MultiVectorSet {
         m0.push_normalized(&v0).unwrap();
         m1.push_normalized(&v1).unwrap();
     }
-    MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
 }
 
 /// Query `q`: one object's image row beside another object's text row.
-fn query(set: &MultiVectorSet, q: u32) -> MultiQuery {
+fn query(set: &FusedRows, q: u32) -> MultiQuery {
     let n = set.len() as u32;
     MultiQuery::full(vec![
         set.modality(0).get((q * 19) % n).to_vec(),

@@ -7,7 +7,7 @@ use must::graph::GraphRecipe;
 use must::prelude::*;
 
 /// Deterministic pseudo-random corpus: `n` objects, two modalities.
-fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> MultiVectorSet {
+fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> FusedRows {
     let mut state = seed | 1;
     let mut next = move || {
         state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
@@ -21,7 +21,7 @@ fn corpus(n: usize, d0: usize, d1: usize, seed: u64) -> MultiVectorSet {
         m0.push_normalized(&v0).unwrap();
         m1.push_normalized(&v1).unwrap();
     }
-    MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap()
+    FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap()
 }
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -30,7 +30,7 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     dir.join(format!("{tag}-{}.bundle", std::process::id()))
 }
 
-fn bundle_bytes(set: &MultiVectorSet, recipe: GraphRecipe, threads: usize, tag: &str) -> Vec<u8> {
+fn bundle_bytes(set: &FusedRows, recipe: GraphRecipe, threads: usize, tag: &str) -> Vec<u8> {
     let weights = Weights::uniform(2);
     let must = Must::build(
         set.clone(),
@@ -95,7 +95,7 @@ fn fnv1a_words(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// The rows of object `id`, as `insert_object` takes them.
-fn object_rows(set: &MultiVectorSet, id: u32) -> Vec<Vec<f32>> {
+fn object_rows(set: &FusedRows, id: u32) -> Vec<Vec<f32>> {
     set.object(id).map(<[f32]>::to_vec).collect()
 }
 

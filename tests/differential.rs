@@ -36,7 +36,7 @@ const TOL: f64 = 1e-5;
 /// One drawn instance: the corpus, its weights and tombstones, a few
 /// queries and one `(k, l)`.
 struct Instance {
-    set: MultiVectorSet,
+    set: FusedRows,
     weights: Weights,
     deleted: Vec<bool>,
     queries: Vec<MultiQuery>,
@@ -83,7 +83,7 @@ fn instance(seed: u64) -> Instance {
             s
         })
         .collect();
-    let set = MultiVectorSet::new(sets).unwrap();
+    let set = FusedRows::new(sets).unwrap();
     // Zero weights, but never all of them: `Weights::new` refuses all-zero
     // weights (every pair would tie, and no graph has anything to navigate
     // by), so one entry stays positive.
@@ -241,7 +241,7 @@ fn bits(results: &[(u32, f32)]) -> Vec<(u32, u32)> {
 fn check_instance(seed: u64) -> Result<(), TestCaseError> {
     let inst = instance(seed);
     let (n, k, l) = (inst.set.len(), inst.k, inst.l);
-    let rows = inst.set.fused();
+    let rows = &inst.set;
     let w = &inst.weights;
     let live = |id: u32| !inst.deleted[id as usize];
 

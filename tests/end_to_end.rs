@@ -91,7 +91,7 @@ fn tiny_corpus_build_search_roundtrip() {
 /// Mean recall@k of the three frameworks (exact search each, the Tabs.
 /// III–VI protocol) over the evaluation slice: `(MUST, MR, JE)`.
 fn framework_recalls(p: &Pipeline, k: usize) -> (f64, f64, f64) {
-    let rows = p.embedded.objects.fused();
+    let rows = &p.embedded.objects;
     let objects = &p.embedded.objects;
     let eval = &p.embedded.queries[120..520.min(p.embedded.queries.len())];
     let (mut r_must, mut r_mr, mut r_je) = (0.0, 0.0, 0.0);
@@ -190,7 +190,7 @@ fn baselines_run_on_real_embeddings() {
 #[test]
 fn multimodal_queries_beat_single_modality() {
     let p = pipeline();
-    let rows = p.embedded.objects.fused();
+    let rows = &p.embedded.objects;
     let eval = &p.embedded.queries[120..420.min(p.embedded.queries.len())];
     let (mut r_full, mut r_target_only) = (0.0, 0.0);
     for q in eval {
@@ -224,7 +224,7 @@ fn multimodal_queries_beat_single_modality() {
 #[test]
 fn learned_weights_generalize_to_unseen_queries() {
     let p = pipeline();
-    let rows = p.embedded.objects.fused();
+    let rows = &p.embedded.objects;
     // Evaluate only on queries far outside the training slice.
     let eval = &p.embedded.queries[p.embedded.queries.len() - 200..];
     let mut recall = 0.0;

@@ -31,7 +31,7 @@ proptest! {
     ) {
         let embedded = small_embedded();
         let weights = Weights::new(vec![w0, w1]).unwrap();
-        let rows = embedded.objects.fused();
+        let rows = &embedded.objects;
         let q = &embedded.queries[qi].query;
         let a = brute_force_search(rows, q, &weights, 10, true).unwrap();
         let b = brute_force_search(rows, q, &weights, 10, false).unwrap();
@@ -79,7 +79,7 @@ proptest! {
             prop_assert!(w[0].0 != w[1].0);
         }
         // Reported similarity equals the Lemma-1 weighted sum.
-        let ev = must.objects().fused().query(q, &weights).unwrap();
+        let ev = must.objects().query(q, &weights).unwrap();
         for (id, sim) in &hits {
             prop_assert!((ev.ip(*id) - sim).abs() < 1e-4);
         }

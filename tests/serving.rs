@@ -19,7 +19,7 @@ use must::vector::{VectorError, FUSED_LANE};
 
 /// Embeds a small MIT-States-style corpus and returns its objects plus a
 /// 64-query workload.
-fn embedded_fixture() -> (MultiVectorSet, Vec<MultiQuery>) {
+fn embedded_fixture() -> (FusedRows, Vec<MultiQuery>) {
     let ds = must::data::catalog::mit_states(0.05, 4242);
     let registry = EncoderRegistry::new(LatentSpace::DEFAULT, 4242);
     let config = EncoderConfig::new(
@@ -400,7 +400,7 @@ struct Malformed {
 /// counts, overrides of the wrong arity, slots of the wrong length in each
 /// modality (short, long, longer than the padded segment, supplied alone),
 /// `k = 0`, and pairs of faults that pin which check speaks first.
-fn malformed_requests(objects: &MultiVectorSet) -> Vec<Malformed> {
+fn malformed_requests(objects: &FusedRows) -> Vec<Malformed> {
     let dims = objects.dims().to_vec();
     assert_eq!(dims.len(), 2, "the table is written for two modalities");
     let row = |k: usize| objects.modality(k).get(7).to_vec();
@@ -517,7 +517,7 @@ fn malformed_requests_are_typed_errors_on_every_path() {
     );
     let routed = sharded.with_routing(RoutePolicy::with_beam(2, 40));
     let defaults = Weights::uniform(2);
-    let rows = f32_server.objects().fused();
+    let rows = f32_server.objects();
 
     for case in &cases {
         let (q, w, k) = (&case.query, case.weights.as_ref(), case.k);
@@ -1012,7 +1012,7 @@ fn deletions_cost_the_walk_its_live_share() {
             set.push(&unit(&mut rng, d)).unwrap();
         }
     }
-    let objects = MultiVectorSet::new(sets.into()).unwrap();
+    let objects = FusedRows::new(sets.into()).unwrap();
     let opts = MustBuildOptions { gamma: 16, recipe: GraphRecipe::Hnsw, ..Default::default() };
     let mut must = Must::build(objects, Weights::uniform(2), opts).unwrap();
     let queries: Vec<MultiQuery> =
@@ -1089,7 +1089,7 @@ fn a_huge_k_is_answered_on_every_entry_point() {
         }
         b.finish()
     });
-    let set = MultiVectorSet::new(sets.into()).unwrap();
+    let set = FusedRows::new(sets.into()).unwrap();
     let w = Weights::uniform(2);
     let q = MultiQuery::full((0..2).map(|m| set.modality(m).get(5).to_vec()).collect());
     let opts = |recipe| MustBuildOptions { gamma: 8, recipe, ..Default::default() };
@@ -1107,7 +1107,7 @@ fn a_huge_k_is_answered_on_every_entry_point() {
     }
     let must = Must::build(set.clone(), w.clone(), opts(GraphRecipe::Fused)).unwrap();
     every_row("Must::brute_force", must.brute_force(&q, HUGE).unwrap().results.len());
-    let scan = search::brute_force_search(set.fused(), &q, &w, HUGE, true).unwrap();
+    let scan = search::brute_force_search(&set, &q, &w, HUGE, true).unwrap();
     every_row("brute_force_search", scan.results.len());
     let truth = search::exact_ground_truth(&set, &w, slice::from_ref(&q), HUGE).unwrap();
     every_row("exact_ground_truth", truth[0].len());

@@ -17,7 +17,7 @@ use must::prelude::*;
 
 /// Embeds a small MIT-States-style corpus and returns the corpus, weights,
 /// and a 48-query workload.
-fn fixture() -> (MultiVectorSet, Weights, Vec<MultiQuery>) {
+fn fixture() -> (FusedRows, Weights, Vec<MultiQuery>) {
     let ds = must::data::catalog::mit_states(0.05, 1717);
     let registry = EncoderRegistry::new(LatentSpace::DEFAULT, 1717);
     let config = EncoderConfig::new(
@@ -347,7 +347,7 @@ fn routed_search_finds_objects_inserted_after_freeze() {
         v1[3] = 0.05 * (i % 4) as f32;
         m1.push_normalized(&v1).unwrap();
     }
-    let objects = MultiVectorSet::new(vec![m0.finish(), m1.finish()]).unwrap();
+    let objects = FusedRows::new(vec![m0.finish(), m1.finish()]).unwrap();
     let opts = MustBuildOptions { recipe: must::graph::GraphRecipe::Hnsw, ..Default::default() };
     let mut sharded = ShardedMust::build(
         objects,

@@ -33,7 +33,7 @@ const L: usize = 100;
 const PAIRS: [(u32, u32); 9] =
     [(3, 4), (10, 250), (31, 399), (57, 58), (90, 91), (120, 300), (150, 151), (200, 333), (260, 261)];
 
-fn corpus() -> MultiVectorSet {
+fn corpus() -> FusedRows {
     let mut rng = StdRng::seed_from_u64(41);
     let mut raw: Vec<[Vec<f32>; 2]> = (0..N)
         .map(|_| DIMS.map(|d| (0..d).map(|_| rng.random::<f32>() - 0.5).collect()))
@@ -50,15 +50,15 @@ fn corpus() -> MultiVectorSet {
             b.finish()
         })
         .collect();
-    MultiVectorSet::new(sets).unwrap()
+    FusedRows::new(sets).unwrap()
 }
 
-fn self_query(set: &MultiVectorSet, id: u32) -> MultiQuery {
+fn self_query(set: &FusedRows, id: u32) -> MultiQuery {
     MultiQuery::full((0..2).map(|k| set.modality(k).get(id).to_vec()).collect())
 }
 
 /// One query per pair, each the lower row of its pair.
-fn queries(set: &MultiVectorSet) -> Vec<MultiQuery> {
+fn queries(set: &FusedRows) -> Vec<MultiQuery> {
     PAIRS.iter().map(|&(lo, _)| self_query(set, lo)).collect()
 }
 
@@ -85,7 +85,7 @@ fn exact_scans_return_ties_in_id_order() {
     let w = Weights::new(vec![0.8, 0.5]).unwrap();
     let qs = queries(&set);
     for prune in [true, false] {
-        let outs = qs.iter().map(|q| brute_force_search(set.fused(), q, &w, K, prune).unwrap());
+        let outs = qs.iter().map(|q| brute_force_search(&set, q, &w, K, prune).unwrap());
         assert_outcomes(&format!("brute_force_search(prune {prune})"), outs);
     }
     let must = Must::build(set.clone(), w.clone(), opts()).unwrap();
@@ -167,7 +167,7 @@ fn single_modality_top_k_returns_ties_in_id_order() {
             b.finish()
         })
         .collect();
-    let set = MultiVectorSet::new(sets).unwrap();
+    let set = FusedRows::new(sets).unwrap();
     let query = MultiQuery::full(
         DIMS.iter().map(|&d| (0..d).map(|_| rng.random::<f32>() - 0.5).collect()).collect(),
     );
